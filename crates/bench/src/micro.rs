@@ -185,9 +185,9 @@ impl MicroBench {
 }
 
 /// Component hot paths: protocol (de)framing, TS mux/demux, the encoder,
-/// stats kernels, TLS record framing, and one full RTMP session. These
-/// guard against regressions that would make paper-scale figure
-/// regeneration impractically slow.
+/// stats kernels, TLS record framing, capture recording, and one full
+/// session per transport. These guard against regressions that would make
+/// paper-scale figure regeneration impractically slow.
 pub fn bench_components(seed: u64) -> String {
     use pscp_media::bitstream::{FrameKind, FramePayload};
     use pscp_media::content::{ContentClass, ContentProcess};
@@ -451,6 +451,39 @@ pub fn bench_components(seed: u64) -> String {
             srt_session::run(&broadcast, SimTime::from_secs(400), &SessionConfig::default(), &rngs)
                 .capture
                 .total_bytes() as u64
+        });
+
+        // The costliest arm: a popular broadcast served over HLS, with the
+        // full chat room (and its picture downloads) that popularity brings.
+        use pscp_client::hls_session;
+        let popular = Broadcast { avg_viewers: 800.0, ..broadcast.clone() };
+        let hot = hls_session::run(
+            &popular,
+            SimTime::from_secs(400),
+            &SessionConfig::default(),
+            &RngFactory::new(1).child("bench-session"),
+        );
+        let hot_bytes = hot.capture.total_bytes() as u64;
+        let mut k = 0u64;
+        suite.run("session/hls 60s end-to-end", Some(hot_bytes), || {
+            k += 1;
+            let rngs = RngFactory::new(k).child("bench-session");
+            hls_session::run(&popular, SimTime::from_secs(400), &SessionConfig::default(), &rngs)
+                .capture
+                .total_bytes() as u64
+        });
+
+        // What recording that session's packets costs on its own: replay
+        // its capture (same flows, sizes and payloads) into a fresh one.
+        suite.run("capture/record hot-chat session", Some(hot_bytes), || {
+            let mut copy = pscp_media::capture::Capture::new();
+            for flow in &hot.capture.flows {
+                let idx = copy.open_flow(flow.kind, flow.server.clone());
+                for pkt in flow.packets() {
+                    copy.record(idx, pkt.at, pkt.wall_ts, pkt.payload);
+                }
+            }
+            copy.total_bytes() as u64
         });
     }
 

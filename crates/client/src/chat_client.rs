@@ -12,7 +12,7 @@
 //! 2 Mbps QoE boundary.
 
 use crate::session::SessionConfig;
-use pscp_media::capture::{Capture, FlowKind};
+use pscp_media::capture::{Capture, FlowKind, Payload};
 use pscp_proto::http::Response;
 use pscp_proto::ws::Frame;
 use pscp_service::chat::{ChatConfig, ChatRoom};
@@ -26,6 +26,45 @@ use pscp_workload::broadcast::Broadcast;
 /// reconnect completes (DESIGN.md §8). Shared by the RTMP and HLS paths.
 pub(crate) const CHAT_RECONNECT_GAP: SimDuration = SimDuration::from_secs(6);
 
+/// The byte a profile-picture body is filled with (a JPEG marker byte).
+const PICTURE_FILL: u8 = 0xD8;
+
+/// Wire bytes of one send as a run: a literal `head` (a WS frame, or an
+/// HTTP status line + headers) followed by `pad` copies of `fill` — the
+/// picture body, whose contents no analysis reads. Carried as a run from
+/// here through the session's send arena into the capture, so the filler
+/// is never written out.
+#[derive(Debug, Clone)]
+pub struct WireBytes {
+    /// Literal leading bytes.
+    pub head: Vec<u8>,
+    /// The byte the run repeats.
+    pub fill: u8,
+    /// Run length.
+    pub pad: usize,
+}
+
+impl WireBytes {
+    fn literal(head: Vec<u8>) -> Self {
+        WireBytes { head, fill: 0, pad: 0 }
+    }
+
+    /// On-wire length.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.pad
+    }
+
+    /// Whether nothing goes on the wire.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes as a borrowed capture payload.
+    pub fn payload(&self) -> Payload<'_> {
+        Payload::run(&self.head, self.fill, self.pad)
+    }
+}
+
 /// One chat-related downstream transmission.
 #[derive(Debug, Clone)]
 pub struct ChatSend {
@@ -34,7 +73,7 @@ pub struct ChatSend {
     /// Which flow it belongs to.
     pub kind: FlowKind,
     /// Wire bytes (WS frame or HTTP response).
-    pub bytes: Vec<u8>,
+    pub bytes: WireBytes,
 }
 
 /// Produces the chat-related sends of one session, in time order.
@@ -55,7 +94,11 @@ pub fn events(
     let mut cached: std::collections::HashSet<String> = std::collections::HashSet::new();
     for msg in messages {
         let frame = Frame::text(msg.to_json().to_json());
-        out.push(ChatSend { at: msg.at, kind: FlowKind::Chat, bytes: frame.encode(None) });
+        out.push(ChatSend {
+            at: msg.at,
+            kind: FlowKind::Chat,
+            bytes: WireBytes::literal(frame.encode(None)),
+        });
         if !config.chat_on {
             continue;
         }
@@ -64,8 +107,12 @@ pub fn events(
                 continue;
             }
             cached.insert(pic.url.clone());
-            let resp = Response::ok_bytes("image/jpeg", vec![0xD8; pic.bytes]);
-            out.push(ChatSend { at: msg.at, kind: FlowKind::PictureHttp, bytes: resp.encode() });
+            let head = Response::ok_bytes("image/jpeg", Vec::new()).encode_head(pic.bytes);
+            out.push(ChatSend {
+                at: msg.at,
+                kind: FlowKind::PictureHttp,
+                bytes: WireBytes { head, fill: PICTURE_FILL, pad: pic.bytes },
+            });
         }
     }
     // Hearts: tiny batched pushes on the same WebSocket (§3's emoticons).
@@ -73,7 +120,11 @@ pub fn events(
         let body = format!("{{\"kind\":\"heart\",\"n\":{}}}", heart.count);
         debug_assert!(body.len() >= heart.wire_len().saturating_sub(4));
         let frame = Frame::text(body);
-        out.push(ChatSend { at: heart.at, kind: FlowKind::Chat, bytes: frame.encode(None) });
+        out.push(ChatSend {
+            at: heart.at,
+            kind: FlowKind::Chat,
+            bytes: WireBytes::literal(frame.encode(None)),
+        });
     }
     // The merge in the session driver sorts by time; keep this list sorted
     // too for the dedicated-link path.
@@ -81,9 +132,9 @@ pub fn events(
     out
 }
 
-/// Legacy path used by sessions whose chat travels on a dedicated link
-/// (the HLS fetch path models its video transfer in closed form): plays
-/// the [`events`] through `link` and records them into `capture`.
+/// For sessions whose chat travels on a dedicated link (the HLS fetch path
+/// models its video transfer in closed form): plays the [`events`] through
+/// `link` and records them into `capture`.
 #[allow(clippy::too_many_arguments)]
 pub fn generate(
     broadcast: &Broadcast,
@@ -132,12 +183,15 @@ pub fn generate_with_faults(
             },
             _ => continue,
         };
-        for chunk in send.bytes.chunks(MTU_BYTES) {
-            if let Some(arr) = link.enqueue(send.at, chunk.len()).time() {
+        let payload = send.bytes.payload();
+        let mut chunks = payload.chunks(MTU_BYTES);
+        link.enqueue_batch(send.at, payload.chunks(MTU_BYTES).map(|c| c.len()), |delivery| {
+            let chunk = chunks.next().expect("one chunk per offered size");
+            if let Some(arr) = delivery.time() {
                 let wall = capture_clock.read(arr, rng);
                 capture.record(flow, arr, wall, chunk);
             }
-        }
+        });
     }
 }
 
@@ -249,6 +303,7 @@ mod tests {
         let cap = run(false, false, 50.0);
         let flow = cap.flow_of_kind(FlowKind::Chat).unwrap();
         let stream = flow.byte_stream();
+        assert_eq!(stream.len(), flow.byte_count());
         let mut pos = 0;
         let mut n = 0;
         while pos < stream.len() {
@@ -258,5 +313,42 @@ mod tests {
             n += 1;
         }
         assert!(n > 0);
+    }
+
+    #[test]
+    fn on_wire_bytes_decode_as_the_written_out_messages() {
+        let mut rng = RngFactory::new(4).stream("chat-events");
+        let sends = events(
+            &broadcast(60.0),
+            SimTime::from_secs(5),
+            SimTime::from_secs(65),
+            &session_config(true, false),
+            &mut rng,
+        );
+        let mut pictures = 0;
+        for send in &sends {
+            let wire = send.bytes.payload().bytes();
+            assert_eq!(wire.len(), send.bytes.len());
+            match send.kind {
+                FlowKind::Chat => {
+                    let (frame, used) = Frame::decode(&wire).unwrap();
+                    assert_eq!(used, wire.len());
+                    assert!(frame.as_text().unwrap().contains("\"kind\":"));
+                }
+                FlowKind::PictureHttp => {
+                    let resp = Response::decode(&wire).unwrap();
+                    assert_eq!(resp.status, 200);
+                    assert_eq!(resp.get_header("content-type"), Some("image/jpeg"));
+                    let n = resp.body.len();
+                    assert_eq!(resp.get_header("content-length"), Some(n.to_string().as_str()));
+                    assert!(n > 1000 && resp.body.iter().all(|&b| b == 0xD8));
+                    // Byte for byte what encoding the whole response gives.
+                    assert_eq!(*wire, Response::ok_bytes("image/jpeg", vec![0xD8; n]).encode());
+                    pictures += 1;
+                }
+                other => panic!("unexpected flow kind {other:?}"),
+            }
+        }
+        assert!(pictures > 0);
     }
 }

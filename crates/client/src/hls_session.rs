@@ -274,9 +274,11 @@ pub fn run_traced(
             }
         }
         let fetch_started = now;
-        let resp = Response::ok_bytes("video/mp2t", segment.bytes.clone());
-        let body = resp.encode();
-        let schedule = tcp.transfer(now, body.len(), &mut cwnd, fetched == 0);
+        // The response is its head followed by the segmenter's own bytes;
+        // nothing is copied into an encoded response first.
+        let head = Response::ok_bytes("video/mp2t", Vec::new()).encode_head(segment.bytes.len());
+        let resp_len = head.len() + segment.bytes.len();
+        let schedule = tcp.transfer(now, resp_len, &mut cwnd, fetched == 0);
         // Record the response bytes sliced along the arrival schedule.
         let mut off = 0usize;
         let mut extra_total = SimDuration::ZERO;
@@ -288,9 +290,16 @@ pub fn run_traced(
                 }
                 None => at,
             };
-            let end_off = (off + n).min(body.len());
+            let end_off = (off + n).min(resp_len);
             let wall = capture_clock.read(at, &mut net_rng);
-            capture.record(flow, at, wall, &body[off..end_off]);
+            let h = head.len();
+            let body = &segment.bytes[off.saturating_sub(h)..end_off.saturating_sub(h)];
+            if off < h {
+                // The one chunk that carries the head and the body's start.
+                capture.record(flow, at, wall, &[&head[off..end_off.min(h)], body].concat());
+            } else {
+                capture.record(flow, at, wall, body);
+            }
             off = end_off;
         }
         let completion = schedule.completion + extra_total;
@@ -320,8 +329,8 @@ pub fn run_traced(
         trace.span(fetch_started.as_micros(), completion.as_micros(), "cdn", "cdn.fetch", None);
         trace.count("hls", "segments_fetched", 1);
         trace.count("tcp", "transfers", 1);
-        trace.count("tcp", "bytes", body.len() as u64);
-        trace.observe("hls", "segment_bytes", &pscp_obs::BYTE_BUCKETS, body.len() as u64);
+        trace.count("tcp", "bytes", resp_len as u64);
+        trace.observe("hls", "segment_bytes", &pscp_obs::BYTE_BUCKETS, resp_len as u64);
         trace.observe("tcp", "fetch_ms", &pscp_obs::MS_BUCKETS, fetch_ms);
         if trace.is_enabled() {
             trace.event(
@@ -330,7 +339,7 @@ pub fn run_traced(
                 "hls.segment_fetch",
                 vec![
                     ("seq", pscp_obs::Field::U(want)),
-                    ("bytes", pscp_obs::Field::U(body.len() as u64)),
+                    ("bytes", pscp_obs::Field::U(resp_len as u64)),
                     ("fetch_ms", pscp_obs::Field::U(fetch_ms)),
                 ],
             );

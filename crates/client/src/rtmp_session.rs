@@ -15,7 +15,7 @@ use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
 use crate::uplink::Uplink;
 use pscp_media::audio::AudioEncoder;
 use pscp_media::bitstream::FrameKind;
-use pscp_media::capture::{Capture, FlowKind};
+use pscp_media::capture::{Capture, FlowKind, Payload};
 use pscp_media::content::ContentProcess;
 use pscp_media::encoder::{Encoder, EncoderConfig};
 use pscp_media::flv::{AudioTag, VideoTag};
@@ -26,7 +26,7 @@ use pscp_proto::rtmp::{
 use pscp_service::ingest::assign_server;
 use pscp_service::select::Protocol;
 use pscp_simnet::fault::{self, LinkFaults};
-use pscp_simnet::{BufPool, Link, RngFactory, SimDuration, SimTime, WallClock};
+use pscp_simnet::{Link, RngFactory, SimDuration, SimTime, WallClock};
 use pscp_workload::broadcast::Broadcast;
 use std::collections::HashMap;
 
@@ -166,15 +166,19 @@ pub fn run_traced(
         media_end_s: f64,
         capture_wall_s: f64,
     }
-    // All outbound bytes for the session live in one arena (`send_data`);
-    // each `Send` is a range into it. Sorting by time moves small records,
-    // not payloads, and the transmit loop borrows MTU-sized windows straight
-    // out of the arena — no per-message or per-packet Vec.
+    // All outbound literal bytes for the session live in one arena
+    // (`send_data`); each `Send` is a range into it followed by a run of
+    // `pad` × `fill` that is never written out (picture bodies, bootstrap).
+    // Sorting by time moves small records, not payloads, and the transmit
+    // loop borrows MTU-sized windows straight out of the arena — no
+    // per-message or per-packet Vec.
     struct Send {
         at: SimTime,
         flow: usize,
         start: usize,
         end: usize,
+        fill: u8,
+        pad: usize,
         meta: Option<Meta>,
     }
     let mut sends: Vec<Send> = Vec::new();
@@ -190,13 +194,13 @@ pub fn run_traced(
     // explode (Fig 4a).
     let overhead_bytes = pscp_simnet::dist::lognormal(&mut net_rng, (900_000f64).ln(), 0.7)
         .clamp(150_000.0, 4_000_000.0) as usize;
-    let start = send_data.len();
-    send_data.resize(start + overhead_bytes, 0);
     sends.push(Send {
         at: join_at + config.network.access_rtt,
         flow: flow_misc,
-        start,
+        start: send_data.len(),
         end: send_data.len(),
+        fill: 0,
+        pad: overhead_bytes,
         meta: None,
     });
 
@@ -211,6 +215,8 @@ pub fn run_traced(
         flow: flow_rtmp,
         start,
         end: send_data.len(),
+        fill: 0,
+        pad: 0,
         meta: None,
     });
     let mut chunker = Chunker::new();
@@ -224,14 +230,20 @@ pub fn run_traced(
         )),
         &mut send_data,
     );
-    sends.push(Send { at: play_cmd_at, flow: flow_rtmp, start, end: send_data.len(), meta: None });
+    sends.push(Send {
+        at: play_cmd_at,
+        flow: flow_rtmp,
+        start,
+        end: send_data.len(),
+        fill: 0,
+        pad: 0,
+        meta: None,
+    });
 
     // Media messages: backlog burst + live push, interleaved with audio.
-    // One pooled scratch buffer holds each FLV tag body while the chunker
-    // copies it into the arena; it is reused for every message in the
-    // session (and recycled across sessions sharing the pool).
-    let pool = BufPool::default();
-    let mut scratch = pool.take(8 * 1024);
+    // One scratch buffer holds each FLV tag body while the chunker copies
+    // it into the arena; it is reused for every message in the session.
+    let mut scratch: Vec<u8> = Vec::with_capacity(8 * 1024);
     let first_pts = video_in.get(start_idx).map(|f| f.frame.pts_ms).unwrap_or(0);
     let frame_dur_s = 1.0 / fps;
     let mut ai =
@@ -268,6 +280,8 @@ pub fn run_traced(
                 flow: flow_rtmp,
                 start,
                 end: send_data.len(),
+                fill: 0,
+                pad: 0,
                 meta: None,
             });
             trace.count("rtmp", "audio_msgs", 1);
@@ -299,6 +313,8 @@ pub fn run_traced(
             flow: flow_rtmp,
             start,
             end: send_data.len(),
+            fill: 0,
+            pad: 0,
             meta: Some(Meta {
                 media_end_s: (f.frame.pts_ms - first_pts) as f64 / 1000.0 + frame_dur_s,
                 capture_wall_s: broadcaster_clock.read_exact(f.t_cap),
@@ -325,8 +341,16 @@ pub fn run_traced(
             _ => continue,
         };
         let start = send_data.len();
-        send_data.extend_from_slice(&ev.bytes);
-        sends.push(Send { at, flow, start, end: send_data.len(), meta: None });
+        send_data.extend_from_slice(&ev.bytes.head);
+        sends.push(Send {
+            at,
+            flow,
+            start,
+            end: send_data.len(),
+            fill: ev.bytes.fill,
+            pad: ev.bytes.pad,
+            meta: None,
+        });
     }
 
     // Private broadcasts travel over RTMPS (§3): the RTMP bytes are sealed
@@ -404,14 +428,15 @@ pub fn run_traced(
     // flow, FIFO enqueueing keeps arrival order non-decreasing.
     sends.sort_by_key(|s| s.at);
     let mtu = config.network.mtu.max(256);
-    // Pre-size the capture: the arena ranges say exactly how many payload
-    // bytes each flow records, and chunking bounds the packet count.
+    // Pre-size the capture: the arena ranges say exactly how many literal
+    // bytes each flow records (runs take no space), and chunking the
+    // on-wire length bounds the packet count.
     {
         let mut flow_bytes = vec![0usize; capture.flows.len()];
         let mut flow_pkts = vec![0usize; capture.flows.len()];
         for s in &sends {
             flow_bytes[s.flow] += s.end - s.start;
-            flow_pkts[s.flow] += (s.end - s.start).div_ceil(mtu);
+            flow_pkts[s.flow] += (s.end - s.start + s.pad).div_ceil(mtu);
         }
         for (i, f) in capture.flows.iter_mut().enumerate() {
             f.reserve(flow_bytes[i], flow_pkts[i]);
@@ -425,9 +450,9 @@ pub fn run_traced(
             continue; // the connection is down; these bytes never leave
         }
         let mut last = None;
-        let payload = &send_data[send.start..send.end];
+        let payload = Payload::run(&send_data[send.start..send.end], send.fill, send.pad);
         let mut chunks = payload.chunks(mtu);
-        link.enqueue_batch(send.at, payload.chunks(mtu).map(<[u8]>::len), |delivery| {
+        link.enqueue_batch(send.at, payload.chunks(mtu).map(|c| c.len()), |delivery| {
             let chunk = chunks.next().expect("one chunk per offered size");
             if let Some(arr) = delivery.time() {
                 let arr = match link_faults.as_mut() {
@@ -606,7 +631,7 @@ mod tests {
                 stripped.record(p.at, p.wall_ts, p.payload);
             } else if skipped + p.payload.len() > skip {
                 let cut = skip - skipped;
-                stripped.record(p.at, p.wall_ts, &p.payload[cut..]);
+                stripped.record(p.at, p.wall_ts, &p.payload.bytes()[cut..]);
                 skipped = skip;
             } else {
                 skipped += p.payload.len();
@@ -670,7 +695,7 @@ mod tests {
         // record (sizes + timing preserved).
         let mut tls = pscp_proto::tls::TlsChannel::new(b.viewer_seed);
         let stream = flow.byte_stream();
-        let plain = tls.open_all(stream).unwrap();
+        let plain = tls.open_all(&stream).unwrap();
         assert!(plain.len() < stream.len());
     }
 

@@ -38,7 +38,7 @@ use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
 use crate::uplink::Uplink;
 use pscp_media::audio::AudioEncoder;
 use pscp_media::bitstream::FrameKind;
-use pscp_media::capture::{Capture, FlowKind};
+use pscp_media::capture::{Capture, FlowKind, Payload};
 use pscp_media::content::ContentProcess;
 use pscp_media::encoder::{Encoder, EncoderConfig};
 use pscp_proto::srt::{
@@ -294,24 +294,27 @@ pub fn run_traced(
     };
 
     // --- app-side TCP flows (bootstrap + chat + pictures), same model as
-    // the RTMP session ---
+    // the RTMP session: literal bytes in one arena, each send a range into
+    // it followed by a run of `pad` × `fill` that is never written out ---
     struct Send {
         at: SimTime,
         flow: usize,
         start: usize,
         end: usize,
+        fill: u8,
+        pad: usize,
     }
     let mut sends: Vec<Send> = Vec::new();
     let mut send_data: Vec<u8> = Vec::with_capacity(64 * 1024);
     let overhead_bytes = pscp_simnet::dist::lognormal(&mut net_rng, (900_000f64).ln(), 0.7)
         .clamp(150_000.0, 4_000_000.0) as usize;
-    let start = send_data.len();
-    send_data.resize(start + overhead_bytes, 0);
     sends.push(Send {
         at: join_at + config.network.access_rtt,
         flow: flow_misc,
-        start,
-        end: send_data.len(),
+        start: 0,
+        end: 0,
+        fill: 0,
+        pad: overhead_bytes,
     });
     let bootstrap_done = join_at
         + config.network.access_rtt
@@ -327,8 +330,9 @@ pub fn run_traced(
             _ => continue,
         };
         let start = send_data.len();
-        send_data.extend_from_slice(&ev.bytes);
-        sends.push(Send { at, flow, start, end: send_data.len() });
+        send_data.extend_from_slice(&ev.bytes.head);
+        let (fill, pad) = (ev.bytes.fill, ev.bytes.pad);
+        sends.push(Send { at, flow, start, end: send_data.len(), fill, pad });
     }
     sends.sort_by_key(|s| s.at);
     let mtu = config.network.mtu.max(256);
@@ -459,7 +463,7 @@ pub fn run_traced(
                 // the media datagrams; losses surface as delay under the
                 // per-flow monotone floor, exactly like the RTMP session.
                 let send = &sends[*si];
-                let payload = &send_data[send.start..send.end];
+                let payload = Payload::run(&send_data[send.start..send.end], send.fill, send.pad);
                 for chunk in payload.chunks(mtu) {
                     let Some(arr) = dglink.send_reliable(send.at, chunk.len()).time() else {
                         continue;
@@ -756,7 +760,7 @@ mod tests {
         let mut data_pkts = 0;
         let mut control_pkts = 0;
         for p in flow.packets() {
-            match srt::decode_packet(p.payload).expect("every datagram decodes") {
+            match srt::decode_packet(p.payload.literal()).expect("every datagram decodes") {
                 (Packet::Data(d), used) => {
                     assert_eq!(used, p.payload.len());
                     assert_eq!(used, d.payload.len() + srt::DATA_HEADER_BYTES);

@@ -154,7 +154,7 @@ pub fn analyze_rtmp_flow(flow: &Flow) -> Result<StreamReport, ProtoError> {
     let mut audio: Vec<(u32, usize)> = Vec::new();
     let mut consumed = 0usize;
     for pkt in flow.packets() {
-        dechunker.feed(pkt.payload)?;
+        dechunker.feed(&pkt.payload.bytes())?;
         consumed += pkt.payload.len();
         while let Some(msg) = dechunker.next_view() {
             match msg.kind {

@@ -13,13 +13,20 @@
 //! ordered byte stream plus a byte-offset → timestamp index, so an analyzer
 //! can ask "when did the packet containing byte N arrive?".
 //!
-//! Storage is arena-based: each [`Flow`] keeps one contiguous payload buffer
-//! plus per-packet metadata (timestamps and an end offset), so recording a
-//! packet is a bounds check and a memcpy — no per-packet `Vec` — and
-//! [`Flow::byte_stream`] is a free borrow of the arena. Packets are exposed
-//! as borrowed [`PacketView`]s.
+//! Storage is arena-based and run-length aware: a packet's payload is a
+//! literal part followed by a *run* — `pad` copies of one `fill` byte (see
+//! [`Payload`]). Each [`Flow`] keeps one contiguous arena of the literal
+//! bytes plus per-packet metadata (timestamps, the literal end offset and
+//! the cumulative on-wire end offset), so recording a packet is a bounds
+//! check and a memcpy of its literal part — no per-packet `Vec`, and
+//! nothing at all is written for a run. Filler traffic whose contents no
+//! analysis reads (profile-picture bodies, app bootstrap) is recorded as
+//! runs; every size, offset and rate below is in on-wire bytes, exactly as
+//! if the run had been stored. Packets are exposed as borrowed
+//! [`PacketView`]s.
 
 use pscp_simnet::SimTime;
+use std::borrow::Cow;
 
 /// Transport-level classification of a flow, as the analysis scripts would
 /// infer from ports and endpoints.
@@ -43,13 +50,100 @@ pub enum FlowKind {
     Srt,
 }
 
-/// Per-packet metadata; payload bytes live in the flow's arena, ending at
-/// `end` (the previous packet's `end` — or 0 — marks the start).
+/// One packet's payload: `literal` followed by `pad` copies of `fill`.
+///
+/// A plain byte slice is the `pad == 0` case (`From<&[u8]>`). Equality is
+/// by content: a run and the same bytes written out compare equal.
+#[derive(Debug, Clone, Copy)]
+pub struct Payload<'a> {
+    literal: &'a [u8],
+    fill: u8,
+    pad: usize,
+}
+
+impl<'a> Payload<'a> {
+    /// `literal` followed by `pad` copies of `fill`.
+    pub fn run(literal: &'a [u8], fill: u8, pad: usize) -> Self {
+        Payload { literal, fill, pad }
+    }
+
+    /// On-wire length: literal bytes plus the run.
+    pub fn len(&self) -> usize {
+        self.literal.len() + self.pad
+    }
+
+    /// Whether the payload has no bytes on the wire.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The literal part.
+    pub fn literal(&self) -> &'a [u8] {
+        self.literal
+    }
+
+    /// The on-wire bytes: a free borrow when there is no run, materialised
+    /// otherwise.
+    pub fn bytes(&self) -> Cow<'a, [u8]> {
+        if self.pad == 0 {
+            return Cow::Borrowed(self.literal);
+        }
+        let mut out = Vec::with_capacity(self.len());
+        out.extend_from_slice(self.literal);
+        out.resize(self.len(), self.fill);
+        Cow::Owned(out)
+    }
+
+    /// Splits the on-wire bytes into packets of at most `mtu` bytes (the
+    /// last may be shorter), like `<[u8]>::chunks` on the materialised
+    /// payload.
+    pub fn chunks(self, mtu: usize) -> impl Iterator<Item = Payload<'a>> + Clone {
+        assert!(mtu > 0, "chunk size must be non-zero");
+        let len = self.len();
+        let lit = self.literal.len();
+        (0..len.div_ceil(mtu)).map(move |i| {
+            let (from, to) = (i * mtu, len.min((i + 1) * mtu));
+            let literal = &self.literal[from.min(lit)..to.min(lit)];
+            Payload { literal, fill: self.fill, pad: (to - from) - literal.len() }
+        })
+    }
+}
+
+impl PartialEq for Payload<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.bytes() == other.bytes()
+    }
+}
+
+impl<'a> From<&'a [u8]> for Payload<'a> {
+    fn from(literal: &'a [u8]) -> Self {
+        Payload { literal, fill: 0, pad: 0 }
+    }
+}
+
+impl<'a> From<&'a Vec<u8>> for Payload<'a> {
+    fn from(literal: &'a Vec<u8>) -> Self {
+        literal.as_slice().into()
+    }
+}
+
+impl<'a, const N: usize> From<&'a [u8; N]> for Payload<'a> {
+    fn from(literal: &'a [u8; N]) -> Self {
+        literal.as_slice().into()
+    }
+}
+
+/// Per-packet metadata. The packet's literal bytes live in the flow arena,
+/// ending at `lit_end`; its on-wire bytes end at stream offset `wire_end`
+/// (the previous packet's ends — or 0 — mark the starts). What the two
+/// lengths differ by is the packet's run of `fill`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PacketMeta {
     at: SimTime,
     wall_ts: f64,
-    end: usize,
+    lit_end: usize,
+    wire_end: usize,
+    fill: u8,
 }
 
 /// A borrowed view of one recorded packet (downstream direction; upstream
@@ -61,8 +155,8 @@ pub struct PacketView<'a> {
     pub at: SimTime,
     /// Capture host wall-clock timestamp, seconds (with its NTP error).
     pub wall_ts: f64,
-    /// TCP payload bytes.
-    pub payload: &'a [u8],
+    /// TCP payload.
+    pub payload: Payload<'a>,
 }
 
 /// A reconstructed unidirectional TCP flow.
@@ -72,9 +166,9 @@ pub struct Flow {
     pub kind: FlowKind,
     /// Server endpoint label, e.g. `"ec2-54-67-9-120.us-west-1"`.
     pub server: String,
-    /// Concatenated payload bytes of every packet, in arrival order.
+    /// Concatenated literal bytes of every packet, in arrival order.
     data: Vec<u8>,
-    /// Per-packet timestamps + cumulative end offsets into `data`.
+    /// Per-packet timestamps + cumulative literal and on-wire end offsets.
     meta: Vec<PacketMeta>,
 }
 
@@ -84,32 +178,35 @@ impl Flow {
         Flow { kind, server: server.into(), data: Vec::new(), meta: Vec::new() }
     }
 
-    /// Pre-sizes the arena and packet index (e.g. for allocation-free
-    /// steady-state recording).
+    /// Pre-sizes the literal arena and packet index (e.g. for
+    /// allocation-free steady-state recording). Runs need no space.
     pub fn reserve(&mut self, bytes: usize, packets: usize) {
         self.data.reserve(bytes);
         self.meta.reserve(packets);
     }
 
-    /// Records a packet by copying its payload into the flow arena.
-    pub fn record(&mut self, at: SimTime, wall_ts: f64, payload: &[u8]) {
+    /// Records a packet: its literal part is copied into the flow arena,
+    /// its run is only counted.
+    pub fn record<'a>(&mut self, at: SimTime, wall_ts: f64, payload: impl Into<Payload<'a>>) {
         debug_assert!(
             self.meta.last().map(|p| p.at <= at).unwrap_or(true),
             "packets must be recorded in order"
         );
-        self.data.extend_from_slice(payload);
-        self.meta.push(PacketMeta { at, wall_ts, end: self.data.len() });
+        let payload = payload.into();
+        self.data.extend_from_slice(payload.literal);
+        self.meta.push(PacketMeta {
+            at,
+            wall_ts,
+            lit_end: self.data.len(),
+            wire_end: self.byte_count() + payload.len(),
+            fill: payload.fill,
+        });
     }
 
-    /// Records a packet of `len` zero bytes without a source buffer —
-    /// padding/overhead traffic whose contents are never inspected.
+    /// Records a packet of `len` zero bytes — padding/overhead traffic
+    /// whose contents are never inspected.
     pub fn record_zeros(&mut self, at: SimTime, wall_ts: f64, len: usize) {
-        debug_assert!(
-            self.meta.last().map(|p| p.at <= at).unwrap_or(true),
-            "packets must be recorded in order"
-        );
-        self.data.resize(self.data.len() + len, 0);
-        self.meta.push(PacketMeta { at, wall_ts, end: self.data.len() });
+        self.record(at, wall_ts, Payload::run(&[], 0, len));
     }
 
     /// Number of packets recorded.
@@ -120,8 +217,13 @@ impl Flow {
     /// The `i`-th packet as a borrowed view.
     pub fn packet(&self, i: usize) -> PacketView<'_> {
         let m = self.meta[i];
-        let start = if i == 0 { 0 } else { self.meta[i - 1].end };
-        PacketView { at: m.at, wall_ts: m.wall_ts, payload: &self.data[start..m.end] }
+        let (lit_start, wire_start) = match i.checked_sub(1) {
+            Some(prev) => (self.meta[prev].lit_end, self.meta[prev].wire_end),
+            None => (0, 0),
+        };
+        let literal = &self.data[lit_start..m.lit_end];
+        let pad = (m.wire_end - wire_start) - literal.len();
+        PacketView { at: m.at, wall_ts: m.wall_ts, payload: Payload::run(literal, m.fill, pad) }
     }
 
     /// Iterates packets in arrival order as borrowed views.
@@ -139,14 +241,24 @@ impl Flow {
         self.meta.last().map(|m| m.at)
     }
 
-    /// Total payload bytes.
+    /// Total payload bytes on the wire (literal bytes plus runs).
     pub fn byte_count(&self) -> usize {
-        self.data.len()
+        self.meta.last().map_or(0, |m| m.wire_end)
     }
 
-    /// The reassembled, ordered byte stream — a borrow of the flow arena.
-    pub fn byte_stream(&self) -> &[u8] {
-        &self.data
+    /// The reassembled, ordered byte stream: a free borrow of the arena
+    /// for a flow without runs, materialised (runs written out) otherwise —
+    /// always `byte_count()` bytes long.
+    pub fn byte_stream(&self) -> Cow<'_, [u8]> {
+        if self.byte_count() == self.data.len() {
+            return Cow::Borrowed(&self.data);
+        }
+        let mut out = Vec::with_capacity(self.byte_count());
+        for p in self.packets() {
+            out.extend_from_slice(p.payload.literal);
+            out.resize(out.len() + p.payload.pad, p.payload.fill);
+        }
+        Cow::Owned(out)
     }
 
     /// Returns the wall timestamp of the packet containing byte `offset` of
@@ -162,11 +274,11 @@ impl Flow {
     }
 
     fn index_at_byte(&self, offset: usize) -> Option<usize> {
-        if offset >= self.data.len() {
+        if offset >= self.byte_count() {
             return None;
         }
         // First packet whose (cumulative) end offset exceeds `offset`.
-        Some(self.meta.partition_point(|m| m.end <= offset))
+        Some(self.meta.partition_point(|m| m.wire_end <= offset))
     }
 
     /// Mean downstream rate over the capture in bits/second (first to last
@@ -203,7 +315,13 @@ impl Capture {
     }
 
     /// Records a packet on flow `idx`.
-    pub fn record(&mut self, idx: usize, at: SimTime, wall_ts: f64, payload: &[u8]) {
+    pub fn record<'a>(
+        &mut self,
+        idx: usize,
+        at: SimTime,
+        wall_ts: f64,
+        payload: impl Into<Payload<'a>>,
+    ) {
         self.flows[idx].record(at, wall_ts, payload);
     }
 
@@ -269,9 +387,9 @@ mod tests {
         f.record(t(1), 1.0, &[1, 2]);
         f.record(t(2), 2.0, &[3]);
         f.record(t(3), 3.0, &[4, 5]);
-        assert_eq!(f.byte_stream(), &[1, 2, 3, 4, 5]);
+        assert_eq!(&*f.byte_stream(), &[1, 2, 3, 4, 5]);
         assert_eq!(f.byte_count(), 5);
-        let views: Vec<Vec<u8>> = f.packets().map(|p| p.payload.to_vec()).collect();
+        let views: Vec<Vec<u8>> = f.packets().map(|p| p.payload.bytes().to_vec()).collect();
         assert_eq!(views, vec![vec![1, 2], vec![3], vec![4, 5]]);
         assert_eq!(f.packet_count(), 3);
     }

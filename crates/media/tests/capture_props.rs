@@ -1,0 +1,158 @@
+//! Properties of run-length capture storage: a flow recorded as literal
+//! bytes + runs must answer every question exactly like a twin flow that
+//! was handed the same packets written out byte for byte.
+
+use pscp_check::{check, ensure, ensure_eq, Gen};
+use pscp_media::capture::{Capture, Flow, FlowKind, Payload};
+use pscp_simnet::SimTime;
+
+/// One generated packet: inter-arrival gap, literal part, run.
+#[derive(Debug, Clone)]
+struct Pkt {
+    gap_us: u64,
+    literal: Vec<u8>,
+    fill: u8,
+    pad: usize,
+}
+
+impl Pkt {
+    fn written_out(&self) -> Vec<u8> {
+        let mut out = self.literal.clone();
+        out.resize(self.literal.len() + self.pad, self.fill);
+        out
+    }
+}
+
+fn arb_packets(g: &mut Gen) -> Vec<Pkt> {
+    g.vec(0..40, |g| {
+        // Mixed traffic: pure literal, pure run, head + run, and empty.
+        let (lit, pad) = match g.choice(4) {
+            0 => (g.usize(1..60), 0),
+            1 => (0, g.usize(1..4000)),
+            2 => (g.usize(1..60), g.usize(1..4000)),
+            _ => (0, 0),
+        };
+        Pkt { gap_us: g.u64(0..50_000), literal: g.bytes(lit..=lit), fill: g.u8(..), pad }
+    })
+}
+
+/// Records `pkts` twice: as runs, and written out.
+fn twins(kind: FlowKind, start_us: u64, pkts: &[Pkt]) -> (Flow, Flow) {
+    let mut runs = Flow::new(kind, "server");
+    let mut plain = Flow::new(kind, "server");
+    let mut t = start_us;
+    for p in pkts {
+        t += p.gap_us;
+        let (at, wall) = (SimTime::from_micros(t), t as f64 / 1e6 + 0.25);
+        if p.literal.is_empty() && p.fill == 0 {
+            runs.record_zeros(at, wall, p.pad);
+        } else {
+            runs.record(at, wall, Payload::run(&p.literal, p.fill, p.pad));
+        }
+        plain.record(at, wall, &p.written_out());
+    }
+    (runs, plain)
+}
+
+#[test]
+fn mixed_flow_matches_its_written_out_twin() {
+    check("mixed_flow_matches_its_written_out_twin", arb_packets, |pkts| {
+        let (runs, plain) = twins(FlowKind::PictureHttp, 1_000, pkts);
+        // Packets tile the on-wire byte count.
+        ensure_eq!(runs.packet_count(), plain.packet_count());
+        ensure_eq!(runs.byte_count(), plain.byte_count());
+        ensure_eq!(runs.packets().map(|p| p.payload.len()).sum::<usize>(), runs.byte_count());
+        for (a, b) in runs.packets().zip(plain.packets()) {
+            ensure_eq!(a, b);
+            ensure_eq!(a.payload.bytes(), b.payload.bytes());
+        }
+        // Offset lookups agree at and around every packet boundary.
+        let mut edge = 0usize;
+        let mut offsets = vec![0, runs.byte_count(), runs.byte_count() + 1];
+        for p in runs.packets() {
+            edge += p.payload.len();
+            offsets.extend([edge.saturating_sub(1), edge, edge + 1]);
+        }
+        for off in offsets {
+            ensure_eq!(runs.wall_ts_at_byte(off), plain.wall_ts_at_byte(off));
+            ensure_eq!(runs.sim_time_at_byte(off), plain.sim_time_at_byte(off));
+        }
+        ensure_eq!(runs.first_at(), plain.first_at());
+        ensure_eq!(runs.last_at(), plain.last_at());
+        ensure_eq!(runs.mean_rate_bps().to_bits(), plain.mean_rate_bps().to_bits());
+        // The byte stream of a padded flow is never short.
+        let stream = runs.byte_stream();
+        ensure_eq!(stream.len(), runs.byte_count());
+        ensure_eq!(stream, plain.byte_stream());
+        Ok(())
+    });
+}
+
+#[test]
+fn capture_rates_count_runs_as_wire_bytes() {
+    check(
+        "capture_rates_count_runs_as_wire_bytes",
+        |g: &mut Gen| (arb_packets(g), arb_packets(g), g.u64(0..2_000_000)),
+        |(first, second, offset_us)| {
+            let (runs_a, plain_a) = twins(FlowKind::Chat, 0, first);
+            let (runs_b, plain_b) = twins(FlowKind::PictureHttp, *offset_us, second);
+            let runs = Capture { flows: vec![runs_a, runs_b] };
+            let plain = Capture { flows: vec![plain_a, plain_b] };
+            ensure_eq!(runs.total_bytes(), plain.total_bytes());
+            ensure_eq!(runs.aggregate_rate_bps().to_bits(), plain.aggregate_rate_bps().to_bits());
+            for kinds in [
+                &[FlowKind::Chat][..],
+                &[FlowKind::PictureHttp],
+                &[FlowKind::Chat, FlowKind::PictureHttp],
+                &[FlowKind::Rtmp],
+            ] {
+                ensure_eq!(
+                    runs.rate_of_kinds(kinds).to_bits(),
+                    plain.rate_of_kinds(kinds).to_bits()
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn record_zeros_is_a_run_of_zero() {
+    check(
+        "record_zeros_is_a_run_of_zero",
+        |g: &mut Gen| g.vec(1..20, |g| g.usize(0..5000)),
+        |lens| {
+            let mut zeros = Flow::new(FlowKind::AppMisc, "api");
+            let mut run = Flow::new(FlowKind::AppMisc, "api");
+            let mut plain = Flow::new(FlowKind::AppMisc, "api");
+            for (i, &n) in lens.iter().enumerate() {
+                let (at, wall) = (SimTime::from_millis(i as u64), i as f64);
+                zeros.record_zeros(at, wall, n);
+                run.record(at, wall, Payload::run(&[], 0, n));
+                plain.record(at, wall, &vec![0u8; n]);
+            }
+            for flow in [&zeros, &run] {
+                ensure_eq!(flow.byte_count(), plain.byte_count());
+                ensure_eq!(flow.byte_stream(), plain.byte_stream());
+                ensure!(flow.packets().eq(plain.packets()));
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn payload_chunks_split_like_slice_chunks() {
+    check(
+        "payload_chunks_split_like_slice_chunks",
+        |g: &mut Gen| (g.bytes(0..200), g.u8(..), g.usize(0..3000), g.usize(1..600)),
+        |(literal, fill, pad, mtu)| {
+            let payload = Payload::run(literal, *fill, *pad);
+            let written_out = payload.bytes();
+            let chunks: Vec<Vec<u8>> = payload.chunks(*mtu).map(|c| c.bytes().to_vec()).collect();
+            let expected: Vec<Vec<u8>> = written_out.chunks(*mtu).map(<[u8]>::to_vec).collect();
+            ensure_eq!(chunks, expected);
+            Ok(())
+        },
+    );
+}

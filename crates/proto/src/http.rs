@@ -141,13 +141,21 @@ impl Response {
         self.headers.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
     }
 
-    /// Serializes to wire bytes (adds content-length).
-    pub fn encode(&self) -> Vec<u8> {
+    /// Status line and headers, through the blank line, announcing a body
+    /// of `body_len` bytes — for callers that put the body on the wire
+    /// from where it already lives instead of copying it behind the head.
+    pub fn encode_head(&self, body_len: usize) -> Vec<u8> {
         let mut out = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason()).into_bytes();
         for (n, v) in &self.headers {
             out.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
         }
-        out.extend_from_slice(format!("content-length: {}\r\n\r\n", self.body.len()).as_bytes());
+        out.extend_from_slice(format!("content-length: {body_len}\r\n\r\n").as_bytes());
+        out
+    }
+
+    /// Serializes to wire bytes (adds content-length).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = self.encode_head(self.body.len());
         out.extend_from_slice(&self.body);
         out
     }

@@ -24,7 +24,7 @@ pub fn strip_rtmp_handshake(flow: &Flow) -> Flow {
             out.record(p.at, p.wall_ts, p.payload);
         } else if skipped + p.payload.len() > RTMP_HANDSHAKE_DOWN {
             let cut = RTMP_HANDSHAKE_DOWN - skipped;
-            out.record(p.at, p.wall_ts, &p.payload[cut..]);
+            out.record(p.at, p.wall_ts, &p.payload.bytes()[cut..]);
             skipped = RTMP_HANDSHAKE_DOWN;
         } else {
             skipped += p.payload.len();

@@ -31,7 +31,6 @@ pub mod fault;
 pub mod geo;
 pub mod link;
 pub mod par;
-pub mod pool;
 pub mod rng;
 pub mod shaper;
 pub mod tcp;
@@ -43,7 +42,6 @@ pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultRng, GroundTruthWindow, OUTAGE_SLOT_US};
 pub use geo::{GeoPoint, GeoRect};
 pub use link::Link;
-pub use pool::{BufPool, PooledBuf};
 pub use rng::{CounterRng, Rng, RngFactory};
 pub use shaper::TokenBucket;
 pub use tcp::TcpModel;

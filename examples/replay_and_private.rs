@@ -61,7 +61,7 @@ fn main() {
         if parse.is_ok() { "yes" } else { "no — ciphertext" }
     );
     let mut tls = TlsChannel::new(private.viewer_seed);
-    let decrypted = tls.open_all(flow.byte_stream()).map(|p| p.len()).unwrap_or(0);
+    let decrypted = tls.open_all(&flow.byte_stream()).map(|p| p.len()).unwrap_or(0);
     println!(
         "  with the session key: {} plaintext bytes recovered from {} wire bytes",
         decrypted,
