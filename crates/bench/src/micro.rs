@@ -256,6 +256,19 @@ pub fn bench_components(seed: u64) -> String {
         demux.units().count() as u64
     });
 
+    // One session's worth of frame bodies (2,040 frames, 2.5 MB) generated
+    // into one reused buffer, the way the packetizers materialise them.
+    let bodies: Vec<FramePayload> = (0..2040u32).map(|i| frame(i * 33, 1225)).collect();
+    let body_bytes: usize = bodies.iter().map(|f| f.size).sum();
+    let mut body_out: Vec<u8> = Vec::with_capacity(body_bytes);
+    suite.run("bitstream/frame filler 2.5 MB", Some(body_bytes as u64), || {
+        body_out.clear();
+        for f in &bodies {
+            f.encode_into(&mut body_out);
+        }
+        body_out.len() as u64
+    });
+
     suite.run("encoder/60s of video", None, || {
         let mut rng = RngFactory::new(1).stream("bench");
         let content = ContentProcess::new(ContentClass::Indoor, &mut rng);

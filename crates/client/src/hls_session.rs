@@ -18,7 +18,6 @@ use pscp_media::audio::AudioEncoder;
 use pscp_media::capture::{Capture, FlowKind};
 use pscp_media::content::ContentProcess;
 use pscp_media::encoder::{Encoder, EncoderConfig};
-use pscp_media::ts::segment_video_frames;
 use pscp_proto::http::Response;
 use pscp_service::cdn;
 use pscp_service::ingest::assign_server;
@@ -96,23 +95,22 @@ pub fn run_traced(
     let end = join_at + config.watch + SimDuration::from_secs(3);
     let mut uplink = Uplink::draw(&config.uplink, sim_start, end, &mut enc_rng);
     let mut segmenter = Segmenter::new(SegmenterConfig::default());
-    // pts → broadcaster capture wall, for latency anchors.
-    let mut capture_wall_by_pts: std::collections::HashMap<u32, f64> =
-        std::collections::HashMap::new();
     let total_frames = (end.saturating_since(sim_start).as_secs_f64() * fps) as u64;
+    // (pts, broadcaster capture wall) in pts order, for latency anchors.
+    let mut capture_wall_by_pts: Vec<(u32, f64)> = Vec::with_capacity(total_frames as usize);
     let mut next_audio_pts = 0.0;
     for i in 0..total_frames {
         let t_cap = sim_start + SimDuration::from_secs_f64(i as f64 / fps);
         let wall = broadcaster_clock.read(t_cap, &mut clock_rng);
-        if let Some(frame) = encoder.next_frame(wall, &mut enc_rng) {
-            let sent = uplink.upload(t_cap + ENCODE_LATENCY, frame.bytes.len());
+        if let Some(frame) = encoder.next_payload(wall, &mut enc_rng) {
+            let sent = uplink.upload(t_cap + ENCODE_LATENCY, frame.size);
             let a_in = sent + prop_up;
-            capture_wall_by_pts.insert(frame.pts_ms, broadcaster_clock.read_exact(t_cap));
-            segmenter.push_frame(&frame, a_in);
+            capture_wall_by_pts.push((frame.pts_ms, broadcaster_clock.read_exact(t_cap)));
+            segmenter.push_payload(frame, a_in);
         }
         while next_audio_pts <= i as f64 * 1000.0 / fps {
             let af = audio.next_frame(&mut enc_rng);
-            segmenter.push_audio(af.pts_ms, vec![0xAA; af.size]);
+            segmenter.push_audio_fill(af.pts_ms, af.size);
             next_audio_pts += pscp_media::audio::frame_duration_ms();
         }
     }
@@ -305,10 +303,10 @@ pub fn run_traced(
         let completion = schedule.completion + extra_total;
         media_end_s += segment.duration_s;
         // Latency anchor: the capture wall time of the segment's last frame.
-        let last_frame_wall = segment_video_frames(&segment.bytes)
-            .ok()
-            .and_then(|frames| frames.last().map(|f| f.pts_ms))
-            .and_then(|pts| capture_wall_by_pts.get(&pts).copied());
+        let last_frame_wall = segment.last_video_pts_ms.and_then(|pts| {
+            let i = capture_wall_by_pts.binary_search_by_key(&pts, |&(p, _)| p).ok()?;
+            Some(capture_wall_by_pts[i].1)
+        });
         arrivals.push(MediaArrival {
             at: completion,
             media_end_s,

@@ -13,6 +13,8 @@
 //!   latency (the quantities of Figures 3–4);
 //! * [`uplink`] — the *broadcaster's* mobile uplink, whose glitches are what
 //!   make even unthrottled viewers stall occasionally (Fig 3a);
+//! * [`broadcaster`] — the encode + upload timeline the ingest server sees,
+//!   shared by the two push transports;
 //! * [`rtmp_session`] / [`hls_session`] — end-to-end session simulation
 //!   producing wire-accurate captures;
 //! * [`srt_session`] — the what-if unreliable-transport study: SRT-style
@@ -26,6 +28,7 @@
 //!   stream reconnects, and HLS segment re-fetches under injected faults;
 //! * [`teleport`] — the automation loop generating a session dataset.
 
+pub mod broadcaster;
 pub mod chat_client;
 pub mod device;
 pub mod hls_session;

@@ -8,16 +8,13 @@
 //! receives through the optional `tc` shaper, tcpdump records every packet,
 //! and the player buffers ~1.6 s before rendering.
 
+use crate::broadcaster::IngestTimeline;
 use crate::chat_client;
 use crate::device::ViewerDevice;
 use crate::player::{run_playback, MediaArrival};
 use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
-use crate::uplink::Uplink;
-use pscp_media::audio::AudioEncoder;
 use pscp_media::bitstream::FrameKind;
 use pscp_media::capture::{Capture, FlowKind, Payload};
-use pscp_media::content::ContentProcess;
-use pscp_media::encoder::{Encoder, EncoderConfig};
 use pscp_media::flv::{AudioTag, VideoTag};
 use pscp_proto::amf::{encode_command, Amf0};
 use pscp_proto::rtmp::{
@@ -30,8 +27,6 @@ use pscp_simnet::{Link, RngFactory, SimDuration, SimTime, WallClock};
 use pscp_workload::broadcast::Broadcast;
 use std::collections::HashMap;
 
-/// Encode-side latency on the broadcaster phone (capture → packet out).
-const ENCODE_LATENCY: SimDuration = SimDuration::from_millis(120);
 /// Small per-message server forwarding delay.
 const SERVER_FORWARD: SimDuration = SimDuration::from_millis(5);
 /// How much already-uploaded media the server replays from (at most one
@@ -82,47 +77,18 @@ pub fn run_traced(
     );
 
     // --- broadcaster side: encode + upload ---
-    let enc_cfg = EncoderConfig {
-        fps: broadcast.device.fps(),
-        gop: broadcast.device.gop(),
-        target_bitrate_bps: broadcast.target_bitrate_bps,
-        ..Default::default()
-    };
-    let fps = enc_cfg.fps;
-    let content = ContentProcess::new(broadcast.content, &mut enc_rng);
-    let mut encoder = Encoder::new(enc_cfg, content);
-    let mut audio = AudioEncoder::new(broadcast.audio);
-
     let sim_start = join_at - WARMUP;
     let end = join_at + config.watch + SimDuration::from_secs(2);
-    let mut uplink = Uplink::draw(&config.uplink, sim_start, end, &mut enc_rng);
-
-    // (capture time, arrival at ingest, frame) for video; audio separately.
-    struct IngestFrame {
-        t_cap: SimTime,
-        a_in: SimTime,
-        frame: pscp_media::encoder::EncodedFrame,
-    }
-    let mut video_in: Vec<IngestFrame> = Vec::new();
-    let mut audio_in: Vec<(SimTime, u32, usize)> = Vec::new(); // (arrival, pts, size)
-    let total_frames = (end.saturating_since(sim_start).as_secs_f64() * fps) as u64;
-    let mut next_audio_pts = 0.0;
-    for i in 0..total_frames {
-        let t_cap = sim_start + SimDuration::from_secs_f64(i as f64 / fps);
-        let wall = broadcaster_clock.read(t_cap, &mut clock_rng);
-        if let Some(frame) = encoder.next_frame(wall, &mut enc_rng) {
-            let sent = uplink.upload(t_cap + ENCODE_LATENCY, frame.bytes.len());
-            video_in.push(IngestFrame { t_cap, a_in: sent + prop_up, frame });
-        }
-        // Audio frames tick at their own 23.22 ms cadence.
-        while next_audio_pts <= i as f64 * 1000.0 / fps {
-            let af = audio.next_frame(&mut enc_rng);
-            let t_a = sim_start + SimDuration::from_secs_f64(next_audio_pts / 1000.0);
-            let sent = uplink.upload(t_a + ENCODE_LATENCY, af.size);
-            audio_in.push((sent + prop_up, af.pts_ms, af.size));
-            next_audio_pts += pscp_media::audio::frame_duration_ms();
-        }
-    }
+    let ingest = IngestTimeline::simulate(
+        broadcast,
+        &config.uplink,
+        sim_start..end,
+        prop_up,
+        &broadcaster_clock,
+        &mut enc_rng,
+        &mut clock_rng,
+    );
+    let (fps, video_in, audio_in) = (ingest.fps, &ingest.video, &ingest.audio);
 
     // --- server side: choose the replay start (latest keyframe already
     // ingested when the play command lands) ---
@@ -133,18 +99,7 @@ pub fn run_traced(
         trace.event((join_at + rtt).as_micros(), "rtmp", "rtmp.handshake", vec![]);
         trace.event(play_cmd_at.as_micros(), "rtmp", "rtmp.play_start", vec![]);
     }
-    let cached: Vec<usize> = video_in
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.a_in <= play_cmd_at)
-        .map(|(i, _)| i)
-        .collect();
-    let start_idx = cached
-        .iter()
-        .rev()
-        .find(|&&i| video_in[i].frame.kind == FrameKind::I)
-        .copied()
-        .unwrap_or_else(|| cached.last().copied().unwrap_or(0));
+    let start_idx = ingest.replay_start(play_cmd_at);
 
     // --- wire: every transmission (bootstrap, handshake, media, chat,
     // pictures) is merged into send-time order before hitting the shared
@@ -183,7 +138,7 @@ pub fn run_traced(
     }
     let mut sends: Vec<Send> = Vec::new();
     let mut send_data: Vec<u8> = Vec::with_capacity(
-        video_in.iter().map(|f| f.frame.bytes.len() + 32).sum::<usize>()
+        video_in.iter().map(|f| f.frame.size + 32).sum::<usize>()
             + audio_in.iter().map(|&(_, _, size)| size + 32).sum::<usize>()
             + 64 * 1024,
     );
@@ -286,17 +241,15 @@ pub fn run_traced(
             });
             trace.count("rtmp", "audio_msgs", 1);
         }
-        // The encoder output *is* the coded frame body: prepend the 5-byte
-        // FLV tag header and chunk it directly, instead of the old
-        // decode → re-wrap → re-encode roundtrip (byte-identical because
-        // `FramePayload::encode` is deterministic).
+        // The frame payload *is* the coded frame body: the 5-byte FLV tag
+        // header, then the body generated in place.
         scratch.clear();
         VideoTag::write_header(
             f.frame.kind == FrameKind::I,
             if f.frame.kind == FrameKind::B { 33 } else { 0 },
             &mut scratch,
         );
-        scratch.extend_from_slice(&f.frame.bytes);
+        f.frame.encode_into(&mut scratch);
         let start = send_data.len();
         chunker.write_ref(
             MessageRef {

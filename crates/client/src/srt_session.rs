@@ -31,16 +31,12 @@
 //! `(seq, attempt)`, never a shared draw sequence, so scaling the loss
 //! config cannot shift which retransmits fail.
 
+use crate::broadcaster::IngestTimeline;
 use crate::chat_client;
 use crate::player::{run_playback, MediaArrival};
 use crate::retry::RetryPolicy;
 use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
-use crate::uplink::Uplink;
-use pscp_media::audio::AudioEncoder;
-use pscp_media::bitstream::FrameKind;
 use pscp_media::capture::{Capture, FlowKind, Payload};
-use pscp_media::content::ContentProcess;
-use pscp_media::encoder::{Encoder, EncoderConfig};
 use pscp_proto::srt::{
     self, seq_add, seq_distance, Caller, Listener, Packet, RecvEvent, RecvTracker, RetxEntry,
     RetxQueue,
@@ -52,8 +48,6 @@ use pscp_simnet::{DatagramLink, RngFactory, SimDuration, SimTime, WallClock};
 use pscp_workload::broadcast::Broadcast;
 use std::collections::HashMap;
 
-/// Encode-side latency on the broadcaster phone (capture → packet out).
-const ENCODE_LATENCY: SimDuration = SimDuration::from_millis(120);
 /// Small per-message gateway forwarding delay.
 const SERVER_FORWARD: SimDuration = SimDuration::from_millis(5);
 /// How much already-uploaded media the gateway replays from (at most one
@@ -206,57 +200,23 @@ pub fn run_traced(
     let latency = SimDuration::from_millis(latency_ms as u64);
     let data_start = hs_start + rtt + rtt; // two round trips
 
-    // --- broadcaster side: encode + upload (same shape as RTMP) ---
-    let enc_cfg = EncoderConfig {
-        fps: broadcast.device.fps(),
-        gop: broadcast.device.gop(),
-        target_bitrate_bps: broadcast.target_bitrate_bps,
-        ..Default::default()
-    };
-    let fps = enc_cfg.fps;
-    let content = ContentProcess::new(broadcast.content, &mut enc_rng);
-    let mut encoder = Encoder::new(enc_cfg, content);
-    let mut audio = AudioEncoder::new(broadcast.audio);
-
+    // --- broadcaster side: encode + upload (the same timeline RTMP sees) ---
     let sim_start = join_at - WARMUP;
     let end = join_at + config.watch + SimDuration::from_secs(2);
-    let mut uplink = Uplink::draw(&config.uplink, sim_start, end, &mut enc_rng);
-
-    struct IngestFrame {
-        t_cap: SimTime,
-        a_in: SimTime,
-        frame: pscp_media::encoder::EncodedFrame,
-    }
-    let mut video_in: Vec<IngestFrame> = Vec::new();
-    let mut audio_in: Vec<(SimTime, u32, usize)> = Vec::new(); // (arrival, pts, size)
-    let total_frames = (end.saturating_since(sim_start).as_secs_f64() * fps) as u64;
-    let mut next_audio_pts = 0.0;
-    for i in 0..total_frames {
-        let t_cap = sim_start + SimDuration::from_secs_f64(i as f64 / fps);
-        let wall = broadcaster_clock.read(t_cap, &mut clock_rng);
-        if let Some(frame) = encoder.next_frame(wall, &mut enc_rng) {
-            let sent = uplink.upload(t_cap + ENCODE_LATENCY, frame.bytes.len());
-            video_in.push(IngestFrame { t_cap, a_in: sent + prop_up, frame });
-        }
-        while next_audio_pts <= i as f64 * 1000.0 / fps {
-            let af = audio.next_frame(&mut enc_rng);
-            let t_a = sim_start + SimDuration::from_secs_f64(next_audio_pts / 1000.0);
-            let sent = uplink.upload(t_a + ENCODE_LATENCY, af.size);
-            audio_in.push((sent + prop_up, af.pts_ms, af.size));
-            next_audio_pts += pscp_media::audio::frame_duration_ms();
-        }
-    }
+    let ingest = IngestTimeline::simulate(
+        broadcast,
+        &config.uplink,
+        sim_start..end,
+        prop_up,
+        &broadcaster_clock,
+        &mut enc_rng,
+        &mut clock_rng,
+    );
+    let (fps, video_in, audio_in) = (ingest.fps, &ingest.video, &ingest.audio);
 
     // --- gateway: replay from the latest keyframe ingested when data
     // starts flowing ---
-    let cached: Vec<usize> =
-        video_in.iter().enumerate().filter(|(_, f)| f.a_in <= data_start).map(|(i, _)| i).collect();
-    let start_idx = cached
-        .iter()
-        .rev()
-        .find(|&&i| video_in[i].frame.kind == FrameKind::I)
-        .copied()
-        .unwrap_or_else(|| cached.last().copied().unwrap_or(0));
+    let start_idx = ingest.replay_start(data_start);
 
     // --- wire: media rides the unreliable datagram path from the gateway;
     // bootstrap, chat and pictures stay on the app's TCP connections (their
@@ -351,7 +311,7 @@ pub fn run_traced(
         meta: Option<Meta>,
     }
     let mut bodies: Vec<u8> = Vec::with_capacity(
-        video_in.iter().map(|f| f.frame.bytes.len()).sum::<usize>()
+        video_in.iter().map(|f| f.frame.size).sum::<usize>()
             + audio_in.iter().map(|&(_, _, size)| size).sum::<usize>(),
     );
     let mut msg_list: Vec<Msg> = Vec::new();
@@ -376,7 +336,7 @@ pub fn run_traced(
             msg_list.push(Msg { at: a_send, start, end: bodies.len(), meta: None });
         }
         let start = bodies.len();
-        bodies.extend_from_slice(&f.frame.bytes);
+        f.frame.encode_into(&mut bodies);
         msg_list.push(Msg {
             at: send_at,
             start,

@@ -1,17 +1,19 @@
 //! Zero-allocation discipline of the steady-state RTMP packet pump.
 //!
-//! DESIGN.md §10 claims that once buffers are warm, pumping media — chunk
-//! the FLV tags, packetize onto the link, record the capture, dechunk the
-//! arrivals — touches the heap zero times per packet. This test registers
-//! the counting allocator (`pscp_obs::alloc_count`) as this binary's global
-//! allocator and falsifies the claim if any per-packet allocation sneaks
-//! back in.
+//! DESIGN.md §10 claims that once buffers are warm, pumping media —
+//! generate each frame body, chunk the FLV tags, packetize onto the link,
+//! record the capture, dechunk the arrivals — touches the heap zero times
+//! per packet, and that the broadcaster side of a session allocates a fixed
+//! number of times however many frames it encodes. This test registers the
+//! counting allocator (`pscp_obs::alloc_count`) as this binary's global
+//! allocator and falsifies either claim if a per-packet or per-frame
+//! allocation sneaks back in.
 
 use pscp_media::bitstream::{FrameKind, FramePayload};
 use pscp_media::capture::{Flow, FlowKind};
 use pscp_media::flv::VideoTag;
 use pscp_obs::alloc_count::{self, CountingAlloc};
-use pscp_proto::rtmp::{Chunker, Dechunker, Message};
+use pscp_proto::rtmp::{Chunker, Dechunker, MessageRef, MessageType};
 use pscp_simnet::{Link, SimDuration, SimTime};
 use std::hint::black_box;
 
@@ -20,31 +22,33 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const MTU: usize = 1448;
 
-/// One second of 30 fps video as RTMP messages (~1 kB per frame).
-fn one_second_of_video() -> Vec<Message> {
+/// One second of 30 fps video as frame descriptors (~1 kB per frame).
+fn one_second_of_video() -> Vec<FramePayload> {
     (0..30u32)
-        .map(|i| {
-            let frame = FramePayload {
-                kind: if i == 0 { FrameKind::I } else { FrameKind::P },
-                qp: 30,
-                width: 320,
-                height: 568,
-                pts_ms: i * 33,
-                ntp_s: None,
-                size: 1000,
-            };
-            Message::video(i * 33, VideoTag::for_frame(frame).encode())
+        .map(|i| FramePayload {
+            kind: if i == 0 { FrameKind::I } else { FrameKind::P },
+            qp: 30,
+            width: 320,
+            height: 568,
+            pts_ms: i * 33,
+            ntp_s: None,
+            size: 1000,
         })
         .collect()
 }
 
-/// The session inner loop for one second of media: chunk every message
-/// into the reused wire buffer, pump MTU packets through the link in one
-/// batch, record each delivery into the capture flow, and dechunk the
-/// delivered bytes back into message views.
+/// FLV tag header + frame body of one video message.
+const MSG_BYTES: u64 = 5 + 1000;
+
+/// The session inner loop for one second of media: generate every frame
+/// body into the reused scratch and chunk it into the reused wire buffer,
+/// pump MTU packets through the link in one batch, record each delivery
+/// into the capture flow, and dechunk the delivered bytes back into message
+/// views.
 #[allow(clippy::too_many_arguments)]
 fn pump_one_second(
-    msgs: &[Message],
+    frames: &[FramePayload],
+    scratch: &mut Vec<u8>,
     chunker: &mut Chunker,
     wire: &mut Vec<u8>,
     dechunker: &mut Dechunker,
@@ -53,8 +57,20 @@ fn pump_one_second(
     at: SimTime,
 ) -> (u64, u64) {
     wire.clear();
-    for m in msgs {
-        chunker.write_ref(m.as_ref(), wire);
+    for f in frames {
+        scratch.clear();
+        VideoTag::write_header(f.kind == FrameKind::I, 0, scratch);
+        f.encode_into(scratch);
+        chunker.write_ref(
+            MessageRef {
+                chunk_stream_id: 6,
+                timestamp: f.pts_ms,
+                kind: MessageType::Video,
+                stream_id: 1,
+                payload: scratch,
+            },
+            wire,
+        );
     }
     let mut packets = 0u64;
     let mut chunks = wire.chunks(MTU);
@@ -80,22 +96,25 @@ fn steady_state_rtmp_pump_is_allocation_free() {
     assert!(d >= 1, "counting allocator not registered");
     assert!(alloc_count::installed());
 
-    let msgs = one_second_of_video();
-    let payload_bytes: u64 = msgs.iter().map(|m| m.payload.len() as u64).sum();
+    let frames = one_second_of_video();
+    let payload_bytes = MSG_BYTES * frames.len() as u64;
+    let mut scratch: Vec<u8> = Vec::new();
     let mut chunker = Chunker::new();
     let mut wire: Vec<u8> = Vec::new();
     let mut dechunker = Dechunker::new();
     let mut flow = Flow::new(FlowKind::Rtmp, "ingest".to_string());
     let mut link = Link::unbounded(10e6, SimDuration::from_millis(20));
 
-    // Warm-up: two passes grow every buffer — the wire Vec, the link's
-    // in-flight queue, the dechunker's reassembly arenas — to steady state.
+    // Warm-up: two passes grow every buffer — the scratch and wire Vecs,
+    // the link's in-flight queue, the dechunker's reassembly arenas — to
+    // steady state.
     // Passes are spaced far apart so the link queue fully drains between
     // them, as it does between media bursts in a session.
     let mut at = SimTime::from_secs(10);
     for _ in 0..2 {
         let (packets, media) = pump_one_second(
-            &msgs,
+            &frames,
+            &mut scratch,
             &mut chunker,
             &mut wire,
             &mut dechunker,
@@ -122,7 +141,8 @@ fn steady_state_rtmp_pump_is_allocation_free() {
         let mut total = (0u64, 0u64);
         for _ in 0..MEASURED_PASSES {
             let (packets, media) = pump_one_second(
-                &msgs,
+                &frames,
+                &mut scratch,
                 &mut chunker,
                 &mut wire,
                 &mut dechunker,
@@ -139,4 +159,64 @@ fn steady_state_rtmp_pump_is_allocation_free() {
     assert!(stats.0 >= 20 * MEASURED_PASSES, "packets={}", stats.0);
     assert_eq!(stats.1, payload_bytes * MEASURED_PASSES);
     assert_eq!(allocs, 0, "steady-state pump allocated {allocs} times over {} packets", stats.0);
+}
+
+/// The broadcaster side of a push session — encoder, audio encoder, uplink,
+/// the two ingest timelines — allocates the same handful of times for 8 s
+/// of media as for 68 s: frames stay descriptors, and both timelines are
+/// sized up front.
+#[test]
+fn broadcaster_prologue_allocations_do_not_grow_with_frames() {
+    use pscp_client::broadcaster::IngestTimeline;
+    use pscp_client::uplink::UplinkConfig;
+    use pscp_simnet::{GeoPoint, RngFactory, WallClock};
+    use pscp_workload::broadcast::{Broadcast, BroadcastId, DeviceProfile};
+
+    let broadcast = Broadcast {
+        id: BroadcastId(5),
+        location: GeoPoint::new(41.01, 28.98),
+        city: "Istanbul",
+        start: SimTime::from_secs(100),
+        duration: SimDuration::from_secs(1800),
+        content: pscp_media::content::ContentClass::Indoor,
+        device: DeviceProfile::Modern,
+        audio: pscp_media::audio::AudioBitrate::Kbps32,
+        avg_viewers: 25.0,
+        replay_available: true,
+        private: false,
+        location_public: true,
+        viewer_seed: 5,
+        target_bitrate_bps: 300_000.0,
+    };
+    // No uplink outages: their list is the one thing that legitimately
+    // grows with the window.
+    let uplink = UplinkConfig { outage_rate: 1e-9, ..Default::default() };
+    let allocs_for = |secs: u64| {
+        let rngs = RngFactory::new(9).child("prologue");
+        let mut enc_rng = rngs.stream("rtmp/encoder");
+        let mut clock_rng = rngs.stream("rtmp/clocks");
+        let clock = WallClock::ntp_synced(&mut clock_rng);
+        let start = SimTime::from_secs(400);
+        let (allocs, ingest) = alloc_count::counted(|| {
+            IngestTimeline::simulate(
+                &broadcast,
+                &uplink,
+                start..start + SimDuration::from_secs(secs),
+                SimDuration::from_millis(20),
+                &clock,
+                &mut enc_rng,
+                &mut clock_rng,
+            )
+        });
+        (allocs, ingest.video.len())
+    };
+    let (short, short_frames) = allocs_for(8);
+    let (long, long_frames) = allocs_for(68);
+    assert!(short_frames > 200 && long_frames > 8 * short_frames, "{short_frames} {long_frames}");
+    assert!(alloc_count::installed());
+    assert_eq!(
+        long, short,
+        "{long} allocations for {long_frames} frames, {short} for {short_frames}"
+    );
+    assert!(long <= 8, "prologue allocated {long} times");
 }

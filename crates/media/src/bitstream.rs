@@ -64,6 +64,52 @@ pub const HEADER_LEN: usize = 13;
 /// Header length with the NTP field.
 pub const HEADER_LEN_NTP: usize = HEADER_LEN + 8;
 
+/// The filler generator: `x ← A·x + C (mod 2^32)`, one byte (`x >> 24`) per
+/// step, seeded from the frame's `pts_ms`.
+const LCG_A: u32 = 1664525;
+const LCG_C: u32 = 1013904223;
+/// Independent generator lanes [`fill`] advances side by side. Chosen by
+/// measurement on the default x86-64 target (1, 4, 8, 16, 32 tried: 4 and 8
+/// tie at a quarter of the serial loop's time, wider is slower).
+const LANES: usize = 8;
+/// `k` steps of the generator at once: `x_{n+k} = a·x_n + c` for the returned
+/// `(a, c)`. Composing `x ↦ A·x + C` onto `x ↦ a·x + c` gives
+/// `x ↦ (A·a)·x + (A·c + C)`; everything wraps mod 2^32 like the generator.
+const fn lcg_jump(k: usize) -> (u32, u32) {
+    let (mut a, mut c) = (1u32, 0u32);
+    let mut i = 0;
+    while i < k {
+        a = a.wrapping_mul(LCG_A);
+        c = c.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+        i += 1;
+    }
+    (a, c)
+}
+const JUMP: (u32, u32) = lcg_jump(LANES);
+
+/// Writes the generator's next `out.len()` bytes after state `x` into `out`.
+///
+/// Lane `i` holds `x_{i+1}` and yields bytes `i, i+LANES, …`, each step
+/// jumping `LANES` ahead, so the lanes together emit exactly the serial
+/// stream `x_1, x_2, …` while no multiply waits for the previous byte's.
+fn fill(mut x: u32, out: &mut [u8]) {
+    let mut lanes = [0u32; LANES];
+    for lane in &mut lanes {
+        x = x.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+        *lane = x;
+    }
+    let mut blocks = out.chunks_exact_mut(LANES);
+    for block in &mut blocks {
+        for (byte, lane) in block.iter_mut().zip(&mut lanes) {
+            *byte = (*lane >> 24) as u8;
+            *lane = lane.wrapping_mul(JUMP.0).wrapping_add(JUMP.1);
+        }
+    }
+    for (byte, lane) in blocks.into_remainder().iter_mut().zip(&lanes) {
+        *byte = (*lane >> 24) as u8;
+    }
+}
+
 /// A decoded frame payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FramePayload {
@@ -117,11 +163,9 @@ impl FramePayload {
         }
         // Deterministic filler derived from pts, so captures are
         // reproducible byte-for-byte.
-        let mut x = self.pts_ms.wrapping_mul(2654435761);
-        while out.len() < end {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            out.push((x >> 24) as u8);
-        }
+        let body = out.len();
+        out.resize(end, 0);
+        fill(self.pts_ms.wrapping_mul(2654435761), &mut out[body..]);
     }
 
     /// Decodes a payload (accepts trailing filler by construction).

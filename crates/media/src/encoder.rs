@@ -163,6 +163,18 @@ impl Encoder {
         wall_clock_s: f64,
         rng: &mut R,
     ) -> Option<EncodedFrame> {
+        let p = self.next_payload(wall_clock_s, rng)?;
+        Some(EncodedFrame { pts_ms: p.pts_ms, kind: p.kind, qp: p.qp, bytes: p.encode() })
+    }
+
+    /// [`Encoder::next_frame`] without the body: every coding decision (and
+    /// every RNG draw) is made, but the frame stays a descriptor — its bytes
+    /// are [`FramePayload::encode_into`], written by whoever packetizes it.
+    pub fn next_payload<R: Rng + ?Sized>(
+        &mut self,
+        wall_clock_s: f64,
+        rng: &mut R,
+    ) -> Option<FramePayload> {
         let idx = self.frame_index;
         self.frame_index += 1;
         let dt = 1.0 / self.config.fps;
@@ -207,7 +219,9 @@ impl Encoder {
             None
         };
         let pts_ms = (idx as f64 * 1000.0 / self.config.fps).round() as u32;
-        let payload = FramePayload {
+        self.emitted += 1;
+        self.total_bytes += size as u64;
+        Some(FramePayload {
             kind,
             qp: qp_int,
             width: self.config.width,
@@ -215,10 +229,7 @@ impl Encoder {
             pts_ms,
             ntp_s: ntp,
             size,
-        };
-        self.emitted += 1;
-        self.total_bytes += size as u64;
-        Some(EncodedFrame { pts_ms, kind, qp: qp_int, bytes: payload.encode() })
+        })
     }
 
     /// Average output bitrate so far, bits/second.

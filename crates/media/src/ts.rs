@@ -144,6 +144,15 @@ impl TsMuxer {
         out
     }
 
+    /// Exact byte length of a segment holding access units of these lengths:
+    /// PAT and PMT, then each unit's PES header and body split over
+    /// 184-byte packet payloads. Lets a caller allocate a segment once.
+    pub fn segment_len(unit_lens: impl IntoIterator<Item = usize>) -> usize {
+        let packets: usize =
+            unit_lens.into_iter().map(|n| (PES_HEADER_LEN + n).div_ceil(TS_PACKET - 4)).sum();
+        (2 + packets) * TS_PACKET
+    }
+
     /// Zero-copy variant of [`TsMuxer::mux_segment`]: writes the segment's
     /// packets directly into `out` from borrowed access units.
     pub fn mux_into<'a>(
@@ -291,10 +300,13 @@ fn pmt_section() -> &'static [u8] {
     })
 }
 
+/// Length of the PES header [`pes_header`] writes.
+const PES_HEADER_LEN: usize = 14;
+
 /// PES packet header with a 5-byte PTS field, for a payload of `data_len`
 /// bytes.
-fn pes_header(stream_id: u8, pts_ms: u32, data_len: usize) -> [u8; 14] {
-    let mut h = [0u8; 14];
+fn pes_header(stream_id: u8, pts_ms: u32, data_len: usize) -> [u8; PES_HEADER_LEN] {
+    let mut h = [0u8; PES_HEADER_LEN];
     h[2] = 0x01; // start code 00 00 01
     h[3] = stream_id;
     let pes_len = 3 + 5 + data_len;
@@ -678,6 +690,14 @@ mod tests {
         assert_eq!(frames[0].pts_ms, 0);
         assert_eq!(frames[1].pts_ms, 33);
         assert_eq!(frames[1].size, 310);
+    }
+
+    #[test]
+    fn segment_len_is_exact() {
+        let units = vec![video_unit(0, 170), audio_unit(3, 171), video_unit(33, 20_000)];
+        let seg = TsMuxer::new().mux_segment(&units);
+        assert_eq!(TsMuxer::segment_len([170, 171, 20_000]), seg.len());
+        assert_eq!(TsMuxer::segment_len([]), 2 * TS_PACKET);
     }
 
     #[test]

@@ -58,12 +58,12 @@ impl ReplayVod {
         let mut next_audio_pts = 0.0;
         for i in 0..frames {
             let t = SimTime::from_micros((i as f64 / fps * 1e6) as u64);
-            if let Some(frame) = encoder.next_frame(t.as_secs_f64(), &mut rng) {
-                segmenter.push_frame(&frame, t);
+            if let Some(frame) = encoder.next_payload(t.as_secs_f64(), &mut rng) {
+                segmenter.push_payload(frame, t);
             }
             while next_audio_pts <= i as f64 * 1000.0 / fps {
                 let af = audio.next_frame(&mut rng);
-                segmenter.push_audio(af.pts_ms, vec![0xAA; af.size]);
+                segmenter.push_audio_fill(af.pts_ms, af.size);
                 next_audio_pts += pscp_media::audio::frame_duration_ms();
             }
         }

@@ -9,9 +9,9 @@
 //! and 6 s." At 30 fps with 36-frame GOPs, three GOPs are exactly 3.6 s —
 //! segments cut on I-frame boundaries reproduce the distribution naturally.
 
-use pscp_media::bitstream::FrameKind;
+use pscp_media::bitstream::{FrameKind, FramePayload};
 use pscp_media::encoder::EncodedFrame;
-use pscp_media::ts::{TsMuxer, TsUnit};
+use pscp_media::ts::{TsMuxer, TsUnitRef};
 use pscp_proto::hls::{MediaPlaylist, SegmentEntry};
 use pscp_simnet::{SimDuration, SimTime};
 
@@ -24,6 +24,9 @@ pub struct Segment {
     pub bytes: Vec<u8>,
     /// Media duration in seconds.
     pub duration_s: f64,
+    /// PTS of the segment's last video frame in presentation order (what
+    /// demuxing `bytes` would report last); `None` for an audio-only tail.
+    pub last_video_pts_ms: Option<u32>,
     /// Instant the segment became fetchable from the CDN (last frame's
     /// arrival + packaging delay).
     pub available_at: SimTime,
@@ -58,6 +61,16 @@ impl Default for SegmenterConfig {
     }
 }
 
+/// One access unit of the in-progress segment: its bytes are
+/// `arena[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct PendingUnit {
+    video: bool,
+    pts_ms: u32,
+    start: usize,
+    end: usize,
+}
+
 /// Streaming segmenter: feed frames as they reach the ingest server, pop
 /// finished segments.
 #[derive(Debug)]
@@ -65,7 +78,11 @@ pub struct Segmenter {
     config: SegmenterConfig,
     muxer: TsMuxer,
     playlist: MediaPlaylist,
-    pending_units: Vec<TsUnit>,
+    /// Access-unit bytes of the in-progress segment, back to back. Cleared
+    /// (capacity kept) at every cut, so a frame body is written here once
+    /// and read once, by the muxer.
+    arena: Vec<u8>,
+    pending: Vec<PendingUnit>,
     pending_first_pts: Option<u32>,
     next_seq: u64,
     finished: Vec<Segment>,
@@ -81,7 +98,8 @@ impl Segmenter {
             config,
             muxer: TsMuxer::new(),
             playlist: MediaPlaylist::new(6),
-            pending_units: Vec::new(),
+            arena: Vec::new(),
+            pending: Vec::new(),
             pending_first_pts: None,
             next_seq: 0,
             finished: Vec::new(),
@@ -96,49 +114,78 @@ impl Segmenter {
     /// requires independently decodable segments) regardless of the GOP
     /// pattern, including intra-only streams where *every* frame is an I.
     pub fn push_frame(&mut self, frame: &EncodedFrame, arrival: SimTime) {
-        let pending_ms =
-            self.pending_first_pts.map(|first| frame.pts_ms.saturating_sub(first)).unwrap_or(0);
-        if frame.kind == FrameKind::I && pending_ms as f64 >= self.config.min_segment_s * 1000.0 {
-            self.cut(arrival);
-        }
-        if let Some(first) = self.pending_first_pts {
-            if frame.pts_ms > first {
-                let n = self.pending_units.len().max(1);
-                self.last_pts_delta_ms = (frame.pts_ms - first) as f64 / n as f64;
-            }
-        } else {
-            self.pending_first_pts = Some(frame.pts_ms);
-        }
-        self.pending_units.push(TsUnit::Video { pts_ms: frame.pts_ms, data: frame.bytes.clone() });
+        self.video(frame.kind, frame.pts_ms, arrival, |arena| {
+            arena.extend_from_slice(&frame.bytes)
+        });
+    }
+
+    /// [`Segmenter::push_frame`] for a frame that is still a descriptor: its
+    /// body is generated straight into the segment arena.
+    pub fn push_payload(&mut self, frame: FramePayload, arrival: SimTime) {
+        self.video(frame.kind, frame.pts_ms, arrival, |arena| frame.encode_into(arena));
     }
 
     /// Feeds an audio frame.
     pub fn push_audio(&mut self, pts_ms: u32, data: Vec<u8>) {
-        self.pending_units.push(TsUnit::Audio { pts_ms, data });
+        self.append(false, pts_ms, |arena| arena.extend_from_slice(&data));
+    }
+
+    /// [`Segmenter::push_audio`] for the opaque model audio body: `n` bytes
+    /// of `0xAA`, written in place.
+    pub fn push_audio_fill(&mut self, pts_ms: u32, n: usize) {
+        self.append(false, pts_ms, |arena| arena.resize(arena.len() + n, 0xAA));
+    }
+
+    /// The cut rule, then the append, for a video frame whose body `write`
+    /// produces.
+    fn video(
+        &mut self,
+        kind: FrameKind,
+        pts_ms: u32,
+        arrival: SimTime,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let pending_ms =
+            self.pending_first_pts.map(|first| pts_ms.saturating_sub(first)).unwrap_or(0);
+        if kind == FrameKind::I && pending_ms as f64 >= self.config.min_segment_s * 1000.0 {
+            self.cut(arrival);
+        }
+        if let Some(first) = self.pending_first_pts {
+            if pts_ms > first {
+                let n = self.pending.len().max(1);
+                self.last_pts_delta_ms = (pts_ms - first) as f64 / n as f64;
+            }
+        } else {
+            self.pending_first_pts = Some(pts_ms);
+        }
+        self.append(true, pts_ms, write);
+    }
+
+    /// The one place a unit joins the in-progress segment.
+    fn append(&mut self, video: bool, pts_ms: u32, write: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.arena.len();
+        write(&mut self.arena);
+        self.pending.push(PendingUnit { video, pts_ms, start, end: self.arena.len() });
     }
 
     /// Flushes the in-progress segment (end of broadcast).
     pub fn finish(&mut self, now: SimTime) {
-        if !self.pending_units.is_empty() {
+        if !self.pending.is_empty() {
             self.cut(now);
         }
         self.playlist.ended = true;
     }
 
     fn cut(&mut self, arrival: SimTime) {
-        let units = std::mem::take(&mut self.pending_units);
         self.pending_first_pts = None;
-        if units.is_empty() {
+        if self.pending.is_empty() {
             return;
         }
-        let pts: Vec<u32> = units
-            .iter()
-            .filter(|u| matches!(u, TsUnit::Video { .. }))
-            .map(TsUnit::pts_ms)
-            .collect();
-        let n_video = pts.len().max(1);
-        let span_ms = match (pts.iter().min(), pts.iter().max()) {
-            (Some(&lo), Some(&hi)) => (hi - lo) as f64,
+        let video_pts = || self.pending.iter().filter(|u| u.video).map(|u| u.pts_ms);
+        let n_video = video_pts().count().max(1);
+        let last_video_pts_ms = video_pts().max();
+        let span_ms = match (video_pts().min(), last_video_pts_ms) {
+            (Some(lo), Some(hi)) => (hi - lo) as f64,
             _ => 0.0,
         };
         // PTS span misses the final frame's display time; add one frame
@@ -146,11 +193,24 @@ impl Segmenter {
         let tail_ms =
             if n_video >= 2 { span_ms / (n_video - 1) as f64 } else { self.last_pts_delta_ms };
         let duration_s = (span_ms + tail_ms) / 1000.0;
-        let bytes = self.muxer.mux_segment(&units);
+        // Allocated once, exactly.
+        let mut bytes =
+            Vec::with_capacity(TsMuxer::segment_len(self.pending.iter().map(|u| u.end - u.start)));
+        let arena = &self.arena;
+        self.muxer.mux_into(
+            self.pending.iter().map(|u| TsUnitRef {
+                video: u.video,
+                pts_ms: u.pts_ms,
+                data: &arena[u.start..u.end],
+            }),
+            &mut bytes,
+        );
+        self.pending.clear();
+        self.arena.clear();
         let seq = self.next_seq;
         self.next_seq += 1;
         let available_at = arrival + self.config.packaging_delay;
-        let segment = Segment { seq, bytes, duration_s, available_at };
+        let segment = Segment { seq, bytes, duration_s, last_video_pts_ms, available_at };
         self.playlist.push_segment(
             SegmentEntry { duration_s, uri: segment.uri() },
             self.config.playlist_window,
@@ -193,6 +253,7 @@ mod tests {
     use super::*;
     use pscp_media::content::{ContentClass, ContentProcess};
     use pscp_media::encoder::{Encoder, EncoderConfig};
+    use pscp_media::ts::TsUnit;
     use pscp_simnet::RngFactory;
 
     fn feed_seconds(seg: &mut Segmenter, secs: usize, seed: u64) {
