@@ -809,12 +809,14 @@ writes `SCALE_report.json`. Schema (`pscp-scale-report/v1`):
     independent of the configured shard count;
   * `sys` — present only under `PSCP_WATCH_SYS=1`: `wall_secs`,
     `sessions_per_sec`, `rss_bytes` (`null` where the platform cannot
-    report RSS).
+    report RSS), and the session schedule's profile: `workers`,
+    `busy_secs` (time inside sessions, summed over workers) and
+    `par_efficiency` = busy / (workers × the schedule's wall).
 
 Everything outside `sys` is byte-identical across shard counts,
-`PSCP_THREADS` and reruns (`tests/sharding.rs`); the quadtree partition
-and roll-up merge algebra it rests on are property-tested in
-`tests/shard_props.rs`.
+`PSCP_THREADS` and reruns (`tests/sharding.rs`); the quadtree
+partition, the shard-invariant arrival list and the roll-up merge algebra
+are property-tested in `tests/shard_props.rs`.
 "#;
 
 /// Schema of the live-monitor snapshot stream, rendered into EXPERIMENTS.md.

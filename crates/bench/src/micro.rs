@@ -362,10 +362,10 @@ pub fn bench_components(seed: u64) -> String {
         use pscp_core::shard::{ShardPlan, ShardStats};
         use pscp_simnet::rng::Rng as _;
         use pscp_workload::population::{Population, PopulationConfig};
-        // The sharded engine's bookkeeping overhead (DESIGN.md §13): build
-        // the 16-cell quadtree plan over a medium world and fold 16
-        // per-shard roll-ups into one — everything `run_scale` does beyond
-        // running the sessions themselves.
+        // Shard bookkeeping (DESIGN.md §13): build the 16-cell quadtree
+        // plan over a medium world — what `run_scale` does before it runs
+        // sessions — and merge 16 roll-ups into one, the exact
+        // `ShardStats` merge.
         let pop =
             Population::generate(PopulationConfig::medium(), &RngFactory::new(4).child("world"));
         let mut leaves: Vec<ShardStats> = Vec::new();

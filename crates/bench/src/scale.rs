@@ -127,10 +127,19 @@ fn run_tier(args: &ScaleArgs, tier: &ScaleTier) -> (ScaleRun, String) {
         );
         match crate::watch::rss_bytes() {
             Some(rss) => {
-                let _ = write!(s, ",\"rss_bytes\":{rss}}}");
+                let _ = write!(s, ",\"rss_bytes\":{rss}");
             }
-            None => s.push_str(",\"rss_bytes\":null}"),
+            None => s.push_str(",\"rss_bytes\":null"),
         }
+        // Where the session schedule's wall went: busy is time inside
+        // sessions summed over workers, the rest is their idle tails.
+        let _ = write!(
+            s,
+            ",\"workers\":{},\"busy_secs\":{:.3},\"par_efficiency\":{:.3}}}",
+            run.par.workers,
+            run.par.busy_total(),
+            run.par.efficiency()
+        );
     }
     s.push('}');
     (run, s)

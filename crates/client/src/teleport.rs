@@ -78,12 +78,10 @@ pub struct TeleportConfig {
     /// the machine's parallelism, `1` = the serial path). Output is
     /// byte-identical at every setting.
     pub threads: usize,
-    /// Geo shards for the execute phase: a power of four (1, 4, 16, …).
-    /// Above 1, planned sessions are grouped by the quadtree cell of their
-    /// broadcast and each cell's group runs as a shard-local unit; results
-    /// are scattered back to plan order, so the dataset is byte-identical
-    /// at every shard count (each session depends only on its own plan
-    /// entry, never on which shard executed it — DESIGN.md §13).
+    /// Geo shards of the world: a power of four (1, 4, 16, …), validated.
+    /// The dataset is byte-identical at every shard count because the
+    /// execute phase never reads it: each session depends only on its own
+    /// plan entry (DESIGN.md §13).
     pub shards: usize,
 }
 
@@ -491,59 +489,19 @@ impl<'a> Teleport<'a> {
             }
             (outcome, trace)
         };
-        let results: Vec<(SessionOutcome, Trace)> = if config.shards > 1 {
-            // Sharded execute: group plan entries by the quadtree cell of
-            // their broadcast, run cells as shard-local units, scatter the
-            // results back to plan positions. Outcomes are pure functions
-            // of their plan entry, so the reassembled dataset is
-            // byte-identical to the unsharded path.
-            let depth = pscp_simnet::geo::quad_depth_for(config.shards)
-                .expect("shards must be a power of four (1, 4, 16, ...)");
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); config.shards];
-            for (pi, p) in plan.iter().enumerate() {
-                let cell = pscp_simnet::GeoRect::quad_cell(&p.broadcast.location, depth);
-                groups[cell as usize].push(pi);
-            }
-            let shard_work = |_: usize, group: &Vec<usize>| {
-                group.iter().map(|&pi| work(pi, &plan[pi])).collect::<Vec<_>>()
-            };
-            let started = std::time::Instant::now();
-            let per_shard = pscp_simnet::par::indexed_map(&groups, config.threads, shard_work);
-            if obs.profiling() {
-                let wall = started.elapsed().as_secs_f64();
-                obs.record_phase(PhaseSpan {
-                    name: "dataset.execute".into(),
-                    wall_secs: wall,
-                    workers: pscp_simnet::par::resolve_threads(config.threads),
-                    items: plan.len(),
-                    busy_secs: wall,
-                });
-            }
-            let mut slots: Vec<Option<(SessionOutcome, Trace)>> =
-                (0..plan.len()).map(|_| None).collect();
-            for (group, results) in groups.iter().zip(per_shard) {
-                for (&pi, r) in group.iter().zip(results) {
-                    slots[pi] = Some(r);
-                }
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every planned session lands in exactly one shard"))
-                .collect()
-        } else if obs.profiling() {
-            let (results, profile) =
-                pscp_simnet::par::indexed_map_timed(&plan, config.threads, work);
-            obs.record_phase(PhaseSpan {
-                name: "dataset.execute".into(),
-                wall_secs: profile.wall_secs,
-                workers: profile.workers,
-                items: plan.len(),
-                busy_secs: profile.busy_total(),
-            });
-            results
-        } else {
-            pscp_simnet::par::indexed_map(&plan, config.threads, work)
-        };
+        // Outcomes are pure functions of their plan entry, so the shard
+        // count cannot reach them: it is validated, and every count runs
+        // the same per-session map.
+        pscp_simnet::geo::quad_depth_for(config.shards)
+            .expect("shards must be a power of four (1, 4, 16, ...)");
+        let (results, profile) = pscp_simnet::par::indexed_map_timed(&plan, config.threads, work);
+        obs.record_phase(PhaseSpan {
+            name: "dataset.execute".into(),
+            wall_secs: profile.wall_secs,
+            workers: profile.workers,
+            items: plan.len(),
+            busy_secs: profile.busy_total(),
+        });
         let mut outcomes = Vec::with_capacity(results.len());
         for (p, (outcome, trace)) in plan.iter().zip(results) {
             if obs.tracing() {

@@ -55,10 +55,9 @@ pub struct LabConfig {
     /// Record wall-clock phase spans (plan/execute/sweep/crawl/analysis)
     /// even when `trace` is off. Implied by `trace`.
     pub profile: bool,
-    /// Quadtree shards for dataset execution (a power of four; `1` = the
-    /// classic unsharded path). Sessions are grouped by the broadcast's
-    /// [`pscp_simnet::GeoRect::quad_cell`] and scattered back in plan
-    /// order, so every artifact is byte-identical at every shard count.
+    /// Quadtree shards of the world (a power of four). Dataset execution
+    /// validates it and never reads it again, so every artifact is
+    /// byte-identical at every shard count.
     pub shards: usize,
 }
 
@@ -189,27 +188,22 @@ impl Lab {
 
     /// Runs `f` over `items` in parallel like
     /// [`pscp_simnet::par::indexed_map`], recording a wall-clock
-    /// [`PhaseSpan`] named `name` when profiling is on. Results are always
-    /// identical to the untimed path.
+    /// [`PhaseSpan`] named `name` when profiling is on.
     pub fn par_phase<T, R, F>(&self, name: &str, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        if self.obs.profiling() {
-            let (out, prof) = pscp_simnet::par::indexed_map_timed(items, self.config.threads, &f);
-            self.obs.record_phase(PhaseSpan {
-                name: name.to_string(),
-                wall_secs: prof.wall_secs,
-                workers: prof.workers,
-                items: items.len(),
-                busy_secs: prof.busy_total(),
-            });
-            out
-        } else {
-            pscp_simnet::par::indexed_map(items, self.config.threads, f)
-        }
+        let (out, prof) = pscp_simnet::par::indexed_map_timed(items, self.config.threads, f);
+        self.obs.record_phase(PhaseSpan {
+            name: name.to_string(),
+            wall_secs: prof.wall_secs,
+            workers: prof.workers,
+            items: items.len(),
+            busy_secs: prof.busy_total(),
+        });
+        out
     }
 
     /// The resolved worker-thread count this lab will use (see
@@ -322,19 +316,7 @@ impl Lab {
             let outcomes = tp.run_dataset_observed(&cfg, &local);
             (outcomes, local)
         };
-        let sweeps = if obs.profiling() {
-            let (out, prof) = pscp_simnet::par::indexed_map_timed(&limits, threads, work);
-            obs.record_phase(PhaseSpan {
-                name: "dataset.sweep".to_string(),
-                wall_secs: prof.wall_secs,
-                workers: prof.workers,
-                items: limits.len(),
-                busy_secs: prof.busy_total(),
-            });
-            out
-        } else {
-            pscp_simnet::par::indexed_map(&limits, threads, work)
-        };
+        let sweeps = self.par_phase("dataset.sweep", &limits, work);
         for (mbps, (sweep, local)) in limits.iter().zip(sweeps) {
             if obs.tracing() || obs.profiling() {
                 obs.merge_child(&format!("limit-{mbps}"), local);

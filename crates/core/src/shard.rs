@@ -3,12 +3,14 @@
 //! [`ShardPlan`] partitions an **already generated** [`Population`] into
 //! geo quadtree cells: the cell of a broadcast is a pure function of its
 //! location ([`GeoRect::quad_cell`]), so the partition itself never draws
-//! randomness and never depends on shard count. [`run_scale`] then runs
-//! one shard-local event loop per cell on the [`pscp_simnet::par`] engine,
-//! minute by minute: each minute every cell executes its own viewer
-//! sessions against the shared immutable world, and cross-shard traffic —
-//! viewer migrations, chat fan-in — is exchanged as message batches at the
-//! minute boundary, routed serially in plan (cell) order.
+//! randomness and never depends on shard count. [`run_scale`] schedules
+//! *sessions*, not cells: it lists every primary arrival of the run up
+//! front ([`ShardPlan::arrivals`]), hands the list to the
+//! [`pscp_simnet::par`] driver — workers pull the next arrival the moment
+//! they are free, so none waits for a minute or a cell to end — and folds
+//! what each arrival leaves behind on the calling thread, in list order.
+//! The shard count selects the depth of the plan (its index footprint and
+//! the report's `shards` field); it has no say in scheduling.
 //!
 //! # Determinism argument
 //!
@@ -18,36 +20,38 @@
 //! 1. **Work is shard-invariant.** Whether a broadcast-minute spawns a
 //!    session, when the session joins, and every draw the session makes
 //!    are keyed on `(broadcast id, minute)` hashes and per-session RNG
-//!    streams — never on the cell that executes them or on any
-//!    shard-local interleaving. Regrouping cells into fewer or more
-//!    shards changes *scheduling*, never *draws*.
-//! 2. **Messages are shard-invariant.** A migration's destination is
-//!    sampled from the global population with an RNG stream keyed by the
-//!    originating session alone; chat batches carry counts derived from
-//!    the session hash. The multiset of messages exchanged at a boundary
-//!    is therefore identical at every shard count — only their grouping
-//!    into per-cell batches differs.
-//! 3. **Folds are exactly commutative.** Everything that crosses a shard
-//!    boundary lands in `u64` counters or [`QuantileSketch`] bucket
-//!    counts, whose merge is integer addition — exactly associative and
-//!    commutative — so the fold tree (one accumulator at 1 shard, sixteen
-//!    at 16) cannot change a single byte of the rolled-up result.
-//!    Cross-cell rates in [`ShardStats`] (migration/chat "cross-cell")
-//!    are measured at the fixed [`REF_DEPTH`] so the *metric* does not
-//!    move with the shard count either.
+//!    streams, and the arrival list is ordered by (minute, global
+//!    broadcast index) — never by the cell that indexed the broadcast.
+//! 2. **Cross-cell traffic is a function of the session.** A primary's
+//!    one-hop migration — whether it happens, its destination (sampled
+//!    from the global population with an RNG stream keyed by the primary
+//!    alone), the follow-on session one minute later — and the chat a
+//!    viewer posts from their home city are computed inside the arrival's
+//!    own work item; nothing is exchanged between items.
+//! 3. **One thread folds, in list order.** A work item returns a few
+//!    words per session (the capture is dropped in the worker); the caller
+//!    folds them in arrival order whatever order they finished in, so even
+//!    the float moments of [`QoeTelemetry`] see one fixed sequence.
+//!    [`ShardStats`] still merges exactly (`u64` counters and
+//!    [`QuantileSketch`] buckets), but the engine does not lean on it.
+//!    Cross-cell rates are measured at the fixed [`REF_DEPTH`] so the
+//!    *metric* does not move with the shard count either.
 //!
-//! Per-session state never outlives its session: outcomes fold straight
-//! into the per-cell [`ShardStats`] and [`QoeTelemetry`] sketches, so
-//! memory stays O(cells), not O(sessions) — the property that makes the
-//! 1M-broadcast tier of `repro scale` feasible.
+//! Per-session state never outlives its batch: arrivals run
+//! [`FOLD_BATCH`] at a time and fold straight into one [`ShardStats`] and
+//! one [`QoeTelemetry`], so memory is the plan plus one batch of samples,
+//! not O(sessions) — the property that makes the 1M-broadcast tier of
+//! `repro scale` feasible.
 
 use pscp_client::session::SessionConfig;
 use pscp_client::Teleport;
+use pscp_qoe::telemetry::SessionSample;
 use pscp_qoe::QoeTelemetry;
 use pscp_service::PeriscopeService;
+use pscp_simnet::par::{self, ParProfile};
 use pscp_simnet::{GeoPoint, GeoRect, RngFactory, SimTime};
 use pscp_stats::QuantileSketch;
-use pscp_workload::broadcast::BroadcastId;
+use pscp_workload::broadcast::Broadcast;
 use pscp_workload::cities::CITIES;
 use pscp_workload::population::Population;
 use std::fmt::Write as _;
@@ -105,6 +109,17 @@ impl ShardCell {
     pub fn discoverable_at_minute(&self, m: usize) -> &[u32] {
         self.minute_disc.get(m).map(Vec::as_slice).unwrap_or(&[])
     }
+}
+
+/// One primary arrival of a scale run: the unit of scheduled work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arrival {
+    /// Minute of the run the viewer joins in.
+    pub minute: u32,
+    /// Index into `Population::broadcasts` of the broadcast watched.
+    pub broadcast: u32,
+    /// Session (and RNG) key of the primary session.
+    pub key: u64,
 }
 
 /// The shard plan: a total, disjoint partition of a population's
@@ -166,6 +181,49 @@ impl ShardPlan {
         self.disc_broadcast_minutes
     }
 
+    /// Every primary arrival of a run, ordered by (minute, global broadcast
+    /// index): each discoverable broadcast-minute spawns one with
+    /// probability `target_sessions` / [discoverable broadcast-minutes],
+    /// decided by a hash of `(seed, broadcast id, minute)`. Nothing in the
+    /// list — members or order — depends on the plan's depth.
+    ///
+    /// [discoverable broadcast-minutes]: ShardPlan::discoverable_broadcast_minutes
+    pub fn arrivals(&self, pop: &Population, seed: u64, target_sessions: usize) -> Vec<Arrival> {
+        let rate = (target_sessions as f64 / self.disc_broadcast_minutes.max(1) as f64).min(1.0);
+        let mut out = Vec::new();
+        for m in 0..self.minutes {
+            let minute_from = out.len();
+            for cell in &self.cells {
+                for &bi in cell.discoverable_at_minute(m) {
+                    let id = pop.broadcasts[bi as usize].id.0;
+                    let h = mix(seed ^ id ^ (m as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
+                    if unit(h) < rate {
+                        let key = mix(h ^ 0x5e55_1011);
+                        out.push(Arrival { minute: m as u32, broadcast: bi, key });
+                    }
+                }
+            }
+            // Cells list their members in global order; restore it across
+            // cells (a handful of arrivals a minute).
+            out[minute_from..].sort_unstable_by_key(|a| a.broadcast);
+        }
+        out
+    }
+
+    /// The population census at [`REF_DEPTH`] off a plan of that depth.
+    fn census(&self) -> Vec<CensusRow> {
+        debug_assert_eq!(self.depth, REF_DEPTH);
+        self.cells
+            .iter()
+            .filter(|c| !c.members.is_empty())
+            .map(|c| CensusRow {
+                quadkey: c.id.quadkey(),
+                broadcasts: c.members.len() as u64,
+                peak_discoverable: c.minute_disc.iter().map(|v| v.len() as u64).max().unwrap_or(0),
+            })
+            .collect()
+    }
+
     /// Bytes held by the plan's index vectors (measured over lengths, not
     /// allocator capacities, so equal plans report equal footprints — see
     /// `QuantileSketch::memory_bytes`). Note the footprint legitimately
@@ -185,9 +243,8 @@ impl ShardPlan {
     }
 }
 
-/// Exactly mergeable per-shard roll-up: `u64` counters and quantile
-/// sketches only, so merging is integer addition in any order — the byte
-/// identity across shard counts rests on this (see the module docs).
+/// Exactly mergeable roll-up of a scale run: `u64` counters and quantile
+/// sketches only, so merging is integer addition in any order.
 #[derive(Debug, Clone)]
 pub struct ShardStats {
     /// Sessions executed (primary + migrated).
@@ -207,18 +264,19 @@ pub struct ShardStats {
     pub stall_ppm: QuantileSketch,
     /// Total watch time, µs.
     pub watch_us: u64,
-    /// Migrations emitted at minute boundaries.
+    /// Onward teleports that found a live destination.
     pub migrations_out: u64,
     /// Of those, destination in a different [`REF_DEPTH`] cell.
     pub migrations_cross: u64,
     /// Migrations whose pick found nothing live, or whose destination had
     /// ended by delivery time.
     pub migrations_dropped: u64,
-    /// Chat messages posted by this shard's viewers.
+    /// Chat messages posted by viewers.
     pub chat_out: u64,
-    /// Chat messages delivered into this shard's broadcasts.
+    /// Chat messages delivered into broadcasts' rooms.
     pub chat_in: u64,
-    /// Of those, posted from a different [`REF_DEPTH`] cell.
+    /// Of those, posted from a different [`REF_DEPTH`] cell than the
+    /// broadcast's.
     pub chat_cross: u64,
 }
 
@@ -265,6 +323,47 @@ impl ShardStats {
         self.chat_out += other.chat_out;
         self.chat_in += other.chat_in;
         self.chat_cross += other.chat_cross;
+    }
+
+    /// Folds what one arrival left behind, primary session first.
+    fn fold(&mut self, telemetry: &mut QoeTelemetry, delta: &ArrivalDelta) {
+        let Some(primary) = &delta.primary else {
+            self.skipped += 1;
+            return;
+        };
+        self.primary += 1;
+        self.fold_session(telemetry, primary);
+        match &delta.hop {
+            Hop::Stayed => {}
+            Hop::NowhereLive => self.migrations_dropped += 1,
+            Hop::Teleported { cross, session } => {
+                self.migrations_out += 1;
+                self.migrations_cross += u64::from(*cross);
+                match session {
+                    Some(session) => {
+                        self.migrated_in += 1;
+                        self.fold_session(telemetry, session);
+                    }
+                    None => self.migrations_dropped += 1,
+                }
+            }
+        }
+    }
+
+    fn fold_session(&mut self, telemetry: &mut QoeTelemetry, d: &SessionDelta) {
+        self.sessions += 1;
+        if d.sample.join_s.is_none() {
+            self.never_joined += 1;
+        }
+        self.join_us.observe(us(d.sample.join_s.unwrap_or(d.sample.session_s)));
+        self.stall_ppm.observe((d.sample.stall_ratio * 1e6).round() as u64);
+        self.watch_us += us(d.sample.session_s);
+        self.chat_out += d.chat;
+        self.chat_in += d.chat;
+        if d.chat_cross {
+            self.chat_cross += d.chat;
+        }
+        telemetry.fold_sample(&d.sample);
     }
 
     /// Bytes held by the sketch state.
@@ -324,39 +423,11 @@ impl ShardStats {
     }
 }
 
-/// A viewer migration: emitted by the origin shard when a finished session
-/// teleports onward, delivered to the destination shard at the next minute
-/// boundary.
-#[derive(Debug, Clone)]
-pub struct Migration {
-    /// RNG/session key of the follow-on session.
-    pub session_key: u64,
-    /// Destination broadcast.
-    pub broadcast: BroadcastId,
-    /// Plan-order index of the destination cell.
-    pub to_cell: u32,
-    /// Whether origin and destination differ at [`REF_DEPTH`].
-    pub cross: bool,
-}
-
-/// A chat fan-in batch: messages posted by viewers homed in `from_cell`
-/// into a broadcast owned by `to_cell`, delivered at the minute boundary.
-#[derive(Debug, Clone)]
-pub struct ChatBatch {
-    /// Plan-order index of the posting viewers' home cell.
-    pub from_cell: u32,
-    /// Plan-order index of the broadcast's cell.
-    pub to_cell: u32,
-    /// Messages in the batch.
-    pub messages: u64,
-    /// Whether home and broadcast differ at [`REF_DEPTH`].
-    pub cross: bool,
-}
-
 /// Scale-run settings.
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
-    /// Shard count (a power of four).
+    /// Shard count (a power of four): the depth of the plan. Scheduling
+    /// does not depend on it.
     pub shards: usize,
     /// Worker threads (`0` = auto, like [`pscp_simnet::par`]).
     pub threads: usize,
@@ -396,7 +467,7 @@ pub struct CensusRow {
     pub peak_discoverable: u64,
 }
 
-/// Result of a sharded scale run.
+/// Result of a scale run.
 #[derive(Debug)]
 pub struct ScaleRun {
     /// Broadcasts in the world.
@@ -405,28 +476,47 @@ pub struct ScaleRun {
     pub shards: usize,
     /// Minutes simulated.
     pub minutes: usize,
-    /// Merged exactly-mergeable roll-up.
+    /// The run's roll-up.
     pub stats: ShardStats,
-    /// Merged QoE telemetry (DESIGN.md §11 instruments).
+    /// The run's QoE telemetry (DESIGN.md §11 instruments).
     pub telemetry: QoeTelemetry,
     /// Population census at [`REF_DEPTH`] (non-empty cells, quadkey order).
     pub census: Vec<CensusRow>,
     /// Bytes held by the shard plan's indexes.
     pub plan_bytes: usize,
+    /// Wall-clock profile of the session schedule (profiling data only).
+    pub par: ParProfile,
 }
 
-/// Per-minute output of one shard's event loop.
-struct MinuteOut {
-    stats: ShardStats,
-    telemetry: QoeTelemetry,
-    migrations: Vec<Migration>,
-    chat: Vec<ChatBatch>,
+/// Arrivals executed between folds: the most per-session deltas ever in
+/// flight, however long the run.
+pub const FOLD_BATCH: usize = 4096;
+
+/// What one executed session leaves behind for the roll-up.
+struct SessionDelta {
+    sample: SessionSample,
+    /// Chat messages the viewer posted into the broadcast's room.
+    chat: u64,
+    /// Whether the viewer's home and the broadcast differ at [`REF_DEPTH`].
+    chat_cross: bool,
 }
 
-/// Accumulated per-shard state across minutes.
-struct CellState {
-    stats: ShardStats,
-    telemetry: QoeTelemetry,
+/// A finished primary's onward teleport (one hop bounds the cascade).
+enum Hop {
+    /// The viewer did not teleport on.
+    Stayed,
+    /// They tried; no broadcast was live.
+    NowhereLive,
+    /// They landed on a broadcast — in a different [`REF_DEPTH`] cell if
+    /// `cross` — and watched it, unless it ended before they could join.
+    Teleported { cross: bool, session: Option<SessionDelta> },
+}
+
+/// What one arrival leaves behind: its primary session (`None` when the
+/// broadcast had no joinable instant left in the minute) and the hop.
+struct ArrivalDelta {
+    primary: Option<SessionDelta>,
+    hop: Hop,
 }
 
 /// SplitMix64 finalizer — the engine's only ad-hoc hash. All scale-run
@@ -449,226 +539,152 @@ fn us(secs: f64) -> u64 {
     (secs * 1e6).round().max(0.0) as u64
 }
 
-/// The deterministic home location of a session's viewer: a city drawn
-/// from the global activity weights by the session hash. Chat posted by
-/// the viewer fans in from this cell to the broadcast's cell.
-fn viewer_home(key: u64) -> GeoPoint {
-    let total: f64 = CITIES.iter().map(|c| c.weight).sum();
-    let mut u = unit(mix(key ^ 0xc4a7_0001)) * total;
-    for city in CITIES {
-        u -= city.weight;
-        if u <= 0.0 {
-            return city.point();
-        }
-    }
-    CITIES[CITIES.len() - 1].point()
-}
-
 /// The population census at [`REF_DEPTH`]: broadcasts and peak
 /// discoverable-per-minute per cell. A pure function of the population, so
 /// it is identical at every shard count by construction.
 pub fn census(pop: &Population) -> Vec<CensusRow> {
-    let ref_plan = ShardPlan::build(pop, 1usize << (2 * REF_DEPTH as usize));
-    ref_plan
-        .cells
-        .iter()
-        .filter(|c| !c.members.is_empty())
-        .map(|c| CensusRow {
-            quadkey: c.id.quadkey(),
-            broadcasts: c.members.len() as u64,
-            peak_discoverable: c.minute_disc.iter().map(|v| v.len() as u64).max().unwrap_or(0),
-        })
-        .collect()
+    ShardPlan::build(pop, 1usize << (2 * REF_DEPTH as usize)).census()
 }
 
-/// Runs the sharded scale workload: one event loop per quadtree cell,
-/// minute-boundary message batches, plan-order folds. See the module docs
-/// for the determinism argument.
+/// Runs the scale workload: every arrival of the run on one session
+/// schedule, folded in arrival order. See the module docs for the
+/// determinism argument.
 pub fn run_scale(service: &PeriscopeService, rngs: &RngFactory, cfg: &ScaleConfig) -> ScaleRun {
     let pop = &service.population;
     let plan = ShardPlan::build(pop, cfg.shards);
     let scale_rngs = rngs.child("scale");
-    let tp = Teleport::new(service, scale_rngs);
-    let seed = scale_rngs.seed();
-    let rate =
-        (cfg.target_sessions as f64 / plan.discoverable_broadcast_minutes().max(1) as f64).min(1.0);
-
-    let mut states: Vec<CellState> = (0..plan.shards())
-        .map(|_| CellState { stats: ShardStats::new(), telemetry: QoeTelemetry::new() })
-        .collect();
-    let mut inboxes: Vec<Vec<Migration>> = vec![Vec::new(); plan.shards()];
-    for m in 0..plan.minutes {
-        // One shard-local event loop per cell; workers share the immutable
-        // world and read only their own inbox.
-        let inbox_ref = &inboxes;
-        let outs = pscp_simnet::par::indexed_map(&plan.cells, cfg.threads, |ci, cell| {
-            run_cell_minute(&tp, pop, &plan, cell, ci, m, &inbox_ref[ci], rate, seed, cfg)
-        });
-        // Minute boundary: fold each cell's delta and route its outgoing
-        // batches, serially in plan (cell) order.
-        let mut next: Vec<Vec<Migration>> = vec![Vec::new(); plan.shards()];
-        for (ci, out) in outs.into_iter().enumerate() {
-            states[ci].stats.merge(&out.stats);
-            states[ci].telemetry.merge(&out.telemetry);
-            for mig in out.migrations {
-                states[ci].stats.migrations_out += 1;
-                if mig.cross {
-                    states[ci].stats.migrations_cross += 1;
-                }
-                next[mig.to_cell as usize].push(mig);
-            }
-            for batch in out.chat {
-                states[batch.from_cell as usize].stats.chat_out += batch.messages;
-                states[batch.to_cell as usize].stats.chat_in += batch.messages;
-                if batch.cross {
-                    states[batch.to_cell as usize].stats.chat_cross += batch.messages;
-                }
-            }
-        }
-        inboxes = next;
-    }
-
-    // Final roll-up in plan order (exact merges, so any order would do).
-    let mut stats = ShardStats::new();
-    let mut telemetry = QoeTelemetry::new();
-    for st in &states {
-        stats.merge(&st.stats);
-        telemetry.merge(&st.telemetry);
-    }
+    let arrivals = plan.arrivals(pop, scale_rngs.seed(), cfg.target_sessions);
+    let (stats, telemetry, par) =
+        Engine::new(service, scale_rngs, plan.minutes, cfg).run(&arrivals, FOLD_BATCH);
     ScaleRun {
         broadcasts: pop.broadcasts.len(),
         shards: plan.shards(),
         minutes: plan.minutes,
         stats,
         telemetry,
-        census: census(pop),
+        census: if plan.depth == REF_DEPTH { plan.census() } else { census(pop) },
         plan_bytes: plan.memory_bytes(),
+        par,
     }
 }
 
-/// One cell, one minute: migrated-in sessions from the boundary batch,
-/// then primary arrivals over the cell's discoverable broadcast-minutes.
-#[allow(clippy::too_many_arguments)]
-fn run_cell_minute(
-    tp: &Teleport<'_>,
-    pop: &Population,
-    plan: &ShardPlan,
-    cell: &ShardCell,
-    ci: usize,
-    m: usize,
-    inbox: &[Migration],
-    rate: f64,
-    seed: u64,
-    cfg: &ScaleConfig,
-) -> MinuteOut {
-    let mut out = MinuteOut {
-        stats: ShardStats::new(),
-        telemetry: QoeTelemetry::new(),
-        migrations: Vec::new(),
-        chat: Vec::new(),
-    };
-    for mig in inbox {
-        let Some(b) = pop.by_id(mig.broadcast) else { continue };
-        run_scale_session(tp, pop, plan, &mut out, b, ci, m, mig.session_key, true, cfg);
-    }
-    for &bi in cell.discoverable_at_minute(m) {
-        let b = &pop.broadcasts[bi as usize];
-        let h = mix(seed ^ b.id.0 ^ (m as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
-        if unit(h) >= rate {
-            continue;
+/// What a work item reads: the immutable world and the run's settings.
+struct Engine<'a> {
+    tp: Teleport<'a>,
+    pop: &'a Population,
+    minutes: usize,
+    cfg: &'a ScaleConfig,
+    /// Sum of the [`CITIES`] activity weights.
+    city_weights: f64,
+}
+
+impl<'a> Engine<'a> {
+    fn new(
+        service: &'a PeriscopeService,
+        scale_rngs: RngFactory,
+        minutes: usize,
+        cfg: &'a ScaleConfig,
+    ) -> Engine<'a> {
+        Engine {
+            tp: Teleport::new(service, scale_rngs),
+            pop: &service.population,
+            minutes,
+            cfg,
+            city_weights: CITIES.iter().map(|c| c.weight).sum(),
         }
-        run_scale_session(tp, pop, plan, &mut out, b, ci, m, mix(h ^ 0x5e55_1011), false, cfg);
     }
-    out
-}
 
-/// Executes one session of the scale run and folds its outcome; may emit a
-/// migration and a chat batch for the next minute boundary.
-#[allow(clippy::too_many_arguments)]
-fn run_scale_session(
-    tp: &Teleport<'_>,
-    pop: &Population,
-    plan: &ShardPlan,
-    out: &mut MinuteOut,
-    b: &pscp_workload::broadcast::Broadcast,
-    ci: usize,
-    m: usize,
-    key: u64,
-    migrated: bool,
-    cfg: &ScaleConfig,
-) {
-    // Join somewhere in this minute while the broadcast is still live
-    // (with a second to spare). A migrated-in viewer whose destination
-    // ended during the boundary latency is a dropped migration.
-    let minute_start = SimTime::from_secs(m as u64 * 60);
-    let minute_end = SimTime::from_secs(m as u64 * 60 + 60);
-    let lo = b.start.max(minute_start);
-    let hi = SimTime::from_micros(b.end().as_micros().saturating_sub(1_000_000)).min(minute_end);
-    if hi < lo {
-        if migrated {
-            out.stats.migrations_dropped += 1;
+    /// Executes `arrivals`, `batch` at a time, folding each batch's deltas
+    /// in arrival order before the next starts.
+    fn run(&self, arrivals: &[Arrival], batch: usize) -> (ShardStats, QoeTelemetry, ParProfile) {
+        let mut stats = ShardStats::new();
+        let mut telemetry = QoeTelemetry::new();
+        let mut profile = ParProfile::default();
+        for chunk in arrivals.chunks(batch) {
+            let (deltas, chunk_profile) =
+                par::indexed_map_timed(chunk, self.cfg.threads, |_, a| self.run_arrival(a));
+            profile.absorb(&chunk_profile);
+            for delta in &deltas {
+                stats.fold(&mut telemetry, delta);
+            }
+        }
+        (stats, telemetry, profile)
+    }
+
+    /// One arrival: the primary session and, right after it, the follow-on
+    /// session of its onward teleport — a function of the primary's key
+    /// (destination stream `scale/mig/{key}`, joined the next minute), so
+    /// it needs nothing from any other arrival.
+    fn run_arrival(&self, a: &Arrival) -> ArrivalDelta {
+        let b = &self.pop.broadcasts[a.broadcast as usize];
+        let (m, key) = (a.minute as usize, a.key);
+        let Some(primary) = self.run_session(b, m, key) else {
+            return ArrivalDelta { primary: None, hop: Hop::Stayed };
+        };
+        let teleports =
+            m + 1 < self.minutes && unit(mix(key ^ 0x3141_5926)) < self.cfg.migrate_prob;
+        let hop = if teleports {
+            // The destination is sampled from the global population as of
+            // the next minute, with a stream keyed by this session alone.
+            let t_next = SimTime::from_secs((m as u64 + 1) * 60);
+            let mut rng = self.tp.rngs().stream(&format!("scale/mig/{key:016x}"));
+            match self.pop.sample_live_weighted(t_next, &mut rng) {
+                Some(dest) => Hop::Teleported {
+                    cross: ref_cell(&dest.location) != ref_cell(&b.location),
+                    session: self.run_session(dest, m + 1, mix(key ^ 0x6d19_0001)),
+                },
+                None => Hop::NowhereLive,
+            }
         } else {
-            out.stats.skipped += 1;
-        }
-        return;
-    }
-    let span_us = hi.as_micros() - lo.as_micros();
-    let join_at = SimTime::from_micros(
-        lo.as_micros() + (span_us as f64 * unit(mix(key ^ 0x0010_ca7e))) as u64,
-    );
-    let outcome = tp.run_one(b, join_at, &cfg.session, key);
-
-    out.stats.sessions += 1;
-    if migrated {
-        out.stats.migrated_in += 1;
-    } else {
-        out.stats.primary += 1;
-    }
-    match outcome.join_time_s() {
-        Some(join) => out.stats.join_us.observe(us(join)),
-        None => {
-            out.stats.never_joined += 1;
-            out.stats.join_us.observe(us(outcome.player.session_s));
-        }
-    }
-    out.stats.stall_ppm.observe((outcome.stall_ratio() * 1e6).round() as u64);
-    out.stats.watch_us += us(outcome.player.session_s);
-    out.telemetry.fold_outcome(&outcome);
-
-    // Chat fan-in: the viewer posts from their home cell into the
-    // broadcast's room, at the configured rate with stochastic rounding.
-    let watch_min = outcome.player.session_s / 60.0;
-    let messages =
-        (cfg.chat_per_watch_min * watch_min + unit(mix(key ^ 0xc4a7_0002))).floor() as u64;
-    if messages > 0 {
-        let home = viewer_home(key);
-        out.chat.push(ChatBatch {
-            from_cell: plan.cell_index(&home) as u32,
-            to_cell: ci as u32,
-            messages,
-            cross: GeoRect::quad_cell(&home, REF_DEPTH)
-                != GeoRect::quad_cell(&b.location, REF_DEPTH),
-        });
+            Hop::Stayed
+        };
+        ArrivalDelta { primary: Some(primary), hop }
     }
 
-    // Onward teleport (primary sessions only; one hop bounds the cascade).
-    // The destination is sampled from the global population at the next
-    // minute boundary with a stream keyed by this session alone, so the
-    // migration — content and existence — is shard-invariant.
-    if !migrated && m + 1 < plan.minutes && unit(mix(key ^ 0x3141_5926)) < cfg.migrate_prob {
-        let t_next = SimTime::from_secs((m as u64 + 1) * 60);
-        let mut rng = tp.rngs().stream(&format!("scale/mig/{key:016x}"));
-        match pop.sample_live_weighted(t_next, &mut rng) {
-            Some(dest) => out.migrations.push(Migration {
-                session_key: mix(key ^ 0x6d19_0001),
-                broadcast: dest.id,
-                to_cell: plan.cell_index(&dest.location) as u32,
-                cross: GeoRect::quad_cell(&dest.location, REF_DEPTH)
-                    != GeoRect::quad_cell(&b.location, REF_DEPTH),
-            }),
-            None => out.stats.migrations_dropped += 1,
+    /// Executes one session joining `b` somewhere in minute `m` while it is
+    /// still live (with a second to spare); `None` if no such instant is
+    /// left. The capture is dropped here, in the worker.
+    fn run_session(&self, b: &Broadcast, m: usize, key: u64) -> Option<SessionDelta> {
+        let minute_start = SimTime::from_secs(m as u64 * 60);
+        let minute_end = SimTime::from_secs(m as u64 * 60 + 60);
+        let lo = b.start.max(minute_start);
+        let hi =
+            SimTime::from_micros(b.end().as_micros().saturating_sub(1_000_000)).min(minute_end);
+        if hi < lo {
+            return None;
         }
+        let span_us = hi.as_micros() - lo.as_micros();
+        let join_at = SimTime::from_micros(
+            lo.as_micros() + (span_us as f64 * unit(mix(key ^ 0x0010_ca7e))) as u64,
+        );
+        let sample = SessionSample::of(&self.tp.run_one(b, join_at, &self.cfg.session, key));
+
+        // Chat fan-in: the viewer posts from their home city into the
+        // broadcast's room, at the configured rate with stochastic rounding.
+        let watch_min = sample.session_s / 60.0;
+        let chat =
+            (self.cfg.chat_per_watch_min * watch_min + unit(mix(key ^ 0xc4a7_0002))).floor() as u64;
+        let chat_cross = chat > 0 && ref_cell(&self.viewer_home(key)) != ref_cell(&b.location);
+        Some(SessionDelta { sample, chat, chat_cross })
     }
+
+    /// The deterministic home location of a session's viewer: a city drawn
+    /// from the global activity weights by the session hash.
+    fn viewer_home(&self, key: u64) -> GeoPoint {
+        let mut u = unit(mix(key ^ 0xc4a7_0001)) * self.city_weights;
+        for city in CITIES {
+            u -= city.weight;
+            if u <= 0.0 {
+                return city.point();
+            }
+        }
+        CITIES[CITIES.len() - 1].point()
+    }
+}
+
+/// The [`REF_DEPTH`] cell of a location.
+fn ref_cell(p: &GeoPoint) -> u16 {
+    GeoRect::quad_cell(p, REF_DEPTH)
 }
 
 #[cfg(test)]
@@ -729,6 +745,27 @@ mod tests {
             assert_eq!(r.stats.json(), runs[0].stats.json());
             assert_eq!(r.telemetry.snapshot_json(), runs[0].telemetry.snapshot_json());
         }
+    }
+
+    /// Batching is inert and bounds memory: a run folded three arrivals at
+    /// a time holds at most three deltas between folds, and rolls up to
+    /// the same bytes as one folded in a single batch.
+    #[test]
+    fn fold_batch_size_does_not_reach_the_rollup() {
+        let svc = world(2016);
+        let pop = &svc.population;
+        let cfg = ScaleConfig { threads: 2, ..Default::default() };
+        let rngs = RngFactory::new(2016).child("scale");
+        let plan = ShardPlan::build(pop, 16);
+        let arrivals = plan.arrivals(pop, rngs.seed(), 40);
+        assert!(arrivals.len() > 9, "arrivals={}", arrivals.len());
+        let engine = Engine::new(&svc, rngs, plan.minutes, &cfg);
+        let (whole, whole_qoe, _) = engine.run(&arrivals, FOLD_BATCH);
+        let (small, small_qoe, profile) = engine.run(&arrivals, 3);
+        assert_eq!(small.json(), whole.json());
+        assert_eq!(small_qoe.snapshot_json(), whole_qoe.snapshot_json());
+        assert!(whole.sessions as usize >= arrivals.len());
+        assert_eq!(profile.busy_secs.len(), 2);
     }
 
     #[test]

@@ -42,6 +42,45 @@ fn us(secs: f64) -> u64 {
     (secs * 1e6).round().max(0.0) as u64
 }
 
+/// The scalars the telemetry (and the scale engine's roll-up) read off a
+/// finished session: a few words, so a worker can drop the session's
+/// multi-MB capture and hand only this to the thread that folds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SessionSample {
+    /// Whether a `tc` bandwidth limit was in effect.
+    pub limited: bool,
+    /// Delivery protocol used.
+    pub protocol: Protocol,
+    /// Join time, seconds (`None` = playback never started).
+    pub join_s: Option<f64>,
+    /// Total watch time, seconds.
+    pub session_s: f64,
+    /// Stall ratio.
+    pub stall_ratio: f64,
+    /// The protocol's latency instrument, seconds: the playbackMeta
+    /// latency for RTMP, the mean capture→render latency for HLS, nothing
+    /// for SRT.
+    pub latency_s: Option<f64>,
+}
+
+impl SessionSample {
+    /// The sample of one outcome.
+    pub fn of(s: &SessionOutcome) -> SessionSample {
+        SessionSample {
+            limited: s.bandwidth_limit_bps.is_some(),
+            protocol: s.protocol,
+            join_s: s.join_time_s(),
+            session_s: s.player.session_s,
+            stall_ratio: s.stall_ratio(),
+            latency_s: match s.protocol {
+                Protocol::Rtmp => s.meta.playback_latency_s,
+                Protocol::Hls => s.player.mean_latency_s(),
+                Protocol::Srt => None,
+            },
+        }
+    }
+}
+
 /// Streaming QoE telemetry over sessions and phase breakdowns.
 #[derive(Debug, Clone)]
 pub struct QoeTelemetry {
@@ -88,29 +127,27 @@ impl QoeTelemetry {
         }
     }
 
-    /// Folds one completed session. Only unlimited-bandwidth sessions
-    /// feed the headline sketches, mirroring the exact SLO objectives.
+    /// Folds one completed session ([`QoeTelemetry::fold_sample`] of its
+    /// [`SessionSample`]).
     pub fn fold_outcome(&mut self, s: &SessionOutcome) {
+        self.fold_sample(&SessionSample::of(s));
+    }
+
+    /// Folds one session's scalars. Only unlimited-bandwidth sessions
+    /// feed the headline sketches, mirroring the exact SLO objectives.
+    pub fn fold_sample(&mut self, s: &SessionSample) {
         self.n_sessions += 1;
-        if s.bandwidth_limit_bps.is_some() {
+        if s.limited {
             return;
         }
-        self.join_us.observe(us(s.join_time_s().unwrap_or(s.player.session_s)));
-        self.stall_ppm.observe((s.stall_ratio() * 1e6).round() as u64);
-        match s.protocol {
-            Protocol::Rtmp => {
-                if let Some(lat) = s.meta.playback_latency_s {
-                    self.rtmp_latency_us.observe(us(lat));
-                }
-            }
-            Protocol::Hls => {
-                if let Some(lat) = s.player.mean_latency_s() {
-                    self.hls_latency_s.observe(lat);
-                }
-            }
+        self.join_us.observe(us(s.join_s.unwrap_or(s.session_s)));
+        self.stall_ppm.observe((s.stall_ratio * 1e6).round() as u64);
+        match (s.protocol, s.latency_s) {
+            (Protocol::Rtmp, Some(lat)) => self.rtmp_latency_us.observe(us(lat)),
+            (Protocol::Hls, Some(lat)) => self.hls_latency_s.observe(lat),
             // SRT sessions feed the protocol-agnostic join/stall sketches
             // above; neither per-protocol latency objective applies.
-            Protocol::Srt => {}
+            _ => {}
         }
     }
 

@@ -19,10 +19,13 @@
 //!
 //! No external dependencies: plain `std::thread::scope` with an atomic
 //! work-stealing counter. Threads are cheap at this granularity — one
-//! session simulates tens of milliseconds of CPU work, so spawning a
-//! handful of workers per dataset is noise.
+//! session is 3–5 ms of CPU work, so spawning a handful of workers per
+//! dataset (or per batch of a scale run) is noise; what is not noise is a
+//! barrier every few sessions, which is why callers hand the driver one
+//! long item list rather than many short ones.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// Resolves a thread-count knob to a concrete worker count.
 ///
@@ -44,56 +47,19 @@ pub fn resolve_threads(n: usize) -> usize {
     std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
 }
 
-/// Applies `f` to every item of `items` on up to `threads` worker threads
-/// (`0` = auto, see [`resolve_threads`]) and returns the results in input
-/// order.
-///
-/// `f` receives `(index, &item)`. With one worker (or one item) the work
-/// runs inline on the caller's thread — no spawn, exactly the serial loop.
-/// With more, workers pull indices from a shared atomic counter (cheap
-/// dynamic load balancing: session costs vary by broadcast popularity) and
-/// results are reassembled by index afterwards, so scheduling order never
-/// leaks into the output. A panic in any worker propagates to the caller.
+/// [`indexed_map_timed`] without the profile.
 pub fn indexed_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = resolve_threads(threads).min(items.len()).max(1);
-    if workers == 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            collected.extend(h.join().expect("parallel worker panicked"));
-        }
-    });
-    collected.sort_by_key(|&(i, _)| i);
-    collected.into_iter().map(|(_, r)| r).collect()
+    indexed_map_timed(items, threads, f).0
 }
 
-/// Wall-clock accounting for one [`indexed_map_timed`] call.
+/// Wall-clock accounting for [`indexed_map_timed`] calls.
 ///
-/// Strictly profiling data: none of it feeds back into simulation state,
-/// so the timed variant produces the same results as [`indexed_map`].
+/// Strictly profiling data: none of it feeds back into simulation state.
 #[derive(Debug, Clone)]
 pub struct ParProfile {
     /// Workers that actually ran (1 = the inline serial path).
@@ -105,45 +71,62 @@ pub struct ParProfile {
     pub busy_secs: Vec<f64>,
 }
 
+impl Default for ParProfile {
+    /// The profile of a map that never ran: one idle inline worker.
+    fn default() -> Self {
+        ParProfile { workers: 1, wall_secs: 0.0, busy_secs: vec![0.0] }
+    }
+}
+
 impl ParProfile {
     /// Summed busy time across all workers.
     pub fn busy_total(&self) -> f64 {
         self.busy_secs.iter().sum()
     }
+
+    /// Busy fraction of the worker capacity, `busy / (workers × wall)`.
+    pub fn efficiency(&self) -> f64 {
+        self.busy_total() / (self.workers as f64 * self.wall_secs).max(1e-9)
+    }
+
+    /// Adds the profile of a map that ran after this one: walls add up,
+    /// worker `k`'s busy time adds to worker `k`'s.
+    pub fn absorb(&mut self, next: &ParProfile) {
+        self.workers = self.workers.max(next.workers);
+        self.wall_secs += next.wall_secs;
+        if self.busy_secs.len() < next.busy_secs.len() {
+            self.busy_secs.resize(next.busy_secs.len(), 0.0);
+        }
+        for (mine, theirs) in self.busy_secs.iter_mut().zip(&next.busy_secs) {
+            *mine += theirs;
+        }
+    }
 }
 
-/// [`indexed_map`] plus per-worker busy timing.
+/// Applies `f` to every item of `items` on up to `threads` worker threads
+/// (`0` = auto, see [`resolve_threads`]) and returns the results in input
+/// order, with the wall-clock profile of the map.
 ///
-/// Results are identical to [`indexed_map`] (same ordering contract, same
-/// panic propagation); the extra cost is two `Instant::now()` calls per
-/// item, paid only by callers that asked for profiling.
+/// `f` receives `(index, &item)`. With one worker (or one item) the work
+/// runs inline on the caller's thread — no spawn, exactly the serial loop,
+/// busy for as long as it runs. With more, workers pull indices from a
+/// shared atomic counter (cheap dynamic load balancing: session costs vary
+/// by broadcast popularity) and results are reassembled by index
+/// afterwards, so scheduling order never leaks into the output; each
+/// worker times the items it ran (two `Instant::now()` per multi-ms item).
+/// A panic in any worker propagates to the caller.
 pub fn indexed_map_timed<T, R, F>(items: &[T], threads: usize, f: F) -> (Vec<R>, ParProfile)
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    use std::time::Instant;
     let workers = resolve_threads(threads).min(items.len()).max(1);
     let started = Instant::now();
     if workers == 1 {
-        let mut busy = 0.0;
-        let out = items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let t0 = Instant::now();
-                let r = f(i, item);
-                busy += t0.elapsed().as_secs_f64();
-                r
-            })
-            .collect();
-        let profile = ParProfile {
-            workers: 1,
-            wall_secs: started.elapsed().as_secs_f64(),
-            busy_secs: vec![busy],
-        };
-        return (out, profile);
+        let out = items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+        let wall_secs = started.elapsed().as_secs_f64();
+        return (out, ParProfile { workers, wall_secs, busy_secs: vec![wall_secs] });
     }
     let next = AtomicUsize::new(0);
     let mut collected: Vec<(usize, R)> = Vec::with_capacity(items.len());
@@ -213,38 +196,44 @@ mod tests {
     }
 
     #[test]
-    fn empty_input_ok() {
-        let out: Vec<u32> = indexed_map(&[] as &[u32], 4, |_, &x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn more_threads_than_items_ok() {
         let out = indexed_map(&[1, 2, 3], 64, |_, &x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]
-    fn timed_map_matches_untimed() {
+    fn profile_has_one_busy_entry_per_worker() {
         let items: Vec<u64> = (0..40).collect();
         let work = |i: usize, &x: &u64| x.wrapping_mul(17).wrapping_add(i as u64);
-        let plain = indexed_map(&items, 4, work);
-        for threads in [1, 4] {
-            let (timed, profile) = indexed_map_timed(&items, threads, work);
-            assert_eq!(plain, timed, "threads={threads}");
-            assert_eq!(profile.workers, threads);
-            assert_eq!(profile.busy_secs.len(), threads);
-            assert!(profile.wall_secs >= 0.0);
-            assert!(profile.busy_total() >= 0.0);
+        let serial = indexed_map(&items, 1, work);
+        for (threads, workers) in [(1, 1), (4, 4), (64, 40)] {
+            let (out, profile) = indexed_map_timed(&items, threads, work);
+            assert_eq!(out, serial, "threads={threads}");
+            assert_eq!(profile.workers, workers);
+            assert_eq!(profile.busy_secs.len(), workers);
+            assert!(profile.wall_secs >= 0.0 && profile.busy_total() >= 0.0);
+            assert!((0.0..=1.0 + 1e-9).contains(&profile.efficiency()), "{profile:?}");
         }
     }
 
     #[test]
-    fn timed_map_empty_input_ok() {
+    fn empty_input_runs_inline_and_idle() {
         let (out, profile) = indexed_map_timed(&[] as &[u32], 4, |_, &x| x);
         assert!(out.is_empty());
         assert_eq!(profile.workers, 1);
-        assert_eq!(profile.busy_secs, vec![0.0]);
+        assert_eq!(profile.busy_secs.len(), 1);
+    }
+
+    #[test]
+    fn profiles_of_successive_maps_add_up() {
+        let mut total = ParProfile::default();
+        assert_eq!(total.efficiency(), 0.0);
+        total.absorb(&ParProfile { workers: 1, wall_secs: 1.0, busy_secs: vec![1.0] });
+        total.absorb(&ParProfile { workers: 2, wall_secs: 2.0, busy_secs: vec![2.0, 1.0] });
+        assert_eq!(total.workers, 2);
+        assert_eq!(total.wall_secs, 3.0);
+        assert_eq!(total.busy_secs, vec![3.0, 1.0]);
+        assert!((total.efficiency() - 4.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property tests for the shard plan (DESIGN.md §13): the quadtree
 //! partition is total and disjoint for arbitrary coordinates — including
-//! cell boundaries, the poles and the antimeridian — and the cross-shard
-//! roll-up merge is associative and commutative under arbitrary plan-order
-//! regroupings, the property the byte-identity guarantee rests on.
+//! cell boundaries, the poles and the antimeridian — the scale run's
+//! arrival list (the work it schedules) is the same list in the same order
+//! at every shard count, and the roll-up merge is associative and
+//! commutative under arbitrary regroupings.
 
-use periscope_repro::core::shard::{ShardPlan, ShardStats};
+use periscope_repro::core::shard::{Arrival, ShardPlan, ShardStats};
 use periscope_repro::simnet::geo::quad_depth_for;
 use periscope_repro::simnet::{GeoPoint, GeoRect, RngFactory};
 use periscope_repro::workload::population::{Population, PopulationConfig};
@@ -98,6 +99,57 @@ fn plan_partition_is_total_and_disjoint() {
             }
             for (i, &n) in seen.iter().enumerate() {
                 ensure!(n == 1, "broadcast {i} assigned to {n} cells (must be exactly 1)");
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The scale engine's work list is shard-invariant: the same arrivals —
+/// as a multiset and as a sequence — whatever depth of plan listed them.
+#[test]
+fn arrival_list_is_the_same_at_every_shard_count() {
+    check(
+        "shard/arrivals-shard-invariant",
+        |g| (g.u64(..), g.u64(..), g.u64(0..400) as usize),
+        |&(world_seed, run_seed, target)| {
+            let cfg = PopulationConfig {
+                window: periscope_repro::simnet::SimDuration::from_secs(600),
+                arrivals_per_sec: 0.2,
+                ..PopulationConfig::small()
+            };
+            let pop = Population::generate(cfg, &RngFactory::new(world_seed));
+            let base = ShardPlan::build(&pop, 1).arrivals(&pop, run_seed, target);
+            ensure!(
+                base.windows(2)
+                    .all(|w| (w[0].minute, w[0].broadcast) < (w[1].minute, w[1].broadcast)),
+                "arrivals not strictly ordered by (minute, broadcast)"
+            );
+            ensure!(target > 0 || base.is_empty(), "a zero target spawned {}", base.len());
+            for a in &base {
+                let b = &pop.broadcasts[a.broadcast as usize];
+                let minute = a.minute as u64;
+                ensure!(
+                    !b.private
+                        && b.location_public
+                        && b.start.as_micros() / 60_000_000 <= minute
+                        && minute <= b.end().as_micros() / 60_000_000,
+                    "arrival {a:?} is not on a discoverable broadcast live in its minute"
+                );
+            }
+            let sorted = |mut v: Vec<Arrival>| {
+                v.sort_unstable_by_key(|a| (a.minute, a.broadcast, a.key));
+                v
+            };
+            for shards in [4usize, 16] {
+                let got = ShardPlan::build(&pop, shards).arrivals(&pop, run_seed, target);
+                ensure!(
+                    sorted(got.clone()) == sorted(base.clone()),
+                    "{shards} shards list a different multiset ({} vs {} arrivals)",
+                    got.len(),
+                    base.len()
+                );
+                ensure!(got == base, "{shards} shards list the same arrivals in another order");
             }
             Ok(())
         },
