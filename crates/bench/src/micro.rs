@@ -293,6 +293,42 @@ pub fn bench_components(seed: u64) -> String {
         doc.len() as u64
     });
 
+    {
+        use pscp_crawler::deep::crawler_location;
+        use pscp_crawler::wire;
+        use pscp_service::api::ApiRequest;
+        use pscp_service::{PeriscopeService, ServiceConfig};
+        use pscp_workload::population::{Population, PopulationConfig};
+        // The crawl plane's hot exchange on real bodies: one getBroadcasts
+        // for 100 live ids of a medium world — the service writing the
+        // response, the crawler reading it, and both with the request.
+        let pop =
+            Population::generate(PopulationConfig::medium(), &RngFactory::new(5).child("world"));
+        let mut svc = PeriscopeService::new(pop, ServiceConfig::default());
+        let at = SimTime::from_secs(3600);
+        let ids: Vec<_> = svc.population.live_at(at).iter().map(|b| b.id).take(100).collect();
+        assert_eq!(ids.len(), 100, "a medium world has 100 live broadcasts an hour in");
+        let request = ApiRequest::GetBroadcasts { ids: ids.clone() };
+        // A user per call keeps the rate limiter out, as in `benchmark/`.
+        let mut calls = 0u64;
+        let mut user = move || {
+            calls += 1;
+            format!("bench-{calls}")
+        };
+        let http = request.to_http("bench");
+        let body = String::from_utf8(svc.handle_http(&user(), &http, at, &crawler_location()).body)
+            .expect("API responses are UTF-8 JSON");
+        suite.run("json/write getBroadcasts ×100", Some(body.len() as u64), || {
+            svc.handle_http(&user(), &http, at, &crawler_location()).body.len() as u64
+        });
+        suite.run("json/read getBroadcasts ×100", Some(body.len() as u64), || {
+            wire::descriptions(&body).expect("decodes").len() as u64
+        });
+        suite.run("api/getBroadcasts round trip ×100", Some(body.len() as u64), || {
+            wire::get_broadcasts(&mut svc, &user(), &ids, at).expect("answered").len() as u64
+        });
+    }
+
     // 1000 MTU-ish packets offered as bursts of 100 (one burst per
     // simulated send), so `enqueue_batch` amortizes the queue bookkeeping
     // the way the session packet pump does.

@@ -93,7 +93,9 @@ pub fn events(
     let mut out = Vec::with_capacity(messages.len() * 2);
     let mut cached: std::collections::HashSet<String> = std::collections::HashSet::new();
     for msg in messages {
-        let frame = Frame::text(msg.to_json().to_json());
+        let mut body = String::new();
+        msg.write_json(&mut body);
+        let frame = Frame::text(body);
         out.push(ChatSend {
             at: msg.at,
             kind: FlowKind::Chat,
@@ -117,7 +119,8 @@ pub fn events(
     }
     // Hearts: tiny batched pushes on the same WebSocket (§3's emoticons).
     for heart in room.hearts_between(from, to, viewers, rng) {
-        let body = format!("{{\"kind\":\"heart\",\"n\":{}}}", heart.count);
+        let mut body = String::new();
+        heart.write_json(&mut body);
         debug_assert!(body.len() >= heart.wire_len().saturating_sub(4));
         let frame = Frame::text(body);
         out.push(ChatSend {

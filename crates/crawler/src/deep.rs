@@ -9,7 +9,7 @@
 //! selects from.
 
 use crate::records::ObservationStore;
-use pscp_service::api::{ApiRequest, BroadcastDescription};
+use crate::wire::{self, Refusal};
 use pscp_service::PeriscopeService;
 use pscp_simnet::{GeoPoint, GeoRect, SimDuration, SimTime};
 use pscp_workload::broadcast::BroadcastId;
@@ -70,6 +70,8 @@ pub struct DeepCrawl {
     pub observations: ObservationStore,
     /// 429 responses encountered.
     pub rate_limited: u32,
+    /// 200 responses whose body did not decode (retried like a 5xx).
+    pub bad_responses: u32,
     /// When the crawl finished.
     pub finished_at: SimTime,
     /// Crawl-side events and metrics (plus the service's own trace,
@@ -91,6 +93,7 @@ impl DeepCrawl {
             discovered: HashSet::new(),
             observations: ObservationStore::new(),
             rate_limited: 0,
+            bad_responses: 0,
             finished_at: start,
             trace: pscp_obs::Trace::new(config.trace),
         };
@@ -146,7 +149,7 @@ impl DeepCrawl {
         crawl
     }
 
-    /// Issues a paced mapGeoBroadcastFeed, retrying after 429s.
+    /// Issues a paced mapGeoBroadcastFeed, retrying until it is answered.
     fn map_query(
         service: &mut PeriscopeService,
         config: &DeepCrawlConfig,
@@ -156,37 +159,10 @@ impl DeepCrawl {
     ) -> (Vec<BroadcastId>, SimTime) {
         loop {
             *now += config.pace;
-            let req = ApiRequest::MapGeoBroadcastFeed { rect, include_replay: false }
-                .to_http(&config.user);
-            let resp = service.handle_http(&config.user, &req, *now, &crawler_location());
-            if resp.status == 429 {
-                crawl.rate_limited += 1;
-                crawl.trace.count("crawler", "rate_limited", 1);
-                crawl.trace.event(now.as_micros(), "crawler", "crawler.rate_limited", vec![]);
-                *now += config.pace * 2; // back off
-                continue;
+            match wire::map_feed(service, &config.user, rect, *now) {
+                Ok(ids) => return (ids, *now),
+                Err(why) => crawl.back_off(why, now, config),
             }
-            if resp.status >= 500 {
-                // Injected backend failure (DESIGN.md §8): back off and retry
-                // like a 429 rather than choking on a non-JSON error body.
-                crawl.trace.count("crawler", "server_errors", 1);
-                *now += config.pace * 2;
-                continue;
-            }
-            let at = *now;
-            let body = String::from_utf8(resp.body).expect("API responses are UTF-8 JSON");
-            let v = pscp_proto::json::parse(&body).expect("API responses are valid JSON");
-            let ids = v
-                .get("broadcasts")
-                .and_then(|b| b.as_array())
-                .map(|list| {
-                    list.iter()
-                        .filter_map(|b| b.get("id").and_then(|i| i.as_str()))
-                        .filter_map(BroadcastId::parse)
-                        .collect()
-                })
-                .unwrap_or_default();
-            return (ids, at);
         }
     }
 
@@ -201,33 +177,29 @@ impl DeepCrawl {
         for batch in ids.chunks(100) {
             loop {
                 *now += config.pace;
-                let req = ApiRequest::GetBroadcasts { ids: batch.to_vec() }.to_http(&config.user);
-                let resp = service.handle_http(&config.user, &req, *now, &crawler_location());
-                if resp.status == 429 {
-                    crawl.rate_limited += 1;
-                    crawl.trace.count("crawler", "rate_limited", 1);
-                    crawl.trace.event(now.as_micros(), "crawler", "crawler.rate_limited", vec![]);
-                    *now += config.pace * 2;
-                    continue;
-                }
-                if resp.status >= 500 {
-                    crawl.trace.count("crawler", "server_errors", 1);
-                    *now += config.pace * 2;
-                    continue;
-                }
-                crawl.trace.count("crawler", "desc_queries", 1);
-                let body = String::from_utf8(resp.body).expect("UTF-8 JSON");
-                let v = pscp_proto::json::parse(&body).expect("valid JSON");
-                if let Some(list) = v.get("broadcasts").and_then(|b| b.as_array()) {
-                    for item in list {
-                        if let Ok(desc) = BroadcastDescription::from_json(item) {
-                            crawl.observations.ingest(&desc, *now);
+                match wire::get_broadcasts(service, &config.user, batch, *now) {
+                    Ok(descriptions) => {
+                        crawl.trace.count("crawler", "desc_queries", 1);
+                        for desc in &descriptions {
+                            crawl.observations.ingest(desc, *now);
                         }
+                        break;
                     }
+                    Err(why) => crawl.back_off(why, now, config),
                 }
-                break;
             }
         }
+    }
+
+    /// Books an exchange that got no answer — a 429, an injected backend
+    /// failure (DESIGN.md §8) or a body that does not decode — and waits
+    /// two paces before the caller retries.
+    fn back_off(&mut self, why: Refusal, now: &mut SimTime, config: &DeepCrawlConfig) {
+        why.book(&mut self.trace, &mut self.rate_limited, &mut self.bad_responses);
+        if why == Refusal::RateLimited {
+            self.trace.event(now.as_micros(), "crawler", "crawler.rate_limited", vec![]);
+        }
+        *now += config.pace * 2;
     }
 
     /// Duration of the crawl.

@@ -20,13 +20,16 @@
 //! * [`analysis`] — the §4 usage-pattern statistics (Fig 2 and the
 //!   zero-viewer/replay/correlation numbers);
 //! * [`tap`] — the mitmproxy stand-in that logged API exchanges and
-//!   reverse-engineered the command inventory (Table 1).
+//!   reverse-engineered the command inventory (Table 1);
+//! * [`wire`] — the two API calls both crawls make: one exchange, the
+//!   reply classified, the body decoded without a tree.
 
 pub mod analysis;
 pub mod deep;
 pub mod records;
 pub mod tap;
 pub mod targeted;
+pub mod wire;
 
 pub use deep::{DeepCrawl, DeepCrawlConfig};
 pub use records::{BroadcastObservation, ObservationStore};

@@ -8,9 +8,9 @@
 //! Rounds repeat for hours; the observation store accumulates the ~hundreds
 //! of thousands of distinct broadcasts behind Fig 2.
 
-use crate::deep::{crawler_location, DeepCrawl};
+use crate::deep::DeepCrawl;
 use crate::records::ObservationStore;
-use pscp_service::api::{ApiRequest, BroadcastDescription};
+use crate::wire::{self, Refusal};
 use pscp_service::PeriscopeService;
 use pscp_simnet::{GeoRect, SimDuration, SimTime};
 use pscp_workload::broadcast::BroadcastId;
@@ -53,6 +53,8 @@ pub struct TargetedCrawl {
     pub round_duration: SimDuration,
     /// 429 responses seen.
     pub rate_limited: u32,
+    /// 200 responses whose body did not decode (skipped like a 5xx).
+    pub bad_responses: u32,
     /// When the crawl ended.
     pub finished_at: SimTime,
     /// UTC hour at simulation t=0 (copied from the population config, used
@@ -89,6 +91,7 @@ impl TargetedCrawl {
             rounds: 0,
             round_duration: SimDuration::ZERO,
             rate_limited: 0,
+            bad_responses: 0,
             finished_at: start,
             utc_start_hour,
             trace: pscp_obs::Trace::new(config.trace),
@@ -97,17 +100,18 @@ impl TargetedCrawl {
         let per_account: Vec<Vec<GeoRect>> = (0..config.accounts)
             .map(|a| areas.iter().copied().skip(a).step_by(config.accounts).collect())
             .collect();
+        let users: Vec<String> =
+            (0..config.accounts).map(|a| format!("crawler-targeted-{a}")).collect();
         let longest = per_account.iter().map(Vec::len).max().expect("accounts >= 1");
         crawl.round_duration = config.pace * (longest as u64 * 2); // map + details per area
         let end = start + config.duration;
         let mut round_start = start;
         while round_start + crawl.round_duration <= end {
-            for (a, account_areas) in per_account.iter().enumerate() {
-                let user = format!("crawler-targeted-{a}");
+            for (user, account_areas) in users.iter().zip(&per_account) {
                 let mut now = round_start;
                 for rect in account_areas {
                     now += config.pace;
-                    let ids = Self::map_query(service, &user, *rect, now, &mut crawl);
+                    let ids = Self::map_query(service, user, *rect, now, &mut crawl);
                     for id in &ids {
                         crawl.observations.sight(*id, now);
                     }
@@ -115,7 +119,7 @@ impl TargetedCrawl {
                     // (the paper's inline script swapped the id list).
                     now += config.pace;
                     if !ids.is_empty() {
-                        Self::get_descriptions(service, &user, &ids, now, &mut crawl);
+                        Self::get_descriptions(service, user, &ids, now, &mut crawl);
                     }
                 }
             }
@@ -130,6 +134,8 @@ impl TargetedCrawl {
         crawl
     }
 
+    /// One map query. The round budget leaves no room to retry, so an
+    /// area whose query gets no answer is skipped this round.
     fn map_query(
         service: &mut PeriscopeService,
         user: &str,
@@ -137,13 +143,11 @@ impl TargetedCrawl {
         now: SimTime,
         crawl: &mut TargetedCrawl,
     ) -> Vec<BroadcastId> {
-        let req = ApiRequest::MapGeoBroadcastFeed { rect, include_replay: false }.to_http(user);
-        let resp = service.handle_http(user, &req, now, &crawler_location());
+        let reply = wire::map_feed(service, user, rect, now);
         crawl.trace.count("crawler", "map_queries", 1);
-        if resp.status == 429 {
-            crawl.rate_limited += 1;
-            crawl.trace.count("crawler", "rate_limited", 1);
-            if crawl.trace.is_enabled() {
+        reply.unwrap_or_else(|why| {
+            crawl.refused(why);
+            if why == Refusal::RateLimited && crawl.trace.is_enabled() {
                 crawl.trace.event(
                     now.as_micros(),
                     "crawler",
@@ -151,25 +155,8 @@ impl TargetedCrawl {
                     vec![("user", pscp_obs::Field::S(user.to_string()))],
                 );
             }
-            return Vec::new();
-        }
-        if resp.status >= 500 {
-            // Injected backend failure (DESIGN.md §8); the round budget
-            // leaves no room to retry, so this area is skipped this round.
-            crawl.trace.count("crawler", "server_errors", 1);
-            return Vec::new();
-        }
-        let body = String::from_utf8(resp.body).expect("UTF-8 JSON");
-        let v = pscp_proto::json::parse(&body).expect("valid JSON");
-        v.get("broadcasts")
-            .and_then(|b| b.as_array())
-            .map(|list| {
-                list.iter()
-                    .filter_map(|b| b.get("id").and_then(|i| i.as_str()))
-                    .filter_map(BroadcastId::parse)
-                    .collect()
-            })
-            .unwrap_or_default()
+            Vec::new()
+        })
     }
 
     fn get_descriptions(
@@ -180,28 +167,23 @@ impl TargetedCrawl {
         crawl: &mut TargetedCrawl,
     ) {
         for batch in ids.chunks(100) {
-            let req = ApiRequest::GetBroadcasts { ids: batch.to_vec() }.to_http(user);
-            let resp = service.handle_http(user, &req, now, &crawler_location());
+            let reply = wire::get_broadcasts(service, user, batch, now);
             crawl.trace.count("crawler", "desc_queries", 1);
-            if resp.status == 429 {
-                crawl.rate_limited += 1;
-                crawl.trace.count("crawler", "rate_limited", 1);
-                continue;
-            }
-            if resp.status >= 500 {
-                crawl.trace.count("crawler", "server_errors", 1);
-                continue;
-            }
-            let body = String::from_utf8(resp.body).expect("UTF-8 JSON");
-            let v = pscp_proto::json::parse(&body).expect("valid JSON");
-            if let Some(list) = v.get("broadcasts").and_then(|b| b.as_array()) {
-                for item in list {
-                    if let Ok(desc) = BroadcastDescription::from_json(item) {
-                        crawl.observations.ingest(&desc, now);
+            match reply {
+                Ok(descriptions) => {
+                    for desc in &descriptions {
+                        crawl.observations.ingest(desc, now);
                     }
                 }
+                Err(why) => crawl.refused(why),
             }
         }
+    }
+
+    /// Books an exchange that got no answer: a 429, an injected backend
+    /// failure (DESIGN.md §8) or a body that does not decode.
+    fn refused(&mut self, why: Refusal) {
+        why.book(&mut self.trace, &mut self.rate_limited, &mut self.bad_responses);
     }
 
     /// Observations of broadcasts that ended during the crawl (§4's filter

@@ -1,13 +1,19 @@
-//! JSON value type, parser and serializer.
+//! JSON: a streaming writer, a validating pull reader, and a value tree
+//! built on the two.
 //!
 //! The Periscope API exchanges JSON-encoded requests and responses (§3,
-//! Table 1). Object keys are kept in a `BTreeMap` so serialization is
-//! deterministic — byte-identical API traffic across runs with the same
-//! seed.
+//! Table 1). The crate has one emitter, [`Writer`], and one tokenizer,
+//! [`Reader`]. The API's hot bodies go through them directly;
+//! [`Value::to_json`] is a walk over the writer and [`parse`] a tree-builder
+//! over the reader, for tests and cold paths. Output is deterministic —
+//! object keys ascend (a [`Value`] keeps them in a `BTreeMap`, the writer
+//! asserts it), numbers have one format — so API traffic is byte-identical
+//! across runs with the same seed.
 
 use crate::ProtoError;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,38 +96,28 @@ impl Value {
     /// Serializes to compact JSON text.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut Writer::new(&mut out));
         out
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, w: &mut Writer<'_>) {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Number(n) => write_number(*n, out),
-            Value::String(s) => write_string(s, out),
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Number(n) => w.number(*n),
+            Value::String(s) => w.str(s),
             Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
+                w.begin_array();
+                items.iter().for_each(|item| item.write(w));
+                w.end_array();
             }
             Value::Object(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
+                w.begin_object();
+                for (k, v) in map {
+                    w.key(k);
+                    v.write(w);
                 }
-                out.push('}');
+                w.end_object();
             }
         }
     }
@@ -169,50 +165,205 @@ impl fmt::Display for Value {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        out.push_str(&format!("{}", n as i64));
-    } else {
-        out.push_str(&format!("{n}"));
-    }
+/// Streaming JSON writer: the crate's only emitter. Appends one compact
+/// document to a caller's `String`; [`Value::to_json`] is a walk over it
+/// and the API bodies are written through it without a tree.
+///
+/// Keys are written in the order given. Every consumer of this crate's
+/// JSON expects what a `BTreeMap` would have produced, so a debug build
+/// asserts that the keys of each object ascend.
+#[derive(Debug)]
+pub struct Writer<'a> {
+    out: &'a mut String,
+    start: usize,
+    /// Debug builds only: per open container, where in `out` its latest
+    /// key sits (`None` for arrays, before the first key, and after a key
+    /// that needed escaping, whose text no longer compares like the key).
+    open: Vec<Option<std::ops::Range<usize>>>,
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl<'a> Writer<'a> {
+    /// Starts a document at the end of `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        let start = out.len();
+        Writer { out, start, open: Vec::new() }
+    }
+
+    /// Writes the `,` a value or key needs unless it is the first of its
+    /// container. No text this writer produces ends in `[`, `{` or `:`
+    /// except the opening of a container and a key, so the last byte says
+    /// which.
+    fn sep(&mut self) {
+        let first = self.out.len() == self.start
+            || matches!(self.out.as_bytes()[self.out.len() - 1], b'[' | b'{' | b':');
+        if !first {
+            self.out.push(',');
         }
     }
+
+    fn open(&mut self, bracket: char) {
+        self.sep();
+        self.out.push(bracket);
+        if cfg!(debug_assertions) {
+            self.open.push(None);
+        }
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.open.pop();
+    }
+
+    /// Opens an object as the next value.
+    pub fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    /// Opens an array as the next value.
+    pub fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// Writes a member key; the member's value must follow.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.sep();
+        let at = self.out.len() + 1;
+        escape(key, self.out);
+        if cfg!(debug_assertions) {
+            let plain = self.out.len() - at - 1 == key.len();
+            let latest = self.open.last_mut().expect("a key belongs inside an object");
+            if let (Some(prev), true) = (latest.as_ref(), plain) {
+                debug_assert!(self.out[prev.clone()] < *key, "object keys must ascend: '{key}'");
+            }
+            *latest = plain.then(|| at..at + key.len());
+        }
+        self.out.push(':');
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.sep();
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.sep();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes a number: integral values below 1e15 in magnitude as
+    /// integers, everything else in the shortest form that reads back to
+    /// the same `f64`.
+    pub fn number(&mut self, n: f64) {
+        self.sep();
+        // Writing into a `String` cannot fail.
+        let _ = if n.fract() == 0.0 && n.abs() < 1e15 {
+            write!(self.out, "{}", n as i64)
+        } else {
+            write!(self.out, "{n}")
+        };
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, s: &str) {
+        self.sep();
+        escape(s, self.out);
+    }
+}
+
+/// Appends `s` quoted, with `"`, `\` and control characters escaped.
+fn escape(s: &str, out: &mut String) {
+    out.push('"');
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
-/// Parses a JSON document; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Value, ProtoError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(ProtoError::Malformed(format!("trailing data at byte {}", p.pos)));
-    }
-    Ok(v)
+/// Deepest container nesting the reader enters. A request body comes from
+/// outside the service and `repro bench-diff` reads files from disk, so
+/// neither [`Reader::skip`] nor [`parse`] may recurse as deep as the input
+/// says.
+pub const MAX_DEPTH: u32 = 128;
+
+/// What `Reader::token` found at the cursor.
+#[derive(Debug)]
+enum Token<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A number.
+    Number(f64),
+    /// A string, borrowed from the input unless it had escapes.
+    String(Cow<'a, str>),
+    /// `[` — the reader is now inside the array.
+    Array,
+    /// `{` — the reader is now inside the object.
+    Object,
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Borrowed, validating pull reader: the crate's only tokenizer. [`parse`]
+/// builds a [`Value`] tree over it; the crawler reads API responses through
+/// it without one.
+///
+/// The cursor sits on a value. The typed readers ([`f64`](Reader::f64),
+/// [`bool`](Reader::bool), [`str`](Reader::str),
+/// [`begin_array`](Reader::begin_array),
+/// [`begin_object`](Reader::begin_object)) consume it: a value of the asked
+/// type is returned (or entered), one of another type is skipped and
+/// reported as `None`/`false` — the `get(key).and_then(as_…)` of the tree
+/// API. Inside a container, [`next_element`](Reader::next_element) /
+/// [`next_key`](Reader::next_key) move to the next member's value and
+/// must be called until they report the end. Every byte passed is
+/// validated, skipped or not; [`end`](Reader::end) rejects trailing data.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    src: &'a str,
     pos: usize,
+    depth: u32,
+    /// One bit per open container, innermost lowest: set for an object.
+    objects: u128,
+    /// Just entered a container: no member consumed yet.
+    fresh: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// Starts reading the document in `src`.
+    pub fn new(src: &'a str) -> Self {
+        Reader { src, pos: 0, depth: 0, objects: 0, fresh: false }
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Result<u8, ProtoError> {
@@ -240,24 +391,17 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ProtoError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(ProtoError::Malformed(format!("bad literal at byte {}", self.pos)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, ProtoError> {
+    /// Reads the scalar at the cursor, or enters the container there.
+    fn token(&mut self) -> Result<Token<'a>, ProtoError> {
+        self.skip_ws();
         match self.peek().ok_or(ProtoError::Truncated)? {
-            b'n' => self.literal("null", Value::Null),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'"' => Ok(Value::String(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
-            b'-' | b'0'..=b'9' => self.number(),
+            b'n' => self.literal("null", Token::Null),
+            b't' => self.literal("true", Token::Bool(true)),
+            b'f' => self.literal("false", Token::Bool(false)),
+            b'"' => self.string().map(Token::String),
+            b'[' => self.enter(false).map(|()| Token::Array),
+            b'{' => self.enter(true).map(|()| Token::Object),
+            b'-' | b'0'..=b'9' => self.number().map(Token::Number),
             c => Err(ProtoError::Malformed(format!(
                 "unexpected '{}' at byte {}",
                 c as char, self.pos
@@ -265,59 +409,243 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ProtoError> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let b = self.bump()?;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => match self.bump()? {
-                    b'"' => s.push('"'),
-                    b'\\' => s.push('\\'),
-                    b'/' => s.push('/'),
-                    b'n' => s.push('\n'),
-                    b'r' => s.push('\r'),
-                    b't' => s.push('\t'),
-                    b'b' => s.push('\u{8}'),
-                    b'f' => s.push('\u{c}'),
-                    b'u' => {
-                        let cp = self.hex4()?;
-                        // Handle surrogate pairs for non-BMP characters.
-                        let c = if (0xD800..0xDC00).contains(&cp) {
-                            self.expect(b'\\')?;
-                            self.expect(b'u')?;
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(ProtoError::Malformed("bad low surrogate".to_string()));
-                            }
-                            let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(c)
-                        } else {
-                            char::from_u32(cp)
-                        };
-                        s.push(c.ok_or_else(|| {
-                            ProtoError::Malformed("invalid unicode escape".to_string())
-                        })?);
-                    }
-                    e => {
-                        return Err(ProtoError::Malformed(format!("bad escape '\\{}'", e as char)))
-                    }
-                },
-                _ => {
-                    // Re-decode UTF-8 from the source bytes.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    self.pos = start + len;
-                    if self.pos > self.bytes.len() {
-                        return Err(ProtoError::Truncated);
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| ProtoError::Malformed("invalid UTF-8".to_string()))?;
-                    s.push_str(chunk);
+    fn literal(&mut self, lit: &str, token: Token<'a>) -> Result<Token<'a>, ProtoError> {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(token)
+        } else {
+            Err(ProtoError::Malformed(format!("bad literal at byte {}", self.pos)))
+        }
+    }
+
+    fn enter(&mut self, object: bool) -> Result<(), ProtoError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ProtoError::Malformed(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.objects = self.objects << 1 | u128::from(object);
+        self.fresh = true;
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+        self.objects >>= 1;
+        self.fresh = false;
+    }
+
+    /// Finishes what `token` began: walks to the end of a container.
+    fn drain(&mut self, token: Token<'a>) -> Result<(), ProtoError> {
+        match token {
+            Token::Array => {
+                while self.next_element()? {
+                    self.skip()?;
                 }
             }
+            Token::Object => {
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            _ => {}
         }
+        Ok(())
+    }
+
+    /// Passes over the value at the cursor, validating it.
+    pub fn skip(&mut self) -> Result<(), ProtoError> {
+        let token = self.token()?;
+        self.drain(token)
+    }
+
+    /// The number at the cursor; any other value is skipped.
+    pub fn f64(&mut self) -> Result<Option<f64>, ProtoError> {
+        match self.token()? {
+            Token::Number(n) => Ok(Some(n)),
+            other => self.drain(other).map(|()| None),
+        }
+    }
+
+    /// The boolean at the cursor; any other value is skipped.
+    pub fn bool(&mut self) -> Result<Option<bool>, ProtoError> {
+        match self.token()? {
+            Token::Bool(b) => Ok(Some(b)),
+            other => self.drain(other).map(|()| None),
+        }
+    }
+
+    /// The string at the cursor, borrowed from the input unless it has
+    /// escapes; any other value is skipped.
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, ProtoError> {
+        match self.token()? {
+            Token::String(s) => Ok(Some(s)),
+            other => self.drain(other).map(|()| None),
+        }
+    }
+
+    /// Enters the array at the cursor; any other value is skipped and
+    /// `false` returned.
+    pub fn begin_array(&mut self) -> Result<bool, ProtoError> {
+        match self.token()? {
+            Token::Array => Ok(true),
+            other => self.drain(other).map(|()| false),
+        }
+    }
+
+    /// Enters the object at the cursor; any other value is skipped and
+    /// `false` returned.
+    pub fn begin_object(&mut self) -> Result<bool, ProtoError> {
+        match self.token()? {
+            Token::Object => Ok(true),
+            other => self.drain(other).map(|()| false),
+        }
+    }
+
+    /// If the value at the cursor is an object, calls `member(key, self)`
+    /// with the cursor on each member's value, which it must consume; any
+    /// other value is skipped.
+    pub fn members(
+        &mut self,
+        mut member: impl FnMut(&str, &mut Self) -> Result<(), ProtoError>,
+    ) -> Result<(), ProtoError> {
+        if self.begin_object()? {
+            while let Some(key) = self.next_key()? {
+                member(&key, self)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// If the value at the cursor is an array, calls `element(self)` with
+    /// the cursor on each element, which it must consume, and returns
+    /// `true`; any other value is skipped.
+    pub fn elements(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), ProtoError>,
+    ) -> Result<bool, ProtoError> {
+        let array = self.begin_array()?;
+        while array && self.next_element()? {
+            element(self)?;
+        }
+        Ok(array)
+    }
+
+    /// Inside an array: moves to the next element, or leaves the array
+    /// and returns `false`.
+    pub fn next_element(&mut self) -> Result<bool, ProtoError> {
+        debug_assert!(self.depth > 0 && self.objects & 1 == 0, "not inside an array");
+        self.next_member(b']')
+    }
+
+    /// Inside an object: moves to the next member and returns its key with
+    /// the cursor on its value, or leaves the object and returns `None`.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ProtoError> {
+        debug_assert!(self.objects & 1 == 1, "not inside an object");
+        if !self.next_member(b'}')? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Passes the `,` before the innermost container's next member, or
+    /// its `close` bracket (and leaves it).
+    fn next_member(&mut self, close: u8) -> Result<bool, ProtoError> {
+        self.skip_ws();
+        let more = if std::mem::take(&mut self.fresh) {
+            let empty = self.peek() == Some(close);
+            if empty {
+                self.pos += 1;
+            }
+            !empty
+        } else {
+            match self.bump()? {
+                b',' => true,
+                c if c == close => false,
+                c => {
+                    return Err(ProtoError::Malformed(format!(
+                        "expected ',' or '{}', got '{}'",
+                        close as char, c as char
+                    )))
+                }
+            }
+        };
+        if !more {
+            self.leave();
+        }
+        Ok(more)
+    }
+
+    /// Ends the document: anything but whitespace after the root value is
+    /// an error.
+    pub fn end(mut self) -> Result<(), ProtoError> {
+        debug_assert_eq!(self.depth, 0, "a container is still open");
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(ProtoError::Malformed(format!("trailing data at byte {}", self.pos)));
+        }
+        Ok(())
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, ProtoError> {
+        self.expect(b'"')?;
+        let src = self.src;
+        let mut owned: Option<String> = None;
+        loop {
+            // `"` and `\` are ASCII, so both cuts are char boundaries.
+            let rest = &src.as_bytes()[self.pos..];
+            let stop =
+                rest.iter().position(|&b| b == b'"' || b == b'\\').ok_or(ProtoError::Truncated)?;
+            let plain = &src[self.pos..self.pos + stop];
+            self.pos += stop + 1;
+            if rest[stop] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(plain),
+                    Some(mut s) => {
+                        s.push_str(plain);
+                        Cow::Owned(s)
+                    }
+                });
+            }
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(plain);
+            s.push(self.escape_char()?);
+        }
+    }
+
+    /// The character an escape stands for; the cursor is past the `\`.
+    fn escape_char(&mut self) -> Result<char, ProtoError> {
+        Ok(match self.bump()? {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let cp = self.hex4()?;
+                // Handle surrogate pairs for non-BMP characters.
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    self.expect(b'\\')?;
+                    self.expect(b'u')?;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(ProtoError::Malformed("bad low surrogate".to_string()));
+                    }
+                    char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                } else {
+                    char::from_u32(cp)
+                };
+                c.ok_or_else(|| ProtoError::Malformed("invalid unicode escape".to_string()))?
+            }
+            e => return Err(ProtoError::Malformed(format!("bad escape '\\{}'", e as char))),
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, ProtoError> {
@@ -332,7 +660,7 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Value, ProtoError> {
+    fn number(&mut self) -> Result<f64, ProtoError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -355,75 +683,57 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| ProtoError::Malformed(format!("bad number '{text}'")))
-    }
-
-    fn array(&mut self) -> Result<Value, ProtoError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump()? {
-                b',' => continue,
-                b']' => return Ok(Value::Array(items)),
-                c => {
-                    return Err(ProtoError::Malformed(format!(
-                        "expected ',' or ']', got '{}'",
-                        c as char
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, ProtoError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.bump()? {
-                b',' => continue,
-                b'}' => return Ok(Value::Object(map)),
-                c => {
-                    return Err(ProtoError::Malformed(format!(
-                        "expected ',' or '}}', got '{}'",
-                        c as char
-                    )))
-                }
-            }
-        }
+        let text = &self.src[start..self.pos];
+        text.parse().map_err(|_| ProtoError::Malformed(format!("bad number '{text}'")))
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
+/// Reads a whole document for the members of its root object: `member`
+/// as in [`Reader::members`] (a root of another kind has none), then
+/// [`Reader::end`]. The document is validated to its last byte before this
+/// returns `Ok`, so a caller reports what was missing from it afterwards.
+pub fn root_members<'a>(
+    input: &'a str,
+    member: impl FnMut(&str, &mut Reader<'a>) -> Result<(), ProtoError>,
+) -> Result<(), ProtoError> {
+    let mut reader = Reader::new(input);
+    reader.members(member)?;
+    reader.end()
+}
+
+/// Parses a JSON document into a tree; trailing non-whitespace is an error.
+pub fn parse(input: &str) -> Result<Value, ProtoError> {
+    let mut reader = Reader::new(input);
+    let root = reader.token()?;
+    let value = build(&mut reader, root)?;
+    reader.end()?;
+    Ok(value)
+}
+
+/// The tree under `token`. Recursion is bounded by [`MAX_DEPTH`].
+fn build<'a>(reader: &mut Reader<'a>, token: Token<'a>) -> Result<Value, ProtoError> {
+    Ok(match token {
+        Token::Null => Value::Null,
+        Token::Bool(b) => Value::Bool(b),
+        Token::Number(n) => Value::Number(n),
+        Token::String(s) => Value::String(s.into_owned()),
+        Token::Array => {
+            let mut items = Vec::new();
+            while reader.next_element()? {
+                let token = reader.token()?;
+                items.push(build(reader, token)?);
+            }
+            Value::Array(items)
+        }
+        Token::Object => {
+            let mut map = BTreeMap::new();
+            while let Some(key) = reader.next_key()? {
+                let token = reader.token()?;
+                map.insert(key.into_owned(), build(reader, token)?);
+            }
+            Value::Object(map)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -536,5 +846,160 @@ mod tests {
         let v = Value::str("\u{1}");
         assert_eq!(v.to_json(), "\"\\u0001\"");
         assert_eq!(parse(&v.to_json()).unwrap(), v);
+    }
+
+    /// `[[[[…` / `{"a":{"a":…` used to recurse once per level and abort
+    /// the process at 100 KB of input.
+    #[test]
+    fn nesting_is_bounded() {
+        let nesting = ProtoError::Malformed(format!("nesting deeper than {MAX_DEPTH}"));
+        for open in ["[", "{\"a\":"] {
+            for (depth, want) in [
+                (127, ProtoError::Truncated),
+                (128, ProtoError::Truncated),
+                (129, nesting.clone()),
+                (1_000_000, nesting.clone()),
+            ] {
+                let doc = open.repeat(depth);
+                assert_eq!(parse(&doc), Err(want.clone()), "{open} x {depth}");
+                let mut reader = Reader::new(&doc);
+                assert_eq!(reader.skip(), Err(want), "skip {open} x {depth}");
+            }
+        }
+        let closed = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&closed(128)).is_ok());
+        assert_eq!(parse(&closed(129)), Err(nesting));
+    }
+
+    #[test]
+    fn writer_appends_one_document() {
+        let mut out = String::from("prefix ");
+        let mut w = Writer::new(&mut out);
+        w.begin_object();
+        w.key("a").begin_array();
+        w.number(1.0);
+        w.number(-2.5);
+        w.begin_object();
+        w.end_object();
+        w.null();
+        w.end_array();
+        w.key("b").str("x\"y");
+        w.key("c").bool(false);
+        w.end_object();
+        assert_eq!(out, r#"prefix {"a":[1,-2.5,{},null],"b":"x\"y","c":false}"#);
+    }
+
+    #[test]
+    fn writer_number_format() {
+        let text = |n: f64| {
+            let mut out = String::new();
+            Writer::new(&mut out).number(n);
+            out
+        };
+        assert_eq!(text(0.0), "0");
+        assert_eq!(text(-0.0), "0");
+        assert_eq!(text(-17.0), "-17");
+        assert_eq!(text(999_999_999_999_999.0), "999999999999999");
+        assert_eq!(text(1e15), "1000000000000000");
+        assert_eq!(text(1e21), "1000000000000000000000");
+        assert_eq!(text(0.1), "0.1");
+        assert_eq!(text(3.2708540109358397), "3.2708540109358397");
+        assert_eq!(text(213.052934), "213.052934");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys must ascend")]
+    fn writer_asserts_ascending_keys() {
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_object();
+        w.key("b").null();
+        w.key("a").null();
+    }
+
+    #[test]
+    fn writer_key_order_is_per_object_and_ignores_escaped_keys() {
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_object();
+        w.key("m").begin_object();
+        w.key("z").null();
+        w.end_object();
+        // `"` sorts below `#` but its escape does not.
+        w.key("n\"").null();
+        w.key("n#").begin_array();
+        w.begin_object();
+        w.key("a").null();
+        w.end_object();
+        w.end_array();
+        w.end_object();
+        assert_eq!(out, r##"{"m":{"z":null},"n\"":null,"n#":[{"a":null}]}"##);
+        assert_eq!(parse(&out).unwrap().to_json(), out);
+    }
+
+    #[test]
+    fn reader_typed_reads_skip_other_types() {
+        let doc = r#" {"n": 5, "s": "x", "b": true, "a": [1, {"k": [2]}], "o": {"p": null}} "#;
+        // Asking every member for a number reads one and skips the rest.
+        let mut r = Reader::new(doc);
+        assert!(r.begin_object().unwrap());
+        let mut numbers = Vec::new();
+        while let Some(key) = r.next_key().unwrap() {
+            numbers.push((key.into_owned(), r.f64().unwrap()));
+        }
+        r.end().unwrap();
+        let want = [("n", Some(5.0)), ("s", None), ("b", None), ("a", None), ("o", None)];
+        assert_eq!(numbers.len(), want.len());
+        for ((key, n), (want_key, want_n)) in numbers.iter().zip(want) {
+            assert_eq!((key.as_str(), *n), (want_key, want_n));
+        }
+        // A root of the wrong kind is skipped whole.
+        let mut r = Reader::new(doc);
+        assert!(!r.begin_array().unwrap());
+        r.end().unwrap();
+        let mut r = Reader::new("[true, \"x\", 1]");
+        assert!(r.begin_array().unwrap());
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.bool().unwrap(), Some(true));
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.bool().unwrap(), None);
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.str().unwrap(), None);
+        assert!(!r.next_element().unwrap());
+        r.end().unwrap();
+    }
+
+    #[test]
+    fn reader_strings_borrow_unless_escaped() {
+        let mut r = Reader::new(r#"["plain é😀", "tab\there", "\u00e9"]"#);
+        assert!(r.begin_array().unwrap());
+        assert!(r.next_element().unwrap());
+        assert!(matches!(r.str().unwrap(), Some(Cow::Borrowed("plain é😀"))));
+        assert!(r.next_element().unwrap());
+        assert!(matches!(r.str().unwrap(), Some(Cow::Owned(s)) if s == "tab\there"));
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.str().unwrap().as_deref(), Some("é"));
+        assert!(!r.next_element().unwrap());
+        r.end().unwrap();
+    }
+
+    #[test]
+    fn reader_validates_what_it_skips() {
+        for (doc, want) in [
+            ("{\"a\":[1,]}", "unexpected ']' at byte 8"),
+            ("{\"a\":1,}", "expected '\"' at byte 7, got '}'"),
+            ("[1 2]", "expected ',' or ']', got '2'"),
+            ("{\"a\" 1}", "expected ':' at byte 5, got '1'"),
+            ("[nul]", "bad literal at byte 1"),
+            ("[\"\\x\"]", "bad escape '\\x'"),
+            ("[-]", "bad number '-'"),
+            ("[] []", "trailing data at byte 3"),
+        ] {
+            let mut r = Reader::new(doc);
+            let got = r.skip().and_then(|()| r.end());
+            assert_eq!(got, Err(ProtoError::Malformed(want.to_string())), "{doc}");
+            assert_eq!(parse(doc), Err(ProtoError::Malformed(want.to_string())), "{doc}");
+        }
     }
 }

@@ -109,6 +109,79 @@ fn json_string_escaping_total() {
     );
 }
 
+/// A document that is valid JSON, or one edit away from it: a character
+/// dropped, doubled or swapped for punctuation, or the tail cut off.
+fn arb_near_json(g: &mut Gen) -> String {
+    const EDITS: &[char] =
+        &['"', '\\', ',', ':', '{', '}', '[', ']', 'u', '0', '-', ' ', 'e', '\u{e9}'];
+    let mut chars: Vec<char> = arb_json(g, 3).to_json().chars().collect();
+    for _ in 0..g.choice(3) {
+        if chars.is_empty() {
+            break;
+        }
+        let at = g.choice(chars.len());
+        match g.choice(4) {
+            0 => drop(chars.remove(at)),
+            1 => chars.insert(at, chars[at]),
+            2 => chars[at] = EDITS[g.choice(EDITS.len())],
+            _ => chars.truncate(at),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// Error kind without the message's byte offsets.
+fn kind(r: &Result<(), pscp_proto::ProtoError>) -> String {
+    match r {
+        Ok(()) => "ok".to_string(),
+        Err(pscp_proto::ProtoError::Truncated) => "truncated".to_string(),
+        Err(e) => format!("{e}"),
+    }
+}
+
+/// One tokenizer: a reader walk that builds nothing (`skip` at the root,
+/// then `end`) accepts exactly the documents `parse` accepts and fails the
+/// others with the same error.
+#[test]
+fn json_reader_walk_agrees_with_parse() {
+    let agree = |s: &String| {
+        let mut reader = pscp_proto::json::Reader::new(s);
+        let walked = reader.skip().and_then(|()| reader.end());
+        ensure_eq!(kind(&walked), kind(&parse(s).map(drop)));
+        Ok(())
+    };
+    check("json_reader_walk_agrees_with_parse/near", arb_near_json, agree);
+    check(
+        "json_reader_walk_agrees_with_parse/arbitrary",
+        |g: &mut Gen| g.string(TEXT_CHARS, 0..=200),
+        agree,
+    );
+}
+
+/// What `parse` accepts, the writer re-emits canonically: a second round
+/// trip changes nothing (key order and number format are fixed points).
+#[test]
+fn json_reemission_is_a_fixed_point() {
+    check("json_reemission_is_a_fixed_point", arb_near_json, |s| {
+        // An edit can make `1e999`, which reads as infinity: not JSON on
+        // the way back out.
+        fn finite(v: &Value) -> bool {
+            match v {
+                Value::Number(n) => n.is_finite(),
+                Value::Array(items) => items.iter().all(finite),
+                Value::Object(map) => map.values().all(finite),
+                _ => true,
+            }
+        }
+        if let Some(v) = parse(s).ok().filter(finite) {
+            let once = v.to_json();
+            let twice = parse(&once).map_err(|e| format!("own output rejected: {e:?}"))?.to_json();
+            ensure_eq!(once, twice);
+        }
+        Ok(())
+    });
+}
+
 // ------------------------------------------------------------------- AMF0
 
 const AMF_CHARS: &[char] = &['a', 'z', 'A', 'Z', '0', '9', ' '];

@@ -8,7 +8,7 @@
 //! must issue to start playback).
 
 use pscp_proto::http::Request;
-use pscp_proto::json::{parse, Value};
+use pscp_proto::json::{root_members, Reader, Writer};
 use pscp_proto::ProtoError;
 use pscp_simnet::GeoRect;
 use pscp_simnet::SimTime;
@@ -67,113 +67,135 @@ impl ApiRequest {
 
     /// Encodes into an HTTP request with a session cookie header.
     pub fn to_http(&self, session_token: &str) -> Request {
-        let body = match self {
-            ApiRequest::MapGeoBroadcastFeed { rect, include_replay } => Value::object([
-                ("p1_lat", Value::Number(rect.south)),
-                ("p1_lng", Value::Number(rect.west)),
-                ("p2_lat", Value::Number(rect.north)),
-                ("p2_lng", Value::Number(rect.east)),
-                ("include_replay", Value::Bool(*include_replay)),
-            ]),
-            ApiRequest::GetBroadcasts { ids } => Value::object([(
-                "broadcast_ids",
-                Value::Array(ids.iter().map(|id| Value::str(id.as_string())).collect()),
-            )]),
+        let ids = if let ApiRequest::GetBroadcasts { ids } = self { ids.len() } else { 0 };
+        let mut body = String::with_capacity(96 + ids * 16);
+        let mut w = Writer::new(&mut body);
+        w.begin_object();
+        match self {
+            ApiRequest::MapGeoBroadcastFeed { rect, include_replay } => {
+                w.key("include_replay").bool(*include_replay);
+                w.key("p1_lat").number(rect.south);
+                w.key("p1_lng").number(rect.west);
+                w.key("p2_lat").number(rect.north);
+                w.key("p2_lng").number(rect.east);
+            }
+            ApiRequest::GetBroadcasts { ids } => {
+                w.key("broadcast_ids").begin_array();
+                ids.iter().for_each(|id| w.str(id.text().as_str()));
+                w.end_array();
+            }
             ApiRequest::PlaybackMeta {
                 broadcast_id,
                 n_stalls,
                 avg_stall_time_s,
                 playback_latency_s,
             } => {
-                let mut fields = vec![
-                    ("broadcast_id", Value::str(broadcast_id.as_string())),
-                    ("n_stalls", Value::from(*n_stalls as u64)),
-                ];
                 if let Some(v) = avg_stall_time_s {
-                    fields.push(("avg_stall_time_s", Value::Number(*v)));
+                    w.key("avg_stall_time_s").number(*v);
                 }
+                w.key("broadcast_id").str(broadcast_id.text().as_str());
+                w.key("n_stalls").number(f64::from(*n_stalls));
                 if let Some(v) = playback_latency_s {
-                    fields.push(("playback_latency_s", Value::Number(*v)));
+                    w.key("playback_latency_s").number(*v);
                 }
-                Value::object(fields)
             }
             ApiRequest::AccessVideo { broadcast_id } => {
-                Value::object([("broadcast_id", Value::str(broadcast_id.as_string()))])
+                w.key("broadcast_id").str(broadcast_id.text().as_str());
             }
-        };
-        Request::post_json(format!("{API_BASE}{}", self.name()), body.to_json())
+        }
+        w.end_object();
+        Request::post_json(format!("{API_BASE}{}", self.name()), body)
             .header("x-session", session_token)
     }
 
-    /// Decodes from an HTTP request.
+    /// Decodes from an HTTP request. One walk reads every member any verb
+    /// knows: unknown members are skipped, of a repeated member the last
+    /// counts, and the body is validated whole before a missing or mistyped
+    /// member is reported.
     pub fn from_http(req: &Request) -> Result<ApiRequest, ProtoError> {
         let name = req
             .path
             .strip_prefix(API_BASE)
             .ok_or_else(|| ProtoError::Protocol(format!("bad API path {}", req.path)))?;
-        let body = parse(
-            std::str::from_utf8(&req.body)
-                .map_err(|_| ProtoError::Malformed("non-UTF-8 body".to_string()))?,
-        )?;
-        let num = |key: &str| -> Result<f64, ProtoError> {
-            body.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| ProtoError::Malformed(format!("missing number '{key}'")))
+        let body = std::str::from_utf8(&req.body)
+            .map_err(|_| ProtoError::Malformed("non-UTF-8 body".to_string()))?;
+        let (mut p1_lat, mut p1_lng, mut p2_lat, mut p2_lng) = (None, None, None, None);
+        let (mut n_stalls, mut avg_stall_time_s, mut playback_latency_s) = (None, None, None);
+        let (mut include_replay, mut id, mut ids, mut bad_ids) = (None, None, None, false);
+        root_members(body, |key, r| {
+            match key {
+                "p1_lat" => p1_lat = r.f64()?,
+                "p1_lng" => p1_lng = r.f64()?,
+                "p2_lat" => p2_lat = r.f64()?,
+                "p2_lng" => p2_lng = r.f64()?,
+                "include_replay" => include_replay = r.bool()?,
+                "n_stalls" => n_stalls = r.f64()?,
+                "avg_stall_time_s" => avg_stall_time_s = r.f64()?,
+                "playback_latency_s" => playback_latency_s = r.f64()?,
+                "broadcast_id" => id = read_id(r)?,
+                "broadcast_ids" => {
+                    let mut list = Vec::new();
+                    bad_ids = false;
+                    let array = r.elements(|r| {
+                        match read_id(r)? {
+                            Some(id) => list.push(id),
+                            None => bad_ids = true,
+                        }
+                        Ok(())
+                    })?;
+                    ids = array.then_some(list);
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let need = |n: Option<f64>, key: &str| {
+            n.ok_or_else(|| ProtoError::Malformed(format!("missing number '{key}'")))
         };
+        let bad_id = || ProtoError::Malformed("bad broadcast id".to_string());
         match name {
             "mapGeoBroadcastFeed" => Ok(ApiRequest::MapGeoBroadcastFeed {
-                rect: GeoRect::new(num("p1_lat")?, num("p1_lng")?, num("p2_lat")?, num("p2_lng")?),
-                include_replay: body.get("include_replay").and_then(Value::as_bool).unwrap_or(true),
+                rect: GeoRect::new(
+                    need(p1_lat, "p1_lat")?,
+                    need(p1_lng, "p1_lng")?,
+                    need(p2_lat, "p2_lat")?,
+                    need(p2_lng, "p2_lng")?,
+                ),
+                include_replay: include_replay.unwrap_or(true),
             }),
-            "getBroadcasts" => {
-                let ids = body
-                    .get("broadcast_ids")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| ProtoError::Malformed("missing broadcast_ids".to_string()))?
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .and_then(BroadcastId::parse)
-                            .ok_or_else(|| ProtoError::Malformed("bad broadcast id".to_string()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(ApiRequest::GetBroadcasts { ids })
-            }
+            "getBroadcasts" => match ids {
+                None => Err(ProtoError::Malformed("missing broadcast_ids".to_string())),
+                Some(_) if bad_ids => Err(bad_id()),
+                Some(ids) => Ok(ApiRequest::GetBroadcasts { ids }),
+            },
             "playbackMeta" => Ok(ApiRequest::PlaybackMeta {
-                broadcast_id: body
-                    .get("broadcast_id")
-                    .and_then(Value::as_str)
-                    .and_then(BroadcastId::parse)
-                    .ok_or_else(|| ProtoError::Malformed("bad broadcast id".to_string()))?,
-                n_stalls: num("n_stalls")? as u32,
-                avg_stall_time_s: body.get("avg_stall_time_s").and_then(Value::as_f64),
-                playback_latency_s: body.get("playback_latency_s").and_then(Value::as_f64),
+                broadcast_id: id.ok_or_else(bad_id)?,
+                n_stalls: need(n_stalls, "n_stalls")? as u32,
+                avg_stall_time_s,
+                playback_latency_s,
             }),
-            "accessVideo" => Ok(ApiRequest::AccessVideo {
-                broadcast_id: body
-                    .get("broadcast_id")
-                    .and_then(Value::as_str)
-                    .and_then(BroadcastId::parse)
-                    .ok_or_else(|| ProtoError::Malformed("bad broadcast id".to_string()))?,
-            }),
+            "accessVideo" => Ok(ApiRequest::AccessVideo { broadcast_id: id.ok_or_else(bad_id)? }),
             other => Err(ProtoError::Protocol(format!("unknown apiRequest '{other}'"))),
         }
     }
 }
 
-/// Serializes a broadcast description, the JSON object `getBroadcasts`
-/// returns per id.
-pub fn broadcast_description(b: &Broadcast, now: SimTime) -> Value {
-    Value::object([
-        ("id", Value::str(b.id.as_string())),
-        ("start_s", Value::Number(b.start.as_secs_f64())),
-        ("n_viewers", Value::from(b.viewers_at(now) as u64)),
-        ("available_for_replay", Value::Bool(b.replay_available)),
-        ("city", Value::str(b.city)),
-        ("lat", Value::Number(b.location.lat)),
-        ("lng", Value::Number(b.location.lon)),
-        ("live", Value::Bool(b.is_live_at(now))),
-    ])
+/// The broadcast id at the cursor, if the value there is one.
+fn read_id(r: &mut Reader<'_>) -> Result<Option<BroadcastId>, ProtoError> {
+    Ok(r.str()?.and_then(|s| BroadcastId::parse(&s)))
+}
+
+/// Writes the members of a broadcast description, the JSON object
+/// `getBroadcasts` returns per id, into an object the caller has opened.
+pub fn write_description(w: &mut Writer<'_>, b: &Broadcast, now: SimTime) {
+    w.key("available_for_replay").bool(b.replay_available);
+    w.key("city").str(b.city);
+    w.key("id").str(b.id.text().as_str());
+    w.key("lat").number(b.location.lat);
+    w.key("live").bool(b.is_live_at(now));
+    w.key("lng").number(b.location.lon);
+    w.key("n_viewers").number(f64::from(b.viewers_at(now)));
+    w.key("start_s").number(b.start.as_secs_f64());
 }
 
 /// A parsed broadcast description (what the crawler stores per sighting).
@@ -196,30 +218,37 @@ pub struct BroadcastDescription {
 }
 
 impl BroadcastDescription {
-    /// Parses a description object.
-    pub fn from_json(v: &Value) -> Result<BroadcastDescription, ProtoError> {
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .and_then(BroadcastId::parse)
-            .ok_or_else(|| ProtoError::Malformed("bad id".to_string()))?;
-        let get_num = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| ProtoError::Malformed(format!("missing '{k}'")))
+    /// Reads the description at the cursor. Unknown members are skipped;
+    /// `None` if the value is not an object or lacks a valid `id`,
+    /// `start_s`, `n_viewers`, `lat` or `lng`.
+    pub fn read(r: &mut Reader<'_>) -> Result<Option<BroadcastDescription>, ProtoError> {
+        let (mut id, mut start_s, mut n_viewers, mut lat, mut lng) = (None, None, None, None, None);
+        let (mut available_for_replay, mut live) = (None, None);
+        r.members(|key, r| {
+            match key {
+                "id" => id = read_id(r)?,
+                "start_s" => start_s = r.f64()?,
+                "n_viewers" => n_viewers = r.f64()?,
+                "available_for_replay" => available_for_replay = r.bool()?,
+                "live" => live = r.bool()?,
+                "lat" => lat = r.f64()?,
+                "lng" => lng = r.f64()?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let complete = || {
+            Some(BroadcastDescription {
+                id: id?,
+                start_s: start_s?,
+                n_viewers: n_viewers? as u32,
+                available_for_replay: available_for_replay.unwrap_or(false),
+                live: live.unwrap_or(false),
+                lat: lat?,
+                lng: lng?,
+            })
         };
-        Ok(BroadcastDescription {
-            id,
-            start_s: get_num("start_s")?,
-            n_viewers: get_num("n_viewers")? as u32,
-            available_for_replay: v
-                .get("available_for_replay")
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
-            live: v.get("live").and_then(Value::as_bool).unwrap_or(false),
-            lat: get_num("lat")?,
-            lng: get_num("lng")?,
-        })
+        Ok(complete())
     }
 }
 
@@ -297,6 +326,69 @@ mod tests {
     }
 
     #[test]
+    fn body_is_validated_whole_before_members_are_missed() {
+        let err = |verb: &str, body: &str| {
+            ApiRequest::from_http(&Request::post_json(format!("/api/v2/{verb}"), body))
+                .expect_err(body)
+                .to_string()
+        };
+        // Syntax first, on every verb including an unknown one …
+        for verb in ["mapGeoBroadcastFeed", "getBroadcasts", "playbackMeta", "accessVideo", "x"] {
+            assert_eq!(err(verb, r#"{"p1_lat":1} x"#), "malformed input: trailing data at byte 13");
+            assert_eq!(err(verb, r#"{"broadcast_ids":["#), "truncated input");
+        }
+        // … then what the verb needs.
+        assert_eq!(err("mapGeoBroadcastFeed", "[1]"), "malformed input: missing number 'p1_lat'");
+        assert_eq!(
+            err("mapGeoBroadcastFeed", r#"{"p1_lat":1,"p1_lng":"2"}"#),
+            "malformed input: missing number 'p1_lng'"
+        );
+        assert_eq!(err("getBroadcasts", "{}"), "malformed input: missing broadcast_ids");
+        assert_eq!(
+            err("getBroadcasts", r#"{"broadcast_ids":"aaaaaaaaaaaab"}"#),
+            "malformed input: missing broadcast_ids"
+        );
+        assert_eq!(
+            err("getBroadcasts", r#"{"broadcast_ids":["aaaaaaaaaaaab",5]}"#),
+            "malformed input: bad broadcast id"
+        );
+        assert_eq!(
+            err("accessVideo", r#"{"broadcast_id":"short"}"#),
+            "malformed input: bad broadcast id"
+        );
+        assert_eq!(
+            err("playbackMeta", r#"{"broadcast_id":"aaaaaaaaaaaab"}"#),
+            "malformed input: missing number 'n_stalls'"
+        );
+        assert_eq!(err("x", "{}"), "protocol violation: unknown apiRequest 'x'");
+    }
+
+    #[test]
+    fn unknown_members_are_skipped_and_the_last_of_a_repeated_one_counts() {
+        let http = Request::post_json(
+            "/api/v2/getBroadcasts",
+            r#"{"broadcast_ids":["bad"],"x":{"y":[1,{"z":null}]},"broadcast_ids":["aaaaaaaaaaaab"]}"#,
+        );
+        assert_eq!(
+            ApiRequest::from_http(&http).unwrap(),
+            ApiRequest::GetBroadcasts { ids: vec![BroadcastId(1)] }
+        );
+        let http = Request::post_json(
+            "/api/v2/playbackMeta",
+            r#"{"n_stalls":1,"broadcast_id":"aaaaaaaaaaaab","n_stalls":4.9,"avg_stall_time_s":null}"#,
+        );
+        assert_eq!(
+            ApiRequest::from_http(&http).unwrap(),
+            ApiRequest::PlaybackMeta {
+                broadcast_id: BroadcastId(1),
+                n_stalls: 4,
+                avg_stall_time_s: None,
+                playback_latency_s: None,
+            }
+        );
+    }
+
+    #[test]
     fn description_roundtrip() {
         use pscp_media::audio::AudioBitrate;
         use pscp_media::content::ContentClass;
@@ -319,7 +411,14 @@ mod tests {
             target_bitrate_bps: 300_000.0,
         };
         let now = SimTime::from_secs(100);
-        let desc = BroadcastDescription::from_json(&broadcast_description(&b, now)).unwrap();
+        let mut text = String::new();
+        let mut w = Writer::new(&mut text);
+        w.begin_object();
+        write_description(&mut w, &b, now);
+        w.end_object();
+        let mut r = Reader::new(&text);
+        let desc = BroadcastDescription::read(&mut r).unwrap().expect("complete description");
+        r.end().unwrap();
         assert_eq!(desc.id, b.id);
         assert!(desc.live);
         assert!(desc.n_viewers > 0);

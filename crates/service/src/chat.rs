@@ -9,7 +9,7 @@
 //! downloaded repeatedly because the app does not cache them, inflating one
 //! measured session from ~500 kbps to 3.5 Mbps.
 
-use pscp_proto::json::Value;
+use pscp_proto::json::Writer;
 use pscp_simnet::dist;
 use pscp_simnet::rng::Rng;
 use pscp_simnet::SimTime;
@@ -69,17 +69,17 @@ pub struct PictureRef {
 }
 
 impl ChatMessage {
-    /// Renders the JSON body the server pushes.
-    pub fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("kind", Value::str("chat")),
-            ("user", Value::str(format!("u{}", self.user_id))),
-            ("text", Value::str("x".repeat(self.body_len.saturating_sub(90).max(4)))),
-        ];
+    /// Appends the JSON body the server pushes.
+    pub fn write_json(&self, out: &mut String) {
+        let mut w = Writer::new(out);
+        w.begin_object();
+        w.key("kind").str("chat");
         if let Some(pic) = &self.picture {
-            fields.push(("profile_image_url", Value::str(pic.url.clone())));
+            w.key("profile_image_url").str(&pic.url);
         }
-        Value::object(fields)
+        w.key("text").str(&"x".repeat(self.body_len.saturating_sub(90).max(4)));
+        w.key("user").str(&format!("u{}", self.user_id));
+        w.end_object();
     }
 }
 
@@ -98,6 +98,15 @@ impl Heart {
     pub fn wire_len(&self) -> usize {
         // {"kind":"heart","n":N}
         24 + (self.count as f64).log10() as usize
+    }
+
+    /// Appends the batched heart JSON.
+    pub fn write_json(&self, out: &mut String) {
+        let mut w = Writer::new(out);
+        w.begin_object();
+        w.key("kind").str("heart");
+        w.key("n").number(f64::from(self.count));
+        w.end_object();
     }
 }
 
@@ -297,7 +306,9 @@ mod tests {
         let (mut room, mut rng) = room();
         let msgs = room.messages_between(SimTime::ZERO, SimTime::from_secs(120), 50, &mut rng);
         let m = msgs.iter().find(|m| m.picture.is_some()).expect("some picture");
-        let v = pscp_proto::json::parse(&m.to_json().to_json()).unwrap();
+        let mut body = String::new();
+        m.write_json(&mut body);
+        let v = pscp_proto::json::parse(&body).unwrap();
         assert_eq!(v.get("kind").unwrap().as_str(), Some("chat"));
         assert!(v.get("profile_image_url").unwrap().as_str().unwrap().contains("s3.amazonaws.com"));
     }

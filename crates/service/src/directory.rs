@@ -74,18 +74,24 @@ impl RateLimiter {
     /// Accounts a request from `user` at `now`. Returns false if the
     /// request must be rejected with 429.
     pub fn allow(&mut self, user: &str, now: SimTime) -> bool {
-        let (tokens, updated) =
-            self.state.entry(user.to_string()).or_insert((self.burst as f64, now));
-        let dt = now.saturating_since(*updated).as_secs_f64();
+        let burst = self.burst as f64;
         let rate = 1.0 / self.interval.as_secs_f64();
-        *tokens = (*tokens + dt * rate).min(self.burst as f64);
-        *updated = now;
-        if *tokens >= 1.0 {
-            *tokens -= 1.0;
-            true
-        } else {
-            false
+        let take = |(tokens, updated): &mut (f64, SimTime)| {
+            let dt = now.saturating_since(*updated).as_secs_f64();
+            *tokens = (*tokens + dt * rate).min(burst);
+            *updated = now;
+            let allowed = *tokens >= 1.0;
+            if allowed {
+                *tokens -= 1.0;
+            }
+            allowed
+        };
+        // `entry` needs an owned key; only an account's first request pays
+        // for one.
+        if let Some(state) = self.state.get_mut(user) {
+            return take(state);
         }
+        take(self.state.entry(user.to_string()).or_insert((burst, now)))
     }
 }
 

@@ -1,16 +1,16 @@
 //! The service facade: HTTP in, JSON out, with rate limiting — what the
 //! phone (and the mitmproxy between) actually talks to.
 
-use crate::api::{broadcast_description, ApiRequest};
+use crate::api::{write_description, ApiRequest};
 use crate::cdn::{self, CdnPop};
 use crate::directory::{Directory, RateLimiter, VisibilityConfig};
 use crate::ingest::{assign_server, IngestServer};
 use crate::select::{Protocol, SelectionPolicy};
 use pscp_proto::http::{Request, Response};
-use pscp_proto::json::Value;
+use pscp_proto::json::Writer;
 use pscp_simnet::fault::{FaultConfig, FaultRng};
 use pscp_simnet::{GeoPoint, SimTime};
-use pscp_workload::broadcast::BroadcastId;
+use pscp_workload::broadcast::{Broadcast, BroadcastId};
 use pscp_workload::population::Population;
 
 /// Service-wide configuration.
@@ -60,17 +60,42 @@ pub struct VideoAccess {
 }
 
 impl VideoAccess {
-    fn to_json(&self) -> Value {
-        let mut fields = vec![("protocol", Value::str(self.protocol.name()))];
-        if let Some(s) = &self.rtmp_server {
-            fields.push(("rtmp_url", Value::str(format!("rtmp://{}:80/live", s.hostname()))));
-        }
+    /// The `accessVideo` response body.
+    fn to_json(&self) -> String {
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_object();
         if let Some(pop) = self.cdn_pop {
-            fields
-                .push(("hls_url", Value::str(format!("http://{}/playlist.m3u8", pop.hostname()))));
+            w.key("hls_url").str(&format!("http://{}/playlist.m3u8", pop.hostname()));
         }
-        Value::object(fields)
+        w.key("protocol").str(self.protocol.name());
+        if let Some(s) = &self.rtmp_server {
+            w.key("rtmp_url").str(&format!("rtmp://{}:80/live", s.hostname()));
+        }
+        w.end_object();
+        out
     }
+}
+
+/// `{"broadcasts":[{…},…]}`, the body of both list verbs: `item` writes
+/// the members of one broadcast's object; `body_bytes` pre-sizes the body.
+fn broadcast_list<'a>(
+    broadcasts: impl Iterator<Item = &'a Broadcast>,
+    body_bytes: usize,
+    item: impl Fn(&mut Writer<'_>, &Broadcast),
+) -> Response {
+    let mut body = String::with_capacity(16 + body_bytes);
+    let mut w = Writer::new(&mut body);
+    w.begin_object();
+    w.key("broadcasts").begin_array();
+    for b in broadcasts {
+        w.begin_object();
+        item(&mut w, b);
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    Response::ok_json(body)
 }
 
 /// The Periscope backend.
@@ -172,31 +197,20 @@ impl PeriscopeService {
         // whichever crawl drives it).
         self.trace.span(now.as_micros(), now.as_micros(), "service", "service.request", None);
         match api {
-            ApiRequest::MapGeoBroadcastFeed { rect, include_replay } => {
-                // include_replay=false (the crawler's setting) restricts to
-                // live broadcasts, which map_query already guarantees; the
-                // flag exists to mirror the wire protocol.
-                let _ = include_replay;
+            // include_replay=false (the crawler's setting) restricts to live
+            // broadcasts, which map_query already guarantees; the flag exists
+            // to mirror the wire protocol.
+            ApiRequest::MapGeoBroadcastFeed { rect, include_replay: _ } => {
                 let found = self.directory.map_query(&self.population, &rect, now);
-                let list: Vec<Value> = found
-                    .iter()
-                    .map(|b| {
-                        Value::object([
-                            ("id", Value::str(b.id.as_string())),
-                            ("lat", Value::Number(b.location.lat)),
-                            ("lng", Value::Number(b.location.lon)),
-                        ])
-                    })
-                    .collect();
-                Response::ok_json(Value::object([("broadcasts", Value::Array(list))]).to_json())
+                broadcast_list(found.iter().copied(), found.len() * 80, |w, b| {
+                    w.key("id").str(b.id.text().as_str());
+                    w.key("lat").number(b.location.lat);
+                    w.key("lng").number(b.location.lon);
+                })
             }
             ApiRequest::GetBroadcasts { ids } => {
-                let list: Vec<Value> = ids
-                    .iter()
-                    .filter_map(|id| self.population.by_id(*id))
-                    .map(|b| broadcast_description(b, now))
-                    .collect();
-                Response::ok_json(Value::object([("broadcasts", Value::Array(list))]).to_json())
+                let known = ids.iter().filter_map(|id| self.population.by_id(*id));
+                broadcast_list(known, ids.len() * 192, |w, b| write_description(w, b, now))
             }
             ApiRequest::PlaybackMeta {
                 broadcast_id,
@@ -217,7 +231,7 @@ impl PeriscopeService {
             }
             ApiRequest::AccessVideo { broadcast_id } => {
                 match self.access_video(broadcast_id, viewer_loc, now) {
-                    Some(access) => Response::ok_json(access.to_json().to_json()),
+                    Some(access) => Response::ok_json(access.to_json()),
                     None => Response::not_found(),
                 }
             }
@@ -306,9 +320,8 @@ mod tests {
         let v = parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         let list = v.get("broadcasts").unwrap().as_array().unwrap();
         assert_eq!(list.len(), 1);
-        let desc = crate::api::BroadcastDescription::from_json(&list[0]).unwrap();
-        assert_eq!(desc.id, id);
-        assert!(desc.live);
+        assert_eq!(list[0].get("id").and_then(|i| i.as_str()), Some(id.as_string().as_str()));
+        assert_eq!(list[0].get("live").and_then(|l| l.as_bool()), Some(true));
     }
 
     #[test]

@@ -107,3 +107,77 @@ fn chat_room_caps_and_windows() {
         },
     );
 }
+
+/// Every body the API puts on the wire — the four requests and their
+/// responses — is already in the form a `Value` tree would re-emit:
+/// ascending keys, the one number format. The writer that produces them is
+/// the same one `to_json` walks, so nothing but this keeps a hand-ordered
+/// `key()` sequence honest in release builds.
+#[test]
+fn api_bodies_are_canonical() {
+    use pscp_proto::json::parse;
+    use pscp_service::api::ApiRequest;
+    use pscp_service::{PeriscopeService, ServiceConfig};
+    use pscp_simnet::RngFactory;
+    use pscp_workload::broadcast::BroadcastId;
+    use pscp_workload::population::{Population, PopulationConfig};
+    use std::cell::RefCell;
+
+    let pop = Population::generate(PopulationConfig::small(), &RngFactory::new(2016));
+    let svc = RefCell::new(PeriscopeService::new(pop, ServiceConfig::default()));
+    let canonical = |what: &str, body: &[u8]| {
+        let text = std::str::from_utf8(body).map_err(|e| format!("{what}: {e}"))?;
+        let tree = parse(text).map_err(|e| format!("{what} does not parse: {e:?}"))?;
+        ensure!(tree.to_json() == text, "{what} is not canonical: {text}");
+        Ok(())
+    };
+    let calls = std::cell::Cell::new(0u64);
+    check(
+        "api_bodies_are_canonical",
+        |g: &mut Gen| {
+            let south = g.f64(-80.0..60.0);
+            let west = g.f64(-170.0..150.0);
+            let rect =
+                GeoRect::new(south, west, south + g.f64(0.5..90.0), west + g.f64(0.5..180.0));
+            (rect, g.u64(30..1170), g.usize(0..40), g.bool(), g.f64(0.0..30.0), g.u32(0..9))
+        },
+        |(rect, at_s, take, some, secs, n_stalls)| {
+            let mut svc = svc.borrow_mut();
+            let at = SimTime::from_secs(*at_s);
+            let here = GeoPoint::new(60.19, 24.83);
+            let mut exchange = |req: ApiRequest| -> Result<Vec<u8>, String> {
+                calls.set(calls.get() + 1);
+                let user = format!("prop-{}", calls.get());
+                let http = req.to_http(&user);
+                canonical(&format!("{} request", req.name()), &http.body)?;
+                ensure!(ApiRequest::from_http(&http).as_ref() == Ok(&req), "request round trip");
+                let resp = svc.handle_http(&user, &http, at, &here);
+                if resp.status == 200 {
+                    canonical(&format!("{} response", req.name()), &resp.body)?;
+                }
+                Ok(resp.body)
+            };
+            let feed =
+                exchange(ApiRequest::MapGeoBroadcastFeed { rect: *rect, include_replay: *some })?;
+            let tree = parse(std::str::from_utf8(&feed).expect("checked")).expect("checked");
+            let mut ids: Vec<BroadcastId> = tree
+                .get("broadcasts")
+                .and_then(|b| b.as_array())
+                .ok_or("no broadcasts array")?
+                .iter()
+                .filter_map(|b| b.get("id")?.as_str().and_then(BroadcastId::parse))
+                .take(*take)
+                .collect();
+            ids.push(BroadcastId(u64::from(*n_stalls)));
+            exchange(ApiRequest::GetBroadcasts { ids: ids.clone() })?;
+            exchange(ApiRequest::AccessVideo { broadcast_id: ids[0] })?;
+            exchange(ApiRequest::PlaybackMeta {
+                broadcast_id: ids[0],
+                n_stalls: *n_stalls,
+                avg_stall_time_s: some.then_some(*secs),
+                playback_latency_s: some.then_some(secs / 3.0),
+            })?;
+            Ok(())
+        },
+    );
+}

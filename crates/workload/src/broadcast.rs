@@ -11,9 +11,20 @@ use pscp_simnet::{GeoPoint, SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BroadcastId(pub u64);
 
+/// The 13-character textual form of a [`BroadcastId`], held on the stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdText([u8; 13]);
+
+impl IdText {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("alphabet is ASCII")
+    }
+}
+
 impl BroadcastId {
-    /// Renders the 13-character base-32 textual form.
-    pub fn as_string(&self) -> String {
+    /// Renders the 13-character base-32 textual form without allocating.
+    pub fn text(&self) -> IdText {
         const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz234567";
         let mut chars = [b'a'; 13];
         let mut v = self.0;
@@ -21,7 +32,12 @@ impl BroadcastId {
             *slot = ALPHABET[(v % 32) as usize];
             v /= 32;
         }
-        String::from_utf8(chars.to_vec()).expect("alphabet is ASCII")
+        IdText(chars)
+    }
+
+    /// Renders the 13-character base-32 textual form.
+    pub fn as_string(&self) -> String {
+        self.text().as_str().to_string()
     }
 
     /// Parses the textual form back.
