@@ -440,8 +440,10 @@ pub fn bench_components(seed: u64) -> String {
 
     {
         use pscp_client::rtmp_session;
-        use pscp_client::session::SessionConfig;
+        use pscp_client::session::{run_uncaptured, SessionConfig};
         use pscp_media::audio::AudioBitrate;
+        use pscp_obs::Trace;
+        use pscp_service::select::Protocol;
         use pscp_simnet::GeoPoint;
         use pscp_workload::broadcast::{Broadcast, BroadcastId, DeviceProfile};
         let broadcast = Broadcast {
@@ -480,6 +482,41 @@ pub fn bench_components(seed: u64) -> String {
                 .total_bytes() as u64
         });
 
+        // Each `end-to-end` row has an `uncaptured` twin: the same session
+        // (broadcast, seeds, packets, instants) run the way the dataset
+        // plan's `!keep_capture` sessions and every `run_scale` session run
+        // — lengths, not bytes (DESIGN.md §10). Same nominal bytes, so the
+        // MB/s columns compare directly.
+        let uncaptured = |suite: &mut MicroBench,
+                          name: &str,
+                          protocol: Protocol,
+                          broadcast: &Broadcast,
+                          nominal_bytes: u64| {
+            let mut i = 0u64;
+            suite.run(name, Some(nominal_bytes), || {
+                i += 1;
+                let rngs = RngFactory::new(i).child("bench-session");
+                run_uncaptured(
+                    protocol,
+                    broadcast,
+                    SimTime::from_secs(400),
+                    &SessionConfig::default(),
+                    &rngs,
+                    &mut Trace::disabled(),
+                )
+                .player
+                .latency_samples
+                .len() as u64
+            });
+        };
+        uncaptured(
+            &mut suite,
+            "session/rtmp 60s uncaptured",
+            Protocol::Rtmp,
+            &broadcast,
+            nominal_bytes,
+        );
+
         // The SRT twin of the RTMP bench (DESIGN.md §12): same broadcast,
         // same seeds (common random numbers), so the per-iteration delta
         // between the two benches is the transport machinery itself —
@@ -501,6 +538,13 @@ pub fn bench_components(seed: u64) -> String {
                 .capture
                 .total_bytes() as u64
         });
+        uncaptured(
+            &mut suite,
+            "session/srt 60s uncaptured",
+            Protocol::Srt,
+            &broadcast,
+            srt_nominal_bytes,
+        );
 
         // The costliest arm: a popular broadcast served over HLS, with the
         // full chat room (and its picture downloads) that popularity brings.
@@ -521,6 +565,30 @@ pub fn bench_components(seed: u64) -> String {
                 .capture
                 .total_bytes() as u64
         });
+        uncaptured(&mut suite, "session/hls 60s uncaptured", Protocol::Hls, &popular, hot_bytes);
+
+        // The player on its own: the media arrivals of one RTMP session
+        // (≈ 1,800 video messages) through the buffer model.
+        {
+            use pscp_client::player::{run_playback, MediaArrival, PlayerConfig};
+            let arrivals: Vec<MediaArrival> = (0..1800u64)
+                .map(|i| MediaArrival {
+                    at: SimTime::from_micros(400_000_000 + i * 33_333),
+                    media_end_s: i as f64 / 30.0 + 2.0,
+                    capture_wall_s: Some(399.0 + i as f64 / 30.0),
+                })
+                .collect();
+            suite.run("player/run_playback 60s of arrivals", None, || {
+                run_playback(
+                    SimTime::from_secs(400),
+                    SimDuration::from_secs(60),
+                    PlayerConfig::rtmp(),
+                    &arrivals,
+                )
+                .latency_samples
+                .len() as u64
+            });
+        }
 
         // What recording that session's packets costs on its own: replay
         // its capture (same flows, sizes and payloads) into a fresh one.

@@ -9,6 +9,7 @@
 //! rarer than RTMP (Fig 3 discussion).
 
 use crate::chat_client;
+use crate::downlink::Recording;
 use crate::player::{run_playback, MediaArrival};
 use crate::retry::RetryPolicy;
 use crate::rtmp_session::rendered_fps;
@@ -57,6 +58,21 @@ pub fn run_traced(
     rngs: &RngFactory,
     trace: &mut pscp_obs::Trace,
 ) -> SessionOutcome {
+    simulate(broadcast, join_at, config, rngs, trace, Recording::Full)
+}
+
+/// The session itself. With [`Recording::Counted`] segments are sized but
+/// never muxed, and the returned capture holds every packet's time and
+/// length but no media bytes (DESIGN.md §10, "Uncaptured sessions"); every
+/// other field is what `Full` returns.
+pub(crate) fn simulate(
+    broadcast: &Broadcast,
+    join_at: SimTime,
+    config: &SessionConfig,
+    rngs: &RngFactory,
+    trace: &mut pscp_obs::Trace,
+    recording: Recording,
+) -> SessionOutcome {
     let mut enc_rng = rngs.stream("hls/encoder");
     let mut net_rng = rngs.stream("hls/net");
     let mut clock_rng = rngs.stream("hls/clocks");
@@ -94,7 +110,10 @@ pub fn run_traced(
     let sim_start = join_at - WARMUP;
     let end = join_at + config.watch + SimDuration::from_secs(3);
     let mut uplink = Uplink::draw(&config.uplink, sim_start, end, &mut enc_rng);
-    let mut segmenter = Segmenter::new(SegmenterConfig::default());
+    let mut segmenter = match recording {
+        Recording::Full => Segmenter::new(SegmenterConfig::default()),
+        Recording::Counted => Segmenter::lengths_only(SegmenterConfig::default()),
+    };
     let total_frames = (end.saturating_since(sim_start).as_secs_f64() * fps) as u64;
     // (pts, broadcaster capture wall) in pts order, for latency anchors.
     let mut capture_wall_by_pts: Vec<(u32, f64)> = Vec::with_capacity(total_frames as usize);
@@ -219,7 +238,7 @@ pub fn run_traced(
                     playlist.render().into_bytes(),
                 );
                 let wall = capture_clock.read(at, rng);
-                capture.record(flow, at, wall, &resp.encode());
+                capture.record(flow, at, wall, recording.payload((&resp.encode()).into()));
             };
         let Some(last) = playlist.last_sequence() else {
             record_playlist(&mut capture, now, &mut net_rng);
@@ -274,8 +293,8 @@ pub fn run_traced(
         let fetch_started = now;
         // The response is its head followed by the segmenter's own bytes;
         // nothing is copied into an encoded response first.
-        let head = Response::ok_bytes("video/mp2t", Vec::new()).encode_head(segment.bytes.len());
-        let resp_len = head.len() + segment.bytes.len();
+        let head = Response::ok_bytes("video/mp2t", Vec::new()).encode_head(segment.len);
+        let resp_len = head.len() + segment.len;
         let schedule = tcp.transfer(now, resp_len, &mut cwnd, fetched == 0);
         // Record the response bytes sliced along the arrival schedule.
         let mut off = 0usize;
@@ -291,12 +310,16 @@ pub fn run_traced(
             let end_off = (off + n).min(resp_len);
             let wall = capture_clock.read(at, &mut net_rng);
             let h = head.len();
-            let body = &segment.bytes[off.saturating_sub(h)..end_off.saturating_sub(h)];
-            if off < h {
-                // The one chunk that carries the head and the body's start.
-                capture.record(flow, at, wall, &[&head[off..end_off.min(h)], body].concat());
+            if recording == Recording::Counted {
+                capture.record_zeros(flow, at, wall, end_off - off);
             } else {
-                capture.record(flow, at, wall, body);
+                let body = &segment.bytes[off.saturating_sub(h)..end_off.saturating_sub(h)];
+                if off < h {
+                    // The one chunk that carries the head and the body's start.
+                    capture.record(flow, at, wall, &[&head[off..end_off.min(h)], body].concat());
+                } else {
+                    capture.record(flow, at, wall, body);
+                }
             }
             off = end_off;
         }

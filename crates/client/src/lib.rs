@@ -31,6 +31,7 @@
 pub mod broadcaster;
 pub mod chat_client;
 pub mod device;
+mod downlink;
 pub mod hls_session;
 pub mod player;
 pub mod replay_session;

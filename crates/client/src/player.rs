@@ -187,7 +187,8 @@ pub fn run_playback(
         join_time: None,
         stalls: Vec::new(),
         played_s: 0.0,
-        latency_samples: Vec::new(),
+        // At most one sample per arrival (each pushes at most one anchor).
+        latency_samples: Vec::with_capacity(arrivals.len()),
         session_s: session.as_secs_f64(),
     };
     // State machine over wall time.
@@ -202,7 +203,9 @@ pub fn run_playback(
     let mut play_pos_s = 0.0_f64; // media position being rendered
     let mut last_wall = start;
     // Capture-time anchors for latency: (media position, capture wall).
-    let mut anchors: Vec<(f64, f64)> = Vec::new();
+    // One is pushed only when it extends the buffered horizon, so positions
+    // strictly increase and the played-through ones are always a prefix.
+    let mut anchors = Anchors { list: Vec::with_capacity(arrivals.len()), next: 0 };
 
     let advance = |state: &mut State,
                    play_pos_s: &mut f64,
@@ -210,7 +213,7 @@ pub fn run_playback(
                    from: SimTime,
                    to: SimTime,
                    log: &mut PlayerLog,
-                   anchors: &mut Vec<(f64, f64)>| {
+                   anchors: &mut Anchors| {
         if to <= from {
             return;
         }
@@ -220,13 +223,13 @@ pub fn run_playback(
             if wall_dt < media_avail {
                 // Plays through the whole interval.
                 let new_pos = *play_pos_s + wall_dt;
-                emit_latency(anchors, *play_pos_s, new_pos, from, log);
+                anchors.emit_latency(*play_pos_s, new_pos, from, log);
                 *play_pos_s = new_pos;
                 log.played_s += wall_dt;
             } else {
                 // Plays until the buffer runs dry, then stalls.
                 let stall_at = from + SimDuration::from_secs_f64(media_avail);
-                emit_latency(anchors, *play_pos_s, buffered_end_s, from, log);
+                anchors.emit_latency(*play_pos_s, buffered_end_s, from, log);
                 log.played_s += media_avail;
                 *play_pos_s = buffered_end_s;
                 *state = State::Stalled(stall_at);
@@ -244,7 +247,7 @@ pub fn run_playback(
         last_wall = at;
         if a.media_end_s > buffered_end_s {
             if let Some(cw) = a.capture_wall_s {
-                anchors.push((a.media_end_s, cw));
+                anchors.list.push((a.media_end_s, cw));
             }
             buffered_end_s = a.media_end_s;
         }
@@ -274,25 +277,32 @@ pub fn run_playback(
     log
 }
 
-/// Emits latency samples for anchors crossed while playing media from
-/// `from_pos` to `to_pos` starting at wall `wall_from`.
-fn emit_latency(
-    anchors: &mut Vec<(f64, f64)>,
-    from_pos: f64,
-    to_pos: f64,
-    wall_from: SimTime,
-    log: &mut PlayerLog,
-) {
-    let mut kept = Vec::new();
-    for &(pos, cap_wall) in anchors.iter() {
-        if pos > from_pos && pos <= to_pos {
-            let render_wall = wall_from.as_secs_f64() + (pos - from_pos);
-            log.latency_samples.push(render_wall - cap_wall);
-        } else if pos > to_pos {
-            kept.push((pos, cap_wall));
+/// Latency anchors in ascending media position; `list[next..]` are the ones
+/// playback has not reached yet.
+struct Anchors {
+    list: Vec<(f64, f64)>,
+    next: usize,
+}
+
+impl Anchors {
+    /// Emits latency samples for anchors crossed while playing media from
+    /// `from_pos` to `to_pos` starting at wall `wall_from`, and retires
+    /// every anchor at or before `to_pos`.
+    fn emit_latency(
+        &mut self,
+        from_pos: f64,
+        to_pos: f64,
+        wall_from: SimTime,
+        log: &mut PlayerLog,
+    ) {
+        while let Some(&(pos, cap_wall)) = self.list.get(self.next).filter(|a| a.0 <= to_pos) {
+            if pos > from_pos {
+                let render_wall = wall_from.as_secs_f64() + (pos - from_pos);
+                log.latency_samples.push(render_wall - cap_wall);
+            }
+            self.next += 1;
         }
     }
-    *anchors = kept;
 }
 
 #[cfg(test)]

@@ -11,21 +11,19 @@
 use crate::broadcaster::IngestTimeline;
 use crate::chat_client;
 use crate::device::ViewerDevice;
+use crate::downlink::{Recording, SendQueue, Tap};
 use crate::player::{run_playback, MediaArrival};
 use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
 use pscp_media::bitstream::FrameKind;
-use pscp_media::capture::{Capture, FlowKind, Payload};
+use pscp_media::capture::FlowKind;
 use pscp_media::flv::{AudioTag, VideoTag};
 use pscp_proto::amf::{encode_command, Amf0};
-use pscp_proto::rtmp::{
-    handshake_c0c1, handshake_s0s1s2, Chunker, Message, MessageRef, MessageType,
-};
+use pscp_proto::rtmp::{handshake_c0c1, handshake_s0s1s2, Chunker, Message, MessageType};
 use pscp_service::ingest::assign_server;
 use pscp_service::select::Protocol;
 use pscp_simnet::fault::{self, LinkFaults};
 use pscp_simnet::{Link, RngFactory, SimDuration, SimTime, WallClock};
 use pscp_workload::broadcast::Broadcast;
-use std::collections::HashMap;
 
 /// Small per-message server forwarding delay.
 const SERVER_FORWARD: SimDuration = SimDuration::from_millis(5);
@@ -56,6 +54,20 @@ pub fn run_traced(
     config: &SessionConfig,
     rngs: &RngFactory,
     trace: &mut pscp_obs::Trace,
+) -> SessionOutcome {
+    simulate(broadcast, join_at, config, rngs, trace, Recording::Full)
+}
+
+/// The session itself. With [`Recording::Counted`] the returned capture
+/// holds every packet's time and length but no bytes (DESIGN.md §10,
+/// "Uncaptured sessions"); every other field is what `Full` returns.
+pub(crate) fn simulate(
+    broadcast: &Broadcast,
+    join_at: SimTime,
+    config: &SessionConfig,
+    rngs: &RngFactory,
+    trace: &mut pscp_obs::Trace,
+    recording: Recording,
 ) -> SessionOutcome {
     let mut enc_rng = rngs.stream("rtmp/encoder");
     let mut net_rng = rngs.stream("rtmp/net");
@@ -105,12 +117,16 @@ pub fn run_traced(
     // pictures) is merged into send-time order before hitting the shared
     // bottleneck link, so cross-traffic genuinely delays video — the FIFO
     // contention behind the paper's 2 Mbps QoE boundary. ---
-    let mut capture = Capture::new();
-    let flow_rtmp = capture.open_flow(FlowKind::Rtmp, server.reverse_dns());
-    let flow_misc = capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
-    let flow_chat = capture.open_flow(FlowKind::Chat, "chatman.periscope.tv");
+    let faults = &config.faults;
+    let mut tap = Tap::new(
+        &capture_clock,
+        LinkFaults::active(faults).then(|| LinkFaults::new(faults, rngs.seed(), "rtmp/link")),
+    );
+    let flow_rtmp = tap.capture.open_flow(FlowKind::Rtmp, server.reverse_dns());
+    let flow_misc = tap.capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
+    let flow_chat = tap.capture.open_flow(FlowKind::Chat, "chatman.periscope.tv");
     let flow_pics =
-        config.chat_on.then(|| capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
+        config.chat_on.then(|| tap.capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
     let bottleneck = config.network.bottleneck_bps();
     let one_way_down =
         server.location().propagation_to(&config.network.location) + config.network.access_rtt / 2;
@@ -121,26 +137,12 @@ pub fn run_traced(
         media_end_s: f64,
         capture_wall_s: f64,
     }
-    // All outbound literal bytes for the session live in one arena
-    // (`send_data`); each `Send` is a range into it followed by a run of
-    // `pad` × `fill` that is never written out (picture bodies, bootstrap).
-    // Sorting by time moves small records, not payloads, and the transmit
-    // loop borrows MTU-sized windows straight out of the arena — no
-    // per-message or per-packet Vec.
-    struct Send {
-        at: SimTime,
-        flow: usize,
-        start: usize,
-        end: usize,
-        fill: u8,
-        pad: usize,
-        meta: Option<Meta>,
-    }
-    let mut sends: Vec<Send> = Vec::new();
-    let mut send_data: Vec<u8> = Vec::with_capacity(
+    let mut sends: SendQueue<Option<Meta>> = SendQueue::new(
+        recording,
         video_in.iter().map(|f| f.frame.size + 32).sum::<usize>()
             + audio_in.iter().map(|&(_, _, size)| size + 32).sum::<usize>()
             + 64 * 1024,
+        video_in.len() + audio_in.len() + 256,
     );
 
     // App bootstrap: before (and while) the stream starts, the app pulls
@@ -149,56 +151,32 @@ pub fn run_traced(
     // explode (Fig 4a).
     let overhead_bytes = pscp_simnet::dist::lognormal(&mut net_rng, (900_000f64).ln(), 0.7)
         .clamp(150_000.0, 4_000_000.0) as usize;
-    sends.push(Send {
-        at: join_at + config.network.access_rtt,
-        flow: flow_misc,
-        start: send_data.len(),
-        end: send_data.len(),
-        fill: 0,
-        pad: overhead_bytes,
-        meta: None,
-    });
+    sends.push(join_at + config.network.access_rtt, flow_misc, &[], 0, overhead_bytes, None);
 
     // Handshake: S0+S1+S2 arrive right after connect, then the control
     // burst (SetChunkSize + onStatus).
     let c0c1 = handshake_c0c1(0, 0x7e);
     let s_bytes = handshake_s0s1s2(&c0c1, 0).expect("own C0C1 is valid");
-    let start = send_data.len();
-    send_data.extend_from_slice(&s_bytes);
-    sends.push(Send {
-        at: join_at + rtt,
-        flow: flow_rtmp,
-        start,
-        end: send_data.len(),
-        fill: 0,
-        pad: 0,
-        meta: None,
-    });
+    sends.push(join_at + rtt, flow_rtmp, &s_bytes, 0, 0, None);
+    // One scratch buffer holds each message body while the chunker copies
+    // it into the arena; it is reused for every message in the session.
+    let mut scratch: Vec<u8> = Vec::with_capacity(8 * 1024);
     let mut chunker = Chunker::new();
-    let start = send_data.len();
-    chunker.write(&Message::set_chunk_size(4096), &mut send_data);
+    chunker.write(&Message::set_chunk_size(4096), &mut scratch);
     chunker.write(
         &Message::command(encode_command(
             "onStatus",
             0.0,
             &[Amf0::Null, Amf0::object([("code", Amf0::String("NetStream.Play.Start".into()))])],
         )),
-        &mut send_data,
+        &mut scratch,
     );
-    sends.push(Send {
-        at: play_cmd_at,
-        flow: flow_rtmp,
-        start,
-        end: send_data.len(),
-        fill: 0,
-        pad: 0,
-        meta: None,
-    });
+    sends.push(play_cmd_at, flow_rtmp, &scratch, 0, 0, None);
 
     // Media messages: backlog burst + live push, interleaved with audio.
-    // One scratch buffer holds each FLV tag body while the chunker copies
-    // it into the arena; it is reused for every message in the session.
-    let mut scratch: Vec<u8> = Vec::with_capacity(8 * 1024);
+    // Each is framed by the chunker (which sets its on-wire length) and
+    // queued with the writer of its bytes: FLV tag body into the scratch,
+    // chunked from there into the arena.
     let first_pts = video_in.get(start_idx).map(|f| f.frame.pts_ms).unwrap_or(0);
     let frame_dur_s = 1.0 / fps;
     let mut ai =
@@ -217,61 +195,42 @@ pub fn run_traced(
             if a_send >= end {
                 continue;
             }
-            scratch.clear();
-            AudioTag::encode_into(size, &mut scratch);
-            let start = send_data.len();
-            chunker.write_ref(
-                MessageRef {
-                    chunk_stream_id: 4,
-                    timestamp: pts.saturating_sub(first_pts),
-                    kind: MessageType::Audio,
-                    stream_id: 1,
-                    payload: &scratch,
-                },
-                &mut send_data,
+            let framing = chunker.frame(
+                4,
+                pts.saturating_sub(first_pts),
+                MessageType::Audio,
+                1,
+                AudioTag::HEADER_LEN + size,
             );
-            sends.push(Send {
-                at: a_send,
-                flow: flow_rtmp,
-                start,
-                end: send_data.len(),
-                fill: 0,
-                pad: 0,
-                meta: None,
+            sends.push_with(a_send, flow_rtmp, framing.wire_len(), None, |arena| {
+                scratch.clear();
+                AudioTag::encode_into(size, &mut scratch);
+                framing.write(&scratch, arena);
             });
             trace.count("rtmp", "audio_msgs", 1);
         }
         // The frame payload *is* the coded frame body: the 5-byte FLV tag
         // header, then the body generated in place.
-        scratch.clear();
-        VideoTag::write_header(
-            f.frame.kind == FrameKind::I,
-            if f.frame.kind == FrameKind::B { 33 } else { 0 },
-            &mut scratch,
+        let framing = chunker.frame(
+            6,
+            f.frame.pts_ms.saturating_sub(first_pts),
+            MessageType::Video,
+            1,
+            VideoTag::HEADER_LEN + f.frame.size,
         );
-        f.frame.encode_into(&mut scratch);
-        let start = send_data.len();
-        chunker.write_ref(
-            MessageRef {
-                chunk_stream_id: 6,
-                timestamp: f.frame.pts_ms.saturating_sub(first_pts),
-                kind: MessageType::Video,
-                stream_id: 1,
-                payload: &scratch,
-            },
-            &mut send_data,
-        );
-        sends.push(Send {
-            at: send_at,
-            flow: flow_rtmp,
-            start,
-            end: send_data.len(),
-            fill: 0,
-            pad: 0,
-            meta: Some(Meta {
-                media_end_s: (f.frame.pts_ms - first_pts) as f64 / 1000.0 + frame_dur_s,
-                capture_wall_s: broadcaster_clock.read_exact(f.t_cap),
-            }),
+        let meta = Meta {
+            media_end_s: (f.frame.pts_ms - first_pts) as f64 / 1000.0 + frame_dur_s,
+            capture_wall_s: broadcaster_clock.read_exact(f.t_cap),
+        };
+        sends.push_with(send_at, flow_rtmp, framing.wire_len(), Some(meta), |arena| {
+            scratch.clear();
+            VideoTag::write_header(
+                f.frame.kind == FrameKind::I,
+                if f.frame.kind == FrameKind::B { 33 } else { 0 },
+                &mut scratch,
+            );
+            f.frame.encode_into(&mut scratch);
+            framing.write(&scratch, arena);
         });
         trace.count("rtmp", "video_msgs", 1);
     }
@@ -293,17 +252,7 @@ pub fn run_traced(
             },
             _ => continue,
         };
-        let start = send_data.len();
-        send_data.extend_from_slice(&ev.bytes.head);
-        sends.push(Send {
-            at,
-            flow,
-            start,
-            end: send_data.len(),
-            fill: ev.bytes.fill,
-            pad: ev.bytes.pad,
-            meta: None,
-        });
+        sends.push(at, flow, &ev.bytes.head, ev.bytes.fill, ev.bytes.pad, None);
     }
 
     // Private broadcasts travel over RTMPS (§3): the RTMP bytes are sealed
@@ -312,30 +261,13 @@ pub fn run_traced(
     // tcpdump capture holds only ciphertext — the wall the paper hit,
     // which is why it studied public streams.
     if broadcast.private {
-        let mut tls = pscp_proto::tls::TlsChannel::new(broadcast.viewer_seed);
-        // Re-build the arena with RTMP ranges sealed (in push order, which
-        // is the order the plaintext ranges were laid down — the TLS record
-        // sequence must match the chunker byte order).
-        let mut sealed = Vec::with_capacity(send_data.len() + send_data.len() / 8);
-        for send in &mut sends {
-            let start = sealed.len();
-            if send.flow == flow_rtmp {
-                let record = tls.seal(&send_data[send.start..send.end]);
-                sealed.extend_from_slice(&record);
-            } else {
-                sealed.extend_from_slice(&send_data[send.start..send.end]);
-            }
-            send.start = start;
-            send.end = sealed.len();
-        }
-        send_data = sealed;
+        sends.seal_flow(flow_rtmp, &mut pscp_proto::tls::TlsChannel::new(broadcast.viewer_seed));
     }
 
     // --- fault injection (DESIGN.md §8): deterministic drop windows for
     // mid-stream disconnects and chat drops, plus per-packet link faults
     // during transmission. Every class is gated on its own rate, so with
     // faults off none of this executes and no variate is drawn. ---
-    let faults = &config.faults;
     let fault_seed = faults.seed ^ rngs.seed();
     let dc_windows = if faults.rtmp_disconnect_per_min > 0.0 {
         fault::drop_windows(
@@ -369,60 +301,21 @@ pub fn run_traced(
         trace.count("fault", "chat_drops", chat_windows.len() as u64);
         trace.count("recovery", "chat_reconnects", chat_windows.len() as u64);
     }
-    let mut link_faults =
-        LinkFaults::active(faults).then(|| LinkFaults::new(faults, rngs.seed(), "rtmp/link"));
-    // Losses surface as retransmission delay, which can reorder packets
-    // relative to the fault-free FIFO; the capture stays per-flow monotone
-    // by flooring each arrival at its flow's previous one.
-    let mut flow_floor: HashMap<usize, SimTime> = HashMap::new();
 
-    // Merge by send time (stable: equal-time sends keep their push order,
-    // which keeps the RTMP chunker byte order intact) and transmit. Per
-    // flow, FIFO enqueueing keeps arrival order non-decreasing.
-    sends.sort_by_key(|s| s.at);
+    // Merge by send time and transmit. Per flow, FIFO enqueueing keeps
+    // arrival order non-decreasing.
+    sends.sort_by_time();
     let mtu = config.network.mtu.max(256);
-    // Pre-size the capture: the arena ranges say exactly how many literal
-    // bytes each flow records (runs take no space), and chunking the
-    // on-wire length bounds the packet count.
-    {
-        let mut flow_bytes = vec![0usize; capture.flows.len()];
-        let mut flow_pkts = vec![0usize; capture.flows.len()];
-        for s in &sends {
-            flow_bytes[s.flow] += s.end - s.start;
-            flow_pkts[s.flow] += (s.end - s.start + s.pad).div_ceil(mtu);
-        }
-        for (i, f) in capture.flows.iter_mut().enumerate() {
-            f.reserve(flow_bytes[i], flow_pkts[i]);
-        }
-    }
+    sends.reserve(&mut tap.capture, mtu);
     let mut arrivals: Vec<MediaArrival> = Vec::new();
-    for send in &sends {
+    for send in sends.iter() {
         if (send.flow == flow_rtmp && fault::in_windows(&dc_windows, send.at))
             || (send.flow == flow_chat && fault::in_windows(&chat_windows, send.at))
         {
             continue; // the connection is down; these bytes never leave
         }
-        let mut last = None;
-        let payload = Payload::run(&send_data[send.start..send.end], send.fill, send.pad);
-        let mut chunks = payload.chunks(mtu);
-        link.enqueue_batch(send.at, payload.chunks(mtu).map(|c| c.len()), |delivery| {
-            let chunk = chunks.next().expect("one chunk per offered size");
-            if let Some(arr) = delivery.time() {
-                let arr = match link_faults.as_mut() {
-                    Some(lf) => {
-                        let floor = flow_floor.entry(send.flow).or_insert(SimTime::ZERO);
-                        let a = (arr + lf.packet_extra()).max(*floor);
-                        *floor = a;
-                        a
-                    }
-                    None => arr,
-                };
-                let wall = capture_clock.read(arr, &mut clock_rng);
-                capture.record(send.flow, arr, wall, chunk);
-                last = Some(arr);
-            }
-        });
-        if let (Some(meta), Some(arr)) = (send.meta.as_ref(), last) {
+        let last = tap.transmit(&mut link, send.at, send.flow, send.payload, mtu, &mut clock_rng);
+        if let (Some(meta), Some(arr)) = (send.tag, last) {
             arrivals.push(MediaArrival {
                 at: arr,
                 media_end_s: meta.media_end_s,
@@ -430,6 +323,7 @@ pub fn run_traced(
             });
         }
     }
+    let Tap { capture, faults: link_faults, .. } = tap;
     if let Some(lf) = link_faults {
         trace.count("fault", "lost_packets", lf.lost);
         trace.count("fault", "latency_spikes", lf.spiked);

@@ -1,13 +1,15 @@
 //! Session types shared by the RTMP and HLS paths.
 
 use crate::device::{NetworkSetup, ViewerDevice};
+use crate::downlink::Recording;
 use crate::player::{PlayerConfig, PlayerLog};
 use crate::uplink::UplinkConfig;
+use crate::{hls_session, rtmp_session, srt_session};
 use pscp_media::capture::{Capture, FlowKind};
 use pscp_obs::{Field, Trace, KBPS_BUCKETS};
 use pscp_service::select::Protocol;
-use pscp_simnet::SimDuration;
-use pscp_workload::broadcast::BroadcastId;
+use pscp_simnet::{RngFactory, SimDuration, SimTime};
+use pscp_workload::broadcast::{Broadcast, BroadcastId};
 
 /// Configuration of one automated viewing session.
 #[derive(Debug, Clone)]
@@ -112,6 +114,47 @@ impl SessionOutcome {
     }
 }
 
+/// Runs one session over `protocol`, recording its capture as `recording`
+/// says. A [`Recording::Counted`] capture (times and lengths, no bytes) is
+/// for this crate's eyes only: public entry points return a full capture or
+/// an empty one.
+pub(crate) fn simulate(
+    protocol: Protocol,
+    broadcast: &Broadcast,
+    join_at: SimTime,
+    config: &SessionConfig,
+    rngs: &RngFactory,
+    trace: &mut Trace,
+    recording: Recording,
+) -> SessionOutcome {
+    let run = match protocol {
+        Protocol::Rtmp => rtmp_session::simulate,
+        Protocol::Hls => hls_session::simulate,
+        Protocol::Srt => srt_session::simulate,
+    };
+    run(broadcast, join_at, config, rngs, trace, recording)
+}
+
+/// Runs one session over `protocol` for a caller that will not read its
+/// capture: the outcome's `capture` is empty and every other field — and
+/// everything recorded into `trace` — is bit for bit what the transport's
+/// `run_traced` gives. The session makes the same packets at the same
+/// instants but never produces their bytes (DESIGN.md §10, "Uncaptured
+/// sessions").
+pub fn run_uncaptured(
+    protocol: Protocol,
+    broadcast: &Broadcast,
+    join_at: SimTime,
+    config: &SessionConfig,
+    rngs: &RngFactory,
+    trace: &mut Trace,
+) -> SessionOutcome {
+    let mut outcome =
+        simulate(protocol, broadcast, join_at, config, rngs, trace, Recording::Counted);
+    outcome.capture = Capture::new();
+    outcome
+}
+
 /// Records the session-start instrumentation shared by the RTMP and HLS
 /// paths (subsystems `session` and `shaper`).
 pub(crate) fn trace_session_start(
@@ -169,6 +212,155 @@ pub(crate) fn trace_session_end(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscp_check::{check_with, ensure, Config, Gen};
+    use pscp_simnet::fault::FaultConfig;
+    use pscp_workload::population::{Population, PopulationConfig};
+
+    const PROTOCOLS: [Protocol; 3] = [Protocol::Rtmp, Protocol::Hls, Protocol::Srt];
+
+    /// The session configurations the mode-equivalence contract is checked
+    /// over (`true` = run against a private copy of the broadcast).
+    fn configs() -> Vec<(&'static str, SessionConfig, bool)> {
+        let d = SessionConfig::default;
+        let tc = |mbps| SessionConfig { network: NetworkSetup::finland_limited(mbps), ..d() };
+        vec![
+            ("default", d(), false),
+            ("tc-0.5mbps", tc(0.5), false),
+            ("tc-1mbps", tc(1.0), false),
+            ("tc-2mbps", tc(2.0), false),
+            ("chat-off", SessionConfig { chat_on: false, ..d() }, false),
+            ("picture-cache", SessionConfig { picture_cache: true, ..d() }, false),
+            ("chaos-1x", SessionConfig { faults: FaultConfig::chaos(7, 1.0), ..d() }, false),
+            ("chaos-2x", SessionConfig { faults: FaultConfig::chaos(7, 2.0), ..d() }, false),
+            ("private", d(), true),
+        ]
+    }
+
+    /// Live broadcasts at `at` that stay live for a whole watch, most
+    /// viewed first.
+    fn watchable(population: &Population, at: SimTime) -> Vec<&Broadcast> {
+        let mut live: Vec<&Broadcast> = population
+            .live_at(at)
+            .into_iter()
+            .filter(|b| b.is_live_at(at + SessionConfig::default().watch))
+            .collect();
+        live.sort_by_key(|b| (std::cmp::Reverse(b.viewers_at(at)), b.id.0));
+        live
+    }
+
+    /// Runs the session in both modes and checks that the counted capture
+    /// has every flow and every packet of the full one — same kind, server,
+    /// arrival, wall stamp and length, no bytes — and that nothing else in
+    /// the outcome moved. Equal per-packet times are what prove no RNG draw
+    /// or link call was skipped or reordered.
+    fn counted_matches_full(
+        protocol: Protocol,
+        broadcast: &Broadcast,
+        join_at: SimTime,
+        config: &SessionConfig,
+        key: u64,
+    ) -> Result<(), String> {
+        let rngs = RngFactory::new(2016).child(&format!("mode-equivalence/{key}"));
+        let run = |recording| {
+            let mut trace = Trace::disabled();
+            simulate(protocol, broadcast, join_at, config, &rngs, &mut trace, recording)
+        };
+        let (full, counted) = (run(Recording::Full), run(Recording::Counted));
+        ensure!(
+            format!("{:?}", (&full.player, &full.meta, full.rendered_fps, &full.server))
+                == format!(
+                    "{:?}",
+                    (&counted.player, &counted.meta, counted.rendered_fps, &counted.server)
+                ),
+            "outcome scalars differ"
+        );
+        ensure!(full.protocol == counted.protocol, "protocol differs");
+        let (f, c) = (&full.capture.flows, &counted.capture.flows);
+        ensure!(f.len() == c.len(), "{} flows, not {}", c.len(), f.len());
+        let mut media_literal = 0;
+        for (i, (f, c)) in f.iter().zip(c).enumerate() {
+            ensure!(f.kind == c.kind && f.server == c.server, "flow {i}: endpoint differs");
+            ensure!(
+                f.packet_count() == c.packet_count() && f.byte_count() == c.byte_count(),
+                "flow {i} ({:?}): {} packets / {} bytes, not {} / {}",
+                f.kind,
+                c.packet_count(),
+                c.byte_count(),
+                f.packet_count(),
+                f.byte_count()
+            );
+            for (n, (p, q)) in f.packets().zip(c.packets()).enumerate() {
+                ensure!(
+                    p.at == q.at
+                        && p.wall_ts.to_bits() == q.wall_ts.to_bits()
+                        && p.payload.len() == q.payload.len(),
+                    "flow {i} ({:?}) packet {n}: {:?}/{}/{} vs {:?}/{}/{}",
+                    f.kind,
+                    p.at,
+                    p.wall_ts,
+                    p.payload.len(),
+                    q.at,
+                    q.wall_ts,
+                    q.payload.len()
+                );
+                if matches!(c.kind, FlowKind::Rtmp | FlowKind::Srt) {
+                    media_literal += q.payload.literal().len();
+                }
+            }
+        }
+        ensure!(media_literal == 0, "{media_literal} literal media bytes in a counted capture");
+        Ok(())
+    }
+
+    #[test]
+    fn counted_capture_has_every_packet_of_the_full_one() {
+        let population = Population::generate(PopulationConfig::medium(), &RngFactory::new(2016));
+        let join_at = SimTime::from_secs(3600);
+        let live = watchable(&population, join_at);
+        let picks = [live[0], live[live.len() / 2], live[live.len() - 1]];
+        let mut cells = Vec::new();
+        for broadcast in picks {
+            for protocol in PROTOCOLS {
+                for (name, config, private) in configs() {
+                    let broadcast = Broadcast { private, ..broadcast.clone() };
+                    cells.push((format!("{protocol:?}/{name}"), protocol, broadcast, config));
+                }
+            }
+        }
+        let failures: Vec<String> =
+            pscp_simnet::par::indexed_map(&cells, 0, |i, (name, protocol, broadcast, config)| {
+                counted_matches_full(*protocol, broadcast, join_at, config, i as u64)
+                    .err()
+                    .map(|e| format!("{name} on {}: {e}", broadcast.id.0))
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    #[test]
+    fn counted_capture_matches_at_arbitrary_join_times_and_keys() {
+        let population = Population::generate(PopulationConfig::medium(), &RngFactory::new(2016));
+        let configs = configs();
+        check_with(
+            Config::with_cases(24),
+            "counted_capture_matches_at_arbitrary_join_times_and_keys",
+            |g: &mut Gen| {
+                (g.choice(3), g.choice(configs.len()), g.u64(120..7000), g.f64(0.0..1.0), g.u64(..))
+            },
+            |&(protocol, config, join_s, rank, key)| {
+                let join_at = SimTime::from_secs(join_s);
+                let live = watchable(&population, join_at);
+                let Some(broadcast) = live.get((rank * live.len() as f64) as usize) else {
+                    return Ok(());
+                };
+                let (_, config, private) = &configs[config];
+                let broadcast = Broadcast { private: *private, ..(*broadcast).clone() };
+                counted_matches_full(PROTOCOLS[protocol], &broadcast, join_at, config, key)
+            },
+        );
+    }
 
     #[test]
     fn default_config_matches_paper_setup() {

@@ -33,10 +33,11 @@
 
 use crate::broadcaster::IngestTimeline;
 use crate::chat_client;
+use crate::downlink::{Arena, Recording, SendQueue, Tap};
 use crate::player::{run_playback, MediaArrival};
 use crate::retry::RetryPolicy;
 use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
-use pscp_media::capture::{Capture, FlowKind, Payload};
+use pscp_media::capture::FlowKind;
 use pscp_proto::srt::{
     self, seq_add, seq_distance, Caller, Listener, Packet, RecvEvent, RecvTracker, RetxEntry,
     RetxQueue,
@@ -46,7 +47,6 @@ use pscp_service::select::Protocol;
 use pscp_simnet::fault::{FaultRng, GilbertElliott, LinkFaults, LossConfig};
 use pscp_simnet::{DatagramLink, RngFactory, SimDuration, SimTime, WallClock};
 use pscp_workload::broadcast::Broadcast;
-use std::collections::HashMap;
 
 /// Small per-message gateway forwarding delay.
 const SERVER_FORWARD: SimDuration = SimDuration::from_millis(5);
@@ -88,6 +88,20 @@ pub fn run_traced(
     config: &SessionConfig,
     rngs: &RngFactory,
     trace: &mut pscp_obs::Trace,
+) -> SessionOutcome {
+    simulate(broadcast, join_at, config, rngs, trace, Recording::Full)
+}
+
+/// The session itself. With [`Recording::Counted`] the returned capture
+/// holds every packet's time and length but no bytes (DESIGN.md §10,
+/// "Uncaptured sessions"); every other field is what `Full` returns.
+pub(crate) fn simulate(
+    broadcast: &Broadcast,
+    join_at: SimTime,
+    config: &SessionConfig,
+    rngs: &RngFactory,
+    trace: &mut pscp_obs::Trace,
+    recording: Recording,
 ) -> SessionOutcome {
     // Common random numbers with the RTMP path (see module docs): the
     // broadcaster side replays the exact draws an RTMP session of this seed
@@ -172,7 +186,8 @@ pub fn run_traced(
             parent,
         );
         let waited = hs_start.saturating_since(join_at);
-        let mut outcome = crate::rtmp_session::run_traced(broadcast, hs_start, config, rngs, trace);
+        let mut outcome =
+            crate::rtmp_session::simulate(broadcast, hs_start, config, rngs, trace, recording);
         if let Some(j) = outcome.player.join_time {
             outcome.player.join_time = Some(j + waited);
         }
@@ -222,12 +237,15 @@ pub fn run_traced(
     // bootstrap, chat and pictures stay on the app's TCP connections (their
     // own queue — the gateway path is provisioned separately; app-path
     // losses surface as delay, exactly like the RTMP session). ---
-    let mut capture = Capture::new();
-    let flow_srt = capture.open_flow(FlowKind::Srt, format!("srt-{}", server.hostname()));
-    let flow_misc = capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
-    let flow_chat = capture.open_flow(FlowKind::Chat, "chatman.periscope.tv");
+    let mut tap = Tap::new(
+        &capture_clock,
+        LinkFaults::active(faults).then(|| LinkFaults::new(faults, rngs.seed(), "srt/app")),
+    );
+    let flow_srt = tap.capture.open_flow(FlowKind::Srt, format!("srt-{}", server.hostname()));
+    let flow_misc = tap.capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
+    let flow_chat = tap.capture.open_flow(FlowKind::Chat, "chatman.periscope.tv");
     let flow_pics =
-        config.chat_on.then(|| capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
+        config.chat_on.then(|| tap.capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
     let bottleneck = config.network.bottleneck_bps();
     let one_way_down =
         server.location().propagation_to(&config.network.location) + config.network.access_rtt / 2;
@@ -236,9 +254,6 @@ pub fn run_traced(
         rngs.seed(),
         "srt/link",
     );
-    let mut app_faults =
-        LinkFaults::active(faults).then(|| LinkFaults::new(faults, rngs.seed(), "srt/app"));
-    let mut flow_floor: HashMap<usize, SimTime> = HashMap::new();
 
     // Per-(seq, attempt) retransmission fate: a pure hash against the
     // chain's stationary loss rate, so fates are independent of how many
@@ -253,29 +268,12 @@ pub fn run_traced(
         FaultRng::new(retx_base ^ key.wrapping_mul(0x9e37_79b9_7f4a_7c15)).chance(p_retx_loss)
     };
 
-    // --- app-side TCP flows (bootstrap + chat + pictures), same model as
-    // the RTMP session: literal bytes in one arena, each send a range into
-    // it followed by a run of `pad` × `fill` that is never written out ---
-    struct Send {
-        at: SimTime,
-        flow: usize,
-        start: usize,
-        end: usize,
-        fill: u8,
-        pad: usize,
-    }
-    let mut sends: Vec<Send> = Vec::new();
-    let mut send_data: Vec<u8> = Vec::with_capacity(64 * 1024);
+    // --- app-side TCP flows (bootstrap + chat + pictures), same model and
+    // same queue as the RTMP session ---
+    let mut sends: SendQueue<()> = SendQueue::new(recording, 64 * 1024, 256);
     let overhead_bytes = pscp_simnet::dist::lognormal(&mut net_rng, (900_000f64).ln(), 0.7)
         .clamp(150_000.0, 4_000_000.0) as usize;
-    sends.push(Send {
-        at: join_at + config.network.access_rtt,
-        flow: flow_misc,
-        start: 0,
-        end: 0,
-        fill: 0,
-        pad: overhead_bytes,
-    });
+    sends.push(join_at + config.network.access_rtt, flow_misc, &[], 0, overhead_bytes, ());
     let bootstrap_done = join_at
         + config.network.access_rtt
         + SimDuration::from_secs_f64(overhead_bytes as f64 * 8.0 / bottleneck);
@@ -289,12 +287,9 @@ pub fn run_traced(
             },
             _ => continue,
         };
-        let start = send_data.len();
-        send_data.extend_from_slice(&ev.bytes.head);
-        let (fill, pad) = (ev.bytes.fill, ev.bytes.pad);
-        sends.push(Send { at, flow, start, end: send_data.len(), fill, pad });
+        sends.push(at, flow, &ev.bytes.head, ev.bytes.fill, ev.bytes.pad, ());
     }
-    sends.sort_by_key(|s| s.at);
+    sends.sort_by_time();
     let mtu = config.network.mtu.max(256);
 
     // --- gateway message schedule: video frames interleaved with audio in
@@ -310,7 +305,8 @@ pub fn run_traced(
         end: usize,
         meta: Option<Meta>,
     }
-    let mut bodies: Vec<u8> = Vec::with_capacity(
+    let mut bodies = Arena::new(
+        recording,
         video_in.iter().map(|f| f.frame.size).sum::<usize>()
             + audio_in.iter().map(|&(_, _, size)| size).sum::<usize>(),
     );
@@ -331,16 +327,14 @@ pub fn run_traced(
             if a_send >= end {
                 continue;
             }
-            let start = bodies.len();
-            bodies.resize(start + size, 0);
-            msg_list.push(Msg { at: a_send, start, end: bodies.len(), meta: None });
+            let body = bodies.extend_with(size, |bodies| bodies.resize(bodies.len() + size, 0));
+            msg_list.push(Msg { at: a_send, start: body.start, end: body.end, meta: None });
         }
-        let start = bodies.len();
-        f.frame.encode_into(&mut bodies);
+        let body = bodies.extend_with(f.frame.size, |bodies| f.frame.encode_into(bodies));
         msg_list.push(Msg {
             at: send_at,
-            start,
-            end: bodies.len(),
+            start: body.start,
+            end: body.end,
             meta: Some(Meta {
                 media_end_s: (f.frame.pts_ms - first_pts) as f64 / 1000.0 + frame_dur_s,
                 capture_wall_s: broadcaster_clock.read_exact(f.t_cap),
@@ -377,7 +371,8 @@ pub fn run_traced(
         Media(usize),
     }
     let payload_mtu = mtu.saturating_sub(srt::DATA_HEADER_BYTES).max(128);
-    let mut wire: Vec<u8> = Vec::with_capacity(
+    let mut wire = Arena::new(
+        recording,
         bodies.len() + (bodies.len() / payload_mtu + 2) * srt::DATA_HEADER_BYTES,
     );
     let mut records: Vec<(SimTime, usize, usize)> = Vec::new();
@@ -404,12 +399,14 @@ pub fn run_traced(
     schedule.sort_by_key(|&(at, _)| at);
 
     // Handshake capture: the two downstream control packets.
+    let mut control = Vec::new();
     for (pkt, at) in
         [(Packet::Control(cookie), hs_start + rtt), (Packet::Control(agreement), data_start)]
     {
-        let start = wire.len();
-        srt::encode_packet(&pkt, &mut wire);
-        records.push((at, start, wire.len()));
+        control.clear();
+        srt::encode_packet(&pkt, &mut control);
+        let pkt = wire.extend(&control);
+        records.push((at, pkt.start, pkt.end));
     }
 
     let mut n_data_packets: u64 = 0;
@@ -422,45 +419,31 @@ pub fn run_traced(
                 // A reliable app burst: chunks share the serializer with
                 // the media datagrams; losses surface as delay under the
                 // per-flow monotone floor, exactly like the RTMP session.
-                let send = &sends[*si];
-                let payload = Payload::run(&send_data[send.start..send.end], send.fill, send.pad);
-                for chunk in payload.chunks(mtu) {
-                    let Some(arr) = dglink.send_reliable(send.at, chunk.len()).time() else {
-                        continue;
-                    };
-                    let arr = match app_faults.as_mut() {
-                        Some(lf) => {
-                            let floor = flow_floor.entry(send.flow).or_insert(SimTime::ZERO);
-                            let a = (arr + lf.packet_extra()).max(*floor);
-                            *floor = a;
-                            a
-                        }
-                        None => arr,
-                    };
-                    let wall = capture_clock.read(arr, &mut clock_rng);
-                    capture.record(send.flow, arr, wall, chunk);
-                }
+                let send = sends.get(*si);
+                let link = dglink.reliable();
+                tap.transmit(link, send.at, send.flow, send.payload, mtu, &mut clock_rng);
                 continue;
             }
             WireItem::Media(mi) => *mi,
         };
         let m = &msg_list[msg_idx];
-        let body = &bodies[m.start..m.end];
-        let n_chunks = body.len().div_ceil(payload_mtu).max(1) as u32;
+        let body_len = m.end - m.start;
+        let n_chunks = body_len.div_ceil(payload_mtu).max(1) as u32;
         for ci in 0..n_chunks as usize {
-            let chunk = &body[ci * payload_mtu..body.len().min((ci + 1) * payload_mtu)];
+            let chunk = m.start + ci * payload_mtu..m.start + body_len.min((ci + 1) * payload_mtu);
             let seq = seq_add(initial_seq, pkts.len() as u32);
             // Data header + payload straight into the arena — the same
             // bytes `encode_packet` produces for an owned `DataPacket`,
             // without the per-packet payload Vec.
-            let start = wire.len();
-            wire.push(0); // TYPE_DATA
-            wire.extend_from_slice(&seq.to_be_bytes());
-            wire.extend_from_slice(&(m.at.as_micros() as u32).to_be_bytes());
-            wire.extend_from_slice(&(msg_idx as u32).to_be_bytes());
-            wire.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
-            wire.extend_from_slice(chunk);
-            let pkt_end = wire.len();
+            let pkt = wire.extend_with(srt::DATA_HEADER_BYTES + chunk.len(), |wire| {
+                wire.push(0); // TYPE_DATA
+                wire.extend_from_slice(&seq.to_be_bytes());
+                wire.extend_from_slice(&(m.at.as_micros() as u32).to_be_bytes());
+                wire.extend_from_slice(&(msg_idx as u32).to_be_bytes());
+                wire.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
+                wire.extend_from_slice(bodies.bytes(chunk.clone()));
+            });
+            let (start, pkt_end) = (pkt.start, pkt.end);
             pkts.push(PktInfo { msg: msg_idx as u32, start, end: pkt_end });
             retxq.push(RetxEntry { seq, bytes: pkt_end - start, origin_ts_us: m.at.as_micros() });
             n_data_packets += 1;
@@ -566,12 +549,12 @@ pub fn run_traced(
     // Flush the buffered datagram records into the capture in arrival
     // order (the flow index requires monotone times; datagrams reorder).
     records.sort_by_key(|&(at, _, _)| at);
-    capture.flows[flow_srt]
-        .reserve(records.iter().map(|&(_, s, e)| e - s).sum::<usize>(), records.len());
+    tap.capture.flows[flow_srt]
+        .reserve(records.iter().map(|&(_, s, e)| wire.literal_len(s..e)).sum(), records.len());
     for &(at, s, e) in &records {
-        let wall = capture_clock.read(at, &mut clock_rng);
-        capture.record(flow_srt, at, wall, &wire[s..e]);
+        tap.record(flow_srt, at, wire.payload(s..e, 0, 0), &mut clock_rng);
     }
+    let Tap { capture, faults: app_faults, .. } = tap;
 
     trace.count("srt", "data_packets", n_data_packets);
     if n_retransmits > 0 {

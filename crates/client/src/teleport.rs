@@ -26,16 +26,17 @@
 //! worker threads — each session only draws from its own `session/{i}` RNG
 //! namespace — and reassembles outcomes in plan order. Capture retention
 //! is *decided* during planning (protocol selection is a pure function of
-//! broadcast and join time) and *applied* inside each worker, so an
-//! uncapped capture is dropped the moment its session finishes: peak
-//! memory stays at the retained set plus one in-flight capture per worker,
-//! while output remains byte-identical to a serial run at any thread count.
+//! broadcast and join time), so a worker knows before a session starts
+//! whether anyone will read its capture: one that is not kept runs
+//! uncaptured ([`Teleport::run_one_uncaptured`]) and never produces a
+//! packet's bytes. Peak memory stays at the retained set, while output
+//! remains byte-identical to a serial run at any thread count.
 
 use crate::device::ViewerDevice;
+use crate::downlink::Recording;
 use crate::player::run_playback;
 use crate::retry::{classify, RetryClass, RetryPolicy};
 use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
-use crate::{hls_session, rtmp_session, srt_session};
 use pscp_obs::{Observer, PhaseSpan, Trace};
 use pscp_service::select::Protocol;
 use pscp_service::PeriscopeService;
@@ -147,6 +148,43 @@ impl<'a> Teleport<'a> {
         config: &SessionConfig,
         session_idx: u64,
         trace: &mut Trace,
+    ) -> SessionOutcome {
+        self.run_one_recording(broadcast, join_at, config, session_idx, trace, Recording::Full)
+    }
+
+    /// [`Teleport::run_one_traced`] for a caller that will not keep the
+    /// capture: the outcome's `capture` is empty, every other field and
+    /// everything recorded into `trace` is bit for bit the same, and the
+    /// session never produces a packet's bytes, only its time and length
+    /// (DESIGN.md §10, "Uncaptured sessions").
+    pub fn run_one_uncaptured(
+        &self,
+        broadcast: &Broadcast,
+        join_at: SimTime,
+        config: &SessionConfig,
+        session_idx: u64,
+        trace: &mut Trace,
+    ) -> SessionOutcome {
+        let mut outcome = self.run_one_recording(
+            broadcast,
+            join_at,
+            config,
+            session_idx,
+            trace,
+            Recording::Counted,
+        );
+        outcome.capture = pscp_media::capture::Capture::new();
+        outcome
+    }
+
+    fn run_one_recording(
+        &self,
+        broadcast: &Broadcast,
+        join_at: SimTime,
+        config: &SessionConfig,
+        session_idx: u64,
+        trace: &mut Trace,
+        recording: Recording,
     ) -> SessionOutcome {
         let access = self
             .service
@@ -289,11 +327,9 @@ impl<'a> Teleport<'a> {
         }
 
         let delay = join_eff.saturating_since(join_at);
-        let mut outcome = match protocol {
-            Protocol::Rtmp => rtmp_session::run_traced(broadcast, join_eff, config, &rngs, trace),
-            Protocol::Hls => hls_session::run_traced(broadcast, join_eff, config, &rngs, trace),
-            Protocol::Srt => srt_session::run_traced(broadcast, join_eff, config, &rngs, trace),
-        };
+        let mut outcome = crate::session::simulate(
+            protocol, broadcast, join_eff, config, &rngs, trace, recording,
+        );
         if delay > SimDuration::ZERO {
             // The retries happened before the stream view opened; the user's
             // join clock started at the original Teleport tap.
@@ -405,11 +441,10 @@ impl<'a> Teleport<'a> {
     /// order. The capture-retention cap is *decided* during planning
     /// (protocol selection is [`SelectionPolicy::choose`], a pure function
     /// of broadcast and join time, so the plan predicts exactly what
-    /// `run_one` will see) and *applied* in the worker the moment each
-    /// session finishes. Uncapped captures therefore never pile up waiting
-    /// for reassembly — peak memory is the retained set plus at most one
-    /// in-flight capture per worker, same as the serial path — and the
-    /// result is byte-identical to a serial run at any thread count.
+    /// `run_one` will see); sessions past the cap run through
+    /// [`Teleport::run_one_uncaptured`]. Uncapped captures therefore never
+    /// exist — peak memory is the retained set — and the result is
+    /// byte-identical to a serial run at any thread count.
     ///
     /// [`SelectionPolicy::choose`]: pscp_service::select::SelectionPolicy::choose
     pub fn run_dataset(&self, config: &TeleportConfig) -> Vec<SessionOutcome> {
@@ -479,14 +514,11 @@ impl<'a> Teleport<'a> {
         // below happens serially in plan order, never completion order.
         let work = |_: usize, p: &Planned<'_>| {
             let mut trace = obs.trace();
-            let mut outcome =
-                self.run_one_traced(p.broadcast, p.join_at, &p.session, p.idx, &mut trace);
-            if !p.keep_capture {
-                // The session still simulated its traffic (scalar metrics
-                // derive from it), but the multi-MB capture is released
-                // here, inside the worker, rather than after reassembly.
-                outcome.capture = pscp_media::capture::Capture::new();
-            }
+            // A session whose capture the plan does not keep still simulates
+            // its traffic (scalar metrics derive from it) but never produces
+            // the bytes.
+            let run = if p.keep_capture { Self::run_one_traced } else { Self::run_one_uncaptured };
+            let outcome = run(self, p.broadcast, p.join_at, &p.session, p.idx, &mut trace);
             (outcome, trace)
         };
         // Outcomes are pure functions of their plan entry, so the shard

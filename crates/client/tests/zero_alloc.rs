@@ -1,20 +1,22 @@
-//! Zero-allocation discipline of the steady-state RTMP packet pump.
+//! Allocation discipline of a viewing session.
 //!
 //! DESIGN.md §10 claims that once buffers are warm, pumping media —
 //! generate each frame body, chunk the FLV tags, packetize onto the link,
 //! record the capture, dechunk the arrivals — touches the heap zero times
-//! per packet, and that the broadcaster side of a session allocates a fixed
-//! number of times however many frames it encodes. This test registers the
-//! counting allocator (`pscp_obs::alloc_count`) as this binary's global
-//! allocator and falsifies either claim if a per-packet or per-frame
-//! allocation sneaks back in.
+//! per packet; that the broadcaster side of a session and the player
+//! allocate a fixed number of times however many frames they see; and that
+//! a session whose capture nobody reads allocates no body buffer at all.
+//! This test registers the counting allocator (`pscp_obs::alloc_count`) as
+//! this binary's global allocator and falsifies each claim if a per-packet,
+//! per-frame or per-arrival allocation — or a body buffer — sneaks back in.
 
 use pscp_media::bitstream::{FrameKind, FramePayload};
 use pscp_media::capture::{Flow, FlowKind};
 use pscp_media::flv::VideoTag;
 use pscp_obs::alloc_count::{self, CountingAlloc};
 use pscp_proto::rtmp::{Chunker, Dechunker, MessageRef, MessageType};
-use pscp_simnet::{Link, SimDuration, SimTime};
+use pscp_simnet::{GeoPoint, Link, SimDuration, SimTime};
+use pscp_workload::broadcast::{Broadcast, BroadcastId, DeviceProfile};
 use std::hint::black_box;
 
 #[global_allocator]
@@ -161,18 +163,9 @@ fn steady_state_rtmp_pump_is_allocation_free() {
     assert_eq!(allocs, 0, "steady-state pump allocated {allocs} times over {} packets", stats.0);
 }
 
-/// The broadcaster side of a push session — encoder, audio encoder, uplink,
-/// the two ingest timelines — allocates the same handful of times for 8 s
-/// of media as for 68 s: frames stay descriptors, and both timelines are
-/// sized up front.
-#[test]
-fn broadcaster_prologue_allocations_do_not_grow_with_frames() {
-    use pscp_client::broadcaster::IngestTimeline;
-    use pscp_client::uplink::UplinkConfig;
-    use pscp_simnet::{GeoPoint, RngFactory, WallClock};
-    use pscp_workload::broadcast::{Broadcast, BroadcastId, DeviceProfile};
-
-    let broadcast = Broadcast {
+/// A 25-viewer broadcast from Istanbul, live well around every session here.
+fn istanbul_broadcast() -> Broadcast {
+    Broadcast {
         id: BroadcastId(5),
         location: GeoPoint::new(41.01, 28.98),
         city: "Istanbul",
@@ -187,7 +180,20 @@ fn broadcaster_prologue_allocations_do_not_grow_with_frames() {
         location_public: true,
         viewer_seed: 5,
         target_bitrate_bps: 300_000.0,
-    };
+    }
+}
+
+/// The broadcaster side of a push session — encoder, audio encoder, uplink,
+/// the two ingest timelines — allocates the same handful of times for 8 s
+/// of media as for 68 s: frames stay descriptors, and both timelines are
+/// sized up front.
+#[test]
+fn broadcaster_prologue_allocations_do_not_grow_with_frames() {
+    use pscp_client::broadcaster::IngestTimeline;
+    use pscp_client::uplink::UplinkConfig;
+    use pscp_simnet::{RngFactory, WallClock};
+
+    let broadcast = istanbul_broadcast();
     // No uplink outages: their list is the one thing that legitimately
     // grows with the window.
     let uplink = UplinkConfig { outage_rate: 1e-9, ..Default::default() };
@@ -219,4 +225,73 @@ fn broadcaster_prologue_allocations_do_not_grow_with_frames() {
         "{long} allocations for {long_frames} frames, {short} for {short_frames}"
     );
     assert!(long <= 8, "prologue allocated {long} times");
+}
+
+/// The player's buffer walk allocates for its two output lists and nothing
+/// per arrival: played-through latency anchors are retired with a cursor,
+/// not by rebuilding the list.
+#[test]
+fn playback_allocations_do_not_grow_with_arrivals() {
+    use pscp_client::player::{run_playback, MediaArrival, PlayerConfig};
+
+    let allocs_for = |n: u64| {
+        // Media arrives 2 s ahead of real time over the whole session, every
+        // arrival stamped: each one pushes an anchor and plays through one.
+        let step_us = 60_000_000 / n;
+        let arrivals: Vec<MediaArrival> = (0..n)
+            .map(|i| MediaArrival {
+                at: SimTime::from_micros(i * step_us),
+                media_end_s: (i * step_us) as f64 / 1e6 + 2.0,
+                capture_wall_s: Some((i * step_us) as f64 / 1e6 - 0.5),
+            })
+            .collect();
+        let (allocs, log) = alloc_count::counted(|| {
+            run_playback(SimTime::ZERO, SimDuration::from_secs(60), PlayerConfig::rtmp(), &arrivals)
+        });
+        assert!(log.latency_samples.len() as u64 > n * 9 / 10, "{}", log.latency_samples.len());
+        allocs
+    };
+    let (few, many) = (allocs_for(500), allocs_for(2000));
+    assert!(alloc_count::installed());
+    assert_eq!(many, few, "{many} allocations for 2000 arrivals, {few} for 500");
+    assert!(many <= 3, "playback allocated {many} times");
+}
+
+/// A whole default 60 s RTMP session, both ways. The allocation counts pin
+/// what is left per session (chat events, the send queue, the capture
+/// index); the *bytes* pin is the one that fails if a frame body buffer
+/// sneaks back into a session whose capture nobody reads.
+#[test]
+fn whole_session_allocations_are_pinned_in_both_modes() {
+    use pscp_client::session::{run_uncaptured, SessionConfig};
+    use pscp_client::{rtmp_session, SessionOutcome};
+    use pscp_service::select::Protocol;
+    use pscp_simnet::RngFactory;
+
+    let broadcast = istanbul_broadcast();
+    let config = SessionConfig::default();
+    let rngs = RngFactory::new(9).child("whole-session");
+    let join_at = SimTime::from_secs(400);
+    let measure = |run: &dyn Fn() -> SessionOutcome| {
+        let (bytes, (allocs, outcome)) = alloc_count::counted_bytes(|| alloc_count::counted(run));
+        assert!(outcome.join_time_s().is_some());
+        (allocs, bytes)
+    };
+    let (full_allocs, full_bytes) =
+        measure(&|| rtmp_session::run(&broadcast, join_at, &config, &rngs));
+    let (allocs, bytes) = measure(&|| {
+        let mut trace = pscp_obs::Trace::disabled();
+        run_uncaptured(Protocol::Rtmp, &broadcast, join_at, &config, &rngs, &mut trace)
+    });
+    assert!(alloc_count::installed());
+    // Measured: full 3,402 allocations / 7,542,848 bytes (the send arena
+    // and the capture arena, once each); uncaptured 3,397 / 1,764,950. Each
+    // pinned at + 10 %.
+    let report = format!(
+        "full {full_allocs} allocations / {full_bytes} bytes, \
+         uncaptured {allocs} allocations / {bytes} bytes"
+    );
+    assert!(full_allocs <= 3_742 && allocs <= 3_737, "{report}");
+    assert!(bytes <= 1_941_445, "{report}");
+    assert!(bytes * 3 <= full_bytes, "{report}");
 }

@@ -29,7 +29,7 @@
 //!    viewer posts from their home city are computed inside the arrival's
 //!    own work item; nothing is exchanged between items.
 //! 3. **One thread folds, in list order.** A work item returns a few
-//!    words per session (the capture is dropped in the worker); the caller
+//!    words per session (sessions run uncaptured: no capture exists); the caller
 //!    folds them in arrival order whatever order they finished in, so even
 //!    the float moments of [`QoeTelemetry`] see one fixed sequence.
 //!    [`ShardStats`] still merges exactly (`u64` counters and
@@ -643,7 +643,7 @@ impl<'a> Engine<'a> {
 
     /// Executes one session joining `b` somewhere in minute `m` while it is
     /// still live (with a second to spare); `None` if no such instant is
-    /// left. The capture is dropped here, in the worker.
+    /// left. Nothing here reads a capture, so the session runs uncaptured.
     fn run_session(&self, b: &Broadcast, m: usize, key: u64) -> Option<SessionDelta> {
         let minute_start = SimTime::from_secs(m as u64 * 60);
         let minute_end = SimTime::from_secs(m as u64 * 60 + 60);
@@ -657,7 +657,13 @@ impl<'a> Engine<'a> {
         let join_at = SimTime::from_micros(
             lo.as_micros() + (span_us as f64 * unit(mix(key ^ 0x0010_ca7e))) as u64,
         );
-        let sample = SessionSample::of(&self.tp.run_one(b, join_at, &self.cfg.session, key));
+        let sample = SessionSample::of(&self.tp.run_one_uncaptured(
+            b,
+            join_at,
+            &self.cfg.session,
+            key,
+            &mut pscp_obs::Trace::disabled(),
+        ));
 
         // Chat fan-in: the viewer posts from their home city into the
         // broadcast's room, at the configured rate with stochastic rounding.

@@ -27,6 +27,9 @@ pub struct VideoTag {
 }
 
 impl VideoTag {
+    /// Bytes [`VideoTag::write_header`] puts before the coded frame.
+    pub const HEADER_LEN: usize = 5;
+
     /// Wraps an encoded frame into a tag body.
     pub fn for_frame(frame: FramePayload) -> VideoTag {
         let keyframe = frame.kind == FrameKind::I;
@@ -38,7 +41,7 @@ impl VideoTag {
 
     /// Encodes the tag body (header + frame bytes).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(5 + self.frame.size);
+        let mut out = Vec::with_capacity(Self::HEADER_LEN + self.frame.size);
         Self::write_header(self.keyframe, self.composition_ms, &mut out);
         self.frame.encode_into(&mut out);
         out
@@ -85,9 +88,12 @@ pub struct AudioTag {
 }
 
 impl AudioTag {
+    /// Bytes [`AudioTag::encode_into`] puts before the opaque payload.
+    pub const HEADER_LEN: usize = 2;
+
     /// Encodes an AAC raw-data tag body with `payload_len` opaque bytes.
     pub fn encode(payload_len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 + payload_len);
+        let mut out = Vec::with_capacity(Self::HEADER_LEN + payload_len);
         Self::encode_into(payload_len, &mut out);
         out
     }

@@ -272,60 +272,72 @@ impl Chunker {
     /// Zero-copy variant of [`Chunker::write`]: chunks a borrowed payload
     /// into the caller-provided buffer without owning the message.
     pub fn write_ref(&mut self, msg: MessageRef<'_>, out: &mut Vec<u8>) {
+        self.frame(msg.chunk_stream_id, msg.timestamp, msg.kind, msg.stream_id, msg.payload.len())
+            .write(msg.payload, out);
+        if msg.kind == MessageType::SetChunkSize && msg.payload.len() >= 4 {
+            let size = u32::from_be_bytes(msg.payload[..4].try_into().expect("4 bytes")) as usize;
+            self.chunk_size = size.max(1);
+        }
+    }
+
+    /// Decides the chunk framing of a message with a `len`-byte payload and
+    /// advances the chunk stream's state past it — everything
+    /// [`Chunker::write_ref`] does short of touching payload bytes, so a
+    /// caller that only needs the on-wire length ([`Framing::wire_len`])
+    /// never has to produce them. A `SetChunkSize` message must go through
+    /// `write`/`write_ref`: its payload is what changes the chunk size.
+    pub fn frame(
+        &mut self,
+        chunk_stream_id: u8,
+        timestamp: u32,
+        kind: MessageType,
+        stream_id: u32,
+        len: usize,
+    ) -> Framing {
         assert!(
-            (2..=63).contains(&msg.chunk_stream_id),
+            (2..=63).contains(&chunk_stream_id),
             "only basic-header chunk stream ids 2..=63 are supported"
         );
-        let cs = &mut self.state[msg.chunk_stream_id as usize];
+        let cs = &mut self.state[chunk_stream_id as usize];
         // Decide header format: fmt1 when only type/len/timestamp-delta
         // change on the same stream id, fmt0 otherwise. (fmt2/fmt3 encoding
         // is a compression nicety; fmt0/fmt1 keep the encoder simple and any
         // compliant decoder — including ours — handles them.)
-        let use_fmt1 =
-            cs.kind.is_some() && cs.stream_id == msg.stream_id && msg.timestamp >= cs.timestamp;
-        let ext_ts = msg.timestamp >= 0xFF_FFFF;
-        out.reserve(12 + msg.payload.len() + msg.payload.len() / self.chunk_size);
+        let use_fmt1 = cs.kind.is_some() && cs.stream_id == stream_id && timestamp >= cs.timestamp;
+        let mut header = [0u8; MAX_HEADER];
+        let mut n = 0;
+        let mut put = |bytes: &[u8]| {
+            header[n..n + bytes.len()].copy_from_slice(bytes);
+            n += bytes.len();
+        };
         if use_fmt1 {
-            let delta = msg.timestamp - cs.timestamp;
+            let delta = timestamp - cs.timestamp;
             let ext = delta >= 0xFF_FFFF;
-            out.push((1 << 6) | msg.chunk_stream_id);
-            push_u24(out, if ext { 0xFF_FFFF } else { delta });
-            push_u24(out, msg.payload.len() as u32);
-            out.push(msg.kind.id());
+            put(&[(1 << 6) | chunk_stream_id]);
+            put(&u24(if ext { 0xFF_FFFF } else { delta }));
+            put(&u24(len as u32));
+            put(&[kind.id()]);
             if ext {
-                out.extend_from_slice(&delta.to_be_bytes());
+                put(&delta.to_be_bytes());
             }
         } else {
-            out.push(msg.chunk_stream_id); // fmt 0
-            push_u24(out, if ext_ts { 0xFF_FFFF } else { msg.timestamp });
-            push_u24(out, msg.payload.len() as u32);
-            out.push(msg.kind.id());
-            out.extend_from_slice(&msg.stream_id.to_le_bytes());
-            if ext_ts {
-                out.extend_from_slice(&msg.timestamp.to_be_bytes());
+            let ext = timestamp >= 0xFF_FFFF;
+            put(&[chunk_stream_id]); // fmt 0
+            put(&u24(if ext { 0xFF_FFFF } else { timestamp }));
+            put(&u24(len as u32));
+            put(&[kind.id()]);
+            put(&stream_id.to_le_bytes());
+            if ext {
+                put(&timestamp.to_be_bytes());
             }
         }
-        *cs = CsState {
-            timestamp: msg.timestamp,
-            length: msg.payload.len(),
-            kind: Some(msg.kind),
-            stream_id: msg.stream_id,
-        };
-        // Payload, split at chunk_size with fmt3 continuation headers.
-        let mut off = 0;
-        let mut first = true;
-        while off < msg.payload.len() || (first && msg.payload.is_empty()) {
-            if !first {
-                out.push((3 << 6) | msg.chunk_stream_id);
-            }
-            let take = (msg.payload.len() - off).min(self.chunk_size);
-            out.extend_from_slice(&msg.payload[off..off + take]);
-            off += take;
-            first = false;
-        }
-        if msg.kind == MessageType::SetChunkSize && msg.payload.len() >= 4 {
-            let size = u32::from_be_bytes(msg.payload[..4].try_into().expect("4 bytes")) as usize;
-            self.chunk_size = size.max(1);
+        *cs = CsState { timestamp, length: len, kind: Some(kind), stream_id };
+        Framing {
+            header,
+            header_len: n as u8,
+            chunk_stream_id,
+            chunk_size: self.chunk_size,
+            payload_len: len,
         }
     }
 
@@ -336,6 +348,45 @@ impl Chunker {
             self.write(m, &mut out);
         }
         out
+    }
+}
+
+/// Longest message header: fmt0 basic + message header + extended
+/// timestamp.
+const MAX_HEADER: usize = 1 + 11 + 4;
+
+/// The chunk framing [`Chunker::frame`] decided for one message: its header
+/// bytes and where the fmt3 continuation headers fall.
+#[derive(Debug, Clone, Copy)]
+pub struct Framing {
+    header: [u8; MAX_HEADER],
+    header_len: u8,
+    chunk_stream_id: u8,
+    chunk_size: usize,
+    payload_len: usize,
+}
+
+impl Framing {
+    /// On-wire length of the chunked message: header, payload, and one
+    /// continuation header per chunk after the first.
+    pub fn wire_len(&self) -> usize {
+        let continuations = self.payload_len.saturating_sub(1) / self.chunk_size;
+        self.header_len as usize + self.payload_len + continuations
+    }
+
+    /// Appends the chunked message to `out`. `payload` is the body the
+    /// framing was decided for.
+    pub fn write(&self, payload: &[u8], out: &mut Vec<u8>) {
+        assert_eq!(payload.len(), self.payload_len, "framing was decided for another length");
+        out.reserve(self.wire_len());
+        out.extend_from_slice(&self.header[..self.header_len as usize]);
+        // Payload, split at chunk_size with fmt3 continuation headers.
+        let mut chunks = payload.chunks(self.chunk_size);
+        out.extend_from_slice(chunks.next().unwrap_or(&[]));
+        for chunk in chunks {
+            out.push((3 << 6) | self.chunk_stream_id);
+            out.extend_from_slice(chunk);
+        }
     }
 }
 
@@ -585,9 +636,9 @@ impl Dechunker {
     }
 }
 
-fn push_u24(out: &mut Vec<u8>, v: u32) {
+fn u24(v: u32) -> [u8; 3] {
     debug_assert!(v <= 0xFF_FFFF);
-    out.extend_from_slice(&[(v >> 16) as u8, (v >> 8) as u8, v as u8]);
+    [(v >> 16) as u8, (v >> 8) as u8, v as u8]
 }
 
 fn read_u24(bytes: &[u8]) -> u32 {

@@ -674,6 +674,75 @@ fn rtmp_chunker_matches_reference_bytes() {
     );
 }
 
+/// `Chunker::frame` is `write_ref` without the payload: over any message
+/// sequence — extended timestamps, empty payloads, lengths on either side of
+/// the chunk size, mid-stream `SetChunkSize` — its `wire_len` is exactly
+/// what `write_ref` appends, and the chunker it leaves behind encodes every
+/// later message the same.
+#[test]
+fn rtmp_framing_sizes_what_write_ref_writes() {
+    check_with(
+        Config::with_cases(96),
+        "rtmp_framing_sizes_what_write_ref_writes",
+        |g: &mut Gen| {
+            g.vec(1..32, |g| {
+                let head = arb_message_with_resize(g);
+                // Payload length class: 0, chunk size − 1 / ± 0 / + 1, two
+                // chunks and a byte, or whatever the message came with.
+                (head, g.choice(8))
+            })
+        },
+        |msgs| {
+            let mut writer = Chunker::new();
+            let mut sizer = Chunker::new();
+            let mut wire = Vec::new();
+            for (m, class) in msgs {
+                if m.kind == MessageType::SetChunkSize {
+                    // Its payload is the new size: both sides must write it.
+                    writer.write_ref(m.as_ref(), &mut wire);
+                    sizer.write_ref(m.as_ref(), &mut Vec::new());
+                    continue;
+                }
+                let cs = writer.chunk_size();
+                let len = match class {
+                    0 => 0,
+                    1 => cs - 1,
+                    2 => cs,
+                    3 => cs + 1,
+                    4 => 2 * cs + 1,
+                    _ => m.payload.len(),
+                };
+                let m = Message { payload: vec![0x5a; len], ..m.clone() };
+                let before = wire.len();
+                writer.write_ref(m.as_ref(), &mut wire);
+                let sized = sizer
+                    .frame(m.chunk_stream_id, m.timestamp, m.kind, m.stream_id, len)
+                    .wire_len();
+                ensure_eq!(sized, wire.len() - before);
+            }
+            ensure_eq!(writer.chunk_size(), sizer.chunk_size());
+            // Same state on every chunk stream: a probe that may take the
+            // fmt1 path (same stream id, later timestamp) encodes alike.
+            for csid in 2..=63u8 {
+                for (timestamp, stream_id) in [(0x0300_0000, 1), (5, 0)] {
+                    let probe = Message {
+                        chunk_stream_id: csid,
+                        timestamp,
+                        kind: MessageType::Video,
+                        stream_id,
+                        payload: vec![1, 2, 3],
+                    };
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    writer.write_ref(probe.as_ref(), &mut a);
+                    sizer.write_ref(probe.as_ref(), &mut b);
+                    ensure_eq!(a, b);
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
 // -------------------------------------------------------------------- SRT
 //
 // Serial sequence arithmetic and the compressed-range NAK lists are the

@@ -20,8 +20,11 @@ use pscp_simnet::{SimDuration, SimTime};
 pub struct Segment {
     /// Media sequence number.
     pub seq: u64,
-    /// Complete MPEG-TS bytes.
+    /// Complete MPEG-TS bytes (empty from a [`Segmenter::lengths_only`]
+    /// segmenter).
     pub bytes: Vec<u8>,
+    /// Size of the complete MPEG-TS segment in bytes.
+    pub len: usize,
     /// Media duration in seconds.
     pub duration_s: f64,
     /// PTS of the segment's last video frame in presentation order (what
@@ -61,14 +64,13 @@ impl Default for SegmenterConfig {
     }
 }
 
-/// One access unit of the in-progress segment: its bytes are
-/// `arena[start..end]`.
+/// One access unit of the in-progress segment: `len` bytes, the next ones
+/// in the arena when bytes are kept.
 #[derive(Debug, Clone, Copy)]
 struct PendingUnit {
     video: bool,
     pts_ms: u32,
-    start: usize,
-    end: usize,
+    len: usize,
 }
 
 /// Streaming segmenter: feed frames as they reach the ingest server, pop
@@ -78,9 +80,11 @@ pub struct Segmenter {
     config: SegmenterConfig,
     muxer: TsMuxer,
     playlist: MediaPlaylist,
+    /// Whether segments carry their bytes, or only their length.
+    keep_bytes: bool,
     /// Access-unit bytes of the in-progress segment, back to back. Cleared
     /// (capacity kept) at every cut, so a frame body is written here once
-    /// and read once, by the muxer.
+    /// and read once, by the muxer. Stays empty when only lengths are kept.
     arena: Vec<u8>,
     pending: Vec<PendingUnit>,
     pending_first_pts: Option<u32>,
@@ -98,6 +102,7 @@ impl Segmenter {
             config,
             muxer: TsMuxer::new(),
             playlist: MediaPlaylist::new(6),
+            keep_bytes: true,
             arena: Vec::new(),
             pending: Vec::new(),
             pending_first_pts: None,
@@ -107,6 +112,14 @@ impl Segmenter {
         }
     }
 
+    /// A segmenter for a caller that will never read segment bytes: units
+    /// are accounted by length, nothing is written or muxed, and every
+    /// [`Segment`] has empty `bytes` and the `len`, timing and playlist the
+    /// byte path gives it.
+    pub fn lengths_only(config: SegmenterConfig) -> Self {
+        Segmenter { keep_bytes: false, ..Segmenter::new(config) }
+    }
+
     /// Feeds one video frame arriving at the packager at `arrival`.
     ///
     /// A segment is cut when an I frame arrives after at least
@@ -114,7 +127,7 @@ impl Segmenter {
     /// requires independently decodable segments) regardless of the GOP
     /// pattern, including intra-only streams where *every* frame is an I.
     pub fn push_frame(&mut self, frame: &EncodedFrame, arrival: SimTime) {
-        self.video(frame.kind, frame.pts_ms, arrival, |arena| {
+        self.video(frame.kind, frame.pts_ms, arrival, frame.bytes.len(), |arena| {
             arena.extend_from_slice(&frame.bytes)
         });
     }
@@ -122,27 +135,28 @@ impl Segmenter {
     /// [`Segmenter::push_frame`] for a frame that is still a descriptor: its
     /// body is generated straight into the segment arena.
     pub fn push_payload(&mut self, frame: FramePayload, arrival: SimTime) {
-        self.video(frame.kind, frame.pts_ms, arrival, |arena| frame.encode_into(arena));
+        self.video(frame.kind, frame.pts_ms, arrival, frame.size, |arena| frame.encode_into(arena));
     }
 
     /// Feeds an audio frame.
     pub fn push_audio(&mut self, pts_ms: u32, data: Vec<u8>) {
-        self.append(false, pts_ms, |arena| arena.extend_from_slice(&data));
+        self.append(false, pts_ms, data.len(), |arena| arena.extend_from_slice(&data));
     }
 
     /// [`Segmenter::push_audio`] for the opaque model audio body: `n` bytes
     /// of `0xAA`, written in place.
     pub fn push_audio_fill(&mut self, pts_ms: u32, n: usize) {
-        self.append(false, pts_ms, |arena| arena.resize(arena.len() + n, 0xAA));
+        self.append(false, pts_ms, n, |arena| arena.resize(arena.len() + n, 0xAA));
     }
 
-    /// The cut rule, then the append, for a video frame whose body `write`
-    /// produces.
+    /// The cut rule, then the append, for a video frame whose `len`-byte
+    /// body `write` produces.
     fn video(
         &mut self,
         kind: FrameKind,
         pts_ms: u32,
         arrival: SimTime,
+        len: usize,
         write: impl FnOnce(&mut Vec<u8>),
     ) {
         let pending_ms =
@@ -158,14 +172,19 @@ impl Segmenter {
         } else {
             self.pending_first_pts = Some(pts_ms);
         }
-        self.append(true, pts_ms, write);
+        self.append(true, pts_ms, len, write);
     }
 
-    /// The one place a unit joins the in-progress segment.
-    fn append(&mut self, video: bool, pts_ms: u32, write: impl FnOnce(&mut Vec<u8>)) {
-        let start = self.arena.len();
-        write(&mut self.arena);
-        self.pending.push(PendingUnit { video, pts_ms, start, end: self.arena.len() });
+    /// The one place a unit joins the in-progress segment: its `len` bytes
+    /// are written by `write` if segments keep their bytes, and only
+    /// counted otherwise.
+    fn append(&mut self, video: bool, pts_ms: u32, len: usize, write: impl FnOnce(&mut Vec<u8>)) {
+        if self.keep_bytes {
+            let start = self.arena.len();
+            write(&mut self.arena);
+            debug_assert_eq!(self.arena.len() - start, len, "unit length mis-stated");
+        }
+        self.pending.push(PendingUnit { video, pts_ms, len });
     }
 
     /// Flushes the in-progress segment (end of broadcast).
@@ -193,24 +212,28 @@ impl Segmenter {
         let tail_ms =
             if n_video >= 2 { span_ms / (n_video - 1) as f64 } else { self.last_pts_delta_ms };
         let duration_s = (span_ms + tail_ms) / 1000.0;
-        // Allocated once, exactly.
-        let mut bytes =
-            Vec::with_capacity(TsMuxer::segment_len(self.pending.iter().map(|u| u.end - u.start)));
-        let arena = &self.arena;
-        self.muxer.mux_into(
-            self.pending.iter().map(|u| TsUnitRef {
-                video: u.video,
-                pts_ms: u.pts_ms,
-                data: &arena[u.start..u.end],
-            }),
-            &mut bytes,
-        );
+        let len = TsMuxer::segment_len(self.pending.iter().map(|u| u.len));
+        let mut bytes = Vec::new();
+        if self.keep_bytes {
+            // Allocated once, exactly.
+            bytes = Vec::with_capacity(len);
+            let mut rest = self.arena.as_slice();
+            self.muxer.mux_into(
+                self.pending.iter().map(|u| {
+                    let (data, tail) = rest.split_at(u.len);
+                    rest = tail;
+                    TsUnitRef { video: u.video, pts_ms: u.pts_ms, data }
+                }),
+                &mut bytes,
+            );
+            debug_assert_eq!(bytes.len(), len);
+            self.arena.clear();
+        }
         self.pending.clear();
-        self.arena.clear();
         let seq = self.next_seq;
         self.next_seq += 1;
         let available_at = arrival + self.config.packaging_delay;
-        let segment = Segment { seq, bytes, duration_s, last_video_pts_ms, available_at };
+        let segment = Segment { seq, bytes, len, duration_s, last_video_pts_ms, available_at };
         self.playlist.push_segment(
             SegmentEntry { duration_s, uri: segment.uri() },
             self.config.playlist_window,

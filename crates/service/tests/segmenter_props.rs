@@ -92,7 +92,10 @@ fn through_wrappers(feed: &[Tick]) -> Segmenter {
 }
 
 fn through_direct_pushes(feed: &[Tick]) -> Segmenter {
-    let mut seg = Segmenter::new(SegmenterConfig::default());
+    direct_pushes_into(Segmenter::new(SegmenterConfig::default()), feed)
+}
+
+fn direct_pushes_into(mut seg: Segmenter, feed: &[Tick]) -> Segmenter {
     for tick in feed {
         if let Some(f) = &tick.frame {
             seg.push_payload(f.clone(), tick.arrival);
@@ -134,6 +137,57 @@ fn arena_segments_equal_muxing_owned_units() {
                         "{path}: segment {i} over- or under-allocated"
                     );
                 }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// A lengths-only segmenter cuts the same segments as the byte path — same
+/// sequence numbers, durations, availability, last video PTS and playlist —
+/// and states for each the length the byte path's segment has, without
+/// holding a byte of it.
+#[test]
+fn lengths_only_segments_are_the_byte_path_minus_the_bytes() {
+    check(
+        "lengths_only_segments_are_the_byte_path_minus_the_bytes",
+        |g: &mut Gen| {
+            let drop_prob = if g.bool() { 0.0 } else { g.f64(0.0..0.3) };
+            (g.u64(..), g.choice(3), drop_prob, g.usize(1..400), g.usize(1..5))
+        },
+        |&(seed, gop, drop_prob, n_frames, audio_every)| {
+            let feed = feed(seed, GOPS[gop], drop_prob, n_frames, audio_every);
+            let full = through_direct_pushes(&feed);
+            let sized =
+                direct_pushes_into(Segmenter::lengths_only(SegmenterConfig::default()), &feed);
+            ensure!(
+                full.segments().len() == sized.segments().len(),
+                "{} segments, not {}",
+                sized.segments().len(),
+                full.segments().len()
+            );
+            for (f, s) in full.segments().iter().zip(sized.segments()) {
+                ensure!(f.len == f.bytes.len(), "seq {}: len is not the byte count", f.seq);
+                ensure!(s.bytes.is_empty(), "seq {}: a lengths-only segment holds bytes", s.seq);
+                ensure!(
+                    (s.seq, s.len, s.duration_s.to_bits(), s.available_at, s.last_video_pts_ms)
+                        == (
+                            f.seq,
+                            f.len,
+                            f.duration_s.to_bits(),
+                            f.available_at,
+                            f.last_video_pts_ms
+                        ),
+                    "seq {}: {s:?} differs from the byte path",
+                    f.seq
+                );
+            }
+            for secs in [0, 3, 6, 9, 14] {
+                let at = SimTime::from_secs(secs);
+                ensure!(
+                    full.playlist_at(at).render() == sized.playlist_at(at).render(),
+                    "playlist differs at {secs} s"
+                );
             }
             Ok(())
         },

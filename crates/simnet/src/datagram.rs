@@ -89,7 +89,7 @@ impl DatagramLink {
         &self.link
     }
 
-    /// Offers a *reliable-transport* segment to the same serializer.
+    /// The same serializer as a *reliable-transport* path.
     ///
     /// The viewer's app traffic (bootstrap, chat, pictures) rides TCP
     /// connections that share the access bottleneck with the datagram
@@ -98,8 +98,8 @@ impl DatagramLink {
     /// reliable path's loss-as-delay discipline
     /// ([`LinkFaults::packet_extra`]) is applied by the caller, keeping the
     /// datagram Gilbert–Elliott chain's per-packet draw count fixed.
-    pub fn send_reliable(&mut self, now: SimTime, bytes: usize) -> Delivery {
-        self.link.enqueue(now, bytes)
+    pub fn reliable(&mut self) -> &mut Link {
+        &mut self.link
     }
 
     /// Fault counters, when the fault layer is attached: `(lost, spiked)`.
@@ -173,7 +173,7 @@ mod tests {
         let mut dg = DatagramLink::unbounded(8e6, SimDuration::ZERO);
         let mut raw = Link::unbounded(8e6, SimDuration::ZERO);
         let t0 = SimTime::from_millis(1);
-        assert_eq!(dg.send_reliable(t0, 10_000).time(), raw.enqueue(t0, 10_000).time());
+        assert_eq!(dg.reliable().enqueue(t0, 10_000).time(), raw.enqueue(t0, 10_000).time());
         assert_eq!(dg.send(t0, 1000).time(), raw.enqueue(t0, 1000).time());
     }
 
