@@ -14,8 +14,6 @@
 //! repro --scale medium export <dir>   # CSV dumps for external plotting
 //! repro bench                     # time 1-thread vs N-thread generation
 //! repro bench-components          # hot-path micro-benches → BENCH_components.json
-//! repro bench-figures             # per-experiment timing → BENCH_figures.json
-//! repro bench-ablations           # ablation sweep timing → BENCH_ablations.json
 //! repro trace                     # traced run → TRACE_events.jsonl + TRACE_chrome.json
 //! repro metrics                   # traced run → TRACE_metrics.json + TRACE_metrics.prom
 //! repro slo                       # traced run → SLO_report.json (paper-derived SLOs)
@@ -89,14 +87,6 @@ fn main() {
     }
     if targets.iter().any(|t| t == "bench-components") {
         println!("{}", pscp_bench::micro::bench_components(seed));
-        return;
-    }
-    if targets.iter().any(|t| t == "bench-figures") {
-        println!("{}", pscp_bench::micro::bench_figures(seed));
-        return;
-    }
-    if targets.iter().any(|t| t == "bench-ablations") {
-        println!("{}", pscp_bench::micro::bench_ablations(seed));
         return;
     }
     if targets.iter().any(|t| t == "chaos") {
@@ -366,14 +356,6 @@ fn main() {
         println!(
             "{:<16} {:<18} hot-path micro-benches (BENCH_components.json)",
             "bench-components", "perf"
-        );
-        println!(
-            "{:<16} {:<18} per-experiment regeneration timing (BENCH_figures.json)",
-            "bench-figures", "perf"
-        );
-        println!(
-            "{:<16} {:<18} ablation sweep timing (BENCH_ablations.json)",
-            "bench-ablations", "perf"
         );
         println!(
             "{:<16} {:<18} traced run: event log + Chrome trace (TRACE_events.jsonl, TRACE_chrome.json)",
@@ -897,8 +879,8 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--scale small|medium|paper|planet] [--seed N] \
-         <ids...|all|list|bench|bench-components|bench-figures|bench-ablations|\
-         bench-diff <old> <new>|trace|metrics|slo|explain <unit>|\
+         <ids...|all|list|bench|bench-components|bench-diff <old> <new>|\
+         trace|metrics|slo|explain <unit>|\
          chaos [--sessions N] [--transports rtmp,hls,srt,auto]|\
          watch [--once|--batches N] [--batch-sessions N] [--transport rtmp|hls|srt|auto] \
          [--fail-on-violation]|\

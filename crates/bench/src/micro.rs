@@ -1,16 +1,13 @@
 //! Micro-benchmarks on the phase-span harness.
 //!
-//! These replace the former criterion benches (`components`, `figures`,
-//! `ablations`) with a dependency-free timing loop: each bench body runs
-//! under a [`pscp_obs::Observer`] phase span, iteration counts are
-//! auto-calibrated to a per-bench time budget (`PSCP_BENCH_SECS`, default
-//! 0.2 s), and every suite writes a `BENCH_<suite>.json` artifact in the
-//! same phase-span JSON format `repro bench` uses for
-//! `BENCH_parallel.json`. Beyond performance tracking, the `figures` suite
-//! doubles as a continuously-exercised guarantee that every figure still
-//! regenerates.
+//! A dependency-free timing loop for the component benches: each bench
+//! body runs under a [`pscp_obs::Observer`] phase span, iteration counts
+//! are auto-calibrated to a per-bench time budget (`PSCP_BENCH_SECS`,
+//! default 0.2 s), and the suite writes a `BENCH_<suite>.json` artifact in
+//! the same phase-span JSON format `repro bench` uses for
+//! `BENCH_parallel.json`. (That every figure still regenerates is
+//! `tests/experiments_smoke.rs`'s job.)
 
-use pscp_core::{experiments, Lab, LabConfig};
 use pscp_obs::Observer;
 use std::hint::black_box;
 use std::time::Instant;
@@ -439,8 +436,7 @@ pub fn bench_components(seed: u64) -> String {
     }
 
     {
-        use pscp_client::rtmp_session;
-        use pscp_client::session::{run_uncaptured, SessionConfig};
+        use pscp_client::session::{run, run_uncaptured, SessionConfig};
         use pscp_media::audio::AudioBitrate;
         use pscp_obs::Trace;
         use pscp_service::select::Protocol;
@@ -462,110 +458,45 @@ pub fn bench_components(seed: u64) -> String {
             viewer_seed: 5,
             target_bitrate_bps: 300_000.0,
         };
-        // Nominal throughput denominator: the capture size of one
-        // representative run (per-seed variation is ~1%, fine for a MB/s
-        // indicator).
-        let nominal_bytes = rtmp_session::run(
-            &broadcast,
-            SimTime::from_secs(400),
-            &SessionConfig::default(),
-            &RngFactory::new(1).child("bench-session"),
-        )
-        .capture
-        .total_bytes() as u64;
-        let mut i = 0u64;
-        suite.run("session/rtmp 60s end-to-end", Some(nominal_bytes), || {
-            i += 1;
-            let rngs = RngFactory::new(i).child("bench-session");
-            rtmp_session::run(&broadcast, SimTime::from_secs(400), &SessionConfig::default(), &rngs)
-                .capture
-                .total_bytes() as u64
-        });
-
-        // Each `end-to-end` row has an `uncaptured` twin: the same session
-        // (broadcast, seeds, packets, instants) run the way the dataset
-        // plan's `!keep_capture` sessions and every `run_scale` session run
-        // — lengths, not bytes (DESIGN.md §10). Same nominal bytes, so the
-        // MB/s columns compare directly.
-        let uncaptured = |suite: &mut MicroBench,
-                          name: &str,
-                          protocol: Protocol,
-                          broadcast: &Broadcast,
-                          nominal_bytes: u64| {
+        // One 60 s session per transport, two rows each. `end-to-end` keeps
+        // the capture; its `uncaptured` twin is the same session (broadcast,
+        // seeds, packets, instants) run the way the dataset plan's
+        // `!keep_capture` sessions and every `run_scale` session run —
+        // lengths, not bytes (DESIGN.md §10). Both report MB/s against the
+        // capture size of one representative run (per-seed variation is ~1%,
+        // fine for an indicator), so the columns compare directly; that run
+        // is returned.
+        let (at, config) = (SimTime::from_secs(400), SessionConfig::default());
+        let rngs = |i: u64| RngFactory::new(i).child("bench-session");
+        let both_modes = |suite: &mut MicroBench, label: &str, protocol, broadcast: &Broadcast| {
+            let nominal = run(protocol, broadcast, at, &config, &rngs(1));
+            let nominal_bytes = Some(nominal.capture.total_bytes() as u64);
             let mut i = 0u64;
-            suite.run(name, Some(nominal_bytes), || {
+            suite.run(&format!("session/{label} 60s end-to-end"), nominal_bytes, || {
                 i += 1;
-                let rngs = RngFactory::new(i).child("bench-session");
-                run_uncaptured(
-                    protocol,
-                    broadcast,
-                    SimTime::from_secs(400),
-                    &SessionConfig::default(),
-                    &rngs,
-                    &mut Trace::disabled(),
-                )
-                .player
-                .latency_samples
-                .len() as u64
+                run(protocol, broadcast, at, &config, &rngs(i)).capture.total_bytes() as u64
             });
+            let mut i = 0u64;
+            suite.run(&format!("session/{label} 60s uncaptured"), nominal_bytes, || {
+                i += 1;
+                run_uncaptured(protocol, broadcast, at, &config, &rngs(i), &mut Trace::disabled())
+                    .player
+                    .latency_samples
+                    .len() as u64
+            });
+            nominal
         };
-        uncaptured(
-            &mut suite,
-            "session/rtmp 60s uncaptured",
-            Protocol::Rtmp,
-            &broadcast,
-            nominal_bytes,
-        );
-
+        both_modes(&mut suite, "rtmp", Protocol::Rtmp, &broadcast);
         // The SRT twin of the RTMP bench (DESIGN.md §12): same broadcast,
         // same seeds (common random numbers), so the per-iteration delta
         // between the two benches is the transport machinery itself —
         // handshake, per-packet datagram accounting, ARQ bookkeeping.
-        use pscp_client::srt_session;
-        let srt_nominal_bytes = srt_session::run(
-            &broadcast,
-            SimTime::from_secs(400),
-            &SessionConfig::default(),
-            &RngFactory::new(1).child("bench-session"),
-        )
-        .capture
-        .total_bytes() as u64;
-        let mut j = 0u64;
-        suite.run("session/srt 60s end-to-end", Some(srt_nominal_bytes), || {
-            j += 1;
-            let rngs = RngFactory::new(j).child("bench-session");
-            srt_session::run(&broadcast, SimTime::from_secs(400), &SessionConfig::default(), &rngs)
-                .capture
-                .total_bytes() as u64
-        });
-        uncaptured(
-            &mut suite,
-            "session/srt 60s uncaptured",
-            Protocol::Srt,
-            &broadcast,
-            srt_nominal_bytes,
-        );
-
+        both_modes(&mut suite, "srt", Protocol::Srt, &broadcast);
         // The costliest arm: a popular broadcast served over HLS, with the
         // full chat room (and its picture downloads) that popularity brings.
-        use pscp_client::hls_session;
         let popular = Broadcast { avg_viewers: 800.0, ..broadcast.clone() };
-        let hot = hls_session::run(
-            &popular,
-            SimTime::from_secs(400),
-            &SessionConfig::default(),
-            &RngFactory::new(1).child("bench-session"),
-        );
+        let hot = both_modes(&mut suite, "hls", Protocol::Hls, &popular);
         let hot_bytes = hot.capture.total_bytes() as u64;
-        let mut k = 0u64;
-        suite.run("session/hls 60s end-to-end", Some(hot_bytes), || {
-            k += 1;
-            let rngs = RngFactory::new(k).child("bench-session");
-            hls_session::run(&popular, SimTime::from_secs(400), &SessionConfig::default(), &rngs)
-                .capture
-                .total_bytes() as u64
-        });
-        uncaptured(&mut suite, "session/hls 60s uncaptured", Protocol::Hls, &popular, hot_bytes);
 
         // The player on its own: the media arrivals of one RTMP session
         // (≈ 1,800 video messages) through the buffer model.
@@ -604,42 +535,5 @@ pub fn bench_components(seed: u64) -> String {
         });
     }
 
-    suite.finish()
-}
-
-/// One bench per paper figure/table: how long each experiment takes to
-/// regenerate at small scale (world generation is warmed outside the timed
-/// body, so the numbers isolate the experiment itself).
-pub fn bench_figures(seed: u64) -> String {
-    let mut suite = MicroBench::new("figures", seed);
-    for exp in experiments::all() {
-        // The session-dataset experiments share a memoized dataset inside a
-        // Lab; warming it here keeps world generation out of the timing.
-        let mut lab = Lab::new(LabConfig::small(seed));
-        let _ = (exp.run)(&mut lab);
-        suite.run(exp.id, None, || (exp.run)(&mut lab).render().len() as u64);
-    }
-    suite.finish()
-}
-
-/// Times the DESIGN.md §4 design-choice sweeps. The *results* of the
-/// ablations are printed by `repro ablation-*`; these track their cost so
-/// the sweeps stay usable interactively.
-pub fn bench_ablations(seed: u64) -> String {
-    let mut suite = MicroBench::new("ablations", seed);
-    {
-        let mut lab = Lab::new(LabConfig::small(seed ^ 17));
-        lab.service();
-        suite.run("buffer_sizing", None, || crate::ablation_buffer(&mut lab, 3).len() as u64);
-    }
-    {
-        let lab = Lab::new(LabConfig::small(seed ^ 18));
-        suite.run("visibility_caps", None, || crate::ablation_visibility(&lab).len() as u64);
-    }
-    {
-        let mut lab = Lab::new(LabConfig::small(seed ^ 19));
-        lab.service();
-        suite.run("picture_cache", None, || crate::ablation_cache(&mut lab, 3).len() as u64);
-    }
     suite.finish()
 }

@@ -1,10 +1,13 @@
-//! The broadcaster side of a push (RTMP / SRT) session.
+//! The broadcaster side of a session.
 //!
-//! The phone captures, encodes and uploads over its glitchy mobile uplink;
-//! what the ingest server holds is a timeline of coded frames and audio
-//! frames with the instant each one arrived. Frames stay *descriptors*
+//! The phone ([`Phone`]) captures, encodes and uploads over its glitchy
+//! mobile uplink. For the two push transports (RTMP / SRT) what the ingest
+//! server holds is an [`IngestTimeline`]: coded frames and audio frames with
+//! the instant each one arrived. Frames stay *descriptors*
 //! ([`FramePayload`]) here: nothing on this side reads a frame body, so the
-//! body is written once, by the transport that packetizes it.
+//! body is written once, by the transport that packetizes it. (HLS drives
+//! the same phone but feeds its segmenter in capture-slot order and keeps
+//! audio off the uplink, so it runs its own capture loop — DESIGN.md §16.)
 
 use crate::uplink::{Uplink, UplinkConfig};
 use pscp_media::audio::{self, AudioEncoder};
@@ -16,7 +19,46 @@ use pscp_simnet::{SimDuration, SimTime, WallClock};
 use pscp_workload::broadcast::Broadcast;
 
 /// Encode-side latency on the broadcaster phone (capture → packet out).
-const ENCODE_LATENCY: SimDuration = SimDuration::from_millis(120);
+pub(crate) const ENCODE_LATENCY: SimDuration = SimDuration::from_millis(120);
+
+/// The broadcasting phone over one session window: its encoders and the
+/// uplink it uploads through.
+pub(crate) struct Phone {
+    /// Frame rate of the camera.
+    pub fps: f64,
+    /// Video encoder over the broadcast's content process.
+    pub encoder: Encoder,
+    /// Audio encoder.
+    pub audio: AudioEncoder,
+    /// The uplink, glitches drawn for the whole window.
+    pub uplink: Uplink,
+}
+
+impl Phone {
+    /// The phone of `broadcast` over `window`: the content process, then
+    /// the uplink glitches, are drawn from `enc_rng` in that order.
+    pub fn new<R: Rng + ?Sized>(
+        broadcast: &Broadcast,
+        uplink: &UplinkConfig,
+        window: &std::ops::Range<SimTime>,
+        enc_rng: &mut R,
+    ) -> Phone {
+        let enc_cfg = EncoderConfig {
+            fps: broadcast.device.fps(),
+            gop: broadcast.device.gop(),
+            target_bitrate_bps: broadcast.target_bitrate_bps,
+            ..Default::default()
+        };
+        let fps = enc_cfg.fps;
+        let content = ContentProcess::new(broadcast.content, enc_rng);
+        Phone {
+            fps,
+            encoder: Encoder::new(enc_cfg, content),
+            audio: AudioEncoder::new(broadcast.audio),
+            uplink: Uplink::draw(uplink, window.start, window.end, enc_rng),
+        }
+    }
+}
 
 /// One coded video frame as the ingest server received it.
 #[derive(Debug, Clone)]
@@ -54,18 +96,9 @@ impl IngestTimeline {
         enc_rng: &mut R,
         clock_rng: &mut C,
     ) -> IngestTimeline {
-        let enc_cfg = EncoderConfig {
-            fps: broadcast.device.fps(),
-            gop: broadcast.device.gop(),
-            target_bitrate_bps: broadcast.target_bitrate_bps,
-            ..Default::default()
-        };
-        let fps = enc_cfg.fps;
-        let content = ContentProcess::new(broadcast.content, enc_rng);
-        let mut encoder = Encoder::new(enc_cfg, content);
-        let mut audio_enc = AudioEncoder::new(broadcast.audio);
+        let Phone { fps, mut encoder, audio: mut audio_enc, mut uplink } =
+            Phone::new(broadcast, uplink, &window, enc_rng);
         let (sim_start, end) = (window.start, window.end);
-        let mut uplink = Uplink::draw(uplink, sim_start, end, enc_rng);
 
         let span_s = end.saturating_since(sim_start).as_secs_f64();
         let total_frames = (span_s * fps) as u64;

@@ -11,20 +11,21 @@
 //! heavy chat genuinely crowds out video — the paper's explanation for the
 //! 2 Mbps QoE boundary.
 
-use crate::session::SessionConfig;
-use pscp_media::capture::{Capture, FlowKind, Payload};
+use crate::downlink::Tap;
+use crate::session::{SessionConfig, SessionCtx};
+use pscp_media::capture::{FlowKind, Payload};
 use pscp_proto::http::Response;
 use pscp_proto::ws::Frame;
 use pscp_service::chat::{ChatConfig, ChatRoom};
 use pscp_simnet::fault::in_windows;
 use pscp_simnet::link::MTU_BYTES;
 use pscp_simnet::rng::CounterRng;
-use pscp_simnet::{Link, SimDuration, SimTime, WallClock};
+use pscp_simnet::{Link, SimDuration, SimTime};
 use pscp_workload::broadcast::Broadcast;
 
 /// Gap an injected WebSocket chat drop leaves before the client's
-/// reconnect completes (DESIGN.md §8). Shared by the RTMP and HLS paths.
-pub(crate) const CHAT_RECONNECT_GAP: SimDuration = SimDuration::from_secs(6);
+/// reconnect completes (DESIGN.md §8).
+const CHAT_RECONNECT_GAP: SimDuration = SimDuration::from_secs(6);
 
 /// The byte a profile-picture body is filled with (a JPEG marker byte).
 const PICTURE_FILL: u8 = 0xD8;
@@ -136,93 +137,66 @@ pub fn events(
     out
 }
 
-/// For sessions whose chat travels on a dedicated link (the HLS fetch path
-/// models its video transfer in closed form): plays the [`events`] through
-/// `link` and records them into `capture`.
-#[allow(clippy::too_many_arguments)]
-pub fn generate(
-    broadcast: &Broadcast,
-    from: SimTime,
-    to: SimTime,
-    config: &SessionConfig,
-    link: &mut Link,
-    capture_clock: &WallClock,
-    capture: &mut Capture,
-    rng: &mut CounterRng,
-) {
-    generate_with_faults(broadcast, from, to, config, link, capture_clock, capture, rng, &[]);
+/// The session's chat-drop windows under `unit` (DESIGN.md §8), counted.
+pub(crate) fn drop_windows(ctx: &mut SessionCtx, unit: &str) -> Vec<(SimTime, SimTime)> {
+    let (until, per_min) = (ctx.join_at + ctx.config.watch, ctx.config.faults.chat_drop_per_min);
+    ctx.drop_windows(unit, until, per_min, CHAT_RECONNECT_GAP, ("chat_drops", "chat_reconnects"))
 }
 
-/// [`generate`] with injected chat-drop windows (DESIGN.md §8): sends that
-/// fall inside a window are lost with the dropped WebSocket and never reach
-/// the wire. With no windows this is exactly [`generate`].
-#[allow(clippy::too_many_arguments)]
-pub fn generate_with_faults(
-    broadcast: &Broadcast,
-    from: SimTime,
-    to: SimTime,
-    config: &SessionConfig,
-    link: &mut Link,
-    capture_clock: &WallClock,
-    capture: &mut Capture,
-    rng: &mut CounterRng,
+/// The capture flow a chat-related send of `kind` belongs to: the WebSocket
+/// flow, the picture flow when the chat pane is on, or none.
+pub(crate) fn flow_of(kind: FlowKind, chat: usize, pictures: Option<usize>) -> Option<usize> {
+    match kind {
+        FlowKind::Chat => Some(chat),
+        FlowKind::PictureHttp => pictures,
+        _ => None,
+    }
+}
+
+/// For sessions whose chat travels on a dedicated link (the HLS fetch path
+/// models its video transfer in closed form): plays `sends` — the session's
+/// [`events`] — through `link` and records them at `tap`. Sends that fall
+/// inside a chat-drop window (DESIGN.md §8) are lost with the dropped
+/// WebSocket and never reach the wire.
+pub(crate) fn play(
+    sends: &[ChatSend],
+    chat_on: bool,
     drop_windows: &[(SimTime, SimTime)],
+    link: &mut Link,
+    tap: &mut Tap,
+    rng: &mut CounterRng,
 ) {
-    let sends = events(broadcast, from, to, config, rng);
     if sends.is_empty() {
         return;
     }
-    let ws_flow = capture.open_flow(FlowKind::Chat, "chatman.periscope.tv");
+    let ws_flow = tap.capture.open_flow(FlowKind::Chat, "chatman.periscope.tv");
     let pic_flow =
-        config.chat_on.then(|| capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
+        chat_on.then(|| tap.capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
     for send in sends {
-        if !drop_windows.is_empty() && in_windows(drop_windows, send.at) {
+        if in_windows(drop_windows, send.at) {
             continue;
         }
-        let flow = match send.kind {
-            FlowKind::Chat => ws_flow,
-            FlowKind::PictureHttp => match pic_flow {
-                Some(f) => f,
-                None => continue,
-            },
-            _ => continue,
-        };
-        let payload = send.bytes.payload();
-        let mut chunks = payload.chunks(MTU_BYTES);
-        link.enqueue_batch(send.at, payload.chunks(MTU_BYTES).map(|c| c.len()), |delivery| {
-            let chunk = chunks.next().expect("one chunk per offered size");
-            if let Some(arr) = delivery.time() {
-                let wall = capture_clock.read(arr, rng);
-                capture.record(flow, arr, wall, chunk);
-            }
-        });
+        if let Some(flow) = flow_of(send.kind, ws_flow, pic_flow) {
+            let packets = send.bytes.payload().chunks(MTU_BYTES);
+            tap.transmit(link, None, send.at, flow, packets, rng);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pscp_media::audio::AudioBitrate;
-    use pscp_media::content::ContentClass;
-    use pscp_simnet::{GeoPoint, RngFactory, SimDuration};
-    use pscp_workload::broadcast::{BroadcastId, DeviceProfile};
+    use crate::downlink::Recording;
+    use crate::fixture;
+    use pscp_media::capture::Capture;
+    use pscp_simnet::{RngFactory, WallClock};
 
     fn broadcast(viewers: f64) -> Broadcast {
         Broadcast {
-            id: BroadcastId(1),
-            location: GeoPoint::new(0.0, 0.0),
-            city: "x",
+            avg_viewers: viewers,
             start: SimTime::ZERO,
             duration: SimDuration::from_secs(3600),
-            content: ContentClass::Indoor,
-            device: DeviceProfile::Modern,
-            audio: AudioBitrate::Kbps32,
-            avg_viewers: viewers,
-            replay_available: false,
-            private: false,
-            location_public: true,
-            viewer_seed: 5,
-            target_bitrate_bps: 300_000.0,
+            ..fixture::broadcast(5)
         }
     }
 
@@ -231,21 +205,14 @@ mod tests {
     }
 
     fn run(chat_on: bool, cache: bool, viewers: f64) -> Capture {
-        let mut capture = Capture::new();
+        let mut tap = Tap::new(Recording::Full, WallClock::perfect());
         let mut link = Link::unbounded(100e6, SimDuration::from_millis(10));
-        let clock = WallClock::perfect();
         let mut rng = RngFactory::new(2).stream("chat-client-test");
-        generate(
-            &broadcast(viewers),
-            SimTime::from_secs(10),
-            SimTime::from_secs(70),
-            &session_config(chat_on, cache),
-            &mut link,
-            &clock,
-            &mut capture,
-            &mut rng,
-        );
-        capture
+        let (from, to) = (SimTime::from_secs(10), SimTime::from_secs(70));
+        let sends =
+            events(&broadcast(viewers), from, to, &session_config(chat_on, cache), &mut rng);
+        play(&sends, chat_on, &[], &mut link, &mut tap, &mut rng);
+        tap.capture
     }
 
     #[test]

@@ -16,7 +16,7 @@ use pscp_media::capture::{Capture, Payload};
 use pscp_proto::tls::{self, TlsChannel};
 use pscp_simnet::fault::LinkFaults;
 use pscp_simnet::rng::Rng;
-use pscp_simnet::{Link, SimTime, WallClock};
+use pscp_simnet::{Link, SimDuration, SimTime, WallClock};
 use std::ops::Range;
 
 /// Whether the session's capture will be read by anyone.
@@ -27,17 +27,6 @@ pub(crate) enum Recording {
     /// The capture is dropped when the session ends: packets are recorded
     /// with their times and lengths only.
     Counted,
-}
-
-impl Recording {
-    /// What the capture is given for a packet whose bytes are `payload`:
-    /// the bytes themselves, or a run of their length.
-    pub fn payload(self, payload: Payload<'_>) -> Payload<'_> {
-        match self {
-            Recording::Full => payload,
-            Recording::Counted => Payload::run(&[], 0, payload.len()),
-        }
-    }
 }
 
 /// An append-only byte arena that, for a [`Recording::Counted`] session,
@@ -232,23 +221,24 @@ impl<M> SendQueue<M> {
 }
 
 /// The capture host: tcpdump on the viewer's tethering desktop. Every
-/// packet that arrives is stamped with the host clock and recorded.
-pub(crate) struct Tap<'c> {
+/// packet that arrives is stamped with the host clock and recorded — as its
+/// bytes, or for a counted session as a run of its length.
+pub(crate) struct Tap {
     /// What has been recorded so far.
     pub capture: Capture,
-    clock: &'c WallClock,
-    /// Per-packet faults of the reliable downstream path, when injected.
-    /// Losses surface as retransmission delay, which can reorder packets
-    /// relative to the fault-free FIFO; the capture stays per-flow monotone
-    /// by flooring each arrival at its flow's previous one.
-    pub faults: Option<LinkFaults>,
+    recording: Recording,
+    clock: WallClock,
+    /// Per-flow latest arrival on a faulty reliable path: losses surface as
+    /// retransmission delay, which can reorder packets relative to the
+    /// fault-free FIFO; the capture stays per-flow monotone by flooring each
+    /// arrival at its flow's previous one.
     floor: Vec<SimTime>,
 }
 
-impl<'c> Tap<'c> {
+impl Tap {
     /// A tap with an empty capture.
-    pub fn new(clock: &'c WallClock, faults: Option<LinkFaults>) -> Self {
-        Tap { capture: Capture::new(), clock, faults, floor: Vec::new() }
+    pub fn new(recording: Recording, clock: WallClock) -> Self {
+        Tap { capture: Capture::new(), recording, clock, floor: Vec::new() }
     }
 
     /// Stamps and records one packet that arrived at `at`.
@@ -260,28 +250,31 @@ impl<'c> Tap<'c> {
         clock_rng: &mut R,
     ) {
         let wall = self.clock.read(at, clock_rng);
+        let payload = match self.recording {
+            Recording::Full => payload,
+            Recording::Counted => Payload::run(&[], 0, payload.len()),
+        };
         self.capture.record(flow, at, wall, payload);
     }
 
-    /// Sends `payload` over the reliable path at `at`: split at the MTU,
-    /// every packet offered to `link` in one batch, each delivery delayed
-    /// by its injected fault (if any) and recorded. Returns the arrival of
-    /// the last delivered packet.
-    pub fn transmit<R: Rng + ?Sized>(
+    /// Sends the packets `chunks` over the reliable path at `at`: every
+    /// packet offered to `link` in one batch, each delivery delayed by its
+    /// injected fault (if the path has `faults`) and recorded. Returns the
+    /// arrival of the last delivered packet.
+    pub fn transmit<'p, R: Rng + ?Sized>(
         &mut self,
         link: &mut Link,
+        mut faults: Option<&mut LinkFaults>,
         at: SimTime,
         flow: usize,
-        payload: Payload<'_>,
-        mtu: usize,
+        mut chunks: impl Iterator<Item = Payload<'p>> + Clone,
         clock_rng: &mut R,
     ) -> Option<SimTime> {
         let mut last = None;
-        let mut chunks = payload.chunks(mtu);
-        link.enqueue_batch(at, payload.chunks(mtu).map(|c| c.len()), |delivery| {
+        link.enqueue_batch(at, chunks.clone().map(|c| c.len()), |delivery| {
             let chunk = chunks.next().expect("one chunk per offered size");
             let Some(mut arr) = delivery.time() else { return };
-            if let Some(lf) = self.faults.as_mut() {
+            if let Some(lf) = faults.as_deref_mut() {
                 if self.floor.len() <= flow {
                     self.floor.resize(flow + 1, SimTime::ZERO);
                 }
@@ -293,13 +286,51 @@ impl<'c> Tap<'c> {
         });
         last
     }
+
+    /// Records an HTTP response — `head`, then `body` — sliced along the
+    /// arrival schedule of its TCP transfer. An empty `body` stands for
+    /// bytes nobody reads (bootstrap filler, a segment that was sized but
+    /// never muxed): whatever the schedule carries past the head is a run
+    /// of zeros. Each chunk is pushed back by the path's cumulative
+    /// per-packet `faults`, which keeps the chunks in order; returns the
+    /// total push-back.
+    pub fn record_response<R: Rng + ?Sized>(
+        &mut self,
+        mut faults: Option<&mut LinkFaults>,
+        flow: usize,
+        head: &[u8],
+        body: &[u8],
+        chunks: &[(SimTime, usize)],
+        clock_rng: &mut R,
+    ) -> SimDuration {
+        let (h, mut off, mut extra) = (head.len(), 0, SimDuration::ZERO);
+        for &(at, n) in chunks {
+            if let Some(lf) = faults.as_deref_mut() {
+                extra += lf.packet_extra();
+            }
+            let end = off + n;
+            let head_part = &head[off.min(h)..end.min(h)];
+            let body_part = off.saturating_sub(h)..end.saturating_sub(h);
+            if body.is_empty() {
+                let payload = Payload::run(head_part, 0, body_part.len());
+                self.record(flow, at + extra, payload, clock_rng);
+            } else if head_part.is_empty() {
+                self.record(flow, at + extra, (&body[body_part]).into(), clock_rng);
+            } else {
+                // The one chunk that carries the head and the body's start.
+                let both = [head_part, &body[body_part]].concat();
+                self.record(flow, at + extra, (&both).into(), clock_rng);
+            }
+            off = end;
+        }
+        extra
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pscp_media::capture::FlowKind;
-    use pscp_simnet::SimDuration;
 
     /// The same pushes into a full and a counted queue.
     fn queues() -> [SendQueue<u8>; 2] {
@@ -339,10 +370,9 @@ mod tests {
 
     #[test]
     fn both_queues_transmit_the_same_packets_at_the_same_instants() {
-        let clock = WallClock::perfect();
         let recorded = queues().map(|mut q| {
             q.sort_by_time();
-            let mut tap = Tap::new(&clock, None);
+            let mut tap = Tap::new(q.arena.recording, WallClock::perfect());
             tap.capture.open_flow(FlowKind::AppMisc, "a");
             tap.capture.open_flow(FlowKind::Rtmp, "b");
             q.reserve(&mut tap.capture, 1448);
@@ -350,7 +380,9 @@ mod tests {
             let mut rng = pscp_simnet::RngFactory::new(1).stream("tap");
             let last: Vec<Option<SimTime>> = q
                 .iter()
-                .map(|s| tap.transmit(&mut link, s.at, s.flow, s.payload, 1448, &mut rng))
+                .map(|s| {
+                    tap.transmit(&mut link, None, s.at, s.flow, s.payload.chunks(1448), &mut rng)
+                })
                 .collect();
             let packets: Vec<Vec<(SimTime, usize)>> = tap
                 .capture

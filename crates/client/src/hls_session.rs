@@ -1,4 +1,4 @@
-//! End-to-end HLS viewing session.
+//! The HLS transport of a viewing session.
 //!
 //! The §5.1 fallback path: the broadcast still reaches an ingest server
 //! over the broadcaster's uplink, but is then transcoded/repackaged into
@@ -8,29 +8,20 @@
 //! beyond 5 s (Fig 5), while the deep segment buffer is what makes stalls
 //! rarer than RTMP (Fig 3 discussion).
 
+use crate::broadcaster::{Phone, ENCODE_LATENCY};
 use crate::chat_client;
 use crate::downlink::Recording;
-use crate::player::{run_playback, MediaArrival};
+use crate::player::MediaArrival;
 use crate::retry::RetryPolicy;
-use crate::rtmp_session::rendered_fps;
-use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
-use crate::uplink::Uplink;
-use pscp_media::audio::AudioEncoder;
-use pscp_media::capture::{Capture, FlowKind};
-use pscp_media::content::ContentProcess;
-use pscp_media::encoder::{Encoder, EncoderConfig};
+use crate::session::{Delivered, SessionCtx};
+use pscp_media::capture::FlowKind;
 use pscp_proto::http::Response;
 use pscp_service::cdn;
-use pscp_service::ingest::assign_server;
 use pscp_service::segmenter::{Segmenter, SegmenterConfig};
-use pscp_service::select::Protocol;
-use pscp_simnet::fault::{self, FaultRng, LinkFaults};
+use pscp_simnet::fault::FaultRng;
 use pscp_simnet::tcp::{TcpModel, INIT_CWND_SEGMENTS};
-use pscp_simnet::{Link, RngFactory, SimDuration, SimTime, WallClock};
-use pscp_workload::broadcast::Broadcast;
+use pscp_simnet::{Link, SimDuration, SimTime};
 
-/// Encode-side latency on the broadcaster phone.
-const ENCODE_LATENCY: SimDuration = SimDuration::from_millis(120);
 /// History simulated before the join so the playlist is warm.
 const WARMUP: SimDuration = SimDuration::from_secs(25);
 /// Playlist poll interval while waiting for the next segment.
@@ -38,79 +29,24 @@ const POLL: SimDuration = SimDuration::from_millis(1500);
 /// How many segments behind the live edge playback starts.
 const EDGE_OFFSET: u64 = 2;
 
-/// Runs one HLS session.
-pub fn run(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-) -> SessionOutcome {
-    run_traced(broadcast, join_at, config, rngs, &mut pscp_obs::Trace::disabled())
-}
-
-/// [`run`] plus per-session instrumentation into `trace` (no-ops when the
-/// trace is disabled; the simulation itself is identical either way —
-/// tracing draws no randomness and moves no timestamps).
-pub fn run_traced(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-    trace: &mut pscp_obs::Trace,
-) -> SessionOutcome {
-    simulate(broadcast, join_at, config, rngs, trace, Recording::Full)
-}
-
-/// The session itself. With [`Recording::Counted`] segments are sized but
-/// never muxed, and the returned capture holds every packet's time and
-/// length but no media bytes (DESIGN.md §10, "Uncaptured sessions"); every
-/// other field is what `Full` returns.
-pub(crate) fn simulate(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-    trace: &mut pscp_obs::Trace,
-    recording: Recording,
-) -> SessionOutcome {
-    let mut enc_rng = rngs.stream("hls/encoder");
-    let mut net_rng = rngs.stream("hls/net");
-    let mut clock_rng = rngs.stream("hls/clocks");
-
-    let broadcaster_clock = WallClock::ntp_synced(&mut clock_rng);
-    let capture_clock = WallClock::ntp_synced(&mut clock_rng);
-
-    let ingest = assign_server(&broadcast.location, broadcast.id.0);
-    let prop_up = broadcast.location.propagation_to(&ingest.location());
+/// Delivers the session in `ctx` over HLS. A counted session sizes its
+/// segments but never muxes them (DESIGN.md §10, "Uncaptured sessions").
+pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
+    let (broadcast, join_at, config) = (ctx.broadcast, ctx.join_at, ctx.config);
+    let prop_up = broadcast.location.propagation_to(&ctx.server.location());
     let pop = cdn::pop_for_session(
         &config.network.location,
         broadcast.id.0 ^ (join_at.as_micros() / 60_000_000),
     );
     let rtt = config.network.rtt_to(&pop.location());
-    crate::session::trace_session_start(
-        trace,
-        "hls",
-        broadcast.id,
-        broadcast.viewers_at(join_at),
-        join_at.as_micros(),
-        config,
-    );
 
-    // --- broadcaster → ingest → segmenter ---
-    let enc_cfg = EncoderConfig {
-        fps: broadcast.device.fps(),
-        gop: broadcast.device.gop(),
-        target_bitrate_bps: broadcast.target_bitrate_bps,
-        ..Default::default()
-    };
-    let fps = enc_cfg.fps;
-    let content = ContentProcess::new(broadcast.content, &mut enc_rng);
-    let mut encoder = Encoder::new(enc_cfg, content);
-    let mut audio = AudioEncoder::new(broadcast.audio);
+    // --- broadcaster → ingest → segmenter: the segmenter is fed in capture
+    // slot order, and audio is packaged without riding the uplink model ---
     let sim_start = join_at - WARMUP;
     let end = join_at + config.watch + SimDuration::from_secs(3);
-    let mut uplink = Uplink::draw(&config.uplink, sim_start, end, &mut enc_rng);
-    let mut segmenter = match recording {
+    let Phone { fps, mut encoder, mut audio, mut uplink } =
+        Phone::new(broadcast, &config.uplink, &(sim_start..end), &mut ctx.enc_rng);
+    let mut segmenter = match ctx.recording {
         Recording::Full => Segmenter::new(SegmenterConfig::default()),
         Recording::Counted => Segmenter::lengths_only(SegmenterConfig::default()),
     };
@@ -120,23 +56,21 @@ pub(crate) fn simulate(
     let mut next_audio_pts = 0.0;
     for i in 0..total_frames {
         let t_cap = sim_start + SimDuration::from_secs_f64(i as f64 / fps);
-        let wall = broadcaster_clock.read(t_cap, &mut clock_rng);
-        if let Some(frame) = encoder.next_payload(wall, &mut enc_rng) {
+        let wall = ctx.broadcaster_clock.read(t_cap, &mut ctx.clock_rng);
+        if let Some(frame) = encoder.next_payload(wall, &mut ctx.enc_rng) {
             let sent = uplink.upload(t_cap + ENCODE_LATENCY, frame.size);
-            let a_in = sent + prop_up;
-            capture_wall_by_pts.push((frame.pts_ms, broadcaster_clock.read_exact(t_cap)));
-            segmenter.push_payload(frame, a_in);
+            capture_wall_by_pts.push((frame.pts_ms, ctx.broadcaster_clock.read_exact(t_cap)));
+            segmenter.push_payload(frame, sent + prop_up);
         }
         while next_audio_pts <= i as f64 * 1000.0 / fps {
-            let af = audio.next_frame(&mut enc_rng);
+            let af = audio.next_frame(&mut ctx.enc_rng);
             segmenter.push_audio_fill(af.pts_ms, af.size);
             next_audio_pts += pscp_media::audio::frame_duration_ms();
         }
     }
 
     // --- client: playlist polls + sequential segment fetches ---
-    let mut capture = Capture::new();
-    let flow = capture.open_flow(FlowKind::HlsHttp, pop.hostname());
+    let flow = ctx.tap.capture.open_flow(FlowKind::HlsHttp, pop.hostname());
     // Chat cross-traffic shares the bottleneck with segment fetches; the
     // closed-form TCP model cannot interleave flows, so the coupling is the
     // long-run average: chat's expected rate is subtracted from the
@@ -149,9 +83,12 @@ pub(crate) fn simulate(
     } else {
         0.0
     };
-    let fetch_capacity =
-        (config.network.bottleneck_bps() - chat_rate).max(config.network.bottleneck_bps() * 0.15);
-    let tcp = TcpModel::new(config.network.mtu.max(256), rtt, fetch_capacity);
+    let bottleneck = config.network.bottleneck_bps();
+    let tcp = TcpModel::new(
+        config.network.mtu.max(256),
+        rtt,
+        (bottleneck - chat_rate).max(bottleneck * 0.15),
+    );
     let mut cwnd = INIT_CWND_SEGMENTS;
     let mut arrivals: Vec<MediaArrival> = Vec::new();
     let session_end = join_at + config.watch;
@@ -159,36 +96,27 @@ pub(crate) fn simulate(
     // --- fault injection (DESIGN.md §8), every class gated on its own
     // rate so a disabled layer draws no variate and changes no byte ---
     let faults = &config.faults;
-    let fault_seed = faults.seed ^ rngs.seed();
-    let mut link_faults =
-        LinkFaults::active(faults).then(|| LinkFaults::new(faults, rngs.seed(), "hls/link"));
-    let mut seg_rng = FaultRng::from_label(fault_seed, "hls/segment");
-    let pop_host = pop.hostname().to_string();
+    let mut link_faults = ctx.link_faults("hls/link");
+    let mut seg_rng = FaultRng::from_label(faults.seed ^ ctx.rngs.seed(), "hls/segment");
 
     // App bootstrap traffic first: metadata, thumbnails, chat backlog.
-    let overhead_bytes = pscp_simnet::dist::lognormal(&mut net_rng, (900_000f64).ln(), 0.7)
-        .clamp(150_000.0, 4_000_000.0) as usize;
-    let misc_flow = capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
+    let overhead_bytes = ctx.bootstrap_bytes();
+    let misc_flow = ctx.tap.capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
     let boot = tcp.transfer(join_at, overhead_bytes, &mut cwnd, true);
-    let mut boot_extra = SimDuration::ZERO;
-    for &(at, n) in &boot.chunks {
-        let at = match link_faults.as_mut() {
-            Some(lf) => {
-                // Cumulative extra keeps intra-transfer chunk order intact.
-                boot_extra += lf.packet_extra();
-                at + boot_extra
-            }
-            None => at,
-        };
-        let wall = capture_clock.read(at, &mut net_rng);
-        capture.record_zeros(misc_flow, at, wall, n);
-    }
-    let boot_done = boot.completion + boot_extra;
-    trace.count("tcp", "transfers", 1);
-    trace.count("tcp", "bytes", overhead_bytes as u64);
-    if trace.is_enabled() {
+    let boot_done = boot.completion
+        + ctx.tap.record_response(
+            link_faults.as_mut(),
+            misc_flow,
+            &[],
+            &[],
+            &boot.chunks,
+            &mut ctx.net_rng,
+        );
+    ctx.trace.count("tcp", "transfers", 1);
+    ctx.trace.count("tcp", "bytes", overhead_bytes as u64);
+    if ctx.trace.is_enabled() {
         let boot_ms = (boot_done.saturating_since(join_at).as_secs_f64() * 1000.0) as u64;
-        trace.event(
+        ctx.trace.event(
             boot_done.as_micros(),
             "tcp",
             "tcp.bootstrap",
@@ -211,38 +139,33 @@ pub(crate) fn simulate(
         // Every pass is one playlist-edge probe of this POP: the alerting
         // layer's coverage signal. Keyed by the POP's static hostname so
         // per-POP outage rules can be scored against per-POP ground truth.
-        trace.ring("probe", pop.hostname(), now.as_micros(), 1);
-        if faults.pop_outage.is_active() && faults.pop_outage.in_outage(faults.seed, &pop_host, now)
-        {
+        ctx.trace.ring("probe", pop.hostname(), now.as_micros(), 1);
+        if faults.pop_outage.in_outage(faults.seed, pop.hostname(), now) {
             // The POP is down (outage schedules are keyed on the fault seed
             // alone, so every session agrees on when this POP was out). The
             // playlist poll fails; the client re-polls until it is back.
-            trace.count("fault", "pop_outage_polls", 1);
-            trace.count("recovery", "playlist_repolls", 1);
+            ctx.trace.count("fault", "pop_outage_polls", 1);
+            ctx.trace.count("recovery", "playlist_repolls", 1);
             // Symptom ring: written only when an injected outage was
             // actually observed, which is what makes the POP-outage alert
             // rule provably inert on fault-free runs.
-            trace.ring("outage", pop.hostname(), now.as_micros(), 1);
-            if trace.is_enabled() {
-                trace.event(now.as_micros(), "fault", "fault.pop_outage", vec![]);
+            ctx.trace.ring("outage", pop.hostname(), now.as_micros(), 1);
+            if ctx.trace.is_enabled() {
+                ctx.trace.event(now.as_micros(), "fault", "fault.pop_outage", vec![]);
             }
-            let up = faults.pop_outage.outage_end(faults.seed, &pop_host, now);
+            let up = faults.pop_outage.outage_end(faults.seed, pop.hostname(), now);
             now = up.max(now + POLL);
             continue;
         }
         let playlist = segmenter.playlist_at(now);
-        let record_playlist =
-            |capture: &mut Capture, at: SimTime, rng: &mut pscp_simnet::rng::CounterRng| {
-                let resp = Response::ok_bytes(
-                    "application/vnd.apple.mpegurl",
-                    playlist.render().into_bytes(),
-                );
-                let wall = capture_clock.read(at, rng);
-                capture.record(flow, at, wall, recording.payload((&resp.encode()).into()));
-            };
+        let record_playlist = |ctx: &mut SessionCtx, at: SimTime| {
+            let resp =
+                Response::ok_bytes("application/vnd.apple.mpegurl", playlist.render().into_bytes());
+            ctx.tap.record(flow, at, (&resp.encode()).into(), &mut ctx.net_rng);
+            ctx.trace.count("hls", "playlist_polls", 1);
+        };
         let Some(last) = playlist.last_sequence() else {
-            record_playlist(&mut capture, now, &mut net_rng);
-            trace.count("hls", "playlist_polls", 1);
+            record_playlist(ctx, now);
             now += POLL;
             continue;
         };
@@ -259,10 +182,9 @@ pub(crate) fn simulate(
         if want > last {
             // Live edge reached: poll the playlist until a new segment
             // appears (costs an RTT and a tiny response).
-            record_playlist(&mut capture, now + rtt, &mut net_rng);
-            trace.count("hls", "playlist_polls", 1);
-            if trace.is_enabled() {
-                trace.event((now + rtt).as_micros(), "hls", "hls.playlist_poll", vec![]);
+            record_playlist(ctx, now + rtt);
+            if ctx.trace.is_enabled() {
+                ctx.trace.event((now + rtt).as_micros(), "hls", "hls.playlist_poll", vec![]);
             }
             now += POLL.max(rtt);
             continue;
@@ -284,8 +206,8 @@ pub(crate) fn simulate(
             let policy = RetryPolicy::segment_fetch();
             let mut attempt = 0;
             while attempt + 1 < policy.max_attempts && seg_rng.chance(faults.segment_error_rate) {
-                trace.count("fault", "segment_errors", 1);
-                trace.count("recovery", "segment_refetches", 1);
+                ctx.trace.count("fault", "segment_errors", 1);
+                ctx.trace.count("recovery", "segment_refetches", 1);
                 now += rtt + policy.backoff(attempt, &mut seg_rng);
                 attempt += 1;
             }
@@ -296,34 +218,15 @@ pub(crate) fn simulate(
         let head = Response::ok_bytes("video/mp2t", Vec::new()).encode_head(segment.len);
         let resp_len = head.len() + segment.len;
         let schedule = tcp.transfer(now, resp_len, &mut cwnd, fetched == 0);
-        // Record the response bytes sliced along the arrival schedule.
-        let mut off = 0usize;
-        let mut extra_total = SimDuration::ZERO;
-        for &(at, n) in &schedule.chunks {
-            let at = match link_faults.as_mut() {
-                Some(lf) => {
-                    extra_total += lf.packet_extra();
-                    at + extra_total
-                }
-                None => at,
-            };
-            let end_off = (off + n).min(resp_len);
-            let wall = capture_clock.read(at, &mut net_rng);
-            let h = head.len();
-            if recording == Recording::Counted {
-                capture.record_zeros(flow, at, wall, end_off - off);
-            } else {
-                let body = &segment.bytes[off.saturating_sub(h)..end_off.saturating_sub(h)];
-                if off < h {
-                    // The one chunk that carries the head and the body's start.
-                    capture.record(flow, at, wall, &[&head[off..end_off.min(h)], body].concat());
-                } else {
-                    capture.record(flow, at, wall, body);
-                }
-            }
-            off = end_off;
-        }
-        let completion = schedule.completion + extra_total;
+        let completion = schedule.completion
+            + ctx.tap.record_response(
+                link_faults.as_mut(),
+                flow,
+                &head,
+                &segment.bytes,
+                &schedule.chunks,
+                &mut ctx.net_rng,
+            );
         media_end_s += segment.duration_s;
         // Latency anchor: the capture wall time of the segment's last frame.
         let last_frame_wall = segment.last_video_pts_ms.and_then(|pts| {
@@ -340,21 +243,21 @@ pub(crate) fn simulate(
         // segment (ends when the POP can serve it) and the CDN delivery.
         // Parentless on purpose — the join tree's children must tile the
         // root exactly, and these overlap it.
-        trace.span(
+        ctx.trace.span(
             (segment.available_at - seg_cfg.packaging_delay).as_micros(),
             segment.available_at.as_micros(),
             "service",
             "service.transcode",
             None,
         );
-        trace.span(fetch_started.as_micros(), completion.as_micros(), "cdn", "cdn.fetch", None);
-        trace.count("hls", "segments_fetched", 1);
-        trace.count("tcp", "transfers", 1);
-        trace.count("tcp", "bytes", resp_len as u64);
-        trace.observe("hls", "segment_bytes", &pscp_obs::BYTE_BUCKETS, resp_len as u64);
-        trace.observe("tcp", "fetch_ms", &pscp_obs::MS_BUCKETS, fetch_ms);
-        if trace.is_enabled() {
-            trace.event(
+        ctx.trace.span(fetch_started.as_micros(), completion.as_micros(), "cdn", "cdn.fetch", None);
+        ctx.trace.count("hls", "segments_fetched", 1);
+        ctx.trace.count("tcp", "transfers", 1);
+        ctx.trace.count("tcp", "bytes", resp_len as u64);
+        ctx.trace.observe("hls", "segment_bytes", &pscp_obs::BYTE_BUCKETS, resp_len as u64);
+        ctx.trace.observe("tcp", "fetch_ms", &pscp_obs::MS_BUCKETS, fetch_ms);
+        if ctx.trace.is_enabled() {
+            ctx.trace.event(
                 completion.as_micros(),
                 "hls",
                 "hls.segment_fetch",
@@ -369,96 +272,50 @@ pub(crate) fn simulate(
         next_seq = Some(want + 1);
         fetched += 1;
     }
-    if let Some(lf) = link_faults {
-        trace.count("fault", "lost_packets", lf.lost);
-        trace.count("fault", "latency_spikes", lf.spiked);
-        trace.count("recovery", "retransmits", lf.lost);
-    }
 
     // Chat traffic: on HLS sessions the popular broadcasts have busy, often
-    // full chats. Modeled on its own link with the same shaping rate (the
-    // HTTP fetch path above is a closed-form TCP model, so cross-traffic
+    // full chats. Modeled on its own, clean link with the same shaping rate
+    // (the HTTP fetch path above is a closed-form TCP model, so cross-traffic
     // coupling is approximated — see DESIGN.md).
-    let mut chat_link = Link::unbounded(
-        config.network.bottleneck_bps(),
-        pop.location().propagation_to(&config.network.location),
-    );
-    let chat_windows = if faults.chat_drop_per_min > 0.0 {
-        fault::drop_windows(
-            fault_seed,
-            "hls/chat",
-            join_at,
-            session_end,
-            faults.chat_drop_per_min,
-            chat_client::CHAT_RECONNECT_GAP,
-        )
-    } else {
-        Vec::new()
-    };
-    if !chat_windows.is_empty() {
-        trace.count("fault", "chat_drops", chat_windows.len() as u64);
-        trace.count("recovery", "chat_reconnects", chat_windows.len() as u64);
-    }
-    chat_client::generate_with_faults(
-        broadcast,
-        join_at,
-        session_end,
-        config,
-        &mut chat_link,
-        &capture_clock,
-        &mut capture,
-        &mut net_rng,
+    let mut chat_link =
+        Link::unbounded(bottleneck, pop.location().propagation_to(&config.network.location));
+    let chat_windows = chat_client::drop_windows(ctx, "hls/chat");
+    let chat = chat_client::events(broadcast, join_at, session_end, config, &mut ctx.net_rng);
+    chat_client::play(
+        &chat,
+        config.chat_on,
         &chat_windows,
+        &mut chat_link,
+        &mut ctx.tap,
+        &mut ctx.net_rng,
     );
 
-    let log = run_playback(join_at, config.watch, config.player_hls, &arrivals);
-    // Join decomposition (paper Fig 11 analogue): app bootstrap, playlist
-    // discovery (first poll round-trips and POP re-polls), then segment
-    // downloads until the initial buffer fills. The three child spans tile
-    // [join_at, first_frame] exactly, so they sum to the join time; the
-    // parent is the teleport driver's session root when one is open.
-    if let Some(j) = log.join_time {
-        let parent = trace.current_span();
-        let first_frame = join_at + j;
-        let boot_end = boot_done.min(first_frame);
-        let fetch_start = first_fetch_start.unwrap_or(first_frame).clamp(boot_end, first_frame);
-        trace.span(join_at.as_micros(), boot_end.as_micros(), "tcp", "tcp.bootstrap", parent);
-        trace.span(boot_end.as_micros(), fetch_start.as_micros(), "hls", "hls.playlist", parent);
-        trace.span(fetch_start.as_micros(), first_frame.as_micros(), "hls", "hls.segments", parent);
-    }
-    log.record_events(join_at, trace);
-    crate::session::trace_session_end(trace, session_end.as_micros(), &log, &capture);
-    // §2: "after an HTTP Live Streaming (HLS) session, the app reports only
-    // the number of stall events."
-    let meta = PlaybackMetaReport {
-        n_stalls: log.n_stalls(),
-        avg_stall_time_s: None,
-        playback_latency_s: None,
-    };
-    let rendered = rendered_fps(fps, config.device, &log);
-    SessionOutcome {
-        broadcast_id: broadcast.id,
-        protocol: Protocol::Hls,
-        device: config.device,
-        bandwidth_limit_bps: config.network.tc_limit_bps,
-        player: log,
-        capture,
-        meta,
-        viewers_at_join: broadcast.viewers_at(join_at),
-        rendered_fps: rendered,
+    Delivered {
+        arrivals,
+        fps,
+        // App bootstrap, playlist discovery (first poll round-trips and POP
+        // re-polls), then segment downloads until the initial buffer fills.
+        phases: vec![
+            ("tcp", "tcp.bootstrap", boot_done),
+            ("hls", "hls.playlist", first_fetch_start.unwrap_or(SimTime::MAX)),
+            ("hls", "hls.segments", SimTime::MAX),
+        ],
         server: pop.hostname().to_string(),
+        link_faults,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::device::NetworkSetup;
+    use crate::session::{run, SessionConfig, SessionOutcome};
     use pscp_media::analysis::analyze_hls_flow;
     use pscp_media::audio::AudioBitrate;
+    use pscp_media::capture::FlowKind;
     use pscp_media::content::ContentClass;
-    use pscp_simnet::GeoPoint;
-    use pscp_workload::broadcast::{BroadcastId, DeviceProfile};
+    use pscp_service::select::Protocol;
+    use pscp_simnet::{GeoPoint, RngFactory, SimDuration, SimTime};
+    use pscp_workload::broadcast::{Broadcast, BroadcastId, DeviceProfile};
 
     fn popular_broadcast(seed: u64) -> Broadcast {
         Broadcast {
@@ -482,7 +339,7 @@ mod tests {
     fn run_session(seed: u64, config: SessionConfig) -> SessionOutcome {
         let b = popular_broadcast(seed);
         let rngs = RngFactory::new(seed).child("hls-session");
-        run(&b, SimTime::from_secs(500), &config, &rngs)
+        run(Protocol::Hls, &b, SimTime::from_secs(500), &config, &rngs)
     }
 
     #[test]

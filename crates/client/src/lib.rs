@@ -13,15 +13,23 @@
 //!   latency (the quantities of Figures 3–4);
 //! * [`uplink`] — the *broadcaster's* mobile uplink, whose glitches are what
 //!   make even unthrottled viewers stall occasionally (Fig 3a);
-//! * [`broadcaster`] — the encode + upload timeline the ingest server sees,
-//!   shared by the two push transports;
-//! * [`rtmp_session`] / [`hls_session`] — end-to-end session simulation
-//!   producing wire-accurate captures;
-//! * [`srt_session`] — the what-if unreliable-transport study: SRT-style
-//!   NAK/ARQ ingest with a latency window (DESIGN.md §12), selected only by
+//! * [`session`] — one viewing session, whichever transport carries it:
+//!   configuration and outcome types, and the driver every session runs
+//!   through — prelude (RNG streams, clocks, ingest host, start record,
+//!   capture tap), transport, epilogue (playback, join phases, end record,
+//!   outcome). [`session::run`], [`session::run_traced`] and
+//!   [`session::run_uncaptured`] take the
+//!   [`Protocol`](pscp_service::select::Protocol) to use;
+//! * `rtmp_session` / `hls_session` / `srt_session` (crate-internal) — the
+//!   three transports under the driver: what genuinely differs between them, and
+//!   nothing else. SRT is the what-if unreliable-transport study (NAK/ARQ
+//!   inside a latency window, DESIGN.md §12), selected only by
 //!   [`SessionConfig::transport`](session::SessionConfig::transport);
+//! * [`broadcaster`] — the broadcasting phone and the encode + upload
+//!   timeline the ingest server sees; `push` (crate-internal) is the server
+//!   side and app traffic the two push transports share;
 //! * [`replay_session`] — VOD playback of recorded broadcasts (§5.3's
-//!   "Video on (not live)" scenario);
+//!   "Video on (not live)" scenario), finishing through the same epilogue;
 //! * [`chat_client`] — chat-on traffic: WebSocket messages plus uncached
 //!   profile-picture downloads (§5.1's 0.5 → 3.5 Mbps blow-up);
 //! * [`retry`] — capped-exponential-backoff policies driving API retries,
@@ -32,13 +40,14 @@ pub mod broadcaster;
 pub mod chat_client;
 pub mod device;
 mod downlink;
-pub mod hls_session;
+mod hls_session;
 pub mod player;
+mod push;
 pub mod replay_session;
 pub mod retry;
-pub mod rtmp_session;
+mod rtmp_session;
 pub mod session;
-pub mod srt_session;
+mod srt_session;
 pub mod teleport;
 pub mod uplink;
 
@@ -47,3 +56,6 @@ pub use player::{PlayerConfig, PlayerLog};
 pub use retry::{RetryClass, RetryPolicy};
 pub use session::{SessionConfig, SessionOutcome};
 pub use teleport::{Teleport, TeleportConfig};
+
+#[cfg(test)]
+mod fixture;

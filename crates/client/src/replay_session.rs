@@ -5,19 +5,21 @@
 //! fetches an ended playlist from the CDN and pulls segments ahead of
 //! playback up to a buffer cap — VOD semantics: no live edge, no waiting
 //! for new segments, no delivery-latency notion (the NTP timestamps in the
-//! recording are hours stale and excluded from latency analysis).
+//! recording are hours stale and excluded from latency analysis). Replay
+//! pages still show chat history but the room is closed: only the video
+//! traffic flows.
 
-use crate::chat_client;
-use crate::player::{run_playback, MediaArrival};
-use crate::rtmp_session::rendered_fps;
-use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
-use pscp_media::capture::{Capture, FlowKind};
+use crate::downlink::{Recording, Tap};
+use crate::player::MediaArrival;
+use crate::session::{finish, Delivered, SessionConfig, SessionOutcome};
+use pscp_media::capture::FlowKind;
+use pscp_obs::Trace;
 use pscp_proto::http::Response;
 use pscp_service::cdn;
 use pscp_service::replay::ReplayVod;
 use pscp_service::select::Protocol;
 use pscp_simnet::tcp::{TcpModel, INIT_CWND_SEGMENTS};
-use pscp_simnet::{RngFactory, SimTime, WallClock};
+use pscp_simnet::{RngFactory, SimDuration, SimTime, WallClock};
 use pscp_workload::broadcast::Broadcast;
 
 /// Media the player may buffer ahead in a VOD session, seconds.
@@ -35,30 +37,19 @@ pub fn run(
     // Materialize a bit more media than the watch window.
     let vod = ReplayVod::build(broadcast, config.watch.as_secs_f64() + 30.0, rngs)?;
     let mut net_rng = rngs.stream("replay/net");
-    let capture_clock = WallClock::ntp_synced(&mut net_rng);
+    let mut tap = Tap::new(Recording::Full, WallClock::ntp_synced(&mut net_rng));
     let pop = cdn::pop_for_session(&config.network.location, broadcast.id.0);
     let rtt = config.network.rtt_to(&pop.location());
     let tcp = TcpModel::new(config.network.mtu.max(256), rtt, config.network.bottleneck_bps());
     let mut cwnd = INIT_CWND_SEGMENTS;
-
-    let mut capture = Capture::new();
-    let flow = capture.open_flow(FlowKind::HlsHttp, pop.hostname());
+    let flow = tap.capture.open_flow(FlowKind::HlsHttp, pop.hostname());
 
     // Playlist fetch (connect + request).
-    let playlist = vod.playlist();
-    let playlist_resp =
-        Response::ok_bytes("application/vnd.apple.mpegurl", playlist.render().into_bytes());
-    let boot = tcp.transfer(start_at, playlist_resp.encode().len(), &mut cwnd, true);
-    {
-        let body = playlist_resp.encode();
-        let mut off = 0;
-        for &(at, n) in &boot.chunks {
-            let end = (off + n).min(body.len());
-            let wall = capture_clock.read(at, &mut net_rng);
-            capture.record(flow, at, wall, &body[off..end]);
-            off = end;
-        }
-    }
+    let playlist =
+        Response::ok_bytes("application/vnd.apple.mpegurl", vod.playlist().render().into_bytes())
+            .encode();
+    let boot = tcp.transfer(start_at, playlist.len(), &mut cwnd, true);
+    tap.record_response(None, flow, &playlist, &[], &boot.chunks, &mut net_rng);
 
     // Segment fetch loop: pull ahead of playback up to the buffer cap.
     let session_end = start_at + config.watch;
@@ -75,79 +66,48 @@ pub fn run(
         if media_end_s - play_head > VOD_BUFFER_AHEAD_S {
             // Wait until the play head catches up before the next fetch.
             let wait_s = media_end_s - play_head - VOD_BUFFER_AHEAD_S;
-            now += pscp_simnet::SimDuration::from_secs_f64(wait_s);
+            now += SimDuration::from_secs_f64(wait_s);
             if now >= session_end {
                 break;
             }
         }
-        let resp = Response::ok_bytes("video/mp2t", segment.bytes.clone());
-        let body = resp.encode();
-        let schedule = tcp.transfer(now, body.len(), &mut cwnd, false);
-        let mut off = 0;
-        for &(at, n) in &schedule.chunks {
-            let end = (off + n).min(body.len());
-            let wall = capture_clock.read(at, &mut net_rng);
-            capture.record(flow, at, wall, &body[off..end]);
-            off = end;
-        }
+        let head = Response::ok_bytes("video/mp2t", Vec::new()).encode_head(segment.len);
+        let schedule = tcp.transfer(now, head.len() + segment.len, &mut cwnd, false);
+        tap.record_response(None, flow, &head, &segment.bytes, &schedule.chunks, &mut net_rng);
         media_end_s += segment.duration_s;
         // VOD: stale capture timestamps are not latency anchors.
         arrivals.push(MediaArrival { at: schedule.completion, media_end_s, capture_wall_s: None });
         now = schedule.completion;
     }
 
-    // Replay pages still show chat history but the room is closed: no live
-    // messages. Only the video traffic flows.
-    let _ = chat_client::events; // (documented no-op for replays)
-
-    let log = run_playback(start_at, config.watch, config.player_hls, &arrivals);
-    let meta = PlaybackMetaReport {
-        n_stalls: log.n_stalls(),
-        avg_stall_time_s: None,
-        playback_latency_s: None,
-    };
-    let fps = broadcast.device.fps();
-    let rendered = rendered_fps(fps, config.device, &log);
-    Some(SessionOutcome {
-        broadcast_id: broadcast.id,
-        protocol: Protocol::Hls,
-        device: config.device,
-        bandwidth_limit_bps: config.network.tc_limit_bps,
-        player: log,
-        capture,
-        meta,
-        viewers_at_join: 0,
-        rendered_fps: rendered,
+    let delivered = Delivered {
+        arrivals,
+        fps: broadcast.device.fps(),
+        phases: Vec::new(),
         server: format!("{} (replay)", pop.hostname()),
-    })
+        link_faults: None,
+    };
+    let mut outcome = finish(
+        Protocol::Hls,
+        broadcast,
+        start_at,
+        config,
+        &mut Trace::disabled(),
+        tap.capture,
+        delivered,
+    );
+    outcome.viewers_at_join = 0; // nobody else is watching a recording
+    Some(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::NetworkSetup;
-    use pscp_media::audio::AudioBitrate;
-    use pscp_media::content::ContentClass;
-    use pscp_simnet::{GeoPoint, SimDuration};
-    use pscp_workload::broadcast::{BroadcastId, DeviceProfile};
+    use crate::fixture;
 
     fn broadcast(replay: bool) -> Broadcast {
-        Broadcast {
-            id: BroadcastId(77),
-            location: GeoPoint::new(48.86, 2.35),
-            city: "Paris",
-            start: SimTime::from_secs(10),
-            duration: SimDuration::from_secs(600),
-            content: ContentClass::StaticTalk,
-            device: DeviceProfile::Modern,
-            audio: AudioBitrate::Kbps32,
-            avg_viewers: 9.0,
-            replay_available: replay,
-            private: false,
-            location_public: true,
-            viewer_seed: 8,
-            target_bitrate_bps: 300_000.0,
-        }
+        Broadcast { replay_available: replay, ..fixture::broadcast(77) }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! End-to-end RTMP viewing session.
+//! The RTMP transport of a viewing session.
 //!
 //! The full §3/§5.1 pipeline: the broadcaster's phone encodes and uploads
 //! over a glitchy mobile uplink to the nearest EC2 ingest server, which
@@ -7,151 +7,58 @@
 //! receiving it from the broadcasting client"); the viewer's tethered phone
 //! receives through the optional `tc` shaper, tcpdump records every packet,
 //! and the player buffers ~1.6 s before rendering.
+//!
+//! The server side and the app's own traffic are [`push`](crate::push)'s,
+//! shared with SRT; what is RTMP's own is here: the TCP/TLS/RTMP
+//! handshakes, chunk-stream framing (sealed in TLS for private broadcasts),
+//! one FIFO link everything shares, and mid-stream disconnects.
 
-use crate::broadcaster::IngestTimeline;
 use crate::chat_client;
-use crate::device::ViewerDevice;
-use crate::downlink::{Recording, SendQueue, Tap};
-use crate::player::{run_playback, MediaArrival};
-use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
+use crate::push::{Media, Push, Sends};
+use crate::session::{Delivered, SessionCtx};
 use pscp_media::bitstream::FrameKind;
 use pscp_media::capture::FlowKind;
 use pscp_media::flv::{AudioTag, VideoTag};
 use pscp_proto::amf::{encode_command, Amf0};
 use pscp_proto::rtmp::{handshake_c0c1, handshake_s0s1s2, Chunker, Message, MessageType};
-use pscp_service::ingest::assign_server;
-use pscp_service::select::Protocol;
-use pscp_simnet::fault::{self, LinkFaults};
-use pscp_simnet::{Link, RngFactory, SimDuration, SimTime, WallClock};
-use pscp_workload::broadcast::Broadcast;
+use pscp_simnet::fault;
+use pscp_simnet::{Link, SimDuration, SimTime};
 
-/// Small per-message server forwarding delay.
-const SERVER_FORWARD: SimDuration = SimDuration::from_millis(5);
-/// How much already-uploaded media the server replays from (at most one
-/// GOP back to the latest keyframe, so playback can start immediately).
-const WARMUP: SimDuration = SimDuration::from_secs(6);
 /// Gap an injected mid-stream RTMP disconnect leaves before the client's
 /// reconnect completes (DESIGN.md §8).
 const RTMP_RECONNECT_GAP: SimDuration = SimDuration::from_secs(4);
 
-/// Runs one RTMP session: the viewer joins `broadcast` at absolute time
-/// `join_at` and watches for `config.watch`.
-pub fn run(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-) -> SessionOutcome {
-    run_traced(broadcast, join_at, config, rngs, &mut pscp_obs::Trace::disabled())
-}
+/// Delivers the session in `ctx` over RTMP.
+pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
+    let (broadcast, join_at, config) = (ctx.broadcast, ctx.join_at, ctx.config);
+    let rtt = config.network.rtt_to(&ctx.server.location());
+    let media_server = ctx.server.reverse_dns();
+    let push = Push::open(ctx, FlowKind::Rtmp, media_server);
+    let (flow_rtmp, video_in, audio_in) = (push.flow_media, &push.ingest.video, &push.ingest.audio);
 
-/// [`run`] plus per-session instrumentation into `trace` (no-ops when the
-/// trace is disabled; the simulation itself is identical either way —
-/// tracing draws no randomness and moves no timestamps).
-pub fn run_traced(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-    trace: &mut pscp_obs::Trace,
-) -> SessionOutcome {
-    simulate(broadcast, join_at, config, rngs, trace, Recording::Full)
-}
-
-/// The session itself. With [`Recording::Counted`] the returned capture
-/// holds every packet's time and length but no bytes (DESIGN.md §10,
-/// "Uncaptured sessions"); every other field is what `Full` returns.
-pub(crate) fn simulate(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-    trace: &mut pscp_obs::Trace,
-    recording: Recording,
-) -> SessionOutcome {
-    let mut enc_rng = rngs.stream("rtmp/encoder");
-    let mut net_rng = rngs.stream("rtmp/net");
-    let mut clock_rng = rngs.stream("rtmp/clocks");
-
-    let broadcaster_clock = WallClock::ntp_synced(&mut clock_rng);
-    let capture_clock = WallClock::ntp_synced(&mut clock_rng);
-
-    let server = assign_server(&broadcast.location, broadcast.id.0);
-    let prop_up = broadcast.location.propagation_to(&server.location());
-    let rtt = config.network.rtt_to(&server.location());
-    crate::session::trace_session_start(
-        trace,
-        "rtmp",
-        broadcast.id,
-        broadcast.viewers_at(join_at),
-        join_at.as_micros(),
-        config,
-    );
-
-    // --- broadcaster side: encode + upload ---
-    let sim_start = join_at - WARMUP;
-    let end = join_at + config.watch + SimDuration::from_secs(2);
-    let ingest = IngestTimeline::simulate(
-        broadcast,
-        &config.uplink,
-        sim_start..end,
-        prop_up,
-        &broadcaster_clock,
-        &mut enc_rng,
-        &mut clock_rng,
-    );
-    let (fps, video_in, audio_in) = (ingest.fps, &ingest.video, &ingest.audio);
-
-    // --- server side: choose the replay start (latest keyframe already
-    // ingested when the play command lands) ---
+    // --- server side: the replay starts at the latest keyframe already
+    // ingested when the play command lands ---
     let tls_rtts = if broadcast.private { pscp_proto::tls::HANDSHAKE_RTTS as u64 } else { 0 };
     // TCP connect + (TLS handshake for private streams) + RTMP handshake.
     let play_cmd_at = join_at + rtt + rtt / 2 + rtt * tls_rtts;
-    if trace.is_enabled() {
-        trace.event((join_at + rtt).as_micros(), "rtmp", "rtmp.handshake", vec![]);
-        trace.event(play_cmd_at.as_micros(), "rtmp", "rtmp.play_start", vec![]);
+    if ctx.trace.is_enabled() {
+        ctx.trace.event((join_at + rtt).as_micros(), "rtmp", "rtmp.handshake", vec![]);
+        ctx.trace.event(play_cmd_at.as_micros(), "rtmp", "rtmp.play_start", vec![]);
     }
-    let start_idx = ingest.replay_start(play_cmd_at);
 
     // --- wire: every transmission (bootstrap, handshake, media, chat,
     // pictures) is merged into send-time order before hitting the shared
     // bottleneck link, so cross-traffic genuinely delays video — the FIFO
     // contention behind the paper's 2 Mbps QoE boundary. ---
-    let faults = &config.faults;
-    let mut tap = Tap::new(
-        &capture_clock,
-        LinkFaults::active(faults).then(|| LinkFaults::new(faults, rngs.seed(), "rtmp/link")),
-    );
-    let flow_rtmp = tap.capture.open_flow(FlowKind::Rtmp, server.reverse_dns());
-    let flow_misc = tap.capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
-    let flow_chat = tap.capture.open_flow(FlowKind::Chat, "chatman.periscope.tv");
-    let flow_pics =
-        config.chat_on.then(|| tap.capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
-    let bottleneck = config.network.bottleneck_bps();
-    let one_way_down =
-        server.location().propagation_to(&config.network.location) + config.network.access_rtt / 2;
-    let mut link = Link::unbounded(bottleneck, one_way_down);
-
-    // Last-chunk metadata for video messages feeding the player.
-    struct Meta {
-        media_end_s: f64,
-        capture_wall_s: f64,
-    }
-    let mut sends: SendQueue<Option<Meta>> = SendQueue::new(
-        recording,
+    let mut link = Link::unbounded(push.bottleneck, push.one_way_down);
+    let mut sends = Sends::new(
+        ctx.recording,
         video_in.iter().map(|f| f.frame.size + 32).sum::<usize>()
             + audio_in.iter().map(|&(_, _, size)| size + 32).sum::<usize>()
             + 64 * 1024,
         video_in.len() + audio_in.len() + 256,
     );
-
-    // App bootstrap: before (and while) the stream starts, the app pulls
-    // broadcast metadata, thumbnails and the recent chat backlog. On a fast
-    // link this is invisible; under a tc limit it is what makes join times
-    // explode (Fig 4a).
-    let overhead_bytes = pscp_simnet::dist::lognormal(&mut net_rng, (900_000f64).ln(), 0.7)
-        .clamp(150_000.0, 4_000_000.0) as usize;
-    sends.push(join_at + config.network.access_rtt, flow_misc, &[], 0, overhead_bytes, None);
+    let bootstrap_done = push.queue_bootstrap(ctx, &mut sends);
 
     // Handshake: S0+S1+S2 arrive right after connect, then the control
     // burst (SetChunkSize + onStatus).
@@ -173,87 +80,43 @@ pub(crate) fn simulate(
     );
     sends.push(play_cmd_at, flow_rtmp, &scratch, 0, 0, None);
 
-    // Media messages: backlog burst + live push, interleaved with audio.
-    // Each is framed by the chunker (which sets its on-wire length) and
+    // Media messages: each is framed by the chunker (which sets its on-wire
+    // length; its state follows the order the bytes go on the wire) and
     // queued with the writer of its bytes: FLV tag body into the scratch,
     // chunked from there into the arena.
-    let first_pts = video_in.get(start_idx).map(|f| f.frame.pts_ms).unwrap_or(0);
-    let frame_dur_s = 1.0 / fps;
-    let mut ai =
-        audio_in.iter().position(|&(_, pts, _)| pts >= first_pts).unwrap_or(audio_in.len());
-    for f in &video_in[start_idx..] {
-        let send_at = f.a_in.max(play_cmd_at) + SERVER_FORWARD;
-        if send_at >= end {
-            break;
-        }
-        // Interleave any audio due before this frame (chunker state follows
-        // the same order the bytes go on the wire).
-        while ai < audio_in.len() && audio_in[ai].1 <= f.frame.pts_ms {
-            let (a_arr, pts, size) = audio_in[ai];
-            ai += 1;
-            let a_send = a_arr.max(play_cmd_at) + SERVER_FORWARD;
-            if a_send >= end {
-                continue;
+    for (send_at, media) in push.media_schedule(play_cmd_at, &ctx.broadcaster_clock) {
+        match media {
+            Media::Audio { ts_ms, size } => {
+                let framing =
+                    chunker.frame(4, ts_ms, MessageType::Audio, 1, AudioTag::HEADER_LEN + size);
+                sends.push_with(send_at, flow_rtmp, framing.wire_len(), None, |arena| {
+                    scratch.clear();
+                    AudioTag::encode_into(size, &mut scratch);
+                    framing.write(&scratch, arena);
+                });
+                ctx.trace.count("rtmp", "audio_msgs", 1);
             }
-            let framing = chunker.frame(
-                4,
-                pts.saturating_sub(first_pts),
-                MessageType::Audio,
-                1,
-                AudioTag::HEADER_LEN + size,
-            );
-            sends.push_with(a_send, flow_rtmp, framing.wire_len(), None, |arena| {
-                scratch.clear();
-                AudioTag::encode_into(size, &mut scratch);
-                framing.write(&scratch, arena);
-            });
-            trace.count("rtmp", "audio_msgs", 1);
+            // The frame payload *is* the coded frame body: the 5-byte FLV
+            // tag header, then the body generated in place.
+            Media::Video { ts_ms, frame, meta } => {
+                let f = &frame.frame;
+                let framing =
+                    chunker.frame(6, ts_ms, MessageType::Video, 1, VideoTag::HEADER_LEN + f.size);
+                sends.push_with(send_at, flow_rtmp, framing.wire_len(), Some(meta), |arena| {
+                    scratch.clear();
+                    VideoTag::write_header(
+                        f.kind == FrameKind::I,
+                        if f.kind == FrameKind::B { 33 } else { 0 },
+                        &mut scratch,
+                    );
+                    f.encode_into(&mut scratch);
+                    framing.write(&scratch, arena);
+                });
+                ctx.trace.count("rtmp", "video_msgs", 1);
+            }
         }
-        // The frame payload *is* the coded frame body: the 5-byte FLV tag
-        // header, then the body generated in place.
-        let framing = chunker.frame(
-            6,
-            f.frame.pts_ms.saturating_sub(first_pts),
-            MessageType::Video,
-            1,
-            VideoTag::HEADER_LEN + f.frame.size,
-        );
-        let meta = Meta {
-            media_end_s: (f.frame.pts_ms - first_pts) as f64 / 1000.0 + frame_dur_s,
-            capture_wall_s: broadcaster_clock.read_exact(f.t_cap),
-        };
-        sends.push_with(send_at, flow_rtmp, framing.wire_len(), Some(meta), |arena| {
-            scratch.clear();
-            VideoTag::write_header(
-                f.frame.kind == FrameKind::I,
-                if f.frame.kind == FrameKind::B { 33 } else { 0 },
-                &mut scratch,
-            );
-            f.frame.encode_into(&mut scratch);
-            framing.write(&scratch, arena);
-        });
-        trace.count("rtmp", "video_msgs", 1);
     }
-
-    // Chat + pictures (§5.1: JSON flows even with chat off; pictures only
-    // with chat on). The chat *pane* — and with it the avatar downloads —
-    // only renders once the stream view is up, so picture fetches cannot
-    // precede the app bootstrap finishing; the WebSocket connects earlier.
-    let bootstrap_done = join_at
-        + config.network.access_rtt
-        + SimDuration::from_secs_f64(overhead_bytes as f64 * 8.0 / bottleneck);
-    for ev in chat_client::events(broadcast, join_at, join_at + config.watch, config, &mut net_rng)
-    {
-        let (flow, at) = match ev.kind {
-            FlowKind::Chat => (flow_chat, ev.at),
-            FlowKind::PictureHttp => match flow_pics {
-                Some(f) => (f, ev.at.max(bootstrap_done)),
-                None => continue,
-            },
-            _ => continue,
-        };
-        sends.push(at, flow, &ev.bytes.head, ev.bytes.fill, ev.bytes.pad, None);
-    }
+    push.queue_chat(ctx, bootstrap_done, &mut sends);
 
     // Private broadcasts travel over RTMPS (§3): the RTMP bytes are sealed
     // in TLS records. The app decrypts them fine (arrival times and media
@@ -264,168 +127,74 @@ pub(crate) fn simulate(
         sends.seal_flow(flow_rtmp, &mut pscp_proto::tls::TlsChannel::new(broadcast.viewer_seed));
     }
 
-    // --- fault injection (DESIGN.md §8): deterministic drop windows for
-    // mid-stream disconnects and chat drops, plus per-packet link faults
-    // during transmission. Every class is gated on its own rate, so with
-    // faults off none of this executes and no variate is drawn. ---
-    let fault_seed = faults.seed ^ rngs.seed();
-    let dc_windows = if faults.rtmp_disconnect_per_min > 0.0 {
-        fault::drop_windows(
-            fault_seed,
-            "rtmp/disconnect",
-            join_at,
-            end,
-            faults.rtmp_disconnect_per_min,
-            RTMP_RECONNECT_GAP,
-        )
-    } else {
-        Vec::new()
-    };
-    let chat_windows = if faults.chat_drop_per_min > 0.0 {
-        fault::drop_windows(
-            fault_seed,
-            "rtmp/chat",
-            join_at,
-            join_at + config.watch,
-            faults.chat_drop_per_min,
-            chat_client::CHAT_RECONNECT_GAP,
-        )
-    } else {
-        Vec::new()
-    };
-    if !dc_windows.is_empty() {
-        trace.count("fault", "rtmp_disconnects", dc_windows.len() as u64);
-        trace.count("recovery", "rtmp_reconnects", dc_windows.len() as u64);
-    }
-    if !chat_windows.is_empty() {
-        trace.count("fault", "chat_drops", chat_windows.len() as u64);
-        trace.count("recovery", "chat_reconnects", chat_windows.len() as u64);
-    }
+    // --- fault injection (DESIGN.md §8): drop windows for mid-stream
+    // disconnects and chat drops, plus per-packet link faults during
+    // transmission. Every class is gated on its own rate, so with faults
+    // off no variate is drawn. ---
+    let dc_windows = ctx.drop_windows(
+        "rtmp/disconnect",
+        push.end,
+        config.faults.rtmp_disconnect_per_min,
+        RTMP_RECONNECT_GAP,
+        ("rtmp_disconnects", "rtmp_reconnects"),
+    );
+    let chat_windows = chat_client::drop_windows(ctx, "rtmp/chat");
+    let mut link_faults = ctx.link_faults("rtmp/link");
 
     // Merge by send time and transmit. Per flow, FIFO enqueueing keeps
     // arrival order non-decreasing.
     sends.sort_by_time();
-    let mtu = config.network.mtu.max(256);
-    sends.reserve(&mut tap.capture, mtu);
-    let mut arrivals: Vec<MediaArrival> = Vec::new();
+    sends.reserve(&mut ctx.tap.capture, push.mtu);
+    let mut arrivals = Vec::new();
     for send in sends.iter() {
         if (send.flow == flow_rtmp && fault::in_windows(&dc_windows, send.at))
-            || (send.flow == flow_chat && fault::in_windows(&chat_windows, send.at))
+            || (send.flow == push.flow_chat && fault::in_windows(&chat_windows, send.at))
         {
             continue; // the connection is down; these bytes never leave
         }
-        let last = tap.transmit(&mut link, send.at, send.flow, send.payload, mtu, &mut clock_rng);
+        let last = ctx.tap.transmit(
+            &mut link,
+            link_faults.as_mut(),
+            send.at,
+            send.flow,
+            send.payload.chunks(push.mtu),
+            &mut ctx.clock_rng,
+        );
         if let (Some(meta), Some(arr)) = (send.tag, last) {
-            arrivals.push(MediaArrival {
-                at: arr,
-                media_end_s: meta.media_end_s,
-                capture_wall_s: Some(meta.capture_wall_s),
-            });
+            arrivals.push(meta.arrived(arr));
         }
     }
-    let Tap { capture, faults: link_faults, .. } = tap;
-    if let Some(lf) = link_faults {
-        trace.count("fault", "lost_packets", lf.lost);
-        trace.count("fault", "latency_spikes", lf.spiked);
-        trace.count("recovery", "retransmits", lf.lost);
-    }
-
-    let log = run_playback(join_at, config.watch, config.player_rtmp, &arrivals);
-    // Join decomposition (paper Fig 11 analogue): TCP/TLS/RTMP handshakes
-    // until the play command, then buffer fill until first render. The two
-    // child spans tile [join_at, first_frame] exactly, so they sum to the
-    // session's join time; the parent is the teleport driver's session
-    // root when one is open.
-    if let Some(j) = log.join_time {
-        let parent = trace.current_span();
-        let first_frame = join_at + j;
-        let handshake_end = play_cmd_at.min(first_frame);
-        trace.span(
-            join_at.as_micros(),
-            handshake_end.as_micros(),
-            "rtmp",
-            "rtmp.handshake",
-            parent,
-        );
-        trace.span(
-            handshake_end.as_micros(),
-            first_frame.as_micros(),
-            "rtmp",
-            "rtmp.buffering",
-            parent,
-        );
-    }
-    log.record_events(join_at, trace);
-    crate::session::trace_session_end(trace, (join_at + config.watch).as_micros(), &log, &capture);
-    let meta = PlaybackMetaReport {
-        n_stalls: log.n_stalls(),
-        avg_stall_time_s: log.avg_stall_s(),
-        playback_latency_s: log.mean_latency_s(),
-    };
-    let rendered_fps = rendered_fps(fps, config.device, &log);
-    SessionOutcome {
-        broadcast_id: broadcast.id,
-        protocol: Protocol::Rtmp,
-        device: config.device,
-        bandwidth_limit_bps: config.network.tc_limit_bps,
-        player: log,
-        capture,
-        meta,
-        viewers_at_join: broadcast.viewers_at(join_at),
-        rendered_fps,
+    Delivered {
+        arrivals,
+        fps: push.ingest.fps,
+        // TCP/TLS/RTMP handshakes until the play command, then buffer fill
+        // until first render.
+        phases: vec![
+            ("rtmp", "rtmp.handshake", play_cmd_at),
+            ("rtmp", "rtmp.buffering", SimTime::MAX),
+        ],
         server: if broadcast.private {
-            format!("rtmps://{}", server.hostname())
+            format!("rtmps://{}", ctx.server.hostname())
         } else {
-            server.hostname()
+            ctx.server.hostname()
         },
+        link_faults,
     }
-}
-
-/// Achieved render rate: the stream rate capped by the device, discounted
-/// by stall overhead.
-pub(crate) fn rendered_fps(
-    stream_fps: f64,
-    device: ViewerDevice,
-    log: &crate::player::PlayerLog,
-) -> f64 {
-    let base = stream_fps.min(device.render_fps_cap());
-    let active = log.played_s / log.session_s.max(1e-9);
-    base * active.clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::device::NetworkSetup;
+    use crate::device::{NetworkSetup, ViewerDevice};
+    use crate::fixture;
+    use crate::session::{run, SessionConfig, SessionOutcome};
     use pscp_media::analysis::analyze_rtmp_flow;
-    use pscp_media::audio::AudioBitrate;
-    use pscp_media::content::ContentClass;
-    use pscp_simnet::GeoPoint;
-    use pscp_workload::broadcast::{BroadcastId, DeviceProfile};
-
-    fn test_broadcast(seed: u64) -> Broadcast {
-        Broadcast {
-            id: BroadcastId(seed),
-            location: GeoPoint::new(41.01, 28.98), // Istanbul
-            city: "Istanbul",
-            start: SimTime::from_secs(100),
-            duration: SimDuration::from_secs(1800),
-            content: ContentClass::Indoor,
-            device: DeviceProfile::Modern,
-            audio: AudioBitrate::Kbps32,
-            avg_viewers: 15.0,
-            replay_available: true,
-            private: false,
-            location_public: true,
-            viewer_seed: seed,
-            target_bitrate_bps: 300_000.0,
-        }
-    }
+    use pscp_media::capture::FlowKind;
+    use pscp_service::select::Protocol;
+    use pscp_simnet::{RngFactory, SimTime};
 
     fn run_session(seed: u64, config: SessionConfig) -> SessionOutcome {
-        let b = test_broadcast(seed);
         let rngs = RngFactory::new(seed).child("session");
-        run(&b, SimTime::from_secs(400), &config, &rngs)
+        run(Protocol::Rtmp, &fixture::broadcast(seed), SimTime::from_secs(400), &config, &rngs)
     }
 
     #[test]
@@ -527,10 +296,11 @@ mod tests {
 
     #[test]
     fn private_broadcast_capture_is_opaque() {
-        let mut b = test_broadcast(31);
+        let mut b = fixture::broadcast(31);
         b.private = true;
         let rngs = RngFactory::new(31).child("session");
-        let out = run(&b, SimTime::from_secs(400), &SessionConfig::default(), &rngs);
+        let out =
+            run(Protocol::Rtmp, &b, SimTime::from_secs(400), &SessionConfig::default(), &rngs);
         assert!(out.server.starts_with("rtmps://"), "server={}", out.server);
         // Playback works: the app has the keys.
         assert!(out.join_time_s().is_some());

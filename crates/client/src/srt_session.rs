@@ -1,4 +1,4 @@
-//! End-to-end SRT viewing session — the what-if transport study
+//! The SRT transport of a viewing session — the what-if transport study
 //! (DESIGN.md §12).
 //!
 //! The paper's measured transports are both TCP: RTMP turns packet loss
@@ -10,20 +10,17 @@
 //! that still fits the window, and otherwise *dropped and concealed*, so
 //! late media never stalls the player the way a TCP retransmit storm does.
 //!
-//! The pipeline mirrors [`rtmp_session`](crate::rtmp_session): encoder and
-//! glitchy uplink feed the ingest host, the gateway replays from the latest
-//! keyframe and pushes live, and the same player model scores QoE — the
-//! SRT player even runs RTMP buffer thresholds
+//! The server side and the app's own traffic are [`push`](crate::push)'s,
+//! the very code the RTMP transport runs over the very same RNG streams —
+//! so a transport comparison is paired: it measures the transport, not
+//! uplink luck — and the same player model scores QoE; the SRT player even
+//! runs RTMP buffer thresholds
 //! ([`PlayerConfig::srt`](crate::player::PlayerConfig::srt)), so the
-//! three-way chaos sweep compares transports, not tuning.
+//! three-way chaos sweep compares transports, not tuning. What is SRT's own
+//! is here: the caller/listener handshake and its retries, datagram
+//! framing, and NAK/ARQ recovery inside the latency window.
 //!
-//! Determinism: every random choice comes from labelled streams. The
-//! broadcaster-side streams deliberately reuse the *RTMP* labels
-//! (`rtmp/encoder`, `rtmp/net`, `rtmp/clocks`) as common random numbers:
-//! an SRT session of seed `s` sees the exact encoder, uplink-glitch and
-//! chat draws its RTMP counterpart would, so a transport comparison is
-//! paired — it measures the transport, not uplink luck. Transport-specific
-//! draws stay in their own namespace: `srt/link` (the shared
+//! Determinism: transport-specific draws stay in their own namespace: `srt/link` (the shared
 //! Gilbert–Elliott chain discipline) for datagram fates, `srt/handshake`
 //! and `srt/retx` for control-path and retransmission fates — so a session
 //! is a pure function of `(seed, fault seed)` and invariant under
@@ -31,28 +28,18 @@
 //! `(seq, attempt)`, never a shared draw sequence, so scaling the loss
 //! config cannot shift which retransmits fail.
 
-use crate::broadcaster::IngestTimeline;
-use crate::chat_client;
-use crate::downlink::{Arena, Recording, SendQueue, Tap};
-use crate::player::{run_playback, MediaArrival};
+use crate::downlink::Arena;
+use crate::push::{Media, Meta, Push, Sends};
 use crate::retry::RetryPolicy;
-use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
+use crate::session::{Delivered, SessionCtx};
 use pscp_media::capture::FlowKind;
 use pscp_proto::srt::{
     self, seq_add, seq_distance, Caller, Listener, Packet, RecvEvent, RecvTracker, RetxEntry,
     RetxQueue,
 };
-use pscp_service::ingest::assign_server;
-use pscp_service::select::Protocol;
-use pscp_simnet::fault::{FaultRng, GilbertElliott, LinkFaults, LossConfig};
-use pscp_simnet::{DatagramLink, RngFactory, SimDuration, SimTime, WallClock};
-use pscp_workload::broadcast::Broadcast;
+use pscp_simnet::fault::{FaultRng, GilbertElliott, LossConfig};
+use pscp_simnet::{DatagramLink, SimDuration, SimTime};
 
-/// Small per-message gateway forwarding delay.
-const SERVER_FORWARD: SimDuration = SimDuration::from_millis(5);
-/// How much already-uploaded media the gateway replays from (at most one
-/// GOP back to the latest keyframe, so playback can start immediately).
-const WARMUP: SimDuration = SimDuration::from_secs(6);
 /// Sender retransmit-queue occupancy bound, wire bytes. At ~300 kbps this
 /// holds several seconds of media — comfortably more than the latency
 /// window, so evictions only happen under pathological loss.
@@ -60,17 +47,6 @@ const RETX_QUEUE_CAP: usize = 768 * 1024;
 /// Retransmission attempts per lost packet (first NAK plus one re-NAK);
 /// each failed attempt costs another RTT against the latency window.
 const MAX_RETX_ATTEMPTS: u32 = 2;
-
-/// Runs one SRT session: the viewer joins `broadcast` at absolute time
-/// `join_at` and watches for `config.watch`.
-pub fn run(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-) -> SessionOutcome {
-    run_traced(broadcast, join_at, config, rngs, &mut pscp_obs::Trace::disabled())
-}
 
 /// Stationary loss probability of a Gilbert–Elliott config — the marginal
 /// rate a single retransmitted packet faces on the same path.
@@ -80,52 +56,14 @@ fn stationary_loss(cfg: &LossConfig) -> f64 {
     pi_bad * cfg.p_loss_bad + (1.0 - pi_bad) * cfg.p_loss_good
 }
 
-/// [`run`] plus per-session instrumentation into `trace` (no-ops when the
-/// trace is disabled; the simulation itself is identical either way).
-pub fn run_traced(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-    trace: &mut pscp_obs::Trace,
-) -> SessionOutcome {
-    simulate(broadcast, join_at, config, rngs, trace, Recording::Full)
-}
-
-/// The session itself. With [`Recording::Counted`] the returned capture
-/// holds every packet's time and length but no bytes (DESIGN.md §10,
-/// "Uncaptured sessions"); every other field is what `Full` returns.
-pub(crate) fn simulate(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-    trace: &mut pscp_obs::Trace,
-    recording: Recording,
-) -> SessionOutcome {
-    // Common random numbers with the RTMP path (see module docs): the
-    // broadcaster side replays the exact draws an RTMP session of this seed
-    // makes, so the transports differ only in transport.
-    let mut enc_rng = rngs.stream("rtmp/encoder");
-    let mut net_rng = rngs.stream("rtmp/net");
-    let mut clock_rng = rngs.stream("rtmp/clocks");
-
-    let broadcaster_clock = WallClock::ntp_synced(&mut clock_rng);
-    let capture_clock = WallClock::ntp_synced(&mut clock_rng);
-
-    let server = assign_server(&broadcast.location, broadcast.id.0);
-    let prop_up = broadcast.location.propagation_to(&server.location());
-    let rtt = config.network.rtt_to(&server.location());
+/// Delivers the session in `ctx` over SRT — or, when the gateway cannot be
+/// reached within the reconnect budget, reports the instant the app gives
+/// up on it (`Err`), from which the driver falls back to RTMP.
+pub(crate) fn deliver(ctx: &mut SessionCtx) -> Result<Delivered, SimTime> {
+    let (broadcast, join_at, config, rngs) = (ctx.broadcast, ctx.join_at, ctx.config, ctx.rngs);
+    let rtt = config.network.rtt_to(&ctx.server.location());
     let faults = &config.faults;
     let fault_seed = faults.seed ^ rngs.seed();
-    crate::session::trace_session_start(
-        trace,
-        "srt",
-        broadcast.id,
-        broadcast.viewers_at(join_at),
-        join_at.as_micros(),
-        config,
-    );
 
     // --- caller/listener handshake over the lossy control path ---
     //
@@ -156,42 +94,22 @@ pub(crate) fn simulate(
         if !attempt_lost {
             break true;
         }
-        trace.count("fault", "srt_handshake_losses", 1);
+        ctx.trace.count("fault", "srt_handshake_losses", 1);
         if attempt >= policy.max_attempts {
             break false;
         }
-        trace.count("srt", "handshake_retries", 1);
+        ctx.trace.count("srt", "handshake_retries", 1);
         hs_start += policy.backoff(attempt - 1, &mut hs_backoff_rng);
         attempt += 1;
     };
     if !connected {
-        // The gateway is unreachable at the datagram layer; the app falls
-        // back to plain RTMP against the same ingest host, exactly like the
-        // teleport driver's outage failover — the wait so far is charged to
-        // the join clock.
-        trace.count("recovery", "srt_fallbacks", 1);
-        let parent = trace.current_span();
-        trace.span(
-            join_at.as_micros(),
-            hs_start.as_micros(),
-            "recovery",
-            "recovery.reconnect",
-            parent,
-        );
-        trace.span(
-            hs_start.as_micros(),
-            hs_start.as_micros(),
-            "recovery",
-            "recovery.failover",
-            parent,
-        );
-        let waited = hs_start.saturating_since(join_at);
-        let mut outcome =
-            crate::rtmp_session::simulate(broadcast, hs_start, config, rngs, trace, recording);
-        if let Some(j) = outcome.player.join_time {
-            outcome.player.join_time = Some(j + waited);
-        }
-        return outcome;
+        // The gateway is unreachable at the datagram layer.
+        ctx.trace.count("recovery", "srt_fallbacks", 1);
+        let parent = ctx.trace.current_span();
+        let (from_us, gave_up_us) = (join_at.as_micros(), hs_start.as_micros());
+        ctx.trace.span(from_us, gave_up_us, "recovery", "recovery.reconnect", parent);
+        ctx.trace.span(gave_up_us, gave_up_us, "recovery", "recovery.failover", parent);
+        return Err(hs_start);
     }
     // Drive the real state machines for the winning attempt: the cookie
     // and agreement are the downstream handshake bytes the capture holds.
@@ -215,41 +133,18 @@ pub(crate) fn simulate(
     let latency = SimDuration::from_millis(latency_ms as u64);
     let data_start = hs_start + rtt + rtt; // two round trips
 
-    // --- broadcaster side: encode + upload (the same timeline RTMP sees) ---
-    let sim_start = join_at - WARMUP;
-    let end = join_at + config.watch + SimDuration::from_secs(2);
-    let ingest = IngestTimeline::simulate(
-        broadcast,
-        &config.uplink,
-        sim_start..end,
-        prop_up,
-        &broadcaster_clock,
-        &mut enc_rng,
-        &mut clock_rng,
-    );
-    let (fps, video_in, audio_in) = (ingest.fps, &ingest.video, &ingest.audio);
-
-    // --- gateway: replay from the latest keyframe ingested when data
-    // starts flowing ---
-    let start_idx = ingest.replay_start(data_start);
+    // --- gateway: the same ingest timeline RTMP sees, replayed from the
+    // latest keyframe ingested when data starts flowing ---
+    let media_server = format!("srt-{}", ctx.server.hostname());
+    let push = Push::open(ctx, FlowKind::Srt, media_server.clone());
+    let (flow_srt, mtu) = (push.flow_media, push.mtu);
 
     // --- wire: media rides the unreliable datagram path from the gateway;
     // bootstrap, chat and pictures stay on the app's TCP connections (their
     // own queue — the gateway path is provisioned separately; app-path
     // losses surface as delay, exactly like the RTMP session). ---
-    let mut tap = Tap::new(
-        &capture_clock,
-        LinkFaults::active(faults).then(|| LinkFaults::new(faults, rngs.seed(), "srt/app")),
-    );
-    let flow_srt = tap.capture.open_flow(FlowKind::Srt, format!("srt-{}", server.hostname()));
-    let flow_misc = tap.capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
-    let flow_chat = tap.capture.open_flow(FlowKind::Chat, "chatman.periscope.tv");
-    let flow_pics =
-        config.chat_on.then(|| tap.capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
-    let bottleneck = config.network.bottleneck_bps();
-    let one_way_down =
-        server.location().propagation_to(&config.network.location) + config.network.access_rtt / 2;
-    let mut dglink = DatagramLink::unbounded(bottleneck, one_way_down).with_faults(
+    let mut app_faults = ctx.link_faults("srt/app");
+    let mut dglink = DatagramLink::unbounded(push.bottleneck, push.one_way_down).with_faults(
         faults,
         rngs.seed(),
         "srt/link",
@@ -270,35 +165,14 @@ pub(crate) fn simulate(
 
     // --- app-side TCP flows (bootstrap + chat + pictures), same model and
     // same queue as the RTMP session ---
-    let mut sends: SendQueue<()> = SendQueue::new(recording, 64 * 1024, 256);
-    let overhead_bytes = pscp_simnet::dist::lognormal(&mut net_rng, (900_000f64).ln(), 0.7)
-        .clamp(150_000.0, 4_000_000.0) as usize;
-    sends.push(join_at + config.network.access_rtt, flow_misc, &[], 0, overhead_bytes, ());
-    let bootstrap_done = join_at
-        + config.network.access_rtt
-        + SimDuration::from_secs_f64(overhead_bytes as f64 * 8.0 / bottleneck);
-    for ev in chat_client::events(broadcast, join_at, join_at + config.watch, config, &mut net_rng)
-    {
-        let (flow, at) = match ev.kind {
-            FlowKind::Chat => (flow_chat, ev.at),
-            FlowKind::PictureHttp => match flow_pics {
-                Some(f) => (f, ev.at.max(bootstrap_done)),
-                None => continue,
-            },
-            _ => continue,
-        };
-        sends.push(at, flow, &ev.bytes.head, ev.bytes.fill, ev.bytes.pad, ());
-    }
+    let mut sends = Sends::new(ctx.recording, 64 * 1024, 256);
+    let bootstrap_done = push.queue_bootstrap(ctx, &mut sends);
+    push.queue_chat(ctx, bootstrap_done, &mut sends);
     sends.sort_by_time();
-    let mtu = config.network.mtu.max(256);
 
     // --- gateway message schedule: video frames interleaved with audio in
     // PTS order, exactly like the RTMP path. Message bodies live in one
     // arena (audio bodies are opaque zero bytes of the right size). ---
-    struct Meta {
-        media_end_s: f64,
-        capture_wall_s: f64,
-    }
     struct Msg {
         at: SimTime,
         start: usize,
@@ -306,40 +180,22 @@ pub(crate) fn simulate(
         meta: Option<Meta>,
     }
     let mut bodies = Arena::new(
-        recording,
-        video_in.iter().map(|f| f.frame.size).sum::<usize>()
-            + audio_in.iter().map(|&(_, _, size)| size).sum::<usize>(),
+        ctx.recording,
+        push.ingest.video.iter().map(|f| f.frame.size).sum::<usize>()
+            + push.ingest.audio.iter().map(|&(_, _, size)| size).sum::<usize>(),
     );
     let mut msg_list: Vec<Msg> = Vec::new();
-    let first_pts = video_in.get(start_idx).map(|f| f.frame.pts_ms).unwrap_or(0);
-    let frame_dur_s = 1.0 / fps;
-    let mut ai =
-        audio_in.iter().position(|&(_, pts, _)| pts >= first_pts).unwrap_or(audio_in.len());
-    for f in &video_in[start_idx..] {
-        let send_at = f.a_in.max(data_start) + SERVER_FORWARD;
-        if send_at >= end {
-            break;
-        }
-        while ai < audio_in.len() && audio_in[ai].1 <= f.frame.pts_ms {
-            let (a_arr, _pts, size) = audio_in[ai];
-            ai += 1;
-            let a_send = a_arr.max(data_start) + SERVER_FORWARD;
-            if a_send >= end {
-                continue;
+    for (at, media) in push.media_schedule(data_start, &ctx.broadcaster_clock) {
+        let (body, meta) = match media {
+            Media::Audio { size, .. } => {
+                (bodies.extend_with(size, |bodies| bodies.resize(bodies.len() + size, 0)), None)
             }
-            let body = bodies.extend_with(size, |bodies| bodies.resize(bodies.len() + size, 0));
-            msg_list.push(Msg { at: a_send, start: body.start, end: body.end, meta: None });
-        }
-        let body = bodies.extend_with(f.frame.size, |bodies| f.frame.encode_into(bodies));
-        msg_list.push(Msg {
-            at: send_at,
-            start: body.start,
-            end: body.end,
-            meta: Some(Meta {
-                media_end_s: (f.frame.pts_ms - first_pts) as f64 / 1000.0 + frame_dur_s,
-                capture_wall_s: broadcaster_clock.read_exact(f.t_cap),
-            }),
-        });
+            Media::Video { frame, meta, .. } => (
+                bodies.extend_with(frame.frame.size, |bodies| frame.frame.encode_into(bodies)),
+                Some(meta),
+            ),
+        };
+        msg_list.push(Msg { at, start: body.start, end: body.end, meta });
     }
 
     // --- transmit + NAK/ARQ ---
@@ -372,7 +228,7 @@ pub(crate) fn simulate(
     }
     let payload_mtu = mtu.saturating_sub(srt::DATA_HEADER_BYTES).max(128);
     let mut wire = Arena::new(
-        recording,
+        ctx.recording,
         bodies.len() + (bodies.len() / payload_mtu + 2) * srt::DATA_HEADER_BYTES,
     );
     let mut records: Vec<(SimTime, usize, usize)> = Vec::new();
@@ -420,8 +276,14 @@ pub(crate) fn simulate(
                 // the media datagrams; losses surface as delay under the
                 // per-flow monotone floor, exactly like the RTMP session.
                 let send = sends.get(*si);
-                let link = dglink.reliable();
-                tap.transmit(link, send.at, send.flow, send.payload, mtu, &mut clock_rng);
+                ctx.tap.transmit(
+                    dglink.reliable(),
+                    app_faults.as_mut(),
+                    send.at,
+                    send.flow,
+                    send.payload.chunks(mtu),
+                    &mut ctx.clock_rng,
+                );
                 continue;
             }
             WireItem::Media(mi) => *mi,
@@ -462,8 +324,8 @@ pub(crate) fn simulate(
                 continue;
             };
             // One NAK packet covers all newly-detected ranges.
-            trace.count("srt", "nak_sent", 1);
-            trace.span(arr.as_micros(), (arr + rtt / 2).as_micros(), "srt", "srt.nak", None);
+            ctx.trace.count("srt", "nak_sent", 1);
+            ctx.trace.span(arr.as_micros(), (arr + rtt / 2).as_micros(), "srt", "srt.nak", None);
             for (range_first, range_last) in ranges {
                 for i in 0..=seq_distance(range_first, range_last) {
                     let lost_seq = seq_add(range_first, i);
@@ -495,7 +357,7 @@ pub(crate) fn simulate(
                             let ev = tracker.on_data(lost_seq);
                             debug_assert!(matches!(ev, RecvEvent::Recovered));
                             records.push((t_r, pkts[info_idx].start, pkts[info_idx].end));
-                            trace.span(
+                            ctx.trace.span(
                                 arr.as_micros(),
                                 t_r.as_micros(),
                                 "srt",
@@ -514,14 +376,14 @@ pub(crate) fn simulate(
                             tracker.abandon(lost_seq);
                             n_late_drops += 1;
                             let dl = SimTime::from_micros(entry.origin_ts_us + latency.as_micros());
-                            trace.span(dl.as_micros(), dl.as_micros(), "srt", "srt.drop", None);
+                            ctx.trace.span(dl.as_micros(), dl.as_micros(), "srt", "srt.drop", None);
                             states[lost_msg].dropped = true;
                         }
                     }
                 }
             }
             retxq.ack_through(tracker.ack_seq());
-            trace.sketch("srt", "retx_queue_pkts", retxq.len() as u64);
+            ctx.trace.sketch("srt", "retx_queue_pkts", retxq.len() as u64);
         }
     }
 
@@ -531,64 +393,54 @@ pub(crate) fn simulate(
     // complete frame's media horizon carries playback over the hole, so a
     // drop skips media instead of stalling.
     let mut n_conceals: u64 = 0;
-    let mut arrivals: Vec<MediaArrival> = Vec::new();
+    let mut arrivals = Vec::new();
     for (m, st) in msg_list.iter().zip(&states) {
         let Some(meta) = &m.meta else { continue };
         if st.dropped || st.remaining > 0 {
             n_conceals += 1;
             continue;
         }
-        arrivals.push(MediaArrival {
-            at: st.latest,
-            media_end_s: meta.media_end_s,
-            capture_wall_s: Some(meta.capture_wall_s),
-        });
+        arrivals.push(meta.arrived(st.latest));
     }
     arrivals.sort_by_key(|a| a.at);
 
     // Flush the buffered datagram records into the capture in arrival
     // order (the flow index requires monotone times; datagrams reorder).
     records.sort_by_key(|&(at, _, _)| at);
-    tap.capture.flows[flow_srt]
+    ctx.tap.capture.flows[flow_srt]
         .reserve(records.iter().map(|&(_, s, e)| wire.literal_len(s..e)).sum(), records.len());
     for &(at, s, e) in &records {
-        tap.record(flow_srt, at, wire.payload(s..e, 0, 0), &mut clock_rng);
+        ctx.tap.record(flow_srt, at, wire.payload(s..e, 0, 0), &mut ctx.clock_rng);
     }
-    let Tap { capture, faults: app_faults, .. } = tap;
 
-    trace.count("srt", "data_packets", n_data_packets);
+    ctx.trace.count("srt", "data_packets", n_data_packets);
     if n_retransmits > 0 {
-        trace.count("srt", "retransmits", n_retransmits);
-        trace.count("recovery", "retransmits", n_retransmits);
+        ctx.trace.count("srt", "retransmits", n_retransmits);
+        ctx.trace.count("recovery", "retransmits", n_retransmits);
     }
     if n_late_drops > 0 {
-        trace.count("srt", "late_drops", n_late_drops);
+        ctx.trace.count("srt", "late_drops", n_late_drops);
     }
     if n_conceals > 0 {
-        trace.count("srt", "conceals", n_conceals);
+        ctx.trace.count("srt", "conceals", n_conceals);
     }
     if n_evicted > 0 {
-        trace.count("srt", "retx_evicted", n_evicted);
+        ctx.trace.count("srt", "retx_evicted", n_evicted);
     }
     if let Some((lost, spiked)) = dglink.fault_counts() {
-        trace.count("fault", "lost_packets", lost);
-        trace.count("fault", "latency_spikes", spiked);
+        ctx.trace.count("fault", "lost_packets", lost);
+        ctx.trace.count("fault", "latency_spikes", spiked);
         // SRT-specific breakdown of the aggregate fault counters, so
         // datagram loss/reorder activity is visible per transport in
         // TRACE_metrics like the RTMP/HLS fault counters already are.
-        trace.count("fault", "srt_lost_packets", lost);
-        trace.count("fault", "srt_latency_spikes", spiked);
+        ctx.trace.count("fault", "srt_lost_packets", lost);
+        ctx.trace.count("fault", "srt_latency_spikes", spiked);
     }
     if dglink.lost_queue > 0 {
-        trace.count("fault", "srt_queue_drops", dglink.lost_queue);
-    }
-    if let Some(lf) = &app_faults {
-        trace.count("fault", "lost_packets", lf.lost);
-        trace.count("fault", "latency_spikes", lf.spiked);
-        trace.count("recovery", "retransmits", lf.lost);
+        ctx.trace.count("fault", "srt_queue_drops", dglink.lost_queue);
     }
     if n_data_packets > 0 {
-        trace.sketch(
+        ctx.trace.sketch(
             "srt",
             "late_drop_ppm",
             ((n_late_drops as f64 / n_data_packets as f64) * 1e6).round() as u64,
@@ -598,82 +450,37 @@ pub(crate) fn simulate(
         // cap-bounded steady state. Every SRT session observes it once,
         // which keeps the health sketch present even at zero loss; the
         // per-NAK-flush observations above layer on top under loss.
-        trace.sketch("srt", "retx_queue_pkts", retxq.len() as u64);
+        ctx.trace.sketch("srt", "retx_queue_pkts", retxq.len() as u64);
     }
 
-    let log = run_playback(join_at, config.watch, config.player_srt, &arrivals);
-    // Join decomposition: handshake (including retry backoffs) until data
-    // starts flowing, then buffer fill until first render. The two child
-    // spans tile [join_at, first_frame] exactly, so they sum to the join
-    // time under the teleport driver's session root.
-    if let Some(j) = log.join_time {
-        let parent = trace.current_span();
-        let first_frame = join_at + j;
-        let handshake_end = data_start.min(first_frame);
-        trace.span(join_at.as_micros(), handshake_end.as_micros(), "srt", "srt.handshake", parent);
-        trace.span(
-            handshake_end.as_micros(),
-            first_frame.as_micros(),
-            "srt",
-            "srt.buffering",
-            parent,
-        );
-    }
-    log.record_events(join_at, trace);
-    crate::session::trace_session_end(trace, (join_at + config.watch).as_micros(), &log, &capture);
-    let meta = PlaybackMetaReport {
-        n_stalls: log.n_stalls(),
-        avg_stall_time_s: log.avg_stall_s(),
-        playback_latency_s: log.mean_latency_s(),
-    };
-    let rendered_fps = crate::rtmp_session::rendered_fps(fps, config.device, &log);
-    SessionOutcome {
-        broadcast_id: broadcast.id,
-        protocol: Protocol::Srt,
-        device: config.device,
-        bandwidth_limit_bps: config.network.tc_limit_bps,
-        player: log,
-        capture,
-        meta,
-        viewers_at_join: broadcast.viewers_at(join_at),
-        rendered_fps,
-        server: format!("srt-{}", server.hostname()),
-    }
+    Ok(Delivered {
+        arrivals,
+        fps: push.ingest.fps,
+        // Handshake (including retry backoffs) until data starts flowing,
+        // then buffer fill until first render.
+        phases: vec![("srt", "srt.handshake", data_start), ("srt", "srt.buffering", SimTime::MAX)],
+        server: media_server,
+        link_faults: app_faults,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::NetworkSetup;
-    use pscp_media::audio::AudioBitrate;
-    use pscp_media::content::ContentClass;
+    use crate::fixture;
+    use crate::session::{run, SessionConfig, SessionOutcome};
+    use pscp_service::select::Protocol;
     use pscp_simnet::fault::FaultConfig;
-    use pscp_simnet::GeoPoint;
-    use pscp_workload::broadcast::{BroadcastId, DeviceProfile};
+    use pscp_simnet::RngFactory;
 
-    fn test_broadcast(seed: u64) -> Broadcast {
-        Broadcast {
-            id: BroadcastId(seed),
-            location: GeoPoint::new(41.01, 28.98), // Istanbul
-            city: "Istanbul",
-            start: SimTime::from_secs(100),
-            duration: SimDuration::from_secs(1800),
-            content: ContentClass::Indoor,
-            device: DeviceProfile::Modern,
-            audio: AudioBitrate::Kbps32,
-            avg_viewers: 15.0,
-            replay_available: true,
-            private: false,
-            location_public: true,
-            viewer_seed: seed,
-            target_bitrate_bps: 300_000.0,
-        }
+    fn run_over(protocol: Protocol, seed: u64, config: &SessionConfig) -> SessionOutcome {
+        let rngs = RngFactory::new(seed).child("session");
+        run(protocol, &fixture::broadcast(seed), SimTime::from_secs(400), config, &rngs)
     }
 
     fn run_session(seed: u64, config: SessionConfig) -> SessionOutcome {
-        let b = test_broadcast(seed);
-        let rngs = RngFactory::new(seed).child("session");
-        run(&b, SimTime::from_secs(400), &config, &rngs)
+        run_over(Protocol::Srt, seed, &config)
     }
 
     fn lossy(scale: f64) -> FaultConfig {
@@ -742,10 +549,7 @@ mod tests {
             let s = run_session(seed, cfg.clone());
             assert_eq!(s.protocol, Protocol::Srt, "no fallback expected at 2x");
             srt_total += s.stall_ratio();
-            let b = test_broadcast(seed);
-            let rngs = RngFactory::new(seed).child("session");
-            rtmp_total +=
-                crate::rtmp_session::run(&b, SimTime::from_secs(400), &cfg, &rngs).stall_ratio();
+            rtmp_total += run_over(Protocol::Rtmp, seed, &cfg).stall_ratio();
         }
         assert!(
             srt_total < rtmp_total,

@@ -34,13 +34,12 @@
 
 use crate::device::ViewerDevice;
 use crate::downlink::Recording;
-use crate::player::run_playback;
 use crate::retry::{classify, RetryClass, RetryPolicy};
-use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
-use pscp_obs::{Observer, PhaseSpan, Trace};
+use crate::session::{finish, Delivered, SessionConfig, SessionCtx, SessionOutcome};
+use pscp_obs::{Observer, PhaseSpan, SpanId, Trace};
 use pscp_service::select::Protocol;
 use pscp_service::PeriscopeService;
-use pscp_simnet::fault::FaultRng;
+use pscp_simnet::fault::{FaultConfig, FaultRng};
 use pscp_simnet::rng::{CounterRng, Rng};
 use pscp_simnet::{RngFactory, SimDuration, SimTime};
 use pscp_workload::broadcast::Broadcast;
@@ -97,6 +96,70 @@ impl Default for TeleportConfig {
             shards: 1,
         }
     }
+}
+
+/// An ingest-side outage of `unit` at `*join_eff` (DESIGN.md §8): a brief
+/// one is ridden out as a delayed join (`*join_eff` moves to its end), a
+/// persistent one makes the client fall back to another transport, counted
+/// under `recovery/{fallback}`. Returns whether it fell back. Outage
+/// membership is keyed on the fault seed alone, so every session agrees on
+/// when each unit was down.
+fn ride_out_or_fail_over(
+    faults: &FaultConfig,
+    unit: &str,
+    fallback: &'static str,
+    join_eff: &mut SimTime,
+    root: SpanId,
+    trace: &mut Trace,
+) -> bool {
+    if !faults.ingest_outage.in_outage(faults.seed, unit, *join_eff) {
+        return false;
+    }
+    trace.count("fault", "ingest_outages", 1);
+    // Ingest hostnames are assignment-dependent strings, so the symptom
+    // ring aggregates all ingest units under one key (per-unit ground-truth
+    // scoring is POP-only).
+    trace.ring("outage", "ingest", join_eff.as_micros(), 1);
+    let (from_us, up) =
+        (join_eff.as_micros(), faults.ingest_outage.outage_end(faults.seed, unit, *join_eff));
+    let falls_back = up.saturating_since(*join_eff) > FAILOVER_PATIENCE;
+    if falls_back {
+        trace.count("recovery", fallback, 1);
+        // Zero-length marker: the switch itself takes no sim time, so it
+        // doesn't disturb the root's tiling.
+        trace.span(from_us, from_us, "recovery", "recovery.failover", Some(root));
+    } else {
+        trace.count("recovery", "ingest_reconnects", 1);
+        trace.span(from_us, up.as_micros(), "recovery", "recovery.reconnect", Some(root));
+        *join_eff = up;
+    }
+    falls_back
+}
+
+/// Constant-memory QoE telemetry: folds the headline per-session numbers
+/// into the trace's mergeable sketches (DESIGN.md §11), live session or
+/// never connected. A never-joined session charges its whole watch budget
+/// as join wait. Windowed copies feed the alerting layer (DESIGN.md §14):
+/// the join observation lands in the minute the join completed, the stall
+/// observation in the minute the session ended (`ended`), and the per-cell
+/// ring scopes join burn to the broadcast's shard cell.
+fn fold_qoe(
+    trace: &mut Trace,
+    broadcast: &Broadcast,
+    join_at: SimTime,
+    ended: SimTime,
+    config: &SessionConfig,
+    outcome: &SessionOutcome,
+) {
+    let join_us = outcome.player.join_time.unwrap_or(config.watch).as_micros();
+    let stall_ppm = (outcome.stall_ratio() * 1e6).round() as u64;
+    trace.sketch("player", "join_time_us", join_us);
+    trace.sketch("player", "stall_ppm", stall_ppm);
+    let join_done_us = join_at.as_micros() + join_us;
+    trace.ring("alert", "join_time_us", join_done_us, join_us);
+    trace.ring("alert", "stall_ppm", ended.as_micros(), stall_ppm);
+    let cell = pscp_simnet::geo::GeoRect::quad_cell(&broadcast.location, CELL_DEPTH);
+    trace.ring("cell", CELL_KEYS[cell as usize], join_done_us, join_us);
 }
 
 /// The Teleport driver.
@@ -226,8 +289,27 @@ impl<'a> Teleport<'a> {
                     RetryClass::RetryBackoff => trace.count("fault", "api_5xx", 1),
                 }
                 if attempt >= policy.max_attempts {
+                    // Nothing was ever fetched or played, but the attempt
+                    // still appears in the dataset (and its trace counters)
+                    // as a never-joined session: the whole watch budget was
+                    // spent waiting.
                     trace.count("recovery", "api_exhausted", 1);
-                    return self.dead_outcome(broadcast, join_at, config, access.protocol, trace);
+                    let unreachable = Delivered {
+                        arrivals: Vec::new(),
+                        fps: 0.0,
+                        phases: Vec::new(),
+                        server: "unreachable".to_string(),
+                        link_faults: None,
+                    };
+                    let protocol = access.protocol;
+                    let ctx = SessionCtx::open(
+                        protocol, broadcast, join_at, config, &rngs, trace, recording,
+                    );
+                    let (trace, capture) = (ctx.trace, ctx.tap.capture);
+                    let outcome =
+                        finish(protocol, broadcast, join_at, config, trace, capture, unreachable);
+                    fold_qoe(trace, broadcast, join_at, join_at + config.watch, config, &outcome);
+                    return outcome;
                 }
                 trace.count("recovery", "api_retries", 1);
                 let wait_from = join_eff;
@@ -257,71 +339,20 @@ impl<'a> Teleport<'a> {
             // be down while plain RTMP ingest on the same host is up, which
             // is exactly the situation the SRT → RTMP fallback exists for.
             // The gateway host comes straight from ingest assignment — the
-            // same pure function the SRT session uses — because a forced
+            // same pure function the session uses — because a forced
             // transport may override an HLS access that carries no
             // `rtmp_server`.
             let server = pscp_service::ingest::assign_server(&broadcast.location, broadcast.id.0);
             let unit = format!("srt-{}", server.hostname());
-            if faults.ingest_outage.in_outage(faults.seed, &unit, join_eff) {
-                trace.count("fault", "ingest_outages", 1);
-                // Ingest hostnames are assignment-dependent strings, so
-                // the symptom ring aggregates all ingest units under one
-                // key (per-unit ground-truth scoring is POP-only).
-                trace.ring("outage", "ingest", join_eff.as_micros(), 1);
-                let up = faults.ingest_outage.outage_end(faults.seed, &unit, join_eff);
-                if up.saturating_since(join_eff) > FAILOVER_PATIENCE {
-                    trace.count("recovery", "srt_fallbacks", 1);
-                    trace.span(
-                        join_eff.as_micros(),
-                        join_eff.as_micros(),
-                        "recovery",
-                        "recovery.failover",
-                        Some(root),
-                    );
-                    protocol = Protocol::Rtmp;
-                } else {
-                    trace.count("recovery", "ingest_reconnects", 1);
-                    trace.span(
-                        join_eff.as_micros(),
-                        up.as_micros(),
-                        "recovery",
-                        "recovery.reconnect",
-                        Some(root),
-                    );
-                    join_eff = up;
-                }
+            if ride_out_or_fail_over(faults, &unit, "srt_fallbacks", &mut join_eff, root, trace) {
+                protocol = Protocol::Rtmp;
             }
         }
         if protocol == Protocol::Rtmp && faults.ingest_outage.is_active() {
             if let Some(server) = &access.rtmp_server {
-                let host = server.hostname();
-                if faults.ingest_outage.in_outage(faults.seed, &host, join_eff) {
-                    trace.count("fault", "ingest_outages", 1);
-                    trace.ring("outage", "ingest", join_eff.as_micros(), 1);
-                    let up = faults.ingest_outage.outage_end(faults.seed, &host, join_eff);
-                    if up.saturating_since(join_eff) > FAILOVER_PATIENCE {
-                        trace.count("recovery", "failovers", 1);
-                        // Zero-length marker: the switch itself takes no sim
-                        // time, so it doesn't disturb the root's tiling.
-                        trace.span(
-                            join_eff.as_micros(),
-                            join_eff.as_micros(),
-                            "recovery",
-                            "recovery.failover",
-                            Some(root),
-                        );
-                        protocol = Protocol::Hls;
-                    } else {
-                        trace.count("recovery", "ingest_reconnects", 1);
-                        trace.span(
-                            join_eff.as_micros(),
-                            up.as_micros(),
-                            "recovery",
-                            "recovery.reconnect",
-                            Some(root),
-                        );
-                        join_eff = up;
-                    }
+                let unit = server.hostname();
+                if ride_out_or_fail_over(faults, &unit, "failovers", &mut join_eff, root, trace) {
+                    protocol = Protocol::Hls;
                 }
             }
         }
@@ -330,103 +361,16 @@ impl<'a> Teleport<'a> {
         let mut outcome = crate::session::simulate(
             protocol, broadcast, join_eff, config, &rngs, trace, recording,
         );
-        if delay > SimDuration::ZERO {
-            // The retries happened before the stream view opened; the user's
-            // join clock started at the original Teleport tap.
-            if let Some(j) = outcome.player.join_time {
-                outcome.player.join_time = Some(j + delay);
-            }
-        }
+        // The retries happened before the stream view opened; the user's
+        // join clock started at the original Teleport tap.
+        outcome.player.join_time = outcome.player.join_time.map(|j| j + delay);
         // Close the root at first rendered frame; a session that never
         // joined leaves it open and the drain drops it.
         if let Some(j) = outcome.player.join_time {
             trace.span_end(root, (join_at + j).as_micros());
         }
-        // Constant-memory QoE telemetry: fold the headline per-session
-        // numbers into the trace's mergeable sketches (DESIGN.md §11). A
-        // never-joined session charges its whole watch budget as join wait.
-        let join_us = match outcome.player.join_time {
-            Some(j) => j.as_micros(),
-            None => config.watch.as_micros(),
-        };
-        trace.sketch("player", "join_time_us", join_us);
-        trace.sketch("player", "stall_ppm", (outcome.stall_ratio() * 1e6).round() as u64);
-        // Windowed copies for the alerting layer (DESIGN.md §14): the join
-        // observation lands in the minute the join completed, the stall
-        // observation in the minute the session ended, and the per-cell
-        // ring scopes join burn to the broadcast's shard cell.
-        let join_done_us = join_at.as_micros() + join_us;
-        trace.ring("alert", "join_time_us", join_done_us, join_us);
-        trace.ring(
-            "alert",
-            "stall_ppm",
-            (join_eff + config.watch).as_micros(),
-            (outcome.stall_ratio() * 1e6).round() as u64,
-        );
-        let cell = pscp_simnet::geo::GeoRect::quad_cell(&broadcast.location, CELL_DEPTH);
-        trace.ring("cell", CELL_KEYS[cell as usize], join_done_us, join_us);
+        fold_qoe(trace, broadcast, join_at, join_eff + config.watch, config, &outcome);
         outcome
-    }
-
-    /// Outcome of a session whose API bootstrap never succeeded: nothing
-    /// was ever fetched or played, but the attempt still appears in the
-    /// dataset (and its trace counters) as a never-joined session.
-    fn dead_outcome(
-        &self,
-        broadcast: &Broadcast,
-        join_at: SimTime,
-        config: &SessionConfig,
-        protocol: Protocol,
-        trace: &mut Trace,
-    ) -> SessionOutcome {
-        let (proto_name, player_cfg) = match protocol {
-            Protocol::Rtmp => ("rtmp", config.player_rtmp),
-            Protocol::Hls => ("hls", config.player_hls),
-            Protocol::Srt => ("srt", config.player_srt),
-        };
-        crate::session::trace_session_start(
-            trace,
-            proto_name,
-            broadcast.id,
-            broadcast.viewers_at(join_at),
-            join_at.as_micros(),
-            config,
-        );
-        let log = run_playback(join_at, config.watch, player_cfg, &[]);
-        log.record_events(join_at, trace);
-        let capture = pscp_media::capture::Capture::new();
-        crate::session::trace_session_end(
-            trace,
-            (join_at + config.watch).as_micros(),
-            &log,
-            &capture,
-        );
-        let meta = PlaybackMetaReport {
-            n_stalls: log.n_stalls(),
-            avg_stall_time_s: None,
-            playback_latency_s: None,
-        };
-        // Dead sessions still count in the streaming telemetry: the whole
-        // watch budget was spent waiting and playback stalled throughout.
-        trace.sketch("player", "join_time_us", config.watch.as_micros());
-        trace.sketch("player", "stall_ppm", (log.stall_ratio() * 1e6).round() as u64);
-        let end_us = (join_at + config.watch).as_micros();
-        trace.ring("alert", "join_time_us", end_us, config.watch.as_micros());
-        trace.ring("alert", "stall_ppm", end_us, (log.stall_ratio() * 1e6).round() as u64);
-        let cell = pscp_simnet::geo::GeoRect::quad_cell(&broadcast.location, CELL_DEPTH);
-        trace.ring("cell", CELL_KEYS[cell as usize], end_us, config.watch.as_micros());
-        SessionOutcome {
-            broadcast_id: broadcast.id,
-            protocol,
-            device: config.device,
-            bandwidth_limit_bps: config.network.tc_limit_bps,
-            player: log,
-            capture,
-            meta,
-            viewers_at_join: broadcast.viewers_at(join_at),
-            rendered_fps: 0.0,
-            server: "unreachable".to_string(),
-        }
     }
 
     /// Generates a whole dataset.

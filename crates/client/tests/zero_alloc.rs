@@ -263,8 +263,8 @@ fn playback_allocations_do_not_grow_with_arrivals() {
 /// sneaks back into a session whose capture nobody reads.
 #[test]
 fn whole_session_allocations_are_pinned_in_both_modes() {
-    use pscp_client::session::{run_uncaptured, SessionConfig};
-    use pscp_client::{rtmp_session, SessionOutcome};
+    use pscp_client::session::{run, run_uncaptured, SessionConfig};
+    use pscp_client::SessionOutcome;
     use pscp_service::select::Protocol;
     use pscp_simnet::RngFactory;
 
@@ -278,7 +278,7 @@ fn whole_session_allocations_are_pinned_in_both_modes() {
         (allocs, bytes)
     };
     let (full_allocs, full_bytes) =
-        measure(&|| rtmp_session::run(&broadcast, join_at, &config, &rngs));
+        measure(&|| run(Protocol::Rtmp, &broadcast, join_at, &config, &rngs));
     let (allocs, bytes) = measure(&|| {
         let mut trace = pscp_obs::Trace::disabled();
         run_uncaptured(Protocol::Rtmp, &broadcast, join_at, &config, &rngs, &mut trace)

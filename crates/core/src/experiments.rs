@@ -502,8 +502,7 @@ fn fig7(lab: &mut Lab) -> FigureData {
 }
 
 fn table_chat(lab: &mut Lab) -> FigureData {
-    use pscp_client::rtmp_session;
-    use pscp_client::session::SessionConfig;
+    use pscp_client::session::{self, SessionConfig};
     use pscp_media::capture::FlowKind;
     // A popular (active chat) broadcast watched twice: chat off, chat on.
     let svc = lab.service();
@@ -520,7 +519,7 @@ fn table_chat(lab: &mut Lab) -> FigureData {
     let rngs = lab.rngs().child("chat-experiment");
     let run = |chat_on: bool| {
         let cfg = SessionConfig { chat_on, ..Default::default() };
-        rtmp_session::run(&broadcast, t, &cfg, &rngs)
+        session::run(Protocol::Rtmp, &broadcast, t, &cfg, &rngs)
     };
     let off = run(false);
     let on = run(true);

@@ -56,8 +56,7 @@ pub fn session_energy_j(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pscp_client::rtmp_session;
-    use pscp_client::session::SessionConfig;
+    use pscp_client::session::{self, SessionConfig};
     use pscp_media::audio::AudioBitrate;
     use pscp_media::content::ContentClass;
     use pscp_simnet::{GeoPoint, RngFactory, SimDuration, SimTime};
@@ -81,7 +80,7 @@ mod tests {
             target_bitrate_bps: 300_000.0,
         };
         let cfg = SessionConfig { chat_on, ..Default::default() };
-        rtmp_session::run(&b, SimTime::from_secs(300), &cfg, &RngFactory::new(77))
+        session::run(Protocol::Rtmp, &b, SimTime::from_secs(300), &cfg, &RngFactory::new(77))
     }
 
     #[test]

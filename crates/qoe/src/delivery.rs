@@ -59,8 +59,7 @@ pub fn delivery_latency_s(outcome: &SessionOutcome) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pscp_client::session::SessionConfig;
-    use pscp_client::{hls_session, rtmp_session};
+    use pscp_client::session::{run, SessionConfig};
     use pscp_media::audio::AudioBitrate;
     use pscp_media::content::ContentClass;
     use pscp_simnet::{GeoPoint, RngFactory, SimDuration, SimTime};
@@ -87,7 +86,8 @@ mod tests {
 
     #[test]
     fn rtmp_delivery_sub_second() {
-        let out = rtmp_session::run(
+        let out = run(
+            Protocol::Rtmp,
             &broadcast(10.0),
             SimTime::from_secs(300),
             &SessionConfig::default(),
@@ -99,7 +99,8 @@ mod tests {
 
     #[test]
     fn hls_delivery_seconds() {
-        let out = hls_session::run(
+        let out = run(
+            Protocol::Hls,
             &broadcast(500.0),
             SimTime::from_secs(300),
             &SessionConfig::default(),
@@ -111,7 +112,8 @@ mod tests {
 
     #[test]
     fn strip_preserves_total_minus_handshake() {
-        let out = rtmp_session::run(
+        let out = run(
+            Protocol::Rtmp,
             &broadcast(10.0),
             SimTime::from_secs(300),
             &SessionConfig::default(),
@@ -124,7 +126,8 @@ mod tests {
 
     #[test]
     fn analyze_session_reports_video_quality() {
-        let out = rtmp_session::run(
+        let out = run(
+            Protocol::Rtmp,
             &broadcast(10.0),
             SimTime::from_secs(300),
             &SessionConfig::default(),

@@ -4,12 +4,13 @@
 //!
 //! Run with: `cargo run --release --example replay_and_private`
 
-use periscope_repro::client::session::SessionConfig;
-use periscope_repro::client::{replay_session, rtmp_session};
+use periscope_repro::client::replay_session;
+use periscope_repro::client::session::{self, SessionConfig};
 use periscope_repro::crawler::tap::ApiTap;
 use periscope_repro::media::capture::FlowKind;
 use periscope_repro::proto::tls::TlsChannel;
 use periscope_repro::service::api::ApiRequest;
+use periscope_repro::service::select::Protocol;
 use periscope_repro::service::{PeriscopeService, ServiceConfig};
 use periscope_repro::simnet::{GeoPoint, GeoRect, RngFactory, SimDuration, SimTime};
 use periscope_repro::workload::population::{Population, PopulationConfig};
@@ -51,7 +52,8 @@ fn main() {
         .expect("live broadcasts exist")
         .clone();
     private.private = true;
-    let out = rtmp_session::run(&private, t, &SessionConfig::default(), &rngs.child("priv"));
+    let out =
+        session::run(Protocol::Rtmp, &private, t, &SessionConfig::default(), &rngs.child("priv"));
     println!("  server:      {}", out.server);
     println!("  join time:   {:.2} s (the app has the keys)", out.join_time_s().unwrap());
     let flow = out.capture.flow_of_kind(FlowKind::Rtmp).unwrap();

@@ -9,15 +9,19 @@
 //! every packet; a storage change must reproduce it unchanged.
 
 use periscope_repro::client::device::NetworkSetup;
-use periscope_repro::client::session::SessionConfig;
-use periscope_repro::client::{hls_session, rtmp_session, srt_session, SessionOutcome};
+use periscope_repro::client::session::{self, SessionConfig};
+use periscope_repro::client::{replay_session, SessionOutcome};
 use periscope_repro::par;
+use periscope_repro::service::select::Protocol;
 use periscope_repro::simnet::fault::FaultConfig;
-use periscope_repro::simnet::{RngFactory, SimTime};
+use periscope_repro::simnet::{RngFactory, SimDuration, SimTime};
 use periscope_repro::workload::broadcast::Broadcast;
 use periscope_repro::workload::population::{Population, PopulationConfig};
 
 const PINNED: u64 = 0x98d2_3c43_1c93_10b2;
+
+/// Replay (VOD) sessions of one ended broadcast, unlimited and `tc` 1 Mbps.
+const PINNED_REPLAY: u64 = 0x99af_974b_7946_cb2f;
 
 const JOIN_AT: SimTime = SimTime::from_secs(3600);
 
@@ -82,22 +86,20 @@ fn materialised_capture_content_is_pinned() {
     let picks = [("most-viewed", live[0]), ("mid-viewed", live[live.len() / 2])];
     assert!(picks[0].1.viewers_at(JOIN_AT) > 100, "the head broadcast carries a full chat room");
 
-    type Run = fn(&Broadcast, SimTime, &SessionConfig, &RngFactory) -> SessionOutcome;
-    let transports: [(&str, Run); 3] =
-        [("rtmp", rtmp_session::run), ("hls", hls_session::run), ("srt", srt_session::run)];
-    let mut cells: Vec<(String, Run, Broadcast, SessionConfig)> = Vec::new();
+    let transports = [("rtmp", Protocol::Rtmp), ("hls", Protocol::Hls), ("srt", Protocol::Srt)];
+    let mut cells: Vec<(String, Protocol, Broadcast, SessionConfig)> = Vec::new();
     for (pick, broadcast) in picks {
-        for (transport, run) in transports {
+        for (transport, protocol) in transports {
             for (name, config, private) in configs() {
                 let broadcast = Broadcast { private, ..broadcast.clone() };
-                cells.push((format!("{pick}/{transport}/{name}"), run, broadcast, config));
+                cells.push((format!("{pick}/{transport}/{name}"), protocol, broadcast, config));
             }
         }
     }
     // Thread count 0 = `PSCP_THREADS`: the pin must hold at any worker count.
-    let hashes = par::indexed_map(&cells, 0, |i, (_, run, broadcast, config)| {
+    let hashes = par::indexed_map(&cells, 0, |i, (_, protocol, broadcast, config)| {
         let rngs = RngFactory::new(2016).child(&format!("capture-pin/{i}"));
-        capture_hash(&run(broadcast, JOIN_AT, config, &rngs))
+        capture_hash(&session::run(*protocol, broadcast, JOIN_AT, config, &rngs))
     });
     let mut all = Mix(0);
     for h in &hashes {
@@ -106,4 +108,28 @@ fn materialised_capture_content_is_pinned() {
     let table: Vec<String> =
         cells.iter().zip(&hashes).map(|((name, ..), h)| format!("{name} {h:#018x}")).collect();
     assert_eq!(all.0, PINNED, "capture content moved ({:#018x}):\n{}", all.0, table.join("\n"));
+}
+
+#[test]
+fn replay_capture_content_is_pinned() {
+    let rngs = RngFactory::new(2016);
+    let population = Population::generate(PopulationConfig::medium(), &rngs);
+    let ended = population
+        .broadcasts
+        .iter()
+        .filter(|b| b.replay_available && !b.private && b.start + b.duration < JOIN_AT)
+        .filter(|b| b.duration > SimDuration::from_secs(120))
+        .min_by_key(|b| b.id.0)
+        .expect("some recorded broadcast has ended");
+    let mut all = Mix(0);
+    for config in [
+        SessionConfig::default(),
+        SessionConfig { network: NetworkSetup::finland_limited(1.0), ..Default::default() },
+    ] {
+        let outcome = replay_session::run(ended, JOIN_AT, &config, &rngs.child("replay-pin"))
+            .expect("the broadcast has a replay");
+        assert!(outcome.capture.total_bytes() > 1_000_000, "a minute of video was fetched");
+        all.word(capture_hash(&outcome));
+    }
+    assert_eq!(all.0, PINNED_REPLAY, "replay capture content moved ({:#018x})", all.0);
 }

@@ -118,7 +118,13 @@ fn chat_traffic_explosion_end_to_end() {
         .clone();
     let run = |chat_on: bool| {
         let cfg = SessionConfig { chat_on, ..Default::default() };
-        periscope_repro::client::rtmp_session::run(&popular, t, &cfg, &rngs.child("chat"))
+        periscope_repro::client::session::run(
+            Protocol::Rtmp,
+            &popular,
+            t,
+            &cfg,
+            &rngs.child("chat"),
+        )
     };
     let quiet = run(false);
     let chatty = run(true);

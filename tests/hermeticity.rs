@@ -116,3 +116,35 @@ fn every_crate_is_a_pscp_crate() {
         }
     }
 }
+
+/// One session driver (DESIGN.md §16): outside its tests, `pscp-client`
+/// records a session's start, plays its arrivals out, records its end and
+/// builds its `SessionOutcome` in exactly one place each. A second call
+/// site means a transport grew its own prelude or epilogue again.
+#[test]
+fn a_session_is_assembled_in_one_place() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/client/src");
+    let mut code = String::new();
+    for entry in std::fs::read_dir(&src).expect("read crates/client/src") {
+        let text = std::fs::read_to_string(entry.expect("dir entry").path()).expect("read source");
+        // A file's unit tests follow its `#[cfg(test)]` line.
+        code.push_str(text.split("\n#[cfg(test)]").next().unwrap_or(""));
+    }
+    // What to count, and the contexts that are not a use of it.
+    for (what, not_a_use) in [
+        (
+            "SessionOutcome {",
+            &["struct SessionOutcome", "impl SessionOutcome", "-> SessionOutcome"][..],
+        ),
+        ("trace_session_start(", &["fn trace_session_start("]),
+        ("trace_session_end(", &["fn trace_session_end("]),
+        ("run_playback(", &["fn run_playback("]),
+    ] {
+        let uses = code
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .filter(|line| line.contains(what) && !not_a_use.iter().any(|x| line.contains(x)))
+            .count();
+        assert_eq!(uses, 1, "`{what}` is used {uses} times outside tests, not once");
+    }
+}

@@ -13,9 +13,7 @@
 
 use periscope_repro::client::device::NetworkSetup;
 use periscope_repro::client::session::{self, SessionConfig};
-use periscope_repro::client::{
-    hls_session, rtmp_session, srt_session, SessionOutcome, Teleport, TeleportConfig,
-};
+use periscope_repro::client::{SessionOutcome, Teleport, TeleportConfig};
 use periscope_repro::obs::Trace;
 use periscope_repro::par;
 use periscope_repro::service::select::Protocol;
@@ -165,16 +163,17 @@ fn session_run_uncaptured_equals_each_transports_run_traced() {
     let svc = service();
     let join_at = SimTime::from_secs(3600);
     let broadcast = watchable(&svc.population, join_at)[0];
-    type Run = fn(&Broadcast, SimTime, &SessionConfig, &RngFactory, &mut Trace) -> SessionOutcome;
-    let transports: [(Protocol, Run); 3] = [
-        (Protocol::Rtmp, rtmp_session::run_traced),
-        (Protocol::Hls, hls_session::run_traced),
-        (Protocol::Srt, srt_session::run_traced),
-    ];
-    for (protocol, run_traced) in transports {
+    for protocol in PROTOCOLS {
         let rngs = RngFactory::new(2016).child("mode-equivalence");
         let config = SessionConfig::default();
-        let full = run_traced(broadcast, join_at, &config, &rngs, &mut Trace::disabled());
+        let full = session::run_traced(
+            protocol,
+            broadcast,
+            join_at,
+            &config,
+            &rngs,
+            &mut Trace::disabled(),
+        );
         let uncaptured = session::run_uncaptured(
             protocol,
             broadcast,
