@@ -49,7 +49,8 @@ pub struct MicroBench {
     target_secs: f64,
     observer: Observer,
     results: Vec<BenchResult>,
-    facts: Vec<(String, u64)>,
+    /// `(key, value as JSON)`.
+    facts: Vec<(String, String)>,
 }
 
 impl MicroBench {
@@ -72,7 +73,13 @@ impl MicroBench {
     /// artifact's `facts` object. The `bench-diff` gate only reads timings,
     /// so facts ride along without affecting the regression check.
     pub fn fact(&mut self, key: &str, value: u64) {
-        self.facts.push((key.to_string(), value));
+        self.facts.push((key.to_string(), value.to_string()));
+    }
+
+    /// Records a suite-level fact that is a name, not a number (e.g. which
+    /// kernel the host's CPU selected).
+    pub fn fact_text(&mut self, key: &str, value: &str) {
+        self.facts.push((key.to_string(), format!("\"{value}\"")));
     }
 
     /// Times `f` (which must return a value derived from its work, to keep
@@ -258,6 +265,8 @@ pub fn bench_components(seed: u64) -> String {
     let bodies: Vec<FramePayload> = (0..2040u32).map(|i| frame(i * 33, 1225)).collect();
     let body_bytes: usize = bodies.iter().map(|f| f.size).sum();
     let mut body_out: Vec<u8> = Vec::with_capacity(body_bytes);
+    // The filler rate is the CPU's as much as the code's: name the kernel.
+    suite.fact_text("bitstream_fill_kernel", &pscp_media::bitstream::fill_kernel());
     suite.run("bitstream/frame filler 2.5 MB", Some(body_bytes as u64), || {
         body_out.clear();
         for f in &bodies {
@@ -523,15 +532,22 @@ pub fn bench_components(seed: u64) -> String {
 
         // What recording that session's packets costs on its own: replay
         // its capture (same flows, sizes and payloads) into a fresh one.
-        suite.run("capture/record hot-chat session", Some(hot_bytes), || {
+        // The session deferred its stamps and `packets()` reads them, so
+        // the source is copied once, untimed, into one whose stamps are
+        // read already: the row times recording, not clock readings.
+        let copy_of = |capture: &pscp_media::capture::Capture| {
             let mut copy = pscp_media::capture::Capture::new();
-            for flow in &hot.capture.flows {
+            for flow in &capture.flows {
                 let idx = copy.open_flow(flow.kind, flow.server.clone());
                 for pkt in flow.packets() {
                     copy.record(idx, pkt.at, pkt.wall_ts, pkt.payload);
                 }
             }
-            copy.total_bytes() as u64
+            copy
+        };
+        let stamped = copy_of(&hot.capture);
+        suite.run("capture/record hot-chat session", Some(hot_bytes), || {
+            copy_of(&stamped).total_bytes() as u64
         });
     }
 

@@ -14,7 +14,7 @@ use pscp_media::audio::{self, AudioEncoder};
 use pscp_media::bitstream::{FrameKind, FramePayload};
 use pscp_media::content::ContentProcess;
 use pscp_media::encoder::{Encoder, EncoderConfig};
-use pscp_simnet::rng::Rng;
+use pscp_simnet::rng::{CounterRng, Rng};
 use pscp_simnet::{SimDuration, SimTime, WallClock};
 use pscp_workload::broadcast::Broadcast;
 
@@ -86,15 +86,18 @@ impl IngestTimeline {
     /// Encodes and uploads `broadcast` over `window`.
     ///
     /// Heap allocations do not grow with the number of frames: both
-    /// timelines are sized up front and no frame body is materialised.
-    pub fn simulate<R: Rng + ?Sized, C: Rng + ?Sized>(
+    /// timelines are sized up front and no frame body is materialised. The
+    /// phone reads its clock at every capture, but the encoder embeds one
+    /// reading in `ntp_interval_frames`: the others only take their place in
+    /// `clock_rng` ([`WallClock::defer`]).
+    pub fn simulate<R: Rng + ?Sized>(
         broadcast: &Broadcast,
         uplink: &UplinkConfig,
         window: std::ops::Range<SimTime>,
         prop_up: SimDuration,
         broadcaster_clock: &WallClock,
         enc_rng: &mut R,
-        clock_rng: &mut C,
+        clock_rng: &mut CounterRng,
     ) -> IngestTimeline {
         let Phone { fps, mut encoder, audio: mut audio_enc, mut uplink } =
             Phone::new(broadcast, uplink, &window, enc_rng);
@@ -108,8 +111,9 @@ impl IngestTimeline {
         let mut next_audio_pts = 0.0;
         for i in 0..total_frames {
             let t_cap = sim_start + SimDuration::from_secs_f64(i as f64 / fps);
-            let wall = broadcaster_clock.read(t_cap, clock_rng);
-            if let Some(frame) = encoder.next_payload(wall, enc_rng) {
+            let mut reading = broadcaster_clock.defer(clock_rng);
+            let wall = || broadcaster_clock.read(t_cap, &mut reading);
+            if let Some(frame) = encoder.next_payload_with(wall, enc_rng) {
                 let sent = uplink.upload(t_cap + ENCODE_LATENCY, frame.size);
                 video.push(IngestFrame { t_cap, a_in: sent + prop_up, frame });
             }

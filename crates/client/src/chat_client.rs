@@ -169,9 +169,8 @@ pub(crate) fn play(
     if sends.is_empty() {
         return;
     }
-    let ws_flow = tap.capture.open_flow(FlowKind::Chat, "chatman.periscope.tv");
-    let pic_flow =
-        chat_on.then(|| tap.capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
+    let ws_flow = tap.open_flow(FlowKind::Chat, "chatman.periscope.tv");
+    let pic_flow = chat_on.then(|| tap.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
     for send in sends {
         if in_windows(drop_windows, send.at) {
             continue;

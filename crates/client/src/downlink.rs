@@ -11,11 +11,20 @@
 //! reaches the unchanged [`Capture`] as a run of its on-wire length. The
 //! choice is made in one place, [`Arena::extend_with`]; callers state a
 //! length and how to write it, and never ask which mode they are in.
+//!
+//! In either mode the [`Tap`] stamps a packet without reading its clock: a
+//! reading is a pure function of (clock, instant, position in the jitter
+//! stream), so each packet is recorded with the position
+//! ([`Flow::record_deferred`])
+//! and the stream moves on as if it had been read. Whoever reads a stamp —
+//! the analysis, for the packets that carry an NTP-stamped frame — gets the
+//! reading the eager call would have stored, and a session pays no
+//! Box–Muller per packet.
 
-use pscp_media::capture::{Capture, Payload};
+use pscp_media::capture::{Capture, Flow, FlowKind, Payload};
 use pscp_proto::tls::{self, TlsChannel};
 use pscp_simnet::fault::LinkFaults;
-use pscp_simnet::rng::Rng;
+use pscp_simnet::rng::CounterRng;
 use pscp_simnet::{Link, SimDuration, SimTime, WallClock};
 use std::ops::Range;
 
@@ -221,8 +230,9 @@ impl<M> SendQueue<M> {
 }
 
 /// The capture host: tcpdump on the viewer's tethering desktop. Every
-/// packet that arrives is stamped with the host clock and recorded — as its
-/// bytes, or for a counted session as a run of its length.
+/// packet that arrives is stamped with the host clock — the reading left
+/// for whoever asks — and recorded, as its bytes or for a counted session
+/// as a run of its length.
 pub(crate) struct Tap {
     /// What has been recorded so far.
     pub capture: Capture,
@@ -241,34 +251,40 @@ impl Tap {
         Tap { capture: Capture::new(), recording, clock, floor: Vec::new() }
     }
 
-    /// Stamps and records one packet that arrived at `at`.
-    pub fn record<R: Rng + ?Sized>(
+    /// Opens a flow captured on this host, returning its index.
+    pub fn open_flow(&mut self, kind: FlowKind, server: impl Into<String>) -> usize {
+        self.capture.flows.push(Flow::on_host(kind, server, self.clock.clone()));
+        self.capture.flows.len() - 1
+    }
+
+    /// Stamps and records one packet that arrived at `at`; `clock_rng`
+    /// moves past the reading's jitter, which is left to be computed.
+    pub fn record(
         &mut self,
         flow: usize,
         at: SimTime,
         payload: Payload<'_>,
-        clock_rng: &mut R,
+        clock_rng: &mut CounterRng,
     ) {
-        let wall = self.clock.read(at, clock_rng);
         let payload = match self.recording {
             Recording::Full => payload,
             Recording::Counted => Payload::run(&[], 0, payload.len()),
         };
-        self.capture.record(flow, at, wall, payload);
+        self.capture.flows[flow].record_deferred(at, clock_rng, payload);
     }
 
     /// Sends the packets `chunks` over the reliable path at `at`: every
     /// packet offered to `link` in one batch, each delivery delayed by its
     /// injected fault (if the path has `faults`) and recorded. Returns the
     /// arrival of the last delivered packet.
-    pub fn transmit<'p, R: Rng + ?Sized>(
+    pub fn transmit<'p>(
         &mut self,
         link: &mut Link,
         mut faults: Option<&mut LinkFaults>,
         at: SimTime,
         flow: usize,
         mut chunks: impl Iterator<Item = Payload<'p>> + Clone,
-        clock_rng: &mut R,
+        clock_rng: &mut CounterRng,
     ) -> Option<SimTime> {
         let mut last = None;
         link.enqueue_batch(at, chunks.clone().map(|c| c.len()), |delivery| {
@@ -294,14 +310,14 @@ impl Tap {
     /// of zeros. Each chunk is pushed back by the path's cumulative
     /// per-packet `faults`, which keeps the chunks in order; returns the
     /// total push-back.
-    pub fn record_response<R: Rng + ?Sized>(
+    pub fn record_response(
         &mut self,
         mut faults: Option<&mut LinkFaults>,
         flow: usize,
         head: &[u8],
         body: &[u8],
         chunks: &[(SimTime, usize)],
-        clock_rng: &mut R,
+        clock_rng: &mut CounterRng,
     ) -> SimDuration {
         let (h, mut off, mut extra) = (head.len(), 0, SimDuration::ZERO);
         for &(at, n) in chunks {
@@ -330,7 +346,6 @@ impl Tap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pscp_media::capture::FlowKind;
 
     /// The same pushes into a full and a counted queue.
     fn queues() -> [SendQueue<u8>; 2] {
@@ -373,8 +388,8 @@ mod tests {
         let recorded = queues().map(|mut q| {
             q.sort_by_time();
             let mut tap = Tap::new(q.arena.recording, WallClock::perfect());
-            tap.capture.open_flow(FlowKind::AppMisc, "a");
-            tap.capture.open_flow(FlowKind::Rtmp, "b");
+            tap.open_flow(FlowKind::AppMisc, "a");
+            tap.open_flow(FlowKind::Rtmp, "b");
             q.reserve(&mut tap.capture, 1448);
             let mut link = Link::unbounded(2e6, SimDuration::from_millis(30));
             let mut rng = pscp_simnet::RngFactory::new(1).stream("tap");

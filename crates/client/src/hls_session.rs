@@ -56,8 +56,9 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     let mut next_audio_pts = 0.0;
     for i in 0..total_frames {
         let t_cap = sim_start + SimDuration::from_secs_f64(i as f64 / fps);
-        let wall = ctx.broadcaster_clock.read(t_cap, &mut ctx.clock_rng);
-        if let Some(frame) = encoder.next_payload(wall, &mut ctx.enc_rng) {
+        let mut reading = ctx.broadcaster_clock.defer(&mut ctx.clock_rng);
+        let wall = || ctx.broadcaster_clock.read(t_cap, &mut reading);
+        if let Some(frame) = encoder.next_payload_with(wall, &mut ctx.enc_rng) {
             let sent = uplink.upload(t_cap + ENCODE_LATENCY, frame.size);
             capture_wall_by_pts.push((frame.pts_ms, ctx.broadcaster_clock.read_exact(t_cap)));
             segmenter.push_payload(frame, sent + prop_up);
@@ -70,7 +71,7 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     }
 
     // --- client: playlist polls + sequential segment fetches ---
-    let flow = ctx.tap.capture.open_flow(FlowKind::HlsHttp, pop.hostname());
+    let flow = ctx.tap.open_flow(FlowKind::HlsHttp, pop.hostname());
     // Chat cross-traffic shares the bottleneck with segment fetches; the
     // closed-form TCP model cannot interleave flows, so the coupling is the
     // long-run average: chat's expected rate is subtracted from the
@@ -101,7 +102,7 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
 
     // App bootstrap traffic first: metadata, thumbnails, chat backlog.
     let overhead_bytes = ctx.bootstrap_bytes();
-    let misc_flow = ctx.tap.capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
+    let misc_flow = ctx.tap.open_flow(FlowKind::AppMisc, "api.periscope.tv");
     let boot = tcp.transfer(join_at, overhead_bytes, &mut cwnd, true);
     let boot_done = boot.completion
         + ctx.tap.record_response(

@@ -92,16 +92,16 @@ impl Push {
             &mut ctx.enc_rng,
             &mut ctx.clock_rng,
         );
-        let capture = &mut ctx.tap.capture;
+        let tap = &mut ctx.tap;
         Push {
             ingest,
             end,
-            flow_media: capture.open_flow(kind, media_server),
-            flow_misc: capture.open_flow(FlowKind::AppMisc, "api.periscope.tv"),
-            flow_chat: capture.open_flow(FlowKind::Chat, "chatman.periscope.tv"),
+            flow_media: tap.open_flow(kind, media_server),
+            flow_misc: tap.open_flow(FlowKind::AppMisc, "api.periscope.tv"),
+            flow_chat: tap.open_flow(FlowKind::Chat, "chatman.periscope.tv"),
             flow_pics: config
                 .chat_on
-                .then(|| capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com")),
+                .then(|| tap.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com")),
             bottleneck: config.network.bottleneck_bps(),
             one_way_down: server.propagation_to(&config.network.location)
                 + config.network.access_rtt / 2,

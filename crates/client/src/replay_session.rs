@@ -42,7 +42,7 @@ pub fn run(
     let rtt = config.network.rtt_to(&pop.location());
     let tcp = TcpModel::new(config.network.mtu.max(256), rtt, config.network.bottleneck_bps());
     let mut cwnd = INIT_CWND_SEGMENTS;
-    let flow = tap.capture.open_flow(FlowKind::HlsHttp, pop.hostname());
+    let flow = tap.open_flow(FlowKind::HlsHttp, pop.hostname());
 
     // Playlist fetch (connect + request).
     let playlist =

@@ -153,9 +153,9 @@ pub fn analyze_rtmp_flow(flow: &Flow) -> Result<StreamReport, ProtoError> {
     let mut frames: Vec<(usize, FramePayload)> = Vec::new();
     let mut audio: Vec<(u32, usize)> = Vec::new();
     let mut consumed = 0usize;
-    for pkt in flow.packets() {
-        dechunker.feed(&pkt.payload.bytes())?;
-        consumed += pkt.payload.len();
+    for payload in flow.payloads() {
+        dechunker.feed(&payload.bytes())?;
+        consumed += payload.len();
         while let Some(msg) = dechunker.next_view() {
             match msg.kind {
                 MessageType::Video => {

@@ -68,10 +68,22 @@ pub const HEADER_LEN_NTP: usize = HEADER_LEN + 8;
 /// step, seeded from the frame's `pts_ms`.
 const LCG_A: u32 = 1664525;
 const LCG_C: u32 = 1013904223;
-/// Independent generator lanes [`fill`] advances side by side. Chosen by
-/// measurement on the default x86-64 target (1, 4, 8, 16, 32 tried: 4 and 8
-/// tie at a quarter of the serial loop's time, wider is slower).
-const LANES: usize = 8;
+/// Generator lanes of the portable kernel. Chosen by measurement on the
+/// default x86-64 target (SSE2 has no 32-bit vector multiply, so every lane
+/// is a scalar chain: 1, 4, 8, 16, 32 tried — 4 and 8 tie at a quarter of
+/// the serial loop's time, 16 and 32 are slower).
+const PORTABLE_LANES: usize = 8;
+/// Generator lanes of the AVX2 kernel: eight 8-lane `vpmulld` chains, enough
+/// independent multiplies in flight to hide the instruction's latency (32
+/// and 128 lanes measured slower, DESIGN.md §10).
+#[cfg(target_arch = "x86_64")]
+const AVX2_LANES: usize = 64;
+/// Shortest fill the AVX2 kernel is used for: below this, seeding 64 lanes
+/// one multiply after another costs more than the wide blocks save
+/// (measured per length: slower at 64 B, level at 128 B, 1.5× at 192 B).
+#[cfg(target_arch = "x86_64")]
+const AVX2_MIN_BYTES: usize = 192;
+
 /// `k` steps of the generator at once: `x_{n+k} = a·x_n + c` for the returned
 /// `(a, c)`. Composing `x ↦ A·x + C` onto `x ↦ a·x + c` gives
 /// `x ↦ (A·a)·x + (A·c + C)`; everything wraps mod 2^32 like the generator.
@@ -85,29 +97,69 @@ const fn lcg_jump(k: usize) -> (u32, u32) {
     }
     (a, c)
 }
-const JUMP: (u32, u32) = lcg_jump(LANES);
 
-/// Writes the generator's next `out.len()` bytes after state `x` into `out`.
+/// The kernel body, generic in its width: writes the generator's next
+/// `out.len()` bytes after state `x` into `out`.
 ///
-/// Lane `i` holds `x_{i+1}` and yields bytes `i, i+LANES, …`, each step
-/// jumping `LANES` ahead, so the lanes together emit exactly the serial
-/// stream `x_1, x_2, …` while no multiply waits for the previous byte's.
-fn fill(mut x: u32, out: &mut [u8]) {
-    let mut lanes = [0u32; LANES];
+/// Lane `i` holds `x_{i+1}` and yields bytes `i, i+L, …`, each step jumping
+/// `L` ahead, so the lanes together emit exactly the serial stream
+/// `x_1, x_2, …` while no multiply waits for the previous byte's. Inlined
+/// into each instantiation so it is compiled for that one's target features.
+#[inline(always)]
+fn fill_lanes<const L: usize>(mut x: u32, out: &mut [u8]) {
+    let (jump_a, jump_c) = const { lcg_jump(L) };
+    let mut lanes = [0u32; L];
     for lane in &mut lanes {
         x = x.wrapping_mul(LCG_A).wrapping_add(LCG_C);
         *lane = x;
     }
-    let mut blocks = out.chunks_exact_mut(LANES);
+    let mut blocks = out.chunks_exact_mut(L);
     for block in &mut blocks {
         for (byte, lane) in block.iter_mut().zip(&mut lanes) {
             *byte = (*lane >> 24) as u8;
-            *lane = lane.wrapping_mul(JUMP.0).wrapping_add(JUMP.1);
+            *lane = lane.wrapping_mul(jump_a).wrapping_add(jump_c);
         }
     }
     for (byte, lane) in blocks.into_remainder().iter_mut().zip(&lanes) {
         *byte = (*lane >> 24) as u8;
     }
+}
+
+/// The kernel at the width any target runs.
+fn fill_portable(x: u32, out: &mut [u8]) {
+    fill_lanes::<PORTABLE_LANES>(x, out)
+}
+
+/// The same body compiled with AVX2 enabled, where the lane loop becomes
+/// `vpmulld`/`vpaddd` on 256-bit registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fill_avx2(x: u32, out: &mut [u8]) {
+    fill_lanes::<AVX2_LANES>(x, out)
+}
+
+/// Which filler kernel frame bodies are written with on this CPU:
+/// `"avx2-64"` or `"portable-8"`. A benchmark report names it, so a filler
+/// rate measured on a machine without AVX2 explains itself.
+pub fn fill_kernel() -> String {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return format!("avx2-{AVX2_LANES}");
+    }
+    format!("portable-{PORTABLE_LANES}")
+}
+
+/// Writes the generator's next `out.len()` bytes after state `x` into `out`
+/// with the widest kernel this CPU has.
+fn fill(x: u32, out: &mut [u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if out.len() >= AVX2_MIN_BYTES && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `fill_avx2` is safe Rust; the only requirement its
+        // `target_feature` attribute adds is that the CPU executes AVX2,
+        // which the detection in this very condition has just confirmed.
+        return unsafe { fill_avx2(x, out) };
+    }
+    fill_portable(x, out)
 }
 
 /// A decoded frame payload.
@@ -263,6 +315,48 @@ mod tests {
         let a = payload(FrameKind::P, 300, None).encode();
         let b = payload(FrameKind::P, 300, None).encode();
         assert_eq!(a, b);
+    }
+
+    /// The generator stepped once per byte: what every kernel must emit.
+    fn fill_serial(mut x: u32, out: &mut [u8]) {
+        for byte in out {
+            x = x.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+            *byte = (x >> 24) as u8;
+        }
+    }
+
+    /// Runs `kernel` on the middle of a buffer and checks it wrote the
+    /// serial stream there and nothing outside.
+    fn check_kernel(kernel: fn(u32, &mut [u8]), x: u32, before: usize, len: usize) {
+        let mut want = vec![0xEE; before + len + 3];
+        let mut got = want.clone();
+        fill_serial(x, &mut want[before..before + len]);
+        kernel(x, &mut got[before..before + len]);
+        assert_eq!(got, want, "seed {x:#x}, {len} bytes at offset {before}");
+    }
+
+    #[test]
+    fn every_kernel_emits_the_serial_stream_at_every_short_length() {
+        // Through every remainder of both block widths, and across the
+        // length at which `fill` switches kernels.
+        for len in 0..=4 * 64 + 9 {
+            for kernel in [fill_portable, fill] {
+                check_kernel(kernel, 0x9e37_79b9 ^ len as u32, len % 5, len);
+            }
+        }
+    }
+
+    #[test]
+    fn every_kernel_emits_the_serial_stream_at_arbitrary_lengths_and_seeds() {
+        pscp_check::check(
+            "every_kernel_emits_the_serial_stream_at_arbitrary_lengths_and_seeds",
+            |g: &mut pscp_check::Gen| (g.u32(..), g.usize(0..70), g.usize(0..=64 * 1024)),
+            |&(x, before, len)| {
+                check_kernel(fill_portable, x, before, len);
+                check_kernel(fill, x, before, len);
+                Ok(())
+            },
+        );
     }
 
     #[test]

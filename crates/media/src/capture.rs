@@ -24,8 +24,22 @@
 //! runs; every size, offset and rate below is in on-wire bytes, exactly as
 //! if the run had been stored. Packets are exposed as borrowed
 //! [`PacketView`]s.
+//!
+//! Wall stamps are computed when someone reads them. tcpdump stamps every
+//! packet, but the analysis reads the stamp of the one packet in ≈ 200 that
+//! carries an NTP-stamped frame (§5.1), and a reading of a [`WallClock`] is
+//! a pure function of (clock, instant, position in the host's jitter
+//! stream). So a session records each packet with
+//! [`Flow::record_deferred`], which keeps that position (8 bytes) and moves
+//! the stream on; the flow holds the host clock once, and
+//! [`PacketView::wall_ts`], [`Flow::packets`] and [`Flow::wall_ts_at_byte`]
+//! compute the reading — bit for bit the one an eager
+//! [`Flow::record`] at the same point would have stored — for the packets
+//! they are asked about. Copies, tests and anything holding a reading
+//! already keep using [`Flow::record`]; both kinds mix freely in one flow.
 
-use pscp_simnet::SimTime;
+use pscp_simnet::rng::CounterRng;
+use pscp_simnet::{SimTime, WallClock};
 use std::borrow::Cow;
 
 /// Transport-level classification of a flow, as the analysis scripts would
@@ -133,6 +147,16 @@ impl<'a, const N: usize> From<&'a [u8; N]> for Payload<'a> {
     }
 }
 
+/// The capture host's stamp on a packet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Stamp {
+    /// A reading taken when the packet was recorded.
+    Read(f64),
+    /// The reading the flow's host clock yields for the packet's instant
+    /// from this position of its jitter stream — computed when asked for.
+    Deferred(CounterRng),
+}
+
 /// Per-packet metadata. The packet's literal bytes live in the flow arena,
 /// ending at `lit_end`; its on-wire bytes end at stream offset `wire_end`
 /// (the previous packet's ends — or 0 — mark the starts). What the two
@@ -140,7 +164,7 @@ impl<'a, const N: usize> From<&'a [u8; N]> for Payload<'a> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PacketMeta {
     at: SimTime,
-    wall_ts: f64,
+    stamp: Stamp,
     lit_end: usize,
     wire_end: usize,
     fill: u8,
@@ -166,6 +190,8 @@ pub struct Flow {
     pub kind: FlowKind,
     /// Server endpoint label, e.g. `"ec2-54-67-9-120.us-west-1"`.
     pub server: String,
+    /// The capture host's clock: what deferred stamps are read from.
+    host_clock: WallClock,
     /// Concatenated literal bytes of every packet, in arrival order.
     data: Vec<u8>,
     /// Per-packet timestamps + cumulative literal and on-wire end offsets.
@@ -173,9 +199,16 @@ pub struct Flow {
 }
 
 impl Flow {
-    /// Creates an empty flow.
+    /// Creates an empty flow captured on a host with a perfect clock —
+    /// which only matters to [`Flow::record_deferred`].
     pub fn new(kind: FlowKind, server: impl Into<String>) -> Self {
-        Flow { kind, server: server.into(), data: Vec::new(), meta: Vec::new() }
+        Flow::on_host(kind, server, WallClock::perfect())
+    }
+
+    /// Creates an empty flow captured on the host whose clock is
+    /// `host_clock`.
+    pub fn on_host(kind: FlowKind, server: impl Into<String>, host_clock: WallClock) -> Self {
+        Flow { kind, server: server.into(), host_clock, data: Vec::new(), meta: Vec::new() }
     }
 
     /// Pre-sizes the literal arena and packet index (e.g. for
@@ -185,22 +218,51 @@ impl Flow {
         self.meta.reserve(packets);
     }
 
-    /// Records a packet: its literal part is copied into the flow arena,
-    /// its run is only counted.
+    /// Records a packet the host stamped `wall_ts`: its literal part is
+    /// copied into the flow arena, its run is only counted.
     pub fn record<'a>(&mut self, at: SimTime, wall_ts: f64, payload: impl Into<Payload<'a>>) {
+        self.push(at, Stamp::Read(wall_ts), payload.into());
+    }
+
+    /// Records a packet stamped by the flow's host clock without reading
+    /// it: the reading's place in `jitter` is kept and `jitter` moves past
+    /// it, exactly as if `host_clock.read(at, jitter)` had been recorded.
+    pub fn record_deferred<'a>(
+        &mut self,
+        at: SimTime,
+        jitter: &mut CounterRng,
+        payload: impl Into<Payload<'a>>,
+    ) {
+        let position = self.host_clock.defer(jitter);
+        self.push(at, Stamp::Deferred(position), payload.into());
+    }
+
+    fn push(&mut self, at: SimTime, stamp: Stamp, payload: Payload<'_>) {
         debug_assert!(
             self.meta.last().map(|p| p.at <= at).unwrap_or(true),
             "packets must be recorded in order"
         );
-        let payload = payload.into();
         self.data.extend_from_slice(payload.literal);
         self.meta.push(PacketMeta {
             at,
-            wall_ts,
+            stamp,
             lit_end: self.data.len(),
             wire_end: self.byte_count() + payload.len(),
             fill: payload.fill,
         });
+    }
+
+    /// The host's stamp on a packet, read now if it was deferred.
+    ///
+    /// `#[inline]`, like [`Flow::packet`]: a caller in another crate that
+    /// walks [`Flow::packets`] for instants and lengths and never looks at
+    /// `wall_ts` then has the unread readings optimised away.
+    #[inline]
+    fn wall_ts(&self, m: &PacketMeta) -> f64 {
+        match m.stamp {
+            Stamp::Read(wall_ts) => wall_ts,
+            Stamp::Deferred(mut position) => self.host_clock.read(m.at, &mut position),
+        }
     }
 
     /// Records a packet of `len` zero bytes — padding/overhead traffic
@@ -214,21 +276,58 @@ impl Flow {
         self.meta.len()
     }
 
-    /// The `i`-th packet as a borrowed view.
+    /// The `i`-th packet as a borrowed view, its stamp read.
+    #[inline]
     pub fn packet(&self, i: usize) -> PacketView<'_> {
-        let m = self.meta[i];
+        let m = &self.meta[i];
+        PacketView { at: m.at, wall_ts: self.wall_ts(m), payload: self.payload(i) }
+    }
+
+    /// The `i`-th packet's payload.
+    #[inline]
+    fn payload(&self, i: usize) -> Payload<'_> {
+        let m = &self.meta[i];
         let (lit_start, wire_start) = match i.checked_sub(1) {
             Some(prev) => (self.meta[prev].lit_end, self.meta[prev].wire_end),
             None => (0, 0),
         };
         let literal = &self.data[lit_start..m.lit_end];
         let pad = (m.wire_end - wire_start) - literal.len();
-        PacketView { at: m.at, wall_ts: m.wall_ts, payload: Payload::run(literal, m.fill, pad) }
+        Payload::run(literal, m.fill, pad)
     }
 
-    /// Iterates packets in arrival order as borrowed views.
+    /// Iterates packets in arrival order as borrowed views, reading every
+    /// stamp; a reader after bytes only wants [`Flow::payloads`].
     pub fn packets(&self) -> impl DoubleEndedIterator<Item = PacketView<'_>> + ExactSizeIterator {
         (0..self.meta.len()).map(|i| self.packet(i))
+    }
+
+    /// Iterates the packets' payloads in arrival order; no stamp is read.
+    pub fn payloads(&self) -> impl DoubleEndedIterator<Item = Payload<'_>> + ExactSizeIterator {
+        (0..self.meta.len()).map(|i| self.payload(i))
+    }
+
+    /// The flow without its first `n` on-wire bytes, as a dissector that
+    /// starts after a fixed-size preamble sees it: packets inside the prefix
+    /// are gone, the one that straddles its end keeps its tail, and every
+    /// packet keeps its instant and its stamp (deferred ones stay unread).
+    pub fn strip_prefix(&self, n: usize) -> Flow {
+        let mut out = Flow::on_host(self.kind, self.server.clone(), self.host_clock.clone());
+        out.reserve(self.data.len(), self.meta.len());
+        let mut wire_start = 0;
+        for (i, m) in self.meta.iter().enumerate() {
+            let starts_at = std::mem::replace(&mut wire_start, m.wire_end);
+            if starts_at < n && m.wire_end <= n {
+                continue;
+            }
+            let mut payload = self.payload(i);
+            let cut = n.saturating_sub(starts_at);
+            let cut_literal = cut.min(payload.literal.len());
+            payload.literal = &payload.literal[cut_literal..];
+            payload.pad -= cut - cut_literal;
+            out.push(m.at, m.stamp, payload);
+        }
+        out
     }
 
     /// Arrival time of the first packet.
@@ -254,9 +353,9 @@ impl Flow {
             return Cow::Borrowed(&self.data);
         }
         let mut out = Vec::with_capacity(self.byte_count());
-        for p in self.packets() {
-            out.extend_from_slice(p.payload.literal);
-            out.resize(out.len() + p.payload.pad, p.payload.fill);
+        for p in self.payloads() {
+            out.extend_from_slice(p.literal);
+            out.resize(out.len() + p.pad, p.fill);
         }
         Cow::Owned(out)
     }
@@ -264,7 +363,7 @@ impl Flow {
     /// Returns the wall timestamp of the packet containing byte `offset` of
     /// the reassembled stream, or `None` past the end.
     pub fn wall_ts_at_byte(&self, offset: usize) -> Option<f64> {
-        self.index_at_byte(offset).map(|i| self.meta[i].wall_ts)
+        self.index_at_byte(offset).map(|i| self.wall_ts(&self.meta[i]))
     }
 
     /// Returns the simulation arrival time of the packet containing byte

@@ -81,6 +81,32 @@ pub struct ContentProcess {
     log_mean: f64,
     /// Mean-reversion speed per second.
     reversion: f64,
+    /// The last step's constants; an encoder steps by the same interval
+    /// every frame, so they are computed once.
+    step: StepConstants,
+}
+
+/// What [`ContentProcess::step`] derives from `dt_s` alone.
+#[derive(Debug, Clone, Copy)]
+struct StepConstants {
+    dt_s: f64,
+    /// Share of the distance from the mean that survives the step.
+    decay: f64,
+    /// Standard deviation of the step's noise.
+    noise_sd: f64,
+    /// Probability of a scene change within the step.
+    p_change: f64,
+}
+
+impl StepConstants {
+    fn new(class: ContentClass, reversion: f64, dt_s: f64) -> Self {
+        StepConstants {
+            dt_s,
+            decay: (-reversion * dt_s).exp(),
+            noise_sd: class.volatility() * (dt_s.min(1.0)).sqrt(),
+            p_change: 1.0 - (-class.scene_change_rate() * dt_s).exp(),
+        }
+    }
 }
 
 impl ContentProcess {
@@ -89,7 +115,9 @@ impl ContentProcess {
     pub fn new<R: Rng + ?Sized>(class: ContentClass, rng: &mut R) -> Self {
         let base = class.mean_complexity().ln();
         let log_mean = base + dist::normal(rng, 0.0, 0.25);
-        ContentProcess { class, log_level: log_mean, log_mean, reversion: 0.5 }
+        let reversion = 0.5;
+        let step = StepConstants::new(class, reversion, 0.0);
+        ContentProcess { class, log_level: log_mean, log_mean, reversion, step }
     }
 
     /// The content class this process models.
@@ -105,15 +133,15 @@ impl ContentProcess {
     /// Advances the process by `dt_s` seconds.
     pub fn step<R: Rng + ?Sized>(&mut self, dt_s: f64, rng: &mut R) {
         assert!(dt_s >= 0.0, "time step must be non-negative");
+        if dt_s != self.step.dt_s {
+            self.step = StepConstants::new(self.class, self.reversion, dt_s);
+        }
+        let StepConstants { decay, noise_sd, p_change, .. } = self.step;
         // OU update in log space.
-        let vol = self.class.volatility();
-        let decay = (-self.reversion * dt_s).exp();
-        let noise_sd = vol * (dt_s.min(1.0)).sqrt();
         self.log_level = self.log_mean
             + (self.log_level - self.log_mean) * decay
             + dist::normal(rng, 0.0, noise_sd);
         // Scene changes jump the level.
-        let p_change = 1.0 - (-self.class.scene_change_rate() * dt_s).exp();
         if dist::coin(rng, p_change) {
             self.log_level += dist::normal(rng, 0.3, 0.4);
         }

@@ -109,6 +109,11 @@ pub struct Encoder {
     /// Frames actually emitted (for averaging).
     emitted: u64,
     total_bytes: u64,
+    /// Constants of the configuration, computed once: the capture interval,
+    /// the rate controller's per-frame budget and the GOP's mean size factor.
+    frame_dt_s: f64,
+    per_frame_budget: f64,
+    avg_factor: f64,
 }
 
 impl Encoder {
@@ -118,6 +123,9 @@ impl Encoder {
         assert!(config.target_bitrate_bps > 0.0, "target bitrate must be positive");
         assert!(config.gop_length >= 1, "gop length must be >= 1");
         Encoder {
+            frame_dt_s: 1.0 / config.fps,
+            per_frame_budget: config.target_bitrate_bps / config.fps,
+            avg_factor: avg_factor(config.gop),
             config,
             content,
             frame_index: 0,
@@ -175,25 +183,33 @@ impl Encoder {
         wall_clock_s: f64,
         rng: &mut R,
     ) -> Option<FramePayload> {
+        self.next_payload_with(|| wall_clock_s, rng)
+    }
+
+    /// [`Encoder::next_payload`] for a broadcaster whose clock costs
+    /// something to read: `wall_clock_s` is called only for a frame that
+    /// embeds the reading — one in `ntp_interval_frames`, if not dropped.
+    pub fn next_payload_with<R: Rng + ?Sized>(
+        &mut self,
+        wall_clock_s: impl FnOnce() -> f64,
+        rng: &mut R,
+    ) -> Option<FramePayload> {
         let idx = self.frame_index;
         self.frame_index += 1;
-        let dt = 1.0 / self.config.fps;
-        self.content.step(dt, rng);
+        self.content.step(self.frame_dt_s, rng);
         if dist::coin(rng, self.config.frame_drop_prob) {
             return None;
         }
         let kind = self.frame_kind(idx);
         // --- rate control: pick QP before encoding the frame ---
-        let per_frame_budget = self.config.target_bitrate_bps / self.config.fps;
+        let per_frame_budget = self.per_frame_budget;
         // Feedback: one full budget of backlog pushes QP up by ~4 steps.
         let pressure = (self.buffer_bits / (per_frame_budget * 8.0)).clamp(-2.0, 2.0);
         // Feedforward: encode the complexity into the operating point, so
         // complex content runs at higher QP (the R-Q tradeoff).
         let complexity = self.content.complexity();
-        let ff = QP_REF
-            + 6.0
-                * (complexity * BASE_P_BITS * avg_factor(self.config.gop) / per_frame_budget)
-                    .log2();
+        let ff =
+            QP_REF + 6.0 * (complexity * BASE_P_BITS * self.avg_factor / per_frame_budget).log2();
         let target_qp = ff + 4.0 * pressure;
         // Encoders move QP gradually (smoothing window of a few frames).
         self.qp += (target_qp - self.qp).clamp(-2.0, 2.0);
@@ -213,11 +229,7 @@ impl Encoder {
         self.buffer_bits += size as f64 * 8.0 - per_frame_budget;
         // Drain the buffer stat slowly so old deviations stop mattering.
         self.buffer_bits *= 0.995;
-        let ntp = if idx.is_multiple_of(self.config.ntp_interval_frames as u64) {
-            Some(wall_clock_s)
-        } else {
-            None
-        };
+        let ntp = idx.is_multiple_of(self.config.ntp_interval_frames as u64).then(wall_clock_s);
         let pts_ms = (idx as f64 * 1000.0 / self.config.fps).round() as u32;
         self.emitted += 1;
         self.total_bytes += size as u64;

@@ -1,10 +1,13 @@
 //! Properties of run-length capture storage: a flow recorded as literal
 //! bytes + runs must answer every question exactly like a twin flow that
-//! was handed the same packets written out byte for byte.
+//! was handed the same packets written out byte for byte — and a flow whose
+//! stamps were deferred exactly like one whose host clock was read packet by
+//! packet.
 
 use pscp_check::{check, ensure, ensure_eq, Gen};
 use pscp_media::capture::{Capture, Flow, FlowKind, Payload};
-use pscp_simnet::SimTime;
+use pscp_simnet::rng::CounterRng;
+use pscp_simnet::{SimTime, WallClock};
 
 /// One generated packet: inter-arrival gap, literal part, run.
 #[derive(Debug, Clone)]
@@ -152,6 +155,112 @@ fn payload_chunks_split_like_slice_chunks() {
             let chunks: Vec<Vec<u8>> = payload.chunks(*mtu).map(|c| c.bytes().to_vec()).collect();
             let expected: Vec<Vec<u8>> = written_out.chunks(*mtu).map(<[u8]>::to_vec).collect();
             ensure_eq!(chunks, expected);
+            Ok(())
+        },
+    );
+}
+
+/// A host clock with or without jitter, and a seed for its jitter stream.
+fn arb_host(g: &mut Gen) -> (WallClock, u64) {
+    let jitter_s = if g.bool() { g.f64(1e-5..0.01) } else { 0.0 };
+    let clock = WallClock { offset_s: g.f64(-0.05..0.05), drift_ppm: g.f64(-40.0..40.0), jitter_s };
+    (clock, g.u64(..))
+}
+
+/// What a reader can learn of a flow's packets, stamps as bits.
+fn observed(flow: &Flow) -> Vec<(SimTime, u64, Vec<u8>)> {
+    flow.packets().map(|p| (p.at, p.wall_ts.to_bits(), p.payload.bytes().to_vec())).collect()
+}
+
+#[test]
+fn deferred_stamps_read_as_the_host_clock_would_have() {
+    check(
+        "deferred_stamps_read_as_the_host_clock_would_have",
+        |g: &mut Gen| {
+            // Per packet: deferred, or read on the spot.
+            let pkts = arb_packets(g);
+            let eager_at: Vec<bool> = pkts.iter().map(|_| g.choice(4) == 0).collect();
+            (arb_host(g), pkts, eager_at)
+        },
+        |((clock, seed), pkts, eager_at)| {
+            // `eager` reads the host clock for every packet; `deferred`
+            // never does; `mixed` does for some. One jitter stream each.
+            let mut flows = [(); 3].map(|_| Flow::on_host(FlowKind::Rtmp, "ec2", clock.clone()));
+            let mut jitter = [CounterRng::new(*seed); 3];
+            let mut t = 0;
+            for (p, &read_now) in pkts.iter().zip(eager_at) {
+                t += p.gap_us;
+                let at = SimTime::from_micros(t);
+                let payload = Payload::run(&p.literal, p.fill, p.pad);
+                for (i, (flow, rng)) in flows.iter_mut().zip(&mut jitter).enumerate() {
+                    if i == 0 || (i == 2 && read_now) {
+                        flow.record(at, clock.read(at, rng), payload);
+                    } else {
+                        flow.record_deferred(at, rng, payload);
+                    }
+                }
+            }
+            // The streams end in the same place: deferring consumed what
+            // reading consumes.
+            ensure_eq!(jitter[1], jitter[0]);
+            ensure_eq!(jitter[2], jitter[0]);
+            let [eager, deferred, mixed] = &flows;
+            let want = observed(eager);
+            ensure_eq!(observed(deferred), want.clone());
+            ensure_eq!(observed(mixed), want.clone());
+            // Reading a stamp leaves it readable: again, and in a clone.
+            ensure_eq!(observed(deferred), want.clone());
+            ensure_eq!(observed(&deferred.clone()), want.clone());
+            // Offset lookups resolve the same packet's stamp.
+            let mut offsets = vec![0, eager.byte_count(), eager.byte_count() + 1];
+            offsets.extend(eager.packets().scan(0, |edge, p| {
+                *edge += p.payload.len();
+                Some(*edge)
+            }));
+            for off in offsets.iter().flat_map(|&o| [o.saturating_sub(1), o]) {
+                let want = eager.wall_ts_at_byte(off).map(f64::to_bits);
+                ensure_eq!(deferred.wall_ts_at_byte(off).map(f64::to_bits), want);
+                ensure_eq!(mixed.wall_ts_at_byte(off).map(f64::to_bits), want);
+            }
+            // Payload-only readers see the same bytes without any stamp.
+            ensure!(deferred.payloads().eq(eager.packets().map(|p| p.payload)));
+            ensure_eq!(deferred.byte_stream(), eager.byte_stream());
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn strip_prefix_is_a_packet_by_packet_copy_past_the_prefix() {
+    check(
+        "strip_prefix_is_a_packet_by_packet_copy_past_the_prefix",
+        |g: &mut Gen| (arb_host(g), arb_packets(g), g.usize(0..6000)),
+        |((clock, seed), pkts, prefix)| {
+            let mut flow = Flow::on_host(FlowKind::Rtmp, "ec2", clock.clone());
+            let mut jitter = CounterRng::new(*seed);
+            let mut t = 0;
+            for p in pkts {
+                t += p.gap_us;
+                let payload = Payload::run(&p.literal, p.fill, p.pad);
+                flow.record_deferred(SimTime::from_micros(t), &mut jitter, payload);
+            }
+            // The copy loop `strip_prefix` replaced: skip whole packets
+            // inside the prefix, cut the one that straddles its end.
+            let mut want = Flow::new(flow.kind, flow.server.clone());
+            let mut skipped = 0usize;
+            for p in flow.packets() {
+                if skipped >= *prefix {
+                    want.record(p.at, p.wall_ts, p.payload);
+                } else if skipped + p.payload.len() > *prefix {
+                    want.record(p.at, p.wall_ts, &p.payload.bytes()[prefix - skipped..]);
+                    skipped = *prefix;
+                } else {
+                    skipped += p.payload.len();
+                }
+            }
+            let got = flow.strip_prefix(*prefix);
+            ensure_eq!(got.byte_count(), flow.byte_count().saturating_sub(*prefix));
+            ensure_eq!(observed(&got), observed(&want));
             Ok(())
         },
     );

@@ -16,21 +16,7 @@ const RTMP_HANDSHAKE_DOWN: usize = 1 + 2 * 1536;
 /// Strips the RTMP handshake bytes from the front of a flow, the way the
 /// paper's wireshark workflow starts dissecting after the handshake.
 pub fn strip_rtmp_handshake(flow: &Flow) -> Flow {
-    let mut out = Flow::new(flow.kind, flow.server.clone());
-    out.reserve(flow.byte_count().saturating_sub(RTMP_HANDSHAKE_DOWN), flow.packet_count());
-    let mut skipped = 0usize;
-    for p in flow.packets() {
-        if skipped >= RTMP_HANDSHAKE_DOWN {
-            out.record(p.at, p.wall_ts, p.payload);
-        } else if skipped + p.payload.len() > RTMP_HANDSHAKE_DOWN {
-            let cut = RTMP_HANDSHAKE_DOWN - skipped;
-            out.record(p.at, p.wall_ts, &p.payload.bytes()[cut..]);
-            skipped = RTMP_HANDSHAKE_DOWN;
-        } else {
-            skipped += p.payload.len();
-        }
-    }
-    out
+    flow.strip_prefix(RTMP_HANDSHAKE_DOWN)
 }
 
 /// Runs the full capture analysis for one session, dispatching on protocol.

@@ -7,8 +7,13 @@
 //! indicating that the synchronization was imperfect." [`WallClock`] models
 //! exactly that: each host's wall time is simulation time plus a fixed
 //! offset, a slow drift, and per-reading jitter.
+//!
+//! A reading is a pure function of (clock, instant, stream position): the
+//! jitter streams are [`CounterRng`]s, whose state is a counter, so a host
+//! that stamps far more events than anyone reads can take a reading's place
+//! in the stream now ([`WallClock::defer`]) and compute it — or not — later.
 
-use crate::rng::Rng;
+use crate::rng::{CounterRng, Rng};
 use crate::time::SimTime;
 
 /// A host's wall clock.
@@ -56,6 +61,18 @@ impl WallClock {
         let jitter =
             if self.jitter_s > 0.0 { crate::dist::normal(rng, 0.0, self.jitter_s) } else { 0.0 };
         t + self.offset_s + t * self.drift_ppm * 1e-6 + jitter
+    }
+
+    /// Takes the next reading's place in `rng` without computing it: returns
+    /// the stream position its jitter is drawn from and moves `rng` past it
+    /// exactly as [`WallClock::read`] would. `self.read(at, &mut position)`
+    /// later yields that reading bit for bit.
+    pub fn defer(&self, rng: &mut CounterRng) -> CounterRng {
+        let position = *rng;
+        if self.jitter_s > 0.0 {
+            rng.skip(crate::dist::NORMAL_UNIFORMS);
+        }
+        position
     }
 
     /// Noise-free read (for tests and for hosts treated as reference).
@@ -119,6 +136,35 @@ mod tests {
         }
         assert!(negatives > 0, "expected some negative apparent latencies");
         assert!(negatives < 200, "not all should be negative");
+    }
+
+    #[test]
+    fn a_deferred_reading_is_the_reading() {
+        // Fails if `dist::normal` starts drawing another number of uniforms
+        // than `defer` skips.
+        pscp_check::check(
+            "a_deferred_reading_is_the_reading",
+            |g: &mut pscp_check::Gen| {
+                let jitter_s = if g.bool() { g.f64(1e-6..0.1) } else { 0.0 };
+                let clock = WallClock {
+                    offset_s: g.f64(-2.0..2.0),
+                    drift_ppm: g.f64(-50.0..50.0),
+                    jitter_s,
+                };
+                (clock, g.u64(..), g.vec(1..20, |g| g.u64(0..4_000_000_000)))
+            },
+            |(clock, seed, instants)| {
+                let (mut eager, mut deferred) = (CounterRng::new(*seed), CounterRng::new(*seed));
+                for &us in instants {
+                    let at = SimTime::from_micros(us);
+                    let now = clock.read(at, &mut eager);
+                    let mut position = clock.defer(&mut deferred);
+                    pscp_check::ensure_eq!(deferred, eager);
+                    pscp_check::ensure_eq!(clock.read(at, &mut position).to_bits(), now.to_bits());
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

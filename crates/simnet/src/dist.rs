@@ -7,6 +7,10 @@
 
 use crate::rng::Rng;
 
+/// Uniforms one [`standard_normal`] (and so one [`normal`]) consumes — what a
+/// caller that skips a draw instead of taking it must move its stream by.
+pub const NORMAL_UNIFORMS: u64 = 2;
+
 /// Samples a standard normal via Box–Muller (polar form avoided for clarity;
 /// the trig form is branch-free and fine at simulation rates).
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {

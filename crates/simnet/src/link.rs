@@ -5,7 +5,8 @@
 //! for `8n / rate` seconds. Packets queue behind the in-flight one (tracked
 //! by `busy_until`), and a bounded queue drops arrivals that would exceed the
 //! buffer — the behaviour that turns a `tc` bandwidth limit into stalls in
-//! Figure 3(b).
+//! Figure 3(b). An unbounded link can never drop, so it keeps no queue:
+//! `busy_until` is all the state a delivery time depends on.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -41,10 +42,15 @@ pub struct Link {
     queue_capacity: usize,
     /// Time the transmitter becomes free.
     busy_until: SimTime,
-    /// Bytes currently queued (scheduled but not yet started).
+    /// Bytes currently queued (scheduled but not yet started). Tracked on
+    /// a bounded link only.
     queued_bytes: usize,
     /// Completion times of queued packets, to age out `queued_bytes`.
+    /// Empty on an unbounded link.
     inflight: std::collections::VecDeque<(SimTime, usize)>,
+    /// The last packet size serialized and its time on the wire: an MTU
+    /// split offers the same size over and over.
+    last_serialization: (usize, SimDuration),
     /// Total bytes accepted.
     pub bytes_sent: u64,
     /// Total bytes dropped.
@@ -63,6 +69,7 @@ impl Link {
             busy_until: SimTime::ZERO,
             queued_bytes: 0,
             inflight: std::collections::VecDeque::new(),
+            last_serialization: (0, SimDuration::ZERO),
             bytes_sent: 0,
             bytes_dropped: 0,
         }
@@ -91,54 +98,56 @@ impl Link {
     /// Offers a packet of `bytes` at time `now`. Returns the delivery time at
     /// the far end, or `Dropped` if the queue is full.
     pub fn enqueue(&mut self, now: SimTime, bytes: usize) -> Delivery {
-        self.expire(now);
-        if self.queued_bytes.saturating_add(bytes) > self.queue_capacity {
-            self.bytes_dropped += bytes as u64;
-            return Delivery::Dropped;
-        }
-        let start = self.busy_until.max(now);
-        let done = start + self.serialization(bytes);
-        self.busy_until = done;
-        self.queued_bytes += bytes;
-        self.inflight.push_back((done, bytes));
-        self.bytes_sent += bytes as u64;
-        Delivery::At(done + self.propagation)
+        let mut delivery = Delivery::Dropped;
+        self.enqueue_batch(now, [bytes], |d| delivery = d);
+        delivery
     }
 
     /// Offers a batch of packets, all arriving at `now`, calling `deliver`
     /// once per packet with its outcome.
     ///
     /// Semantically identical to calling [`Link::enqueue`] once per size, in
-    /// order — but the queue aging runs once and the transmitter/queue
-    /// bookkeeping stays in locals for the whole batch, which is what lets a
-    /// packetized send (one message → many MTU chunks) pump packets at
-    /// memcpy-like cost.
+    /// order — but the queue aging runs once (and not at all on an unbounded
+    /// link), the transmitter/queue bookkeeping stays in locals for the
+    /// whole batch and a repeated size reuses its serialization time, which
+    /// is what lets a packetized send (one message → many MTU chunks) pump
+    /// packets at memcpy-like cost.
     pub fn enqueue_batch(
         &mut self,
         now: SimTime,
         sizes: impl IntoIterator<Item = usize>,
         mut deliver: impl FnMut(Delivery),
     ) {
-        self.expire(now);
+        // A queue that cannot fill is not tracked.
+        let bounded = self.queue_capacity != usize::MAX;
+        if bounded {
+            self.expire(now);
+        }
         let mut busy = self.busy_until.max(now);
         let mut queued = self.queued_bytes;
+        let (mut last_bytes, mut last_time) = self.last_serialization;
         let mut sent = 0u64;
         let mut dropped = 0u64;
         for bytes in sizes {
-            if queued.saturating_add(bytes) > self.queue_capacity {
+            if bounded && queued.saturating_add(bytes) > self.queue_capacity {
                 dropped += bytes as u64;
                 deliver(Delivery::Dropped);
                 continue;
             }
-            let done = busy + self.serialization(bytes);
-            busy = done;
-            queued += bytes;
-            self.inflight.push_back((done, bytes));
+            if bytes != last_bytes {
+                (last_bytes, last_time) = (bytes, self.serialization(bytes));
+            }
+            busy += last_time;
+            if bounded {
+                queued += bytes;
+                self.inflight.push_back((busy, bytes));
+            }
             sent += bytes as u64;
-            deliver(Delivery::At(done + self.propagation));
+            deliver(Delivery::At(busy + self.propagation));
         }
         self.busy_until = busy;
         self.queued_bytes = queued;
+        self.last_serialization = (last_bytes, last_time);
         self.bytes_sent += sent;
         self.bytes_dropped += dropped;
     }
@@ -156,12 +165,6 @@ impl Link {
             remaining -= pkt;
         }
         out
-    }
-
-    /// Current backlog in bytes (queued, not yet fully serialized).
-    pub fn backlog(&mut self, now: SimTime) -> usize {
-        self.expire(now);
-        self.queued_bytes
     }
 
     /// Time at which the transmitter next becomes idle.
@@ -248,16 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn backlog_reflects_queue() {
-        let mut l = Link::unbounded(mbps(8.0), SimDuration::ZERO);
-        l.enqueue(SimTime::ZERO, 1000);
-        l.enqueue(SimTime::ZERO, 1000);
-        assert_eq!(l.backlog(SimTime::ZERO), 2000);
-        assert_eq!(l.backlog(SimTime::from_millis(1)), 1000);
-        assert_eq!(l.backlog(SimTime::from_millis(2)), 0);
-    }
-
-    #[test]
     fn batch_matches_per_packet_enqueue() {
         let sizes = [1000usize, 1448, 64, 1448, 900, 1448, 1448, 32];
         let mut a = Link::new(mbps(4.0), SimDuration::from_millis(7), 4000);
@@ -273,7 +266,28 @@ mod tests {
         assert_eq!(a.busy_until(), b.busy_until());
         assert_eq!(a.bytes_sent, b.bytes_sent);
         assert_eq!(a.bytes_dropped, b.bytes_dropped);
-        assert_eq!(a.backlog(now), b.backlog(now));
+        assert_eq!(a.queued_bytes, b.queued_bytes);
+        assert_eq!(a.inflight, b.inflight);
+    }
+
+    #[test]
+    fn unbounded_link_delivers_like_a_queue_that_never_fills() {
+        // Same rate, delay and offered packets; the huge-but-finite queue
+        // tracks every packet, the unbounded link none.
+        let sizes = [1448usize, 1448, 1448, 377, 1448, 64, 64, 1448, 1448, 9];
+        let mut tracked = Link::new(mbps(3.0), SimDuration::from_millis(7), usize::MAX - 1);
+        let mut free = Link::unbounded(mbps(3.0), SimDuration::from_millis(7));
+        for (i, now) in [0u64, 1, 1, 40, 41, 500].into_iter().enumerate() {
+            let now = SimTime::from_millis(now);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            tracked.enqueue_batch(now, sizes[i..].iter().copied(), |d| a.push(d));
+            free.enqueue_batch(now, sizes[i..].iter().copied(), |d| b.push(d));
+            assert_eq!(a, b);
+            assert_eq!(tracked.enqueue(now, 1000 + i), free.enqueue(now, 1000 + i));
+        }
+        assert_eq!(tracked.busy_until(), free.busy_until());
+        assert_eq!(tracked.bytes_sent, free.bytes_sent);
+        assert!(free.inflight.is_empty() && !tracked.inflight.is_empty());
     }
 
     #[test]

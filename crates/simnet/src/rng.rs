@@ -95,11 +95,18 @@ impl CounterRng {
     pub fn new(seed: u64) -> Self {
         CounterRng { state: splitmix64(seed ^ 0xa54f_f53a_5f1d_36f1) }
     }
+
+    /// Moves the stream past its next `n` outputs without computing them:
+    /// the state is a counter, so `n` draws are one multiply-add. A copy of
+    /// the stream taken before the skip still yields those outputs.
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(WEYL.wrapping_mul(n));
+    }
 }
 
 impl Rng for CounterRng {
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(WEYL);
         splitmix64_mix(self.state)
     }
 }
@@ -156,9 +163,12 @@ impl RngFactory {
     }
 }
 
+/// The Weyl increment: 2^64 / φ, odd, so the counter visits every state.
+const WEYL: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// SplitMix64 step: advance by the golden-ratio increment, then mix.
 fn splitmix64(z: u64) -> u64 {
-    splitmix64_mix(z.wrapping_add(0x9e37_79b9_7f4a_7c15))
+    splitmix64_mix(z.wrapping_add(WEYL))
 }
 
 /// The SplitMix64 finalizer on its own (no increment).
@@ -251,6 +261,30 @@ mod tests {
         let mut rng = RngFactory::new(15).stream("bool");
         let trues = (0..10_000).filter(|_| rng.gen::<bool>()).count();
         assert!((4_500..5_500).contains(&trues), "trues={trues}");
+    }
+
+    #[test]
+    fn skip_is_that_many_draws() {
+        pscp_check::check(
+            "skip_is_that_many_draws",
+            |g: &mut pscp_check::Gen| (g.u64(..), g.usize(0..40)),
+            |&(seed, warm)| {
+                let mut start = CounterRng::new(seed);
+                for _ in 0..warm {
+                    start.next_u64();
+                }
+                for n in [0u64, 1, 2, 1_000_000] {
+                    let (mut skipped, mut drawn) = (start, start);
+                    skipped.skip(n);
+                    for _ in 0..n {
+                        drawn.next_u64();
+                    }
+                    pscp_check::ensure_eq!(skipped, drawn);
+                    pscp_check::ensure_eq!(skipped.next_u64(), drawn.next_u64());
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -148,3 +148,38 @@ fn a_session_is_assembled_in_one_place() {
         assert_eq!(uses, 1, "`{what}` is used {uses} times outside tests, not once");
     }
 }
+
+/// One `unsafe` block in the product (DESIGN.md §10): the call into the
+/// AVX2 instantiation of the frame-body kernel, under the feature detection
+/// that justifies it. The counting allocator is test apparatus and keeps its
+/// own. A second block is a reviewed decision, not drift.
+#[test]
+fn the_only_unsafe_block_is_the_kernel_dispatch() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut found = Vec::new();
+    for krate in std::fs::read_dir(&crates).expect("read crates/") {
+        let src = krate.expect("dir entry").path().join("src");
+        let mut dirs = vec![src];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).into_iter().flatten() {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else if path.extension().is_some_and(|e| e == "rs")
+                    && !path.ends_with("obs/src/alloc_count.rs")
+                {
+                    let text = std::fs::read_to_string(&path).expect("read source");
+                    let code = text.split("\n#[cfg(test)]").next().unwrap_or("");
+                    let blocks = code
+                        .lines()
+                        .filter(|line| !line.trim_start().starts_with("//"))
+                        .filter(|line| line.contains("unsafe {"))
+                        .count();
+                    found.extend(std::iter::repeat_n(path, blocks));
+                }
+            }
+        }
+    }
+    assert_eq!(found.len(), 1, "`unsafe {{` outside tests: {found:?}");
+    assert!(found[0].ends_with("media/src/bitstream.rs"), "{found:?}");
+}
