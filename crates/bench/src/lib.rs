@@ -1,18 +1,22 @@
-//! Benchmark/reproduction harness support: scale parsing and the ablation
-//! studies DESIGN.md §4 calls out.
+//! The `repro` harness: the front door that regenerates every paper
+//! figure and table and drives the studies built on them.
 //!
-//! The `repro` binary regenerates every paper figure/table
-//! (`repro all`, `repro fig5`, `repro list`); the functions here back its
-//! `ablation-*` subcommands, quantifying the design decisions the paper
-//! speculates about (player buffer sizing, map visibility, picture
-//! caching), the [`micro`] module backs its `bench-*` micro-benchmark
-//! subcommands, the [`diff`] module backs the `bench-diff`
-//! regression gate, and the [`watch`] module backs the `watch` live SLO
-//! monitor (DESIGN.md §11).
+//! `repro` itself is [`cli::main`]: one parser and one error path over the
+//! one table of verbs in [`verbs`] — `repro list` prints it, and it is the
+//! only place a verb is named (DESIGN.md §17). [`run`] holds what the
+//! verbs do, [`experiments_md`] renders the EXPERIMENTS.md record, and the
+//! remaining modules are the studies themselves: the ablations DESIGN.md §4
+//! calls out (the functions of this file), the [`micro`] component benches
+//! and the [`diff`] gate over their artifacts, the [`watch`] live SLO
+//! monitor (DESIGN.md §11) and the [`scale`] sweep (DESIGN.md §13).
 
+pub mod cli;
 pub mod diff;
+pub mod experiments_md;
 pub mod micro;
+pub mod run;
 pub mod scale;
+pub mod verbs;
 pub mod watch;
 
 use pscp_client::player::PlayerConfig;

@@ -180,11 +180,11 @@ impl MicroBench {
         )
     }
 
-    /// Writes the artifact and prints the table plus the artifact path.
-    pub fn finish(self) -> String {
+    /// Writes the artifact and returns the table plus the artifact path.
+    pub fn finish(self) -> Result<String, String> {
         let path = format!("BENCH_{}.json", self.suite);
-        std::fs::write(&path, self.json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        format!("{}\nwrote {path} ({} benches)", self.table(), self.results.len())
+        crate::cli::write_artifact(&path, self.json())?;
+        Ok(format!("{}\nwrote {path} ({} benches)", self.table(), self.results.len()))
     }
 }
 
@@ -192,7 +192,7 @@ impl MicroBench {
 /// stats kernels, TLS record framing, capture recording, and one full
 /// session per transport. These guard against regressions that would make
 /// paper-scale figure regeneration impractically slow.
-pub fn bench_components(seed: u64) -> String {
+pub fn bench_components(seed: u64) -> Result<String, String> {
     use pscp_media::bitstream::{FrameKind, FramePayload};
     use pscp_media::content::{ContentClass, ContentProcess};
     use pscp_media::encoder::{Encoder, EncoderConfig};

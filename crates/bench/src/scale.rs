@@ -39,6 +39,14 @@ pub fn tier_by_name(name: &str) -> Option<&'static ScaleTier> {
     TIERS.iter().find(|t| t.name == name)
 }
 
+/// A comma-separated tier list; `all` is every tier.
+pub fn tiers_by_names(list: &str) -> Option<Vec<&'static ScaleTier>> {
+    match list {
+        "all" => Some(TIERS.iter().collect()),
+        _ => list.split(',').map(tier_by_name).collect(),
+    }
+}
+
 /// `repro scale` settings.
 #[derive(Debug, Clone)]
 pub struct ScaleArgs {
@@ -63,6 +71,18 @@ impl Default for ScaleArgs {
             sessions: None,
             tiers: TIERS.iter().collect(),
         }
+    }
+}
+
+impl ScaleArgs {
+    /// `repro scale`'s flags over the defaults.
+    pub fn from_cli(args: &crate::cli::Args, seed: u64) -> Result<ScaleArgs, String> {
+        let mut cfg = ScaleArgs { seed, ..Default::default() };
+        cfg.tiers = args.tiers("--tier")?.unwrap_or(cfg.tiers);
+        cfg.shards = args.power_of_four("--shards")?.unwrap_or(cfg.shards);
+        cfg.sessions = args.sessions()?;
+        cfg.threads = args.usize("--threads")?.unwrap_or(cfg.threads);
+        Ok(cfg)
     }
 }
 
@@ -118,7 +138,7 @@ fn run_tier(args: &ScaleArgs, tier: &ScaleTier) -> (ScaleRun, String) {
     s.push(']');
     // Wall-clock facts only on request: they would break byte-comparable
     // reports (and CI caching) if they were always present.
-    if std::env::var("PSCP_WATCH_SYS").is_ok_and(|v| !v.is_empty() && v != "0") {
+    if crate::watch::sys_facts_requested() {
         let _ = write!(
             s,
             ",\n     \"sys\":{{\"wall_secs\":{:.3},\"sessions_per_sec\":{:.1}",

@@ -59,6 +59,20 @@ impl Default for WatchConfig {
     }
 }
 
+impl WatchConfig {
+    /// `repro watch`'s flags over the defaults; `PSCP_WATCH_SYS` asks for
+    /// the system facts.
+    pub fn from_cli(args: &crate::cli::Args) -> Result<WatchConfig, String> {
+        let mut cfg = WatchConfig::default();
+        let once = args.has("--once").then_some(1);
+        cfg.batches = once.or(args.usize("--batches")?).unwrap_or(cfg.batches);
+        cfg.batch_sessions = args.usize("--batch-sessions")?.unwrap_or(cfg.batch_sessions);
+        cfg.include_sys = sys_facts_requested();
+        cfg.transport = crate::cli::one("--transport", args.transports("--transport")?)?.flatten();
+        Ok(cfg)
+    }
+}
+
 /// Everything one watch run produces.
 #[derive(Debug)]
 pub struct WatchOutput {
@@ -83,6 +97,11 @@ impl WatchOutput {
     pub fn healthy(&self) -> bool {
         self.firing.is_empty() && self.violations.is_empty()
     }
+}
+
+/// Whether `PSCP_WATCH_SYS` asks for the wall-clock system facts.
+pub fn sys_facts_requested() -> bool {
+    std::env::var("PSCP_WATCH_SYS").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Resident set size in bytes from `/proc/self/statm`, if readable.

@@ -7,9 +7,8 @@
 //! analysis of video stalling and latency."
 
 use crate::dataset::SessionDataset;
-use crate::slo::SKETCH_SESSION_THRESHOLD;
 use pscp_client::ViewerDevice;
-use pscp_stats::{welch_t_test, welch_t_test_moments, Moments, WelchResult};
+use pscp_stats::{welch_t_test, WelchResult};
 
 /// One metric's comparison between the two phones.
 #[derive(Debug, Clone)]
@@ -27,21 +26,9 @@ impl MetricComparison {
     }
 }
 
-/// Runs the §5 device comparison across the QoE metrics. Below
-/// [`SKETCH_SESSION_THRESHOLD`] sessions this materialises the sample
-/// vectors (byte-stable legacy path); at or above it, a single streaming
-/// pass folds Welford moments per device and runs the test from the
-/// sufficient statistics — same t/df, no sample vectors.
+/// Runs the §5 device comparison across the QoE metrics, from each
+/// phone's full sample vectors — the dataset is in memory already.
 pub fn device_comparison(dataset: &SessionDataset) -> Vec<MetricComparison> {
-    if dataset.len() >= SKETCH_SESSION_THRESHOLD {
-        device_comparison_streaming(dataset)
-    } else {
-        device_comparison_exact(dataset)
-    }
-}
-
-/// The full-sample comparison path.
-pub fn device_comparison_exact(dataset: &SessionDataset) -> Vec<MetricComparison> {
     let s3 = dataset.by_device(ViewerDevice::GalaxyS3);
     let s4 = dataset.by_device(ViewerDevice::GalaxyS4);
     let mut out = Vec::new();
@@ -58,30 +45,6 @@ pub fn device_comparison_exact(dataset: &SessionDataset) -> Vec<MetricComparison
     );
     push("frame rate", SessionDataset::fps(&s3), SessionDataset::fps(&s4));
     out
-}
-
-/// The constant-memory comparison path: one pass over the sessions,
-/// four Welford accumulators per device.
-pub fn device_comparison_streaming(dataset: &SessionDataset) -> Vec<MetricComparison> {
-    // Indexed [S3, S4] × [stall, join, latency, fps].
-    let mut m = [[Moments::new(); 4]; 2];
-    for s in &dataset.sessions {
-        let d = usize::from(s.device == ViewerDevice::GalaxyS4);
-        m[d][0].observe(s.stall_ratio());
-        m[d][1].observe(s.join_time_s().unwrap_or(s.player.session_s));
-        if let Some(lat) = s.meta.playback_latency_s {
-            m[d][2].observe(lat);
-        }
-        m[d][3].observe(s.rendered_fps);
-    }
-    ["stall ratio", "join time", "playback latency", "frame rate"]
-        .into_iter()
-        .enumerate()
-        .map(|(i, metric)| MetricComparison {
-            metric,
-            result: welch_t_test_moments(&m[0][i], &m[1][i]).ok(),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -135,32 +98,6 @@ mod tests {
         assert!(by_name("frame rate").significant());
         assert!(!by_name("join time").significant());
         assert!(!by_name("playback latency").significant());
-    }
-
-    #[test]
-    fn streaming_path_matches_exact() {
-        let mut sessions = Vec::new();
-        for i in 0..40 {
-            let join = 1.0 + (i % 7) as f64 * 0.3;
-            sessions.push(outcome(ViewerDevice::GalaxyS3, 25.5 + (i % 5) as f64 * 0.2, join));
-            sessions.push(outcome(ViewerDevice::GalaxyS4, 29.4 + (i % 5) as f64 * 0.2, join));
-        }
-        let d = SessionDataset::new(sessions);
-        let exact = device_comparison_exact(&d);
-        let streaming = device_comparison_streaming(&d);
-        assert_eq!(exact.len(), streaming.len());
-        for (a, b) in exact.iter().zip(streaming.iter()) {
-            assert_eq!(a.metric, b.metric);
-            match (a.result, b.result) {
-                (Some(x), Some(y)) => {
-                    assert!((x.t - y.t).abs() < 1e-9, "{}: t {} vs {}", a.metric, x.t, y.t);
-                    assert!((x.df - y.df).abs() < 1e-6);
-                    assert_eq!(a.significant(), b.significant());
-                }
-                (None, None) => {}
-                _ => panic!("presence mismatch for {}", a.metric),
-            }
-        }
     }
 
     #[test]

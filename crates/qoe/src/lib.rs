@@ -23,5 +23,5 @@ pub mod slo;
 pub mod telemetry;
 
 pub use dataset::SessionDataset;
-pub use slo::{alert_rules, cell_rules, EvalMode, SloReport, SloSpec, SKETCH_SESSION_THRESHOLD};
+pub use slo::{alert_rules, cell_rules, SloReport, SloSpec};
 pub use telemetry::QoeTelemetry;

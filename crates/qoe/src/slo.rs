@@ -9,6 +9,11 @@
 //! the phase that dominated their join. Everything is a pure function of
 //! the spans and the dataset, with fixed float formatting — the rendered
 //! `SLO_report.json` is byte-identical at any thread count.
+//!
+//! One judge: [`evaluate`] reads a dataset exactly, from its sorted
+//! samples, and [`judge`] is the one place the four objectives are
+//! written — the streaming [`crate::QoeTelemetry`] of `repro watch` and
+//! `run_scale`, which never hold a dataset, is judged by it too.
 
 use std::collections::BTreeMap;
 
@@ -17,7 +22,6 @@ use pscp_service::select::Protocol;
 use pscp_stats::quantile::{median, quantile};
 
 use crate::dataset::SessionDataset;
-use crate::telemetry::QoeTelemetry;
 
 /// One session's join time decomposed into its causal phases.
 #[derive(Debug, Clone)]
@@ -372,115 +376,76 @@ fn escape(s: &str) -> String {
 /// above this floor, so the golden `SLO_report.json` is unaffected.
 pub const MIN_QUANTILE_SAMPLES: usize = 4;
 
-/// Session count at which [`evaluate`] switches from exact full-sample
-/// quantiles to constant-memory streaming sketches (DESIGN.md §11).
-/// Paper scale (~4k sessions) stays below it, so the golden
-/// `SLO_report.json` and figures are computed on the exact path,
-/// byte-for-byte as before.
-pub const SKETCH_SESSION_THRESHOLD: usize = 10_000;
+/// What the four objectives are judged on, seconds (stall ratio as a
+/// fraction). `None` = not measurable on this sample — too few sessions of
+/// the protocol — so the objective is left out rather than failed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Measured {
+    /// p90 join time over unlimited sessions.
+    pub join_p90_s: Option<f64>,
+    /// p90 stall ratio over unlimited sessions.
+    pub stall_ratio_p90: Option<f64>,
+    /// p75 RTMP playbackMeta latency, given [`MIN_QUANTILE_SAMPLES`].
+    pub rtmp_latency_p75_s: Option<f64>,
+    /// Mean HLS capture→render latency, given any HLS session.
+    pub hls_latency_mean_s: Option<f64>,
+}
 
-/// Which evaluation path [`evaluate_with_mode`] takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalMode {
-    /// Exact below [`SKETCH_SESSION_THRESHOLD`] sessions, sketched at or
-    /// above it.
-    Auto,
-    /// Always the exact full-sample path.
-    Exact,
-    /// Always the streaming-sketch path (tests and the live monitor).
-    Sketched,
+/// Judges the paper's four objectives — the one place their names,
+/// operators and thresholds are written. [`evaluate`] feeds it exact
+/// quantiles of a dataset in memory, [`QoeTelemetry::violations`] sketch
+/// quantiles of a stream, so `repro slo` and `repro watch
+/// --fail-on-violation` cannot disagree on what is asked.
+///
+/// [`QoeTelemetry::violations`]: crate::telemetry::QoeTelemetry::violations
+pub fn judge(spec: &SloSpec, m: &Measured) -> Vec<SloObjective> {
+    [
+        ("join_time_p90_s", m.join_p90_s, "<=", spec.join_p90_max_s),
+        ("stall_ratio_p90", m.stall_ratio_p90, "<=", spec.stall_ratio_p90_max),
+        ("rtmp_latency_p75_s", m.rtmp_latency_p75_s, "<=", spec.rtmp_latency_p75_max_s),
+        ("hls_latency_mean_s", m.hls_latency_mean_s, ">=", spec.hls_latency_mean_min_s),
+    ]
+    .into_iter()
+    .filter_map(|(name, measured, op, threshold)| {
+        let measured = measured?;
+        let pass = if op == "<=" { measured <= threshold } else { measured >= threshold };
+        Some(SloObjective { name, measured, threshold, op, pass })
+    })
+    .collect()
 }
 
 /// Evaluates `spec` over the dataset's scalar QoE metrics and the span
-/// trees' phase breakdowns, picking the exact or sketched path by
-/// dataset size (see [`SKETCH_SESSION_THRESHOLD`]).
+/// trees' phase breakdowns. A dataset is already in memory, session by
+/// session, so its quantiles are exact: metric vectors are materialised
+/// and sorted (≈ 4 ms per 100k samples against the minutes it takes to
+/// simulate them, DESIGN.md §11). Streams that never build a dataset —
+/// `repro watch`, `run_scale` — fold [`crate::QoeTelemetry`] instead.
 pub fn evaluate(
     spec: &SloSpec,
     dataset: &SessionDataset,
     spans: &[(String, Span)],
     label: &str,
 ) -> SloReport {
-    evaluate_with_mode(spec, dataset, spans, label, EvalMode::Auto)
-}
-
-/// [`evaluate`] with an explicit path choice.
-pub fn evaluate_with_mode(
-    spec: &SloSpec,
-    dataset: &SessionDataset,
-    spans: &[(String, Span)],
-    label: &str,
-    mode: EvalMode,
-) -> SloReport {
-    let sketched = match mode {
-        EvalMode::Auto => dataset.len() >= SKETCH_SESSION_THRESHOLD,
-        EvalMode::Exact => false,
-        EvalMode::Sketched => true,
-    };
-    if sketched {
-        evaluate_sketched(spec, dataset, spans, label)
-    } else {
-        evaluate_exact(spec, dataset, spans, label)
-    }
-}
-
-/// The exact full-sample evaluation: materialises metric vectors and
-/// sorts for quantiles. Source of truth for golden artifacts.
-fn evaluate_exact(
-    spec: &SloSpec,
-    dataset: &SessionDataset,
-    spans: &[(String, Span)],
-    label: &str,
-) -> SloReport {
     let breakdowns = fold_breakdowns(spans);
-    let mut objectives = Vec::new();
 
     let mut unlimited: Vec<&pscp_client::SessionOutcome> = dataset.unlimited(Protocol::Rtmp);
     unlimited.extend(dataset.unlimited(Protocol::Hls));
     unlimited.extend(dataset.unlimited(Protocol::Srt));
-    let joins = SessionDataset::join_times_s(&unlimited);
-    if let Ok(p90) = quantile(&joins, 0.90) {
-        objectives.push(SloObjective {
-            name: "join_time_p90_s",
-            measured: p90,
-            threshold: spec.join_p90_max_s,
-            op: "<=",
-            pass: p90 <= spec.join_p90_max_s,
-        });
-    }
-    let ratios = SessionDataset::stall_ratios(&unlimited);
-    if let Ok(p90) = quantile(&ratios, 0.90) {
-        objectives.push(SloObjective {
-            name: "stall_ratio_p90",
-            measured: p90,
-            threshold: spec.stall_ratio_p90_max,
-            op: "<=",
-            pass: p90 <= spec.stall_ratio_p90_max,
-        });
-    }
     let rtmp_lat = SessionDataset::playback_latencies_s(&dataset.unlimited(Protocol::Rtmp));
-    if rtmp_lat.len() >= MIN_QUANTILE_SAMPLES {
-        if let Ok(p75) = quantile(&rtmp_lat, 0.75) {
-            objectives.push(SloObjective {
-                name: "rtmp_latency_p75_s",
-                measured: p75,
-                threshold: spec.rtmp_latency_p75_max_s,
-                op: "<=",
-                pass: p75 <= spec.rtmp_latency_p75_max_s,
-            });
-        }
-    }
     let hls_lat: Vec<f64> =
         dataset.unlimited(Protocol::Hls).iter().filter_map(|s| s.player.mean_latency_s()).collect();
-    if !hls_lat.is_empty() {
-        let mean = hls_lat.iter().sum::<f64>() / hls_lat.len() as f64;
-        objectives.push(SloObjective {
-            name: "hls_latency_mean_s",
-            measured: mean,
-            threshold: spec.hls_latency_mean_min_s,
-            op: ">=",
-            pass: mean >= spec.hls_latency_mean_min_s,
-        });
-    }
+    let objectives = judge(
+        spec,
+        &Measured {
+            join_p90_s: quantile(&SessionDataset::join_times_s(&unlimited), 0.90).ok(),
+            stall_ratio_p90: quantile(&SessionDataset::stall_ratios(&unlimited), 0.90).ok(),
+            rtmp_latency_p75_s: quantile(&rtmp_lat, 0.75)
+                .ok()
+                .filter(|_| rtmp_lat.len() >= MIN_QUANTILE_SAMPLES),
+            hls_latency_mean_s: (!hls_lat.is_empty())
+                .then(|| hls_lat.iter().sum::<f64>() / hls_lat.len() as f64),
+        },
+    );
 
     let decomposition = [Protocol::Rtmp, Protocol::Hls, Protocol::Srt]
         .into_iter()
@@ -513,129 +478,6 @@ fn evaluate_exact(
         if let Ok(mad) = median(&deviations) {
             // 1.4826 rescales MAD to the stdev of a normal distribution.
             let scale = 1.4826 * mad;
-            if scale > 1e-9 {
-                for b in &breakdowns {
-                    let score = (b.join_s - med) / scale;
-                    if score > spec.mad_k {
-                        let (dominant_phase, dominant_s) = b
-                            .dominant_phase()
-                            .map(|(n, s)| (n.to_string(), s))
-                            .unwrap_or_else(|| ("unknown".to_string(), 0.0));
-                        outliers.push(OutlierSession {
-                            unit: b.unit.clone(),
-                            join_s: b.join_s,
-                            mad_score: score,
-                            dominant_phase,
-                            dominant_s,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    outliers.sort_by(|a, b| {
-        b.mad_score.partial_cmp(&a.mad_score).expect("finite").then(a.unit.cmp(&b.unit))
-    });
-
-    SloReport {
-        label: label.to_string(),
-        n_sessions: dataset.len(),
-        n_breakdowns: breakdowns.len(),
-        objectives,
-        decomposition,
-        outliers,
-    }
-}
-
-/// The streaming evaluation: folds outcomes and breakdowns into
-/// [`QoeTelemetry`] sketches, then reads the objectives off the sketch
-/// quantiles. Holds no sample vectors — memory is O(1) in session count
-/// (quantiles carry the sketch's ≤ 1/128 relative rank-bucket error).
-/// MAD outliers use the sketch median plus one extra streaming pass for
-/// the deviation median.
-fn evaluate_sketched(
-    spec: &SloSpec,
-    dataset: &SessionDataset,
-    spans: &[(String, Span)],
-    label: &str,
-) -> SloReport {
-    let breakdowns = fold_breakdowns(spans);
-    let mut tele = QoeTelemetry::from_dataset(dataset);
-    for b in &breakdowns {
-        tele.fold_breakdown(b);
-    }
-
-    let mut objectives = Vec::new();
-    if let Some(p90) = tele.join_us.quantile(0.90) {
-        let measured = p90 as f64 / 1e6;
-        objectives.push(SloObjective {
-            name: "join_time_p90_s",
-            measured,
-            threshold: spec.join_p90_max_s,
-            op: "<=",
-            pass: measured <= spec.join_p90_max_s,
-        });
-    }
-    if let Some(p90) = tele.stall_ppm.quantile(0.90) {
-        let measured = p90 as f64 / 1e6;
-        objectives.push(SloObjective {
-            name: "stall_ratio_p90",
-            measured,
-            threshold: spec.stall_ratio_p90_max,
-            op: "<=",
-            pass: measured <= spec.stall_ratio_p90_max,
-        });
-    }
-    if tele.rtmp_latency_us.count() >= MIN_QUANTILE_SAMPLES as u64 {
-        if let Some(p75) = tele.rtmp_latency_us.quantile(0.75) {
-            let measured = p75 as f64 / 1e6;
-            objectives.push(SloObjective {
-                name: "rtmp_latency_p75_s",
-                measured,
-                threshold: spec.rtmp_latency_p75_max_s,
-                op: "<=",
-                pass: measured <= spec.rtmp_latency_p75_max_s,
-            });
-        }
-    }
-    if !tele.hls_latency_s.is_empty() {
-        let mean = tele.hls_latency_s.mean();
-        objectives.push(SloObjective {
-            name: "hls_latency_mean_s",
-            measured: mean,
-            threshold: spec.hls_latency_mean_min_s,
-            op: ">=",
-            pass: mean >= spec.hls_latency_mean_min_s,
-        });
-    }
-
-    let decomposition = [Protocol::Rtmp, Protocol::Hls, Protocol::Srt]
-        .into_iter()
-        .filter_map(|proto| {
-            let n = tele.breakdown_count(proto) as usize;
-            if n == 0 {
-                return None;
-            }
-            Some(ProtocolDecomposition {
-                protocol: proto,
-                n,
-                join_mean_s: tele.join_mean_s(proto),
-                phase_means: tele.phase_means(proto),
-            })
-        })
-        .collect();
-
-    // MAD outliers: median from the breakdown-join sketch, deviation
-    // median from one more constant-memory pass, then per-item flagging.
-    let mut outliers = Vec::new();
-    if let Some(med_us) = tele.join_bd_us.quantile(0.5) {
-        let med = med_us as f64 / 1e6;
-        let mut deviations = pscp_stats::QuantileSketch::new();
-        for b in &breakdowns {
-            deviations.observe(((b.join_s - med).abs() * 1e6).round() as u64);
-        }
-        if let Some(mad_us) = deviations.quantile(0.5) {
-            let scale = 1.4826 * (mad_us as f64 / 1e6);
             if scale > 1e-9 {
                 for b in &breakdowns {
                     let score = (b.join_s - med) / scale;
@@ -794,35 +636,35 @@ mod tests {
     }
 
     #[test]
-    fn sketched_mode_agrees_with_exact_on_breakdown_outputs() {
-        let mut spans = sample_spans();
-        for i in 3..10 {
-            let j = 3.0 + i as f64 * 0.1;
-            spans.push((format!("session/{i}"), span(0, None, 0.0, j, "session", "session.join")));
-            spans
-                .push((format!("session/{i}"), span(1, Some(0), 0.0, j, "rtmp", "rtmp.buffering")));
+    fn judge_skips_the_unmeasured_and_is_what_a_stream_is_judged_by() {
+        let spec = SloSpec::paper();
+        let rows = judge(
+            &spec,
+            &Measured {
+                join_p90_s: Some(12.5),
+                hls_latency_mean_s: Some(4.0),
+                ..Measured::default()
+            },
+        );
+        let seen: Vec<_> = rows.iter().map(|o| (o.name, o.op, o.pass)).collect();
+        assert_eq!(seen, [("join_time_p90_s", "<=", false), ("hls_latency_mean_s", ">=", false)]);
+        assert!(judge(&spec, &Measured { join_p90_s: Some(12.0), ..Measured::default() })[0].pass);
+
+        // The sketched side reads the same table: a stream whose every join
+        // takes 20 s violates exactly the objective a dataset would fail.
+        let mut tele = crate::QoeTelemetry::new();
+        assert!(tele.violations(&spec).is_empty(), "nothing measured, nothing violated");
+        for _ in 0..10 {
+            tele.fold_sample(&crate::telemetry::SessionSample {
+                limited: false,
+                protocol: Protocol::Srt,
+                join_s: Some(20.0),
+                session_s: 60.0,
+                stall_ratio: 0.0,
+                latency_s: None,
+            });
         }
-        spans.push(("session/99".into(), span(0, None, 0.0, 55.0, "session", "session.join")));
-        spans.push(("session/99".into(), span(1, Some(0), 0.0, 55.0, "hls", "hls.segments")));
-        let dataset = SessionDataset::new(Vec::new());
-        let exact = evaluate_with_mode(&SloSpec::paper(), &dataset, &spans, "t", EvalMode::Exact);
-        let sk = evaluate_with_mode(&SloSpec::paper(), &dataset, &spans, "t", EvalMode::Sketched);
-        assert_eq!(sk.n_breakdowns, exact.n_breakdowns);
-        assert_eq!(sk.decomposition.len(), exact.decomposition.len());
-        for (a, b) in sk.decomposition.iter().zip(exact.decomposition.iter()) {
-            assert_eq!(a.n, b.n);
-            assert!((a.join_mean_s - b.join_mean_s).abs() < 1e-9);
-            assert_eq!(a.phase_means.len(), b.phase_means.len());
-            for ((na, ma), (nb, mb)) in a.phase_means.iter().zip(b.phase_means.iter()) {
-                assert_eq!(na, nb);
-                assert!((ma - mb).abs() < 1e-9);
-            }
-        }
-        // The outlier *set* must match; scores may differ within the
-        // sketch's median bucket width.
-        let units = |r: &SloReport| r.outliers.iter().map(|o| o.unit.clone()).collect::<Vec<_>>();
-        assert_eq!(units(&sk), units(&exact));
-        assert_eq!(units(&sk), vec!["session/99".to_string(), "session/1".to_string()]);
+        assert_eq!(tele.violations(&spec), ["join_time_p90_s"]);
     }
 
     #[test]

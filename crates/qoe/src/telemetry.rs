@@ -7,11 +7,12 @@
 //! decomposition) and a space-saving top-K for dominant-phase
 //! attribution. Memory is O(1) in the number of sessions, and `merge` is
 //! exact and order-independent for the sketch counts, so a sharded or
-//! batched fold produces the same telemetry as a serial one. The
-//! full-sample exact paths in [`crate::slo`] and [`crate::compare`]
-//! remain the source of truth below [`crate::slo::SKETCH_SESSION_THRESHOLD`];
-//! this type is what makes the paths above it — and the live `repro
-//! watch` monitor — possible without holding sample vectors.
+//! batched fold produces the same telemetry as a serial one. This is the
+//! instrument of the runs that never hold a [`SessionDataset`] — the live
+//! `repro watch` monitor and `run_scale`'s tiers; a dataset already in
+//! memory is judged exactly, from its sorted samples, by [`crate::slo`]
+//! and [`crate::compare`]. Both judge the same four objectives through
+//! [`crate::slo::judge`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -244,33 +245,21 @@ impl QoeTelemetry {
     }
 
     /// SLO objectives from `spec` that are measurable *and* violated in
-    /// this snapshot, as stable objective names. Unmeasured objectives
-    /// (too few samples) are not violations — same guards as the sketched
-    /// SLO evaluator — so an empty watch run exits clean.
+    /// this snapshot, as stable objective names: the failing rows of
+    /// [`crate::slo::judge`] over the sketch quantiles. Unmeasured
+    /// objectives (too few samples) are not violations, so an empty watch
+    /// run exits clean.
     pub fn violations(&self, spec: &crate::slo::SloSpec) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        if let Some(p90) = self.join_us.quantile(0.90) {
-            if p90 as f64 / 1e6 > spec.join_p90_max_s {
-                out.push("join_time_p90_s");
-            }
-        }
-        if let Some(p90) = self.stall_ppm.quantile(0.90) {
-            if p90 as f64 / 1e6 > spec.stall_ratio_p90_max {
-                out.push("stall_ratio_p90");
-            }
-        }
-        if self.rtmp_latency_us.count() >= crate::slo::MIN_QUANTILE_SAMPLES as u64 {
-            if let Some(p75) = self.rtmp_latency_us.quantile(0.75) {
-                if p75 as f64 / 1e6 > spec.rtmp_latency_p75_max_s {
-                    out.push("rtmp_latency_p75_s");
-                }
-            }
-        }
-        if !self.hls_latency_s.is_empty() && self.hls_latency_s.mean() < spec.hls_latency_mean_min_s
-        {
-            out.push("hls_latency_mean_s");
-        }
-        out
+        let secs = |q: Option<u64>| q.map(|v| v as f64 / 1e6);
+        let enough_rtmp = self.rtmp_latency_us.count() >= crate::slo::MIN_QUANTILE_SAMPLES as u64;
+        let measured = crate::slo::Measured {
+            join_p90_s: secs(self.join_us.quantile(0.90)),
+            stall_ratio_p90: secs(self.stall_ppm.quantile(0.90)),
+            rtmp_latency_p75_s: secs(self.rtmp_latency_us.quantile(0.75)).filter(|_| enough_rtmp),
+            hls_latency_mean_s: (!self.hls_latency_s.is_empty()).then(|| self.hls_latency_s.mean()),
+        };
+        let judged = crate::slo::judge(spec, &measured);
+        judged.into_iter().filter(|o| !o.pass).map(|o| o.name).collect()
     }
 
     /// One stable JSON object (no trailing newline) summarising the

@@ -31,7 +31,7 @@ pub use histogram::Histogram;
 pub use kstest::{kendall_tau, ks_test, KsResult};
 pub use quantile::{median, quantile};
 pub use sketch::{Moments, QuantileSketch, TopK};
-pub use ttest::{welch_t_test, welch_t_test_moments, WelchResult};
+pub use ttest::{welch_t_test, WelchResult};
 
 /// Error type for statistical computations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -7,7 +7,6 @@
 //! test, used by experiment E16.
 
 use crate::describe::Description;
-use crate::sketch::Moments;
 use crate::special::student_t_cdf;
 use crate::StatsError;
 
@@ -46,55 +45,25 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Result<WelchResult, StatsError> {
     }
     let da = Description::of(a)?;
     let db = Description::of(b)?;
-    Ok(welch_from_parts(da.n as u64, da.mean, da.variance, db.n as u64, db.mean, db.variance))
-}
-
-/// Runs Welch's t-test from streaming [`Moments`] — the sufficient
-/// statistics `(n, mean, variance)` are all the test needs, so two
-/// telemetry streams can be compared without ever materializing their
-/// sample vectors. Numerically this applies the exact same formula
-/// sequence as [`welch_t_test`], differing only through Welford-vs-batch
-/// rounding in the inputs.
-pub fn welch_t_test_moments(a: &Moments, b: &Moments) -> Result<WelchResult, StatsError> {
-    for m in [a, b] {
-        if m.count() < 2 {
-            return Err(StatsError::InsufficientSamples {
-                required: 2,
-                actual: m.count() as usize,
-            });
-        }
-    }
-    let (va, vb) = (a.variance().expect("n >= 2"), b.variance().expect("n >= 2"));
-    Ok(welch_from_parts(a.count(), a.mean(), va, b.count(), b.mean(), vb))
-}
-
-/// The shared Welch computation over `(n, mean, variance)` per side.
-fn welch_from_parts(
-    na: u64,
-    mean_a: f64,
-    var_a: f64,
-    nb: u64,
-    mean_b: f64,
-    var_b: f64,
-) -> WelchResult {
-    let va_n = var_a / na as f64;
-    let vb_n = var_b / nb as f64;
+    let (na, mean_a, nb, mean_b) = (da.n as f64, da.mean, db.n as f64, db.mean);
+    let va_n = da.variance / na;
+    let vb_n = db.variance / nb;
     let se2 = va_n + vb_n;
     if se2 == 0.0 {
         let equal = mean_a == mean_b;
-        return WelchResult {
+        return Ok(WelchResult {
             t: 0.0,
-            df: (na + nb - 2) as f64,
+            df: na + nb - 2.0,
             p_value: if equal { 1.0 } else { 0.0 },
             mean_a,
             mean_b,
-        };
+        });
     }
     let t = (mean_a - mean_b) / se2.sqrt();
     // Welch–Satterthwaite approximation.
-    let df = se2 * se2 / (va_n * va_n / (na as f64 - 1.0) + vb_n * vb_n / (nb as f64 - 1.0));
+    let df = se2 * se2 / (va_n * va_n / (na - 1.0) + vb_n * vb_n / (nb - 1.0));
     let p_value = 2.0 * (1.0 - student_t_cdf(t.abs(), df));
-    WelchResult { t, df, p_value: p_value.clamp(0.0, 1.0), mean_a, mean_b }
+    Ok(WelchResult { t, df, p_value: p_value.clamp(0.0, 1.0), mean_a, mean_b })
 }
 
 #[cfg(test)]
@@ -149,35 +118,6 @@ mod tests {
     fn zero_variance_different_means() {
         let r = welch_t_test(&[1.0, 1.0], &[2.0, 2.0]).unwrap();
         assert_eq!(r.p_value, 0.0);
-    }
-
-    #[test]
-    fn moments_variant_matches_sample_variant() {
-        let a: Vec<f64> = (0..25).map(|i| 10.0 + (i % 7) as f64 * 0.4).collect();
-        let b: Vec<f64> = (0..31).map(|i| 11.0 + (i % 5) as f64 * 0.3).collect();
-        let fold = |data: &[f64]| {
-            let mut m = Moments::new();
-            for &x in data {
-                m.observe(x);
-            }
-            m
-        };
-        let exact = welch_t_test(&a, &b).unwrap();
-        let streamed = welch_t_test_moments(&fold(&a), &fold(&b)).unwrap();
-        assert!((exact.t - streamed.t).abs() < 1e-9, "{} vs {}", exact.t, streamed.t);
-        assert!((exact.df - streamed.df).abs() < 1e-9);
-        assert!((exact.p_value - streamed.p_value).abs() < 1e-9);
-    }
-
-    #[test]
-    fn moments_variant_requires_two_samples() {
-        let mut one = Moments::new();
-        one.observe(1.0);
-        let mut two = Moments::new();
-        two.observe(1.0);
-        two.observe(2.0);
-        assert!(welch_t_test_moments(&one, &two).is_err());
-        assert!(welch_t_test_moments(&two, &one).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use pscp_stats::histogram::{Binning, Histogram};
 use pscp_stats::quantile::{median, quantile, quantile_sorted};
 use pscp_stats::regression::{linear_fit, pearson, spearman};
 use pscp_stats::sketch::{Moments, QuantileSketch};
-use pscp_stats::ttest::{welch_t_test, welch_t_test_moments};
+use pscp_stats::ttest::welch_t_test;
 
 fn arb_data(g: &mut Gen) -> Vec<f64> {
     g.vec(1..200, |g| g.f64(-1e6..1e6))
@@ -289,38 +289,29 @@ fn sketch_quantile_rank_error_vs_quantile_sorted() {
 }
 
 #[test]
-fn moments_merge_matches_batch_welch() {
-    // Streaming Welford moments merged across arbitrary splits must agree
-    // with the batch t-test on the concatenated samples.
+fn moments_merge_matches_batch_description() {
+    // Streaming Welford moments merged across an arbitrary split must agree
+    // with the batch description of the whole sample: the count, mean and
+    // variance every consumer of a merged `Moments` reads.
     check(
-        "moments_merge_matches_batch_welch",
-        |g: &mut Gen| {
-            (
-                g.vec(2..60, |g| g.f64(-100.0..100.0)),
-                g.vec(2..60, |g| g.f64(-100.0..100.0)),
-                g.usize(0..60),
-            )
-        },
-        |(a, b, split)| {
-            let fold = |xs: &[f64]| {
-                let cut = (*split).min(xs.len());
-                let mut left = Moments::new();
-                let mut right = Moments::new();
-                for &x in &xs[..cut] {
-                    left.observe(x);
-                }
-                for &x in &xs[cut..] {
-                    right.observe(x);
-                }
-                left.merge(&right);
-                left
-            };
-            let (ma, mb) = (fold(a), fold(b));
-            let streamed = welch_t_test_moments(&ma, &mb).map_err(|e| format!("{e:?}"))?;
-            let batch = welch_t_test(a, b).map_err(|e| format!("{e:?}"))?;
-            ensure!((streamed.t - batch.t).abs() < 1e-6, "t diverged");
-            ensure!((streamed.p_value - batch.p_value).abs() < 1e-6, "p diverged");
-            ensure_eq!(ma.count(), a.len() as u64);
+        "moments_merge_matches_batch_description",
+        |g: &mut Gen| (g.vec(2..60, |g| g.f64(-100.0..100.0)), g.usize(0..60)),
+        |(xs, split)| {
+            let cut = (*split).min(xs.len());
+            let mut merged = Moments::new();
+            let mut right = Moments::new();
+            for &x in &xs[..cut] {
+                merged.observe(x);
+            }
+            for &x in &xs[cut..] {
+                right.observe(x);
+            }
+            merged.merge(&right);
+            let batch = Description::of(xs).map_err(|e| format!("{e:?}"))?;
+            ensure_eq!(merged.count(), xs.len() as u64);
+            ensure!((merged.mean() - batch.mean).abs() < 1e-9, "mean diverged");
+            let variance = merged.variance().ok_or("no variance at n >= 2")?;
+            ensure!((variance - batch.variance).abs() < 1e-6, "variance diverged");
             Ok(())
         },
     );

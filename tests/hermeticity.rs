@@ -183,3 +183,56 @@ fn the_only_unsafe_block_is_the_kernel_dispatch() {
     assert_eq!(found.len(), 1, "`unsafe {{` outside tests: {found:?}");
     assert!(found[0].ends_with("media/src/bitstream.rs"), "{found:?}");
 }
+
+/// One front door (DESIGN.md §17): outside its tests, `crates/bench/src`
+/// ends the process in one place, never panics on an artifact it cannot
+/// write, and spells a verb's name only in the verb table — a second
+/// `"chaos"` means a dispatch chain or a hand-written usage grew back.
+#[test]
+fn repro_has_one_exit_no_panicking_write_and_one_table() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src");
+    let mut files = Vec::new();
+    let mut dirs = vec![src.clone()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("read crates/bench/src") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let text = std::fs::read_to_string(&path).expect("read source");
+                let code: Vec<String> = text
+                    .split("\n#[cfg(test)]")
+                    .next()
+                    .unwrap_or("")
+                    .lines()
+                    .filter(|line| !line.trim_start().starts_with("//"))
+                    .map(String::from)
+                    .collect();
+                files.push((path, code));
+            }
+        }
+    }
+    let count = |what: &str| {
+        files.iter().flat_map(|(_, code)| code).filter(|line| line.contains(what)).count()
+    };
+    assert_eq!(count("process::exit("), 1, "one place ends the process");
+    assert_eq!(count(".expect(\"write") + count(".expect(\"create"), 0, "a write that panics");
+    assert_eq!(count("panic!(\"write"), 0, "a write that panics");
+
+    let table = src.join("verbs.rs");
+    let rows = &files.iter().find(|(path, _)| *path == table).expect("the verb table").1;
+    let names: Vec<&str> = rows
+        .iter()
+        .filter_map(|line| line.trim().strip_prefix("name: \"")?.strip_suffix("\","))
+        .collect();
+    assert!(names.len() >= 20 && names.contains(&"chaos"), "table rows not found: {names:?}");
+    for front_door in ["bin/repro.rs", "cli.rs", "cli/parse.rs", "run.rs"] {
+        let code =
+            &files.iter().find(|(path, _)| *path == src.join(front_door)).expect(front_door).1;
+        for name in &names {
+            let literal = format!("\"{name}\"");
+            let uses = code.iter().filter(|line| line.contains(&literal)).count();
+            assert_eq!(uses, 0, "verb `{name}` is spelled in {front_door}, outside the table");
+        }
+    }
+}

@@ -234,38 +234,6 @@ fn span_artifacts_identical_across_thread_counts() {
     assert!(one.3.contains("session.join"), "Chrome trace has no join spans");
 }
 
-/// The streaming-telemetry contract (DESIGN.md §11): with the sketch
-/// path forced on, the SLO report is still a pure function of the plan —
-/// byte-identical at any thread count — because sketches merge in plan
-/// order with exactly associative integer bucket addition.
-fn sketched_slo_run(threads: usize, seed: u64) -> String {
-    let mut config = LabConfig::small(seed);
-    config.trace = true;
-    config.threads = threads;
-    let mut lab = Lab::new(config);
-    let dataset = lab.session_dataset();
-    let spans = lab.observer().spans();
-    periscope_repro::qoe::slo::evaluate_with_mode(
-        &periscope_repro::qoe::SloSpec::paper(),
-        &dataset,
-        &spans,
-        "sketched-threads-test",
-        periscope_repro::qoe::EvalMode::Sketched,
-    )
-    .to_json()
-}
-
-#[test]
-fn sketched_slo_report_identical_across_thread_counts() {
-    let one = sketched_slo_run(1, 2016);
-    let two = sketched_slo_run(2, 2016);
-    let eight = sketched_slo_run(8, 2016);
-    assert_eq!(one, two, "sketched SLO_report.json diverged at 2 threads");
-    assert_eq!(one, eight, "sketched SLO_report.json diverged at 8 threads");
-    assert!(one.contains("\"objectives\""), "sketched SLO report looks empty: {one}");
-    assert!(one.contains("\"decomposition\""), "sketched SLO report lost decomposition: {one}");
-}
-
 /// The causal-tree contract (DESIGN.md §7): every joined session's
 /// `session.join` root is exactly tiled by its children, and the root's
 /// duration IS the recorded join time, in integer microseconds.
