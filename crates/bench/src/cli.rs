@@ -91,7 +91,7 @@ pub struct Failure {
     pub usage: String,
 }
 
-const GENERAL_USAGE: &str = "repro [--scale small|medium|paper|planet] [--seed N] \
+const GENERAL_USAGE: &str = "repro [--scale small|medium|paper] [--seed N] \
      <verb or figure id> [its flags]... — `repro list` names them, `repro --help` shows every flag";
 
 impl Failure {

@@ -69,6 +69,11 @@ const KNOWN_DEVIATIONS: &str = r#"
 * **HLS stall counts** benefit additionally from the closed-form TCP fetch
   model, which cannot reproduce self-induced congestion oscillations; the
   direction (HLS stalls rarer than RTMP) matches §5.1.
+* **`tc` bandwidth limits** (Figs 3b, 4): the paper's `tc` is a token bucket
+  — a burst allowance in front of a finite queue that tail-drops. Here a
+  limit is a plain rate on the session's one unbounded FIFO link: nothing
+  passes faster than the limit and nothing is dropped at the queue, so a
+  stall under a limit is queueing delay alone, never loss and recovery.
 "#;
 
 /// Schema of the three-way chaos artifact.

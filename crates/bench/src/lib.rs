@@ -35,8 +35,7 @@ pub fn lab_config(scale: &str, seed: u64) -> Result<LabConfig, String> {
         "small" => Ok(LabConfig::small(seed)),
         "medium" => Ok(LabConfig::medium(seed)),
         "paper" => Ok(LabConfig::paper(seed)),
-        "planet" => Ok(LabConfig::planet(seed)),
-        other => Err(format!("unknown scale '{other}' (small|medium|paper|planet)")),
+        other => Err(format!("unknown scale '{other}' (small|medium|paper)")),
     }
 }
 

@@ -282,6 +282,7 @@ fn errors_are_two_lines_on_stderr_and_exit_2() {
         ("chaos --sessions", "error: --sessions needs a value"),
         ("trace nonsense", "error: unknown experiment 'nonsense' — try `repro list`"),
         ("fig7 nonsense", "error: unknown experiment 'nonsense' — try `repro list`"),
+        ("--scale planet fig7", "error: unknown scale 'planet' (small|medium|paper)"),
         ("watch --once --batches 3", "error: --once and --batches contradict each other"),
         ("bench-diff missing.json also-missing.json", "error: read missing.json: "),
     ] {

@@ -40,7 +40,6 @@
 
 mod combine;
 mod gen;
-mod golden;
 mod shrink;
 
 pub use combine::{
@@ -48,7 +47,6 @@ pub use combine::{
     vecs, weighted, BoxGen,
 };
 pub use gen::{Gen, Tape};
-pub use golden::{assert_close, assert_text_eq, diff_text};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -1,6 +1,6 @@
 //! The broadcaster side of a session.
 //!
-//! The phone ([`Phone`]) captures, encodes and uploads over its glitchy
+//! The phone (`Phone`) captures, encodes and uploads over its glitchy
 //! mobile uplink. For the two push transports (RTMP / SRT) what the ingest
 //! server holds is an [`IngestTimeline`]: coded frames and audio frames with
 //! the instant each one arrived. Frames stay *descriptors*

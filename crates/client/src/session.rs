@@ -3,16 +3,16 @@
 //! The paper's service is one pipeline with a late fork: every broadcast is
 //! RTMP-ingested on an EC2 host, pushed as RTMP to the first ≈ 100 viewers
 //! and repackaged to HLS through the CDN past that (§3, §5.1). A session is
-//! assembled the same way, in one place — [`simulate`]:
+//! assembled the same way, in one place — `simulate`:
 //!
-//! * the **prelude** ([`SessionCtx::open`]) draws the labelled RNG streams
+//! * the **prelude** (`SessionCtx::open`) draws the labelled RNG streams
 //!   and the two wall clocks, finds the ingest host, records the session's
 //!   start — exactly once — and sets up the capture tap;
 //! * a **transport** (`rtmp_session`, `hls_session`, `srt_session`: a plain
 //!   function each, chosen by a `match`) does what genuinely differs and
-//!   returns what it [`Delivered`]: media arrivals at the player, the join
+//!   returns what it `Delivered`: media arrivals at the player, the join
 //!   phases it went through, the endpoint that served it;
-//! * the **epilogue** ([`finish`]) counts link faults, plays the arrivals
+//! * the **epilogue** (`finish`) counts link faults, plays the arrivals
 //!   out, lays the join phases over `[join, first frame]`, records the
 //!   player's events and the session's end, and builds the one
 //!   [`SessionOutcome`]. A session that never reached the service and a

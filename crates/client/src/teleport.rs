@@ -67,8 +67,6 @@ pub struct TeleportConfig {
     pub sessions: usize,
     /// Base session configuration (network limits, chat, players).
     pub session: SessionConfig,
-    /// Alternate between the S3 and S4 phones, as the paper did.
-    pub alternate_devices: bool,
     /// How many sessions *per protocol* keep their full packet capture.
     /// Captures are several MB each; paper-scale datasets would not fit in
     /// memory otherwise. Sessions beyond the cap keep every scalar metric
@@ -90,7 +88,6 @@ impl Default for TeleportConfig {
         TeleportConfig {
             sessions: 100,
             session: SessionConfig::default(),
-            alternate_devices: true,
             keep_captures_per_protocol: usize::MAX,
             threads: 0,
             shards: 1,
@@ -428,10 +425,9 @@ impl<'a> Teleport<'a> {
                 continue;
             };
             let mut session = config.session.clone();
-            if config.alternate_devices {
-                session.device =
-                    if i % 2 == 0 { ViewerDevice::GalaxyS4 } else { ViewerDevice::GalaxyS3 };
-            }
+            // Alternate between the S3 and S4 phones, as the paper did.
+            session.device =
+                if i % 2 == 0 { ViewerDevice::GalaxyS4 } else { ViewerDevice::GalaxyS3 };
             // Capture retention is bucketed by the protocol the session will
             // actually use, so a forced-transport sweep still caps correctly.
             let protocol =

@@ -25,9 +25,10 @@ pub struct UplinkConfig {
     pub outage_rate: f64,
     /// Mean outage duration, seconds.
     pub outage_mean_s: f64,
-    /// Throughput multiplier during an outage.
-    pub outage_factor: f64,
 }
+
+/// Throughput multiplier during an outage.
+const OUTAGE_RATE_FACTOR: f64 = 0.02;
 
 impl Default for UplinkConfig {
     fn default() -> Self {
@@ -39,7 +40,6 @@ impl Default for UplinkConfig {
             // ~1 outage per 4 minutes of watching.
             outage_rate: 1.0 / 240.0,
             outage_mean_s: 3.5,
-            outage_factor: 0.02,
         }
     }
 }
@@ -88,10 +88,10 @@ impl Uplink {
     }
 
     /// Instantaneous rate at `t`.
-    pub fn rate_at(&self, t: SimTime, outage_factor: f64) -> f64 {
+    pub fn rate_at(&self, t: SimTime) -> f64 {
         for &(s, e) in &self.outages {
             if t >= s && t < e {
-                return self.base_rate_bps * outage_factor;
+                return self.base_rate_bps * OUTAGE_RATE_FACTOR;
             }
         }
         self.base_rate_bps
@@ -104,7 +104,7 @@ impl Uplink {
         let mut now = self.free_at.max(t);
         let mut remaining = bytes as f64 * 8.0; // bits
         loop {
-            let rate = self.rate_at(now, 0.02).max(1_000.0);
+            let rate = self.rate_at(now).max(1_000.0);
             // Time until the current rate regime ends.
             let regime_end = self
                 .outages
@@ -157,6 +157,16 @@ mod tests {
         let done = u.upload(SimTime::from_micros(500_000), 1_000_000);
         let t = done.as_secs_f64();
         assert!(t > 3.9, "t={t}");
+    }
+
+    #[test]
+    fn upload_spanning_an_outage_finishes_when_the_outage_rate_says() {
+        let mut u = Uplink::perfect(8e6);
+        u.outages.push((SimTime::from_secs(1), SimTime::from_secs(4)));
+        // 8 Mbit from t=0.5: 4 Mbit before the outage, 3 s × 8 Mbps × 0.02 =
+        // 0.48 Mbit inside it, the last 3.52 Mbit in 0.44 s after it.
+        let done = u.upload(SimTime::from_micros(500_000), 1_000_000);
+        assert!((done.as_secs_f64() - 4.44).abs() < 1e-5, "done={done}");
     }
 
     #[test]

@@ -199,7 +199,6 @@ pub fn run_chaos(lab: &mut Lab, cfg: &ChaosConfig) -> ChaosSweep {
                     transport,
                     ..Default::default()
                 },
-                alternate_devices: true,
                 keep_captures_per_protocol: 0,
                 threads: cfg.threads,
                 shards: 1,

@@ -183,7 +183,6 @@ pub fn run_incidents(lab: &mut Lab, cfg: &IncidentConfig) -> IncidentReport {
                 transport,
                 ..Default::default()
             },
-            alternate_devices: true,
             keep_captures_per_protocol: 0,
             threads: cfg.threads,
             shards: cfg.shards,

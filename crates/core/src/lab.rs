@@ -20,9 +20,6 @@ pub enum Scale {
     Small,
     /// Paper-sized datasets (minutes of wall time to generate).
     Paper,
-    /// Planet-sized worlds (~1M broadcasts) for the sharded `repro scale`
-    /// experiment; only feasible through the sketch-bounded shard engine.
-    Planet,
 }
 
 /// Lab configuration.
@@ -114,25 +111,6 @@ impl LabConfig {
             shards: 1,
         }
     }
-
-    /// Planet-scale configuration: a ~1M-broadcast world for the sharded
-    /// scale engine ([`crate::shard::run_scale`]). The classic dataset
-    /// pipeline is not meant to run at this scale — use `repro scale`.
-    pub fn planet(seed: u64) -> LabConfig {
-        LabConfig {
-            seed,
-            scale: Scale::Planet,
-            population: PopulationConfig::planet(),
-            service: ServiceConfig::default(),
-            sessions_unlimited: 0,
-            sessions_per_limit: 0,
-            limits_mbps: Vec::new(),
-            threads: 0,
-            trace: false,
-            profile: false,
-            shards: 16,
-        }
-    }
 }
 
 /// True when the `PSCP_TRACE` environment variable requests tracing.
@@ -204,12 +182,6 @@ impl Lab {
             busy_secs: prof.busy_total(),
         });
         out
-    }
-
-    /// The resolved worker-thread count this lab will use (see
-    /// [`LabConfig::threads`] and [`pscp_simnet::par::resolve_threads`]).
-    pub fn effective_threads(&self) -> usize {
-        pscp_simnet::par::resolve_threads(self.config.threads)
     }
 
     /// The service (built on first access).
@@ -308,7 +280,6 @@ impl Lab {
             let cfg = TeleportConfig {
                 sessions: sessions_per_limit,
                 session,
-                alternate_devices: true,
                 keep_captures_per_protocol: 8,
                 threads: 1,
                 shards,
@@ -417,7 +388,7 @@ impl Lab {
     pub fn targeted_config(&self) -> TargetedCrawlConfig {
         let margin = SimDuration::from_secs(match self.config.scale {
             Scale::Small => 300,
-            Scale::Paper | Scale::Planet => 1200,
+            Scale::Paper => 1200,
         });
         let duration =
             self.config.population.window.saturating_sub(margin).max(SimDuration::from_secs(600));

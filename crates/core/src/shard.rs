@@ -49,6 +49,7 @@ use pscp_qoe::telemetry::SessionSample;
 use pscp_qoe::QoeTelemetry;
 use pscp_service::PeriscopeService;
 use pscp_simnet::par::{self, ParProfile};
+use pscp_simnet::rng::splitmix64 as mix;
 use pscp_simnet::{GeoPoint, GeoRect, RngFactory, SimTime};
 use pscp_stats::QuantileSketch;
 use pscp_workload::broadcast::Broadcast;
@@ -519,17 +520,9 @@ struct ArrivalDelta {
     hop: Hop,
 }
 
-/// SplitMix64 finalizer — the engine's only ad-hoc hash. All scale-run
-/// coin flips key on it so they are pure functions of (seed, broadcast,
-/// minute) or (seed, session), never of shard or thread scheduling.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform [0, 1) from a hash.
+/// Uniform [0, 1) from a hash. All scale-run coin flips key on `mix`
+/// (SplitMix64) so they are pure functions of (seed, broadcast, minute) or
+/// (seed, session), never of shard or thread scheduling.
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }

@@ -6,7 +6,7 @@
 //! boundaries, viewer averages sampled at round granularity).
 
 use crate::records::BroadcastObservation;
-use pscp_stats::regression::pearson;
+use pscp_stats::correlation::pearson;
 use pscp_stats::Ecdf;
 
 /// The §4 usage-pattern summary.

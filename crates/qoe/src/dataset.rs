@@ -83,11 +83,6 @@ impl SessionDataset {
         group.iter().filter_map(|s| s.meta.playback_latency_s).collect()
     }
 
-    /// Stall-event counts of a group.
-    pub fn stall_counts(group: &[&SessionOutcome]) -> Vec<f64> {
-        group.iter().map(|s| s.meta.n_stalls as f64).collect()
-    }
-
     /// Rendered frame rates of a group.
     pub fn fps(group: &[&SessionOutcome]) -> Vec<f64> {
         group.iter().map(|s| s.rendered_fps).collect()

@@ -14,6 +14,7 @@
 //!    forces pacing and motivates the paper's four parallel crawler
 //!    accounts.
 
+use pscp_simnet::rng::splitmix64;
 use pscp_simnet::{GeoRect, SimDuration, SimTime};
 use pscp_workload::broadcast::Broadcast;
 use pscp_workload::population::Population;
@@ -130,19 +131,12 @@ impl Directory {
         candidates.sort_by_cached_key(|b| {
             // Popularity dominates; hash perturbs the order below the fold.
             let viewers = b.viewers_at(now) as u64;
-            let h = splitmix(b.id.0 ^ minute.wrapping_mul(0x517c_c1b7_2722_0a95)) % 1000;
+            let h = splitmix64(b.id.0 ^ minute.wrapping_mul(0x517c_c1b7_2722_0a95)) % 1000;
             std::cmp::Reverse(viewers * 1000 + h)
         });
         candidates.truncate(cap);
         candidates
     }
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

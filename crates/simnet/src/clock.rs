@@ -45,15 +45,6 @@ impl WallClock {
         }
     }
 
-    /// An undisciplined phone clock: offsets up to seconds.
-    pub fn loose<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        WallClock {
-            offset_s: crate::dist::normal(rng, 0.0, 1.5),
-            drift_ppm: crate::dist::normal(rng, 0.0, 40.0),
-            jitter_s: 0.002,
-        }
-    }
-
     /// Reads the wall clock at simulation instant `at`, in seconds since the
     /// simulation epoch as this host believes it.
     pub fn read<R: Rng + ?Sized>(&self, at: SimTime, rng: &mut R) -> f64 {

@@ -1,7 +1,7 @@
 //! Unreliable datagram transport over a [`Link`].
 //!
 //! The reliable transports below RTMP and HLS turn loss into *delay*
-//! ([`fault::RETX_DELAY`] per lost packet) because TCP retransmits under
+//! ([`crate::fault::RETX_DELAY`] per lost packet) because TCP retransmits under
 //! the media. A datagram link has no such floor: a lost packet is a hole
 //! the protocol above must handle (or not), which is exactly what the SRT
 //! ingest path needs — loss recovery becomes *protocol behaviour* instead

@@ -179,7 +179,7 @@ impl OutageConfig {
 
     /// End of the outage containing `t` (start of the next up slot). The
     /// scan is bounded; a pathological always-down schedule reports an end
-    /// [`OUTAGE_SCAN_SLOTS`] minutes out.
+    /// `OUTAGE_SCAN_SLOTS` minutes out.
     pub fn outage_end(&self, seed: u64, unit: &str, t: SimTime) -> SimTime {
         let mut slot = t.as_micros() / OUTAGE_SLOT_US;
         let limit = slot + OUTAGE_SCAN_SLOTS;

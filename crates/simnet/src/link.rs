@@ -1,12 +1,12 @@
 //! Point-to-point link model: serialization delay, FIFO queueing,
-//! propagation delay, bounded buffer with tail drop.
+//! propagation delay, and an optional bounded buffer with tail drop.
 //!
 //! A link transmits at `rate_bps`; a packet of `n` bytes occupies the wire
-//! for `8n / rate` seconds. Packets queue behind the in-flight one (tracked
-//! by `busy_until`), and a bounded queue drops arrivals that would exceed the
-//! buffer — the behaviour that turns a `tc` bandwidth limit into stalls in
-//! Figure 3(b). An unbounded link can never drop, so it keeps no queue:
-//! `busy_until` is all the state a delivery time depends on.
+//! for `8n / rate` seconds and queues behind the in-flight one (`busy_until`).
+//! Every session builds its link unbounded, so none drops at the queue: a
+//! `tc` limit is the link's rate and Figure 3(b)'s stalls are queueing delay
+//! behind it. An unbounded link keeps no queue — `busy_until` is all its
+//! state; the bounded queue (tail drop) is reached by tests only.
 
 use crate::time::{SimDuration, SimTime};
 

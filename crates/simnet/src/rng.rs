@@ -167,7 +167,7 @@ impl RngFactory {
 const WEYL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// SplitMix64 step: advance by the golden-ratio increment, then mix.
-fn splitmix64(z: u64) -> u64 {
+pub fn splitmix64(z: u64) -> u64 {
     splitmix64_mix(z.wrapping_add(WEYL))
 }
 

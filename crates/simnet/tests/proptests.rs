@@ -1,36 +1,10 @@
 //! Property-based tests of the simulation substrate invariants, on the
-//! in-tree `pscp-check` harness. Historical proptest regression cases are
-//! committed as constants and replayed by plain `#[test]`s below.
+//! in-tree `pscp-check` harness.
 
 use pscp_check::{check, ensure, ensure_eq, Gen};
 use pscp_simnet::link::Delivery;
 use pscp_simnet::tcp::INIT_CWND_SEGMENTS;
-use pscp_simnet::{
-    EventQueue, GeoPoint, GeoRect, Link, SimDuration, SimTime, TcpModel, TokenBucket,
-};
-
-#[test]
-fn event_queue_pops_sorted() {
-    check(
-        "event_queue_pops_sorted",
-        |g: &mut Gen| g.vec(1..100, |g| g.u64(0..1_000_000)),
-        |times| {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_micros(t), i);
-            }
-            let mut last = SimTime::ZERO;
-            let mut count = 0;
-            while let Some((at, _)) = q.pop() {
-                ensure!(at >= last, "pop out of order: {at} after {last}");
-                last = at;
-                count += 1;
-            }
-            ensure_eq!(count, times.len());
-            Ok(())
-        },
-    );
-}
+use pscp_simnet::{GeoPoint, GeoRect, Link, SimDuration, SimTime, TcpModel};
 
 #[test]
 fn link_deliveries_fifo_and_rate_bounded() {
@@ -62,58 +36,6 @@ fn link_deliveries_fifo_and_rate_bounded() {
             Ok(())
         },
     );
-}
-
-/// The token-bucket long-run rate invariant, shared by the random sweep and
-/// the committed regression cases below.
-fn token_bucket_rate_prop(
-    (sizes, rate_mbps, burst): &(Vec<usize>, f64, usize),
-) -> Result<(), String> {
-    let mut tb = TokenBucket::new(rate_mbps * 1e6, *burst);
-    let mut last = SimTime::ZERO;
-    let mut total = 0usize;
-    for &s in sizes {
-        let t = tb.release_time(SimTime::ZERO, s);
-        ensure!(t >= last, "FIFO violated");
-        last = t;
-        total += s;
-    }
-    // Long-run: bytes released by `last` cannot exceed burst + rate*t.
-    // Equality holds exactly at the last byte's release; each release
-    // additionally rounds its wait onto the µs SimTime grid (up to
-    // 0.5 µs of credit per packet at the shaper rate).
-    let per_packet_slack = sizes.len() as f64 * rate_mbps * 1e6 / 8.0 * 1e-6;
-    let cap = *burst as f64 + rate_mbps * 1e6 / 8.0 * last.as_secs_f64() + per_packet_slack;
-    ensure!(total as f64 <= cap + 8.0, "total={total} cap={cap}");
-    Ok(())
-}
-
-#[test]
-fn token_bucket_never_exceeds_rate() {
-    check(
-        "token_bucket_never_exceeds_rate",
-        |g: &mut Gen| {
-            (g.vec(2..60, |g| g.usize(1..2000)), g.f64(0.1..50.0), g.usize(1500..100_000))
-        },
-        token_bucket_rate_prop,
-    );
-}
-
-// Shrunk counterexamples from the proptest era (`.proptest-regressions`),
-// committed as exact inputs so they replay forever.
-#[test]
-fn token_bucket_regression_burst_8455() {
-    let sizes = vec![
-        1032, 1105, 560, 346, 1440, 1042, 814, 1092, 974, 1072, 928, 1417, 804, 1200, 1961, 1735,
-        764, 1428, 455, 925, 646,
-    ];
-    token_bucket_rate_prop(&(sizes, 30.349284117100737, 8455)).unwrap();
-}
-
-#[test]
-fn token_bucket_regression_burst_1988() {
-    let sizes = vec![1496, 506, 1077, 1185, 47, 76, 690, 1281, 459, 676, 1694, 551];
-    token_bucket_rate_prop(&(sizes, 45.266766059397014, 1988)).unwrap();
 }
 
 #[test]

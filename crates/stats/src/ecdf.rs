@@ -92,18 +92,6 @@ impl Ecdf {
             })
             .collect()
     }
-
-    /// Two-sample Kolmogorov-Smirnov statistic: max |F1(x) - F2(x)|.
-    ///
-    /// Used in tests to check that regenerated distributions match their
-    /// calibration targets in shape.
-    pub fn ks_statistic(&self, other: &Ecdf) -> f64 {
-        let mut d: f64 = 0.0;
-        for &x in self.sorted.iter().chain(other.sorted.iter()) {
-            d = d.max((self.eval(x) - other.eval(x)).abs());
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -178,19 +166,6 @@ mod tests {
         let collected: Vec<(f64, f64)> = e.steps_iter().collect();
         assert_eq!(collected, e.steps());
         assert_eq!(e.steps_iter().count(), 3, "one step per distinct value");
-    }
-
-    #[test]
-    fn ks_identical_is_zero() {
-        let a = ecdf(&[1.0, 2.0, 3.0]);
-        assert_eq!(a.ks_statistic(&a.clone()), 0.0);
-    }
-
-    #[test]
-    fn ks_disjoint_is_one() {
-        let a = ecdf(&[1.0, 2.0]);
-        let b = ecdf(&[10.0, 20.0]);
-        assert_eq!(a.ks_statistic(&b), 1.0);
     }
 
     #[test]

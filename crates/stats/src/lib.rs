@@ -6,19 +6,19 @@
 //! CDFs (Figures 1, 2a, 3a, 5, 6a), boxplots with 1.5·IQR whiskers
 //! (Figures 3b, 4a, 4b), Welch's t-test (device comparison in §5), Pearson
 //! correlation (duration vs. popularity in §4), and plain descriptive
-//! statistics. This crate implements all of them from scratch, with no
+//! statistics. This crate implements those — and the mergeable quantile
+//! sketches the scale runs fold sessions into — from scratch, with no
 //! dependencies, so the analysis pipeline is self-contained and auditable.
+//! Nothing else lives here: a statistic without a caller is deleted.
 //!
 //! All functions operate on `f64` slices; NaN inputs are rejected explicitly
 //! (an NaN in a latency dataset is a bug upstream, not a value to sort).
 
 pub mod boxplot;
+pub mod correlation;
 pub mod describe;
 pub mod ecdf;
-pub mod histogram;
-pub mod kstest;
 pub mod quantile;
-pub mod regression;
 pub mod sketch;
 pub mod special;
 pub mod table;
@@ -27,8 +27,6 @@ pub mod ttest;
 pub use boxplot::BoxplotSummary;
 pub use describe::Description;
 pub use ecdf::Ecdf;
-pub use histogram::Histogram;
-pub use kstest::{kendall_tau, ks_test, KsResult};
 pub use quantile::{median, quantile};
 pub use sketch::{Moments, QuantileSketch, TopK};
 pub use ttest::{welch_t_test, WelchResult};

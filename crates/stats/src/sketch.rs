@@ -30,7 +30,7 @@ const EXACT_LIMIT: u64 = 2 * SUB;
 /// A deterministic mergeable quantile sketch over `u64` values.
 ///
 /// Log-linear bucketing (HDR-histogram style): values below
-/// [`EXACT_LIMIT`] are stored exactly; above it, each power-of-two octave
+/// `EXACT_LIMIT` are stored exactly; above it, each power-of-two octave
 /// is split into 128 sub-buckets, bounding the relative width of any
 /// bucket — and therefore the value error of any reported quantile — to
 /// under 1%. The bucket policy is a pure function of the value, fixed at

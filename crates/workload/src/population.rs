@@ -62,14 +62,6 @@ impl PopulationConfig {
             ..Default::default()
         }
     }
-
-    /// Planet scale: an order of magnitude past the paper's ~40K/day
-    /// service — around one million broadcasts in the four-hour window.
-    /// Built for the sharded `repro scale` path (DESIGN.md §13); the
-    /// classic per-session analyses work but take minutes of wall time.
-    pub fn planet() -> Self {
-        PopulationConfig { arrivals_per_sec: 70.0, ..Default::default() }
-    }
 }
 
 /// The generated population with a time index for live queries.

@@ -6,6 +6,8 @@
 //! emoji runs, greetings, or single vague words; only a minority describe
 //! content. Deterministic per broadcast id.
 
+use pscp_simnet::rng::splitmix64;
+
 /// Title style classes, in rough order of (un)informativeness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TitleStyle {
@@ -56,7 +58,7 @@ const STYLE_WEIGHTS: &[(TitleStyle, u64)] = &[
 
 /// Returns the deterministic title (and its style) for a broadcast id.
 pub fn title_for(broadcast_id: u64) -> (TitleStyle, String) {
-    let h = splitmix(broadcast_id);
+    let h = splitmix64(broadcast_id);
     let total: u64 = STYLE_WEIGHTS.iter().map(|(_, w)| w).sum();
     let mut pick = h % total;
     let mut style = TitleStyle::Empty;
@@ -67,7 +69,7 @@ pub fn title_for(broadcast_id: u64) -> (TitleStyle, String) {
         }
         pick -= w;
     }
-    let idx = (splitmix(h) % 64) as usize;
+    let idx = (splitmix64(h) % 64) as usize;
     let text = match style {
         TitleStyle::Empty => String::new(),
         TitleStyle::Emoji => EMOJI[idx % EMOJI.len()].to_string(),
@@ -82,13 +84,6 @@ pub fn title_for(broadcast_id: u64) -> (TitleStyle, String) {
 /// that this is rare).
 pub fn is_informative(style: TitleStyle) -> bool {
     style == TitleStyle::Descriptive
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

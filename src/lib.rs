@@ -6,7 +6,7 @@
 //!
 //! The original study measured a live service that no longer exists. This
 //! workspace rebuilds both sides of the experiment as a deterministic
-//! discrete-event simulation:
+//! simulation over virtual time:
 //!
 //! * the Periscope-like platform itself ([`service`]) — geo-indexed broadcast
 //!   discovery API with rate limiting, RTMP ingest, popularity-triggered HLS

@@ -27,7 +27,6 @@ fn run_with_faults(
     let tcfg = TeleportConfig {
         sessions,
         session: SessionConfig { faults, ..Default::default() },
-        alternate_devices: true,
         keep_captures_per_protocol: usize::MAX,
         threads,
         shards: 1,
@@ -261,7 +260,6 @@ fn run_transport_arm(
     let tcfg = TeleportConfig {
         sessions,
         session: SessionConfig { faults, transport: Some(transport), ..Default::default() },
-        alternate_devices: true,
         keep_captures_per_protocol: 0,
         threads: 0,
         shards: 1,

@@ -117,6 +117,43 @@ fn every_crate_is_a_pscp_crate() {
     }
 }
 
+/// The non-test, non-comment lines of every `.rs` file under `dir`, one
+/// `(path, lines)` per file: a file's unit tests follow its `#[cfg(test)]`
+/// line.
+fn code_under(dir: &Path) -> Vec<(PathBuf, Vec<String>)> {
+    let mut files = Vec::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+        for entry in entries {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("read source");
+                let code = text.split("\n#[cfg(test)]").next().unwrap_or("").lines();
+                let code = code.filter(|line| !line.trim_start().starts_with("//"));
+                files.push((path, code.map(String::from).collect()));
+            }
+        }
+    }
+    files
+}
+
+/// `crates/<name>/src` of every workspace crate, with `<name>`.
+fn crate_sources() -> Vec<(String, PathBuf)> {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let dirs = std::fs::read_dir(&crates).expect("read crates/");
+    let mut out: Vec<(String, PathBuf)> = dirs
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|dir| dir.join("src/lib.rs").is_file())
+        .map(|dir| (dir.file_name().unwrap().to_string_lossy().into_owned(), dir.join("src")))
+        .collect();
+    out.sort();
+    assert!(out.len() > 10, "expected every crate, got {}", out.len());
+    out
+}
+
 /// One session driver (DESIGN.md §16): outside its tests, `pscp-client`
 /// records a session's start, plays its arrivals out, records its end and
 /// builds its `SessionOutcome` in exactly one place each. A second call
@@ -124,12 +161,7 @@ fn every_crate_is_a_pscp_crate() {
 #[test]
 fn a_session_is_assembled_in_one_place() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/client/src");
-    let mut code = String::new();
-    for entry in std::fs::read_dir(&src).expect("read crates/client/src") {
-        let text = std::fs::read_to_string(entry.expect("dir entry").path()).expect("read source");
-        // A file's unit tests follow its `#[cfg(test)]` line.
-        code.push_str(text.split("\n#[cfg(test)]").next().unwrap_or(""));
-    }
+    let files = code_under(&src);
     // What to count, and the contexts that are not a use of it.
     for (what, not_a_use) in [
         (
@@ -140,9 +172,9 @@ fn a_session_is_assembled_in_one_place() {
         ("trace_session_end(", &["fn trace_session_end("]),
         ("run_playback(", &["fn run_playback("]),
     ] {
-        let uses = code
-            .lines()
-            .filter(|line| !line.trim_start().starts_with("//"))
+        let uses = files
+            .iter()
+            .flat_map(|(_, code)| code)
             .filter(|line| line.contains(what) && !not_a_use.iter().any(|x| line.contains(x)))
             .count();
         assert_eq!(uses, 1, "`{what}` is used {uses} times outside tests, not once");
@@ -155,28 +187,12 @@ fn a_session_is_assembled_in_one_place() {
 /// own. A second block is a reviewed decision, not drift.
 #[test]
 fn the_only_unsafe_block_is_the_kernel_dispatch() {
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut found = Vec::new();
-    for krate in std::fs::read_dir(&crates).expect("read crates/") {
-        let src = krate.expect("dir entry").path().join("src");
-        let mut dirs = vec![src];
-        while let Some(dir) = dirs.pop() {
-            for entry in std::fs::read_dir(&dir).into_iter().flatten() {
-                let path = entry.expect("dir entry").path();
-                if path.is_dir() {
-                    dirs.push(path);
-                } else if path.extension().is_some_and(|e| e == "rs")
-                    && !path.ends_with("obs/src/alloc_count.rs")
-                {
-                    let text = std::fs::read_to_string(&path).expect("read source");
-                    let code = text.split("\n#[cfg(test)]").next().unwrap_or("");
-                    let blocks = code
-                        .lines()
-                        .filter(|line| !line.trim_start().starts_with("//"))
-                        .filter(|line| line.contains("unsafe {"))
-                        .count();
-                    found.extend(std::iter::repeat_n(path, blocks));
-                }
+    for (_, src) in crate_sources() {
+        for (path, code) in code_under(&src) {
+            if !path.ends_with("obs/src/alloc_count.rs") {
+                let blocks = code.iter().filter(|line| line.contains("unsafe {")).count();
+                found.extend(std::iter::repeat_n(path, blocks));
             }
         }
     }
@@ -191,27 +207,7 @@ fn the_only_unsafe_block_is_the_kernel_dispatch() {
 #[test]
 fn repro_has_one_exit_no_panicking_write_and_one_table() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src");
-    let mut files = Vec::new();
-    let mut dirs = vec![src.clone()];
-    while let Some(dir) = dirs.pop() {
-        for entry in std::fs::read_dir(&dir).expect("read crates/bench/src") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                dirs.push(path);
-            } else {
-                let text = std::fs::read_to_string(&path).expect("read source");
-                let code: Vec<String> = text
-                    .split("\n#[cfg(test)]")
-                    .next()
-                    .unwrap_or("")
-                    .lines()
-                    .filter(|line| !line.trim_start().starts_with("//"))
-                    .map(String::from)
-                    .collect();
-                files.push((path, code));
-            }
-        }
-    }
+    let files = code_under(&src);
     let count = |what: &str| {
         files.iter().flat_map(|(_, code)| code).filter(|line| line.contains(what)).count()
     };
@@ -235,4 +231,126 @@ fn repro_has_one_exit_no_panicking_write_and_one_table() {
             assert_eq!(uses, 0, "verb `{name}` is spelled in {front_door}, outside the table");
         }
     }
+}
+
+/// True where `word` stands in `text` with no identifier character before
+/// it, nor after it unless `word` itself ends in `::`.
+fn names(text: &str, word: &str) -> bool {
+    text.match_indices(word).any(|(at, _)| {
+        let after = &text[at + word.len()..];
+        !text[..at].ends_with(is_ident) && (word.ends_with(':') || !after.starts_with(is_ident))
+    })
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Only what runs (DESIGN.md §2): every module a crate's `lib.rs` declares
+/// `pub mod`, or re-exports items from, is named — as `m::` or by one of
+/// those items — in the non-test source of some other file; from another
+/// crate, through this crate's name. The declaring `mod`/`pub use` lines do
+/// not count and `#[cfg(test)]` modules are exempt. A module that fails
+/// this is compiled, documented and tested for no caller: delete it, or
+/// call it.
+#[test]
+fn every_public_module_has_a_caller_outside_itself() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates = crate_sources();
+    // One string of code per file: a `use` may span lines.
+    let mut sources = Vec::new();
+    let dirs = ["src", "examples", "benchmark/src"].map(|dir| root.join(dir));
+    for dir in crates.iter().map(|(_, src)| src).chain(&dirs) {
+        sources.extend(code_under(dir).into_iter().map(|(path, code)| (path, code.join("\n"))));
+    }
+    let mut unreached = Vec::new();
+    for (krate, src) in &crates {
+        let lib = src.join("lib.rs");
+        let lib_code = &sources.iter().find(|(path, _)| *path == lib).expect("lib.rs").1;
+        // `lib.rs` apart: its `mod`/`pub use` declarations (one may span
+        // lines, up to its `;`), and everything else.
+        let (mut decls, mut rest, mut open) = (Vec::<String>::new(), String::new(), false);
+        for line in lib_code.lines() {
+            if ["pub mod ", "mod ", "pub use "].iter().any(|d| line.starts_with(d)) {
+                decls.push(String::new());
+                open = true;
+            }
+            let part =
+                if open { decls.last_mut().expect("an open declaration") } else { &mut rest };
+            part.push_str(line);
+            part.push('\n');
+            open &= !line.contains(';');
+        }
+        // Module → the names it is reached by.
+        let mut modules = std::collections::BTreeMap::<&str, Vec<&str>>::new();
+        for decl in &decls {
+            let decl = decl.trim_end();
+            if let Some(m) = decl.strip_prefix("pub mod ").and_then(|d| d.strip_suffix(';')) {
+                modules.entry(m).or_default();
+            } else if let Some((m, items)) =
+                decl.strip_prefix("pub use ").and_then(|d| d.split_once("::"))
+            {
+                let items = items.split(|c| !is_ident(c));
+                modules.entry(m).or_default().extend(items.filter(|item| !item.is_empty()));
+            }
+        }
+        assert!(!modules.is_empty(), "no modules found in {}", lib.display());
+        let from_outside = [format!("pscp_{krate}::"), format!("periscope_repro::{krate}::")];
+        for (m, items) in modules {
+            let (own_file, own_dir) = (src.join(format!("{m}.rs")), src.join(m));
+            let reached = sources.iter().any(|(path, code)| {
+                if *path == own_file || path.starts_with(&own_dir) {
+                    false
+                } else if path.starts_with(src) {
+                    let code = if *path == lib { &rest } else { code };
+                    names(code, &format!("{m}::")) || items.iter().any(|item| names(code, item))
+                } else {
+                    // `pscp_x::m`, `pscp_x::Item`, or either inside the braces
+                    // of `use pscp_x::{…};`.
+                    let uses = from_outside.iter().flat_map(|x| code.split(x.as_str()).skip(1));
+                    uses.map(|tail| match tail.strip_prefix('{') {
+                        Some(group) => group.split(';').next().unwrap_or(""),
+                        None => tail.split(|c| !is_ident(c)).next().unwrap_or(""),
+                    })
+                    .any(|path| names(path, m) || items.iter().any(|item| names(path, item)))
+                }
+            });
+            if !reached {
+                unreached.push(format!("{krate}::{m}"));
+            }
+        }
+    }
+    assert!(unreached.is_empty(), "modules no non-test source calls: {unreached:?}");
+}
+
+/// DESIGN.md §2–§3 are the paper → code index every later change starts
+/// from: each backticked `crate::module[::item…]` there is a file under
+/// `crates/<crate>/src`, and each item a word in that file. A row that
+/// names a module nobody wrote, or one deleted since, fails here.
+#[test]
+fn design_index_paths_resolve() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let start = design.find("\n## 2. ").expect("DESIGN.md §2");
+    let index = &design[start..design.find("\n## 4. ").expect("DESIGN.md §4")];
+    let mut checked = 0;
+    let mut unresolved = Vec::new();
+    // Odd pieces of a split on '`' are the backticked spans.
+    for path in index.split('`').skip(1).step_by(2) {
+        let mut parts = path.split("::");
+        let (Some(krate), Some(module)) = (parts.next(), parts.next()) else { continue };
+        if !path.chars().all(|c| is_ident(c) || c == ':') {
+            continue;
+        }
+        checked += 1;
+        let file = root.join(format!("crates/{krate}/src/{module}.rs"));
+        match std::fs::read_to_string(&file) {
+            Ok(text) => unresolved.extend(
+                parts.filter(|item| !names(&text, item)).map(|item| format!("`{path}`: {item}")),
+            ),
+            Err(_) => unresolved.push(format!("`{path}`: no {krate}/src/{module}.rs")),
+        }
+    }
+    assert!(checked >= 20, "index rows not found: {checked} paths");
+    assert!(unresolved.is_empty(), "DESIGN.md §2–§3 paths that do not resolve: {unresolved:#?}");
 }
