@@ -507,6 +507,20 @@ pub fn bench_components(seed: u64) -> Result<String, String> {
         let hot = both_modes(&mut suite, "hls", Protocol::Hls, &popular);
         let hot_bytes = hot.capture.total_bytes() as u64;
 
+        // The two captured sessions `crates/client/tests/zero_alloc.rs`
+        // pins, seed and all: every iteration is the same session, so with
+        // the counting allocator on `allocs_per_iter` is the count that test
+        // pins (3,395 and 4,139), and the HLS row is the hot-chat row's
+        // media-only twin — segments written once, on fetch, into the
+        // capture (DESIGN.md §10).
+        let pinned = RngFactory::new(9).child("whole-session");
+        for (label, protocol) in [("rtmp", Protocol::Rtmp), ("hls", Protocol::Hls)] {
+            let bytes = run(protocol, &broadcast, at, &config, &pinned).capture.total_bytes();
+            suite.run(&format!("session/{label} 60s captured, pinned"), Some(bytes as u64), || {
+                run(protocol, &broadcast, at, &config, &pinned).capture.total_bytes() as u64
+            });
+        }
+
         // The player on its own: the media arrivals of one RTMP session
         // (≈ 1,800 video messages) through the buffer model.
         {

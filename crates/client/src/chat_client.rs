@@ -11,7 +11,7 @@
 //! heavy chat genuinely crowds out video — the paper's explanation for the
 //! 2 Mbps QoE boundary.
 
-use crate::downlink::Tap;
+use crate::downlink::{Path, Tap, Wire};
 use crate::session::{SessionConfig, SessionCtx};
 use pscp_media::capture::{FlowKind, Payload};
 use pscp_proto::http::Response;
@@ -176,8 +176,10 @@ pub(crate) fn play(
             continue;
         }
         if let Some(flow) = flow_of(send.kind, ws_flow, pic_flow) {
-            let packets = send.bytes.payload().chunks(MTU_BYTES);
-            tap.transmit(link, None, send.at, flow, packets, rng);
+            let WireBytes { head, fill, pad } = &send.bytes;
+            let wire = Wire { literal: head.len(), fill: *fill, pad: *pad };
+            let path = Path { link, faults: None, mtu: MTU_BYTES };
+            tap.transmit(path, send.at, flow, wire, rng, |out| out.extend_from_slice(head));
         }
     }
 }

@@ -1,32 +1,39 @@
 //! The downstream wire of a session: what the server side queues to send,
 //! and what the capture host records of it.
 //!
+//! **A captured byte is written once.** Nothing here holds media bytes: a
+//! queued send is a *descriptor* — when, on which flow, how long, and what
+//! writes it — and its bytes are produced when it is transmitted, by its
+//! writer, straight into the capture [`Flow`]'s own arena
+//! ([`Flow::append_with`]); the packets the link delivers are then cut over
+//! them by length. The small literal heads a session sends as they are
+//! (handshakes, chat frames, HTTP heads) are the only bytes a [`SendQueue`]
+//! stores.
+//!
 //! A session is run for its QoE numbers and, sometimes, for its capture.
 //! Which is the *caller's* retention decision ([`Recording`]): the Teleport
 //! plan knows before a session starts whether its capture will be kept, and
 //! the scale engine keeps none. An uncaptured session runs the same schedule
 //! — same packets at the same instants through the same link, fault and
-//! clock calls — but every buffer here holds **lengths, not bytes**: an
-//! [`Arena`] only counts what a full one would store, and each packet
-//! reaches the unchanged [`Capture`] as a run of its on-wire length. The
-//! choice is made in one place, [`Arena::extend_with`]; callers state a
-//! length and how to write it, and never ask which mode they are in.
+//! clock calls — but **no writer is ever called**: the [`Tap`] records each
+//! packet as a run of its on-wire length, and a counted queue stores
+//! neither heads nor writers. Callers state a length and how to write it,
+//! and never ask which mode they are in.
 //!
 //! In either mode the [`Tap`] stamps a packet without reading its clock: a
 //! reading is a pure function of (clock, instant, position in the jitter
 //! stream), so each packet is recorded with the position
-//! ([`Flow::record_deferred`])
+//! ([`Flow::cut_deferred`])
 //! and the stream moves on as if it had been read. Whoever reads a stamp —
 //! the analysis, for the packets that carry an NTP-stamped frame — gets the
 //! reading the eager call would have stored, and a session pays no
 //! Box–Muller per packet.
 
-use pscp_media::capture::{Capture, Flow, FlowKind, Payload};
+use pscp_media::capture::{Capture, Flow, FlowKind};
 use pscp_proto::tls::{self, TlsChannel};
 use pscp_simnet::fault::LinkFaults;
 use pscp_simnet::rng::CounterRng;
 use pscp_simnet::{Link, SimDuration, SimTime, WallClock};
-use std::ops::Range;
 
 /// Whether the session's capture will be read by anyone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,157 +45,173 @@ pub(crate) enum Recording {
     Counted,
 }
 
-/// An append-only byte arena that, for a [`Recording::Counted`] session,
-/// stores nothing and only advances its length. Offsets mean the same in
-/// both modes, so callers keep ranges into it either way.
-pub(crate) struct Arena {
-    recording: Recording,
-    data: Vec<u8>,
-    len: usize,
+/// The on-wire shape of one transmission: `literal` bytes a writer
+/// produces, then a run of `pad` × `fill` that is never written out
+/// (picture bodies, bootstrap).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Wire {
+    /// Bytes the transmission's writer produces.
+    pub literal: usize,
+    /// The byte the run repeats.
+    pub fill: u8,
+    /// Run length.
+    pub pad: usize,
 }
 
-impl Arena {
-    /// An empty arena; `capacity` bytes are reserved only if bytes are kept.
-    pub fn new(recording: Recording, capacity: usize) -> Self {
-        let capacity = if recording == Recording::Full { capacity } else { 0 };
-        Arena { recording, data: Vec::with_capacity(capacity), len: 0 }
+impl Wire {
+    /// `n` written bytes and no run.
+    pub fn literal(n: usize) -> Wire {
+        Wire { literal: n, fill: 0, pad: 0 }
     }
 
-    fn keeps_bytes(&self) -> bool {
-        self.recording == Recording::Full
-    }
-
-    /// Bytes appended so far (written or counted).
+    /// On-wire length.
     pub fn len(&self) -> usize {
-        self.len
+        self.literal + self.pad
     }
 
-    /// Appends `n` bytes and returns their range: `write` produces them if
-    /// bytes are kept, and is never called otherwise. This is the one place
-    /// "keep or count" is decided.
-    pub fn extend_with(&mut self, n: usize, write: impl FnOnce(&mut Vec<u8>)) -> Range<usize> {
-        let start = self.len;
-        if self.keeps_bytes() {
-            write(&mut self.data);
-            assert_eq!(self.data.len(), start + n, "writer produced another length than stated");
-        }
-        self.len = start + n;
-        start..self.len
-    }
-
-    /// Appends literal bytes.
-    pub fn extend(&mut self, bytes: &[u8]) -> Range<usize> {
-        self.extend_with(bytes.len(), |data| data.extend_from_slice(bytes))
-    }
-
-    /// The bytes at `range`. Only reachable from inside an
-    /// [`Arena::extend_with`] writer of a kept arena — i.e. never in a
-    /// counted session.
-    pub fn bytes(&self, range: Range<usize>) -> &[u8] {
-        assert!(self.keeps_bytes(), "a counted arena holds no bytes");
-        &self.data[range]
-    }
-
-    /// `range` followed by `pad` copies of `fill`, as a capture payload; a
-    /// counted arena answers with a run of the same on-wire length.
-    pub fn payload(&self, range: Range<usize>, fill: u8, pad: usize) -> Payload<'_> {
-        if self.keeps_bytes() {
-            Payload::run(&self.data[range], fill, pad)
-        } else {
-            Payload::run(&[], 0, range.len() + pad)
-        }
-    }
-
-    /// How many literal bytes a capture stores for `range`.
-    pub fn literal_len(&self, range: Range<usize>) -> usize {
-        if self.keeps_bytes() {
-            range.len()
-        } else {
-            0
-        }
+    /// The `(literal, run)` lengths of the packet carrying on-wire bytes
+    /// `off..off + n`.
+    fn packet(&self, off: usize, n: usize) -> (usize, usize) {
+        let literal = self.literal.saturating_sub(off).min(n);
+        (literal, n - literal)
     }
 }
 
-/// One queued transmission: `arena[start..end]` followed by a run of `pad`
-/// × `fill` that is never written out (picture bodies, bootstrap), plus
-/// whatever the transport wants back when it is delivered.
-struct Send<M> {
+/// The reliable downstream path a transmission rides: the bottleneck link,
+/// the per-packet faults injected on it (if any) and its packet size.
+pub(crate) struct Path<'a> {
+    /// The shared bottleneck.
+    pub link: &'a mut Link,
+    /// Per-packet faults of the path, when injected.
+    pub faults: Option<&'a mut LinkFaults>,
+    /// Packet size.
+    pub mtu: usize,
+}
+
+/// Where a queued send's literal bytes come from when it is transmitted.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// Stored in the queue's heads, from this offset.
+    Head(u32),
+    /// Written by the transport from the queue's `writer`-th media
+    /// descriptor; `tag` is the transport's own handle on the send.
+    Media { writer: u32, tag: u32 },
+}
+
+/// [`Source::Media`]'s `tag` of a send the transport wants nothing back for.
+const NO_TAG: u32 = u32::MAX;
+
+/// One queued transmission: `len` literal bytes from `src`, then `pad` ×
+/// `fill`. Sorting by time moves these records, so they are kept small.
+#[derive(Debug, Clone, Copy)]
+struct Send {
     at: SimTime,
-    flow: usize,
-    start: usize,
-    end: usize,
-    fill: u8,
+    len: usize,
     pad: usize,
-    tag: M,
+    flow: u32,
+    /// On a sealed flow, the TLS record number the send starts at.
+    tls_seq: u32,
+    src: Source,
+    fill: u8,
 }
 
 /// A queued transmission as the transmit loop sees it.
-pub(crate) struct Queued<'a, M> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Queued {
     /// Server-side send instant.
     pub at: SimTime,
     /// Capture flow it belongs to.
     pub flow: usize,
-    /// The transport's own per-send data.
-    pub tag: &'a M,
-    /// On-wire bytes.
-    pub payload: Payload<'a>,
+    /// The transport's handle on a media send it tagged.
+    pub tag: Option<usize>,
 }
 
 /// Everything a session sends over its reliable downstream connections
-/// (RTMP chunk stream, app bootstrap, chat, pictures), in one arena. Sorting
-/// by time moves small records, not payloads, and the transmit loop borrows
-/// MTU-sized windows straight out of the arena — no per-message or
-/// per-packet `Vec`.
-pub(crate) struct SendQueue<M> {
-    arena: Arena,
-    sends: Vec<Send<M>>,
+/// (RTMP chunk stream, app bootstrap, chat, pictures), as descriptors.
+/// Sorting by time moves small records; a media send's bytes exist only in
+/// the capture, written there by the transport from its `W` when the send
+/// is transmitted — a counted queue does not even keep the `W`.
+pub(crate) struct SendQueue<W> {
+    recording: Recording,
+    /// Literal bytes of the head sends, back to back.
+    heads: Vec<u8>,
+    /// What writes each media send, in push order.
+    writers: Vec<W>,
+    sends: Vec<Send>,
+    /// The flow whose sends travel in TLS records, and its key.
+    sealed: Option<(u32, u64)>,
+    /// Plaintext of the sealed send being transmitted.
+    plain: Vec<u8>,
 }
 
-impl<M> SendQueue<M> {
-    /// An empty queue sized for `sends` transmissions of `literal_bytes`
-    /// literal bytes in total.
-    pub fn new(recording: Recording, literal_bytes: usize, sends: usize) -> Self {
-        SendQueue { arena: Arena::new(recording, literal_bytes), sends: Vec::with_capacity(sends) }
+impl<W> SendQueue<W> {
+    /// An empty queue sized for `sends` transmissions, `media` of them
+    /// media, the others' heads `head_bytes` long in total.
+    pub fn new(recording: Recording, head_bytes: usize, sends: usize, media: usize) -> Self {
+        let (head_bytes, media) = match recording {
+            Recording::Full => (head_bytes, media),
+            Recording::Counted => (0, 0),
+        };
+        SendQueue {
+            recording,
+            heads: Vec::with_capacity(head_bytes),
+            writers: Vec::with_capacity(media),
+            sends: Vec::with_capacity(sends),
+            sealed: None,
+            plain: Vec::new(),
+        }
     }
 
     /// Queues `head` followed by `pad` copies of `fill`.
-    pub fn push(&mut self, at: SimTime, flow: usize, head: &[u8], fill: u8, pad: usize, tag: M) {
-        let Range { start, end } = self.arena.extend(head);
-        self.sends.push(Send { at, flow, start, end, fill, pad, tag });
+    pub fn push(&mut self, at: SimTime, flow: usize, head: &[u8], fill: u8, pad: usize) {
+        let src = Source::Head(self.heads.len() as u32);
+        if self.recording == Recording::Full {
+            self.heads.extend_from_slice(head);
+        }
+        self.sends.push(Send {
+            at,
+            len: head.len(),
+            pad,
+            flow: flow as u32,
+            tls_seq: 0,
+            src,
+            fill,
+        });
     }
 
-    /// Queues the `n` bytes `write` appends (see [`Arena::extend_with`]).
-    pub fn push_with(
+    /// Queues a media send of `len` bytes that `writer` describes: the
+    /// transport writes them from it when the send is transmitted, and gets
+    /// `tag` back with the send.
+    pub fn push_media(
         &mut self,
         at: SimTime,
         flow: usize,
-        n: usize,
-        tag: M,
-        write: impl FnOnce(&mut Vec<u8>),
+        len: usize,
+        tag: Option<usize>,
+        writer: W,
     ) {
-        let Range { start, end } = self.arena.extend_with(n, write);
-        self.sends.push(Send { at, flow, start, end, fill: 0, pad: 0, tag });
+        let src = Source::Media {
+            writer: self.writers.len() as u32,
+            tag: tag.map_or(NO_TAG, |t| t as u32),
+        };
+        if self.recording == Recording::Full {
+            self.writers.push(writer);
+        }
+        self.sends.push(Send { at, len, pad: 0, flow: flow as u32, tls_seq: 0, src, fill: 0 });
     }
 
-    /// Seals every send of `flow` into TLS records, in push order (the
-    /// record sequence must match the byte order the plaintext was laid
-    /// down in). The arena is rebuilt; other flows' bytes move unchanged.
-    pub fn seal_flow(&mut self, flow: usize, tls: &mut TlsChannel) {
-        let mut sealed = Arena::new(self.arena.recording, self.arena.len() + self.arena.len() / 8);
-        for send in &mut self.sends {
-            let plain = send.start..send.end;
-            let Range { start, end } = if send.flow == flow {
-                sealed.extend_with(tls::sealed_len(plain.len()), |data| {
-                    data.extend_from_slice(&tls.seal(self.arena.bytes(plain)))
-                })
-            } else {
-                sealed.extend_with(plain.len(), |data| {
-                    data.extend_from_slice(self.arena.bytes(plain.clone()))
-                })
-            };
-            (send.start, send.end) = (start, end);
+    /// Has every send of `flow` travel in TLS records under `key`. Called
+    /// before the queue is sorted: the record sequence follows push order
+    /// (the order the plaintext stream was laid down in), and lengths alone
+    /// fix it — each send remembers the record number it starts at and is
+    /// sealed when it is transmitted.
+    pub fn seal_flow(&mut self, flow: usize, key: u64) {
+        let mut seq = 0;
+        for send in self.sends.iter_mut().filter(|s| s.flow as usize == flow) {
+            send.tls_seq = seq;
+            seq += tls::records(send.len) as u32;
         }
-        self.arena = sealed;
+        self.sealed = Some((flow as u32, key));
     }
 
     /// Orders the queue by send time. Stable: equal-time sends keep their
@@ -197,42 +220,88 @@ impl<M> SendQueue<M> {
         self.sends.sort_by_key(|s| s.at);
     }
 
-    /// Pre-sizes `capture` for everything queued: the arena ranges say
-    /// exactly how many literal bytes each flow records (runs take no
-    /// space), and chunking the on-wire length bounds the packet count.
-    pub fn reserve(&self, capture: &mut Capture, mtu: usize) {
-        let mut flow_bytes = vec![0usize; capture.flows.len()];
-        let mut flow_pkts = vec![0usize; capture.flows.len()];
-        for s in &self.sends {
-            flow_bytes[s.flow] += self.arena.literal_len(s.start..s.end);
-            flow_pkts[s.flow] += (s.end - s.start + s.pad).div_ceil(mtu);
-        }
-        for (i, f) in capture.flows.iter_mut().enumerate() {
-            f.reserve(flow_bytes[i], flow_pkts[i]);
-        }
+    /// Number of queued sends.
+    pub fn len(&self) -> usize {
+        self.sends.len()
     }
 
     /// The `i`-th queued send.
-    pub fn get(&self, i: usize) -> Queued<'_, M> {
+    pub fn get(&self, i: usize) -> Queued {
         let s = &self.sends[i];
-        Queued {
-            at: s.at,
-            flow: s.flow,
-            tag: &s.tag,
-            payload: self.arena.payload(s.start..s.end, s.fill, s.pad),
+        let tag = match s.src {
+            Source::Media { tag, .. } if tag != NO_TAG => Some(tag as usize),
+            _ => None,
+        };
+        Queued { at: s.at, flow: s.flow as usize, tag }
+    }
+
+    /// The key `flow`'s sends are sealed under, if it is the sealed flow.
+    fn tls_key(&self, flow: u32) -> Option<u64> {
+        self.sealed.filter(|&(sealed, _)| sealed == flow).map(|(_, key)| key)
+    }
+
+    /// What the `i`-th send puts on the wire.
+    fn wire(&self, i: usize) -> Wire {
+        let s = &self.sends[i];
+        let sealed = self.tls_key(s.flow).is_some();
+        Wire {
+            literal: if sealed { tls::sealed_len(s.len) } else { s.len },
+            fill: s.fill,
+            pad: s.pad,
         }
     }
 
-    /// The queued sends in order.
-    pub fn iter(&self) -> impl Iterator<Item = Queued<'_, M>> {
-        (0..self.sends.len()).map(|i| self.get(i))
+    /// Pre-sizes `tap`'s capture for everything queued: the descriptors say
+    /// exactly how many literal bytes each flow records (runs take no
+    /// space), and chunking the on-wire length bounds the packet count.
+    pub fn reserve(&self, tap: &mut Tap, mtu: usize) {
+        let mut flows = vec![(0usize, 0usize); tap.capture.flows.len()];
+        for i in 0..self.sends.len() {
+            let wire = self.wire(i);
+            let (bytes, packets) = &mut flows[self.sends[i].flow as usize];
+            *bytes += wire.literal;
+            *packets += wire.len().div_ceil(mtu);
+        }
+        for (flow, (bytes, packets)) in flows.into_iter().enumerate() {
+            tap.reserve(flow, bytes, packets);
+        }
+    }
+
+    /// Transmits the `i`-th send over `path` (see [`Tap::transmit`]). A
+    /// head is copied out of the queue; a media send is written by `media`
+    /// from its descriptor; either goes through the flow's TLS channel
+    /// first if the flow is sealed.
+    pub fn transmit(
+        &mut self,
+        i: usize,
+        tap: &mut Tap,
+        path: Path<'_>,
+        clock_rng: &mut CounterRng,
+        media: impl FnOnce(&W, &mut Vec<u8>),
+    ) -> Option<SimTime> {
+        let (wire, s) = (self.wire(i), self.sends[i]);
+        let key = self.tls_key(s.flow);
+        let (heads, writers, plain) = (&self.heads, &self.writers, &mut self.plain);
+        let write = |out: &mut Vec<u8>| match s.src {
+            Source::Head(start) => out.extend_from_slice(&heads[start as usize..][..s.len]),
+            Source::Media { writer, .. } => media(&writers[writer as usize], out),
+        };
+        let flow = s.flow as usize;
+        match key {
+            None => tap.transmit(path, s.at, flow, wire, clock_rng, write),
+            Some(key) => tap.transmit(path, s.at, flow, wire, clock_rng, |out| {
+                plain.clear();
+                write(plain);
+                TlsChannel::resume(key, s.tls_seq as u64).seal_into(plain, out);
+            }),
+        }
     }
 }
 
 /// The capture host: tcpdump on the viewer's tethering desktop. Every
 /// packet that arrives is stamped with the host clock — the reading left
-/// for whoever asks — and recorded, as its bytes or for a counted session
-/// as a run of its length.
+/// for whoever asks — and recorded: its bytes written into the flow by the
+/// transmission's writer, or for a counted session as a run of its length.
 pub(crate) struct Tap {
     /// What has been recorded so far.
     pub capture: Capture,
@@ -257,39 +326,70 @@ impl Tap {
         self.capture.flows.len() - 1
     }
 
-    /// Stamps and records one packet that arrived at `at`; `clock_rng`
-    /// moves past the reading's jitter, which is left to be computed.
+    /// What this tap records of `wire` — the one place "keep or count" is
+    /// decided: a counted tap records a run of the same on-wire length,
+    /// which has no literal byte for a writer to produce.
+    fn kept(&self, wire: Wire) -> Wire {
+        match self.recording {
+            Recording::Full => wire,
+            Recording::Counted => Wire { literal: 0, fill: 0, pad: wire.len() },
+        }
+    }
+
+    /// Pre-sizes `flow` for `packets` packets holding `bytes` written bytes.
+    pub fn reserve(&mut self, flow: usize, bytes: usize, packets: usize) {
+        let bytes = self.kept(Wire::literal(bytes)).literal;
+        self.capture.flows[flow].reserve(bytes, packets);
+    }
+
+    /// Appends what is kept of `wire`'s written bytes to `flow` — `write`
+    /// is called for them, and not at all if none are kept — and returns
+    /// the shape to cut packets over.
+    fn append(&mut self, flow: usize, wire: Wire, write: impl FnOnce(&mut Vec<u8>)) -> Wire {
+        let wire = self.kept(wire);
+        if wire.literal > 0 {
+            self.capture.flows[flow].append_with(wire.literal, write);
+        }
+        wire
+    }
+
+    /// Stamps and records one packet that arrived at `at`, written by
+    /// `write`; `clock_rng` moves past the reading's jitter, which is left
+    /// to be computed.
     pub fn record(
         &mut self,
         flow: usize,
         at: SimTime,
-        payload: Payload<'_>,
+        wire: Wire,
         clock_rng: &mut CounterRng,
+        write: impl FnOnce(&mut Vec<u8>),
     ) {
-        let payload = match self.recording {
-            Recording::Full => payload,
-            Recording::Counted => Payload::run(&[], 0, payload.len()),
-        };
-        self.capture.flows[flow].record_deferred(at, clock_rng, payload);
+        let wire = self.append(flow, wire, write);
+        self.capture.flows[flow].cut_deferred(at, clock_rng, wire.literal, wire.fill, wire.pad);
     }
 
-    /// Sends the packets `chunks` over the reliable path at `at`: every
-    /// packet offered to `link` in one batch, each delivery delayed by its
-    /// injected fault (if the path has `faults`) and recorded. Returns the
-    /// arrival of the last delivered packet.
-    pub fn transmit<'p>(
+    /// Sends `wire` over the reliable `path` at `at`: its bytes are written
+    /// once, into `flow`; it is offered to the link as MTU packets in one
+    /// batch, and each delivery, delayed by its injected fault (if the path
+    /// has any), is recorded as the next packet over those bytes. Returns
+    /// the arrival of the last packet.
+    pub fn transmit(
         &mut self,
-        link: &mut Link,
-        mut faults: Option<&mut LinkFaults>,
+        path: Path<'_>,
         at: SimTime,
         flow: usize,
-        mut chunks: impl Iterator<Item = Payload<'p>> + Clone,
+        wire: Wire,
         clock_rng: &mut CounterRng,
+        write: impl FnOnce(&mut Vec<u8>),
     ) -> Option<SimTime> {
-        let mut last = None;
-        link.enqueue_batch(at, chunks.clone().map(|c| c.len()), |delivery| {
-            let chunk = chunks.next().expect("one chunk per offered size");
-            let Some(mut arr) = delivery.time() else { return };
+        let Path { link, mut faults, mtu } = path;
+        let wire = self.append(flow, wire, write);
+        let (len, mut off, mut last) = (wire.len(), 0, None);
+        let sizes = (0..len.div_ceil(mtu)).map(|i| mtu.min(len - i * mtu));
+        link.enqueue_batch(at, sizes, |delivery| {
+            // The bytes are already in the flow, so every packet must
+            // arrive; none can fail to, on the links sessions build.
+            let mut arr = delivery.time().expect("a session's link is unbounded and drops nothing");
             if let Some(lf) = faults.as_deref_mut() {
                 if self.floor.len() <= flow {
                     self.floor.resize(flow + 1, SimTime::ZERO);
@@ -297,48 +397,39 @@ impl Tap {
                 arr = (arr + lf.packet_extra()).max(self.floor[flow]);
                 self.floor[flow] = arr;
             }
-            self.record(flow, arr, chunk, clock_rng);
+            let (literal, pad) = wire.packet(off, mtu.min(len - off));
+            self.capture.flows[flow].cut_deferred(arr, clock_rng, literal, wire.fill, pad);
+            off += literal + pad;
             last = Some(arr);
         });
         last
     }
 
-    /// Records an HTTP response — `head`, then `body` — sliced along the
-    /// arrival schedule of its TCP transfer. An empty `body` stands for
-    /// bytes nobody reads (bootstrap filler, a segment that was sized but
-    /// never muxed): whatever the schedule carries past the head is a run
-    /// of zeros. Each chunk is pushed back by the path's cumulative
+    /// Records an HTTP response of shape `wire`, written by `write`, sliced
+    /// along the arrival schedule of its TCP transfer (`chunks` add up to
+    /// its length). Each chunk is pushed back by the path's cumulative
     /// per-packet `faults`, which keeps the chunks in order; returns the
     /// total push-back.
     pub fn record_response(
         &mut self,
         mut faults: Option<&mut LinkFaults>,
         flow: usize,
-        head: &[u8],
-        body: &[u8],
+        wire: Wire,
         chunks: &[(SimTime, usize)],
         clock_rng: &mut CounterRng,
+        write: impl FnOnce(&mut Vec<u8>),
     ) -> SimDuration {
-        let (h, mut off, mut extra) = (head.len(), 0, SimDuration::ZERO);
+        let wire = self.append(flow, wire, write);
+        let (mut off, mut extra) = (0, SimDuration::ZERO);
         for &(at, n) in chunks {
             if let Some(lf) = faults.as_deref_mut() {
                 extra += lf.packet_extra();
             }
-            let end = off + n;
-            let head_part = &head[off.min(h)..end.min(h)];
-            let body_part = off.saturating_sub(h)..end.saturating_sub(h);
-            if body.is_empty() {
-                let payload = Payload::run(head_part, 0, body_part.len());
-                self.record(flow, at + extra, payload, clock_rng);
-            } else if head_part.is_empty() {
-                self.record(flow, at + extra, (&body[body_part]).into(), clock_rng);
-            } else {
-                // The one chunk that carries the head and the body's start.
-                let both = [head_part, &body[body_part]].concat();
-                self.record(flow, at + extra, (&both).into(), clock_rng);
-            }
-            off = end;
+            let (literal, pad) = wire.packet(off, n);
+            self.capture.flows[flow].cut_deferred(at + extra, clock_rng, literal, wire.fill, pad);
+            off += n;
         }
+        debug_assert_eq!(off, wire.len(), "the schedule carries another length than the response");
         extra
     }
 }
@@ -347,22 +438,49 @@ impl Tap {
 mod tests {
     use super::*;
 
-    /// The same pushes into a full and a counted queue.
+    /// The same pushes into a full and a counted queue; a media send's
+    /// writer is the byte it consists of.
     fn queues() -> [SendQueue<u8>; 2] {
         [Recording::Full, Recording::Counted].map(|recording| {
-            let mut q = SendQueue::new(recording, 0, 0);
-            q.push(SimTime::from_secs(3), 0, b"head", 0xD8, 5_000, 1);
-            q.push_with(SimTime::from_secs(1), 1, 40_000, 2, |out| {
-                out.resize(out.len() + 40_000, 7)
-            });
-            q.push(SimTime::from_secs(1), 1, &[], 0, 0, 3);
-            q.push(SimTime::from_secs(2), 1, &[9; 17], 0, 0, 4);
+            let mut q = SendQueue::new(recording, 0, 0, 0);
+            q.push(SimTime::from_secs(3), 0, b"head", 0xD8, 5_000);
+            q.push_media(SimTime::from_secs(1), 1, 40_000, Some(2), 7);
+            q.push(SimTime::from_secs(1), 1, &[], 0, 0);
+            q.push(SimTime::from_secs(2), 1, &[9; 17], 0, 0);
             q
         })
     }
 
-    fn shape(q: &SendQueue<u8>) -> Vec<(SimTime, usize, u8, usize)> {
-        q.iter().map(|s| (s.at, s.flow, *s.tag, s.payload.len())).collect()
+    fn shape(q: &SendQueue<u8>) -> Vec<(Queued, Wire)> {
+        (0..q.len()).map(|i| (q.get(i), q.wire(i))).collect()
+    }
+
+    /// Transmits everything queued over a 2 Mbps link; returns the last
+    /// arrival of each send and the capture.
+    fn transmit_all(q: &mut SendQueue<u8>) -> (Vec<Option<SimTime>>, Capture) {
+        let mut tap = Tap::new(q.recording, WallClock::perfect());
+        tap.open_flow(FlowKind::AppMisc, "a");
+        tap.open_flow(FlowKind::Rtmp, "b");
+        q.reserve(&mut tap, 1448);
+        let mut link = Link::unbounded(2e6, SimDuration::from_millis(30));
+        let mut rng = pscp_simnet::RngFactory::new(1).stream("tap");
+        let last = (0..q.len())
+            .map(|i| {
+                let path = Path { link: &mut link, faults: None, mtu: 1448 };
+                q.transmit(i, &mut tap, path, &mut rng, |&byte, out| {
+                    out.resize(out.len() + 40_000, byte)
+                })
+            })
+            .collect();
+        (last, tap.capture)
+    }
+
+    #[test]
+    fn a_send_record_stays_small() {
+        // What the stable time sort moves, ≈ 5,000 of them a session: the
+        // record that also carried ranges into a send arena and a 24-byte
+        // player tag was 72 bytes.
+        assert!(std::mem::size_of::<Send>() <= 48, "{}", std::mem::size_of::<Send>());
     }
 
     #[test]
@@ -370,51 +488,86 @@ mod tests {
         let [mut full, mut counted] = queues();
         assert_eq!(shape(&full), shape(&counted));
         for q in [&mut full, &mut counted] {
-            q.seal_flow(1, &mut TlsChannel::new(11));
+            q.seal_flow(1, 11);
             q.sort_by_time();
         }
         assert_eq!(shape(&full), shape(&counted));
         // Stable by time; the 40,000-byte send grew by three records' framing.
-        let tags: Vec<u8> = full.iter().map(|s| *s.tag).collect();
-        assert_eq!(tags, [2, 3, 4, 1]);
-        assert_eq!(full.get(0).payload.len(), tls::sealed_len(40_000));
-        assert_eq!(full.get(3).payload.bytes()[..4], *b"head");
-        assert!(counted.iter().all(|s| s.payload.literal().is_empty()));
-        assert_eq!(counted.arena.data.capacity(), 0, "a counted arena never allocates");
+        let tags: Vec<Option<usize>> = shape(&full).iter().map(|(s, _)| s.tag).collect();
+        assert_eq!(tags, [Some(2), None, None, None]);
+        assert_eq!(full.wire(0).literal, tls::sealed_len(40_000));
+        assert_eq!(full.wire(3), Wire { literal: 4, fill: 0xD8, pad: 5_000 });
+        assert_eq!(full.heads, [&b"head"[..], &[9; 17]].concat());
+        assert_eq!((counted.heads.capacity(), counted.writers.capacity()), (0, 0));
     }
 
     #[test]
     fn both_queues_transmit_the_same_packets_at_the_same_instants() {
         let recorded = queues().map(|mut q| {
             q.sort_by_time();
-            let mut tap = Tap::new(q.arena.recording, WallClock::perfect());
-            tap.open_flow(FlowKind::AppMisc, "a");
-            tap.open_flow(FlowKind::Rtmp, "b");
-            q.reserve(&mut tap.capture, 1448);
-            let mut link = Link::unbounded(2e6, SimDuration::from_millis(30));
-            let mut rng = pscp_simnet::RngFactory::new(1).stream("tap");
-            let last: Vec<Option<SimTime>> = q
-                .iter()
-                .map(|s| {
-                    tap.transmit(&mut link, None, s.at, s.flow, s.payload.chunks(1448), &mut rng)
-                })
-                .collect();
-            let packets: Vec<Vec<(SimTime, usize)>> = tap
-                .capture
+            let (last, capture) = transmit_all(&mut q);
+            let packets: Vec<Vec<(SimTime, usize)>> = capture
                 .flows
                 .iter()
                 .map(|f| f.packets().map(|p| (p.at, p.payload.len())).collect())
                 .collect();
-            (last, packets)
+            (last, packets, capture)
         });
-        assert_eq!(recorded[0], recorded[1]);
-        assert_eq!(recorded[0].0[1], None, "an empty send delivers nothing");
-        assert_eq!(recorded[0].1[1].len(), 40_000usize.div_ceil(1448) + 1);
+        let [(full_last, full_packets, full), (counted_last, counted_packets, counted)] = recorded;
+        assert_eq!((&full_last, &full_packets), (&counted_last, &counted_packets));
+        assert_eq!(full_last[1], None, "an empty send delivers nothing");
+        assert_eq!(full_packets[1].len(), 40_000usize.div_ceil(1448) + 1);
+        // The full capture holds what the writers wrote; the counted one
+        // not a byte.
+        assert_eq!(*full.flows[1].byte_stream(), [vec![7; 40_000], vec![9; 17]].concat());
+        assert_eq!(*full.flows[0].byte_stream(), [&b"head"[..], &[0xD8; 5_000]].concat());
+        assert!(counted.flows.iter().all(|f| f.payloads().all(|p| p.literal().is_empty())));
+    }
+
+    /// A sealed flow's sends are sealed as they are transmitted, in time
+    /// order — and the capture is the record stream one channel sealing
+    /// them in push order produces, laid out in time order.
+    #[test]
+    fn a_sealed_flow_is_sealed_in_push_order_whenever_it_is_transmitted() {
+        let [mut q, _] = queues();
+        q.seal_flow(1, 11);
+        q.sort_by_time();
+        let (_, capture) = transmit_all(&mut q);
+        let mut tls = TlsChannel::new(11);
+        // Push order: the media send, the empty one, the 17 bytes.
+        let sealed = [tls.seal(&[7; 40_000]), tls.seal(&[]), tls.seal(&[9; 17])];
+        assert_eq!(*capture.flows[1].byte_stream(), sealed.concat());
+        assert_eq!(*capture.flows[0].byte_stream(), [&b"head"[..], &[0xD8; 5_000]].concat());
     }
 
     #[test]
     #[should_panic(expected = "another length than stated")]
     fn a_writer_that_misstates_its_length_is_caught() {
-        Arena::new(Recording::Full, 0).extend_with(3, |out| out.extend_from_slice(b"four"));
+        let mut tap = Tap::new(Recording::Full, WallClock::perfect());
+        let flow = tap.open_flow(FlowKind::Chat, "ws");
+        let mut rng = pscp_simnet::RngFactory::new(1).stream("tap");
+        tap.record(flow, SimTime::ZERO, Wire::literal(3), &mut rng, |out| {
+            out.extend_from_slice(b"four")
+        });
+    }
+
+    #[test]
+    fn a_response_is_cut_along_its_schedule() {
+        let taps = [Recording::Full, Recording::Counted].map(|recording| {
+            let mut tap = Tap::new(recording, WallClock::perfect());
+            let flow = tap.open_flow(FlowKind::HlsHttp, "pop");
+            let mut rng = pscp_simnet::RngFactory::new(1).stream("tap");
+            let chunks = [(SimTime::from_secs(1), 3), (SimTime::from_secs(2), 6)];
+            let wire = Wire { literal: 5, fill: 0, pad: 4 };
+            tap.record_response(None, flow, wire, &chunks, &mut rng, |out| {
+                out.extend_from_slice(b"HEADb")
+            });
+            tap.capture
+        });
+        let payloads = |c: &Capture| -> Vec<Vec<u8>> {
+            c.flows[0].payloads().map(|p| p.bytes().to_vec()).collect()
+        };
+        assert_eq!(payloads(&taps[0]), [b"HEA".to_vec(), b"Db\0\0\0\0".to_vec()]);
+        assert_eq!(payloads(&taps[1]), [vec![0; 3], vec![0; 6]]);
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::broadcaster::{Phone, ENCODE_LATENCY};
 use crate::chat_client;
-use crate::downlink::Recording;
+use crate::downlink::Wire;
 use crate::player::MediaArrival;
 use crate::retry::RetryPolicy;
 use crate::session::{Delivered, SessionCtx};
@@ -28,9 +28,13 @@ const WARMUP: SimDuration = SimDuration::from_secs(25);
 const POLL: SimDuration = SimDuration::from_millis(1500);
 /// How many segments behind the live edge playback starts.
 const EDGE_OFFSET: u64 = 2;
+/// Upper estimate of one response's bytes besides a segment body: an HTTP
+/// head, or a whole playlist response (six entries).
+const RESPONSE_OVERHEAD_BYTES: usize = 512;
 
-/// Delivers the session in `ctx` over HLS. A counted session sizes its
-/// segments but never muxes them (DESIGN.md §10, "Uncaptured sessions").
+/// Delivers the session in `ctx` over HLS. Segments are descriptors: one is
+/// muxed when the client fetches it, into the capture — and in a counted
+/// session not at all (DESIGN.md §10).
 pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     let (broadcast, join_at, config) = (ctx.broadcast, ctx.join_at, ctx.config);
     let prop_up = broadcast.location.propagation_to(&ctx.server.location());
@@ -46,10 +50,7 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     let end = join_at + config.watch + SimDuration::from_secs(3);
     let Phone { fps, mut encoder, mut audio, mut uplink } =
         Phone::new(broadcast, &config.uplink, &(sim_start..end), &mut ctx.enc_rng);
-    let mut segmenter = match ctx.recording {
-        Recording::Full => Segmenter::new(SegmenterConfig::default()),
-        Recording::Counted => Segmenter::lengths_only(SegmenterConfig::default()),
-    };
+    let mut segmenter = Segmenter::new(SegmenterConfig::default());
     let total_frames = (end.saturating_since(sim_start).as_secs_f64() * fps) as u64;
     // (pts, broadcaster capture wall) in pts order, for latency anchors.
     let mut capture_wall_by_pts: Vec<(u32, f64)> = Vec::with_capacity(total_frames as usize);
@@ -93,6 +94,18 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     let mut cwnd = INIT_CWND_SEGMENTS;
     let mut arrivals: Vec<MediaArrival> = Vec::new();
     let session_end = join_at + config.watch;
+    // Pre-size the flow, so that a fetched segment is written into memory
+    // allocated once: the client can reach the segments that become
+    // available from one before the live edge at the join until the session
+    // ends, and polls the playlist about once a `POLL` meanwhile.
+    let edge = segmenter.playlist_at(join_at).last_sequence().unwrap_or(0);
+    let reachable: usize = segmenter.segments()[edge.saturating_sub(EDGE_OFFSET - 1) as usize..]
+        .iter()
+        .filter(|s| s.available_at < session_end)
+        .map(|s| s.len + RESPONSE_OVERHEAD_BYTES)
+        .sum();
+    let polls = (config.watch.as_micros() / POLL.as_micros()) as usize;
+    ctx.tap.reserve(flow, reachable + polls * RESPONSE_OVERHEAD_BYTES, 0);
 
     // --- fault injection (DESIGN.md §8), every class gated on its own
     // rate so a disabled layer draws no variate and changes no byte ---
@@ -108,10 +121,10 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
         + ctx.tap.record_response(
             link_faults.as_mut(),
             misc_flow,
-            &[],
-            &[],
+            Wire { literal: 0, fill: 0, pad: overhead_bytes },
             &boot.chunks,
             &mut ctx.net_rng,
+            |_| {},
         );
     ctx.trace.count("tcp", "transfers", 1);
     ctx.trace.count("tcp", "bytes", overhead_bytes as u64);
@@ -161,8 +174,11 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
         let playlist = segmenter.playlist_at(now);
         let record_playlist = |ctx: &mut SessionCtx, at: SimTime| {
             let resp =
-                Response::ok_bytes("application/vnd.apple.mpegurl", playlist.render().into_bytes());
-            ctx.tap.record(flow, at, (&resp.encode()).into(), &mut ctx.net_rng);
+                Response::ok_bytes("application/vnd.apple.mpegurl", playlist.render().into_bytes())
+                    .encode();
+            ctx.tap.record(flow, at, Wire::literal(resp.len()), &mut ctx.net_rng, |out| {
+                out.extend_from_slice(&resp)
+            });
             ctx.trace.count("hls", "playlist_polls", 1);
         };
         let Some(last) = playlist.last_sequence() else {
@@ -190,8 +206,7 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
             now += POLL.max(rtt);
             continue;
         }
-        let uri = format!("seg_{want}.ts");
-        let Some(segment) = segmenter.segment_by_uri(&uri, now) else {
+        let Some(segment) = segmenter.segment(want, now) else {
             // Advertised but not yet uploaded to the POP: brief wait.
             now += POLL;
             continue;
@@ -214,8 +229,8 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
             }
         }
         let fetch_started = now;
-        // The response is its head followed by the segmenter's own bytes;
-        // nothing is copied into an encoded response first.
+        // The response is its head followed by the segment, muxed here
+        // and now, straight into the capture.
         let head = Response::ok_bytes("video/mp2t", Vec::new()).encode_head(segment.len);
         let resp_len = head.len() + segment.len;
         let schedule = tcp.transfer(now, resp_len, &mut cwnd, fetched == 0);
@@ -223,10 +238,13 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
             + ctx.tap.record_response(
                 link_faults.as_mut(),
                 flow,
-                &head,
-                &segment.bytes,
+                Wire::literal(resp_len),
                 &schedule.chunks,
                 &mut ctx.net_rng,
+                |out| {
+                    out.extend_from_slice(&head);
+                    segment.write_into(out);
+                },
             );
         media_end_s += segment.duration_s;
         // Latency anchor: the capture wall time of the segment's last frame.

@@ -10,11 +10,12 @@
 //! identical broadcaster and app traffic — common random numbers by
 //! construction.
 
-use crate::broadcaster::{IngestFrame, IngestTimeline};
+use crate::broadcaster::IngestTimeline;
 use crate::chat_client;
 use crate::downlink::SendQueue;
 use crate::player::MediaArrival;
 use crate::session::SessionCtx;
+use pscp_media::bitstream::FramePayload;
 use pscp_media::capture::FlowKind;
 use pscp_simnet::{SimDuration, SimTime, WallClock};
 
@@ -44,16 +45,34 @@ impl Meta {
     }
 }
 
-/// The reliable sends of a push session; video messages carry a [`Meta`].
-pub(crate) type Sends = SendQueue<Option<Meta>>;
-
-/// One message of the server's media schedule. Timestamps are relative to
-/// the first replayed frame.
-pub(crate) enum Media<'a> {
+/// What a media message consists of — a descriptor: the transport writes
+/// the bytes when the message goes on the wire.
+#[derive(Clone, Copy)]
+pub(crate) enum Body<'a> {
     /// A coded video frame, body not yet written.
-    Video { ts_ms: u32, frame: &'a IngestFrame, meta: Meta },
-    /// An audio frame of `size` opaque bytes.
-    Audio { ts_ms: u32, size: usize },
+    Video(&'a FramePayload),
+    /// An audio frame of this many opaque bytes.
+    Audio(usize),
+}
+
+impl Body<'_> {
+    /// Length of the body in bytes.
+    pub fn len(&self) -> usize {
+        match *self {
+            Body::Video(frame) => frame.size,
+            Body::Audio(size) => size,
+        }
+    }
+}
+
+/// One message of the server's media schedule.
+pub(crate) struct Media<'a> {
+    /// Timestamp relative to the first replayed frame.
+    pub ts_ms: u32,
+    /// What the message carries.
+    pub body: Body<'a>,
+    /// What the player learns when it has arrived — video only.
+    pub meta: Option<Meta>,
 }
 
 /// The server side of a push session: what was ingested, the flows the
@@ -111,10 +130,10 @@ impl Push {
 
     /// Queues the app bootstrap and returns when it will have finished
     /// downloading at the bottleneck rate.
-    pub fn queue_bootstrap(&self, ctx: &mut SessionCtx, sends: &mut Sends) -> SimTime {
+    pub fn queue_bootstrap<W>(&self, ctx: &mut SessionCtx, sends: &mut SendQueue<W>) -> SimTime {
         let starts = ctx.join_at + ctx.config.network.access_rtt;
         let bytes = ctx.bootstrap_bytes();
-        sends.push(starts, self.flow_misc, &[], 0, bytes, None);
+        sends.push(starts, self.flow_misc, &[], 0, bytes);
         starts + SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.bottleneck)
     }
 
@@ -124,7 +143,12 @@ impl Push {
     /// fetches cannot precede `bootstrap_done`; the WebSocket connects
     /// earlier. Queued after the transport's own sends: equal-time sends go
     /// on the wire in queue order.
-    pub fn queue_chat(&self, ctx: &mut SessionCtx, bootstrap_done: SimTime, sends: &mut Sends) {
+    pub fn queue_chat<W>(
+        &self,
+        ctx: &mut SessionCtx,
+        bootstrap_done: SimTime,
+        sends: &mut SendQueue<W>,
+    ) {
         let (from, config) = (ctx.join_at, ctx.config);
         for ev in
             chat_client::events(ctx.broadcast, from, from + config.watch, config, &mut ctx.net_rng)
@@ -133,7 +157,7 @@ impl Push {
                 continue;
             };
             let at = if flow == self.flow_chat { ev.at } else { ev.at.max(bootstrap_done) };
-            sends.push(at, flow, &ev.bytes.head, ev.bytes.fill, ev.bytes.pad, None);
+            sends.push(at, flow, &ev.bytes.head, ev.bytes.fill, ev.bytes.pad);
         }
     }
 
@@ -142,7 +166,11 @@ impl Push {
     /// then live push, each forwarded the moment the server has it; audio
     /// interleaved in pts order. Ends with the first video frame due at or
     /// after [`Push::end`].
-    pub fn media_schedule<'a>(&'a self, from: SimTime, clock: &'a WallClock) -> MediaSchedule<'a> {
+    pub fn media_schedule<'a, 'c>(
+        &'a self,
+        from: SimTime,
+        clock: &'c WallClock,
+    ) -> MediaSchedule<'a, 'c> {
         let vi = self.ingest.replay_start(from);
         let first_pts = self.ingest.video.get(vi).map_or(0, |f| f.frame.pts_ms);
         let audio = &self.ingest.audio;
@@ -152,9 +180,9 @@ impl Push {
 }
 
 /// Iterator behind [`Push::media_schedule`]: `(send instant, message)`.
-pub(crate) struct MediaSchedule<'a> {
+pub(crate) struct MediaSchedule<'a, 'c> {
     push: &'a Push,
-    clock: &'a WallClock,
+    clock: &'c WallClock,
     from: SimTime,
     first_pts: u32,
     frame_s: f64,
@@ -162,7 +190,7 @@ pub(crate) struct MediaSchedule<'a> {
     ai: usize,
 }
 
-impl<'a> Iterator for MediaSchedule<'a> {
+impl<'a> Iterator for MediaSchedule<'a, '_> {
     type Item = (SimTime, Media<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -180,7 +208,7 @@ impl<'a> Iterator for MediaSchedule<'a> {
                 let send_at = a_in.max(self.from) + SERVER_FORWARD;
                 if send_at < end {
                     let ts_ms = pts.saturating_sub(self.first_pts);
-                    return Some((send_at, Media::Audio { ts_ms, size }));
+                    return Some((send_at, Media { ts_ms, body: Body::Audio(size), meta: None }));
                 }
                 continue;
             }
@@ -190,7 +218,10 @@ impl<'a> Iterator for MediaSchedule<'a> {
                 capture_wall_s: self.clock.read_exact(frame.t_cap),
             };
             let ts_ms = pts_ms.saturating_sub(self.first_pts);
-            return Some((send_at, Media::Video { ts_ms, frame, meta }));
+            return Some((
+                send_at,
+                Media { ts_ms, body: Body::Video(&frame.frame), meta: Some(meta) },
+            ));
         }
     }
 }

@@ -9,7 +9,7 @@
 //! pages still show chat history but the room is closed: only the video
 //! traffic flows.
 
-use crate::downlink::{Recording, Tap};
+use crate::downlink::{Recording, Tap, Wire};
 use crate::player::MediaArrival;
 use crate::session::{finish, Delivered, SessionConfig, SessionOutcome};
 use pscp_media::capture::FlowKind;
@@ -49,7 +49,14 @@ pub fn run(
         Response::ok_bytes("application/vnd.apple.mpegurl", vod.playlist().render().into_bytes())
             .encode();
     let boot = tcp.transfer(start_at, playlist.len(), &mut cwnd, true);
-    tap.record_response(None, flow, &playlist, &[], &boot.chunks, &mut net_rng);
+    tap.record_response(
+        None,
+        flow,
+        Wire::literal(playlist.len()),
+        &boot.chunks,
+        &mut net_rng,
+        |out| out.extend_from_slice(&playlist),
+    );
 
     // Segment fetch loop: pull ahead of playback up to the buffer cap.
     let session_end = start_at + config.watch;
@@ -72,8 +79,19 @@ pub fn run(
             }
         }
         let head = Response::ok_bytes("video/mp2t", Vec::new()).encode_head(segment.len);
-        let schedule = tcp.transfer(now, head.len() + segment.len, &mut cwnd, false);
-        tap.record_response(None, flow, &head, &segment.bytes, &schedule.chunks, &mut net_rng);
+        let resp_len = head.len() + segment.len;
+        let schedule = tcp.transfer(now, resp_len, &mut cwnd, false);
+        tap.record_response(
+            None,
+            flow,
+            Wire::literal(resp_len),
+            &schedule.chunks,
+            &mut net_rng,
+            |out| {
+                out.extend_from_slice(&head);
+                segment.write_into(out);
+            },
+        );
         media_end_s += segment.duration_s;
         // VOD: stale capture timestamps are not latency anchors.
         arrivals.push(MediaArrival { at: schedule.completion, media_end_s, capture_wall_s: None });

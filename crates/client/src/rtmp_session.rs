@@ -14,19 +14,42 @@
 //! one FIFO link everything shares, and mid-stream disconnects.
 
 use crate::chat_client;
-use crate::push::{Media, Push, Sends};
+use crate::downlink::{Path, SendQueue};
+use crate::push::{Body, Media, Meta, Push};
 use crate::session::{Delivered, SessionCtx};
 use pscp_media::bitstream::FrameKind;
 use pscp_media::capture::FlowKind;
 use pscp_media::flv::{AudioTag, VideoTag};
 use pscp_proto::amf::{encode_command, Amf0};
-use pscp_proto::rtmp::{handshake_c0c1, handshake_s0s1s2, Chunker, Message, MessageType};
+use pscp_proto::rtmp::{handshake_c0c1, handshake_s0s1s2, Chunker, Framing, Message, MessageType};
 use pscp_simnet::fault;
 use pscp_simnet::{Link, SimDuration, SimTime};
 
 /// Gap an injected mid-stream RTMP disconnect leaves before the client's
 /// reconnect completes (DESIGN.md §8).
 const RTMP_RECONNECT_GAP: SimDuration = SimDuration::from_secs(4);
+
+/// Writes one media message as it goes on the wire: the FLV tag — header,
+/// then the body generated in place — into `scratch`, chunked from there
+/// into `out`. The one pass over a frame body that touches capture-sized
+/// memory is the chunker's, into the flow.
+fn write_message((framing, body): &(Framing, Body<'_>), scratch: &mut Vec<u8>, out: &mut Vec<u8>) {
+    scratch.clear();
+    match *body {
+        Body::Audio(size) => AudioTag::encode_into(size, scratch),
+        // The frame payload *is* the coded frame body: the 5-byte FLV tag
+        // header, then the body.
+        Body::Video(f) => {
+            VideoTag::write_header(
+                f.kind == FrameKind::I,
+                if f.kind == FrameKind::B { 33 } else { 0 },
+                scratch,
+            );
+            f.encode_into(scratch);
+        }
+    }
+    framing.write(scratch, out);
+}
 
 /// Delivers the session in `ctx` over RTMP.
 pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
@@ -51,22 +74,17 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     // bottleneck link, so cross-traffic genuinely delays video — the FIFO
     // contention behind the paper's 2 Mbps QoE boundary. ---
     let mut link = Link::unbounded(push.bottleneck, push.one_way_down);
-    let mut sends = Sends::new(
-        ctx.recording,
-        video_in.iter().map(|f| f.frame.size + 32).sum::<usize>()
-            + audio_in.iter().map(|&(_, _, size)| size + 32).sum::<usize>()
-            + 64 * 1024,
-        video_in.len() + audio_in.len() + 256,
-    );
+    let n_media = video_in.len() + audio_in.len();
+    let mut sends = SendQueue::new(ctx.recording, 64 * 1024, n_media + 256, n_media);
     let bootstrap_done = push.queue_bootstrap(ctx, &mut sends);
 
     // Handshake: S0+S1+S2 arrive right after connect, then the control
     // burst (SetChunkSize + onStatus).
     let c0c1 = handshake_c0c1(0, 0x7e);
     let s_bytes = handshake_s0s1s2(&c0c1, 0).expect("own C0C1 is valid");
-    sends.push(join_at + rtt, flow_rtmp, &s_bytes, 0, 0, None);
+    sends.push(join_at + rtt, flow_rtmp, &s_bytes, 0, 0);
     // One scratch buffer holds each message body while the chunker copies
-    // it into the arena; it is reused for every message in the session.
+    // it out; it is reused for every message in the session.
     let mut scratch: Vec<u8> = Vec::with_capacity(8 * 1024);
     let mut chunker = Chunker::new();
     chunker.write(&Message::set_chunk_size(4096), &mut scratch);
@@ -78,43 +96,28 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
         )),
         &mut scratch,
     );
-    sends.push(play_cmd_at, flow_rtmp, &scratch, 0, 0, None);
+    sends.push(play_cmd_at, flow_rtmp, &scratch, 0, 0);
 
     // Media messages: each is framed by the chunker (which sets its on-wire
-    // length; its state follows the order the bytes go on the wire) and
-    // queued with the writer of its bytes: FLV tag body into the scratch,
-    // chunked from there into the arena.
-    for (send_at, media) in push.media_schedule(play_cmd_at, &ctx.broadcaster_clock) {
-        match media {
-            Media::Audio { ts_ms, size } => {
-                let framing =
-                    chunker.frame(4, ts_ms, MessageType::Audio, 1, AudioTag::HEADER_LEN + size);
-                sends.push_with(send_at, flow_rtmp, framing.wire_len(), None, |arena| {
-                    scratch.clear();
-                    AudioTag::encode_into(size, &mut scratch);
-                    framing.write(&scratch, arena);
-                });
-                ctx.trace.count("rtmp", "audio_msgs", 1);
-            }
-            // The frame payload *is* the coded frame body: the 5-byte FLV
-            // tag header, then the body generated in place.
-            Media::Video { ts_ms, frame, meta } => {
-                let f = &frame.frame;
-                let framing =
-                    chunker.frame(6, ts_ms, MessageType::Video, 1, VideoTag::HEADER_LEN + f.size);
-                sends.push_with(send_at, flow_rtmp, framing.wire_len(), Some(meta), |arena| {
-                    scratch.clear();
-                    VideoTag::write_header(
-                        f.kind == FrameKind::I,
-                        if f.kind == FrameKind::B { 33 } else { 0 },
-                        &mut scratch,
-                    );
-                    f.encode_into(&mut scratch);
-                    framing.write(&scratch, arena);
-                });
-                ctx.trace.count("rtmp", "video_msgs", 1);
-            }
-        }
+    // length; its state follows the order the messages are queued in) and
+    // queued as that framing and what it frames — `write_message` produces
+    // the bytes when the message is transmitted. A video send is tagged
+    // with its place in `metas`.
+    let mut metas: Vec<Meta> = Vec::with_capacity(video_in.len());
+    for (send_at, Media { ts_ms, body, meta }) in
+        push.media_schedule(play_cmd_at, &ctx.broadcaster_clock)
+    {
+        let (csid, kind, tag_header, counter) = match body {
+            Body::Audio(_) => (4, MessageType::Audio, AudioTag::HEADER_LEN, "audio_msgs"),
+            Body::Video(_) => (6, MessageType::Video, VideoTag::HEADER_LEN, "video_msgs"),
+        };
+        let framing = chunker.frame(csid, ts_ms, kind, 1, tag_header + body.len());
+        let tag = meta.map(|meta| {
+            metas.push(meta);
+            metas.len() - 1
+        });
+        sends.push_media(send_at, flow_rtmp, framing.wire_len(), tag, (framing, body));
+        ctx.trace.count("rtmp", counter, 1);
     }
     push.queue_chat(ctx, bootstrap_done, &mut sends);
 
@@ -124,7 +127,7 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     // tcpdump capture holds only ciphertext — the wall the paper hit,
     // which is why it studied public streams.
     if broadcast.private {
-        sends.seal_flow(flow_rtmp, &mut pscp_proto::tls::TlsChannel::new(broadcast.viewer_seed));
+        sends.seal_flow(flow_rtmp, broadcast.viewer_seed);
     }
 
     // --- fault injection (DESIGN.md §8): drop windows for mid-stream
@@ -144,24 +147,21 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     // Merge by send time and transmit. Per flow, FIFO enqueueing keeps
     // arrival order non-decreasing.
     sends.sort_by_time();
-    sends.reserve(&mut ctx.tap.capture, push.mtu);
+    sends.reserve(&mut ctx.tap, push.mtu);
     let mut arrivals = Vec::new();
-    for send in sends.iter() {
+    for i in 0..sends.len() {
+        let send = sends.get(i);
         if (send.flow == flow_rtmp && fault::in_windows(&dc_windows, send.at))
             || (send.flow == push.flow_chat && fault::in_windows(&chat_windows, send.at))
         {
             continue; // the connection is down; these bytes never leave
         }
-        let last = ctx.tap.transmit(
-            &mut link,
-            link_faults.as_mut(),
-            send.at,
-            send.flow,
-            send.payload.chunks(push.mtu),
-            &mut ctx.clock_rng,
-        );
-        if let (Some(meta), Some(arr)) = (send.tag, last) {
-            arrivals.push(meta.arrived(arr));
+        let path = Path { link: &mut link, faults: link_faults.as_mut(), mtu: push.mtu };
+        let last = sends.transmit(i, &mut ctx.tap, path, &mut ctx.clock_rng, |message, out| {
+            write_message(message, &mut scratch, out)
+        });
+        if let (Some(tag), Some(arr)) = (send.tag, last) {
+            arrivals.push(metas[tag].arrived(arr));
         }
     }
     Delivered {

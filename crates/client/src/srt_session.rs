@@ -28,8 +28,8 @@
 //! `(seq, attempt)`, never a shared draw sequence, so scaling the loss
 //! config cannot shift which retransmits fail.
 
-use crate::downlink::Arena;
-use crate::push::{Media, Meta, Push, Sends};
+use crate::downlink::{Path, SendQueue, Wire};
+use crate::push::{Body, Media, Meta, Push};
 use crate::retry::RetryPolicy;
 use crate::session::{Delivered, SessionCtx};
 use pscp_media::capture::FlowKind;
@@ -47,6 +47,80 @@ const RETX_QUEUE_CAP: usize = 768 * 1024;
 /// Retransmission attempts per lost packet (first NAK plus one re-NAK);
 /// each failed attempt costs another RTT against the latency window.
 const MAX_RETX_ATTEMPTS: u32 = 2;
+
+/// One message of the gateway's schedule: when it is sent, what it carries,
+/// and — for video — what the player learns when all of it has arrived.
+struct Msg<'a> {
+    at: SimTime,
+    body: Body<'a>,
+    meta: Option<Meta>,
+}
+
+/// One data packet on the wire: the `chunk`-th `payload_mtu` slice of
+/// message `msg`. Its sequence number is its index in the send order.
+struct PktInfo {
+    msg: u32,
+    chunk: u32,
+}
+
+/// The message body a datagram is being cut from, kept between datagrams:
+/// they are written in arrival order, which is message order but for the
+/// retransmitted ones, so a body is generated about once.
+struct BodyScratch {
+    msg: Option<u32>,
+    bytes: Vec<u8>,
+}
+
+/// What the data packets of a session are written from.
+struct Datagrams<'a> {
+    msgs: &'a [Msg<'a>],
+    pkts: &'a [PktInfo],
+    initial_seq: u32,
+    payload_mtu: usize,
+}
+
+/// Byte range, in a `msg_len`-byte message body, of the payload of its
+/// `chunk`-th data packet.
+fn chunk_range(msg_len: usize, chunk: u32, payload_mtu: usize) -> std::ops::Range<usize> {
+    let from = chunk as usize * payload_mtu;
+    from..msg_len.min(from + payload_mtu)
+}
+
+impl Datagrams<'_> {
+    /// Byte range of packet `i`'s payload in its message's body.
+    fn chunk(&self, i: usize) -> std::ops::Range<usize> {
+        let PktInfo { msg, chunk } = self.pkts[i];
+        chunk_range(self.msgs[msg as usize].body.len(), chunk, self.payload_mtu)
+    }
+
+    /// On-wire length of packet `i`.
+    fn wire_len(&self, i: usize) -> usize {
+        srt::DATA_HEADER_BYTES + self.chunk(i).len()
+    }
+
+    /// Writes packet `i` — data header, then its slice of the message body
+    /// — into `out`: the same bytes `encode_packet` produces for an owned
+    /// `DataPacket`, without the per-packet payload `Vec`.
+    fn write(&self, i: usize, scratch: &mut BodyScratch, out: &mut Vec<u8>) {
+        let (msg, chunk) = (self.pkts[i].msg, self.chunk(i));
+        let m = &self.msgs[msg as usize];
+        if scratch.msg != Some(msg) {
+            scratch.msg = Some(msg);
+            scratch.bytes.clear();
+            match m.body {
+                Body::Video(f) => f.encode_into(&mut scratch.bytes),
+                // Audio bodies are opaque zero bytes of the right size.
+                Body::Audio(size) => scratch.bytes.resize(size, 0),
+            }
+        }
+        out.push(0); // TYPE_DATA
+        out.extend_from_slice(&seq_add(self.initial_seq, i as u32).to_be_bytes());
+        out.extend_from_slice(&(m.at.as_micros() as u32).to_be_bytes());
+        out.extend_from_slice(&msg.to_be_bytes());
+        out.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
+        out.extend_from_slice(&scratch.bytes[chunk]);
+    }
+}
 
 /// Stationary loss probability of a Gilbert–Elliott config — the marginal
 /// rate a single retransmitted packet faces on the same path.
@@ -165,38 +239,18 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Result<Delivered, SimTime> {
 
     // --- app-side TCP flows (bootstrap + chat + pictures), same model and
     // same queue as the RTMP session ---
-    let mut sends = Sends::new(ctx.recording, 64 * 1024, 256);
+    let mut sends: SendQueue<()> = SendQueue::new(ctx.recording, 64 * 1024, 256, 0);
     let bootstrap_done = push.queue_bootstrap(ctx, &mut sends);
     push.queue_chat(ctx, bootstrap_done, &mut sends);
     sends.sort_by_time();
 
     // --- gateway message schedule: video frames interleaved with audio in
-    // PTS order, exactly like the RTMP path. Message bodies live in one
-    // arena (audio bodies are opaque zero bytes of the right size). ---
-    struct Msg {
-        at: SimTime,
-        start: usize,
-        end: usize,
-        meta: Option<Meta>,
-    }
-    let mut bodies = Arena::new(
-        ctx.recording,
-        push.ingest.video.iter().map(|f| f.frame.size).sum::<usize>()
-            + push.ingest.audio.iter().map(|&(_, _, size)| size).sum::<usize>(),
-    );
-    let mut msg_list: Vec<Msg> = Vec::new();
-    for (at, media) in push.media_schedule(data_start, &ctx.broadcaster_clock) {
-        let (body, meta) = match media {
-            Media::Audio { size, .. } => {
-                (bodies.extend_with(size, |bodies| bodies.resize(bodies.len() + size, 0)), None)
-            }
-            Media::Video { frame, meta, .. } => (
-                bodies.extend_with(frame.frame.size, |bodies| frame.frame.encode_into(bodies)),
-                Some(meta),
-            ),
-        };
-        msg_list.push(Msg { at, start: body.start, end: body.end, meta });
-    }
+    // PTS order, exactly like the RTMP path — as descriptors; a body is
+    // generated when a datagram cut from it is recorded. ---
+    let msg_list: Vec<Msg> = push
+        .media_schedule(data_start, &ctx.broadcaster_clock)
+        .map(|(at, Media { body, meta, .. })| Msg { at, body, meta })
+        .collect();
 
     // --- transmit + NAK/ARQ ---
     //
@@ -208,34 +262,32 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Result<Delivered, SimTime> {
     // which point the receiver NAKs the missing ranges and each lost
     // packet either comes back at detect + RTT (bounded by the latency
     // window) or is abandoned — dropped and concealed, never stalled on.
-    // Wire bytes live in one arena; media capture records are buffered as
-    // ranges and sorted by arrival before recording, because recovered
-    // datagrams genuinely arrive out of order (no TCP below to serialize
-    // behind).
+    // Media capture records are buffered as (arrival, datagram) and sorted
+    // by arrival before recording, because recovered datagrams genuinely
+    // arrive out of order (no TCP below to serialize behind).
     struct MsgState {
         remaining: u32,
         latest: SimTime,
         dropped: bool,
     }
-    struct PktInfo {
-        msg: u32,
-        start: usize,
-        end: usize,
-    }
     enum WireItem {
         App(usize),
         Media(usize),
     }
+    /// A datagram the capture host saw.
+    #[derive(Clone, Copy)]
+    enum Datagram {
+        /// One of the two downstream handshake packets.
+        Control(usize),
+        /// The data packet with this index in the send order.
+        Data(usize),
+    }
     let payload_mtu = mtu.saturating_sub(srt::DATA_HEADER_BYTES).max(128);
-    let mut wire = Arena::new(
-        ctx.recording,
-        bodies.len() + (bodies.len() / payload_mtu + 2) * srt::DATA_HEADER_BYTES,
-    );
-    let mut records: Vec<(SimTime, usize, usize)> = Vec::new();
+    let mut records: Vec<(SimTime, Datagram)> = Vec::new();
     let mut states: Vec<MsgState> = msg_list
         .iter()
         .map(|m| MsgState {
-            remaining: (m.end - m.start).div_ceil(payload_mtu).max(1) as u32,
+            remaining: m.body.len().div_ceil(payload_mtu).max(1) as u32,
             latest: SimTime::ZERO,
             dropped: false,
         })
@@ -246,24 +298,20 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Result<Delivered, SimTime> {
     // The merged wire schedule. The stable sort keeps push order on ties
     // (app segments first), and processing media strictly in time order is
     // what gives sequence numbers their on-the-wire meaning.
-    let mut schedule: Vec<(SimTime, WireItem)> = sends
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.at, WireItem::App(i)))
+    let mut schedule: Vec<(SimTime, WireItem)> = (0..sends.len())
+        .map(|i| (sends.get(i).at, WireItem::App(i)))
         .chain(msg_list.iter().enumerate().map(|(i, m)| (m.at, WireItem::Media(i))))
         .collect();
     schedule.sort_by_key(|&(at, _)| at);
 
     // Handshake capture: the two downstream control packets.
-    let mut control = Vec::new();
-    for (pkt, at) in
-        [(Packet::Control(cookie), hs_start + rtt), (Packet::Control(agreement), data_start)]
-    {
-        control.clear();
-        srt::encode_packet(&pkt, &mut control);
-        let pkt = wire.extend(&control);
-        records.push((at, pkt.start, pkt.end));
-    }
+    let control = [cookie, agreement].map(|pkt| {
+        let mut bytes = Vec::new();
+        srt::encode_packet(&Packet::Control(pkt), &mut bytes);
+        bytes
+    });
+    records.push((hs_start + rtt, Datagram::Control(0)));
+    records.push((data_start, Datagram::Control(1)));
 
     let mut n_data_packets: u64 = 0;
     let mut n_retransmits: u64 = 0;
@@ -275,44 +323,26 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Result<Delivered, SimTime> {
                 // A reliable app burst: chunks share the serializer with
                 // the media datagrams; losses surface as delay under the
                 // per-flow monotone floor, exactly like the RTMP session.
-                let send = sends.get(*si);
-                ctx.tap.transmit(
-                    dglink.reliable(),
-                    app_faults.as_mut(),
-                    send.at,
-                    send.flow,
-                    send.payload.chunks(mtu),
-                    &mut ctx.clock_rng,
-                );
+                let path = Path { link: dglink.reliable(), faults: app_faults.as_mut(), mtu };
+                sends.transmit(*si, &mut ctx.tap, path, &mut ctx.clock_rng, |(), _| {});
                 continue;
             }
             WireItem::Media(mi) => *mi,
         };
         let m = &msg_list[msg_idx];
-        let body_len = m.end - m.start;
-        let n_chunks = body_len.div_ceil(payload_mtu).max(1) as u32;
-        for ci in 0..n_chunks as usize {
-            let chunk = m.start + ci * payload_mtu..m.start + body_len.min((ci + 1) * payload_mtu);
-            let seq = seq_add(initial_seq, pkts.len() as u32);
-            // Data header + payload straight into the arena — the same
-            // bytes `encode_packet` produces for an owned `DataPacket`,
-            // without the per-packet payload Vec.
-            let pkt = wire.extend_with(srt::DATA_HEADER_BYTES + chunk.len(), |wire| {
-                wire.push(0); // TYPE_DATA
-                wire.extend_from_slice(&seq.to_be_bytes());
-                wire.extend_from_slice(&(m.at.as_micros() as u32).to_be_bytes());
-                wire.extend_from_slice(&(msg_idx as u32).to_be_bytes());
-                wire.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
-                wire.extend_from_slice(bodies.bytes(chunk.clone()));
-            });
-            let (start, pkt_end) = (pkt.start, pkt.end);
-            pkts.push(PktInfo { msg: msg_idx as u32, start, end: pkt_end });
-            retxq.push(RetxEntry { seq, bytes: pkt_end - start, origin_ts_us: m.at.as_micros() });
+        // Nothing of the message has left yet: what remains is all of it.
+        for ci in 0..states[msg_idx].remaining {
+            let wire_len =
+                srt::DATA_HEADER_BYTES + chunk_range(m.body.len(), ci, payload_mtu).len();
+            let pkt_idx = pkts.len();
+            let seq = seq_add(initial_seq, pkt_idx as u32);
+            pkts.push(PktInfo { msg: msg_idx as u32, chunk: ci });
+            retxq.push(RetxEntry { seq, bytes: wire_len, origin_ts_us: m.at.as_micros() });
             n_data_packets += 1;
-            let Some(arr) = dglink.send(m.at, pkt_end - start).time() else {
+            let Some(arr) = dglink.send(m.at, wire_len).time() else {
                 continue; // a hole: a later arrival will expose it
             };
-            records.push((arr, start, pkt_end));
+            records.push((arr, Datagram::Data(pkt_idx)));
             {
                 let st = &mut states[msg_idx];
                 st.remaining -= 1;
@@ -356,7 +386,7 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Result<Delivered, SimTime> {
                         Some(t_r) => {
                             let ev = tracker.on_data(lost_seq);
                             debug_assert!(matches!(ev, RecvEvent::Recovered));
-                            records.push((t_r, pkts[info_idx].start, pkts[info_idx].end));
+                            records.push((t_r, Datagram::Data(info_idx)));
                             ctx.trace.span(
                                 arr.as_micros(),
                                 t_r.as_micros(),
@@ -405,12 +435,27 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Result<Delivered, SimTime> {
     arrivals.sort_by_key(|a| a.at);
 
     // Flush the buffered datagram records into the capture in arrival
-    // order (the flow index requires monotone times; datagrams reorder).
-    records.sort_by_key(|&(at, _, _)| at);
-    ctx.tap.capture.flows[flow_srt]
-        .reserve(records.iter().map(|&(_, s, e)| wire.literal_len(s..e)).sum(), records.len());
-    for &(at, s, e) in &records {
-        ctx.tap.record(flow_srt, at, wire.payload(s..e, 0, 0), &mut ctx.clock_rng);
+    // order (the flow index requires monotone times; datagrams reorder):
+    // each datagram's bytes are written here, straight into the flow.
+    records.sort_by_key(|&(at, _)| at);
+    let datagrams = Datagrams { msgs: &msg_list, pkts: &pkts, initial_seq, payload_mtu };
+    let wire_len = |d: Datagram| match d {
+        Datagram::Control(i) => control[i].len(),
+        Datagram::Data(i) => datagrams.wire_len(i),
+    };
+    ctx.tap.reserve(flow_srt, records.iter().map(|&(_, d)| wire_len(d)).sum(), records.len());
+    let mut scratch = BodyScratch { msg: None, bytes: Vec::new() };
+    for &(at, d) in &records {
+        ctx.tap.record(
+            flow_srt,
+            at,
+            Wire::literal(wire_len(d)),
+            &mut ctx.clock_rng,
+            |out| match d {
+                Datagram::Control(i) => out.extend_from_slice(&control[i]),
+                Datagram::Data(i) => datagrams.write(i, &mut scratch, out),
+            },
+        );
     }
 
     ctx.trace.count("srt", "data_packets", n_data_packets);

@@ -5,7 +5,8 @@
 //! record the capture, dechunk the arrivals — touches the heap zero times
 //! per packet; that the broadcaster side of a session and the player
 //! allocate a fixed number of times however many frames they see; and that
-//! a session whose capture nobody reads allocates no body buffer at all.
+//! a session whose capture nobody reads allocates no body buffer at all —
+//! and one whose capture is kept allocates each captured byte once.
 //! This test registers the counting allocator (`pscp_obs::alloc_count`) as
 //! this binary's global allocator and falsifies each claim if a per-packet,
 //! per-frame or per-arrival allocation — or a body buffer — sneaks back in.
@@ -257,15 +258,19 @@ fn playback_allocations_do_not_grow_with_arrivals() {
     assert!(many <= 3, "playback allocated {many} times");
 }
 
-/// A whole default 60 s RTMP session, both ways. The allocation counts pin
-/// what is left per session (chat events, the send queue, the capture
-/// index); the *bytes* pin is the one that fails if a frame body buffer
-/// sneaks back into a session whose capture nobody reads.
-#[test]
-fn whole_session_allocations_are_pinned_in_both_modes() {
+/// Runs one default 60 s session over `protocol`, captured and uncaptured,
+/// and pins both: allocation events at most `max_allocs` (captured,
+/// uncaptured), the uncaptured session's bytes at most `max_bytes` — the
+/// pin that fails if a body buffer sneaks back into a session whose capture
+/// nobody reads — and the captured session's bytes by the rule that a
+/// captured byte is written once.
+fn pin_whole_session(
+    protocol: pscp_service::select::Protocol,
+    max_allocs: (u64, u64),
+    max_bytes: u64,
+) {
     use pscp_client::session::{run, run_uncaptured, SessionConfig};
     use pscp_client::SessionOutcome;
-    use pscp_service::select::Protocol;
     use pscp_simnet::RngFactory;
 
     let broadcast = istanbul_broadcast();
@@ -275,23 +280,51 @@ fn whole_session_allocations_are_pinned_in_both_modes() {
     let measure = |run: &dyn Fn() -> SessionOutcome| {
         let (bytes, (allocs, outcome)) = alloc_count::counted_bytes(|| alloc_count::counted(run));
         assert!(outcome.join_time_s().is_some());
-        (allocs, bytes)
+        // What the capture actually stores.
+        let literal: usize = outcome
+            .capture
+            .flows
+            .iter()
+            .flat_map(|f| f.payloads())
+            .map(|p| p.literal().len())
+            .sum();
+        (allocs, bytes, literal as u64)
     };
-    let (full_allocs, full_bytes) =
-        measure(&|| run(Protocol::Rtmp, &broadcast, join_at, &config, &rngs));
-    let (allocs, bytes) = measure(&|| {
+    let (full_allocs, full_bytes, literal) =
+        measure(&|| run(protocol, &broadcast, join_at, &config, &rngs));
+    let (allocs, bytes, _) = measure(&|| {
         let mut trace = pscp_obs::Trace::disabled();
-        run_uncaptured(Protocol::Rtmp, &broadcast, join_at, &config, &rngs, &mut trace)
+        run_uncaptured(protocol, &broadcast, join_at, &config, &rngs, &mut trace)
     });
     assert!(alloc_count::installed());
-    // Measured: full 3,402 allocations / 7,542,848 bytes (the send arena
-    // and the capture arena, once each); uncaptured 3,397 / 1,764,950. Each
-    // pinned at + 10 %.
     let report = format!(
-        "full {full_allocs} allocations / {full_bytes} bytes, \
-         uncaptured {allocs} allocations / {bytes} bytes"
+        "{protocol:?}: full {full_allocs} allocations / {full_bytes} bytes ({literal} of them \
+         the capture's literal bytes), uncaptured {allocs} allocations / {bytes} bytes"
     );
-    assert!(full_allocs <= 3_742 && allocs <= 3_737, "{report}");
-    assert!(bytes <= 1_941_445, "{report}");
-    assert!(bytes * 3 <= full_bytes, "{report}");
+    assert!(full_allocs <= max_allocs.0 && allocs <= max_allocs.1, "{report}");
+    assert!(bytes <= max_bytes, "{report}");
+    // What a kept capture costs over an unread one is the capture itself —
+    // every literal byte allocated once, in its flow — plus 15 % for what
+    // describes how to write it. A session-sized intermediate (a send
+    // arena, a muxed segment `Vec`) would put the factor at 2.
+    assert!(full_bytes * 100 <= bytes * 100 + literal * 115, "{report}");
+}
+
+/// A whole default 60 s RTMP session, both ways. The allocation counts pin
+/// what is left per session (chat events, the send queue, the capture
+/// index). Measured: full 3,395 allocations / 4,620,831 bytes (2.9 MB of
+/// them the capture); uncaptured 3,389 / 1,588,814. Counts pinned at the
+/// parent's + 10 %, bytes at the parent's uncaptured 1,764,950 + 10 %.
+#[test]
+fn whole_session_allocations_are_pinned_in_both_modes() {
+    pin_whole_session(pscp_service::select::Protocol::Rtmp, (3_742, 3_737), 1_941_445);
+}
+
+/// The HLS twin: segments are descriptors, muxed into the capture when they
+/// are fetched, so a captured session holds no per-segment `Vec` and an
+/// uncaptured one no segment byte at all. Measured: full 4,149 allocations /
+/// 4,961,210 bytes; uncaptured 4,103 / 1,294,530. Each pinned at + 10 %.
+#[test]
+fn whole_hls_session_writes_a_fetched_segment_once() {
+    pin_whole_session(pscp_service::select::Protocol::Hls, (4_564, 4_513), 1_423_983);
 }

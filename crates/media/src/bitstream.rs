@@ -78,11 +78,14 @@ const PORTABLE_LANES: usize = 8;
 /// and 128 lanes measured slower, DESIGN.md §10).
 #[cfg(target_arch = "x86_64")]
 const AVX2_LANES: usize = 64;
-/// Shortest fill the AVX2 kernel is used for: below this, seeding 64 lanes
-/// one multiply after another costs more than the wide blocks save
-/// (measured per length: slower at 64 B, level at 128 B, 1.5× at 192 B).
+/// Shortest fill the AVX2 kernel is used for. Its 64 lanes are seeded from
+/// the jump table with eight vector multiplies, so only a fill shorter than
+/// two of the portable kernel's blocks is not worth them (measured per
+/// length, ns, portable | AVX2: 8 B 5.3 | 5.8, 12 B 6.0 | 5.9, 16 B 8.0 |
+/// 6.4, 64 B 24 | 11, 1,000 B 336 | 98; when the lanes were seeded by 64
+/// dependent multiplies the crossover was 192 B).
 #[cfg(target_arch = "x86_64")]
-const AVX2_MIN_BYTES: usize = 192;
+const AVX2_MIN_BYTES: usize = 16;
 
 /// `k` steps of the generator at once: `x_{n+k} = a·x_n + c` for the returned
 /// `(a, c)`. Composing `x ↦ A·x + C` onto `x ↦ a·x + c` gives
@@ -98,6 +101,20 @@ const fn lcg_jump(k: usize) -> (u32, u32) {
     (a, c)
 }
 
+/// Where each of `L` lanes starts: `(a[i], c[i]) = lcg_jump(i + 1)`, so
+/// lane `i` is seeded `a[i]·x + c[i]` — `L` independent multiplies (one
+/// vector multiply a register) where stepping the generator `L` times is a
+/// chain of dependent ones.
+const fn lane_seeds<const L: usize>() -> ([u32; L], [u32; L]) {
+    let (mut a, mut c) = ([0u32; L], [0u32; L]);
+    let mut i = 0;
+    while i < L {
+        (a[i], c[i]) = lcg_jump(i + 1);
+        i += 1;
+    }
+    (a, c)
+}
+
 /// The kernel body, generic in its width: writes the generator's next
 /// `out.len()` bytes after state `x` into `out`.
 ///
@@ -106,12 +123,12 @@ const fn lcg_jump(k: usize) -> (u32, u32) {
 /// `x_1, x_2, …` while no multiply waits for the previous byte's. Inlined
 /// into each instantiation so it is compiled for that one's target features.
 #[inline(always)]
-fn fill_lanes<const L: usize>(mut x: u32, out: &mut [u8]) {
+fn fill_lanes<const L: usize>(x: u32, out: &mut [u8]) {
     let (jump_a, jump_c) = const { lcg_jump(L) };
+    let (seed_a, seed_c) = const { lane_seeds::<L>() };
     let mut lanes = [0u32; L];
-    for lane in &mut lanes {
-        x = x.wrapping_mul(LCG_A).wrapping_add(LCG_C);
-        *lane = x;
+    for ((lane, a), c) in lanes.iter_mut().zip(&seed_a).zip(&seed_c) {
+        *lane = x.wrapping_mul(*a).wrapping_add(*c);
     }
     let mut blocks = out.chunks_exact_mut(L);
     for block in &mut blocks {

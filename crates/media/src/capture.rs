@@ -37,6 +37,12 @@
 //! [`Flow::record`] at the same point would have stored — for the packets
 //! they are asked about. Copies, tests and anything holding a reading
 //! already keep using [`Flow::record`]; both kinds mix freely in one flow.
+//!
+//! A session writes each literal byte here and nowhere else: it states a
+//! send's length, [`Flow::append_with`] hands the arena to whatever writes
+//! the bytes, and [`Flow::cut`]/[`Flow::cut_deferred`] then lay packets over
+//! them by length as the link delivers them — the same flow a `record` per
+//! packet would have built, without the copy out of an intermediate buffer.
 
 use pscp_simnet::rng::CounterRng;
 use pscp_simnet::{SimTime, WallClock};
@@ -237,19 +243,67 @@ impl Flow {
         self.push(at, Stamp::Deferred(position), payload.into());
     }
 
+    /// Appends `n` literal bytes, produced by `write`, that belong to no
+    /// packet yet: [`Flow::cut`]/[`Flow::cut_deferred`] lay packets over
+    /// them. Until every appended byte is cut the flow cannot be read, and
+    /// `record` cannot be mixed in.
+    pub fn append_with(&mut self, n: usize, write: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.data.len();
+        write(&mut self.data);
+        assert_eq!(self.data.len(), start + n, "writer produced another length than stated");
+    }
+
+    /// Cuts the next packet, stamped `wall_ts`, over the appended bytes: the
+    /// next `literal` of them followed by a run of `pad` × `fill`.
+    pub fn cut(&mut self, at: SimTime, wall_ts: f64, literal: usize, fill: u8, pad: usize) {
+        self.cut_packet(at, Stamp::Read(wall_ts), literal, fill, pad);
+    }
+
+    /// [`Flow::cut`] stamped like [`Flow::record_deferred`].
+    pub fn cut_deferred(
+        &mut self,
+        at: SimTime,
+        jitter: &mut CounterRng,
+        literal: usize,
+        fill: u8,
+        pad: usize,
+    ) {
+        let position = self.host_clock.defer(jitter);
+        self.cut_packet(at, Stamp::Deferred(position), literal, fill, pad);
+    }
+
     fn push(&mut self, at: SimTime, stamp: Stamp, payload: Payload<'_>) {
+        self.assert_all_cut();
+        self.data.extend_from_slice(payload.literal);
+        self.cut_packet(at, stamp, payload.literal.len(), payload.fill, payload.pad);
+    }
+
+    fn cut_packet(&mut self, at: SimTime, stamp: Stamp, literal: usize, fill: u8, pad: usize) {
         debug_assert!(
             self.meta.last().map(|p| p.at <= at).unwrap_or(true),
             "packets must be recorded in order"
         );
-        self.data.extend_from_slice(payload.literal);
+        let lit_end = self.cut_end() + literal;
+        assert!(lit_end <= self.data.len(), "packet cut past the appended bytes");
         self.meta.push(PacketMeta {
             at,
             stamp,
-            lit_end: self.data.len(),
-            wire_end: self.byte_count() + payload.len(),
-            fill: payload.fill,
+            lit_end,
+            wire_end: self.byte_count() + literal + pad,
+            fill,
         });
+    }
+
+    /// Arena offset up to which literal bytes belong to packets.
+    fn cut_end(&self) -> usize {
+        self.meta.last().map_or(0, |m| m.lit_end)
+    }
+
+    /// Where every reader of packets or of the stream starts (and
+    /// `record`): a flow is whole packets or it is not readable.
+    #[inline]
+    fn assert_all_cut(&self) {
+        assert_eq!(self.cut_end(), self.data.len(), "appended bytes not yet cut into packets");
     }
 
     /// The host's stamp on a packet, read now if it was deferred.
@@ -299,11 +353,13 @@ impl Flow {
     /// Iterates packets in arrival order as borrowed views, reading every
     /// stamp; a reader after bytes only wants [`Flow::payloads`].
     pub fn packets(&self) -> impl DoubleEndedIterator<Item = PacketView<'_>> + ExactSizeIterator {
+        self.assert_all_cut();
         (0..self.meta.len()).map(|i| self.packet(i))
     }
 
     /// Iterates the packets' payloads in arrival order; no stamp is read.
     pub fn payloads(&self) -> impl DoubleEndedIterator<Item = Payload<'_>> + ExactSizeIterator {
+        self.assert_all_cut();
         (0..self.meta.len()).map(|i| self.payload(i))
     }
 
@@ -312,6 +368,7 @@ impl Flow {
     /// are gone, the one that straddles its end keeps its tail, and every
     /// packet keeps its instant and its stamp (deferred ones stay unread).
     pub fn strip_prefix(&self, n: usize) -> Flow {
+        self.assert_all_cut();
         let mut out = Flow::on_host(self.kind, self.server.clone(), self.host_clock.clone());
         out.reserve(self.data.len(), self.meta.len());
         let mut wire_start = 0;
@@ -349,6 +406,7 @@ impl Flow {
     /// for a flow without runs, materialised (runs written out) otherwise —
     /// always `byte_count()` bytes long.
     pub fn byte_stream(&self) -> Cow<'_, [u8]> {
+        self.assert_all_cut();
         if self.byte_count() == self.data.len() {
             return Cow::Borrowed(&self.data);
         }

@@ -148,8 +148,7 @@ impl TsMuxer {
     /// PAT and PMT, then each unit's PES header and body split over
     /// 184-byte packet payloads. Lets a caller allocate a segment once.
     pub fn segment_len(unit_lens: impl IntoIterator<Item = usize>) -> usize {
-        let packets: usize =
-            unit_lens.into_iter().map(|n| (PES_HEADER_LEN + n).div_ceil(TS_PACKET - 4)).sum();
+        let packets: usize = unit_lens.into_iter().map(pes_packets).sum();
         (2 + packets) * TS_PACKET
     }
 
@@ -160,17 +159,49 @@ impl TsMuxer {
         units: impl IntoIterator<Item = TsUnitRef<'a>>,
         out: &mut Vec<u8>,
     ) {
+        self.begin_segment(out);
+        for unit in units {
+            self.write_unit(unit, out);
+        }
+    }
+
+    /// A muxer about to write the segment whose first packets carry these
+    /// continuity counters ([`TsMuxer::continuity`] of the muxer that cut
+    /// it), so a segment can be written alone, whenever someone fetches it.
+    pub fn resume(continuity: [u8; 4]) -> Self {
+        TsMuxer { continuity }
+    }
+
+    /// The counters the next packet of each PID (PAT, PMT, video, audio)
+    /// will carry.
+    pub fn continuity(&self) -> [u8; 4] {
+        self.continuity
+    }
+
+    /// Advances the counters past a segment of these `(video, length)`
+    /// units without writing it: what [`TsMuxer::mux_into`] leaves behind.
+    pub fn skip_segment(&mut self, units: impl IntoIterator<Item = (bool, usize)>) {
+        let mut packets = [1usize, 1, 0, 0];
+        for (video, len) in units {
+            packets[if video { 2 } else { 3 }] += pes_packets(len);
+        }
+        for (cc, n) in self.continuity.iter_mut().zip(packets) {
+            *cc = ((*cc as usize + n) & 0x0F) as u8;
+        }
+    }
+
+    /// Starts a segment: PAT, then PMT.
+    pub fn begin_segment(&mut self, out: &mut Vec<u8>) {
         self.write_psi(PID_PAT, pat_section(), out);
         self.write_psi(PID_PMT, pmt_section(), out);
-        for unit in units {
-            let (pid, stream_id) = if unit.video {
-                (PID_VIDEO, STREAM_ID_VIDEO)
-            } else {
-                (PID_AUDIO, STREAM_ID_AUDIO)
-            };
-            let header = pes_header(stream_id, unit.pts_ms, unit.data.len());
-            self.write_payload(pid, &header, unit.data, true, out);
-        }
+    }
+
+    /// Appends one access unit's PES packet to the segment.
+    pub fn write_unit(&mut self, unit: TsUnitRef<'_>, out: &mut Vec<u8>) {
+        let (pid, stream_id) =
+            if unit.video { (PID_VIDEO, STREAM_ID_VIDEO) } else { (PID_AUDIO, STREAM_ID_AUDIO) };
+        let header = pes_header(stream_id, unit.pts_ms, unit.data.len());
+        self.write_payload(pid, &header, unit.data, true, out);
     }
 
     fn next_cc(&mut self, pid: u16) -> u8 {
@@ -302,6 +333,12 @@ fn pmt_section() -> &'static [u8] {
 
 /// Length of the PES header [`pes_header`] writes.
 const PES_HEADER_LEN: usize = 14;
+
+/// Transport packets an access unit of `len` bytes takes: its PES header
+/// and body split over 184-byte packet payloads.
+fn pes_packets(len: usize) -> usize {
+    (PES_HEADER_LEN + len).div_ceil(TS_PACKET - 4)
+}
 
 /// PES packet header with a 5-byte PTS field, for a payload of `data_len`
 /// bytes.

@@ -2,7 +2,8 @@
 //! bytes + runs must answer every question exactly like a twin flow that
 //! was handed the same packets written out byte for byte — and a flow whose
 //! stamps were deferred exactly like one whose host clock was read packet by
-//! packet.
+//! packet — and a flow whose bytes were appended a send at a time and then
+//! cut into packets by length exactly like one recorded packet by packet.
 
 use pscp_check::{check, ensure, ensure_eq, Gen};
 use pscp_media::capture::{Capture, Flow, FlowKind, Payload};
@@ -264,4 +265,118 @@ fn strip_prefix_is_a_packet_by_packet_copy_past_the_prefix() {
             Ok(())
         },
     );
+}
+
+/// Append-then-cut against `record`/`record_deferred`: the literal bytes of
+/// a group of packets written in one go, the packets then cut over them by
+/// length, with runs, with eager and deferred stamps, and with groups that
+/// are recorded the copying way mixed in.
+#[test]
+fn append_then_cut_reads_exactly_like_record() {
+    check(
+        "append_then_cut_reads_exactly_like_record",
+        |g: &mut Gen| {
+            let pkts = arb_packets(g);
+            // Per packet: stamp read on the spot?, first of a new group?;
+            // per group (indexed by its first packet): appended, or
+            // recorded the copying way?
+            let marks: Vec<(bool, bool, bool)> =
+                pkts.iter().map(|_| (g.choice(4) == 0, g.choice(3) == 0, g.bool())).collect();
+            (arb_host(g), pkts, marks, g.usize(0..6000))
+        },
+        |((clock, seed), pkts, marks, prefix)| {
+            let mut flows = [(); 2].map(|_| Flow::on_host(FlowKind::Rtmp, "ec2", clock.clone()));
+            let mut jitter = [CounterRng::new(*seed); 2];
+            let [recorded, cut] = &mut flows;
+            let (mut t, mut i) = (0, 0);
+            while i < pkts.len() {
+                let group = 1 + marks[i + 1..].iter().take_while(|m| !m.1).count();
+                let (group, marks) = (&pkts[i..i + group], &marks[i..i + group]);
+                let append = marks[0].2;
+                if append {
+                    let literal: Vec<u8> = group.iter().flat_map(|p| p.literal.clone()).collect();
+                    cut.append_with(literal.len(), |out| out.extend_from_slice(&literal));
+                }
+                for (p, &(read_now, _, _)) in group.iter().zip(marks) {
+                    t += p.gap_us;
+                    let at = SimTime::from_micros(t);
+                    let payload = Payload::run(&p.literal, p.fill, p.pad);
+                    if read_now {
+                        recorded.record(at, clock.read(at, &mut jitter[0]), payload);
+                        let wall = clock.read(at, &mut jitter[1]);
+                        match append {
+                            true => cut.cut(at, wall, p.literal.len(), p.fill, p.pad),
+                            false => cut.record(at, wall, payload),
+                        }
+                    } else {
+                        recorded.record_deferred(at, &mut jitter[0], payload);
+                        match append {
+                            true => {
+                                cut.cut_deferred(at, &mut jitter[1], p.literal.len(), p.fill, p.pad)
+                            }
+                            false => cut.record_deferred(at, &mut jitter[1], payload),
+                        }
+                    }
+                }
+                i += group.len();
+            }
+            ensure_eq!(jitter[1], jitter[0]);
+            let [recorded, cut] = &flows;
+            ensure_eq!(observed(cut), observed(recorded));
+            ensure_eq!(cut.packet_count(), recorded.packet_count());
+            ensure_eq!(cut.byte_count(), recorded.byte_count());
+            ensure!(cut.payloads().eq(recorded.payloads()));
+            ensure_eq!(cut.byte_stream(), recorded.byte_stream());
+            ensure_eq!(
+                observed(&cut.strip_prefix(*prefix)),
+                observed(&recorded.strip_prefix(*prefix))
+            );
+            let mut offsets = vec![0, cut.byte_count(), cut.byte_count() + 1];
+            offsets.extend(recorded.payloads().scan(0, |edge, p| {
+                *edge += p.len();
+                Some(*edge)
+            }));
+            for off in offsets.iter().flat_map(|&o| [o.saturating_sub(1), o]) {
+                ensure_eq!(
+                    cut.wall_ts_at_byte(off).map(f64::to_bits),
+                    recorded.wall_ts_at_byte(off).map(f64::to_bits)
+                );
+                ensure_eq!(cut.sim_time_at_byte(off), recorded.sim_time_at_byte(off));
+            }
+            ensure_eq!(cut.mean_rate_bps().to_bits(), recorded.mean_rate_bps().to_bits());
+            Ok(())
+        },
+    );
+}
+
+/// A flow with five bytes appended and the first three cut into a packet.
+fn half_cut_flow() -> Flow {
+    let mut flow = Flow::new(FlowKind::Rtmp, "ec2");
+    flow.append_with(5, |out| out.extend_from_slice(b"abcde"));
+    flow.cut(SimTime::from_secs(1), 1.0, 3, 0, 0);
+    flow
+}
+
+#[test]
+#[should_panic(expected = "appended bytes not yet cut into packets")]
+fn reading_a_flow_with_uncut_bytes_panics() {
+    half_cut_flow().byte_stream();
+}
+
+#[test]
+#[should_panic(expected = "appended bytes not yet cut into packets")]
+fn recording_over_uncut_bytes_panics() {
+    half_cut_flow().record(SimTime::from_secs(2), 2.0, b"f");
+}
+
+#[test]
+#[should_panic(expected = "packet cut past the appended bytes")]
+fn cutting_past_the_appended_bytes_panics() {
+    half_cut_flow().cut(SimTime::from_secs(2), 2.0, 3, 0, 0);
+}
+
+#[test]
+#[should_panic(expected = "writer produced another length than stated")]
+fn a_writer_that_misstates_its_length_panics() {
+    Flow::new(FlowKind::Rtmp, "ec2").append_with(3, |out| out.extend_from_slice(b"four"));
 }

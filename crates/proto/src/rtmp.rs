@@ -336,8 +336,8 @@ impl Chunker {
             header,
             header_len: n as u8,
             chunk_stream_id,
-            chunk_size: self.chunk_size,
-            payload_len: len,
+            chunk_size: self.chunk_size as u32,
+            payload_len: len as u32,
         }
     }
 
@@ -356,14 +356,16 @@ impl Chunker {
 const MAX_HEADER: usize = 1 + 11 + 4;
 
 /// The chunk framing [`Chunker::frame`] decided for one message: its header
-/// bytes and where the fmt3 continuation headers fall.
+/// bytes and where the fmt3 continuation headers fall. Kept small (a
+/// message length is 24 bits on the wire, a chunk size 31): a session holds
+/// one per queued media message until the message is transmitted.
 #[derive(Debug, Clone, Copy)]
 pub struct Framing {
     header: [u8; MAX_HEADER],
     header_len: u8,
     chunk_stream_id: u8,
-    chunk_size: usize,
-    payload_len: usize,
+    chunk_size: u32,
+    payload_len: u32,
 }
 
 impl Framing {
@@ -371,17 +373,21 @@ impl Framing {
     /// continuation header per chunk after the first.
     pub fn wire_len(&self) -> usize {
         let continuations = self.payload_len.saturating_sub(1) / self.chunk_size;
-        self.header_len as usize + self.payload_len + continuations
+        self.header_len as usize + (self.payload_len + continuations) as usize
     }
 
     /// Appends the chunked message to `out`. `payload` is the body the
     /// framing was decided for.
     pub fn write(&self, payload: &[u8], out: &mut Vec<u8>) {
-        assert_eq!(payload.len(), self.payload_len, "framing was decided for another length");
+        assert_eq!(
+            payload.len(),
+            self.payload_len as usize,
+            "framing was decided for another length"
+        );
         out.reserve(self.wire_len());
         out.extend_from_slice(&self.header[..self.header_len as usize]);
         // Payload, split at chunk_size with fmt3 continuation headers.
-        let mut chunks = payload.chunks(self.chunk_size);
+        let mut chunks = payload.chunks(self.chunk_size as usize);
         out.extend_from_slice(chunks.next().unwrap_or(&[]));
         for chunk in chunks {
             out.push((3 << 6) | self.chunk_stream_id);

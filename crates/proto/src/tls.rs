@@ -37,9 +37,23 @@ impl TlsChannel {
         TlsChannel { key, seq: 0 }
     }
 
+    /// The sending side of the channel keyed `key` as it stands after `seq`
+    /// records: what seals a message whose place in the record sequence is
+    /// known ([`records`] per earlier message) before the earlier ones are.
+    pub fn resume(key: u64, seq: u64) -> Self {
+        TlsChannel { key, seq }
+    }
+
     /// Encrypts and frames `plaintext` into one or more records.
     pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(plaintext.len() + 64);
+        self.seal_into(plaintext, &mut out);
+        out
+    }
+
+    /// [`TlsChannel::seal`] appending to a caller's buffer:
+    /// [`sealed_len`]`(plaintext.len())` bytes.
+    pub fn seal_into(&mut self, plaintext: &[u8], out: &mut Vec<u8>) {
         for fragment in plaintext.chunks(MAX_FRAGMENT).chain(
             // An empty message still produces one (empty) record.
             std::iter::once(&[][..]).take(usize::from(plaintext.is_empty())),
@@ -58,7 +72,6 @@ impl TlsChannel {
             out.extend_from_slice(&tag.to_be_bytes()); // 16-byte tag total
             self.seq += 1;
         }
-        out
     }
 
     /// Parses and decrypts one record from the front of `bytes`; returns
@@ -105,13 +118,15 @@ impl TlsChannel {
     }
 }
 
+/// Records one sealed message of `plaintext_len` bytes takes (an empty
+/// one still takes a record).
+pub fn records(plaintext_len: usize) -> usize {
+    plaintext_len.div_ceil(MAX_FRAGMENT).max(1)
+}
+
 /// Wire size of `plaintext_len` bytes after record framing.
 pub fn sealed_len(plaintext_len: usize) -> usize {
-    if plaintext_len == 0 {
-        return 5 + RECORD_OVERHEAD;
-    }
-    let records = plaintext_len.div_ceil(MAX_FRAGMENT);
-    plaintext_len + records * (5 + RECORD_OVERHEAD)
+    plaintext_len + records(plaintext_len) * (5 + RECORD_OVERHEAD)
 }
 
 /// SplitMix-based keystream (a *model* of a stream cipher: deterministic,

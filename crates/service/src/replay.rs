@@ -86,9 +86,9 @@ impl ReplayVod {
         pl
     }
 
-    /// Looks up a segment body by URI.
+    /// Looks up a segment by URI.
     pub fn segment_by_uri(&self, uri: &str) -> Option<&Segment> {
-        self.segments.iter().find(|s| s.uri() == uri)
+        self.segments.get(usize::try_from(Segment::seq_of_uri(uri)?).ok()?)
     }
 }
 
@@ -129,6 +129,12 @@ mod tests {
         }
     }
 
+    fn bytes(segment: &Segment) -> Vec<u8> {
+        let mut out = Vec::new();
+        segment.write_into(&mut out);
+        out
+    }
+
     #[test]
     fn unflagged_or_private_has_no_replay() {
         let rngs = RngFactory::new(1);
@@ -166,7 +172,7 @@ mod tests {
         // Each advertised URI resolves to a demuxable segment.
         for entry in &parsed.segments {
             let seg = vod.segment_by_uri(&entry.uri).unwrap();
-            assert!(!pscp_media::ts::demux_segment(&seg.bytes).unwrap().is_empty());
+            assert!(!pscp_media::ts::demux_segment(&bytes(seg)).unwrap().is_empty());
         }
     }
 
@@ -177,7 +183,7 @@ mod tests {
         let b = ReplayVod::build(&broadcast(true, false), 30.0, &rngs).unwrap();
         assert_eq!(a.segments.len(), b.segments.len());
         for (x, y) in a.segments.iter().zip(&b.segments) {
-            assert_eq!(x.bytes, y.bytes);
+            assert_eq!(bytes(x), bytes(y));
         }
     }
 }

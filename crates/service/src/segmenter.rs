@@ -15,30 +15,103 @@ use pscp_media::ts::{TsMuxer, TsUnitRef};
 use pscp_proto::hls::{MediaPlaylist, SegmentEntry};
 use pscp_simnet::{SimDuration, SimTime};
 
-/// A finished segment ready for CDN delivery.
+/// `EXT-X-TARGETDURATION` of every playlist: segments run 3–6 s.
+const TARGET_DURATION_S: u32 = 6;
+/// The byte the opaque model audio body is filled with.
+const AUDIO_FILL: u8 = 0xAA;
+
+/// What writes one access unit's bytes.
+#[derive(Debug, Clone)]
+enum Body {
+    /// A coded frame still a descriptor: [`FramePayload::encode_into`].
+    Frame(FramePayload),
+    /// `n` bytes of [`AUDIO_FILL`].
+    AudioFill(usize),
+    /// Bytes the caller handed over.
+    Bytes(Vec<u8>),
+}
+
+impl Body {
+    fn len(&self) -> usize {
+        match self {
+            Body::Frame(frame) => frame.size,
+            Body::AudioFill(n) => *n,
+            Body::Bytes(bytes) => bytes.len(),
+        }
+    }
+}
+
+/// One access unit of a segment, as a descriptor.
+#[derive(Debug, Clone)]
+struct Unit {
+    video: bool,
+    pts_ms: u32,
+    body: Body,
+}
+
+/// A finished segment ready for CDN delivery: what it holds and how long it
+/// is, not its bytes — those are produced by [`Segment::write_into`] when
+/// someone fetches it, so a segment nobody fetches costs no byte.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// Media sequence number.
     pub seq: u64,
-    /// Complete MPEG-TS bytes (empty from a [`Segmenter::lengths_only`]
-    /// segmenter).
-    pub bytes: Vec<u8>,
     /// Size of the complete MPEG-TS segment in bytes.
     pub len: usize,
     /// Media duration in seconds.
     pub duration_s: f64,
     /// PTS of the segment's last video frame in presentation order (what
-    /// demuxing `bytes` would report last); `None` for an audio-only tail.
+    /// demuxing the segment would report last); `None` for an audio-only
+    /// tail.
     pub last_video_pts_ms: Option<u32>,
     /// Instant the segment became fetchable from the CDN (last frame's
     /// arrival + packaging delay).
     pub available_at: SimTime,
+    units: Vec<Unit>,
+    /// The continuity counters its first packets carry: the stream's, after
+    /// every earlier segment.
+    continuity: [u8; 4],
 }
 
 impl Segment {
     /// Segment URI in playlists.
     pub fn uri(&self) -> String {
         format!("seg_{}.ts", self.seq)
+    }
+
+    /// The sequence number a [`Segment::uri`] names.
+    pub(crate) fn seq_of_uri(uri: &str) -> Option<u64> {
+        uri.strip_prefix("seg_")?.strip_suffix(".ts")?.parse().ok()
+    }
+
+    /// Appends the segment's `len` MPEG-TS bytes to `out` — the bytes one
+    /// muxer writing the whole stream in order puts here, whichever
+    /// segments are written, and in whatever order. Each unit's body passes
+    /// through a scratch the size of the largest.
+    pub fn write_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.reserve(self.len);
+        let mut muxer = TsMuxer::resume(self.continuity);
+        muxer.begin_segment(out);
+        let largest = self.units.iter().map(|u| u.body.len()).max().unwrap_or(0);
+        let mut scratch = Vec::with_capacity(largest);
+        for unit in &self.units {
+            let data = match &unit.body {
+                Body::Bytes(bytes) => bytes.as_slice(),
+                Body::Frame(frame) => {
+                    scratch.clear();
+                    frame.encode_into(&mut scratch);
+                    scratch.as_slice()
+                }
+                Body::AudioFill(n) => {
+                    scratch.clear();
+                    scratch.resize(*n, AUDIO_FILL);
+                    scratch.as_slice()
+                }
+            };
+            muxer.write_unit(TsUnitRef { video: unit.video, pts_ms: unit.pts_ms, data }, out);
+        }
+        debug_assert_eq!(out.len() - start, self.len);
     }
 }
 
@@ -64,31 +137,17 @@ impl Default for SegmenterConfig {
     }
 }
 
-/// One access unit of the in-progress segment: `len` bytes, the next ones
-/// in the arena when bytes are kept.
-#[derive(Debug, Clone, Copy)]
-struct PendingUnit {
-    video: bool,
-    pts_ms: u32,
-    len: usize,
-}
-
 /// Streaming segmenter: feed frames as they reach the ingest server, pop
 /// finished segments.
 #[derive(Debug)]
 pub struct Segmenter {
     config: SegmenterConfig,
+    /// Never writes a byte: it keeps the continuity counters of the stream
+    /// so far, which each segment starts from.
     muxer: TsMuxer,
-    playlist: MediaPlaylist,
-    /// Whether segments carry their bytes, or only their length.
-    keep_bytes: bool,
-    /// Access-unit bytes of the in-progress segment, back to back. Cleared
-    /// (capacity kept) at every cut, so a frame body is written here once
-    /// and read once, by the muxer. Stays empty when only lengths are kept.
-    arena: Vec<u8>,
-    pending: Vec<PendingUnit>,
+    ended: bool,
+    pending: Vec<Unit>,
     pending_first_pts: Option<u32>,
-    next_seq: u64,
     finished: Vec<Segment>,
     /// Running estimate of frame duration, for the tail frame's share.
     last_pts_delta_ms: f64,
@@ -101,23 +160,12 @@ impl Segmenter {
         Segmenter {
             config,
             muxer: TsMuxer::new(),
-            playlist: MediaPlaylist::new(6),
-            keep_bytes: true,
-            arena: Vec::new(),
+            ended: false,
             pending: Vec::new(),
             pending_first_pts: None,
-            next_seq: 0,
             finished: Vec::new(),
             last_pts_delta_ms: 33.3,
         }
-    }
-
-    /// A segmenter for a caller that will never read segment bytes: units
-    /// are accounted by length, nothing is written or muxed, and every
-    /// [`Segment`] has empty `bytes` and the `len`, timing and playlist the
-    /// byte path gives it.
-    pub fn lengths_only(config: SegmenterConfig) -> Self {
-        Segmenter { keep_bytes: false, ..Segmenter::new(config) }
     }
 
     /// Feeds one video frame arriving at the packager at `arrival`.
@@ -127,38 +175,28 @@ impl Segmenter {
     /// requires independently decodable segments) regardless of the GOP
     /// pattern, including intra-only streams where *every* frame is an I.
     pub fn push_frame(&mut self, frame: &EncodedFrame, arrival: SimTime) {
-        self.video(frame.kind, frame.pts_ms, arrival, frame.bytes.len(), |arena| {
-            arena.extend_from_slice(&frame.bytes)
-        });
+        self.video(frame.kind, frame.pts_ms, arrival, Body::Bytes(frame.bytes.clone()));
     }
 
-    /// [`Segmenter::push_frame`] for a frame that is still a descriptor: its
-    /// body is generated straight into the segment arena.
+    /// [`Segmenter::push_frame`] for a frame that is still a descriptor: it
+    /// stays one, and its body is generated when its segment is written.
     pub fn push_payload(&mut self, frame: FramePayload, arrival: SimTime) {
-        self.video(frame.kind, frame.pts_ms, arrival, frame.size, |arena| frame.encode_into(arena));
+        self.video(frame.kind, frame.pts_ms, arrival, Body::Frame(frame));
     }
 
     /// Feeds an audio frame.
     pub fn push_audio(&mut self, pts_ms: u32, data: Vec<u8>) {
-        self.append(false, pts_ms, data.len(), |arena| arena.extend_from_slice(&data));
+        self.pending.push(Unit { video: false, pts_ms, body: Body::Bytes(data) });
     }
 
     /// [`Segmenter::push_audio`] for the opaque model audio body: `n` bytes
-    /// of `0xAA`, written in place.
+    /// of `0xAA`, written with the segment.
     pub fn push_audio_fill(&mut self, pts_ms: u32, n: usize) {
-        self.append(false, pts_ms, n, |arena| arena.resize(arena.len() + n, 0xAA));
+        self.pending.push(Unit { video: false, pts_ms, body: Body::AudioFill(n) });
     }
 
-    /// The cut rule, then the append, for a video frame whose `len`-byte
-    /// body `write` produces.
-    fn video(
-        &mut self,
-        kind: FrameKind,
-        pts_ms: u32,
-        arrival: SimTime,
-        len: usize,
-        write: impl FnOnce(&mut Vec<u8>),
-    ) {
+    /// The cut rule, then the append, for a video frame.
+    fn video(&mut self, kind: FrameKind, pts_ms: u32, arrival: SimTime, body: Body) {
         let pending_ms =
             self.pending_first_pts.map(|first| pts_ms.saturating_sub(first)).unwrap_or(0);
         if kind == FrameKind::I && pending_ms as f64 >= self.config.min_segment_s * 1000.0 {
@@ -172,19 +210,7 @@ impl Segmenter {
         } else {
             self.pending_first_pts = Some(pts_ms);
         }
-        self.append(true, pts_ms, len, write);
-    }
-
-    /// The one place a unit joins the in-progress segment: its `len` bytes
-    /// are written by `write` if segments keep their bytes, and only
-    /// counted otherwise.
-    fn append(&mut self, video: bool, pts_ms: u32, len: usize, write: impl FnOnce(&mut Vec<u8>)) {
-        if self.keep_bytes {
-            let start = self.arena.len();
-            write(&mut self.arena);
-            debug_assert_eq!(self.arena.len() - start, len, "unit length mis-stated");
-        }
-        self.pending.push(PendingUnit { video, pts_ms, len });
+        self.pending.push(Unit { video: true, pts_ms, body });
     }
 
     /// Flushes the in-progress segment (end of broadcast).
@@ -192,7 +218,7 @@ impl Segmenter {
         if !self.pending.is_empty() {
             self.cut(now);
         }
-        self.playlist.ended = true;
+        self.ended = true;
     }
 
     fn cut(&mut self, arrival: SimTime) {
@@ -212,33 +238,20 @@ impl Segmenter {
         let tail_ms =
             if n_video >= 2 { span_ms / (n_video - 1) as f64 } else { self.last_pts_delta_ms };
         let duration_s = (span_ms + tail_ms) / 1000.0;
-        let len = TsMuxer::segment_len(self.pending.iter().map(|u| u.len));
-        let mut bytes = Vec::new();
-        if self.keep_bytes {
-            // Allocated once, exactly.
-            bytes = Vec::with_capacity(len);
-            let mut rest = self.arena.as_slice();
-            self.muxer.mux_into(
-                self.pending.iter().map(|u| {
-                    let (data, tail) = rest.split_at(u.len);
-                    rest = tail;
-                    TsUnitRef { video: u.video, pts_ms: u.pts_ms, data }
-                }),
-                &mut bytes,
-            );
-            debug_assert_eq!(bytes.len(), len);
-            self.arena.clear();
-        }
-        self.pending.clear();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let available_at = arrival + self.config.packaging_delay;
-        let segment = Segment { seq, bytes, len, duration_s, last_video_pts_ms, available_at };
-        self.playlist.push_segment(
-            SegmentEntry { duration_s, uri: segment.uri() },
-            self.config.playlist_window,
-        );
-        self.finished.push(segment);
+        // The next segment is about as many units long as this one.
+        let next = Vec::with_capacity(self.pending.len());
+        let units = std::mem::replace(&mut self.pending, next);
+        let continuity = self.muxer.continuity();
+        self.muxer.skip_segment(units.iter().map(|u| (u.video, u.body.len())));
+        self.finished.push(Segment {
+            seq: self.finished.len() as u64,
+            len: TsMuxer::segment_len(units.iter().map(|u| u.body.len())),
+            duration_s,
+            last_video_pts_ms,
+            available_at: arrival + self.config.packaging_delay,
+            units,
+            continuity,
+        });
     }
 
     /// Segments finished so far.
@@ -247,27 +260,29 @@ impl Segmenter {
     }
 
     /// Playlist as visible at `now` — only advertising segments already
-    /// available on the CDN.
+    /// available on the CDN, the last `playlist_window` of them.
     pub fn playlist_at(&self, now: SimTime) -> MediaPlaylist {
-        let mut pl = MediaPlaylist::new(self.playlist.target_duration_s);
-        pl.ended = self.playlist.ended;
-        for seg in &self.finished {
-            if seg.available_at <= now {
-                pl.push_segment(
-                    SegmentEntry { duration_s: seg.duration_s, uri: seg.uri() },
-                    self.config.playlist_window,
-                );
-            }
-        }
-        // Fix up the sequence base: entries slid out of the window shift it.
-        let available = self.finished.iter().filter(|s| s.available_at <= now).count();
-        pl.media_sequence = available.saturating_sub(self.config.playlist_window) as u64;
+        let available = || self.finished.iter().filter(|s| s.available_at <= now);
+        // Segments slid out of the window shift the sequence base.
+        let slid = available().count().saturating_sub(self.config.playlist_window);
+        let mut pl = MediaPlaylist::new(TARGET_DURATION_S);
+        pl.ended = self.ended;
+        pl.media_sequence = slid as u64;
+        pl.segments = available()
+            .skip(slid)
+            .map(|seg| SegmentEntry { duration_s: seg.duration_s, uri: seg.uri() })
+            .collect();
         pl
     }
 
-    /// Fetches a segment body by URI, if available at `now`.
+    /// The segment numbered `seq`, if available at `now`.
+    pub fn segment(&self, seq: u64, now: SimTime) -> Option<&Segment> {
+        self.finished.get(usize::try_from(seq).ok()?).filter(|s| s.available_at <= now)
+    }
+
+    /// Fetches a segment by URI, if available at `now`.
     pub fn segment_by_uri(&self, uri: &str, now: SimTime) -> Option<&Segment> {
-        self.finished.iter().find(|s| s.uri() == uri && s.available_at <= now)
+        self.segment(Segment::seq_of_uri(uri)?, now)
     }
 }
 
@@ -278,6 +293,13 @@ mod tests {
     use pscp_media::encoder::{Encoder, EncoderConfig};
     use pscp_media::ts::TsUnit;
     use pscp_simnet::RngFactory;
+
+    fn bytes(segment: &Segment) -> Vec<u8> {
+        let mut out = Vec::new();
+        segment.write_into(&mut out);
+        assert_eq!(out.len(), segment.len);
+        out
+    }
 
     fn feed_seconds(seg: &mut Segmenter, secs: usize, seed: u64) {
         let f = RngFactory::new(seed);
@@ -308,7 +330,7 @@ mod tests {
         let mut seg = Segmenter::new(SegmenterConfig::default());
         feed_seconds(&mut seg, 10, 2);
         for s in seg.segments() {
-            let frames = pscp_media::ts::segment_video_frames(&s.bytes).unwrap();
+            let frames = pscp_media::ts::segment_video_frames(&bytes(s)).unwrap();
             assert!(!frames.is_empty());
             // Segments start on an I frame.
             assert_eq!(frames[0].kind, pscp_media::bitstream::FrameKind::I);
@@ -371,7 +393,7 @@ mod tests {
         }
         seg.finish(SimTime::from_secs(10));
         let s = &seg.segments()[0];
-        let units = pscp_media::ts::demux_segment(&s.bytes).unwrap();
+        let units = pscp_media::ts::demux_segment(&bytes(s)).unwrap();
         assert!(units.iter().any(|u| matches!(u, TsUnit::Audio { .. })));
         assert!(units.iter().any(|u| matches!(u, TsUnit::Video { .. })));
     }

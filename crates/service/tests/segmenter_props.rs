@@ -1,19 +1,23 @@
-//! The segmenter's arena path against muxing owned units, and the recorded
+//! Segments as descriptors against muxing owned units, the playlist window
+//! against the construction it replaced, and the recorded
 //! `last_video_pts_ms` against demuxing the segment.
 //!
-//! `Segmenter` keeps the in-progress segment's access units in one arena
-//! and muxes them from there (DESIGN.md §10). Whatever the feed — owned
-//! frames through `push_frame`/`push_audio`, or descriptors through
-//! `push_payload`/`push_audio_fill` — every segment must be byte for byte
-//! what `TsMuxer::mux_segment` produces from the same units cut by the
-//! same rule.
+//! A `Segment` holds what it consists of and the continuity counters it
+//! starts from, and its bytes are produced by `Segment::write_into` when
+//! someone fetches it (DESIGN.md §10). Whatever the feed — owned frames
+//! through `push_frame`/`push_audio`, or descriptors through
+//! `push_payload`/`push_audio_fill` — and whichever segments are written,
+//! in whatever order, every one must be byte for byte what one
+//! `TsMuxer::mux_into` per segment, over the whole stream in order,
+//! produces from the same units cut by the same rule.
 
 use pscp_check::{check, ensure, Gen};
 use pscp_media::bitstream::{FrameKind, FramePayload};
 use pscp_media::content::{ContentClass, ContentProcess};
 use pscp_media::encoder::{EncodedFrame, Encoder, EncoderConfig, GopPattern};
-use pscp_media::ts::{segment_video_frames, TsMuxer, TsUnit};
-use pscp_service::segmenter::{Segmenter, SegmenterConfig};
+use pscp_media::ts::{segment_video_frames, TsDemuxer, TsMuxer, TsUnit};
+use pscp_proto::hls::{MediaPlaylist, SegmentEntry};
+use pscp_service::segmenter::{Segment, Segmenter, SegmenterConfig};
 use pscp_simnet::{RngFactory, SimTime};
 
 const GOPS: [GopPattern; 3] = [GopPattern::Ibp, GopPattern::IpOnly, GopPattern::IOnly];
@@ -72,7 +76,21 @@ fn reference_segments(feed: &[Tick]) -> Vec<Vec<u8>> {
         }
     }
     let mut muxer = TsMuxer::new();
-    cuts.iter().filter(|units| !units.is_empty()).map(|units| muxer.mux_segment(units)).collect()
+    cuts.iter()
+        .filter(|units| !units.is_empty())
+        .map(|units| {
+            let mut out = Vec::new();
+            muxer.mux_into(units.iter().map(TsUnit::as_ref), &mut out);
+            out
+        })
+        .collect()
+}
+
+fn bytes(segment: &Segment) -> Vec<u8> {
+    let mut out = vec![0x5A; 3];
+    segment.write_into(&mut out);
+    assert_eq!(out.len() - 3, segment.len, "seq {}: len is not the byte count", segment.seq);
+    out.split_off(3)
 }
 
 fn through_wrappers(feed: &[Tick]) -> Segmenter {
@@ -92,10 +110,7 @@ fn through_wrappers(feed: &[Tick]) -> Segmenter {
 }
 
 fn through_direct_pushes(feed: &[Tick]) -> Segmenter {
-    direct_pushes_into(Segmenter::new(SegmenterConfig::default()), feed)
-}
-
-fn direct_pushes_into(mut seg: Segmenter, feed: &[Tick]) -> Segmenter {
+    let mut seg = Segmenter::new(SegmenterConfig::default());
     for tick in feed {
         if let Some(f) = &tick.frame {
             seg.push_payload(f.clone(), tick.arrival);
@@ -108,34 +123,54 @@ fn direct_pushes_into(mut seg: Segmenter, feed: &[Tick]) -> Segmenter {
     seg
 }
 
+fn feed_params(g: &mut Gen) -> (u64, usize, f64, usize, usize) {
+    let drop_prob = if g.bool() { 0.0 } else { g.f64(0.0..0.3) };
+    (g.u64(..), g.choice(3), drop_prob, g.usize(1..400), g.usize(1..5))
+}
+
+/// Every segment written alone — an arbitrary subset of them, in an
+/// arbitrary order — is the segment one muxer writing the whole stream in
+/// order produces, and demuxes on its own.
 #[test]
-fn arena_segments_equal_muxing_owned_units() {
+fn segments_written_alone_in_any_order_equal_muxing_the_whole_stream() {
     check(
-        "arena_segments_equal_muxing_owned_units",
-        |g: &mut Gen| {
-            let drop_prob = if g.bool() { 0.0 } else { g.f64(0.0..0.3) };
-            (g.u64(..), g.choice(3), drop_prob, g.usize(1..400), g.usize(1..5))
-        },
-        |&(seed, gop, drop_prob, n_frames, audio_every)| {
+        "segments_written_alone_in_any_order_equal_muxing_the_whole_stream",
+        |g: &mut Gen| (feed_params(g), g.u64(..)),
+        |&((seed, gop, drop_prob, n_frames, audio_every), fetch_seed)| {
             let feed = feed(seed, GOPS[gop], drop_prob, n_frames, audio_every);
             let want = reference_segments(&feed);
             for (path, seg) in
                 [("wrappers", through_wrappers(&feed)), ("direct", through_direct_pushes(&feed))]
             {
-                let got: Vec<&[u8]> = seg.segments().iter().map(|s| s.bytes.as_slice()).collect();
+                let segments = seg.segments();
                 ensure!(
-                    got.len() == want.len(),
+                    segments.len() == want.len(),
                     "{path}: {} segments, not {}",
-                    got.len(),
+                    segments.len(),
                     want.len()
                 );
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    ensure!(*g == w.as_slice(), "{path}: segment {i} differs from mux_segment");
-                    // Sized exactly: the one allocation is never grown.
-                    ensure!(
-                        seg.segments()[i].bytes.capacity() == w.len(),
-                        "{path}: segment {i} over- or under-allocated"
-                    );
+                // A fetch order: a shuffle of the sequence numbers, about a
+                // third of them skipped.
+                let mut rng = RngFactory::new(fetch_seed).stream("fetch-order");
+                let mut order: Vec<(u64, usize)> = (0..segments.len())
+                    .map(|i| (pscp_simnet::rng::Rng::next_u64(&mut rng), i))
+                    .filter(|(key, _)| key % 3 != 0)
+                    .collect();
+                order.sort_unstable();
+                let mut demuxer = TsDemuxer::new();
+                for &(_, i) in &order {
+                    let got = bytes(&segments[i]);
+                    ensure!(got == want[i], "{path}: segment {i} differs from mux_into");
+                    demuxer.reset();
+                    let demuxed = demuxer.push(&got).and_then(|()| demuxer.finish());
+                    ensure!(demuxed.is_ok(), "{path}: segment {i} alone: {demuxed:?}");
+                }
+                // Fetched back to back, none skipped, the counters run on
+                // from segment to segment: one demuxer takes them all.
+                demuxer.reset();
+                for (i, s) in segments.iter().enumerate() {
+                    let pushed = demuxer.push(&bytes(s));
+                    ensure!(pushed.is_ok(), "{path}: continuity breaks entering {i}: {pushed:?}");
                 }
             }
             Ok(())
@@ -143,52 +178,57 @@ fn arena_segments_equal_muxing_owned_units() {
     );
 }
 
-/// A lengths-only segmenter cuts the same segments as the byte path — same
-/// sequence numbers, durations, availability, last video PTS and playlist —
-/// and states for each the length the byte path's segment has, without
-/// holding a byte of it.
+/// The playlist and the lookups against what they replaced: a playlist that
+/// pushed an entry for every available segment and slid the window along,
+/// and a search that formatted every candidate's URI.
 #[test]
-fn lengths_only_segments_are_the_byte_path_minus_the_bytes() {
+fn playlist_window_and_lookups_equal_the_push_and_slide_construction() {
     check(
-        "lengths_only_segments_are_the_byte_path_minus_the_bytes",
-        |g: &mut Gen| {
-            let drop_prob = if g.bool() { 0.0 } else { g.f64(0.0..0.3) };
-            (g.u64(..), g.choice(3), drop_prob, g.usize(1..400), g.usize(1..5))
-        },
-        |&(seed, gop, drop_prob, n_frames, audio_every)| {
-            let feed = feed(seed, GOPS[gop], drop_prob, n_frames, audio_every);
-            let full = through_direct_pushes(&feed);
-            let sized =
-                direct_pushes_into(Segmenter::lengths_only(SegmenterConfig::default()), &feed);
-            ensure!(
-                full.segments().len() == sized.segments().len(),
-                "{} segments, not {}",
-                sized.segments().len(),
-                full.segments().len()
-            );
-            for (f, s) in full.segments().iter().zip(sized.segments()) {
-                ensure!(f.len == f.bytes.len(), "seq {}: len is not the byte count", f.seq);
-                ensure!(s.bytes.is_empty(), "seq {}: a lengths-only segment holds bytes", s.seq);
+        "playlist_window_and_lookups_equal_the_push_and_slide_construction",
+        |g: &mut Gen| (feed_params(g), g.usize(1..9), g.u64(0..16_000_000)),
+        |&((seed, gop, drop_prob, n_frames, audio_every), window, at_us)| {
+            let mut feed = feed(seed, GOPS[gop], drop_prob, n_frames, audio_every);
+            // Uplink jitter, so that availability is not monotone in the
+            // sequence number.
+            for (i, tick) in feed.iter_mut().enumerate() {
+                tick.arrival +=
+                    pscp_simnet::SimDuration::from_micros((i as u64 * 7_919_113) % 3_000_000);
+            }
+            let mut seg =
+                Segmenter::new(SegmenterConfig { playlist_window: window, ..Default::default() });
+            for tick in &feed {
+                if let Some(f) = &tick.frame {
+                    seg.push_payload(f.clone(), tick.arrival);
+                }
+            }
+            if seed % 2 == 0 {
+                seg.finish(SimTime::from_secs(14));
+            }
+            let now = SimTime::from_micros(at_us);
+            let mut old = MediaPlaylist::new(6);
+            old.ended = seed % 2 == 0;
+            for s in seg.segments().iter().filter(|s| s.available_at <= now) {
+                old.push_segment(SegmentEntry { duration_s: s.duration_s, uri: s.uri() }, window);
+            }
+            let new = seg.playlist_at(now);
+            ensure!(new.render() == old.render(), "{}\nnot\n{}", new.render(), old.render());
+            ensure!(new == old, "{new:?} renders like {old:?} but differs");
+            for s in seg.segments() {
+                let by_search = seg
+                    .segments()
+                    .iter()
+                    .find(|c| c.uri() == s.uri() && c.available_at <= now)
+                    .map(|c| c.seq);
+                ensure!(seg.segment(s.seq, now).map(|c| c.seq) == by_search, "seq {}", s.seq);
                 ensure!(
-                    (s.seq, s.len, s.duration_s.to_bits(), s.available_at, s.last_video_pts_ms)
-                        == (
-                            f.seq,
-                            f.len,
-                            f.duration_s.to_bits(),
-                            f.available_at,
-                            f.last_video_pts_ms
-                        ),
-                    "seq {}: {s:?} differs from the byte path",
-                    f.seq
+                    seg.segment_by_uri(&s.uri(), now).map(|c| c.seq) == by_search,
+                    "{}",
+                    s.uri()
                 );
             }
-            for secs in [0, 3, 6, 9, 14] {
-                let at = SimTime::from_secs(secs);
-                ensure!(
-                    full.playlist_at(at).render() == sized.playlist_at(at).render(),
-                    "playlist differs at {secs} s"
-                );
-            }
+            let past = seg.segments().len() as u64;
+            ensure!(seg.segment(past, SimTime::MAX).is_none(), "a segment past the last");
+            ensure!(seg.segment_by_uri("seg_x.ts", SimTime::MAX).is_none(), "a malformed URI");
             Ok(())
         },
     );
@@ -204,7 +244,7 @@ fn last_video_pts_equals_the_demuxed_value() {
             let seg = through_direct_pushes(&feed);
             assert!(seg.segments().len() >= 4, "{gop:?}: {} segments", seg.segments().len());
             for s in seg.segments() {
-                let demuxed = segment_video_frames(&s.bytes).expect("own segment demuxes");
+                let demuxed = segment_video_frames(&bytes(s)).expect("own segment demuxes");
                 assert_eq!(
                     s.last_video_pts_ms,
                     demuxed.last().map(|f| f.pts_ms),
@@ -219,5 +259,5 @@ fn last_video_pts_equals_the_demuxed_value() {
     seg.push_audio_fill(5, 90);
     seg.finish(SimTime::from_secs(1));
     assert_eq!(seg.segments()[0].last_video_pts_ms, None);
-    assert!(segment_video_frames(&seg.segments()[0].bytes).unwrap().is_empty());
+    assert!(segment_video_frames(&bytes(&seg.segments()[0])).unwrap().is_empty());
 }
