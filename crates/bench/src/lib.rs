@@ -21,7 +21,7 @@ pub mod watch;
 
 use pscp_client::player::PlayerConfig;
 use pscp_client::session::SessionConfig;
-use pscp_client::{Teleport, TeleportConfig};
+use pscp_client::{SessionOutcome, Teleport, TeleportConfig};
 use pscp_core::{Lab, LabConfig};
 use pscp_energy::model::{PowerModel, Radio};
 use pscp_service::directory::VisibilityConfig;
@@ -165,18 +165,7 @@ pub fn ablation_cache(lab: &mut Lab, sessions: usize) -> String {
             ..Default::default()
         });
         let n = outcomes.len().max(1) as f64;
-        let rate: f64 = outcomes
-            .iter()
-            .map(|o| {
-                o.capture.rate_of_kinds(&[
-                    pscp_media::capture::FlowKind::Rtmp,
-                    pscp_media::capture::FlowKind::HlsHttp,
-                    pscp_media::capture::FlowKind::Chat,
-                    pscp_media::capture::FlowKind::PictureHttp,
-                ]) / 1e3
-            })
-            .sum::<f64>()
-            / n;
+        let rate: f64 = outcomes.iter().map(|o| o.traffic_bps / 1e3).sum::<f64>() / n;
         let power = |radio: Radio| {
             outcomes
                 .iter()
@@ -193,6 +182,20 @@ pub fn ablation_cache(lab: &mut Lab, sessions: usize) -> String {
         ]);
     }
     format!("The paper's proposed mitigation, quantified:\n{}", table.render())
+}
+
+/// Sessions per protocol whose capture the MTU and threshold ablations
+/// analyse for delivery latency.
+const ANALYZED_PER_PROTOCOL: usize = 8;
+
+/// Mean capture delivery latency of each analysed `protocol` session, in
+/// dataset order.
+fn delivery_latencies(outcomes: &[SessionOutcome], protocol: Protocol) -> Vec<f64> {
+    outcomes
+        .iter()
+        .filter(|o| o.protocol == protocol)
+        .filter_map(|o| o.stream.as_ref()?.mean_delivery_latency_s())
+        .collect()
 }
 
 /// Ablation: network packet granularity (MTU) vs the latency metrics.
@@ -214,15 +217,11 @@ pub fn ablation_mtu(seed: u64, sessions: usize) -> String {
         let outcomes = tp.run_dataset(&TeleportConfig {
             sessions,
             session: SessionConfig { network, ..Default::default() },
+            analyze_per_protocol: ANALYZED_PER_PROTOCOL,
             ..Default::default()
         });
         let joins: Vec<f64> = outcomes.iter().filter_map(|o| o.join_time_s()).collect();
-        let deliveries: Vec<f64> = outcomes
-            .iter()
-            .filter(|o| o.protocol == Protocol::Rtmp)
-            .take(8)
-            .filter_map(pscp_qoe::delivery::delivery_latency_s)
-            .collect();
+        let deliveries = delivery_latencies(&outcomes, Protocol::Rtmp);
         let mean = |xs: &[f64]| {
             if xs.is_empty() {
                 f64::NAN
@@ -260,15 +259,14 @@ pub fn ablation_threshold(seed: u64, sessions: usize) -> String {
         let rngs = *lab.rngs();
         let svc = lab.service();
         let tp = Teleport::new(svc, rngs.child("ablation-threshold"));
-        let outcomes = tp.run_dataset(&TeleportConfig { sessions, ..Default::default() });
+        let outcomes = tp.run_dataset(&TeleportConfig {
+            sessions,
+            analyze_per_protocol: ANALYZED_PER_PROTOCOL,
+            ..Default::default()
+        });
         let split = |p: Protocol| outcomes.iter().filter(|o| o.protocol == p).count();
         let delivery = |p: Protocol| {
-            let xs: Vec<f64> = outcomes
-                .iter()
-                .filter(|o| o.protocol == p)
-                .take(8)
-                .filter_map(pscp_qoe::delivery::delivery_latency_s)
-                .collect();
+            let xs = delivery_latencies(&outcomes, p);
             if xs.is_empty() {
                 f64::NAN
             } else {

@@ -469,9 +469,9 @@ pub fn bench_components(seed: u64) -> Result<String, String> {
         };
         // One 60 s session per transport, two rows each. `end-to-end` keeps
         // the capture; its `uncaptured` twin is the same session (broadcast,
-        // seeds, packets, instants) run the way the dataset plan's
-        // `!keep_capture` sessions and every `run_scale` session run —
-        // lengths, not bytes (DESIGN.md §10). Both report MB/s against the
+        // seeds, packets, instants) run the way a dataset's unanalysed
+        // sessions and every `run_scale` session run — lengths, not bytes
+        // (DESIGN.md §10). Both report MB/s against the
         // capture size of one representative run (per-seed variation is ~1%,
         // fine for an indicator), so the columns compare directly; that run
         // is returned.

@@ -19,7 +19,8 @@
 //!   capture tap), transport, epilogue (playback, join phases, end record,
 //!   outcome). [`session::run`], [`session::run_traced`] and
 //!   [`session::run_uncaptured`] take the
-//!   [`Protocol`](pscp_service::select::Protocol) to use;
+//!   [`Protocol`](pscp_service::select::Protocol) to use, and
+//!   [`session::analyze_session`] measures the stream a capture holds;
 //! * `rtmp_session` / `hls_session` / `srt_session` (crate-internal) — the
 //!   three transports under the driver: what genuinely differs between them, and
 //!   nothing else. SRT is the what-if unreliable-transport study (NAK/ARQ
@@ -34,7 +35,8 @@
 //!   profile-picture downloads (§5.1's 0.5 → 3.5 Mbps blow-up);
 //! * [`retry`] — capped-exponential-backoff policies driving API retries,
 //!   stream reconnects, and HLS segment re-fetches under injected faults;
-//! * [`teleport`] — the automation loop generating a session dataset.
+//! * [`teleport`] — the automation loop generating a session dataset, each
+//!   session's capture analysed in the worker that recorded it.
 
 pub mod broadcaster;
 pub mod chat_client;

@@ -25,7 +25,8 @@ use crate::downlink::{Recording, Tap};
 use crate::player::{run_playback, MediaArrival, PlayerConfig, PlayerLog};
 use crate::uplink::UplinkConfig;
 use crate::{hls_session, rtmp_session, srt_session};
-use pscp_media::capture::{Capture, FlowKind};
+use pscp_media::analysis::{analyze_hls_flow, analyze_rtmp_flow, StreamReport};
+use pscp_media::capture::{Capture, Flow, FlowKind};
 use pscp_obs::{Field, Trace, KBPS_BUCKETS};
 use pscp_service::ingest::{assign_server, IngestServer};
 use pscp_service::select::Protocol;
@@ -100,6 +101,12 @@ pub struct PlaybackMetaReport {
     pub playback_latency_s: Option<f64>,
 }
 
+/// The flows of a session's steady-state traffic: media over whichever
+/// transport carried it, chat and profile pictures — not the join
+/// bootstrap, whose burst is not representative of sustained draw.
+const TRAFFIC_KINDS: [FlowKind; 5] =
+    [FlowKind::Rtmp, FlowKind::HlsHttp, FlowKind::Srt, FlowKind::Chat, FlowKind::PictureHttp];
+
 /// Everything one viewing session produces.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
@@ -113,7 +120,10 @@ pub struct SessionOutcome {
     pub bandwidth_limit_bps: Option<f64>,
     /// Player QoE log.
     pub player: PlayerLog,
-    /// tcpdump-style capture of all downstream traffic.
+    /// tcpdump-style capture of all downstream traffic. Only the
+    /// single-session entry points ([`run`], [`run_traced`],
+    /// `Teleport::run_one`) return it; a dataset keeps [`Self::stream`]
+    /// instead and leaves this empty.
     pub capture: Capture,
     /// What the app reported to the server at session end.
     pub meta: PlaybackMetaReport,
@@ -123,6 +133,13 @@ pub struct SessionOutcome {
     pub rendered_fps: f64,
     /// Label of the serving endpoint (ingest hostname or CDN POP).
     pub server: String,
+    /// Steady-state downstream rate, bits/second: media, chat and pictures
+    /// from their first packet to their last. Read from packet instants and
+    /// lengths, so it is the same whether or not the bytes were kept.
+    pub traffic_bps: f64,
+    /// The capture's [`analyze_session`] report, set by the dataset worker
+    /// that recorded the capture when the dataset plan asked for it.
+    pub stream: Option<StreamReport>,
 }
 
 impl SessionOutcome {
@@ -134,6 +151,35 @@ impl SessionOutcome {
     /// Stall ratio (see [`PlayerLog::stall_ratio`]).
     pub fn stall_ratio(&self) -> f64 {
         self.player.stall_ratio()
+    }
+}
+
+/// RTMP downstream handshake size (S0 + S1 + S2) that precedes chunk data.
+const RTMP_HANDSHAKE_DOWN: usize = 1 + 2 * 1536;
+
+/// Strips the RTMP handshake bytes from the front of a flow, the way the
+/// paper's wireshark workflow starts dissecting after the handshake.
+pub fn strip_rtmp_handshake(flow: &Flow) -> Flow {
+    flow.strip_prefix(RTMP_HANDSHAKE_DOWN)
+}
+
+/// Reconstructs and measures the media stream of a session's capture
+/// (§5.2: wireshark + libav), dispatching on protocol. `None` for an empty
+/// or opaque capture.
+pub fn analyze_session(outcome: &SessionOutcome) -> Option<StreamReport> {
+    match outcome.protocol {
+        Protocol::Rtmp => {
+            let flow = outcome.capture.flow_of_kind(FlowKind::Rtmp)?;
+            analyze_rtmp_flow(&strip_rtmp_handshake(flow)).ok()
+        }
+        Protocol::Hls => {
+            let flow = outcome.capture.flow_of_kind(FlowKind::HlsHttp)?;
+            analyze_hls_flow(flow).ok()
+        }
+        // SRT captures are datagram payloads, not a TCP byte stream; the
+        // flow dissectors here don't apply. Delivery latency for SRT comes
+        // from the player's capture→render samples instead.
+        Protocol::Srt => None,
     }
 }
 
@@ -402,10 +448,12 @@ pub(crate) fn finish(
         bandwidth_limit_bps: config.network.tc_limit_bps,
         rendered_fps: rendered_fps(fps, config.device, &log),
         player: log,
+        traffic_bps: capture.rate_of_kinds(&TRAFFIC_KINDS),
         capture,
         meta,
         viewers_at_join: broadcast.viewers_at(join_at),
         server,
+        stream: None,
     }
 }
 
@@ -522,14 +570,13 @@ mod tests {
             simulate(protocol, broadcast, join_at, config, &rngs, &mut trace, recording)
         };
         let (full, counted) = (run(Recording::Full), run(Recording::Counted));
-        ensure!(
-            format!("{:?}", (&full.player, &full.meta, full.rendered_fps, &full.server))
-                == format!(
-                    "{:?}",
-                    (&counted.player, &counted.meta, counted.rendered_fps, &counted.server)
-                ),
-            "outcome scalars differ"
-        );
+        let scalars = |o: &SessionOutcome| {
+            format!(
+                "{:?}",
+                (&o.player, &o.meta, o.rendered_fps, &o.server, o.traffic_bps.to_bits())
+            )
+        };
+        ensure!(scalars(&full) == scalars(&counted), "outcome scalars differ");
         ensure!(full.protocol == counted.protocol, "protocol differs");
         let (f, c) = (&full.capture.flows, &counted.capture.flows);
         ensure!(f.len() == c.len(), "{} flows, not {}", c.len(), f.len());

@@ -24,18 +24,24 @@
 //! times, broadcast picks and device alternation all come from one shared
 //! sequential RNG stream), then *executes* the planned sessions across
 //! worker threads — each session only draws from its own `session/{i}` RNG
-//! namespace — and reassembles outcomes in plan order. Capture retention
-//! is *decided* during planning (protocol selection is a pure function of
-//! broadcast and join time), so a worker knows before a session starts
-//! whether anyone will read its capture: one that is not kept runs
-//! uncaptured ([`Teleport::run_one_uncaptured`]) and never produces a
-//! packet's bytes. Peak memory stays at the retained set, while output
-//! remains byte-identical to a serial run at any thread count.
+//! namespace — and reassembles outcomes in plan order. Which sessions are
+//! analysed is *decided* during planning (protocol selection is a pure
+//! function of broadcast and join time): the first
+//! [`TeleportConfig::analyze_per_protocol`] of each protocol run captured,
+//! and the worker that recorded the capture measures it
+//! ([`analyze_session`]) and drops it; every other session runs uncaptured
+//! ([`Teleport::run_one_uncaptured`]) and never produces a packet's bytes.
+//! No dataset outcome holds a capture — peak memory is one capture per
+//! worker — and output is byte-identical to a serial run at any thread
+//! count.
 
 use crate::device::ViewerDevice;
 use crate::downlink::Recording;
 use crate::retry::{classify, RetryClass, RetryPolicy};
-use crate::session::{finish, Delivered, SessionConfig, SessionCtx, SessionOutcome};
+use crate::session::{
+    analyze_session, finish, Delivered, SessionConfig, SessionCtx, SessionOutcome,
+};
+use pscp_media::capture::Capture;
 use pscp_obs::{Observer, PhaseSpan, SpanId, Trace};
 use pscp_service::select::Protocol;
 use pscp_service::PeriscopeService;
@@ -67,20 +73,14 @@ pub struct TeleportConfig {
     pub sessions: usize,
     /// Base session configuration (network limits, chat, players).
     pub session: SessionConfig,
-    /// How many sessions *per protocol* keep their full packet capture.
-    /// Captures are several MB each; paper-scale datasets would not fit in
-    /// memory otherwise. Sessions beyond the cap keep every scalar metric
-    /// but an empty capture.
-    pub keep_captures_per_protocol: usize,
+    /// How many sessions *per planned protocol*, first in plan order, have
+    /// their capture analysed into [`SessionOutcome::stream`]. Every
+    /// session keeps every scalar metric; none keeps its capture.
+    pub analyze_per_protocol: usize,
     /// Worker threads for the execute phase (`0` = auto: `PSCP_THREADS` or
     /// the machine's parallelism, `1` = the serial path). Output is
     /// byte-identical at every setting.
     pub threads: usize,
-    /// Geo shards of the world: a power of four (1, 4, 16, …), validated.
-    /// The dataset is byte-identical at every shard count because the
-    /// execute phase never reads it: each session depends only on its own
-    /// plan entry (DESIGN.md §13).
-    pub shards: usize,
 }
 
 impl Default for TeleportConfig {
@@ -88,11 +88,24 @@ impl Default for TeleportConfig {
         TeleportConfig {
             sessions: 100,
             session: SessionConfig::default(),
-            keep_captures_per_protocol: usize::MAX,
+            analyze_per_protocol: 0,
             threads: 0,
-            shards: 1,
         }
     }
+}
+
+/// One entry of a dataset plan: everything its worker needs.
+pub struct PlannedSession<'a> {
+    /// The draw the session came from: its `session/{idx}` RNG namespace.
+    pub idx: u64,
+    /// When the viewer taps Teleport.
+    pub join_at: SimTime,
+    /// The picked broadcast.
+    pub broadcast: &'a Broadcast,
+    /// The session's configuration: the dataset's, on this session's phone.
+    pub session: SessionConfig,
+    /// Whether the worker records the capture and analyses it.
+    pub analyze: bool,
 }
 
 /// An ingest-side outage of `unit` at `*join_eff` (DESIGN.md §8): a brief
@@ -233,7 +246,7 @@ impl<'a> Teleport<'a> {
             trace,
             Recording::Counted,
         );
-        outcome.capture = pscp_media::capture::Capture::new();
+        outcome.capture = Capture::new();
         outcome
     }
 
@@ -379,17 +392,54 @@ impl<'a> Teleport<'a> {
     /// planned sessions across worker threads — safe because
     /// [`Teleport::run_one`] draws only from the session's own
     /// `session/{i}` RNG namespace — and reassembles outcomes in plan
-    /// order. The capture-retention cap is *decided* during planning
-    /// (protocol selection is [`SelectionPolicy::choose`], a pure function
-    /// of broadcast and join time, so the plan predicts exactly what
-    /// `run_one` will see); sessions past the cap run through
-    /// [`Teleport::run_one_uncaptured`]. Uncapped captures therefore never
-    /// exist — peak memory is the retained set — and the result is
-    /// byte-identical to a serial run at any thread count.
-    ///
-    /// [`SelectionPolicy::choose`]: pscp_service::select::SelectionPolicy::choose
+    /// order. Which sessions are analysed is *decided* during planning
+    /// ([`Teleport::plan`]); such a session runs captured, and its worker
+    /// analyses the capture into [`SessionOutcome::stream`] and drops it.
+    /// Every other session runs through [`Teleport::run_one_uncaptured`].
+    /// No outcome holds a capture — peak memory is one capture per worker —
+    /// and the result is byte-identical to a serial run at any thread count.
     pub fn run_dataset(&self, config: &TeleportConfig) -> Vec<SessionOutcome> {
         self.run_dataset_observed(config, Observer::disabled_ref())
+    }
+
+    /// The serial plan of [`Teleport::run_dataset`]. It consumes the shared
+    /// `"dataset"` RNG stream for join times and broadcast picks, and it
+    /// alternates devices. It marks the first
+    /// [`TeleportConfig::analyze_per_protocol`] sessions of each protocol
+    /// for analysis, bucketed by the protocol the session will use: the
+    /// forced transport, else [`SelectionPolicy::choose`], a pure function
+    /// of broadcast and join time, so the plan predicts exactly what
+    /// `run_one` will see.
+    ///
+    /// [`SelectionPolicy::choose`]: pscp_service::select::SelectionPolicy::choose
+    pub fn plan(&self, config: &TeleportConfig) -> Vec<PlannedSession<'a>> {
+        let mut rng = self.rngs.stream("dataset");
+        let window = self.service.population.config.window;
+        let margin = config.session.watch + SimDuration::from_secs(40);
+        let latest = window.saturating_sub(margin).as_secs_f64().max(60.0);
+        let selection = self.service.selection_policy();
+        let mut marked: std::collections::HashMap<Protocol, usize> =
+            std::collections::HashMap::new();
+        let mut plan = Vec::with_capacity(config.sessions);
+        for i in 0..config.sessions {
+            // Join somewhere inside the window, away from the edges.
+            let t = 30.0 + rng.gen::<f64>() * latest;
+            let join_at = SimTime::from_micros((t * 1e6) as u64);
+            let Some(broadcast) = self.pick(join_at, &mut rng) else {
+                continue;
+            };
+            let mut session = config.session.clone();
+            // Alternate between the S3 and S4 phones, as the paper did.
+            session.device =
+                if i % 2 == 0 { ViewerDevice::GalaxyS4 } else { ViewerDevice::GalaxyS3 };
+            let protocol =
+                config.session.transport.unwrap_or_else(|| selection.choose(broadcast, join_at));
+            let slot = marked.entry(protocol).or_insert(0);
+            let analyze = *slot < config.analyze_per_protocol;
+            *slot += usize::from(analyze);
+            plan.push(PlannedSession { idx: i as u64, join_at, broadcast, session, analyze });
+        }
+        plan
     }
 
     /// [`Teleport::run_dataset`] under observation: sessions record into
@@ -402,43 +452,7 @@ impl<'a> Teleport<'a> {
         obs: &Observer,
     ) -> Vec<SessionOutcome> {
         let plan_started = std::time::Instant::now();
-        let mut rng = self.rngs.stream("dataset");
-        let window = self.service.population.config.window;
-        let margin = config.session.watch + SimDuration::from_secs(40);
-        let latest = window.saturating_sub(margin).as_secs_f64().max(60.0);
-
-        struct Planned<'b> {
-            idx: u64,
-            join_at: SimTime,
-            broadcast: &'b Broadcast,
-            session: SessionConfig,
-            keep_capture: bool,
-        }
-        let selection = self.service.selection_policy();
-        let mut kept: std::collections::HashMap<Protocol, usize> = std::collections::HashMap::new();
-        let mut plan: Vec<Planned<'_>> = Vec::with_capacity(config.sessions);
-        for i in 0..config.sessions {
-            // Join somewhere inside the window, away from the edges.
-            let t = 30.0 + rng.gen::<f64>() * latest;
-            let join_at = SimTime::from_micros((t * 1e6) as u64);
-            let Some(broadcast) = self.pick(join_at, &mut rng) else {
-                continue;
-            };
-            let mut session = config.session.clone();
-            // Alternate between the S3 and S4 phones, as the paper did.
-            session.device =
-                if i % 2 == 0 { ViewerDevice::GalaxyS4 } else { ViewerDevice::GalaxyS3 };
-            // Capture retention is bucketed by the protocol the session will
-            // actually use, so a forced-transport sweep still caps correctly.
-            let protocol =
-                config.session.transport.unwrap_or_else(|| selection.choose(broadcast, join_at));
-            let slot = kept.entry(protocol).or_insert(0);
-            let keep_capture = *slot < config.keep_captures_per_protocol;
-            if keep_capture {
-                *slot += 1;
-            }
-            plan.push(Planned { idx: i as u64, join_at, broadcast, session, keep_capture });
-        }
+        let plan = self.plan(config);
         if obs.profiling() {
             let wall = plan_started.elapsed().as_secs_f64();
             obs.record_phase(PhaseSpan {
@@ -452,20 +466,23 @@ impl<'a> Teleport<'a> {
 
         // Each worker records into the session's own trace; the merge
         // below happens serially in plan order, never completion order.
-        let work = |_: usize, p: &Planned<'_>| {
+        let work = |_: usize, p: &PlannedSession<'_>| {
             let mut trace = obs.trace();
-            // A session whose capture the plan does not keep still simulates
-            // its traffic (scalar metrics derive from it) but never produces
-            // the bytes.
-            let run = if p.keep_capture { Self::run_one_traced } else { Self::run_one_uncaptured };
-            let outcome = run(self, p.broadcast, p.join_at, &p.session, p.idx, &mut trace);
+            let (broadcast, join_at, session) = (p.broadcast, p.join_at, &p.session);
+            // A session nobody analyses still simulates its traffic (scalar
+            // metrics derive from it) but never produces the bytes; one that
+            // is analysed keeps its capture only as long as that takes.
+            let outcome = if p.analyze {
+                let mut outcome =
+                    self.run_one_traced(broadcast, join_at, session, p.idx, &mut trace);
+                outcome.stream = analyze_session(&outcome);
+                outcome.capture = Capture::new();
+                outcome
+            } else {
+                self.run_one_uncaptured(broadcast, join_at, session, p.idx, &mut trace)
+            };
             (outcome, trace)
         };
-        // Outcomes are pure functions of their plan entry, so the shard
-        // count cannot reach them: it is validated, and every count runs
-        // the same per-session map.
-        pscp_simnet::geo::quad_depth_for(config.shards)
-            .expect("shards must be a power of four (1, 4, 16, ...)");
         let (results, profile) = pscp_simnet::par::indexed_map_timed(&plan, config.threads, work);
         obs.record_phase(PhaseSpan {
             name: "dataset.execute".into(),
@@ -567,12 +584,18 @@ mod tests {
         let svc = service();
         let run = || {
             let tp = Teleport::new(&svc, RngFactory::new(11));
-            let cfg = TeleportConfig { sessions: 5, ..Default::default() };
+            let cfg = TeleportConfig {
+                sessions: 5,
+                analyze_per_protocol: usize::MAX,
+                ..Default::default()
+            };
             tp.run_dataset(&cfg)
                 .iter()
-                .map(|o| (o.broadcast_id, o.capture.total_bytes()))
+                .map(|o| (o.broadcast_id, o.traffic_bps.to_bits(), format!("{:?}", o.stream)))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(), run());
+        let first = run();
+        assert!(first.iter().any(|(_, _, stream)| stream.starts_with("Some")), "none analysed");
+        assert_eq!(first, run());
     }
 }

@@ -199,9 +199,8 @@ pub fn run_chaos(lab: &mut Lab, cfg: &ChaosConfig) -> ChaosSweep {
                     transport,
                     ..Default::default()
                 },
-                keep_captures_per_protocol: 0,
                 threads: cfg.threads,
-                shards: 1,
+                ..Default::default()
             };
             let dataset = SessionDataset::new(tp.run_dataset_observed(&tcfg, &obs));
             let stall_ratios: Vec<f64> = dataset.sessions.iter().map(|o| o.stall_ratio()).collect();

@@ -7,9 +7,8 @@
 use crate::figures::{BoxRow, FigureData};
 use crate::lab::Lab;
 use pscp_energy::model::PowerModel;
-use pscp_media::analysis::GopClass;
+use pscp_media::analysis::{GopClass, StreamReport};
 use pscp_qoe::compare::device_comparison;
-use pscp_qoe::delivery::analyze_session;
 use pscp_qoe::SessionDataset;
 use pscp_service::select::Protocol;
 use pscp_stats::table::fnum;
@@ -351,29 +350,12 @@ fn fig4b(lab: &mut Lab) -> FigureData {
     boxplot_figure(lab, "playback latency (s, RTMP)", SessionDataset::playback_latencies_s, true)
 }
 
-/// Maximum sessions per protocol to run capture analysis on (keeps fig5/6
-/// latency reasonable at paper scale; the cap is recorded in the output).
-const ANALYSIS_CAP: usize = 300;
-
-fn analyzed_reports(lab: &mut Lab, protocol: Protocol) -> Vec<pscp_media::analysis::StreamReport> {
-    let dataset = lab.session_dataset();
-    // Capture reconstruction is the per-session hot spot of fig5/6;
-    // sessions are independent, so fan out and keep dataset order.
-    let selected: Vec<&pscp_client::SessionOutcome> =
-        dataset.unlimited(protocol).into_iter().take(ANALYSIS_CAP).collect();
-    lab.par_phase("analysis.captures", &selected, |_, s| analyze_session(s))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 fn fig5(lab: &mut Lab) -> FigureData {
+    let dataset = lab.session_dataset();
     let mut series = Vec::new();
     for protocol in [Protocol::Hls, Protocol::Rtmp] {
-        let latencies: Vec<f64> = analyzed_reports(lab, protocol)
-            .iter()
-            .filter_map(|r| r.mean_delivery_latency_s())
-            .collect();
+        let latencies: Vec<f64> =
+            dataset.analyzed(protocol).filter_map(|(_, r)| r.mean_delivery_latency_s()).collect();
         if let Ok(ecdf) = Ecdf::new(&latencies) {
             series.push((protocol.name().to_string(), ecdf.sampled(50)));
         }
@@ -382,10 +364,11 @@ fn fig5(lab: &mut Lab) -> FigureData {
 }
 
 fn fig6a(lab: &mut Lab) -> FigureData {
+    let dataset = lab.session_dataset();
     let mut series = Vec::new();
     for protocol in [Protocol::Hls, Protocol::Rtmp] {
         let rates: Vec<f64> =
-            analyzed_reports(lab, protocol).iter().map(|r| r.bitrate_bps / 1e6).collect();
+            dataset.analyzed(protocol).map(|(_, r)| r.bitrate_bps / 1e6).collect();
         if let Ok(ecdf) = Ecdf::new(&rates) {
             series.push((protocol.name().to_string(), ecdf.sampled(50)));
         }
@@ -394,12 +377,11 @@ fn fig6a(lab: &mut Lab) -> FigureData {
 }
 
 fn fig6b(lab: &mut Lab) -> FigureData {
+    let dataset = lab.session_dataset();
     let mut series = Vec::new();
     for protocol in [Protocol::Hls, Protocol::Rtmp] {
-        let pts: Vec<(f64, f64)> = analyzed_reports(lab, protocol)
-            .iter()
-            .map(|r| (r.bitrate_bps / 1e6, r.avg_qp))
-            .collect();
+        let pts: Vec<(f64, f64)> =
+            dataset.analyzed(protocol).map(|(_, r)| (r.bitrate_bps / 1e6, r.avg_qp)).collect();
         if !pts.is_empty() {
             series.push((protocol.name().to_string(), pts));
         }
@@ -412,9 +394,10 @@ fn fig6b(lab: &mut Lab) -> FigureData {
 }
 
 fn table_video(lab: &mut Lab) -> FigureData {
-    let rtmp = analyzed_reports(lab, Protocol::Rtmp);
-    let hls = analyzed_reports(lab, Protocol::Hls);
-    let gop_frac = |reports: &[pscp_media::analysis::StreamReport], class: GopClass| {
+    let dataset = lab.session_dataset();
+    let reports = |protocol| dataset.analyzed(protocol).map(|(_, r)| r).collect::<Vec<_>>();
+    let (rtmp, hls) = (reports(Protocol::Rtmp), reports(Protocol::Hls));
+    let gop_frac = |reports: &[&StreamReport], class: GopClass| {
         if reports.is_empty() {
             return 0.0;
         }
@@ -523,9 +506,7 @@ fn table_chat(lab: &mut Lab) -> FigureData {
     };
     let off = run(false);
     let on = run(true);
-    let rate = |o: &pscp_client::SessionOutcome| {
-        o.capture.rate_of_kinds(&[FlowKind::Rtmp, FlowKind::Chat, FlowKind::PictureHttp]) / 1e3
-    };
+    let rate = |o: &pscp_client::SessionOutcome| o.traffic_bps / 1e3;
     let pic_flows = on.capture.flows_of_kind(FlowKind::PictureHttp);
     let pic_bytes: usize = pic_flows.iter().map(|f| f.byte_count()).sum();
     FigureData::Table {
@@ -611,15 +592,12 @@ fn table_latency(lab: &mut Lab) -> FigureData {
     // the few seconds of playback latency with those streams comes from
     // buffering."
     let dataset = lab.session_dataset();
-    let selected: Vec<&pscp_client::SessionOutcome> =
-        dataset.unlimited(Protocol::Rtmp).into_iter().take(ANALYSIS_CAP).collect();
-    let pairs = lab.par_phase("analysis.captures", &selected, |_, s| {
-        let d = analyze_session(s).and_then(|r| r.mean_delivery_latency_s());
-        d.zip(s.meta.playback_latency_s)
-    });
+    let pairs = dataset
+        .analyzed(Protocol::Rtmp)
+        .filter_map(|(s, r)| r.mean_delivery_latency_s().zip(s.meta.playback_latency_s));
     let mut delivery = Vec::new();
     let mut playback = Vec::new();
-    for (d, pl) in pairs.into_iter().flatten() {
+    for (d, pl) in pairs {
         delivery.push(d);
         playback.push(pl);
     }

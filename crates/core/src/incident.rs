@@ -58,8 +58,9 @@ pub struct IncidentConfig {
     /// Worker threads per arm (`0` = auto). Results are identical at
     /// every setting.
     pub threads: usize,
-    /// Quadtree shards per arm (a power of four). Results are identical
-    /// at every setting.
+    /// Quadtree shards per arm (a power of four, checked by `repro
+    /// incidents --shards`). A label only: `INCIDENTS.json` records it,
+    /// and no session reads it.
     pub shards: usize,
 }
 
@@ -183,9 +184,8 @@ pub fn run_incidents(lab: &mut Lab, cfg: &IncidentConfig) -> IncidentReport {
                 transport,
                 ..Default::default()
             },
-            keep_captures_per_protocol: 0,
             threads: cfg.threads,
-            shards: cfg.shards,
+            ..Default::default()
         };
         tp.run_dataset_observed(&tcfg, &obs);
         let metrics = obs.metrics();

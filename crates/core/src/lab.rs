@@ -39,7 +39,8 @@ pub struct LabConfig {
     pub sessions_per_limit: usize,
     /// Bandwidth-limit sweep points in Mbps (the paper's 0.5–10).
     pub limits_mbps: Vec<f64>,
-    /// Worker threads for dataset generation, crawls and capture analysis.
+    /// Worker threads for dataset generation (capture analysis included)
+    /// and crawls.
     /// `0` = auto (the `PSCP_THREADS` environment variable, else the
     /// machine's available parallelism); `1` = the exact serial path.
     /// Every figure and table is byte-identical at every setting.
@@ -49,13 +50,9 @@ pub struct LabConfig {
     /// non-empty value other than `0`). Tracing never alters sim-time
     /// behavior: figures and datasets are byte-identical either way.
     pub trace: bool,
-    /// Record wall-clock phase spans (plan/execute/sweep/crawl/analysis)
-    /// even when `trace` is off. Implied by `trace`.
+    /// Record wall-clock phase spans (plan/execute/sweep/crawl) even when
+    /// `trace` is off. Implied by `trace`.
     pub profile: bool,
-    /// Quadtree shards of the world (a power of four). Dataset execution
-    /// validates it and never reads it again, so every artifact is
-    /// byte-identical at every shard count.
-    pub shards: usize,
 }
 
 impl LabConfig {
@@ -72,7 +69,6 @@ impl LabConfig {
             threads: 0,
             trace: false,
             profile: false,
-            shards: 1,
         }
     }
 
@@ -91,7 +87,6 @@ impl LabConfig {
             threads: 0,
             trace: false,
             profile: false,
-            shards: 1,
         }
     }
 
@@ -108,10 +103,14 @@ impl LabConfig {
             threads: 0,
             trace: false,
             profile: false,
-            shards: 1,
         }
     }
 }
+
+/// Unlimited-bandwidth dataset sessions per protocol whose capture is
+/// analysed: what Figs 5–6 and the §5.1/§5.2 tables read. The bandwidth
+/// sweep analyses none.
+const ANALYZED_PER_PROTOCOL: usize = 300;
 
 /// True when the `PSCP_TRACE` environment variable requests tracing.
 fn env_trace() -> bool {
@@ -223,23 +222,27 @@ impl Lab {
         PeriscopeService::new(population, self.config.service.clone())
     }
 
-    /// Runs a quick batch of unlimited-bandwidth viewing sessions.
+    /// Runs a quick batch of unlimited-bandwidth viewing sessions, each
+    /// one's capture analysed into its `stream`.
     pub fn run_viewing_sessions(&mut self, n: usize) -> SessionReport {
         let rngs = self.rngs;
         let svc = self.service();
         let tp = Teleport::new(svc, rngs.child("sessions"));
-        let cfg = TeleportConfig { sessions: n, ..Default::default() };
+        let cfg =
+            TeleportConfig { sessions: n, analyze_per_protocol: usize::MAX, ..Default::default() };
         SessionReport { sessions: tp.run_dataset(&cfg) }
     }
 
     /// The full QoE dataset (unlimited + bandwidth sweep), memoized.
     ///
     /// The unlimited block — the bulk of the work at paper scale —
-    /// parallelizes *within* its `run_dataset` call; the eleven sweep
-    /// points then fan out across threads as whole units (each owns its
-    /// `dataset-limit-{i}` RNG child) with their inner runs kept serial to
-    /// avoid oversubscription. Sweep results are appended in limit order,
-    /// so the dataset is byte-identical to a serial build.
+    /// parallelizes *within* its `run_dataset` call, and its first 300
+    /// sessions of each protocol are analysed there, in the worker that
+    /// recorded them; no outcome keeps a capture. The eleven sweep points then fan out across threads as
+    /// whole units (each owns its `dataset-limit-{i}` RNG child) with their
+    /// inner runs kept serial to avoid oversubscription. Sweep results are
+    /// appended in limit order, so the dataset is byte-identical to a
+    /// serial build.
     pub fn session_dataset(&mut self) -> std::sync::Arc<SessionDataset> {
         if let Some(d) = &self.dataset {
             return d.clone();
@@ -248,7 +251,6 @@ impl Lab {
         let threads = self.config.threads;
         let sessions_unlimited = self.config.sessions_unlimited;
         let sessions_per_limit = self.config.sessions_per_limit;
-        let shards = self.config.shards;
         let limits = self.config.limits_mbps.clone();
         self.service();
         let svc: &PeriscopeService = self.service.as_ref().expect("just built");
@@ -257,12 +259,8 @@ impl Lab {
         let mut dataset = SessionDataset::new(tp.run_dataset_observed(
             &TeleportConfig {
                 sessions: sessions_unlimited,
-                // Enough retained captures for the Fig 5/6 reconstruction
-                // cap; beyond that, captures are dropped to bound memory at
-                // paper scale.
-                keep_captures_per_protocol: 320,
+                analyze_per_protocol: ANALYZED_PER_PROTOCOL,
                 threads,
-                shards: self.config.shards,
                 ..Default::default()
             },
             obs,
@@ -280,9 +278,8 @@ impl Lab {
             let cfg = TeleportConfig {
                 sessions: sessions_per_limit,
                 session,
-                keep_captures_per_protocol: 8,
                 threads: 1,
-                shards,
+                ..Default::default()
             };
             let outcomes = tp.run_dataset_observed(&cfg, &local);
             (outcomes, local)
@@ -424,6 +421,20 @@ mod tests {
         assert_eq!(d.at_limit(2.0).len(), 6);
         assert_eq!(d.at_limit(0.5).len(), 6);
         assert!(d.sessions.iter().filter(|s| s.bandwidth_limit_bps.is_none()).count() >= 28);
+    }
+
+    /// The dataset keeps what it read of each capture, never a packet: every
+    /// unlimited session is analysed at this size, and no capture survives.
+    #[test]
+    fn dataset_holds_no_capture_byte() {
+        let mut lab = Lab::new(LabConfig::small(2016));
+        let d = lab.session_dataset();
+        for (i, s) in d.sessions.iter().enumerate() {
+            assert!(s.capture.flows.is_empty(), "session {i} kept its capture");
+            assert!(s.traffic_bps > 0.0, "session {i} has no traffic");
+            let unlimited = s.bandwidth_limit_bps.is_none();
+            assert_eq!(s.stream.is_some(), unlimited, "session {i}: analysed iff unlimited");
+        }
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Deriving power from *simulated* sessions.
 //!
 //! The canonical Fig 7 bars use fixed scenario workloads; this module
-//! instead derives the workload from a [`SessionOutcome`]'s actual captured
+//! instead derives the workload from a [`SessionOutcome`]'s actual
 //! traffic, closing the loop between the QoE simulation and the energy
-//! model (e.g. a chat-heavy session's measured 3.5 Mbps capture produces
-//! the corresponding radio power).
+//! model (e.g. a chat-heavy session's measured 3.5 Mbps produces the
+//! corresponding radio power).
 
 use crate::model::{PowerModel, Radio, Workload};
 use crate::scenarios::{scenario_workload, Scenario};
 use pscp_client::SessionOutcome;
 use pscp_service::select::Protocol;
 
-/// Builds the workload a session imposed on the phone, using the capture's
-/// aggregate traffic rate and the session's protocol/chat settings.
+/// Builds the workload a session imposed on the phone, using its
+/// steady-state traffic rate ([`SessionOutcome::traffic_bps`]: media, chat
+/// and pictures, not the join bootstrap) and its protocol/chat settings.
 pub fn session_workload(outcome: &SessionOutcome, chat_on: bool) -> Workload {
     let base = match (outcome.protocol, chat_on) {
         // SRT is push-delivered like RTMP: same radio/decode duty cycle.
@@ -20,17 +21,8 @@ pub fn session_workload(outcome: &SessionOutcome, chat_on: bool) -> Workload {
         (Protocol::Hls, false) => scenario_workload(Scenario::VideoHlsChatOff),
         (Protocol::Hls, true) => scenario_workload(Scenario::VideoHlsChatOn),
     };
-    // Steady-state traffic: media + chat + pictures, excluding the join
-    // bootstrap burst which is not representative of sustained draw.
-    use pscp_media::capture::FlowKind;
-    let measured_mbps = outcome.capture.rate_of_kinds(&[
-        FlowKind::Rtmp,
-        FlowKind::HlsHttp,
-        FlowKind::Chat,
-        FlowKind::PictureHttp,
-    ]) / 1e6;
     let clock_ratio = if chat_on { 4.0 / 3.0 } else { 1.0 };
-    Workload { traffic_mbps: measured_mbps, clock_ratio, ..base }
+    Workload { traffic_mbps: outcome.traffic_bps / 1e6, clock_ratio, ..base }
 }
 
 /// Average power of a session in mW.
@@ -58,12 +50,24 @@ mod tests {
     use super::*;
     use pscp_client::session::{self, SessionConfig};
     use pscp_media::audio::AudioBitrate;
+    use pscp_media::capture::FlowKind;
     use pscp_media::content::ContentClass;
     use pscp_simnet::{GeoPoint, RngFactory, SimDuration, SimTime};
     use pscp_workload::broadcast::{Broadcast, BroadcastId, DeviceProfile};
 
     fn outcome(chat_on: bool) -> SessionOutcome {
-        let b = Broadcast {
+        let cfg = SessionConfig { chat_on, ..Default::default() };
+        session::run(
+            Protocol::Rtmp,
+            &broadcast(),
+            SimTime::from_secs(300),
+            &cfg,
+            &RngFactory::new(77),
+        )
+    }
+
+    fn broadcast() -> Broadcast {
+        Broadcast {
             id: BroadcastId(3),
             location: GeoPoint::new(41.01, 28.98),
             city: "Istanbul",
@@ -78,9 +82,25 @@ mod tests {
             location_public: true,
             viewer_seed: 3,
             target_bitrate_bps: 300_000.0,
+        }
+    }
+
+    /// SRT media is session traffic too: a forced-SRT session and its RTMP
+    /// twin (same key, so common random numbers: the same encoder and chat
+    /// draws) carry about the same rate, and the SRT one carries more than
+    /// its chat and pictures.
+    #[test]
+    fn srt_media_counts_as_session_traffic() {
+        let run = |protocol| {
+            let (at, cfg) = (SimTime::from_secs(300), SessionConfig::default());
+            session::run(protocol, &broadcast(), at, &cfg, &RngFactory::new(77))
         };
-        let cfg = SessionConfig { chat_on, ..Default::default() };
-        session::run(Protocol::Rtmp, &b, SimTime::from_secs(300), &cfg, &RngFactory::new(77))
+        let (srt, rtmp) = (run(Protocol::Srt), run(Protocol::Rtmp));
+        assert_eq!(srt.protocol, Protocol::Srt, "the SRT session fell back");
+        let ratio = srt.traffic_bps / rtmp.traffic_bps;
+        assert!((ratio - 1.0).abs() < 0.25, "srt={} rtmp={}", srt.traffic_bps, rtmp.traffic_bps);
+        let side = srt.capture.rate_of_kinds(&[FlowKind::Chat, FlowKind::PictureHttp]);
+        assert!(srt.traffic_bps > side, "srt={} chat+pictures={side}", srt.traffic_bps);
     }
 
     #[test]

@@ -503,17 +503,18 @@ impl Capture {
     }
 
     /// Mean downstream rate over only the given flow kinds, bits/second —
-    /// e.g. the steady-state media+chat rate excluding join bootstrap.
+    /// e.g. the steady-state media+chat rate excluding join bootstrap. Reads
+    /// packet instants and lengths only, and allocates nothing.
     pub fn rate_of_kinds(&self, kinds: &[FlowKind]) -> f64 {
-        let flows: Vec<&Flow> = self.flows.iter().filter(|f| kinds.contains(&f.kind)).collect();
-        let first = flows.iter().filter_map(|f| f.first_at()).min();
-        let last = flows.iter().filter_map(|f| f.last_at()).max();
+        let flows = || self.flows.iter().filter(|f| kinds.contains(&f.kind));
+        let first = flows().filter_map(Flow::first_at).min();
+        let last = flows().filter_map(Flow::last_at).max();
         let (Some(first), Some(last)) = (first, last) else { return 0.0 };
         let dt = last.saturating_since(first).as_secs_f64();
         if dt <= 0.0 {
             return 0.0;
         }
-        flows.iter().map(|f| f.byte_count()).sum::<usize>() as f64 * 8.0 / dt
+        flows().map(Flow::byte_count).sum::<usize>() as f64 * 8.0 / dt
     }
 
     /// Aggregate mean downstream rate across all flows, bits/second,

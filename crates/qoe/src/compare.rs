@@ -80,6 +80,8 @@ mod tests {
             viewers_at_join: 5,
             rendered_fps: fps,
             server: "vidman".to_string(),
+            traffic_bps: 0.0,
+            stream: None,
         }
     }
 

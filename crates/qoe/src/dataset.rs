@@ -6,6 +6,7 @@
 //! exposes the exact groupings the figures use.
 
 use pscp_client::{SessionOutcome, ViewerDevice};
+use pscp_media::analysis::StreamReport;
 use pscp_service::select::Protocol;
 use pscp_stats::BoxplotSummary;
 
@@ -48,6 +49,16 @@ impl SessionDataset {
             .iter()
             .filter(|s| s.protocol == protocol && s.bandwidth_limit_bps.is_none())
             .collect()
+    }
+
+    /// Unlimited-bandwidth sessions using `protocol` whose capture was
+    /// analysed, with the report — what Figs 5–6 and the §5.1/§5.2 tables
+    /// read.
+    pub fn analyzed(
+        &self,
+        protocol: Protocol,
+    ) -> impl Iterator<Item = (&SessionOutcome, &StreamReport)> {
+        self.unlimited(protocol).into_iter().filter_map(|s| Some((s, s.stream.as_ref()?)))
     }
 
     /// Sessions at a specific bandwidth limit (Mbps), any protocol.
@@ -179,6 +190,8 @@ mod tests {
                 Protocol::Hls => "fastly-eu.periscope.tv".to_string(),
                 Protocol::Srt => "srt-vidman-eu-central-1-01.periscope.tv".to_string(),
             },
+            traffic_bps: 0.0,
+            stream: None,
         }
     }
 

@@ -4,52 +4,33 @@
 //! the NTP timestamp value from the time of receiving the packet containing
 //! it, also for the HLS sessions for which the playback metadata does not
 //! include it."
+//!
+//! The analysis runs where the capture was recorded: a dataset's worker
+//! calls [`analyze_session`] and keeps the report in
+//! [`SessionOutcome::stream`](pscp_client::SessionOutcome::stream), so this
+//! module is that one function, for callers holding a single session's
+//! capture.
 
-use pscp_client::SessionOutcome;
-use pscp_media::analysis::{analyze_hls_flow, analyze_rtmp_flow, StreamReport};
-use pscp_media::capture::{Flow, FlowKind};
-use pscp_service::select::Protocol;
-
-/// RTMP downstream handshake size (S0 + S1 + S2) that precedes chunk data.
-const RTMP_HANDSHAKE_DOWN: usize = 1 + 2 * 1536;
-
-/// Strips the RTMP handshake bytes from the front of a flow, the way the
-/// paper's wireshark workflow starts dissecting after the handshake.
-pub fn strip_rtmp_handshake(flow: &Flow) -> Flow {
-    flow.strip_prefix(RTMP_HANDSHAKE_DOWN)
-}
-
-/// Runs the full capture analysis for one session, dispatching on protocol.
-pub fn analyze_session(outcome: &SessionOutcome) -> Option<StreamReport> {
-    match outcome.protocol {
-        Protocol::Rtmp => {
-            let flow = outcome.capture.flow_of_kind(FlowKind::Rtmp)?;
-            analyze_rtmp_flow(&strip_rtmp_handshake(flow)).ok()
-        }
-        Protocol::Hls => {
-            let flow = outcome.capture.flow_of_kind(FlowKind::HlsHttp)?;
-            analyze_hls_flow(flow).ok()
-        }
-        // SRT captures are datagram payloads, not a TCP byte stream; the
-        // flow dissectors here don't apply. Delivery latency for SRT comes
-        // from the player's capture→render samples instead.
-        Protocol::Srt => None,
-    }
-}
-
-/// Mean delivery latency of one session from its capture, seconds.
-pub fn delivery_latency_s(outcome: &SessionOutcome) -> Option<f64> {
-    analyze_session(outcome)?.mean_delivery_latency_s()
-}
+pub use pscp_client::session::analyze_session;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pscp_client::session::{run, SessionConfig};
+    use pscp_client::session::{run, strip_rtmp_handshake, SessionConfig, SessionOutcome};
     use pscp_media::audio::AudioBitrate;
+    use pscp_media::capture::FlowKind;
     use pscp_media::content::ContentClass;
+    use pscp_service::select::Protocol;
     use pscp_simnet::{GeoPoint, RngFactory, SimDuration, SimTime};
     use pscp_workload::broadcast::{Broadcast, BroadcastId, DeviceProfile};
+
+    /// RTMP downstream handshake size (S0 + S1 + S2).
+    const RTMP_HANDSHAKE_DOWN: usize = 1 + 2 * 1536;
+
+    /// Mean delivery latency of one session from its capture, seconds.
+    fn delivery_latency_s(outcome: &SessionOutcome) -> Option<f64> {
+        analyze_session(outcome)?.mean_delivery_latency_s()
+    }
 
     fn broadcast(viewers: f64) -> Broadcast {
         Broadcast {

@@ -132,6 +132,8 @@ mod tests {
             viewers_at_join: 12,
             rendered_fps: 29.5,
             server: "vidman-eu-central-1-01.periscope.tv".to_string(),
+            traffic_bps: 0.0,
+            stream: None,
         }
     }
 

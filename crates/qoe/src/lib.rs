@@ -3,9 +3,9 @@
 //! QoE analysis over session datasets (§5.1 of the paper).
 //!
 //! [`dataset`] wraps a collection of simulated viewing sessions with the
-//! selectors and aggregations the figures need; [`delivery`] recovers
-//! delivery latency from the raw captures via the NTP-timestamp method
-//! (§5.1), including the handshake stripping a human would do in wireshark;
+//! selectors and aggregations the figures need; [`delivery`] names the
+//! capture analysis that recovers bitrate, QP and delivery latency (the
+//! NTP-timestamp method of §5.1) from one session's raw capture;
 //! [`compare`] runs the paper's device-comparison Welch t-tests;
 //! [`export`] dumps per-session/per-broadcast CSVs for external plotting;
 //! [`slo`] folds causal span trees into per-session phase breakdowns,

@@ -1,13 +1,12 @@
 //! Video-quality analysis the way §5.2 did it: run viewing sessions,
 //! reconstruct the streams from the packet captures (wireshark/libav
-//! stand-in), and report bitrate, QP, GOP patterns and HLS segment
-//! durations.
+//! stand-in) — each in the worker that recorded it — and report bitrate,
+//! QP, GOP patterns and HLS segment durations.
 //!
 //! Run with: `cargo run --release --example video_quality`
 
 use periscope_repro::core::{Lab, LabConfig};
 use periscope_repro::media::analysis::GopClass;
-use periscope_repro::qoe::delivery::analyze_session;
 
 fn main() {
     let mut lab = Lab::new(LabConfig::small(2024));
@@ -19,7 +18,7 @@ fn main() {
     );
     let mut analyzed = Vec::new();
     for outcome in &report.sessions {
-        let Some(r) = analyze_session(outcome) else { continue };
+        let Some(r) = &outcome.stream else { continue };
         println!(
             "{:<6} {:>9.0} bps {:>8.1} {:>8.1} {:>10.1} {:>8}  {:?}",
             outcome.protocol.name(),

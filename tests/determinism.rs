@@ -16,7 +16,7 @@ fn session_dataset_is_bit_reproducible() {
                     s.broadcast_id,
                     s.protocol,
                     s.meta.n_stalls,
-                    s.capture.total_bytes(),
+                    s.traffic_bps.to_bits(),
                     s.join_time_s().map(|j| (j * 1e6) as u64),
                 )
             })
@@ -48,8 +48,9 @@ fn rendered_figures_are_identical_across_runs() {
     }
 }
 
-/// Per-session fingerprint covering every scalar metric plus the capture
-/// byte count, so a single diverging draw anywhere in a session shows up.
+/// Per-session fingerprint covering every scalar metric, the traffic rate
+/// and the capture analysis done in the worker, so a single diverging draw
+/// anywhere in a session shows up.
 fn dataset_fingerprint(threads: usize, seed: u64) -> Vec<String> {
     let mut config = LabConfig::small(seed);
     config.threads = threads;
@@ -60,15 +61,16 @@ fn dataset_fingerprint(threads: usize, seed: u64) -> Vec<String> {
         .iter()
         .map(|s| {
             format!(
-                "{:?} {:?} {:?} {} {} {} {:?} {:?}",
+                "{:?} {:?} {:?} {} {} {} {:?} {:?} {:?}",
                 s.broadcast_id,
                 s.protocol,
                 s.device,
                 s.viewers_at_join,
                 s.meta.n_stalls,
-                s.capture.total_bytes(),
+                s.traffic_bps.to_bits(),
                 s.join_time_s().map(|j| (j * 1e6) as u64),
                 s.meta.playback_latency_s.map(|l| (l * 1e6) as u64),
+                s.stream,
             )
         })
         .collect()
@@ -93,8 +95,9 @@ fn figures_invariant_under_thread_count() {
         (exp.run)(&mut lab).render()
     };
     // threads=1 is the true serial path; comparing 2 and 8 against it (not
-    // against each other) also validates the crawl and capture-analysis
-    // fan-outs behind fig1a/fig5 against the serial baseline.
+    // against each other) also validates the crawl fan-out behind fig1a and
+    // the in-worker capture analysis behind fig5 against the serial
+    // baseline.
     for id in ["fig1a", "fig3b", "fig5"] {
         let serial = render(1, id);
         for threads in [2, 8] {

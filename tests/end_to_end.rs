@@ -6,7 +6,6 @@ use periscope_repro::client::session::SessionConfig;
 use periscope_repro::client::{Teleport, TeleportConfig};
 use periscope_repro::core::{Lab, LabConfig};
 use periscope_repro::media::capture::FlowKind;
-use periscope_repro::qoe::delivery::{analyze_session, delivery_latency_s};
 use periscope_repro::qoe::SessionDataset;
 use periscope_repro::service::select::Protocol;
 
@@ -27,13 +26,14 @@ fn hls_for_popular_with_higher_latency() {
     let rtmp_viewers = mean(&rtmp.iter().map(|s| s.viewers_at_join as f64).collect::<Vec<_>>());
     let hls_viewers = mean(&hls.iter().map(|s| s.viewers_at_join as f64).collect::<Vec<_>>());
     assert!(hls_viewers > rtmp_viewers * 2.0, "hls={hls_viewers} rtmp={rtmp_viewers}");
-    // Delivery latency (capture-derived) much larger on HLS.
-    let lat = |group: &[&periscope_repro::client::SessionOutcome]| {
-        let xs: Vec<f64> = group.iter().take(10).filter_map(|s| delivery_latency_s(s)).collect();
-        mean(&xs)
+    // Delivery latency (capture-derived, analysed where each session ran)
+    // much larger on HLS.
+    let lat = |protocol: Protocol| {
+        let analysed = dataset.analyzed(protocol).take(10);
+        mean(&analysed.filter_map(|(_, r)| r.mean_delivery_latency_s()).collect::<Vec<_>>())
     };
-    let rtmp_lat = lat(&rtmp);
-    let hls_lat = lat(&hls);
+    let rtmp_lat = lat(Protocol::Rtmp);
+    let hls_lat = lat(Protocol::Hls);
     assert!(rtmp_lat < 1.0, "rtmp delivery latency {rtmp_lat}");
     assert!(hls_lat > 3.0, "hls delivery latency {hls_lat}");
 }
@@ -83,13 +83,7 @@ fn bitrates_similar_across_protocols() {
     let mut lab = Lab::new(LabConfig::small(23));
     let dataset = lab.session_dataset();
     let rates = |protocol: Protocol| {
-        dataset
-            .unlimited(protocol)
-            .into_iter()
-            .take(10)
-            .filter_map(analyze_session)
-            .map(|r| r.bitrate_bps)
-            .collect::<Vec<_>>()
+        dataset.analyzed(protocol).take(10).map(|(_, r)| r.bitrate_bps).collect::<Vec<_>>()
     };
     let rtmp = rates(Protocol::Rtmp);
     let hls = rates(Protocol::Hls);
@@ -131,14 +125,11 @@ fn chat_traffic_explosion_end_to_end() {
     // Compare steady-state rates (media + chat + pictures), like the
     // paper's 500 kbps -> 3.5 Mbps observation; the join bootstrap is the
     // same in both runs.
-    let rate = |o: &periscope_repro::client::SessionOutcome| {
-        o.capture.rate_of_kinds(&[FlowKind::Rtmp, FlowKind::Chat, FlowKind::PictureHttp])
-    };
     assert!(
-        rate(&chatty) > rate(&quiet) * 2.0,
+        chatty.traffic_bps > quiet.traffic_bps * 2.0,
         "chat on {} vs off {}",
-        rate(&chatty),
-        rate(&quiet)
+        chatty.traffic_bps,
+        quiet.traffic_bps
     );
     assert!(chatty.capture.flow_of_kind(FlowKind::PictureHttp).is_some());
     assert!(quiet.capture.flow_of_kind(FlowKind::PictureHttp).is_none());
@@ -153,7 +144,8 @@ fn capture_analysis_recovers_stream_properties() {
     let report = lab.run_viewing_sessions(10);
     let mut analyzed = 0;
     for outcome in &report.sessions {
-        let Some(r) = analyze_session(outcome) else { continue };
+        assert!(outcome.capture.flows.is_empty(), "a dataset session kept its capture");
+        let Some(r) = &outcome.stream else { continue };
         analyzed += 1;
         assert_eq!(r.width, 320);
         assert_eq!(r.height, 568);

@@ -27,9 +27,8 @@ fn run_with_faults(
     let tcfg = TeleportConfig {
         sessions,
         session: SessionConfig { faults, ..Default::default() },
-        keep_captures_per_protocol: usize::MAX,
+        analyze_per_protocol: usize::MAX,
         threads,
-        shards: 1,
     };
     let outcomes = tp.run_dataset_observed(&tcfg, &obs);
     (outcomes, obs.metrics())
@@ -42,16 +41,17 @@ fn fingerprints(outcomes: &[SessionOutcome]) -> Vec<String> {
         .iter()
         .map(|s| {
             format!(
-                "{:?} {:?} {:?} {} {} {} {:?} {:?} {}",
+                "{:?} {:?} {:?} {} {} {} {:?} {:?} {} {:?}",
                 s.broadcast_id,
                 s.protocol,
                 s.device,
                 s.viewers_at_join,
                 s.meta.n_stalls,
-                s.capture.total_bytes(),
+                s.traffic_bps.to_bits(),
                 s.join_time_s().map(|j| (j * 1e6) as u64),
                 s.meta.playback_latency_s.map(|l| (l * 1e6) as u64),
                 s.server,
+                s.stream,
             )
         })
         .collect()
@@ -260,9 +260,8 @@ fn run_transport_arm(
     let tcfg = TeleportConfig {
         sessions,
         session: SessionConfig { faults, transport: Some(transport), ..Default::default() },
-        keep_captures_per_protocol: 0,
         threads: 0,
-        shards: 1,
+        ..Default::default()
     };
     tp.run_dataset_observed(&tcfg, &obs)
 }

@@ -71,6 +71,63 @@ fn qoe_quantiles() {
     }
 }
 
+/// Figs 5–6 and the §5.1/§5.2 tables: what the capture analysis produces
+/// from the unlimited-bandwidth sessions — per-protocol CDF point counts
+/// and medians, scatter point counts, and every value row of both tables.
+#[test]
+fn capture_analysis_figures() {
+    let mut lab = Lab::new(LabConfig::small(SEED));
+    let mut run = |id: &str| (experiments::by_id(id).unwrap().run)(&mut lab);
+    // The x at which a sampled CDF first reaches one half.
+    let median = |pts: &[(f64, f64)]| pts.iter().find(|(_, f)| *f >= 0.5).map(|(x, _)| *x);
+    let cdf_golden = [
+        ("fig5", [("HLS", 50, 4.04915263122775), ("RTMP", 50, 0.20924220835880958)]),
+        ("fig6a", [("HLS", 50, 0.32847906153553613), ("RTMP", 50, 0.30484413338290206)]),
+    ];
+    for (id, golden) in cdf_golden {
+        let FigureData::Cdf { series, .. } = run(id) else { panic!("{id}: cdf expected") };
+        let got: Vec<(&str, usize, f64)> = series
+            .iter()
+            .map(|(label, pts)| (label.as_str(), pts.len(), median(pts).expect("non-empty")))
+            .collect();
+        assert_eq!(got, golden, "{id}: series, point counts or medians changed");
+    }
+    let FigureData::Scatter { series, .. } = run("fig6b") else { panic!("fig6b: scatter") };
+    let points: Vec<(&str, usize)> =
+        series.iter().map(|(label, pts)| (label.as_str(), pts.len())).collect();
+    assert_eq!(points, [("HLS", 9), ("RTMP", 21)], "fig6b: analysed sessions per protocol");
+    let table_golden: &[(&str, &[(&str, &str)])] = &[
+        (
+            "table-video",
+            &[
+                ("RTMP I+P-only fraction", "0.095"),
+                ("HLS I+P-only fraction", "0.444"),
+                ("I-only streams", "1"),
+                ("mean I-frame interval", "35.0"),
+                ("segment durations at 3.6s", "0.597"),
+                ("segment duration range (s)", "3.6..4.0"),
+                ("mean audio bitrate (kbps)", "44.5"),
+                ("resolution", "320x568"),
+            ],
+        ),
+        (
+            "table-latency",
+            &[
+                ("sessions decomposed", "21"),
+                ("RTMP delivery latency p75 (s)", "0.247"),
+                ("RTMP delivery latency mean (s)", "0.226"),
+                ("RTMP playback latency mean (s)", "1.963"),
+                ("buffering share of playback latency", "0.885"),
+            ],
+        ),
+    ];
+    for (id, golden) in table_golden {
+        let FigureData::Table { rows, .. } = run(id) else { panic!("{id}: table expected") };
+        let got: Vec<(&str, &str)> = rows.iter().map(|r| (r[0].as_str(), r[1].as_str())).collect();
+        assert_eq!(got, *golden, "{id}: a value row changed");
+    }
+}
+
 /// Chaos sweep: exact mean stall ratio per loss scale, and the
 /// monotonicity the fault layer guarantees.
 #[test]

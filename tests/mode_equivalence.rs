@@ -1,18 +1,19 @@
 //! Uncaptured sessions are captured sessions minus the capture.
 //!
 //! A caller that will not read a session's capture runs it through
-//! `Teleport::run_one_uncaptured` (the dataset plan's `!keep_capture`
-//! sessions, every `run_scale` session), which never produces a packet's
-//! bytes (DESIGN.md §10). The contract pinned here, against the public API:
-//! the outcome's capture is empty and *everything else* — every
-//! `SessionOutcome` field and everything recorded into an enabled trace —
+//! `Teleport::run_one_uncaptured` (a dataset's unanalysed sessions, every
+//! `run_scale` session), which never produces a packet's bytes (DESIGN.md
+//! §10). The contract pinned here, against the public API: the outcome's
+//! capture is empty and *everything else* — every `SessionOutcome` field,
+//! `traffic_bps` included, and everything recorded into an enabled trace —
 //! is bit for bit what `run_one_traced` gives, on all three transports,
 //! with and without `tc` limits, chat, the picture cache, TLS and chaos.
 //! (`pscp-client`'s own unit tests compare the two modes packet by packet
-//! before the capture is dropped.)
+//! before the capture is dropped.) A dataset keeps no capture at all: the
+//! sessions its plan marks are analysed where they ran.
 
 use periscope_repro::client::device::NetworkSetup;
-use periscope_repro::client::session::{self, SessionConfig};
+use periscope_repro::client::session::{self, analyze_session, SessionConfig};
 use periscope_repro::client::{SessionOutcome, Teleport, TeleportConfig};
 use periscope_repro::obs::Trace;
 use periscope_repro::par;
@@ -73,6 +74,7 @@ fn scalars(o: &SessionOutcome) -> String {
             o.player.session_s.to_bits(),
             (o.meta.n_stalls, bits(o.meta.avg_stall_time_s), bits(o.meta.playback_latency_s)),
             (o.viewers_at_join, o.rendered_fps.to_bits(), &o.server),
+            o.traffic_bps.to_bits(),
         )
     )
 }
@@ -188,49 +190,55 @@ fn session_run_uncaptured_equals_each_transports_run_traced() {
     }
 }
 
-/// What a dataset session's capture contributes to a comparison: nothing
-/// when it was not kept, its content when it was.
-fn capture_content(o: &SessionOutcome) -> Vec<(usize, usize, Vec<u8>)> {
-    o.capture
-        .flows
-        .iter()
-        .map(|f| (f.packet_count(), f.byte_count(), f.byte_stream().into_owned()))
-        .collect()
-}
-
+/// A dataset keeps no capture, and the plan alone decides which sessions
+/// are analysed: the first `analyze_per_protocol` of each planned protocol
+/// carry exactly the report a full run of their plan entry analyses to,
+/// the rest none, and every scalar is the full run's.
 #[test]
-fn dataset_retention_only_decides_which_captures_are_empty() {
+fn dataset_analyses_the_planned_sessions_and_keeps_no_capture() {
     let svc = service();
     let tp = Teleport::new(&svc, RngFactory::new(41));
-    let dataset = |keep: usize, threads: usize| {
-        tp.run_dataset(&TeleportConfig {
-            sessions: 12,
-            keep_captures_per_protocol: keep,
-            threads,
-            ..Default::default()
-        })
+    let config = |analyze_per_protocol: usize, threads: usize| TeleportConfig {
+        sessions: 12,
+        analyze_per_protocol,
+        threads,
+        ..Default::default()
     };
-    let all = dataset(usize::MAX, 1);
-    assert!(all.iter().all(|o| !o.capture.flows.is_empty()));
+    // Each plan entry run alone, capture and all: (planned protocol,
+    // scalars, analysis).
+    let selection = svc.selection_policy();
+    let reference: Vec<(Protocol, String, String)> = tp
+        .plan(&config(0, 1))
+        .iter()
+        .map(|p| {
+            let mut trace = Trace::disabled();
+            let full = tp.run_one_traced(p.broadcast, p.join_at, &p.session, p.idx, &mut trace);
+            let planned = selection.choose(p.broadcast, p.join_at);
+            (planned, scalars(&full), format!("{:?}", analyze_session(&full)))
+        })
+        .collect();
     assert!(
-        PROTOCOLS[..2].iter().all(|p| all.iter().filter(|o| o.protocol == *p).count() > 2),
+        PROTOCOLS[..2].iter().all(|p| reference.iter().filter(|r| r.0 == *p).count() > 2),
         "the dataset has more than two sessions of each service-chosen protocol"
     );
-    for keep in [0, 2, usize::MAX] {
+    assert!(reference.iter().all(|r| r.2.starts_with("Some")), "every capture analyses");
+    for analyze in [0, 2, usize::MAX] {
         for threads in [1, 4] {
-            let got = dataset(keep, threads);
-            assert_eq!(got.len(), all.len());
-            let mut kept = std::collections::HashMap::new();
-            for (i, (g, a)) in got.iter().zip(&all).enumerate() {
-                let cell = format!("keep {keep} threads {threads} session {i}");
-                assert_eq!(scalars(g), scalars(a), "{cell}");
-                let slot = kept.entry(g.protocol).or_insert(0usize);
-                if *slot < keep {
+            let got = tp.run_dataset(&config(analyze, threads));
+            assert_eq!(got.len(), reference.len());
+            let mut marked = std::collections::HashMap::new();
+            for (i, (g, (planned, scalars_full, stream_full))) in
+                got.iter().zip(&reference).enumerate()
+            {
+                let cell = format!("analyze {analyze} threads {threads} session {i}");
+                assert!(g.capture.flows.is_empty(), "{cell}: the dataset kept a capture");
+                assert_eq!(scalars(g), *scalars_full, "{cell}");
+                let slot = marked.entry(*planned).or_insert(0usize);
+                if *slot < analyze {
                     *slot += 1;
-                    // A kept capture is a full capture.
-                    assert_eq!(capture_content(g), capture_content(a), "{cell}");
+                    assert_eq!(format!("{:?}", g.stream), *stream_full, "{cell}");
                 } else {
-                    assert!(g.capture.flows.is_empty(), "{cell}: capture kept past the cap");
+                    assert!(g.stream.is_none(), "{cell}: analysed past the plan's count");
                 }
             }
         }

@@ -25,7 +25,7 @@ fn dataset_fingerprint(trace: bool, threads: usize, seed: u64) -> Vec<String> {
                 s.device,
                 s.viewers_at_join,
                 s.meta.n_stalls,
-                s.capture.total_bytes(),
+                s.traffic_bps.to_bits(),
                 s.join_time_s().map(|j| (j * 1e6) as u64),
                 s.meta.playback_latency_s.map(|l| (l * 1e6) as u64),
             )
@@ -194,7 +194,7 @@ fn span_run(threads: usize, seed: u64) -> (Vec<String>, String, String, String) 
                 "{:?} {:?} {} {:?}",
                 s.broadcast_id,
                 s.protocol,
-                s.capture.total_bytes(),
+                s.traffic_bps.to_bits(),
                 s.join_time_s().map(|j| (j * 1e6) as u64),
             )
         })

@@ -1,8 +1,9 @@
 //! Shard-invariance suite (DESIGN.md §13): quadtree sharding must be
-//! provably inert. Datasets, figures, the SLO report, the merged QoE
-//! sketch snapshot and the scale engine's roll-ups are byte-identical
-//! across shard counts 1/4/16 and thread counts, and the golden artifacts
-//! of the unsharded seed reproduce exactly under 16 shards.
+//! provably inert. The scale engine's roll-ups are byte-identical across
+//! shard counts 1/4/16 and thread counts. A dataset has no shard count —
+//! every session is a pure function of its plan entry — so its figures,
+//! SLO report and merged QoE sketch snapshot are checked across thread
+//! counts alone.
 //!
 //! Run under the CI thread matrix (`PSCP_THREADS` 1/2/4): every
 //! comparison here also crosses explicit thread counts, so one run of
@@ -10,17 +11,13 @@
 
 use periscope_repro::core::shard::{run_scale, ScaleConfig};
 use periscope_repro::core::{experiments, Lab, LabConfig};
-use periscope_repro::qoe::dataset::SessionDataset;
 use periscope_repro::qoe::telemetry::QoeTelemetry;
 use periscope_repro::qoe::{slo, SloSpec};
-use periscope_repro::service::select::Protocol;
-use periscope_repro::stats::quantile::quantiles;
 
 const SEED: u64 = 2016;
 
-fn lab_with(shards: usize, threads: usize) -> Lab {
+fn lab_with(threads: usize) -> Lab {
     let mut config = LabConfig::small(SEED);
-    config.shards = shards;
     config.threads = threads;
     Lab::new(config)
 }
@@ -28,8 +25,8 @@ fn lab_with(shards: usize, threads: usize) -> Lab {
 /// Everything an artifact consumer can see of a dataset run: per-session
 /// fingerprints, the SLO report JSON, the merged sketch snapshot, and a
 /// rendered figure.
-fn artifact_bundle(shards: usize, threads: usize) -> (Vec<String>, String, String, String) {
-    let mut lab = lab_with(shards, threads);
+fn artifact_bundle(threads: usize) -> (Vec<String>, String, String, String) {
+    let mut lab = lab_with(threads);
     let dataset = lab.session_dataset();
     let fingerprints = dataset
         .sessions
@@ -40,7 +37,7 @@ fn artifact_bundle(shards: usize, threads: usize) -> (Vec<String>, String, Strin
                 s.broadcast_id,
                 s.protocol,
                 s.meta.n_stalls,
-                s.capture.total_bytes(),
+                s.traffic_bps.to_bits(),
                 s.join_time_s().map(|j| (j * 1e6) as u64),
                 s.bandwidth_limit_bps,
             )
@@ -48,41 +45,23 @@ fn artifact_bundle(shards: usize, threads: usize) -> (Vec<String>, String, Strin
         .collect();
     let slo_json = slo::evaluate(&SloSpec::paper(), &dataset, &[], "sharding-suite").to_json();
     let sketch_snapshot = QoeTelemetry::from_dataset(&dataset).snapshot_json();
-    let mut lab2 = lab_with(shards, threads);
+    let mut lab2 = lab_with(threads);
     let fig = experiments::by_id("fig3a").expect("fig3a exists");
     let figure = (fig.run)(&mut lab2).render();
     (fingerprints, slo_json, sketch_snapshot, figure)
 }
 
 #[test]
-fn dataset_figures_slo_and_sketches_invariant_across_shards_and_threads() {
-    let baseline = artifact_bundle(1, 1);
+fn dataset_figures_slo_and_sketches_invariant_across_threads() {
+    let baseline = artifact_bundle(1);
     assert!(!baseline.0.is_empty());
-    for (shards, threads) in [(4, 1), (16, 1), (1, 8), (16, 8), (4, 0)] {
-        let got = artifact_bundle(shards, threads);
-        assert_eq!(got.0, baseline.0, "dataset diverged at shards={shards} threads={threads}");
-        assert_eq!(got.1, baseline.1, "SLO report diverged at shards={shards} threads={threads}");
-        assert_eq!(got.2, baseline.2, "sketch snapshot diverged at shards={shards}");
-        assert_eq!(got.3, baseline.3, "figure diverged at shards={shards} threads={threads}");
+    for threads in [8, 0] {
+        let got = artifact_bundle(threads);
+        assert_eq!(got.0, baseline.0, "dataset diverged at threads={threads}");
+        assert_eq!(got.1, baseline.1, "SLO report diverged at threads={threads}");
+        assert_eq!(got.2, baseline.2, "sketch snapshot diverged at threads={threads}");
+        assert_eq!(got.3, baseline.3, "figure diverged at threads={threads}");
     }
-}
-
-/// The pinned golden facts of `tests/golden_figures.rs` reproduce exactly
-/// under 16 shards: sharding is provably inert at seed scale. (The golden
-/// suite itself runs at the default `shards: 1`, so together the two
-/// suites pin both sides of the equivalence.)
-#[test]
-fn golden_artifacts_reproduce_under_sixteen_shards() {
-    let mut lab = lab_with(16, 0);
-    let dataset = lab.session_dataset();
-    let rtmp = dataset.unlimited(Protocol::Rtmp);
-    assert_eq!(rtmp.len(), 21, "unlimited RTMP session count changed under sharding");
-    let join = SessionDataset::join_times_s(&rtmp);
-    assert_eq!(
-        quantiles(&join, &[0.25, 0.5, 0.9]).unwrap(),
-        vec![0.524036, 1.757723, 1.787923],
-        "golden join quantiles changed under sharding"
-    );
 }
 
 /// The small world the scale-engine tests run on.
