@@ -81,7 +81,9 @@ pub const CHAOS: Schema = Schema {
     title: "Chaos artifact",
     body: r#"
 runs the three-way transport chaos study (DESIGN.md §12) and writes
-`CHAOS_sweep.json` alongside the rendered figures. Schema:
+`CHAOS_sweep.json` alongside the rendered figures, one compact JSON
+document (keys ascend, numbers at shortest round-trip precision, DESIGN.md
+§15). Schema:
 
 * `seed` — fault-schedule seed (independent of the lab world seed).
 * `transports` — arm names in sweep order (`"RTMP"`, `"HLS"`, `"SRT"`;
@@ -94,8 +96,9 @@ runs the three-way transport chaos study (DESIGN.md §12) and writes
   * `mean_stall_ratio` — mean over all sessions (never-joined count 1.0);
   * `mean_join_s` — mean join time over joined sessions (`-1` if none);
   * `counters` — every `fault/*`, `recovery/*` and `srt/*` counter the
-    point's sessions emitted (e.g. `srt/nak_sent`, `srt/retransmits`,
-    `srt/late_drops`, `srt/conceals`, `fault/lost_packets`). No
+    point's sessions emitted, keyed `subsystem/name` (e.g.
+    `srt/nak_sent`, `srt/retransmits`, `srt/late_drops`, `srt/conceals`,
+    `fault/lost_packets`). No
     `session/*` counter is part of the artifact, so the one-start fix of
     DESIGN.md §16 (an SRT session that falls back to RTMP used to count
     `session/started` twice) leaves it byte-identical; what does show the
@@ -116,7 +119,9 @@ pub const SCALE: Schema = Schema {
     title: "Scale artifact",
     body: r#"
 runs the planet-scale sharded sweep (DESIGN.md §13) and writes
-`SCALE_report.json`. Schema (`pscp-scale-report/v1`):
+`SCALE_report.json`, one compact JSON document (keys ascend, numbers at
+shortest round-trip precision, DESIGN.md §15). Schema
+(`pscp-scale-report/v1`):
 
 * `seed`, `shards`, `threads` — sweep configuration. `shards` must be a
   power of four (1/4/16/64: one quadtree cell per shard); `threads` `0`
@@ -160,14 +165,17 @@ are property-tested in `tests/shard_props.rs`.
 pub const SLO_LIVE: Schema = Schema {
     title: "Live-monitor artifact",
     body: r#"
-writes one JSON object per line to `SLO_live.jsonl`, cumulative over
+writes one compact JSON object per line to `SLO_live.jsonl` (keys ascend,
+numbers at shortest round-trip precision, DESIGN.md §15), cumulative over
 batches:
 
 * `batch`, `sessions_total` — batch index and sessions folded so far.
 * `rss_bytes`, `alloc_count` — wall-clock system facts, present only
   under `PSCP_WATCH_SYS=1` (the default artifact stays deterministic).
 * `telemetry` — the constant-memory QoE snapshot (DESIGN.md §11): join
-  quantiles, stall ratio, per-phase attribution, sketch footprint.
+  quantiles, stall ratio, per-phase attribution, sketch footprint. The
+  HLS latency and per-phase means are written to the µs (1e-6): they come
+  from float moments, whose merge is partition-dependent in the last bits.
 * `alerts` — burn-rate alert state as of the snapshot (DESIGN.md §14):
   * `transitions` — firing/resolved transitions on the cumulative
     timeline so far;
@@ -190,7 +198,8 @@ pub const INCIDENTS: Schema = Schema {
 runs the burn-rate alert + ground-truth incident study (DESIGN.md §14):
 a fault-free control arm plus one chaos arm per transport, all
 replanning the identical sessions (common random numbers), and writes
-`INCIDENTS.json`:
+`INCIDENTS.json`, one compact JSON document (keys ascend, numbers at
+shortest round-trip precision, DESIGN.md §15):
 
 * `seed`, `loss_scale`, `sessions`, `shards`, `horizon_us` — study
   configuration; the horizon is the population window the ground-truth
@@ -213,9 +222,9 @@ replanning the identical sessions (common random numbers), and writes
   fault start to the alert boundary (−1 when nothing was detected).
   Ingest outages feed incidents but are aggregated across hostnames,
   so they get no per-unit scorecard row (DESIGN.md §14).
-* `timelines` — the full per-arm alert timelines (rule, time, state,
-  fast/slow burn rates, attribution). The control arm's timeline is
-  empty: no faults, no alerts.
+* `timelines` — the full per-arm alert timelines keyed by arm name (rule,
+  time, state, fast/slow burn rates, attribution). The control arm's
+  timeline is empty: no faults, no alerts.
 
 The companion `INCIDENTS_trace.json` is a Chrome trace of the first
 chaos arm whose alert transitions appear as instant events over the

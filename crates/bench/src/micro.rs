@@ -9,6 +9,8 @@
 //! `tests/experiments_smoke.rs`'s job.)
 
 use pscp_obs::Observer;
+use pscp_proto::json::{Value, Writer};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -49,8 +51,7 @@ pub struct MicroBench {
     target_secs: f64,
     observer: Observer,
     results: Vec<BenchResult>,
-    /// `(key, value as JSON)`.
-    facts: Vec<(String, String)>,
+    facts: BTreeMap<String, Value>,
 }
 
 impl MicroBench {
@@ -65,7 +66,7 @@ impl MicroBench {
             target_secs,
             observer: Observer::profile_only(),
             results: Vec::new(),
-            facts: Vec::new(),
+            facts: BTreeMap::new(),
         }
     }
 
@@ -73,13 +74,13 @@ impl MicroBench {
     /// artifact's `facts` object. The `bench-diff` gate only reads timings,
     /// so facts ride along without affecting the regression check.
     pub fn fact(&mut self, key: &str, value: u64) {
-        self.facts.push((key.to_string(), value.to_string()));
+        self.facts.insert(key.to_string(), Value::from(value));
     }
 
     /// Records a suite-level fact that is a name, not a number (e.g. which
     /// kernel the host's CPU selected).
     pub fn fact_text(&mut self, key: &str, value: &str) {
-        self.facts.push((key.to_string(), format!("\"{value}\"")));
+        self.facts.insert(key.to_string(), Value::from(value));
     }
 
     /// Times `f` (which must return a value derived from its work, to keep
@@ -143,41 +144,39 @@ impl MicroBench {
         out
     }
 
-    /// The machine-readable artifact body (`BENCH_<suite>.json`).
+    /// The machine-readable artifact body (`BENCH_<suite>.json`, trailing
+    /// newline).
     pub fn json(&self) -> String {
-        let results: Vec<String> = self
-            .results
-            .iter()
-            .map(|r| {
-                let tp = r.mb_per_sec().map(|t| format!("{t:.2}")).unwrap_or_else(|| "null".into());
-                let al = r.allocs_per_iter.map(|a| a.to_string()).unwrap_or_else(|| "null".into());
-                format!(
-                    "    {{\"name\":\"{}\",\"iters\":{},\"per_iter_secs\":{:.9},\
-                     \"mb_per_sec\":{},\"allocs_per_iter\":{}}}",
-                    r.name,
-                    r.iters,
-                    r.per_iter_secs(),
-                    tp,
-                    al
-                )
-            })
-            .collect();
-        let facts = if self.facts.is_empty() {
-            String::new()
-        } else {
-            let entries: Vec<String> =
-                self.facts.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-            format!("  \"facts\": {{{}}},\n", entries.join(","))
-        };
-        format!(
-            "{{\n  \"suite\": \"{}\",\n  \"seed\": {},\n  \"target_secs\": {},\n{facts}  \
-             \"results\": [\n{}\n  ],\n  \"phases\": {}\n}}\n",
-            self.suite,
-            self.seed,
-            self.target_secs,
-            results.join(",\n"),
-            pscp_obs::phases_json(&self.observer.phases()),
-        )
+        let mut out = String::new();
+        let w = &mut Writer::new(&mut out);
+        w.begin_object();
+        if !self.facts.is_empty() {
+            w.key("facts").begin_object();
+            for (key, value) in &self.facts {
+                w.key(key);
+                value.write_json(w);
+            }
+            w.end_object();
+        }
+        w.key("phases");
+        pscp_obs::write_phases(&self.observer.phases(), w);
+        w.key("results").begin_array();
+        for r in &self.results {
+            w.begin_object();
+            w.key("allocs_per_iter").number_or_null(r.allocs_per_iter.map(|a| a as f64));
+            w.key("iters").int(r.iters);
+            w.key("mb_per_sec").number_or_null(r.mb_per_sec());
+            w.key("name").str(&r.name);
+            w.key("per_iter_secs").number(r.per_iter_secs());
+            w.end_object();
+        }
+        w.end_array();
+        w.key("seed").int(self.seed);
+        w.key("suite").str(&self.suite);
+        w.key("target_secs").number(self.target_secs);
+        w.end_object();
+        out.push('\n');
+        out
     }
 
     /// Writes the artifact and returns the table plus the artifact path.
@@ -288,12 +287,12 @@ pub fn bench_components(seed: u64) -> Result<String, String> {
         total as u64
     });
 
-    let doc = {
-        let items: Vec<String> = (0..100)
-            .map(|i| format!(r#"{{"id":"brdcst{i:07}","lat":41.2,"lng":28.9,"n":{i}}}"#))
-            .collect();
-        format!(r#"{{"broadcasts":[{}]}}"#, items.join(","))
+    let item = |i: u64| {
+        let id = Value::str(format!("brdcst{i:07}"));
+        Value::object([("id", id), ("lat", 41.2.into()), ("lng", 28.9.into()), ("n", i.into())])
     };
+    let doc = Value::object([("broadcasts", (0..100).map(item).collect::<Vec<_>>().into())]);
+    let doc = doc.to_json();
     suite.run("json/parse map-feed response", Some(doc.len() as u64), || {
         json::parse(&doc).expect("parse");
         doc.len() as u64
@@ -566,4 +565,31 @@ pub fn bench_components(seed: u64) -> Result<String, String> {
     }
 
     suite.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `BENCH_<suite>.json` is canonical JSON that `repro bench-diff` reads.
+    #[test]
+    fn artifact_is_canonical_and_diffable() {
+        let mut suite = MicroBench { target_secs: 1e-4, ..MicroBench::new("unit", 7) };
+        suite.fact("bytes", 42);
+        suite.fact_text("kernel", "portable-8");
+        suite.run("noop", Some(8), || 1);
+        let json = suite.json();
+        let v = pscp_proto::json::parse(&json).expect("the artifact parses");
+        assert_eq!(v.to_json() + "\n", json, "written in canonical form");
+        let facts = v.get("facts").expect("facts");
+        assert_eq!(facts.get("bytes").and_then(Value::as_u64), Some(42));
+        assert_eq!(facts.get("kernel").and_then(Value::as_str), Some("portable-8"));
+        let names: Vec<String> = crate::diff::diff(&json, &json, 0.25)
+            .expect("diffable")
+            .entries
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(names, ["result/noop", "phase/noop"]);
+    }
 }

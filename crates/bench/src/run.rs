@@ -3,6 +3,7 @@
 //! its artifacts through [`write_artifact`] and returns how it ended.
 
 use pscp_core::{ChaosConfig, IncidentConfig, Lab};
+use pscp_proto::json::Writer;
 
 use crate::cli::{write_artifact, Args, Ctx, Exit};
 use crate::scale::ScaleTier;
@@ -52,18 +53,24 @@ pub fn bench(ctx: &mut Ctx, _: &Args) -> Result<Exit, String> {
     assert_eq!(sessions, sessions_par, "thread count changed the dataset size");
     println!("{}", pscp_obs::phases_table(&parallel_phases));
     let speedup = serial_secs / parallel_secs.max(1e-9);
-    let json = format!(
-        "{{\n  \"scale\": \"{scale}\",\n  \"seed\": {seed},\n  \"sessions\": {sessions},\n  \
-         \"threads\": {threads},\n  \"serial_secs\": {serial_secs:.3},\n  \
-         \"parallel_secs\": {parallel_secs:.3},\n  \
-         \"sessions_per_sec_serial\": {:.2},\n  \
-         \"sessions_per_sec_parallel\": {:.2},\n  \"speedup\": {speedup:.2},\n  \
-         \"phases_serial\": {},\n  \"phases_parallel\": {}\n}}\n",
-        sessions as f64 / serial_secs.max(1e-9),
-        sessions as f64 / parallel_secs.max(1e-9),
-        pscp_obs::phases_json(&serial_phases),
-        pscp_obs::phases_json(&parallel_phases),
-    );
+    let mut json = String::new();
+    let w = &mut Writer::new(&mut json);
+    w.begin_object();
+    w.key("parallel_secs").number(parallel_secs);
+    w.key("phases_parallel");
+    pscp_obs::write_phases(&parallel_phases, w);
+    w.key("phases_serial");
+    pscp_obs::write_phases(&serial_phases, w);
+    w.key("scale").str(scale);
+    w.key("seed").int(seed);
+    w.key("serial_secs").number(serial_secs);
+    w.key("sessions").int(sessions as u64);
+    w.key("sessions_per_sec_parallel").number(sessions as f64 / parallel_secs.max(1e-9));
+    w.key("sessions_per_sec_serial").number(sessions as f64 / serial_secs.max(1e-9));
+    w.key("speedup").number(speedup);
+    w.key("threads").int(threads as u64);
+    w.end_object();
+    json.push('\n');
     write_artifact("BENCH_parallel.json", json)?;
     println!("speedup: {speedup:.2}x — wrote BENCH_parallel.json");
     Ok(Exit::Ok)
@@ -100,7 +107,7 @@ pub fn trace(ctx: &mut Ctx, _: &Args) -> Result<Exit, String> {
     write_artifact("TRACE_events.jsonl", obs.events_jsonl())?;
     println!("wrote TRACE_events.jsonl ({} events)", obs.event_count());
     let phases = obs.phases();
-    write_artifact("TRACE_chrome.json", pscp_obs::chrome_trace(&obs.spans(), &phases))?;
+    write_artifact("TRACE_chrome.json", pscp_obs::chrome_trace(&obs.spans(), &phases, &[]))?;
     println!(
         "wrote TRACE_chrome.json ({} spans) — load it in Perfetto / chrome://tracing",
         obs.span_count()
@@ -261,7 +268,7 @@ pub fn incidents(
     print!("{}", report.table());
     write_artifact("INCIDENTS.json", report.to_json())?;
     if let Some(arm) = report.arms.iter().find(|a| a.faulted) {
-        let trace = pscp_obs::chrome_trace_with_alerts(&arm.spans, &[], &arm.timeline.transitions);
+        let trace = pscp_obs::chrome_trace(&arm.spans, &[], &arm.timeline.transitions);
         write_artifact("INCIDENTS_trace.json", trace)?;
     }
     println!(

@@ -11,10 +11,10 @@
 //! asks for them, exactly like `repro watch`.
 
 use pscp_core::shard::{run_scale, ScaleConfig, ScaleRun};
+use pscp_proto::json::Writer;
 use pscp_service::{PeriscopeService, ServiceConfig};
 use pscp_simnet::RngFactory;
 use pscp_workload::population::{Population, PopulationConfig};
-use std::fmt::Write as _;
 
 /// One tier of the sweep: a world density plus a default session budget.
 #[derive(Debug, Clone, Copy)]
@@ -86,8 +86,8 @@ impl ScaleArgs {
     }
 }
 
-/// Runs one tier and renders its report object.
-fn run_tier(args: &ScaleArgs, tier: &ScaleTier) -> (ScaleRun, String) {
+/// Runs one tier and writes its report object.
+fn run_tier(args: &ScaleArgs, tier: &ScaleTier, w: &mut Writer<'_>) -> ScaleRun {
     let pop_cfg =
         PopulationConfig { arrivals_per_sec: tier.arrivals_per_sec, ..PopulationConfig::default() };
     let rngs = RngFactory::new(args.seed);
@@ -103,80 +103,62 @@ fn run_tier(args: &ScaleArgs, tier: &ScaleTier) -> (ScaleRun, String) {
     let run = run_scale(&service, &rngs, &cfg);
     let wall_secs = started.elapsed().as_secs_f64();
 
-    let mut s = String::with_capacity(2048);
-    let _ = write!(
-        s,
-        "    {{\"tier\":\"{}\",\"arrivals_per_sec\":{},\"broadcasts\":{},\"minutes\":{},\
-         \"shards\":{},\"target_sessions\":{}",
-        tier.name,
-        tier.arrivals_per_sec,
-        run.broadcasts,
-        run.minutes,
-        run.shards,
-        cfg.target_sessions
-    );
-    let _ = write!(s, ",\n     \"stats\":{}", run.stats.json());
-    let _ = write!(s, ",\n     \"qoe\":{}", run.telemetry.snapshot_json());
-    let _ = write!(
-        s,
-        ",\n     \"memory\":{{\"plan_bytes\":{},\"stats_bytes\":{},\"telemetry_bytes\":{}}}",
-        run.plan_bytes,
-        run.stats.memory_bytes(),
-        run.telemetry.memory_bytes()
-    );
-    let _ = write!(s, ",\n     \"census\":[");
-    for (i, row) in run.census.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"cell\":\"{}\",\"broadcasts\":{},\"peak_discoverable\":{}}}",
-            row.quadkey, row.broadcasts, row.peak_discoverable
-        );
+    w.begin_object();
+    w.key("arrivals_per_sec").number(tier.arrivals_per_sec);
+    w.key("broadcasts").int(run.broadcasts as u64);
+    w.key("census").begin_array();
+    for row in &run.census {
+        w.begin_object();
+        w.key("broadcasts").int(row.broadcasts);
+        w.key("cell").str(&row.quadkey);
+        w.key("peak_discoverable").int(row.peak_discoverable);
+        w.end_object();
     }
-    s.push(']');
+    w.end_array();
+    w.key("memory").begin_object();
+    w.key("plan_bytes").int(run.plan_bytes as u64);
+    w.key("stats_bytes").int(run.stats.memory_bytes() as u64);
+    w.key("telemetry_bytes").int(run.telemetry.memory_bytes() as u64);
+    w.end_object();
+    w.key("minutes").int(run.minutes as u64);
+    w.key("qoe");
+    run.telemetry.write_json(w);
+    w.key("shards").int(run.shards as u64);
+    w.key("stats");
+    run.stats.write_json(w);
     // Wall-clock facts only on request: they would break byte-comparable
     // reports (and CI caching) if they were always present.
     if crate::watch::sys_facts_requested() {
-        let _ = write!(
-            s,
-            ",\n     \"sys\":{{\"wall_secs\":{:.3},\"sessions_per_sec\":{:.1}",
-            wall_secs,
-            run.stats.sessions as f64 / wall_secs.max(1e-9)
-        );
-        match crate::watch::rss_bytes() {
-            Some(rss) => {
-                let _ = write!(s, ",\"rss_bytes\":{rss}");
-            }
-            None => s.push_str(",\"rss_bytes\":null"),
-        }
         // Where the session schedule's wall went: busy is time inside
         // sessions summed over workers, the rest is their idle tails.
-        let _ = write!(
-            s,
-            ",\"workers\":{},\"busy_secs\":{:.3},\"par_efficiency\":{:.3}}}",
-            run.par.workers,
-            run.par.busy_total(),
-            run.par.efficiency()
-        );
+        w.key("sys").begin_object();
+        w.key("busy_secs").number(run.par.busy_total());
+        w.key("par_efficiency").number(run.par.efficiency());
+        w.key("rss_bytes").number_or_null(crate::watch::rss_bytes().map(|b| b as f64));
+        w.key("sessions_per_sec").number(run.stats.sessions as f64 / wall_secs.max(1e-9));
+        w.key("wall_secs").number(wall_secs);
+        w.key("workers").int(run.par.workers as u64);
+        w.end_object();
     }
-    s.push('}');
-    (run, s)
+    w.key("target_sessions").int(cfg.target_sessions as u64);
+    w.key("tier").str(tier.name);
+    w.end_object();
+    run
 }
 
-/// Runs the sweep and returns the full `SCALE_report.json` text; progress
-/// lines go to stdout as tiers finish.
+/// Runs the sweep and returns the full `SCALE_report.json` text (trailing
+/// newline); progress lines go to stdout as tiers finish.
 pub fn run_scale_report(args: &ScaleArgs) -> String {
     let mut out = String::with_capacity(8192);
-    let _ = write!(
-        out,
-        "{{\n  \"schema\": \"pscp-scale-report/v1\",\n  \"seed\": {},\n  \"shards\": {},\n  \
-         \"threads\": {},\n  \"tiers\": [\n",
-        args.seed, args.shards, args.threads
-    );
-    for (i, tier) in args.tiers.iter().enumerate() {
-        let (run, json) = run_tier(args, tier);
+    let w = &mut Writer::new(&mut out);
+    w.begin_object();
+    w.key("schema").str("pscp-scale-report/v1");
+    w.key("seed").int(args.seed);
+    w.key("shards").int(args.shards as u64);
+    w.key("threads").int(args.threads as u64);
+    w.key("tiers").begin_array();
+    for tier in &args.tiers {
+        let run = run_tier(args, tier, w);
         println!(
             "tier {:>4}: {:>7} broadcasts, {} shards, {} sessions \
              ({} migrations, {} chat msgs; sketches {} B)",
@@ -188,18 +170,17 @@ pub fn run_scale_report(args: &ScaleArgs) -> String {
             run.stats.chat_out,
             run.stats.memory_bytes() + run.telemetry.memory_bytes(),
         );
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&json);
     }
-    out.push_str("\n  ]\n}\n");
+    w.end_array();
+    w.end_object();
+    out.push('\n');
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscp_proto::json::{parse, Value};
 
     #[test]
     fn tier_lookup() {
@@ -219,17 +200,16 @@ mod tests {
         };
         let a = run_scale_report(&base);
         let b = run_scale_report(&ScaleArgs { shards: 4, threads: 0, ..base.clone() });
+        let (va, vb) = (parse(&a).expect("report parses"), parse(&b).expect("report parses"));
+        assert_eq!(va.to_json() + "\n", a, "written in canonical form");
         // The configured shard count and the plan's own footprint are
         // config facts and differ by design; every simulation output —
-        // stats, QoE, census — must match byte for byte.
-        let section = |s: &str, key: &str| {
-            let start = s.find(key).unwrap_or_else(|| panic!("report missing {key}"));
-            s[start..].split("\n").next().unwrap().to_string()
-        };
-        for key in ["\"stats\":", "\"qoe\":", "\"census\":"] {
-            assert_eq!(section(&a, key), section(&b, key), "section {key} diverged");
+        // stats, QoE, census — must match exactly.
+        let tier = |v: &Value| v.get("tiers").and_then(|t| t.as_array()).expect("tiers")[0].clone();
+        for key in ["stats", "qoe", "census"] {
+            assert_eq!(tier(&va).get(key), tier(&vb).get(key), "section {key} diverged");
         }
-        assert!(a.contains("\"schema\": \"pscp-scale-report/v1\""));
+        assert_eq!(va.get("schema").and_then(|s| s.as_str()), Some("pscp-scale-report/v1"));
         // Same config twice → the whole report is byte-identical.
         assert_eq!(a, run_scale_report(&base));
     }

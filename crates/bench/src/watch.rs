@@ -24,12 +24,11 @@
 //! exit code: nonzero when an objective is violated or an alert is still
 //! firing.
 
-use std::fmt::Write as _;
-
 use pscp_client::session::SessionConfig;
 use pscp_client::{Teleport, TeleportConfig};
 use pscp_core::{Lab, LabConfig};
 use pscp_obs::{AlertTimeline, MetricsRegistry, Observer, Span, RING_WINDOW_US};
+use pscp_proto::json::Writer;
 use pscp_qoe::slo::fold_breakdowns;
 use pscp_qoe::{alert_rules, QoeTelemetry, SloSpec};
 use pscp_service::select::Protocol;
@@ -155,28 +154,26 @@ pub fn run_watch(mut lab_cfg: LabConfig, cfg: &WatchConfig) -> WatchOutput {
         timeline = AlertTimeline::evaluate(&rules, &registry, &spans);
         firing = timeline.firing_at(ring_horizon_us(&registry));
 
-        let _ = write!(jsonl, "{{\"batch\":{i},\"sessions_total\":{}", telemetry.n_sessions());
+        let w = &mut Writer::new(&mut jsonl);
+        w.begin_object();
+        w.key("alerts").begin_object();
+        w.key("firing").begin_array();
+        firing.iter().for_each(|rule| w.str(rule));
+        w.end_array();
+        w.key("transitions").int(timeline.transitions.len() as u64);
+        w.end_object();
         if cfg.include_sys {
-            let _ = write!(
-                jsonl,
-                ",\"rss_bytes\":{},\"alloc_count\":{}",
-                rss_bytes().unwrap_or(0),
-                pscp_obs::alloc_count::current()
-            );
+            w.key("alloc_count").int(pscp_obs::alloc_count::current());
         }
-        let _ = write!(jsonl, ",\"telemetry\":{}", telemetry.snapshot_json());
-        let _ = write!(
-            jsonl,
-            ",\"alerts\":{{\"transitions\":{},\"firing\":[",
-            timeline.transitions.len()
-        );
-        for (j, rule) in firing.iter().enumerate() {
-            if j > 0 {
-                jsonl.push(',');
-            }
-            let _ = write!(jsonl, "\"{rule}\"");
+        w.key("batch").int(i as u64);
+        if cfg.include_sys {
+            w.key("rss_bytes").int(rss_bytes().unwrap_or(0));
         }
-        jsonl.push_str("]}}\n");
+        w.key("sessions_total").int(telemetry.n_sessions());
+        w.key("telemetry");
+        telemetry.write_json(w);
+        w.end_object();
+        jsonl.push('\n');
     }
     let mut prom = pscp_obs::prometheus_text(&registry);
     let states: Vec<(String, String, bool)> = rules
@@ -202,6 +199,7 @@ fn ring_horizon_us(registry: &MetricsRegistry) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscp_proto::json::{parse, Value};
 
     fn cfg() -> WatchConfig {
         WatchConfig { batches: 2, batch_sessions: 4, include_sys: false, transport: None }
@@ -223,16 +221,30 @@ mod tests {
         }
     }
 
+    /// The snapshot lines, parsed, each checked to be in canonical form.
+    fn lines(jsonl: &str) -> Vec<Value> {
+        let read = |line| parse(line).unwrap_or_else(|e| panic!("{e:?}: {line}"));
+        let lines: Vec<Value> = jsonl.lines().map(read).collect();
+        for (v, line) in lines.iter().zip(jsonl.lines()) {
+            assert_eq!(v.to_json(), line, "not in canonical form");
+        }
+        lines
+    }
+
     #[test]
     fn each_batch_emits_one_cumulative_line() {
         let out = run_watch(lab_cfg(1), &cfg());
-        let lines: Vec<&str> = out.jsonl.lines().collect();
+        let lines = lines(&out.jsonl);
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"batch\":0,\"sessions_total\":4,"));
-        assert!(lines[1].starts_with("{\"batch\":1,\"sessions_total\":8,"));
-        assert!(lines[1].contains("\"join_p90_s\":"));
-        assert!(lines[1].contains("\"sketch_bytes\":"));
-        assert!(!lines[0].contains("rss_bytes"), "sys facts are off by default");
+        for (batch, line) in lines.iter().enumerate() {
+            assert_eq!(line.get("batch").and_then(Value::as_u64), Some(batch as u64));
+            let total = line.get("sessions_total").and_then(Value::as_u64);
+            assert_eq!(total, Some(4 * (batch as u64 + 1)));
+            let telemetry = line.get("telemetry").expect("telemetry");
+            assert!(telemetry.get("join_p90_s").and_then(Value::as_f64).is_some());
+            assert!(telemetry.get("sketch_bytes").and_then(Value::as_u64).is_some());
+            assert!(line.get("rss_bytes").is_none(), "sys facts are off by default");
+        }
         assert_eq!(out.telemetry.n_sessions(), 8);
         assert!(out.prom.contains("pscp_sketch_quantile"), "sketch gauges exported:\n{}", out.prom);
     }
@@ -261,13 +273,13 @@ mod tests {
     #[test]
     fn fault_free_watch_is_healthy_and_carries_alert_state() {
         let out = run_watch(lab_cfg(1), &cfg());
-        for line in out.jsonl.lines() {
-            assert!(line.ends_with("}"), "line is one JSON object: {line}");
-            assert!(line.contains(",\"alerts\":{\"transitions\":"), "alert state on: {line}");
-        }
         // No faults are injected, so nothing may fire and the snapshot
         // must be healthy — the `--fail-on-violation` happy path.
-        assert!(out.jsonl.lines().all(|l| l.contains("\"firing\":[]")));
+        for line in lines(&out.jsonl) {
+            let alerts = line.get("alerts").expect("alert state on every line");
+            assert_eq!(alerts.get("transitions").and_then(Value::as_u64), Some(0));
+            assert_eq!(alerts.get("firing").and_then(Value::as_array), Some(&[][..]));
+        }
         assert!(out.timeline.is_empty(), "fault-free watch fired: {:?}", out.timeline);
         assert!(out.healthy(), "violations: {:?}, firing: {:?}", out.violations, out.firing);
         // Every rule lands in the prom artifact as a gauge at 0.
@@ -286,7 +298,8 @@ mod tests {
         c.batches = 1;
         c.include_sys = true;
         let out = run_watch(lab_cfg(1), &c);
-        assert!(out.jsonl.contains("\"rss_bytes\":"));
-        assert!(out.jsonl.contains("\"alloc_count\":"));
+        let line = &lines(&out.jsonl)[0];
+        assert!(line.get("rss_bytes").and_then(Value::as_u64).is_some());
+        assert!(line.get("alloc_count").and_then(Value::as_u64).is_some());
     }
 }

@@ -35,6 +35,7 @@ use crate::lab::Lab;
 use pscp_client::session::SessionConfig;
 use pscp_client::{Teleport, TeleportConfig};
 use pscp_obs::Observer;
+use pscp_proto::json::Writer;
 use pscp_qoe::slo::{evaluate, SloReport, SloSpec};
 use pscp_qoe::SessionDataset;
 use pscp_service::select::Protocol;
@@ -352,7 +353,7 @@ impl ChaosSweep {
         figures
     }
 
-    /// Hand-rolled JSON for the `CHAOS_sweep.json` artifact.
+    /// The `CHAOS_sweep.json` artifact (trailing newline).
     ///
     /// Schema (documented in EXPERIMENTS.md): top-level `seed`,
     /// `transports` (arm names in sweep order), `points` (transport-major
@@ -360,61 +361,48 @@ impl ChaosSweep {
     /// the per-point counters), and `slo` (one per-arm pass/fail summary
     /// with the names of any failed objectives).
     pub fn sweep_json(&self) -> String {
-        let mut out = format!("{{\n  \"seed\": {},\n  \"transports\": [", self.seed);
-        for (i, t) in self.transports().into_iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        let mut out = String::new();
+        let w = &mut Writer::new(&mut out);
+        w.begin_object();
+        w.key("points").begin_array();
+        for p in &self.points {
+            let mut counters: Vec<(String, u64)> =
+                p.counters.iter().map(|(sub, name, v)| (format!("{sub}/{name}"), *v)).collect();
+            counters.sort();
+            w.begin_object();
+            w.key("counters").begin_object();
+            for (key, v) in &counters {
+                w.key(key).int(*v);
             }
-            out.push_str(&format!("\"{}\"", transport_name(t)));
+            w.end_object();
+            w.key("loss_scale").number(p.loss_scale);
+            let mean_join_s = if p.join_times_s.is_empty() { -1.0 } else { p.mean_join_s() };
+            w.key("mean_join_s").number(mean_join_s);
+            w.key("mean_stall_ratio").number(p.mean_stall_ratio());
+            w.key("never_joined").int(p.never_joined as u64);
+            w.key("sessions").int(p.sessions as u64);
+            w.key("transport").str(transport_name(p.transport));
+            w.end_object();
         }
-        out.push_str("],\n  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"transport\": \"{}\", \"loss_scale\": {}, \"sessions\": {}, \
-                 \"never_joined\": {}, \"mean_stall_ratio\": {:.6}, \"mean_join_s\": {:.6}, \
-                 \"counters\": {{",
-                transport_name(p.transport),
-                p.loss_scale,
-                p.sessions,
-                p.never_joined,
-                p.mean_stall_ratio(),
-                if p.join_times_s.is_empty() { -1.0 } else { p.mean_join_s() },
-            ));
-            for (j, (sub, name, v)) in p.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{sub}/{name}\": {v}"));
-            }
-            out.push_str("}}");
-            if i + 1 < self.points.len() {
-                out.push(',');
-            }
-            out.push('\n');
+        w.end_array();
+        w.key("seed").int(self.seed);
+        w.key("slo").begin_array();
+        for arm in &self.slo {
+            w.begin_object();
+            w.key("failed").begin_array();
+            arm.report.objectives.iter().filter(|o| !o.pass).for_each(|o| w.str(o.name));
+            w.end_array();
+            w.key("loss_scale").number(arm.loss_scale);
+            w.key("pass").bool(arm.report.pass());
+            w.key("transport").str(transport_name(arm.transport));
+            w.end_object();
         }
-        out.push_str("  ],\n  \"slo\": [\n");
-        for (i, arm) in self.slo.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"transport\": \"{}\", \"loss_scale\": {}, \"pass\": {}, \"failed\": [",
-                transport_name(arm.transport),
-                arm.loss_scale,
-                arm.report.pass(),
-            ));
-            let failed: Vec<&str> =
-                arm.report.objectives.iter().filter(|o| !o.pass).map(|o| o.name).collect();
-            for (j, name) in failed.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{name}\""));
-            }
-            out.push_str("]}");
-            if i + 1 < self.slo.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
+        w.end_array();
+        w.key("transports").begin_array();
+        self.transports().into_iter().for_each(|t| w.str(transport_name(t)));
+        w.end_array();
+        w.end_object();
+        out.push('\n');
         out
     }
 }
@@ -524,13 +512,18 @@ mod tests {
     #[test]
     fn sweep_json_shape() {
         let json = sweep().sweep_json();
-        assert!(json.contains("\"seed\": 9"));
-        assert!(json.contains("\"transports\": [\"RTMP\", \"SRT\"]"));
-        assert!(json.contains("\"transport\": \"SRT\", \"loss_scale\": 2"));
-        assert!(json.contains("\"fault/lost_packets\": 200"));
-        assert!(json.contains("\"slo\": ["));
-        // Crude balance check on the hand-rolled JSON.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let v = pscp_proto::json::parse(&json).expect("CHAOS_sweep.json parses");
+        assert_eq!(v.to_json() + "\n", json, "written in canonical form");
+        assert_eq!(v.get("seed").and_then(|s| s.as_u64()), Some(9));
+        let transports = v.get("transports").and_then(|t| t.as_array()).expect("transports");
+        assert_eq!(transports, [pscp_proto::json::Value::str("RTMP"), "SRT".into()]);
+        let points = v.get("points").and_then(|p| p.as_array()).expect("points");
+        assert_eq!(points.len(), 4);
+        let last = &points[3];
+        assert_eq!(last.get("transport").and_then(|t| t.as_str()), Some("SRT"));
+        assert_eq!(last.get("loss_scale").and_then(|s| s.as_f64()), Some(2.0));
+        let lost = last.get("counters").and_then(|c| c.get("fault/lost_packets"));
+        assert_eq!(lost.and_then(|n| n.as_u64()), Some(200));
+        assert_eq!(v.get("slo").and_then(|s| s.as_array()).map(<[_]>::len), Some(0));
     }
 }

@@ -34,6 +34,7 @@ use crate::lab::Lab;
 use pscp_client::session::SessionConfig;
 use pscp_client::{Teleport, TeleportConfig};
 use pscp_obs::{AlertTimeline, MetricsRegistry, Observer, Span, FAST_WINDOWS, RING_WINDOW_US};
+use pscp_proto::json::Writer;
 use pscp_qoe::{alert_rules, cell_rules, SloSpec};
 use pscp_service::cdn::CdnPop;
 use pscp_service::select::Protocol;
@@ -342,80 +343,66 @@ impl IncidentReport {
         self.scorecard.iter().all(|r| r.recall == 1.0 && r.false_alarms == 0)
     }
 
-    /// Stable JSON rendering (the `INCIDENTS.json` artifact; schema in
+    /// The `INCIDENTS.json` artifact (trailing newline; schema in
     /// EXPERIMENTS.md): run parameters, arm names, correlated incidents,
     /// the POP-outage scorecard and the full per-arm alert timelines.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"seed\": {},\n  \"loss_scale\": {},\n  \"sessions\": {},\n  \
-             \"shards\": {},\n  \"horizon_us\": {},\n  \"arms\": [",
-            self.seed, self.loss_scale, self.sessions, self.shards, self.horizon_us
-        );
-        for (i, arm) in self.arms.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\"", arm.name);
+        let mut out = String::new();
+        let w = &mut Writer::new(&mut out);
+        let strings = |w: &mut Writer<'_>, items: &[String]| {
+            w.begin_array();
+            items.iter().for_each(|s| w.str(s));
+            w.end_array();
+        };
+        w.begin_object();
+        w.key("arms").begin_array();
+        self.arms.iter().for_each(|a| w.str(&a.name));
+        w.end_array();
+        w.key("horizon_us").int(self.horizon_us);
+        w.key("incidents").begin_array();
+        for inc in &self.incidents {
+            w.begin_object();
+            w.key("arm").str(&inc.arm);
+            w.key("attribution").str(&inc.attribution);
+            w.key("cells");
+            strings(w, &inc.cells);
+            w.key("end_us").int(inc.end_us);
+            w.key("rules");
+            strings(w, &inc.rules);
+            w.key("start_us").int(inc.start_us);
+            w.end_object();
         }
-        out.push_str("],\n  \"incidents\": [\n");
-        for (i, inc) in self.incidents.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"arm\": \"{}\", \"start_us\": {}, \"end_us\": {}, \
-                 \"attribution\": \"{}\", \"rules\": [",
-                inc.arm, inc.start_us, inc.end_us, inc.attribution
-            );
-            for (j, r) in inc.rules.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "\"{r}\"");
-            }
-            out.push_str("], \"cells\": [");
-            for (j, c) in inc.cells.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "\"{c}\"");
-            }
-            out.push_str("]}");
-            if i + 1 < self.incidents.len() {
-                out.push(',');
-            }
-            out.push('\n');
+        w.end_array();
+        w.key("loss_scale").number(self.loss_scale);
+        w.key("scorecard").begin_array();
+        for row in &self.scorecard {
+            w.begin_object();
+            w.key("arm").str(&row.arm);
+            w.key("detected").int(row.detected as u64);
+            w.key("false_alarms").int(row.false_alarms as u64);
+            w.key("median_detection_latency_s").number(row.median_detection_latency_s);
+            w.key("observed").int(row.observed as u64);
+            w.key("precision").number(row.precision);
+            w.key("recall").number(row.recall);
+            w.key("rule").str(&row.rule);
+            w.key("truth_windows").int(row.truth_windows as u64);
+            w.end_object();
         }
-        out.push_str("  ],\n  \"scorecard\": [\n");
-        for (i, row) in self.scorecard.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"arm\": \"{}\", \"rule\": \"{}\", \"truth_windows\": {}, \
-                 \"observed\": {}, \"detected\": {}, \"recall\": {:.6}, \
-                 \"false_alarms\": {}, \"precision\": {:.6}, \
-                 \"median_detection_latency_s\": {:.6}}}",
-                row.arm,
-                row.rule,
-                row.truth_windows,
-                row.observed,
-                row.detected,
-                row.recall,
-                row.false_alarms,
-                row.precision,
-                row.median_detection_latency_s,
-            );
-            if i + 1 < self.scorecard.len() {
-                out.push(',');
-            }
-            out.push('\n');
+        w.end_array();
+        w.key("seed").int(self.seed);
+        w.key("sessions").int(self.sessions as u64);
+        w.key("shards").int(self.shards as u64);
+        // Keyed by arm name, so in name order rather than run order.
+        let mut arms: Vec<&ArmOutcome> = self.arms.iter().collect();
+        arms.sort_by(|a, b| a.name.cmp(&b.name));
+        w.key("timelines").begin_object();
+        for arm in arms {
+            w.key(&arm.name);
+            arm.timeline.write_json(w);
         }
-        out.push_str("  ],\n  \"timelines\": {\n");
-        for (i, arm) in self.arms.iter().enumerate() {
-            let _ = write!(out, "    \"{}\": {}", arm.name, arm.timeline.to_json());
-            if i + 1 < self.arms.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  }\n}\n");
+        w.end_object();
+        w.end_object();
+        out.push('\n');
         out
     }
 
@@ -583,11 +570,14 @@ mod tests {
         };
         let json = report.to_json();
         assert_eq!(json, report.to_json());
-        assert!(json.starts_with("{\n  \"seed\": 7,\n  \"loss_scale\": 2,\n"));
-        assert!(json.contains("\"recall\": 1.000000"));
-        assert!(json.contains("\"timelines\": {\n    \"control\": []\n  }"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let v = pscp_proto::json::parse(&json).expect("INCIDENTS.json parses");
+        assert_eq!(v.to_json() + "\n", json, "written in canonical form");
+        assert_eq!(v.get("seed").and_then(|s| s.as_u64()), Some(7));
+        assert_eq!(v.get("loss_scale").and_then(|s| s.as_f64()), Some(2.0));
+        let row = v.get("scorecard").and_then(|s| s.as_array()).expect("scorecard");
+        assert_eq!(row[0].get("recall").and_then(|r| r.as_f64()), Some(1.0));
+        let control = v.get("timelines").and_then(|t| t.get("control"));
+        assert_eq!(control.and_then(|c| c.as_array()).map(<[_]>::len), Some(0));
         assert!(report.control_clean() && report.detection_perfect());
     }
 }

@@ -45,6 +45,7 @@
 
 use pscp_client::session::SessionConfig;
 use pscp_client::Teleport;
+use pscp_proto::json::Writer;
 use pscp_qoe::telemetry::SessionSample;
 use pscp_qoe::QoeTelemetry;
 use pscp_service::PeriscopeService;
@@ -55,7 +56,6 @@ use pscp_stats::QuantileSketch;
 use pscp_workload::broadcast::Broadcast;
 use pscp_workload::cities::CITIES;
 use pscp_workload::population::Population;
-use std::fmt::Write as _;
 
 /// Fixed quadtree depth at which cross-cell metrics and the census are
 /// reported, independent of the shard count in force (16 cells).
@@ -374,53 +374,48 @@ impl ShardStats {
             + self.stall_ppm.memory_bytes()
     }
 
-    /// Stable JSON object: fixed key order, integers and exact-integer
-    /// derived floats only, so equal stats render equal bytes.
+    /// The roll-up as one JSON object ([`ShardStats::write_json`]).
     pub fn json(&self) -> String {
-        fn q_s(sk: &QuantileSketch, p: f64) -> String {
-            sk.quantile(p).map(|u| format!("{:.6}", u as f64 / 1e6)).unwrap_or("null".into())
-        }
-        fn q_u(sk: &QuantileSketch, p: f64) -> String {
-            sk.quantile(p).map(|u| u.to_string()).unwrap_or("null".into())
-        }
         let mut s = String::with_capacity(512);
-        let _ = write!(
-            s,
-            "{{\"sessions\":{},\"primary\":{},\"migrated_in\":{},\"never_joined\":{},\"skipped\":{}",
-            self.sessions, self.primary, self.migrated_in, self.never_joined, self.skipped
-        );
-        let mean_join = if self.join_us.count() > 0 {
-            format!("{:.6}", self.join_us.sum() as f64 / self.join_us.count() as f64 / 1e6)
-        } else {
-            "null".into()
-        };
-        let _ = write!(
-            s,
-            ",\"join_s\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"mean\":{}}}",
-            q_s(&self.join_us, 0.50),
-            q_s(&self.join_us, 0.90),
-            q_s(&self.join_us, 0.99),
-            mean_join
-        );
-        let _ = write!(
-            s,
-            ",\"stall_ppm\":{{\"p50\":{},\"p90\":{},\"p99\":{}}}",
-            q_u(&self.stall_ppm, 0.50),
-            q_u(&self.stall_ppm, 0.90),
-            q_u(&self.stall_ppm, 0.99)
-        );
-        let _ = write!(s, ",\"watch_hours\":{:.3}", self.watch_us as f64 / 3.6e9);
-        let _ = write!(
-            s,
-            ",\"migrations\":{{\"out\":{},\"cross_cell\":{},\"dropped\":{}}}",
-            self.migrations_out, self.migrations_cross, self.migrations_dropped
-        );
-        let _ = write!(
-            s,
-            ",\"chat\":{{\"out\":{},\"in\":{},\"cross_cell\":{}}}}}",
-            self.chat_out, self.chat_in, self.chat_cross
-        );
+        self.write_json(&mut Writer::new(&mut s));
         s
+    }
+
+    /// Writes the roll-up as one JSON object: integers and floats derived
+    /// from integers only, so equal stats render equal bytes.
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        let quantiles = |w: &mut Writer<'_>, sk: &QuantileSketch, scale: f64| {
+            for (key, p) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
+                w.key(key).number_or_null(sk.quantile(p).map(|v| v as f64 / scale));
+            }
+        };
+        w.begin_object();
+        w.key("chat").begin_object();
+        w.key("cross_cell").int(self.chat_cross);
+        w.key("in").int(self.chat_in);
+        w.key("out").int(self.chat_out);
+        w.end_object();
+        w.key("join_s").begin_object();
+        let n = self.join_us.count();
+        let mean = (n > 0).then(|| self.join_us.sum() as f64 / n as f64 / 1e6);
+        w.key("mean").number_or_null(mean);
+        quantiles(w, &self.join_us, 1e6);
+        w.end_object();
+        w.key("migrated_in").int(self.migrated_in);
+        w.key("migrations").begin_object();
+        w.key("cross_cell").int(self.migrations_cross);
+        w.key("dropped").int(self.migrations_dropped);
+        w.key("out").int(self.migrations_out);
+        w.end_object();
+        w.key("never_joined").int(self.never_joined);
+        w.key("primary").int(self.primary);
+        w.key("sessions").int(self.sessions);
+        w.key("skipped").int(self.skipped);
+        w.key("stall_ppm").begin_object();
+        quantiles(w, &self.stall_ppm, 1.0);
+        w.end_object();
+        w.key("watch_hours").number(self.watch_us as f64 / 3.6e9);
+        w.end_object();
     }
 }
 
@@ -692,6 +687,12 @@ mod tests {
     use pscp_service::ServiceConfig;
     use pscp_workload::population::PopulationConfig;
 
+    fn qoe(t: &QoeTelemetry) -> String {
+        let mut out = String::new();
+        t.write_json(&mut Writer::new(&mut out));
+        out
+    }
+
     fn world(seed: u64) -> PeriscopeService {
         let pop = Population::generate(PopulationConfig::small(), &RngFactory::new(seed));
         PeriscopeService::new(pop, ServiceConfig::default())
@@ -742,7 +743,7 @@ mod tests {
         assert!(runs[0].stats.sessions > 10, "sessions={}", runs[0].stats.sessions);
         for r in &runs[1..] {
             assert_eq!(r.stats.json(), runs[0].stats.json());
-            assert_eq!(r.telemetry.snapshot_json(), runs[0].telemetry.snapshot_json());
+            assert_eq!(qoe(&r.telemetry), qoe(&runs[0].telemetry));
         }
     }
 
@@ -762,7 +763,7 @@ mod tests {
         let (whole, whole_qoe, _) = engine.run(&arrivals, FOLD_BATCH);
         let (small, small_qoe, profile) = engine.run(&arrivals, 3);
         assert_eq!(small.json(), whole.json());
-        assert_eq!(small_qoe.snapshot_json(), whole_qoe.snapshot_json());
+        assert_eq!(qoe(&small_qoe), qoe(&whole_qoe));
         assert!(whole.sessions as usize >= arrivals.len());
         assert_eq!(profile.busy_secs.len(), 2);
     }

@@ -57,7 +57,9 @@ impl BroadcastObservation {
     }
 }
 
-/// The crawler's observation database.
+/// The crawler's observation database. Both readers return rows in
+/// ascending id order, the same in every run: the map's own order is
+/// per-process random.
 #[derive(Debug, Default)]
 pub struct ObservationStore {
     map: HashMap<BroadcastId, BroadcastObservation>,
@@ -111,20 +113,28 @@ impl ObservationStore {
         self.map.contains_key(&id)
     }
 
-    /// All observations.
+    /// All observations, in ascending id order.
     pub fn all(&self) -> impl Iterator<Item = &BroadcastObservation> {
-        self.map.values()
+        self.by_id(|_| true).into_iter()
     }
 
     /// §4's "ended during the crawl" filter: broadcasts not sighted within
-    /// `grace` of `crawl_end`.
+    /// `grace` of `crawl_end`, in ascending id order.
     pub fn ended_during(
         &self,
         crawl_end: SimTime,
         grace: SimDuration,
     ) -> Vec<&BroadcastObservation> {
         let cutoff = crawl_end - grace;
-        self.map.values().filter(|o| o.last_seen < cutoff).collect()
+        self.by_id(|o| o.last_seen < cutoff)
+    }
+
+    /// The observations `keep` accepts, sorted by id. Ingest is the hot
+    /// path and is hashed; the readers run once per crawl.
+    fn by_id(&self, keep: impl Fn(&BroadcastObservation) -> bool) -> Vec<&BroadcastObservation> {
+        let mut rows: Vec<&BroadcastObservation> = self.map.values().filter(|o| keep(o)).collect();
+        rows.sort_unstable_by_key(|o| o.id);
+        rows
     }
 }
 
@@ -178,6 +188,24 @@ mod tests {
         let ended = store.ended_during(SimTime::from_secs(1000), SimDuration::from_secs(60));
         assert_eq!(ended.len(), 1);
         assert_eq!(ended[0].id, BroadcastId(1));
+    }
+
+    /// Rows come out in id order whatever order they went in: what
+    /// `observations.csv` lists and what the §4 statistics sum over is the
+    /// same in every run.
+    #[test]
+    fn readers_return_ascending_ids() {
+        let mut store = ObservationStore::new();
+        for id in (1..=40).rev() {
+            store.ingest(&desc(id, 0.0, 2), SimTime::from_secs(id * 10));
+        }
+        let ids = |rows: Vec<&BroadcastObservation>| -> Vec<u64> {
+            rows.iter().map(|o| o.id.0).collect()
+        };
+        let ascending: Vec<u64> = (1..=40).collect();
+        assert_eq!(ids(store.all().collect()), ascending);
+        let ended = store.ended_during(SimTime::from_secs(1000), SimDuration::from_secs(60));
+        assert_eq!(ids(ended), ascending);
     }
 
     #[test]

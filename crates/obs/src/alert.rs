@@ -26,9 +26,9 @@
 //! a merged registry gives one deterministic timeline per scope.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::causal::Span;
+use pscp_proto::json::Writer;
 use pscp_stats::QuantileSketch;
 
 /// Ring window length: one sim-minute, matching the fault layer's outage
@@ -403,31 +403,21 @@ impl AlertTimeline {
         state.into_iter().filter(|&(_, on)| on).map(|(r, _)| r.to_string()).collect()
     }
 
-    /// Stable JSON rendering: one object per transition, in timeline
-    /// order, with fixed key order and `{:.6}` burn rates.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, tr) in self.transitions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n  {{\"rule\": \"{}\", \"t_us\": {}, \"state\": \"{}\", \
-                 \"burn_fast\": {:.6}, \"burn_slow\": {:.6}, \"attribution\": \"{}\"}}",
-                tr.rule,
-                tr.t_us,
-                if tr.firing { "firing" } else { "resolved" },
-                tr.burn_fast,
-                tr.burn_slow,
-                tr.attribution,
-            );
+    /// Writes the timeline as a JSON array: one object per transition, in
+    /// timeline order.
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        w.begin_array();
+        for tr in &self.transitions {
+            w.begin_object();
+            w.key("attribution").str(&tr.attribution);
+            w.key("burn_fast").number(tr.burn_fast);
+            w.key("burn_slow").number(tr.burn_slow);
+            w.key("rule").str(&tr.rule);
+            w.key("state").str(if tr.firing { "firing" } else { "resolved" });
+            w.key("t_us").int(tr.t_us);
+            w.end_object();
         }
-        if !self.transitions.is_empty() {
-            out.push('\n');
-        }
-        out.push(']');
-        out
+        w.end_array();
     }
 }
 
@@ -462,7 +452,7 @@ mod tests {
         let rules = vec![AlertRule::event("outage", "outage", "pop", 1)];
         let tl = AlertTimeline::evaluate(&rules, &MetricsRegistry::new(), &[]);
         assert!(tl.is_empty());
-        assert_eq!(tl.to_json(), "[]");
+        assert_eq!(json(&tl), "[]");
         assert!(tl.firing_at_end().is_empty());
     }
 
@@ -563,16 +553,24 @@ mod tests {
         assert_eq!(tl.transitions[0].attribution, "hls.playlist");
     }
 
+    fn json(tl: &AlertTimeline) -> String {
+        let mut out = String::new();
+        tl.write_json(&mut Writer::new(&mut out));
+        out
+    }
+
     #[test]
     fn timeline_json_is_stable_and_balanced() {
         let mut m = MetricsRegistry::new();
         m.ring_observe("outage", "pop", 0, 1);
         let rules = vec![AlertRule::event("pop_outage", "outage", "pop", 1)];
         let tl = AlertTimeline::evaluate(&rules, &m, &[]);
-        let json = tl.to_json();
-        assert_eq!(json, AlertTimeline::evaluate(&rules, &m, &[]).to_json());
-        assert!(json.contains("\"state\": \"firing\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(
+            json(&tl),
+            "[{\"attribution\":\"none\",\"burn_fast\":1,\"burn_slow\":1,\"rule\":\"pop_outage\",\
+             \"state\":\"firing\",\"t_us\":60000000},\
+             {\"attribution\":\"none\",\"burn_fast\":0,\"burn_slow\":1,\"rule\":\"pop_outage\",\
+             \"state\":\"resolved\",\"t_us\":360000000}]"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! the same world emit byte-identical logs. Wall-clock profiling lives in
 //! [`crate::span`] instead, deliberately segregated from this log.
 
-use std::fmt::Write as _;
+use pscp_proto::json::Writer;
 
 /// A typed event field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,8 +14,7 @@ pub enum Field {
     U(u64),
     /// Signed integer.
     I(i64),
-    /// Float — serialized with fixed `{:.6}` precision so the rendered
-    /// JSONL is byte-stable across runs.
+    /// Float, written at shortest round-trip precision.
     F(f64),
     /// Short string (protocol names, user ids).
     S(String),
@@ -35,70 +34,44 @@ pub struct Event {
 }
 
 impl Event {
-    /// Renders the event as one JSON object (no trailing newline). `unit`
-    /// is the work-unit label assigned when the event was merged into the
-    /// run-wide log (e.g. `"session/17"`, `"deep-crawl-14"`).
-    pub fn to_json_line(&self, unit: &str) -> String {
-        let mut s = String::with_capacity(96);
-        let _ = write!(
-            s,
-            "{{\"t_us\":{},\"unit\":\"{}\",\"sub\":\"{}\",\"ev\":\"{}\"",
-            self.t_us,
-            escape(unit),
-            self.subsystem,
-            self.name
-        );
+    /// Writes the event as one JSON object. `unit` is the work-unit label
+    /// assigned when the event was merged into the run-wide log (e.g.
+    /// `"session/17"`, `"deep-crawl-14"`). Fields are written sorted by
+    /// name, as the writer wants every object's keys.
+    pub fn write_json(&self, unit: &str, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.key("ev").str(self.name);
         if !self.fields.is_empty() {
-            s.push_str(",\"fields\":{");
-            for (i, (k, v)) in self.fields.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{k}\":");
+            let mut fields: Vec<&(&str, Field)> = self.fields.iter().collect();
+            fields.sort_by_key(|(k, _)| *k);
+            w.key("fields").begin_object();
+            for (k, v) in fields {
+                w.key(k);
                 match v {
-                    Field::U(x) => {
-                        let _ = write!(s, "{x}");
-                    }
-                    Field::I(x) => {
-                        let _ = write!(s, "{x}");
-                    }
-                    Field::F(x) => {
-                        let _ = write!(s, "{x:.6}");
-                    }
-                    Field::S(x) => {
-                        let _ = write!(s, "\"{}\"", escape(x));
-                    }
+                    Field::U(x) => w.int(*x),
+                    Field::I(x) => w.int(*x),
+                    Field::F(x) => w.number(*x),
+                    Field::S(x) => w.str(x),
                 }
             }
-            s.push('}');
+            w.end_object();
         }
-        s.push('}');
-        s
+        w.key("sub").str(self.subsystem);
+        w.key("t_us").int(self.t_us);
+        w.key("unit").str(unit);
+        w.end_object();
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn line(e: &Event, unit: &str) -> String {
+        let mut out = String::new();
+        e.write_json(unit, &mut Writer::new(&mut out));
+        out
+    }
 
     #[test]
     fn json_line_shape() {
@@ -106,19 +79,19 @@ mod tests {
             t_us: 1_500_000,
             subsystem: "player",
             name: "player.stall",
-            fields: vec![("duration_ms", Field::U(420)), ("ratio", Field::F(0.25))],
+            fields: vec![("ratio", Field::F(0.25)), ("duration_ms", Field::U(420))],
         };
         assert_eq!(
-            e.to_json_line("session/3"),
-            "{\"t_us\":1500000,\"unit\":\"session/3\",\"sub\":\"player\",\
-             \"ev\":\"player.stall\",\"fields\":{\"duration_ms\":420,\"ratio\":0.250000}}"
+            line(&e, "session/3"),
+            "{\"ev\":\"player.stall\",\"fields\":{\"duration_ms\":420,\"ratio\":0.25},\
+             \"sub\":\"player\",\"t_us\":1500000,\"unit\":\"session/3\"}"
         );
     }
 
     #[test]
     fn fieldless_event_omits_fields_object() {
         let e = Event { t_us: 0, subsystem: "rtmp", name: "rtmp.handshake", fields: vec![] };
-        assert!(!e.to_json_line("u").contains("fields"));
+        assert!(!line(&e, "u").contains("fields"));
     }
 
     #[test]
@@ -129,6 +102,6 @@ mod tests {
             name: "service.rate_limited",
             fields: vec![("user", Field::S("a\"b\\c".into()))],
         };
-        assert!(e.to_json_line("u").contains("a\\\"b\\\\c"));
+        assert!(line(&e, "u").contains("a\\\"b\\\\c"));
     }
 }

@@ -1,148 +1,125 @@
 //! Interchange exporters: Chrome trace-event JSON and Prometheus text.
 //!
-//! Both renderers are pure functions of their inputs with fixed float
-//! precision and fixed iteration order, so exporting the deterministic
-//! channels (causal spans, metrics) yields byte-identical files at any
-//! thread count. Wall-clock [`PhaseSpan`]s can be included in the Chrome
-//! export on their own process track — callers wanting a byte-stable
-//! artifact simply pass an empty phase slice.
+//! Both renderers are pure functions of their inputs with fixed iteration
+//! order, so exporting the deterministic channels (causal spans, metrics)
+//! yields byte-identical files at any thread count. Wall-clock
+//! [`PhaseSpan`]s can be included in the Chrome export on their own process
+//! track — callers wanting a byte-stable artifact simply pass an empty
+//! phase slice.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::alert::AlertTransition;
 use crate::causal::Span;
-use crate::event::escape;
 use crate::metrics::MetricsRegistry;
 use crate::span::PhaseSpan;
+use pscp_proto::json::Writer;
 
 /// Renders causal spans (one Chrome "thread" per work unit, in first-
-/// appearance order) plus optional wall-clock phases (a separate Chrome
-/// "process") as a Chrome trace-event JSON document. Loadable by
-/// Perfetto / `chrome://tracing`; `ts`/`dur` are sim-microseconds for
-/// spans and wall-microseconds (cumulative) for phases.
-pub fn chrome_trace(spans: &[(String, Span)], phases: &[PhaseSpan]) -> String {
-    chrome_trace_with_alerts(spans, phases, &[])
-}
-
-/// [`chrome_trace`] plus one global instant event (`ph:"i"`, scope `"g"`)
-/// per alert transition, so Perfetto draws firing/resolved markers across
-/// the span tracks. With an empty transition slice the output is
-/// byte-identical to [`chrome_trace`].
-pub fn chrome_trace_with_alerts(
+/// appearance order), optional wall-clock phases (a separate Chrome
+/// "process") and one global instant event (`ph:"i"`, scope `"g"`) per
+/// alert transition, so Perfetto draws firing/resolved markers across the
+/// span tracks, as one Chrome trace-event JSON document (trailing newline).
+/// Loadable by Perfetto / `chrome://tracing`; `ts`/`dur` are
+/// sim-microseconds for spans and alerts and wall-microseconds
+/// (cumulative) for phases.
+pub fn chrome_trace(
     spans: &[(String, Span)],
     phases: &[PhaseSpan],
     alerts: &[AlertTransition],
 ) -> String {
     let mut out = String::with_capacity(64 + spans.len() * 128 + phases.len() * 128);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, line: String| {
-        if !*first {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(&line);
-        *first = false;
-    };
-    push(
-        &mut out,
-        &mut first,
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"sim\"}}"
-            .to_string(),
-    );
+    let w = &mut Writer::new(&mut out);
+    w.begin_object();
+    w.key("displayTimeUnit").str("ms");
+    w.key("traceEvents").begin_array();
+    name_event(w, "process_name", 1, 0, "sim");
 
     // Units become tids in first-appearance order — spans arrive in plan
     // order, so the numbering is deterministic.
     let mut tid_of: HashMap<&str, u32> = HashMap::new();
-    let mut next_tid = 1u32;
     for (unit, span) in spans {
-        let tid = match tid_of.get(unit.as_str()) {
-            Some(&tid) => tid,
-            None => {
-                let tid = next_tid;
-                next_tid += 1;
-                tid_of.insert(unit.as_str(), tid);
-                push(
-                    &mut out,
-                    &mut first,
-                    format!(
-                        "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                         \"args\":{{\"name\":\"{}\"}}}}",
-                        escape(unit)
-                    ),
-                );
-                tid
-            }
-        };
-        let mut args = format!("{{\"id\":{}", span.id);
+        let next_tid = tid_of.len() as u32 + 1;
+        let tid = *tid_of.entry(unit.as_str()).or_insert_with(|| {
+            name_event(w, "thread_name", 1, next_tid, unit);
+            next_tid
+        });
+        w.begin_object();
+        w.key("args").begin_object();
+        w.key("id").int(span.id);
         if let Some(parent) = span.parent {
-            let _ = write!(args, ",\"parent\":{parent}");
+            w.key("parent").int(parent);
         }
-        args.push('}');
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                 \"name\":\"{}\",\"cat\":\"{}\",\"args\":{args}}}",
-                span.start_us,
-                span.duration_us(),
-                escape(span.name),
-                escape(span.subsystem),
-            ),
-        );
+        w.end_object();
+        w.key("cat").str(span.subsystem);
+        w.key("dur").int(span.duration_us());
+        w.key("name").str(span.name);
+        w.key("ph").str("X");
+        w.key("pid").int(1);
+        w.key("tid").int(tid);
+        w.key("ts").int(span.start_us);
+        w.end_object();
     }
 
     if !phases.is_empty() {
-        push(
-            &mut out,
-            &mut first,
-            "{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"wall-clock\"}}"
-                .to_string(),
-        );
+        name_event(w, "process_name", 2, 0, "wall-clock");
         let mut ts_us = 0u64;
         for phase in phases {
             let dur_us = (phase.wall_secs * 1e6).round().max(0.0) as u64;
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":{ts_us},\"dur\":{dur_us},\
-                     \"name\":\"{}\",\"cat\":\"phase\",\"args\":{{\"workers\":{},\
-                     \"items\":{},\"busy_secs\":{:.6}}}}}",
-                    escape(&phase.name),
-                    phase.workers,
-                    phase.items,
-                    phase.busy_secs,
-                ),
-            );
+            w.begin_object();
+            w.key("args").begin_object();
+            w.key("busy_secs").number(phase.busy_secs);
+            w.key("items").int(phase.items as u64);
+            w.key("workers").int(phase.workers as u64);
+            w.end_object();
+            w.key("cat").str("phase");
+            w.key("dur").int(dur_us);
+            w.key("name").str(&phase.name);
+            w.key("ph").str("X");
+            w.key("pid").int(2);
+            w.key("tid").int(1);
+            w.key("ts").int(ts_us);
+            w.end_object();
             ts_us += dur_us;
         }
     }
 
     for tr in alerts {
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":{},\"s\":\"g\",\
-                 \"name\":\"{} {}\",\"cat\":\"alert\",\"args\":{{\"rule\":\"{}\",\
-                 \"burn_fast\":{:.6},\"burn_slow\":{:.6},\"attribution\":\"{}\"}}}}",
-                tr.t_us,
-                escape(&tr.rule),
-                if tr.firing { "firing" } else { "resolved" },
-                escape(&tr.rule),
-                tr.burn_fast,
-                tr.burn_slow,
-                escape(&tr.attribution),
-            ),
-        );
+        w.begin_object();
+        w.key("args").begin_object();
+        w.key("attribution").str(&tr.attribution);
+        w.key("burn_fast").number(tr.burn_fast);
+        w.key("burn_slow").number(tr.burn_slow);
+        w.key("rule").str(&tr.rule);
+        w.end_object();
+        w.key("cat").str("alert");
+        let state = if tr.firing { "firing" } else { "resolved" };
+        w.key("name").str(&format!("{} {state}", tr.rule));
+        w.key("ph").str("i");
+        w.key("pid").int(1);
+        w.key("s").str("g");
+        w.key("tid").int(0);
+        w.key("ts").int(tr.t_us);
+        w.end_object();
     }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+    w.end_array();
+    w.end_object();
+    out.push('\n');
     out
+}
+
+/// A metadata event (`ph:"M"`) giving `(pid, tid)` the display `name`.
+fn name_event(w: &mut Writer<'_>, kind: &str, pid: u32, tid: u32, name: &str) {
+    w.begin_object();
+    w.key("args").begin_object();
+    w.key("name").str(name);
+    w.end_object();
+    w.key("name").str(kind);
+    w.key("ph").str("M");
+    w.key("pid").int(pid);
+    w.key("tid").int(tid);
+    w.end_object();
 }
 
 /// Renders alert states as `pscp_alert_state{rule,shard}` gauges (1 =
@@ -267,11 +244,13 @@ mod tests {
             ("session/1".to_string(), span(1, Some(0), 10, 20)),
             ("session/0".to_string(), span(0, None, 5, 9)),
         ];
-        let doc = chrome_trace(&spans, &[]);
+        let doc = chrome_trace(&spans, &[], &[]);
         let s1 = doc.find("\"name\":\"session/1\"").expect("session/1 thread");
         let s0 = doc.find("\"name\":\"session/0\"").expect("session/0 thread");
         assert!(s1 < s0, "tids follow span (plan) order, not label order");
-        assert!(doc.contains("\"ts\":10,\"dur\":40"));
+        assert!(doc.contains(
+            "\"dur\":40,\"name\":\"session.join\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":10}"
+        ));
         assert!(doc.contains("\"parent\":0"));
         assert!(!doc.contains("wall-clock"), "no phase track when phases empty");
     }
@@ -285,10 +264,12 @@ mod tests {
             items: 48,
             busy_secs: 1.5,
         }];
-        let doc = chrome_trace(&[], &phases);
+        let doc = chrome_trace(&[], &phases, &[]);
         assert!(doc.contains("\"name\":\"wall-clock\""));
-        assert!(doc.contains("\"pid\":2,\"tid\":1,\"ts\":0,\"dur\":250000"));
-        assert!(doc.contains("\"busy_secs\":1.500000"));
+        assert!(doc.contains(
+            "{\"args\":{\"busy_secs\":1.5,\"items\":48,\"workers\":8},\"cat\":\"phase\",\
+             \"dur\":250000,\"name\":\"dataset.execute\",\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":0}"
+        ));
     }
 
     #[test]
@@ -362,13 +343,9 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_with_alerts_adds_global_instants_only_when_present() {
+    fn chrome_trace_adds_global_instants_only_for_alerts() {
         let spans = vec![("session/0".to_string(), span(0, None, 5, 9))];
-        assert_eq!(
-            chrome_trace(&spans, &[]),
-            chrome_trace_with_alerts(&spans, &[], &[]),
-            "empty alert slice must not perturb the byte-stable artifact"
-        );
+        assert!(!chrome_trace(&spans, &[], &[]).contains("\"ph\":\"i\""));
         let alerts = vec![AlertTransition {
             rule: "pop_outage/fastly-eu".to_string(),
             t_us: 120_000_000,
@@ -377,10 +354,13 @@ mod tests {
             burn_slow: 0.5,
             attribution: "hls.playlist".to_string(),
         }];
-        let doc = chrome_trace_with_alerts(&spans, &[], &alerts);
-        assert!(doc.contains("\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":120000000,\"s\":\"g\""));
-        assert!(doc.contains("\"name\":\"pop_outage/fastly-eu firing\""));
-        assert!(doc.contains("\"attribution\":\"hls.playlist\""));
+        let doc = chrome_trace(&spans, &[], &alerts);
+        assert!(doc.contains(
+            "{\"args\":{\"attribution\":\"hls.playlist\",\"burn_fast\":2,\"burn_slow\":0.5,\
+             \"rule\":\"pop_outage/fastly-eu\"},\"cat\":\"alert\",\
+             \"name\":\"pop_outage/fastly-eu firing\",\"ph\":\"i\",\"pid\":1,\"s\":\"g\",\
+             \"tid\":0,\"ts\":120000000}"
+        ));
     }
 
     #[test]

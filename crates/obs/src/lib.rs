@@ -42,16 +42,13 @@ pub use alert::{
 };
 pub use causal::{Span, SpanId};
 pub use event::{Event, Field};
-pub use export::{
-    chrome_trace, chrome_trace_with_alerts, prometheus_alert_state, prometheus_build_info,
-    prometheus_text,
-};
+pub use export::{chrome_trace, prometheus_alert_state, prometheus_build_info, prometheus_text};
 pub use metrics::{
     Histogram, HistogramSpec, MetricsRegistry, BYTE_BUCKETS, KBPS_BUCKETS, MILLIWATT_BUCKETS,
     MS_BUCKETS,
 };
 pub use observer::Observer;
-pub use span::{phases_json, phases_table, PhaseSpan};
+pub use span::{phases_table, write_phases, PhaseSpan};
 pub use trace::Trace;
 
 #[cfg(test)]

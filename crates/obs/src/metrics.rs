@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::alert::SketchRing;
+use pscp_proto::json::Writer;
 use pscp_stats::QuantileSketch;
 
 /// Fixed bucket edges for a histogram family.
@@ -304,80 +305,80 @@ impl MetricsRegistry {
         out
     }
 
-    /// Renders the registry as one JSON object with stable key order.
-    /// Keys are `"subsystem/name"` (names themselves contain dots).
+    /// Renders the registry as one JSON object. Keys are
+    /// `"subsystem/name"` (names themselves contain dots), in the order of
+    /// that joined string; the `rings` section appears only when a ring
+    /// was recorded.
     pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (sub, name, v)) in self.counters().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{sub}/{name}\":{v}");
+        let mut out = String::new();
+        let w = &mut Writer::new(&mut out);
+        w.begin_object();
+        w.key("counters").begin_object();
+        for (key, v) in by_joined_key(self.counters()) {
+            w.key(&key).int(v);
         }
-        out.push_str("},\"histograms\":{");
-        for (i, (sub, name, h)) in self.histograms().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{sub}/{name}\":{{\"edges\":[");
-            for (j, e) in h.edges.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{e}");
-            }
-            out.push_str("],\"counts\":[");
-            for (j, c) in h.counts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{c}");
-            }
-            let _ = write!(out, "],\"total\":{},\"sum\":{}}}", h.total, h.sum);
+        w.end_object();
+        w.key("histograms").begin_object();
+        for (key, h) in by_joined_key(self.histograms()) {
+            w.key(&key).begin_object();
+            w.key("counts");
+            ints(w, &h.counts);
+            w.key("edges");
+            ints(w, h.edges);
+            w.key("sum").int(h.sum);
+            w.key("total").int(h.total);
+            w.end_object();
         }
-        out.push_str("},\"sketches\":{");
-        for (i, (sub, name, s)) in self.sketches().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let q = |p: f64| s.quantile(p).unwrap_or(0);
-            let _ = write!(
-                out,
-                "\"{sub}/{name}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                 \"p50\":{},\"p90\":{},\"p99\":{}}}",
-                s.count(),
-                s.sum(),
-                s.min().unwrap_or(0),
-                s.max().unwrap_or(0),
-                q(0.50),
-                q(0.90),
-                q(0.99)
-            );
-        }
-        out.push('}');
-        // Rings render only when present: sketch-free registries must
-        // keep ending with `"sketches":{}}` byte-for-byte, and every
-        // pre-alerting artifact stays unchanged.
+        w.end_object();
         if !self.rings.is_empty() {
-            out.push_str(",\"rings\":{");
-            for (i, (sub, name, r)) in self.rings().enumerate() {
-                if i > 0 {
-                    out.push(',');
+            w.key("rings").begin_object();
+            for (key, r) in by_joined_key(self.rings()) {
+                w.key(&key).begin_object();
+                w.key("count").int(r.count());
+                w.key("windows").begin_array();
+                for (idx, s) in r.windows() {
+                    ints(w, &[idx, s.count()]);
                 }
-                let _ = write!(out, "\"{sub}/{name}\":{{\"count\":{},\"windows\":[", r.count());
-                for (j, (idx, s)) in r.windows().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "[{},{}]", idx, s.count());
-                }
-                out.push_str("]}");
+                w.end_array();
+                w.end_object();
             }
-            out.push('}');
+            w.end_object();
         }
-        out.push('}');
+        w.key("sketches").begin_object();
+        for (key, s) in by_joined_key(self.sketches()) {
+            let q = |p: f64| s.quantile(p).unwrap_or(0);
+            w.key(&key).begin_object();
+            w.key("count").int(s.count());
+            w.key("max").int(s.max().unwrap_or(0));
+            w.key("min").int(s.min().unwrap_or(0));
+            w.key("p50").int(q(0.50));
+            w.key("p90").int(q(0.90));
+            w.key("p99").int(q(0.99));
+            w.key("sum").int(s.sum());
+            w.end_object();
+        }
+        w.end_object();
+        w.end_object();
         out
     }
+}
+
+/// `(subsystem, name, item)` triples as `("subsystem/name", item)`, sorted
+/// by the joined key: the order of the object they are written into.
+fn by_joined_key<T>(
+    items: impl Iterator<Item = (&'static str, &'static str, T)>,
+) -> Vec<(String, T)> {
+    let mut out: Vec<(String, T)> =
+        items.map(|(sub, name, t)| (format!("{sub}/{name}"), t)).collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
+/// Writes `values` as an array of integers.
+fn ints(w: &mut Writer<'_>, values: &[u64]) {
+    w.begin_array();
+    values.iter().for_each(|&v| w.int(v));
+    w.end_array();
 }
 
 #[cfg(test)]
@@ -520,7 +521,6 @@ mod tests {
     fn ring_free_registry_omits_rings_section() {
         let mut m = MetricsRegistry::new();
         m.count("tcp", "transfers", 1);
-        assert!(m.snapshot_json().ends_with("\"sketches\":{}}"));
         assert!(!m.snapshot_json().contains("rings"));
         assert!(!m.snapshot_text().contains("rings:"));
     }
@@ -531,5 +531,18 @@ mod tests {
         m.count("tcp", "transfers", 1);
         assert!(m.snapshot_json().ends_with("\"sketches\":{}}"));
         assert!(!m.snapshot_text().contains("sketches:"));
+    }
+
+    /// Keys follow the joined `sub/name` string, not the `(sub, name)`
+    /// pair: `a.b/c` sorts before `a/z` because `.` sorts before `/`.
+    #[test]
+    fn snapshot_keys_ascend_as_joined_strings() {
+        let mut m = MetricsRegistry::new();
+        m.count("a", "z", 1);
+        m.count("a.b", "c", 2);
+        assert_eq!(
+            m.snapshot_json(),
+            "{\"counters\":{\"a.b/c\":2,\"a/z\":1},\"histograms\":{},\"sketches\":{}}"
+        );
     }
 }

@@ -10,6 +10,8 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
+use pscp_proto::json::Writer;
+
 use crate::causal::Span;
 use crate::event::Event;
 use crate::metrics::MetricsRegistry;
@@ -186,7 +188,7 @@ impl Observer {
         let inner = self.inner.lock().expect("observer lock");
         let mut out = String::with_capacity(inner.log.len() * 96);
         for (unit, event) in &inner.log {
-            out.push_str(&event.to_json_line(unit));
+            event.write_json(unit, &mut Writer::new(&mut out));
             out.push('\n');
         }
         out

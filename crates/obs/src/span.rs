@@ -8,6 +8,8 @@
 
 use std::fmt::Write as _;
 
+use pscp_proto::json::Writer;
+
 /// One profiled phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSpan {
@@ -39,27 +41,21 @@ impl PhaseSpan {
     }
 }
 
-/// Renders spans as a JSON array (for `BENCH_parallel.json`).
-pub fn phases_json(spans: &[PhaseSpan]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"wall_secs\":{:.6},\"workers\":{},\"items\":{},\
-             \"busy_secs\":{:.6},\"idle_secs\":{:.6}}}",
-            crate::event::escape(&s.name),
-            s.wall_secs,
-            s.workers,
-            s.items,
-            s.busy_secs,
-            s.idle_secs()
-        );
+/// Writes spans as a JSON array, the `phases` of the `BENCH_*.json`
+/// artifacts.
+pub fn write_phases(spans: &[PhaseSpan], w: &mut Writer<'_>) {
+    w.begin_array();
+    for s in spans {
+        w.begin_object();
+        w.key("busy_secs").number(s.busy_secs);
+        w.key("idle_secs").number(s.idle_secs());
+        w.key("items").int(s.items as u64);
+        w.key("name").str(&s.name);
+        w.key("wall_secs").number(s.wall_secs);
+        w.key("workers").int(s.workers as u64);
+        w.end_object();
     }
-    out.push(']');
-    out
+    w.end_array();
 }
 
 /// Renders spans as an aligned text table.
@@ -117,10 +113,13 @@ mod tests {
     #[test]
     fn json_and_table_render() {
         let spans = [span()];
-        let json = phases_json(&spans);
-        assert!(json.starts_with('['));
-        assert!(json.contains("\"name\":\"dataset.execute\""));
-        assert!(json.contains("\"workers\":4"));
+        let mut json = String::new();
+        write_phases(&spans, &mut Writer::new(&mut json));
+        assert_eq!(
+            json,
+            "[{\"busy_secs\":6,\"idle_secs\":2,\"items\":100,\"name\":\"dataset.execute\",\
+             \"wall_secs\":2,\"workers\":4}]"
+        );
         let table = phases_table(&spans);
         assert!(table.contains("dataset.execute"));
         assert!(table.contains("75%"));

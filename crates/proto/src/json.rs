@@ -3,12 +3,14 @@
 //!
 //! The Periscope API exchanges JSON-encoded requests and responses (§3,
 //! Table 1). The crate has one emitter, [`Writer`], and one tokenizer,
-//! [`Reader`]. The API's hot bodies go through them directly;
-//! [`Value::to_json`] is a walk over the writer and [`parse`] a tree-builder
-//! over the reader, for tests and cold paths. Output is deterministic —
-//! object keys ascend (a [`Value`] keeps them in a `BTreeMap`, the writer
-//! asserts it), numbers have one format — so API traffic is byte-identical
-//! across runs with the same seed.
+//! [`Reader`]. The API's hot bodies and every artifact the reproduction
+//! writes go through them directly; [`Value::to_json`] is a walk over the
+//! writer and [`parse`] a tree-builder over the reader, for tests and cold
+//! paths. Output is deterministic — object keys ascend (a [`Value`] keeps
+//! them in a `BTreeMap`, the writer asserts it), a float has one format
+//! and an integer is written and read exactly — so API traffic and
+//! artifacts are byte-identical across runs with the same seed, and
+//! `parse(text)?.to_json()` gives back what was written.
 
 use crate::ProtoError;
 use std::borrow::Cow;
@@ -22,8 +24,13 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (stored as f64, like JavaScript).
+    /// A float, like a JavaScript number. The reader makes one of a
+    /// number with a fraction or an exponent, or of an integer outside
+    /// `i128`.
     Number(f64),
+    /// A number written as a bare integer, kept exact: an id or a seed
+    /// beyond 2^53 reads back as written.
+    Int(i128),
     /// A string.
     String(String),
     /// An array.
@@ -55,6 +62,7 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Number(n) => Some(*n),
+            Value::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -65,6 +73,7 @@ impl Value {
             Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
                 Some(*n as u64)
             }
+            Value::Int(n) => u64::try_from(*n).ok(),
             _ => None,
         }
     }
@@ -96,26 +105,28 @@ impl Value {
     /// Serializes to compact JSON text.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write(&mut Writer::new(&mut out));
+        self.write_json(&mut Writer::new(&mut out));
         out
     }
 
-    fn write(&self, w: &mut Writer<'_>) {
+    /// Writes the value as the next value of `w`.
+    pub fn write_json(&self, w: &mut Writer<'_>) {
         match self {
             Value::Null => w.null(),
             Value::Bool(b) => w.bool(*b),
             Value::Number(n) => w.number(*n),
+            Value::Int(n) => w.int(*n),
             Value::String(s) => w.str(s),
             Value::Array(items) => {
                 w.begin_array();
-                items.iter().for_each(|item| item.write(w));
+                items.iter().for_each(|item| item.write_json(w));
                 w.end_array();
             }
             Value::Object(map) => {
                 w.begin_object();
                 for (k, v) in map {
                     w.key(k);
-                    v.write(w);
+                    v.write_json(w);
                 }
                 w.end_object();
             }
@@ -130,12 +141,12 @@ impl From<f64> for Value {
 }
 impl From<u64> for Value {
     fn from(n: u64) -> Value {
-        Value::Number(n as f64)
+        Value::Int(n.into())
     }
 }
 impl From<i64> for Value {
     fn from(n: i64) -> Value {
-        Value::Number(n as f64)
+        Value::Int(n.into())
     }
 }
 impl From<bool> for Value {
@@ -263,7 +274,7 @@ impl<'a> Writer<'a> {
         self.out.push_str(if b { "true" } else { "false" });
     }
 
-    /// Writes a number: integral values below 1e15 in magnitude as
+    /// Writes a float: integral values below 1e15 in magnitude as
     /// integers, everything else in the shortest form that reads back to
     /// the same `f64`.
     pub fn number(&mut self, n: f64) {
@@ -274,6 +285,22 @@ impl<'a> Writer<'a> {
         } else {
             write!(self.out, "{n}")
         };
+    }
+
+    /// Writes `n`, or `null` for a value that was not measured.
+    pub fn number_or_null(&mut self, n: Option<f64>) {
+        match n {
+            Some(n) => self.number(n),
+            None => self.null(),
+        }
+    }
+
+    /// Writes an integer exactly. An `f64` holds integers exactly only up
+    /// to 2^53, so an id, a seed or a counter — anything that may pass it
+    /// — goes through here, never through [`number`](Writer::number).
+    pub fn int(&mut self, n: impl Into<i128>) {
+        self.sep();
+        let _ = write!(self.out, "{}", n.into());
     }
 
     /// Writes a string, escaped.
@@ -321,8 +348,10 @@ enum Token<'a> {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// A number.
+    /// A number with a fraction or an exponent.
     Number(f64),
+    /// A bare integer.
+    Int(i128),
     /// A string, borrowed from the input unless it had escapes.
     String(Cow<'a, str>),
     /// `[` — the reader is now inside the array.
@@ -401,7 +430,7 @@ impl<'a> Reader<'a> {
             b'"' => self.string().map(Token::String),
             b'[' => self.enter(false).map(|()| Token::Array),
             b'{' => self.enter(true).map(|()| Token::Object),
-            b'-' | b'0'..=b'9' => self.number().map(Token::Number),
+            b'-' | b'0'..=b'9' => self.number(),
             c => Err(ProtoError::Malformed(format!(
                 "unexpected '{}' at byte {}",
                 c as char, self.pos
@@ -463,6 +492,7 @@ impl<'a> Reader<'a> {
     pub fn f64(&mut self) -> Result<Option<f64>, ProtoError> {
         match self.token()? {
             Token::Number(n) => Ok(Some(n)),
+            Token::Int(n) => Ok(Some(n as f64)),
             other => self.drain(other).map(|()| None),
         }
     }
@@ -660,13 +690,20 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<f64, ProtoError> {
+    fn number(&mut self) -> Result<Token<'a>, ProtoError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
+        }
+        // A bare integer is kept exact; one too large for `i128` reads as
+        // an `f64`, like any number with a fraction or an exponent.
+        if !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            if let Ok(n) = self.src[start..self.pos].parse() {
+                return Ok(Token::Int(n));
+            }
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -684,7 +721,9 @@ impl<'a> Reader<'a> {
             }
         }
         let text = &self.src[start..self.pos];
-        text.parse().map_err(|_| ProtoError::Malformed(format!("bad number '{text}'")))
+        text.parse()
+            .map(Token::Number)
+            .map_err(|_| ProtoError::Malformed(format!("bad number '{text}'")))
     }
 }
 
@@ -716,6 +755,7 @@ fn build<'a>(reader: &mut Reader<'a>, token: Token<'a>) -> Result<Value, ProtoEr
         Token::Null => Value::Null,
         Token::Bool(b) => Value::Bool(b),
         Token::Number(n) => Value::Number(n),
+        Token::Int(n) => Value::Int(n),
         Token::String(s) => Value::String(s.into_owned()),
         Token::Array => {
             let mut items = Vec::new();
@@ -905,6 +945,35 @@ mod tests {
         assert_eq!(text(0.1), "0.1");
         assert_eq!(text(3.2708540109358397), "3.2708540109358397");
         assert_eq!(text(213.052934), "213.052934");
+    }
+
+    /// An integer past 2^53 has no `f64`; it is written and read exactly.
+    #[test]
+    fn integers_are_exact_past_2_pow_53() {
+        let id = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_array();
+        w.int(id);
+        w.int(i64::MIN);
+        w.int(u64::MAX);
+        w.number_or_null(None);
+        w.number_or_null(Some(0.5));
+        w.end_array();
+        assert_eq!(out, format!("[{id},{},{},null,0.5]", i64::MIN, u64::MAX));
+        let v = parse(&out).unwrap();
+        assert_eq!(v.to_json(), out);
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_u64(), Some(id));
+        assert_eq!(items[0], Value::from(id));
+        assert_eq!(items[1], Value::from(i64::MIN));
+        assert_eq!(items[1].as_u64(), None);
+        assert_eq!(items[2].as_u64(), Some(u64::MAX));
+        // A fraction, an exponent or more digits than `i128` hold read as f64.
+        assert_eq!(parse("2.0").unwrap(), Value::Number(2.0));
+        assert_eq!(parse("2e0").unwrap(), Value::Number(2.0));
+        assert_eq!(parse(&"9".repeat(40)).unwrap().as_f64(), Some(1e40));
+        assert_eq!(parse("-0").unwrap(), Value::Int(0));
     }
 
     #[test]

@@ -50,14 +50,16 @@ const KEY_CHARS: &[char] = &['a', 'b', 'c', 'k', 'q', 'x', 'y', 'z'];
 
 /// Generates arbitrary JSON values up to a modest depth.
 fn arb_json(g: &mut Gen, depth: u32) -> Value {
-    let alts = if depth == 0 { 4 } else { 6 };
+    let alts = if depth == 0 { 5 } else { 7 };
     match g.choice(alts) {
         0 => Value::Null,
         1 => Value::Bool(g.bool()),
         // Finite doubles; NaN/inf are not JSON.
         2 => Value::Number(g.f64(-1e12..1e12)),
         3 => Value::String(g.string(TEXT_CHARS, 0..=20)),
-        4 => Value::Array(g.vec(0..6, |g| arb_json(g, depth - 1))),
+        // Integers over the whole u64 and i64 ranges, exact.
+        4 => Value::Int(i128::from(g.u64(0..u64::MAX)) - i128::from(g.u64(0..1 << 63))),
+        5 => Value::Array(g.vec(0..6, |g| arb_json(g, depth - 1))),
         _ => {
             let entries: BTreeMap<String, Value> = g
                 .vec(0..6, |g| (g.string(KEY_CHARS, 1..=8), arb_json(g, depth - 1)))
@@ -76,7 +78,7 @@ fn json_roundtrip() {
         |v| {
             let text = v.to_json();
             let back = parse(&text).map_err(|e| format!("parse failed: {e:?}"))?;
-            // Numbers may lose the integer/float distinction but not value.
+            // An integral float reads back as an integer, of the same value.
             ensure_eq!(back.to_json(), text);
             Ok(())
         },

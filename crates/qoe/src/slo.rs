@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 
 use pscp_obs::Span;
+use pscp_proto::json::Writer;
 use pscp_service::select::Protocol;
 use pscp_stats::quantile::{median, quantile};
 
@@ -245,67 +246,53 @@ impl SloReport {
         self.objectives.iter().all(|o| o.pass)
     }
 
-    /// Renders the report as one stable JSON document (trailing newline).
+    /// Renders the report as one JSON document (trailing newline).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut s = String::with_capacity(2048);
-        let _ = write!(
-            s,
-            "{{\"label\":\"{}\",\"pass\":{},\"n_sessions\":{},\"n_breakdowns\":{}",
-            escape(&self.label),
-            self.pass(),
-            self.n_sessions,
-            self.n_breakdowns
-        );
-        s.push_str(",\"objectives\":[");
-        for (i, o) in self.objectives.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        let w = &mut Writer::new(&mut s);
+        w.begin_object();
+        w.key("decomposition").begin_array();
+        for d in &self.decomposition {
+            w.begin_object();
+            w.key("join_mean_s").number(d.join_mean_s);
+            w.key("n").int(d.n as u64);
+            w.key("phase_means_s").begin_object();
+            for (name, mean) in &d.phase_means {
+                w.key(name).number(*mean);
             }
-            let _ = write!(
-                s,
-                "{{\"name\":\"{}\",\"measured\":{:.6},\"op\":\"{}\",\"threshold\":{:.6},\
-                 \"pass\":{}}}",
-                o.name, o.measured, o.op, o.threshold, o.pass
-            );
+            w.end_object();
+            w.key("protocol").str(protocol_name(d.protocol));
+            w.end_object();
         }
-        s.push_str("],\"decomposition\":[");
-        for (i, d) in self.decomposition.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"protocol\":\"{}\",\"n\":{},\"join_mean_s\":{:.6},\"phase_means_s\":{{",
-                protocol_name(d.protocol),
-                d.n,
-                d.join_mean_s
-            );
-            for (j, (name, mean)) in d.phase_means.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\":{:.6}", escape(name), mean);
-            }
-            s.push_str("}}");
+        w.end_array();
+        w.key("label").str(&self.label);
+        w.key("n_breakdowns").int(self.n_breakdowns as u64);
+        w.key("n_sessions").int(self.n_sessions as u64);
+        w.key("objectives").begin_array();
+        for o in &self.objectives {
+            w.begin_object();
+            w.key("measured").number(o.measured);
+            w.key("name").str(o.name);
+            w.key("op").str(o.op);
+            w.key("pass").bool(o.pass);
+            w.key("threshold").number(o.threshold);
+            w.end_object();
         }
-        s.push_str("],\"outliers\":[");
-        for (i, o) in self.outliers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"unit\":\"{}\",\"join_s\":{:.6},\"mad_score\":{:.6},\
-                 \"dominant_phase\":\"{}\",\"dominant_s\":{:.6}}}",
-                escape(&o.unit),
-                o.join_s,
-                o.mad_score,
-                escape(&o.dominant_phase),
-                o.dominant_s
-            );
+        w.end_array();
+        w.key("outliers").begin_array();
+        for o in &self.outliers {
+            w.begin_object();
+            w.key("dominant_phase").str(&o.dominant_phase);
+            w.key("dominant_s").number(o.dominant_s);
+            w.key("join_s").number(o.join_s);
+            w.key("mad_score").number(o.mad_score);
+            w.key("unit").str(&o.unit);
+            w.end_object();
         }
-        s.push_str("]}\n");
+        w.end_array();
+        w.key("pass").bool(self.pass());
+        w.end_object();
+        s.push('\n');
         s
     }
 
@@ -362,10 +349,6 @@ fn protocol_name(p: Protocol) -> &'static str {
         Protocol::Hls => "hls",
         Protocol::Srt => "srt",
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Fewest samples a per-protocol latency quantile objective needs before

@@ -15,9 +15,9 @@
 //! [`crate::slo::judge`].
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use pscp_client::SessionOutcome;
+use pscp_proto::json::Writer;
 use pscp_service::select::Protocol;
 use pscp_stats::{Moments, QuantileSketch, TopK};
 
@@ -250,7 +250,6 @@ impl QoeTelemetry {
     /// objectives (too few samples) are not violations, so an empty watch
     /// run exits clean.
     pub fn violations(&self, spec: &crate::slo::SloSpec) -> Vec<&'static str> {
-        let secs = |q: Option<u64>| q.map(|v| v as f64 / 1e6);
         let enough_rtmp = self.rtmp_latency_us.count() >= crate::slo::MIN_QUANTILE_SAMPLES as u64;
         let measured = crate::slo::Measured {
             join_p90_s: secs(self.join_us.quantile(0.90)),
@@ -262,59 +261,64 @@ impl QoeTelemetry {
         judged.into_iter().filter(|o| !o.pass).map(|o| o.name).collect()
     }
 
-    /// One stable JSON object (no trailing newline) summarising the
-    /// telemetry: the `repro watch` snapshot body. Deterministic: fixed
-    /// key order, fixed float precision, `null` for unmeasured values.
-    pub fn snapshot_json(&self) -> String {
-        fn opt_s(v: Option<u64>) -> String {
-            v.map(|u| format!("{:.6}", u as f64 / 1e6)).unwrap_or_else(|| "null".to_string())
+    /// Writes one JSON object summarising the telemetry: the `repro watch`
+    /// snapshot body, `null` for unmeasured values.
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.key("dominant_phases").begin_array();
+        for (name, count, _err) in self.dominant.top() {
+            w.begin_array();
+            w.str(&name);
+            w.int(count);
+            w.end_array();
         }
-        let mut s = String::with_capacity(512);
-        let _ = write!(s, "{{\"n_sessions\":{}", self.n_sessions);
-        let _ = write!(s, ",\"join_p50_s\":{}", opt_s(self.join_us.quantile(0.50)));
-        let _ = write!(s, ",\"join_p90_s\":{}", opt_s(self.join_us.quantile(0.90)));
-        let _ = write!(s, ",\"stall_ratio_p90\":{}", opt_s(self.stall_ppm.quantile(0.90)));
-        let _ = write!(s, ",\"rtmp_latency_p75_s\":{}", opt_s(self.rtmp_latency_us.quantile(0.75)));
-        if self.hls_latency_s.is_empty() {
-            s.push_str(",\"hls_latency_mean_s\":null");
-        } else {
-            let _ = write!(s, ",\"hls_latency_mean_s\":{:.6}", self.hls_latency_s.mean());
-        }
-        s.push_str(",\"phase_means_s\":{");
-        // The `srt` key appears only once SRT breakdowns exist, so default
-        // (SRT-unselected) snapshots keep their pre-SRT bytes exactly.
-        let mut protos = vec![(Protocol::Rtmp, "rtmp"), (Protocol::Hls, "hls")];
-        if self.breakdown_count(Protocol::Srt) > 0 {
-            protos.push((Protocol::Srt, "srt"));
-        }
-        for (i, (proto, label)) in protos.into_iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        w.end_array();
+        // The float moments are the one partition-dependent state here:
+        // `merge` combines them by Chan's update, whose last bits depend on
+        // how the sessions were split. Their means are written to the µs
+        // (1e-6), so a merged fold renders the bytes a serial one does.
+        let micro = |x: f64| (x * 1e6).round() / 1e6;
+        let hls_mean = (!self.hls_latency_s.is_empty()).then(|| micro(self.hls_latency_s.mean()));
+        w.key("hls_latency_mean_s").number_or_null(hls_mean);
+        w.key("join_p50_s").number_or_null(secs(self.join_us.quantile(0.50)));
+        w.key("join_p90_s").number_or_null(secs(self.join_us.quantile(0.90)));
+        w.key("n_sessions").int(self.n_sessions);
+        w.key("phase_means_s").begin_object();
+        // The `srt` key appears only once SRT breakdowns exist.
+        for (proto, label) in
+            [(Protocol::Hls, "hls"), (Protocol::Rtmp, "rtmp"), (Protocol::Srt, "srt")]
+        {
+            if proto == Protocol::Srt && self.breakdown_count(Protocol::Srt) == 0 {
+                continue;
             }
-            let _ = write!(s, "\"{label}\":{{");
-            for (j, (name, mean)) in self.phase_means(proto).iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\":{:.6}", name, mean);
+            w.key(label).begin_object();
+            for (name, mean) in self.phase_means(proto) {
+                w.key(&name).number(micro(mean));
             }
-            s.push('}');
+            w.end_object();
         }
-        s.push_str("},\"dominant_phases\":[");
-        for (i, (name, count, _err)) in self.dominant.top().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[\"{}\",{}]", name, count);
-        }
-        let _ = write!(s, "],\"sketch_bytes\":{}}}", self.memory_bytes());
-        s
+        w.end_object();
+        w.key("rtmp_latency_p75_s").number_or_null(secs(self.rtmp_latency_us.quantile(0.75)));
+        w.key("sketch_bytes").int(self.memory_bytes() as u64);
+        w.key("stall_ratio_p90").number_or_null(secs(self.stall_ppm.quantile(0.90)));
+        w.end_object();
     }
+}
+
+/// A sketch quantile in µs (or ppm) as seconds (or a ratio).
+fn secs(q: Option<u64>) -> Option<f64> {
+    q.map(|v| v as f64 / 1e6)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn snapshot(t: &QoeTelemetry) -> String {
+        let mut out = String::new();
+        t.write_json(&mut Writer::new(&mut out));
+        out
+    }
 
     fn breakdown(unit: &str, protocol: Protocol, phases: &[(&str, f64)]) -> PhaseBreakdown {
         PhaseBreakdown {
@@ -356,7 +360,7 @@ mod tests {
         assert_eq!(a.breakdown_count(Protocol::Rtmp), serial.breakdown_count(Protocol::Rtmp));
         assert_eq!(a.dominant.top(), serial.dominant.top());
         assert!((a.join_mean_s(Protocol::Rtmp) - serial.join_mean_s(Protocol::Rtmp)).abs() < 1e-9);
-        assert_eq!(a.snapshot_json(), serial.snapshot_json());
+        assert_eq!(snapshot(&a), snapshot(&serial));
     }
 
     #[test]
@@ -396,14 +400,14 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_stable_and_nan_free() {
-        let t = QoeTelemetry::new();
-        let empty = t.snapshot_json();
+        let empty = snapshot(&QoeTelemetry::new());
         assert!(empty.contains("\"join_p90_s\":null"));
         assert!(!empty.contains("NaN"));
         let mut t2 = QoeTelemetry::new();
         t2.fold_breakdown(&breakdown("a", Protocol::Rtmp, &[("buffering", 1.5)]));
-        let snap = t2.snapshot_json();
-        assert!(snap.contains("\"dominant_phases\":[[\"buffering\",1]]"));
-        assert_eq!(snap, t2.snapshot_json());
+        let snap = snapshot(&t2);
+        assert!(snap.starts_with("{\"dominant_phases\":[[\"buffering\",1]],"));
+        assert!(snap.contains("\"phase_means_s\":{\"hls\":{},\"rtmp\":{\"buffering\":1.5}}"));
+        assert_eq!(snap, snapshot(&t2));
     }
 }

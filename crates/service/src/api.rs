@@ -94,7 +94,7 @@ impl ApiRequest {
                     w.key("avg_stall_time_s").number(*v);
                 }
                 w.key("broadcast_id").str(broadcast_id.text().as_str());
-                w.key("n_stalls").number(f64::from(*n_stalls));
+                w.key("n_stalls").int(*n_stalls);
                 if let Some(v) = playback_latency_s {
                     w.key("playback_latency_s").number(*v);
                 }
@@ -194,7 +194,7 @@ pub fn write_description(w: &mut Writer<'_>, b: &Broadcast, now: SimTime) {
     w.key("lat").number(b.location.lat);
     w.key("live").bool(b.is_live_at(now));
     w.key("lng").number(b.location.lon);
-    w.key("n_viewers").number(f64::from(b.viewers_at(now)));
+    w.key("n_viewers").int(b.viewers_at(now));
     w.key("start_s").number(b.start.as_secs_f64());
 }
 

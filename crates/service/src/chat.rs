@@ -105,7 +105,7 @@ impl Heart {
         let mut w = Writer::new(out);
         w.begin_object();
         w.key("kind").str("heart");
-        w.key("n").number(f64::from(self.count));
+        w.key("n").int(self.count);
         w.end_object();
     }
 }

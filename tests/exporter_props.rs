@@ -1,10 +1,12 @@
 //! Property tests for the interchange exporters (DESIGN.md §7): arbitrary
 //! span fields, unit labels and metric keys must round-trip through the
-//! Chrome trace-event encoder as valid JSON, and through the Prometheus
-//! text encoder with every label value properly escaped.
+//! Chrome trace-event encoder, the metrics snapshot and the event log as
+//! valid JSON in canonical form, and through the Prometheus text encoder
+//! with every label value properly escaped.
 
 use periscope_repro::obs::{chrome_trace, prometheus_text, MetricsRegistry, Span};
 use periscope_repro::obs::{prometheus_alert_state, prometheus_build_info, PhaseSpan, MS_BUCKETS};
+use periscope_repro::obs::{Field, Observer};
 use periscope_repro::proto::json::{parse, Value};
 use pscp_check::{check, ensure, Gen};
 
@@ -25,9 +27,8 @@ fn leak(s: String) -> &'static str {
 }
 
 fn arb_span(g: &mut Gen, id: u32) -> Span {
-    // Bounded to f64-exact integers: the checking parser (like JavaScript)
-    // reads JSON numbers as doubles. 2^52 µs is ~142 years of sim time.
-    let start_us = g.u64(0..1 << 52);
+    // Past 2^53, where a double no longer holds every integer.
+    let start_us = g.u64(0..1 << 62);
     let end_us = if g.bool() { Span::OPEN } else { start_us + g.u64(0..10_000_000) };
     Span {
         id,
@@ -60,8 +61,9 @@ fn chrome_trace_is_valid_json_and_round_trips_span_fields() {
         "chrome_trace_round_trip",
         |g: &mut Gen| (arb_spans(g), arb_phases(g)),
         |(spans, phases)| {
-            let doc = chrome_trace(spans, phases);
+            let doc = chrome_trace(spans, phases, &[]);
             let v = parse(&doc).map_err(|e| format!("exporter emitted invalid JSON: {e:?}"))?;
+            ensure!(v.to_json() + "\n" == doc, "not in canonical form: {doc}");
             let events = v
                 .get("traceEvents")
                 .and_then(Value::as_array)
@@ -108,6 +110,136 @@ fn chrome_trace_is_valid_json_and_round_trips_span_fields() {
             Ok(())
         },
     );
+}
+
+/// `NASTY_CHARS` without `/`: a subsystem joined to a name as `sub/name`
+/// then names one metric only.
+fn subsystem(g: &mut Gen) -> &'static str {
+    let chars: Vec<char> = NASTY_CHARS.iter().copied().filter(|&c| c != '/').collect();
+    leak(g.string(&chars, 1..=10))
+}
+
+#[test]
+fn metrics_snapshot_round_trips_arbitrary_keys() {
+    check(
+        "metrics_snapshot_keys",
+        |g: &mut Gen| {
+            let mut m = MetricsRegistry::new();
+            for _ in 0..g.u64(0..6) {
+                let (sub, name) = (subsystem(g), leak(g.string(NASTY_CHARS, 1..=10)));
+                match g.u64(0..4) {
+                    0 => m.count(sub, name, g.u64(0..1_000_000)),
+                    1 => m.observe(sub, name, &MS_BUCKETS, g.u64(0..100_000)),
+                    2 => m.sketch_observe(sub, name, g.u64(0..1 << 40)),
+                    _ => m.ring_observe(sub, name, g.u64(0..1 << 40), g.u64(0..1_000_000)),
+                }
+            }
+            m
+        },
+        |m| {
+            let doc = m.snapshot_json();
+            let v = parse(&doc).map_err(|e| format!("invalid JSON {e:?}: {doc}"))?;
+            ensure!(v.to_json() == doc, "not in canonical form: {doc}");
+            let keys = |section: &str| -> Vec<String> {
+                match v.get(section) {
+                    Some(Value::Object(members)) => members.keys().cloned().collect(),
+                    _ => Vec::new(),
+                }
+            };
+            let joined = |items: Vec<(&str, &str)>| -> Vec<String> {
+                let mut keys: Vec<String> = items.iter().map(|(s, n)| format!("{s}/{n}")).collect();
+                keys.sort();
+                keys
+            };
+            ensure!(keys("counters") == joined(m.counters().map(|(s, n, _)| (s, n)).collect()));
+            ensure!(keys("histograms") == joined(m.histograms().map(|(s, n, _)| (s, n)).collect()));
+            ensure!(keys("sketches") == joined(m.sketches().map(|(s, n, _)| (s, n)).collect()));
+            ensure!(keys("rings") == joined(m.rings().map(|(s, n, _)| (s, n)).collect()));
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn event_log_round_trips_arbitrary_strings() {
+    check(
+        "event_log_strings",
+        |g: &mut Gen| {
+            g.vec(0..6, |g| {
+                let mut fields: Vec<(&'static str, Field)> = Vec::new();
+                for _ in 0..g.u64(0..4) {
+                    let key = leak(g.string(NASTY_CHARS, 1..=8));
+                    let field = match g.u64(0..4) {
+                        0 => Field::U(g.u64(0..u64::MAX)),
+                        1 => Field::I(g.u64(0..u64::MAX) as i64),
+                        2 => Field::F(g.f64(-1e12..1e12)),
+                        _ => Field::S(g.string(NASTY_CHARS, 0..=8)),
+                    };
+                    if fields.iter().all(|(k, _)| *k != key) {
+                        fields.push((key, field));
+                    }
+                }
+                let (unit, t_us) = (g.string(NASTY_CHARS, 0..=12), g.u64(0..u64::MAX));
+                (unit, t_us, subsystem(g), leak(g.string(NASTY_CHARS, 1..=12)), fields)
+            })
+        },
+        |events| {
+            let obs = Observer::new(true);
+            for (unit, t_us, sub, name, fields) in events {
+                let mut trace = obs.trace();
+                trace.event(*t_us, sub, name, fields.clone());
+                obs.absorb(unit, trace);
+            }
+            let log = obs.events_jsonl();
+            ensure!(log.lines().count() == events.len(), "one line per event: {log}");
+            for (line, (unit, t_us, sub, name, fields)) in log.lines().zip(events) {
+                let v = parse(line).map_err(|e| format!("invalid JSON {e:?}: {line}"))?;
+                ensure!(v.to_json() == line, "not in canonical form: {line}");
+                let text = |key: &str| v.get(key).and_then(Value::as_str);
+                ensure!(text("unit") == Some(unit.as_str()), "unit mangled: {line}");
+                ensure!(text("sub") == Some(*sub), "subsystem mangled: {line}");
+                ensure!(text("ev") == Some(*name), "name mangled: {line}");
+                ensure!(v.get("t_us").and_then(Value::as_u64) == Some(*t_us), "t_us: {line}");
+                for (key, field) in fields {
+                    let got = v.get("fields").and_then(|f| f.get(key)).ok_or("field lost")?;
+                    ensure!(field_value(field) == *got, "field mangled: {line}");
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// What a field reads back as: integers exactly, floats to the bit.
+fn field_value(field: &Field) -> Value {
+    match field {
+        Field::U(x) => Value::from(*x),
+        Field::I(x) => Value::from(*x),
+        Field::F(x) if x.fract() == 0.0 && x.abs() < 1e15 => Value::from(*x as i64),
+        Field::F(x) => Value::from(*x),
+        Field::S(x) => Value::from(x.as_str()),
+    }
+}
+
+/// A broadcast id spans all 64 bits (`id * 0x9e37_79b9_7f4a_7c15 | 1`);
+/// the event log must name the broadcast it was given, not the nearest
+/// double.
+#[test]
+fn event_log_writes_64_bit_ids_exactly() {
+    let id = 0x9e37_79b9_7f4a_7c15_u64 | 1;
+    assert!(id > 1 << 53 && id as f64 as u64 != id);
+    let obs = Observer::new(true);
+    let mut trace = obs.trace();
+    trace.event(u64::MAX, "session", "session.start", vec![("broadcast", Field::U(id))]);
+    obs.absorb("session/0", trace);
+    let log = obs.events_jsonl();
+    let line = log.lines().next().expect("one event");
+    assert!(line.contains(&format!("\"broadcast\":{id}")), "{line}");
+    let v = parse(line).unwrap();
+    assert_eq!(v.to_json(), line);
+    let broadcast = v.get("fields").and_then(|f| f.get("broadcast"));
+    assert_eq!(broadcast.and_then(Value::as_u64), Some(id));
+    assert_eq!(v.get("t_us").and_then(Value::as_u64), Some(u64::MAX));
 }
 
 type PromLine = (String, Vec<(String, String)>, f64);

@@ -333,9 +333,10 @@ fn chaos_sweep_stall_ratio_is_monotone_in_loss() {
     // One SLO verdict per arm, at the nominal x1 intensity.
     assert_eq!(sweep.slo.len(), 3);
     assert!(sweep.slo.iter().all(|s| s.loss_scale == 1.0));
-    // The artifact parses as JSON and names every sweep point.
+    // The artifact is canonical JSON and names every sweep point.
     let json = sweep.sweep_json();
     let parsed = periscope_repro::proto::json::parse(&json).expect("CHAOS_sweep.json parses");
+    assert_eq!(parsed.to_json() + "\n", json, "CHAOS_sweep.json is not in canonical form");
     assert_eq!(parsed.get("points").and_then(|p| p.as_array()).map(|a| a.len()), Some(9));
     assert_eq!(parsed.get("slo").and_then(|p| p.as_array()).map(|a| a.len()), Some(3));
 }

@@ -203,7 +203,8 @@ fn the_only_unsafe_block_is_the_kernel_dispatch() {
 /// One front door (DESIGN.md §17): outside its tests, `crates/bench/src`
 /// ends the process in one place, never panics on an artifact it cannot
 /// write, and spells a verb's name only in the verb table — a second
-/// `"chaos"` means a dispatch chain or a hand-written usage grew back.
+/// `"chaos"` means a dispatch chain or a hand-written usage grew back. An
+/// artifact member of the same name (`.key("scale")`) is not a verb.
 #[test]
 fn repro_has_one_exit_no_panicking_write_and_one_table() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src");
@@ -227,7 +228,8 @@ fn repro_has_one_exit_no_panicking_write_and_one_table() {
             &files.iter().find(|(path, _)| *path == src.join(front_door)).expect(front_door).1;
         for name in &names {
             let literal = format!("\"{name}\"");
-            let uses = code.iter().filter(|line| line.contains(&literal)).count();
+            let member = format!(".key({literal})");
+            let uses = code.iter().filter(|l| l.contains(&literal) && !l.contains(&member)).count();
             assert_eq!(uses, 0, "verb `{name}` is spelled in {front_door}, outside the table");
         }
     }
@@ -353,4 +355,48 @@ fn design_index_paths_resolve() {
     }
     assert!(checked >= 20, "index rows not found: {checked} paths");
     assert!(unresolved.is_empty(), "DESIGN.md §2–§3 paths that do not resolve: {unresolved:#?}");
+}
+
+/// One JSON writer (DESIGN.md §15): outside `pscp_proto::json`, no
+/// non-test source spells a JSON member key into a string literal — a
+/// `\"key\":` in an ordinary literal, `"key":` in a raw one. Every artifact
+/// and API body is written through `json::Writer`, which escapes keys,
+/// formats numbers one way and asserts ascending keys; a hand-rolled
+/// emitter grows back here first.
+#[test]
+fn json_is_written_by_one_writer() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let writer = root.join("crates/proto/src/json.rs");
+    let mut dirs: Vec<PathBuf> = crate_sources().into_iter().map(|(_, src)| src).collect();
+    dirs.extend(["src", "examples"].map(|dir| root.join(dir)));
+    let mut found = Vec::new();
+    for dir in dirs {
+        for (path, code) in code_under(&dir) {
+            if path == writer {
+                continue;
+            }
+            let keys = code.iter().filter(|line| json_key_literal(line)).count();
+            if keys > 0 {
+                let shown = path.strip_prefix(root).unwrap_or(&path).display().to_string();
+                found.push(format!("{shown} ({keys} lines)"));
+            }
+        }
+    }
+    found.sort();
+    assert!(
+        found.is_empty(),
+        "hand-written JSON keys, not json::Writer:\n  {}",
+        found.join("\n  ")
+    );
+}
+
+/// Whether `line` holds `"key":` or `\"key\":` — a quote, one or more key
+/// characters (a `{…}` format argument counts), a quote, a colon.
+fn json_key_literal(line: &str) -> bool {
+    let key_char = |c: char| is_ident(c) || ".-/{}".contains(c);
+    line.match_indices("\":").any(|(at, _)| {
+        let before = line[..at].strip_suffix('\\').unwrap_or(&line[..at]);
+        let key = before.trim_end_matches(key_char);
+        key.len() < before.len() && key.ends_with('"')
+    })
 }

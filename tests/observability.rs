@@ -4,7 +4,8 @@
 //! snapshot stable and complete.
 
 use periscope_repro::core::{experiments, Lab, LabConfig};
-use periscope_repro::obs::{MetricsRegistry, MS_BUCKETS};
+use periscope_repro::obs::{chrome_trace, MetricsRegistry, MS_BUCKETS};
+use periscope_repro::proto::json::{parse, Value};
 
 /// Per-session fingerprint of the full QoE dataset (mirrors
 /// `tests/determinism.rs` so a single diverging draw shows up).
@@ -61,6 +62,16 @@ fn figures_identical_with_tracing_on_and_off() {
     }
 }
 
+/// `text` (one JSON document, or one line of a JSONL file) in the canonical
+/// form: parsing it and writing the tree back gives the same bytes, so its
+/// keys ascend, every string is escaped one way and every number has one
+/// format. Returns the tree.
+fn assert_canonical(text: &str) -> Value {
+    let v = parse(text).unwrap_or_else(|e| panic!("{e:?}: {text}"));
+    assert_eq!(v.to_json(), text.strip_suffix('\n').unwrap_or(text), "not canonical");
+    v
+}
+
 /// The merged event log must be byte-identical at every thread count:
 /// per-unit traces are absorbed in plan order, never completion order.
 fn event_log(threads: usize, seed: u64) -> (String, String) {
@@ -88,8 +99,7 @@ fn event_log_lines_are_valid_json() {
     let (log, _) = event_log(1, 25);
     let mut lines = 0;
     for line in log.lines() {
-        let v = periscope_repro::proto::json::parse(line)
-            .unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e:?}"));
+        let v = assert_canonical(line);
         assert!(v.get("t_us").is_some(), "missing t_us: {line}");
         assert!(v.get("unit").is_some(), "missing unit: {line}");
         assert!(v.get("sub").is_some(), "missing sub: {line}");
@@ -107,6 +117,7 @@ fn metrics_cover_the_required_subsystems() {
     lab.session_dataset();
     lab.deep_crawl_at(14.0);
     let metrics = lab.observer().metrics();
+    assert_canonical(&metrics.snapshot_json());
     let subs = metrics.subsystems();
     for required in ["session", "player", "tcp", "service", "crawler", "hls", "rtmp"] {
         assert!(subs.contains(&required), "subsystem {required} missing from {subs:?}");
@@ -128,6 +139,9 @@ fn metrics_snapshot_ordering_is_stable() {
     b.count("zeta", "last", 1);
     assert_eq!(a.snapshot_text(), b.snapshot_text());
     assert_eq!(a.snapshot_json(), b.snapshot_json());
+    let snapshot = assert_canonical(&a.snapshot_json());
+    let counter = |key: &str| snapshot.get("counters")?.get(key)?.as_u64();
+    assert_eq!((counter("alpha/first"), counter("zeta/last")), (Some(2), Some(1)));
     let text = a.snapshot_text();
     let alpha = text.find("alpha").expect("alpha present");
     let zeta = text.find("zeta").expect("zeta present");
@@ -213,7 +227,7 @@ fn span_run(threads: usize, seed: u64) -> (Vec<String>, String, String, String) 
     .to_json();
     // Wall-clock phases are the one legitimately non-deterministic channel,
     // so the deterministic export contract is spans-only.
-    let chrome = periscope_repro::obs::chrome_trace(&spans, &[]);
+    let chrome = chrome_trace(&spans, &[], &[]);
     (fingerprint, figure, slo, chrome)
 }
 
@@ -230,8 +244,14 @@ fn span_artifacts_identical_across_thread_counts() {
     assert_eq!(one.2, eight.2, "SLO_report.json diverged at 8 threads");
     assert_eq!(one.3, two.3, "Chrome trace diverged at 2 threads");
     assert_eq!(one.3, eight.3, "Chrome trace diverged at 8 threads");
-    assert!(one.2.contains("\"objectives\""), "SLO report looks empty: {}", one.2);
-    assert!(one.3.contains("session.join"), "Chrome trace has no join spans");
+    let slo = assert_canonical(&one.2);
+    let objectives = slo.get("objectives").and_then(Value::as_array);
+    assert!(objectives.is_some_and(|o| !o.is_empty()), "SLO report looks empty: {}", one.2);
+    let chrome = assert_canonical(&one.3);
+    let events = chrome.get("traceEvents").and_then(Value::as_array).expect("traceEvents");
+    let joins =
+        events.iter().filter(|e| e.get("name").and_then(Value::as_str) == Some("session.join"));
+    assert!(joins.count() > 0, "Chrome trace has no join spans");
 }
 
 /// The causal-tree contract (DESIGN.md §7): every joined session's
@@ -313,13 +333,21 @@ fn incident_artifacts_identical_across_threads_and_shards() {
         cfg.threads = threads;
         cfg.shards = shards;
         // The artifact records the configured shard count as provenance;
-        // normalize that one line so the comparison covers the payload.
-        run_incidents(&mut lab, &cfg)
-            .to_json()
-            .replace(&format!("\"shards\": {shards},"), "\"shards\": N,")
+        // normalize that one member so the comparison covers the payload.
+        let report = run_incidents(&mut lab, &cfg);
+        let trace = chrome_trace(&report.arms[1].spans, &[], &report.arms[1].timeline.transitions);
+        assert_canonical(&trace);
+        let json = report.to_json();
+        assert_canonical(&json);
+        json.replace(&format!("\"shards\":{shards},"), "\"shards\":\"N\",")
     };
     let baseline = run(1, 1);
-    assert!(baseline.contains("\"state\": \"firing\""), "pinned config must alert:\n{baseline}");
+    let timelines = assert_canonical(&baseline).get("timelines").cloned().expect("timelines");
+    let srt = timelines.get("SRT").and_then(Value::as_array).expect("the SRT arm's timeline");
+    assert!(
+        srt.iter().any(|t| t.get("state").and_then(Value::as_str) == Some("firing")),
+        "pinned config must alert:\n{baseline}"
+    );
     for (threads, shards) in [(2, 1), (8, 1), (2, 4), (8, 16)] {
         assert_eq!(
             run(threads, shards),

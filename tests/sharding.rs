@@ -11,10 +11,25 @@
 
 use periscope_repro::core::shard::{run_scale, ScaleConfig};
 use periscope_repro::core::{experiments, Lab, LabConfig};
+use periscope_repro::proto::json::{parse, Writer};
 use periscope_repro::qoe::telemetry::QoeTelemetry;
 use periscope_repro::qoe::{slo, SloSpec};
 
 const SEED: u64 = 2016;
+
+/// The telemetry snapshot a `SCALE_report.json` tier embeds as `qoe`.
+fn qoe(t: &QoeTelemetry) -> String {
+    let mut out = String::new();
+    t.write_json(&mut Writer::new(&mut out));
+    out
+}
+
+/// `text` is one JSON document in the canonical form: parsing it and
+/// writing the tree back gives the same bytes.
+fn assert_canonical(text: &str) {
+    let v = parse(text).unwrap_or_else(|e| panic!("{e:?}: {text}"));
+    assert_eq!(v.to_json(), text.strip_suffix('\n').unwrap_or(text), "not canonical");
+}
 
 fn lab_with(threads: usize) -> Lab {
     let mut config = LabConfig::small(SEED);
@@ -44,7 +59,7 @@ fn artifact_bundle(threads: usize) -> (Vec<String>, String, String, String) {
         })
         .collect();
     let slo_json = slo::evaluate(&SloSpec::paper(), &dataset, &[], "sharding-suite").to_json();
-    let sketch_snapshot = QoeTelemetry::from_dataset(&dataset).snapshot_json();
+    let sketch_snapshot = qoe(&QoeTelemetry::from_dataset(&dataset));
     let mut lab2 = lab_with(threads);
     let fig = experiments::by_id("fig3a").expect("fig3a exists");
     let figure = (fig.run)(&mut lab2).render();
@@ -55,6 +70,8 @@ fn artifact_bundle(threads: usize) -> (Vec<String>, String, String, String) {
 fn dataset_figures_slo_and_sketches_invariant_across_threads() {
     let baseline = artifact_bundle(1);
     assert!(!baseline.0.is_empty());
+    assert_canonical(&baseline.1);
+    assert_canonical(&baseline.2);
     for threads in [8, 0] {
         let got = artifact_bundle(threads);
         assert_eq!(got.0, baseline.0, "dataset diverged at threads={threads}");
@@ -85,9 +102,11 @@ fn scale_engine_rollups_invariant_across_shards_and_threads() {
     let run_at = |shards: usize, threads: usize| {
         let cfg = ScaleConfig { shards, threads, target_sessions: 50, ..Default::default() };
         let run = run_scale(&svc, &rngs, &cfg);
-        (run.stats.json(), run.telemetry.snapshot_json())
+        (run.stats.json(), qoe(&run.telemetry))
     };
     let baseline = run_at(1, 1);
+    assert_canonical(&baseline.0);
+    assert_canonical(&baseline.1);
     for (shards, threads) in [(4, 1), (16, 1), (1, 8), (4, 8), (16, 0)] {
         assert_eq!(
             run_at(shards, threads),
@@ -102,10 +121,12 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The scale engine's roll-up, pinned: FNV-1a-64 over `stats.json()` +
-/// `telemetry.snapshot_json()`. Pinned on the minute-barrier engine before
-/// the run became one flat session schedule, so it also proves that change
-/// moved no byte. The run covers migrations, chat and HLS sessions (the
-/// float `Moments` path of the telemetry).
+/// the telemetry snapshot. First pinned on the minute-barrier engine before
+/// the run became one flat session schedule, so it also proved that change
+/// moved no byte; re-pinned once when every artifact moved onto
+/// `json::Writer` (DESIGN.md §15), with the parsed values unchanged. The run
+/// covers migrations, chat and HLS sessions (the float `Moments` path of
+/// the telemetry).
 #[test]
 fn scale_engine_rollup_is_pinned_at_every_shard_and_thread_count() {
     let svc = small_world();
@@ -117,10 +138,10 @@ fn scale_engine_rollup_is_pinned_at_every_shard_and_thread_count() {
             assert!(run.stats.migrated_in > 0, "no migrated session ran");
             assert!(run.stats.chat_out > 0 && run.stats.chat_out == run.stats.chat_in);
             assert!(run.telemetry.hls_latency_s.count() > 0, "no HLS session ran");
-            let text = format!("{}{}", run.stats.json(), run.telemetry.snapshot_json());
+            let text = format!("{}{}", run.stats.json(), qoe(&run.telemetry));
             assert_eq!(
                 fnv1a64(text.as_bytes()),
-                0xefff_4133_e294_9e14,
+                0x65d6_82c6_de65_0237,
                 "scale roll-up moved at shards={shards} threads={threads}: {text}"
             );
         }
@@ -139,7 +160,7 @@ fn scale_engine_with_no_sessions_is_empty_and_well_formed() {
         assert_eq!(run.broadcasts, svc.population.broadcasts.len());
         assert!(run.minutes > 0 && run.plan_bytes > 0);
         assert_eq!(run.stats.json(), periscope_repro::core::shard::ShardStats::new().json());
-        assert_eq!(run.telemetry.snapshot_json(), QoeTelemetry::new().snapshot_json());
+        assert_eq!(qoe(&run.telemetry), qoe(&QoeTelemetry::new()));
         assert_eq!(run.telemetry.n_sessions(), 0);
         let in_census: u64 = run.census.iter().map(|r| r.broadcasts).sum();
         assert_eq!(in_census, svc.population.broadcasts.len() as u64);
