@@ -131,18 +131,12 @@ pub fn run_watch(mut lab_cfg: LabConfig, cfg: &WatchConfig) -> WatchOutput {
     for i in 0..cfg.batches {
         let local = Observer::with_flags(true, false);
         let tp = Teleport::new(svc, rngs.child(&format!("watch-{i}")));
-        let outcomes = tp.run_dataset_observed(
-            &TeleportConfig {
-                sessions: cfg.batch_sessions,
-                threads,
-                session: SessionConfig { transport: cfg.transport, ..Default::default() },
-                ..Default::default()
-            },
-            &local,
-        );
-        for o in &outcomes {
-            telemetry.fold_outcome(o);
-        }
+        let plan = tp.plan(&TeleportConfig {
+            sessions: cfg.batch_sessions,
+            session: SessionConfig { transport: cfg.transport, ..Default::default() },
+            ..Default::default()
+        });
+        tp.execute(&plan, threads, &local, |_, o| telemetry.fold_outcome(&o));
         let batch_spans = local.spans();
         for b in fold_breakdowns(&batch_spans) {
             telemetry.fold_breakdown(&b);

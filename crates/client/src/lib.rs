@@ -36,7 +36,8 @@
 //! * [`retry`] — capped-exponential-backoff policies driving API retries,
 //!   stream reconnects, and HLS segment re-fetches under injected faults;
 //! * [`teleport`] — the automation loop generating a session dataset, each
-//!   session's capture analysed in the worker that recorded it.
+//!   session's capture analysed in the worker that recorded it, and the
+//!   one executor every plan of sessions runs through.
 
 pub mod broadcaster;
 pub mod chat_client;

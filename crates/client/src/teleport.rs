@@ -24,7 +24,7 @@
 //! times, broadcast picks and device alternation all come from one shared
 //! sequential RNG stream), then *executes* the planned sessions across
 //! worker threads — each session only draws from its own `session/{i}` RNG
-//! namespace — and reassembles outcomes in plan order. Which sessions are
+//! namespace — and folds outcomes in plan order. Which sessions are
 //! analysed is *decided* during planning (protocol selection is a pure
 //! function of broadcast and join time): the first
 //! [`TeleportConfig::analyze_per_protocol`] of each protocol run captured,
@@ -34,6 +34,14 @@
 //! No dataset outcome holds a capture — peak memory is one capture per
 //! worker — and output is byte-identical to a serial run at any thread
 //! count.
+//!
+//! [`Teleport::execute`] is the one executor: every dataset, the live
+//! watch loop, the incident study and the scale run (whose plan comes from
+//! `pscp-core`'s shard arrivals) hand it a list of [`PlannedSession`]s and
+//! a fold. It runs the list [`FOLD_BATCH`] sessions at a time and folds
+//! each outcome on the calling thread in plan order, so a caller's
+//! accumulator sees one fixed sequence and never more than one batch of
+//! outcomes exists.
 
 use crate::device::ViewerDevice;
 use crate::downlink::Recording;
@@ -46,8 +54,10 @@ use pscp_obs::{Observer, PhaseSpan, SpanId, Trace};
 use pscp_service::select::Protocol;
 use pscp_service::PeriscopeService;
 use pscp_simnet::fault::{FaultConfig, FaultRng};
+use pscp_simnet::geo::{REF_DEPTH, REF_QUADKEYS};
+use pscp_simnet::par::{self, ParProfile};
 use pscp_simnet::rng::{CounterRng, Rng};
-use pscp_simnet::{RngFactory, SimDuration, SimTime};
+use pscp_simnet::{GeoRect, RngFactory, SimDuration, SimTime};
 use pscp_workload::broadcast::Broadcast;
 
 /// How long an RTMP client waits out an ingest outage before falling back
@@ -55,16 +65,12 @@ use pscp_workload::broadcast::Broadcast;
 /// delayed join, longer ones trigger the failover path.
 const FAILOVER_PATIENCE: SimDuration = SimDuration::from_secs(8);
 
-/// Quadtree depth of the per-cell alerting rings — the same reference
-/// depth the shard-occupancy layer reports at (`pscp-core`'s `REF_DEPTH`,
-/// restated here because the dependency points the other way).
-const CELL_DEPTH: u8 = 2;
-/// Depth-2 quadkeys in cell order (digits SW=0, SE=1, NW=2, NE=3, most
-/// significant first), used as static ring keys so per-cell alert rules
-/// can scope incidents to shard cells.
-const CELL_KEYS: [&str; 16] = [
-    "00", "01", "02", "03", "10", "11", "12", "13", "20", "21", "22", "23", "30", "31", "32", "33",
-];
+/// Sessions [`Teleport::execute`] runs between folds: the most outcomes it
+/// ever holds, however long the plan. An uncaptured outcome still carries
+/// its player log's per-frame latency samples (≈ 14 KB for a minute), so
+/// a batch is a hundred-odd sessions (≈ 2 MB): still enough that the
+/// barrier between batches idles a worker for about 1 % of the run.
+pub const FOLD_BATCH: usize = 128;
 
 /// Dataset generation settings.
 #[derive(Debug, Clone)]
@@ -94,7 +100,7 @@ impl Default for TeleportConfig {
     }
 }
 
-/// One entry of a dataset plan: everything its worker needs.
+/// One entry of a plan: everything its worker needs.
 pub struct PlannedSession<'a> {
     /// The draw the session came from: its `session/{idx}` RNG namespace.
     pub idx: u64,
@@ -168,8 +174,8 @@ fn fold_qoe(
     let join_done_us = join_at.as_micros() + join_us;
     trace.ring("alert", "join_time_us", join_done_us, join_us);
     trace.ring("alert", "stall_ppm", ended.as_micros(), stall_ppm);
-    let cell = pscp_simnet::geo::GeoRect::quad_cell(&broadcast.location, CELL_DEPTH);
-    trace.ring("cell", CELL_KEYS[cell as usize], join_done_us, join_us);
+    let cell = GeoRect::quad_cell(&broadcast.location, REF_DEPTH);
+    trace.ring("cell", REF_QUADKEYS[cell as usize], join_done_us, join_us);
 }
 
 /// The Teleport driver.
@@ -442,9 +448,10 @@ impl<'a> Teleport<'a> {
         plan
     }
 
-    /// [`Teleport::run_dataset`] under observation: sessions record into
-    /// per-unit traces that are absorbed into `obs` serially in plan order
-    /// (so the merged log is byte-identical at any thread count), and the
+    /// [`Teleport::run_dataset`] under observation: [`Teleport::plan`], then
+    /// [`Teleport::execute`] into a `Vec`. Sessions record into per-unit
+    /// traces that are absorbed into `obs` serially in plan order (so the
+    /// merged log is byte-identical at any thread count), and the
     /// plan/execute phases get wall-clock spans when `obs` is profiling.
     pub fn run_dataset_observed(
         &self,
@@ -464,9 +471,47 @@ impl<'a> Teleport<'a> {
             });
         }
 
-        // Each worker records into the session's own trace; the merge
-        // below happens serially in plan order, never completion order.
-        let work = |_: usize, p: &PlannedSession<'_>| {
+        let mut outcomes = Vec::with_capacity(plan.len());
+        let profile = self.execute(&plan, config.threads, obs, |_, o| outcomes.push(o));
+        obs.record_phase(PhaseSpan {
+            name: "dataset.execute".into(),
+            wall_secs: profile.wall_secs,
+            workers: profile.workers,
+            items: plan.len(),
+            busy_secs: profile.busy_total(),
+        });
+        outcomes
+    }
+
+    /// Runs `plan` on up to `threads` workers (`0` = auto, see
+    /// [`par::resolve_threads`]) and hands each outcome to `fold` on the
+    /// calling thread, in plan order, whatever order the workers finished
+    /// in. Sessions run [`FOLD_BATCH`] at a time, so at most one batch of
+    /// outcomes is ever held. A marked session is analysed into
+    /// [`SessionOutcome::stream`] in its worker and keeps no capture; every
+    /// other one runs uncaptured. When `obs` is tracing, each session's
+    /// trace is absorbed under `session/{idx}` in plan order, just before
+    /// its outcome is folded. Returns the wall-clock profile of the runs.
+    pub fn execute(
+        &self,
+        plan: &[PlannedSession<'a>],
+        threads: usize,
+        obs: &Observer,
+        fold: impl FnMut(&PlannedSession<'a>, SessionOutcome),
+    ) -> ParProfile {
+        self.execute_batched(plan, threads, FOLD_BATCH, obs, fold)
+    }
+
+    /// [`Teleport::execute`] with the batch size as a parameter.
+    fn execute_batched(
+        &self,
+        plan: &[PlannedSession<'a>],
+        threads: usize,
+        batch: usize,
+        obs: &Observer,
+        mut fold: impl FnMut(&PlannedSession<'a>, SessionOutcome),
+    ) -> ParProfile {
+        let work = |_: usize, p: &PlannedSession<'a>| {
             let mut trace = obs.trace();
             let (broadcast, join_at, session) = (p.broadcast, p.join_at, &p.session);
             // A session nobody analyses still simulates its traffic (scalar
@@ -483,22 +528,18 @@ impl<'a> Teleport<'a> {
             };
             (outcome, trace)
         };
-        let (results, profile) = pscp_simnet::par::indexed_map_timed(&plan, config.threads, work);
-        obs.record_phase(PhaseSpan {
-            name: "dataset.execute".into(),
-            wall_secs: profile.wall_secs,
-            workers: profile.workers,
-            items: plan.len(),
-            busy_secs: profile.busy_total(),
-        });
-        let mut outcomes = Vec::with_capacity(results.len());
-        for (p, (outcome, trace)) in plan.iter().zip(results) {
-            if obs.tracing() {
-                obs.absorb(&format!("session/{}", p.idx), trace);
+        let mut profile = ParProfile::default();
+        for chunk in plan.chunks(batch) {
+            let (results, chunk_profile) = par::indexed_map_timed(chunk, threads, work);
+            profile.absorb(&chunk_profile);
+            for (p, (outcome, trace)) in chunk.iter().zip(results) {
+                if obs.tracing() {
+                    obs.absorb(&format!("session/{}", p.idx), trace);
+                }
+                fold(p, outcome);
             }
-            outcomes.push(outcome);
         }
-        outcomes
+        profile
     }
 }
 
@@ -597,5 +638,58 @@ mod tests {
         let first = run();
         assert!(first.iter().any(|(_, _, stream)| stream.starts_with("Some")), "none analysed");
         assert_eq!(first, run());
+    }
+
+    /// What a fold sees of one session.
+    fn folded(p: &PlannedSession<'_>, o: &SessionOutcome) -> (u64, u64, u64, String) {
+        (p.idx, o.broadcast_id.0, o.traffic_bps.to_bits(), format!("{:?}", o.stream))
+    }
+
+    /// Batching and threads are inert: batches of 1, 3 and the whole plan,
+    /// on one and two workers, fold the same sequence, and no map ever
+    /// runs more workers than its batch has sessions.
+    #[test]
+    fn batch_and_threads_do_not_reach_the_fold() {
+        let svc = service();
+        let tp = Teleport::new(&svc, RngFactory::new(12));
+        let cfg = TeleportConfig { sessions: 7, analyze_per_protocol: 2, ..Default::default() };
+        let plan = tp.plan(&cfg);
+        assert!(plan.len() > 3, "plan={}", plan.len());
+        let run = |batch: usize, threads: usize| {
+            let mut seen = Vec::new();
+            let profile =
+                tp.execute_batched(&plan, threads, batch, Observer::disabled_ref(), |p, o| {
+                    seen.push(folded(p, &o))
+                });
+            assert_eq!(profile.workers, threads.min(batch), "batch={batch} threads={threads}");
+            seen
+        };
+        let whole = run(plan.len(), 1);
+        assert_eq!(whole.len(), plan.len());
+        assert!(whole.iter().any(|f| f.3.starts_with("Some")), "none analysed");
+        for batch in [1, 3, plan.len()] {
+            for threads in [1, 2] {
+                assert_eq!(run(batch, threads), whole, "batch={batch} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_dataset_is_plan_then_execute() {
+        let svc = service();
+        let tp = Teleport::new(&svc, RngFactory::new(13));
+        let cfg = TeleportConfig {
+            sessions: 6,
+            analyze_per_protocol: 1,
+            threads: 2,
+            ..Default::default()
+        };
+        let plan = tp.plan(&cfg);
+        let mut executed = Vec::new();
+        tp.execute(&plan, 1, Observer::disabled_ref(), |p, o| executed.push(folded(p, &o)));
+        let outcomes = tp.run_dataset(&cfg);
+        assert_eq!(outcomes.len(), plan.len());
+        let dataset: Vec<_> = plan.iter().zip(&outcomes).map(|(p, o)| folded(p, o)).collect();
+        assert_eq!(dataset, executed);
     }
 }

@@ -185,10 +185,10 @@ pub fn run_incidents(lab: &mut Lab, cfg: &IncidentConfig) -> IncidentReport {
                 transport,
                 ..Default::default()
             },
-            threads: cfg.threads,
             ..Default::default()
         };
-        tp.run_dataset_observed(&tcfg, &obs);
+        // The arm's record is what `obs` absorbs; the outcomes fold to nothing.
+        tp.execute(&tp.plan(&tcfg), cfg.threads, &obs, |_, _| {});
         let metrics = obs.metrics();
         let spans = obs.spans();
         let timeline = AlertTimeline::evaluate(&rules, &metrics, &spans);

@@ -127,12 +127,6 @@ pub struct Lab {
     obs: Observer,
 }
 
-/// A viewing-session report (dataset wrapper returned by convenience runs).
-pub struct SessionReport {
-    /// The generated sessions.
-    pub sessions: Vec<pscp_client::SessionOutcome>,
-}
-
 impl Lab {
     /// Creates a lab; the population/service are built lazily on first use.
     pub fn new(mut config: LabConfig) -> Lab {
@@ -224,13 +218,13 @@ impl Lab {
 
     /// Runs a quick batch of unlimited-bandwidth viewing sessions, each
     /// one's capture analysed into its `stream`.
-    pub fn run_viewing_sessions(&mut self, n: usize) -> SessionReport {
+    pub fn run_viewing_sessions(&mut self, n: usize) -> Vec<pscp_client::SessionOutcome> {
         let rngs = self.rngs;
         let svc = self.service();
         let tp = Teleport::new(svc, rngs.child("sessions"));
         let cfg =
             TeleportConfig { sessions: n, analyze_per_protocol: usize::MAX, ..Default::default() };
-        SessionReport { sessions: tp.run_dataset(&cfg) }
+        tp.run_dataset(&cfg)
     }
 
     /// The full QoE dataset (unlimited + bandwidth sweep), memoized.
@@ -400,8 +394,8 @@ mod tests {
     #[test]
     fn lab_builds_lazily_and_runs_sessions() {
         let mut lab = Lab::new(LabConfig::small(1));
-        let report = lab.run_viewing_sessions(5);
-        assert_eq!(report.sessions.len(), 5);
+        let sessions = lab.run_viewing_sessions(5);
+        assert_eq!(sessions.len(), 5);
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! [`ShardPlan`] partitions an **already generated** [`Population`] into
 //! geo quadtree cells: the cell of a broadcast is a pure function of its
 //! location ([`GeoRect::quad_cell`]), so the partition itself never draws
-//! randomness and never depends on shard count. [`run_scale`] schedules
-//! *sessions*, not cells: it lists every primary arrival of the run up
-//! front ([`ShardPlan::arrivals`]), hands the list to the
-//! [`pscp_simnet::par`] driver — workers pull the next arrival the moment
-//! they are free, so none waits for a minute or a cell to end — and folds
-//! what each arrival leaves behind on the calling thread, in list order.
-//! The shard count selects the depth of the plan (its index footprint and
-//! the report's `shards` field); it has no say in scheduling.
+//! randomness and never depends on shard count. [`run_scale`] is a plan and
+//! a fold like any dataset: it lists every primary arrival of the run up
+//! front ([`ShardPlan::arrivals`]), turns the list into a Teleport plan —
+//! each arrival's session, then right after it the follow-on session of its
+//! onward teleport — and hands the plan to [`Teleport::execute`], the
+//! executor every dataset uses, which folds each outcome into the roll-up
+//! on the calling thread, in plan order. The shard count selects the depth
+//! of the plan (its index footprint and the report's `shards` field); it
+//! has no say in scheduling.
 //!
 //! # Determinism argument
 //!
@@ -25,31 +26,34 @@
 //! 2. **Cross-cell traffic is a function of the session.** A primary's
 //!    one-hop migration — whether it happens, its destination (sampled
 //!    from the global population with an RNG stream keyed by the primary
-//!    alone), the follow-on session one minute later — and the chat a
-//!    viewer posts from their home city are computed inside the arrival's
-//!    own work item; nothing is exchanged between items.
-//! 3. **One thread folds, in list order.** A work item returns a few
-//!    words per session (sessions run uncaptured: no capture exists); the caller
-//!    folds them in arrival order whatever order they finished in, so even
-//!    the float moments of [`QoeTelemetry`] see one fixed sequence.
-//!    [`ShardStats`] still merges exactly (`u64` counters and
-//!    [`QuantileSketch`] buckets), but the engine does not lean on it.
-//!    Cross-cell rates are measured at the fixed [`REF_DEPTH`] so the
-//!    *metric* does not move with the shard count either.
+//!    alone), the follow-on session one minute later — is decided by the
+//!    serial plan from the arrival alone, and the chat a viewer posts from
+//!    their home city is a function of the session's key and watch time.
+//! 3. **One thread folds, in plan order.** Sessions run uncaptured (no
+//!    capture exists), and the executor folds each outcome in plan order
+//!    whatever order the workers finished in, so even the float moments of
+//!    [`QoeTelemetry`] see one fixed sequence. [`ShardStats`] still merges
+//!    exactly (`u64` counters and [`QuantileSketch`] buckets), but the run
+//!    does not lean on it. Cross-cell rates are measured at the fixed
+//!    [`REF_DEPTH`] so the *metric* does not move with the shard count
+//!    either.
 //!
-//! Per-session state never outlives its batch: arrivals run
-//! [`FOLD_BATCH`] at a time and fold straight into one [`ShardStats`] and
-//! one [`QoeTelemetry`], so memory is the plan plus one batch of samples,
-//! not O(sessions) — the property that makes the 1M-broadcast tier of
-//! `repro scale` feasible.
+//! An outcome never outlives its batch: the executor runs
+//! [`FOLD_BATCH`](pscp_client::teleport::FOLD_BATCH) sessions at a time
+//! and the fold reduces each straight into one [`ShardStats`] and one
+//! [`QoeTelemetry`], so memory is the plan plus one batch of uncaptured
+//! outcomes, not O(sessions) — the property that makes the 1M-broadcast
+//! tier of `repro scale` feasible.
 
 use pscp_client::session::SessionConfig;
-use pscp_client::Teleport;
+use pscp_client::teleport::PlannedSession;
+use pscp_client::{SessionOutcome, Teleport};
+use pscp_obs::Observer;
 use pscp_proto::json::Writer;
 use pscp_qoe::telemetry::SessionSample;
 use pscp_qoe::QoeTelemetry;
 use pscp_service::PeriscopeService;
-use pscp_simnet::par::{self, ParProfile};
+use pscp_simnet::par::ParProfile;
 use pscp_simnet::rng::splitmix64 as mix;
 use pscp_simnet::{GeoPoint, GeoRect, RngFactory, SimTime};
 use pscp_stats::QuantileSketch;
@@ -57,9 +61,7 @@ use pscp_workload::broadcast::Broadcast;
 use pscp_workload::cities::CITIES;
 use pscp_workload::population::Population;
 
-/// Fixed quadtree depth at which cross-cell metrics and the census are
-/// reported, independent of the shard count in force (16 cells).
-pub const REF_DEPTH: u8 = 2;
+pub use pscp_simnet::geo::REF_DEPTH;
 
 /// One quadtree cell at a given depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -112,7 +114,7 @@ impl ShardCell {
     }
 }
 
-/// One primary arrival of a scale run: the unit of scheduled work.
+/// One primary arrival of a scale run: what the run's plan is built from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// Minute of the run the viewer joins in.
@@ -326,45 +328,32 @@ impl ShardStats {
         self.chat_cross += other.chat_cross;
     }
 
-    /// Folds what one arrival left behind, primary session first.
-    fn fold(&mut self, telemetry: &mut QoeTelemetry, delta: &ArrivalDelta) {
-        let Some(primary) = &delta.primary else {
-            self.skipped += 1;
-            return;
-        };
-        self.primary += 1;
-        self.fold_session(telemetry, primary);
-        match &delta.hop {
-            Hop::Stayed => {}
-            Hop::NowhereLive => self.migrations_dropped += 1,
-            Hop::Teleported { cross, session } => {
-                self.migrations_out += 1;
-                self.migrations_cross += u64::from(*cross);
-                match session {
-                    Some(session) => {
-                        self.migrated_in += 1;
-                        self.fold_session(telemetry, session);
-                    }
-                    None => self.migrations_dropped += 1,
-                }
-            }
-        }
-    }
-
-    fn fold_session(&mut self, telemetry: &mut QoeTelemetry, d: &SessionDelta) {
+    /// Folds one executed session of the plan: its QoE, and the chat its
+    /// viewer posts from their home city into the broadcast's room, at
+    /// `chat_per_watch_min` with stochastic rounding.
+    fn fold_session(
+        &mut self,
+        telemetry: &mut QoeTelemetry,
+        chat_per_watch_min: f64,
+        p: &PlannedSession<'_>,
+        outcome: &SessionOutcome,
+    ) {
+        let sample = SessionSample::of(outcome);
         self.sessions += 1;
-        if d.sample.join_s.is_none() {
+        if sample.join_s.is_none() {
             self.never_joined += 1;
         }
-        self.join_us.observe(us(d.sample.join_s.unwrap_or(d.sample.session_s)));
-        self.stall_ppm.observe((d.sample.stall_ratio * 1e6).round() as u64);
-        self.watch_us += us(d.sample.session_s);
-        self.chat_out += d.chat;
-        self.chat_in += d.chat;
-        if d.chat_cross {
-            self.chat_cross += d.chat;
+        self.join_us.observe(us(sample.join_s.unwrap_or(sample.session_s)));
+        self.stall_ppm.observe((sample.stall_ratio * 1e6).round() as u64);
+        self.watch_us += us(sample.session_s);
+        let watch_min = sample.session_s / 60.0;
+        let chat = (chat_per_watch_min * watch_min + unit(mix(p.idx ^ 0xc4a7_0002))).floor() as u64;
+        self.chat_out += chat;
+        self.chat_in += chat;
+        if chat > 0 && ref_cell(&viewer_home(p.idx)) != ref_cell(&p.broadcast.location) {
+            self.chat_cross += chat;
         }
-        telemetry.fold_sample(&d.sample);
+        telemetry.fold_sample(&sample);
     }
 
     /// Bytes held by the sketch state.
@@ -484,37 +473,6 @@ pub struct ScaleRun {
     pub par: ParProfile,
 }
 
-/// Arrivals executed between folds: the most per-session deltas ever in
-/// flight, however long the run.
-pub const FOLD_BATCH: usize = 4096;
-
-/// What one executed session leaves behind for the roll-up.
-struct SessionDelta {
-    sample: SessionSample,
-    /// Chat messages the viewer posted into the broadcast's room.
-    chat: u64,
-    /// Whether the viewer's home and the broadcast differ at [`REF_DEPTH`].
-    chat_cross: bool,
-}
-
-/// A finished primary's onward teleport (one hop bounds the cascade).
-enum Hop {
-    /// The viewer did not teleport on.
-    Stayed,
-    /// They tried; no broadcast was live.
-    NowhereLive,
-    /// They landed on a broadcast — in a different [`REF_DEPTH`] cell if
-    /// `cross` — and watched it, unless it ended before they could join.
-    Teleported { cross: bool, session: Option<SessionDelta> },
-}
-
-/// What one arrival leaves behind: its primary session (`None` when the
-/// broadcast had no joinable instant left in the minute) and the hop.
-struct ArrivalDelta {
-    primary: Option<SessionDelta>,
-    hop: Hop,
-}
-
 /// Uniform [0, 1) from a hash. All scale-run coin flips key on `mix`
 /// (SplitMix64) so they are pure functions of (seed, broadcast, minute) or
 /// (seed, session), never of shard or thread scheduling.
@@ -534,16 +492,21 @@ pub fn census(pop: &Population) -> Vec<CensusRow> {
     ShardPlan::build(pop, 1usize << (2 * REF_DEPTH as usize)).census()
 }
 
-/// Runs the scale workload: every arrival of the run on one session
-/// schedule, folded in arrival order. See the module docs for the
-/// determinism argument.
+/// Runs the scale workload: every arrival of the run planned as Teleport
+/// sessions, executed and folded in plan order. See the module docs for
+/// the determinism argument.
 pub fn run_scale(service: &PeriscopeService, rngs: &RngFactory, cfg: &ScaleConfig) -> ScaleRun {
     let pop = &service.population;
     let plan = ShardPlan::build(pop, cfg.shards);
     let scale_rngs = rngs.child("scale");
     let arrivals = plan.arrivals(pop, scale_rngs.seed(), cfg.target_sessions);
-    let (stats, telemetry, par) =
-        Engine::new(service, scale_rngs, plan.minutes, cfg).run(&arrivals, FOLD_BATCH);
+    let tp = Teleport::new(service, scale_rngs);
+    let mut stats = ShardStats::new();
+    let sessions = plan_sessions(&tp, pop, &arrivals, plan.minutes, cfg, &mut stats);
+    let mut telemetry = QoeTelemetry::new();
+    let par = tp.execute(&sessions, cfg.threads, Observer::disabled_ref(), |p, o| {
+        stats.fold_session(&mut telemetry, cfg.chat_per_watch_min, p, &o)
+    });
     ScaleRun {
         broadcasts: pop.broadcasts.len(),
         shards: plan.shards(),
@@ -556,124 +519,91 @@ pub fn run_scale(service: &PeriscopeService, rngs: &RngFactory, cfg: &ScaleConfi
     }
 }
 
-/// What a work item reads: the immutable world and the run's settings.
-struct Engine<'a> {
-    tp: Teleport<'a>,
+/// The run's sessions, in arrival order: each arrival's primary and, right
+/// after it, the follow-on of its onward teleport (one hop bounds the
+/// cascade) — destination stream `scale/mig/{key}`, joined the next
+/// minute, so it needs nothing from any other arrival. Whether a session
+/// runs, and whether and where it hops, are decided here, so the counters
+/// they set go straight into `stats`.
+fn plan_sessions<'a>(
+    tp: &Teleport<'a>,
     pop: &'a Population,
+    arrivals: &[Arrival],
     minutes: usize,
-    cfg: &'a ScaleConfig,
-    /// Sum of the [`CITIES`] activity weights.
-    city_weights: f64,
+    cfg: &ScaleConfig,
+    stats: &mut ShardStats,
+) -> Vec<PlannedSession<'a>> {
+    let entry = |broadcast: &'a Broadcast, m: usize, key: u64| {
+        join_instant(broadcast, m, key).map(|join_at| PlannedSession {
+            idx: key,
+            join_at,
+            broadcast,
+            session: cfg.session.clone(),
+            analyze: false,
+        })
+    };
+    let mut sessions = Vec::with_capacity(arrivals.len());
+    for a in arrivals {
+        let b = &pop.broadcasts[a.broadcast as usize];
+        let (m, key) = (a.minute as usize, a.key);
+        let Some(primary) = entry(b, m, key) else {
+            stats.skipped += 1;
+            continue;
+        };
+        stats.primary += 1;
+        sessions.push(primary);
+        let teleports = m + 1 < minutes && unit(mix(key ^ 0x3141_5926)) < cfg.migrate_prob;
+        if !teleports {
+            continue;
+        }
+        // The destination is sampled from the global population as of the
+        // next minute, with a stream keyed by this session alone.
+        let t_next = SimTime::from_secs((m as u64 + 1) * 60);
+        let mut rng = tp.rngs().stream(&format!("scale/mig/{key:016x}"));
+        let Some(dest) = tp.pick(t_next, &mut rng) else {
+            stats.migrations_dropped += 1;
+            continue;
+        };
+        stats.migrations_out += 1;
+        stats.migrations_cross += u64::from(ref_cell(&dest.location) != ref_cell(&b.location));
+        match entry(dest, m + 1, mix(key ^ 0x6d19_0001)) {
+            Some(follow_on) => {
+                stats.migrated_in += 1;
+                sessions.push(follow_on);
+            }
+            None => stats.migrations_dropped += 1,
+        }
+    }
+    sessions
 }
 
-impl<'a> Engine<'a> {
-    fn new(
-        service: &'a PeriscopeService,
-        scale_rngs: RngFactory,
-        minutes: usize,
-        cfg: &'a ScaleConfig,
-    ) -> Engine<'a> {
-        Engine {
-            tp: Teleport::new(service, scale_rngs),
-            pop: &service.population,
-            minutes,
-            cfg,
-            city_weights: CITIES.iter().map(|c| c.weight).sum(),
+/// When a session keyed `key` joins `b` in minute `m`: uniform over the
+/// part of the minute in which `b` is still live with a second to spare;
+/// `None` if no such instant is left.
+fn join_instant(b: &Broadcast, m: usize, key: u64) -> Option<SimTime> {
+    let minute_start = SimTime::from_secs(m as u64 * 60);
+    let minute_end = SimTime::from_secs(m as u64 * 60 + 60);
+    let lo = b.start.max(minute_start);
+    let hi = SimTime::from_micros(b.end().as_micros().saturating_sub(1_000_000)).min(minute_end);
+    if hi < lo {
+        return None;
+    }
+    let span_us = hi.as_micros() - lo.as_micros();
+    let offset_us = (span_us as f64 * unit(mix(key ^ 0x0010_ca7e))) as u64;
+    Some(SimTime::from_micros(lo.as_micros() + offset_us))
+}
+
+/// The deterministic home location of a session's viewer: a city drawn
+/// from the global activity weights by the session hash.
+fn viewer_home(key: u64) -> GeoPoint {
+    let mut u = unit(mix(key ^ 0xc4a7_0001)) * CITIES.iter().map(|c| c.weight).sum::<f64>();
+    for city in CITIES {
+        u -= city.weight;
+        if u <= 0.0 {
+            return city.point();
         }
     }
-
-    /// Executes `arrivals`, `batch` at a time, folding each batch's deltas
-    /// in arrival order before the next starts.
-    fn run(&self, arrivals: &[Arrival], batch: usize) -> (ShardStats, QoeTelemetry, ParProfile) {
-        let mut stats = ShardStats::new();
-        let mut telemetry = QoeTelemetry::new();
-        let mut profile = ParProfile::default();
-        for chunk in arrivals.chunks(batch) {
-            let (deltas, chunk_profile) =
-                par::indexed_map_timed(chunk, self.cfg.threads, |_, a| self.run_arrival(a));
-            profile.absorb(&chunk_profile);
-            for delta in &deltas {
-                stats.fold(&mut telemetry, delta);
-            }
-        }
-        (stats, telemetry, profile)
-    }
-
-    /// One arrival: the primary session and, right after it, the follow-on
-    /// session of its onward teleport — a function of the primary's key
-    /// (destination stream `scale/mig/{key}`, joined the next minute), so
-    /// it needs nothing from any other arrival.
-    fn run_arrival(&self, a: &Arrival) -> ArrivalDelta {
-        let b = &self.pop.broadcasts[a.broadcast as usize];
-        let (m, key) = (a.minute as usize, a.key);
-        let Some(primary) = self.run_session(b, m, key) else {
-            return ArrivalDelta { primary: None, hop: Hop::Stayed };
-        };
-        let teleports =
-            m + 1 < self.minutes && unit(mix(key ^ 0x3141_5926)) < self.cfg.migrate_prob;
-        let hop = if teleports {
-            // The destination is sampled from the global population as of
-            // the next minute, with a stream keyed by this session alone.
-            let t_next = SimTime::from_secs((m as u64 + 1) * 60);
-            let mut rng = self.tp.rngs().stream(&format!("scale/mig/{key:016x}"));
-            match self.pop.sample_live_weighted(t_next, &mut rng) {
-                Some(dest) => Hop::Teleported {
-                    cross: ref_cell(&dest.location) != ref_cell(&b.location),
-                    session: self.run_session(dest, m + 1, mix(key ^ 0x6d19_0001)),
-                },
-                None => Hop::NowhereLive,
-            }
-        } else {
-            Hop::Stayed
-        };
-        ArrivalDelta { primary: Some(primary), hop }
-    }
-
-    /// Executes one session joining `b` somewhere in minute `m` while it is
-    /// still live (with a second to spare); `None` if no such instant is
-    /// left. Nothing here reads a capture, so the session runs uncaptured.
-    fn run_session(&self, b: &Broadcast, m: usize, key: u64) -> Option<SessionDelta> {
-        let minute_start = SimTime::from_secs(m as u64 * 60);
-        let minute_end = SimTime::from_secs(m as u64 * 60 + 60);
-        let lo = b.start.max(minute_start);
-        let hi =
-            SimTime::from_micros(b.end().as_micros().saturating_sub(1_000_000)).min(minute_end);
-        if hi < lo {
-            return None;
-        }
-        let span_us = hi.as_micros() - lo.as_micros();
-        let join_at = SimTime::from_micros(
-            lo.as_micros() + (span_us as f64 * unit(mix(key ^ 0x0010_ca7e))) as u64,
-        );
-        let sample = SessionSample::of(&self.tp.run_one_uncaptured(
-            b,
-            join_at,
-            &self.cfg.session,
-            key,
-            &mut pscp_obs::Trace::disabled(),
-        ));
-
-        // Chat fan-in: the viewer posts from their home city into the
-        // broadcast's room, at the configured rate with stochastic rounding.
-        let watch_min = sample.session_s / 60.0;
-        let chat =
-            (self.cfg.chat_per_watch_min * watch_min + unit(mix(key ^ 0xc4a7_0002))).floor() as u64;
-        let chat_cross = chat > 0 && ref_cell(&self.viewer_home(key)) != ref_cell(&b.location);
-        Some(SessionDelta { sample, chat, chat_cross })
-    }
-
-    /// The deterministic home location of a session's viewer: a city drawn
-    /// from the global activity weights by the session hash.
-    fn viewer_home(&self, key: u64) -> GeoPoint {
-        let mut u = unit(mix(key ^ 0xc4a7_0001)) * self.city_weights;
-        for city in CITIES {
-            u -= city.weight;
-            if u <= 0.0 {
-                return city.point();
-            }
-        }
-        CITIES[CITIES.len() - 1].point()
-    }
+    CITIES[CITIES.len() - 1].point()
 }
 
 /// The [`REF_DEPTH`] cell of a location.
@@ -685,6 +615,7 @@ fn ref_cell(p: &GeoPoint) -> u16 {
 mod tests {
     use super::*;
     use pscp_service::ServiceConfig;
+    use pscp_simnet::geo::REF_QUADKEYS;
     use pscp_workload::population::PopulationConfig;
 
     fn qoe(t: &QoeTelemetry) -> String {
@@ -724,6 +655,15 @@ mod tests {
         assert_eq!(CellId::of(&p, 2).quadkey().len(), 2);
     }
 
+    /// The alerting rings' static cell keys name the census's cells: one
+    /// reference grid.
+    #[test]
+    fn ref_quadkeys_are_the_reference_cells() {
+        for k in 0..16u16 {
+            assert_eq!(REF_QUADKEYS[k as usize], CellId { depth: REF_DEPTH, key: k }.quadkey());
+        }
+    }
+
     #[test]
     fn scale_run_is_shard_invariant() {
         let svc = world(2016);
@@ -747,27 +687,6 @@ mod tests {
         }
     }
 
-    /// Batching is inert and bounds memory: a run folded three arrivals at
-    /// a time holds at most three deltas between folds, and rolls up to
-    /// the same bytes as one folded in a single batch.
-    #[test]
-    fn fold_batch_size_does_not_reach_the_rollup() {
-        let svc = world(2016);
-        let pop = &svc.population;
-        let cfg = ScaleConfig { threads: 2, ..Default::default() };
-        let rngs = RngFactory::new(2016).child("scale");
-        let plan = ShardPlan::build(pop, 16);
-        let arrivals = plan.arrivals(pop, rngs.seed(), 40);
-        assert!(arrivals.len() > 9, "arrivals={}", arrivals.len());
-        let engine = Engine::new(&svc, rngs, plan.minutes, &cfg);
-        let (whole, whole_qoe, _) = engine.run(&arrivals, FOLD_BATCH);
-        let (small, small_qoe, profile) = engine.run(&arrivals, 3);
-        assert_eq!(small.json(), whole.json());
-        assert_eq!(qoe(&small_qoe), qoe(&whole_qoe));
-        assert!(whole.sessions as usize >= arrivals.len());
-        assert_eq!(profile.busy_secs.len(), 2);
-    }
-
     #[test]
     fn migrations_and_chat_cross_cells() {
         let svc = world(7);
@@ -779,6 +698,11 @@ mod tests {
         assert_eq!(run.stats.chat_out, run.stats.chat_in, "chat routing must conserve messages");
         assert!(run.stats.chat_cross > 0, "no cross-cell chat fan-in");
         assert_eq!(run.stats.sessions, run.stats.primary + run.stats.migrated_in);
+        // The plan accounts for every arrival: its primary runs or is skipped.
+        let pop = &svc.population;
+        let seed = rngs.child("scale").seed();
+        let arrivals = ShardPlan::build(pop, cfg.shards).arrivals(pop, seed, cfg.target_sessions);
+        assert_eq!(run.stats.primary + run.stats.skipped, arrivals.len() as u64);
     }
 
     #[test]

@@ -166,6 +166,18 @@ pub fn quad_depth_for(shards: usize) -> Option<u8> {
     (cells == shards).then_some(depth)
 }
 
+/// Depth of the reference cell grid (16 cells): the fixed level at which
+/// the scale run's cross-cell metrics and census and the per-cell alerting
+/// rings are reported, whatever partition a run uses.
+pub const REF_DEPTH: u8 = 2;
+
+/// The [`REF_DEPTH`] cells' quadkeys, indexed by cell key (digits SW=0,
+/// SE=1, NW=2, NE=3, most significant level first): static strings, so a
+/// per-cell ring key costs no allocation.
+pub const REF_QUADKEYS: [&str; 16] = [
+    "00", "01", "02", "03", "10", "11", "12", "13", "20", "21", "22", "23", "30", "31", "32", "33",
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,13 +13,13 @@ fn main() {
     let mut lab = Lab::new(LabConfig::small(42));
 
     println!("Running 20 automated 60-second viewing sessions...\n");
-    let report = lab.run_viewing_sessions(20);
+    let sessions = lab.run_viewing_sessions(20);
 
     println!(
         "{:<10} {:>8} {:>10} {:>12} {:>10}  server",
         "protocol", "join(s)", "stalls", "stall-ratio", "viewers"
     );
-    for s in &report.sessions {
+    for s in &sessions {
         println!(
             "{:<10} {:>8} {:>10} {:>12.3} {:>10}  {}",
             s.protocol.name(),
@@ -31,8 +31,8 @@ fn main() {
         );
     }
 
-    let rtmp = report.sessions.iter().filter(|s| s.protocol == Protocol::Rtmp).count();
-    let hls = report.sessions.len() - rtmp;
+    let rtmp = sessions.iter().filter(|s| s.protocol == Protocol::Rtmp).count();
+    let hls = sessions.len() - rtmp;
     println!("\n{rtmp} RTMP sessions, {hls} HLS sessions");
     println!("(popular broadcasts fall back to HLS via the CDN, as in §5 of the paper)");
 }

@@ -10,14 +10,14 @@ use periscope_repro::media::analysis::GopClass;
 
 fn main() {
     let mut lab = Lab::new(LabConfig::small(2024));
-    let report = lab.run_viewing_sessions(24);
+    let sessions = lab.run_viewing_sessions(24);
 
     println!(
         "{:<6} {:>12} {:>8} {:>8} {:>10} {:>8}  GOP",
         "proto", "bitrate", "avg QP", "fps", "I-interval", "frames"
     );
     let mut analyzed = Vec::new();
-    for outcome in &report.sessions {
+    for outcome in &sessions {
         let Some(r) = &outcome.stream else { continue };
         println!(
             "{:<6} {:>9.0} bps {:>8.1} {:>8.1} {:>10.1} {:>8}  {:?}",

@@ -28,8 +28,8 @@
 //!
 //! // A small world: everything is driven by one seed, so runs reproduce.
 //! let mut lab = Lab::new(LabConfig::small(42));
-//! let report = lab.run_viewing_sessions(20);
-//! assert_eq!(report.sessions.len(), 20);
+//! let sessions = lab.run_viewing_sessions(20);
+//! assert_eq!(sessions.len(), 20);
 //! ```
 
 pub use pscp_client as client;

@@ -141,9 +141,9 @@ fn chat_traffic_explosion_end_to_end() {
 #[test]
 fn capture_analysis_recovers_stream_properties() {
     let mut lab = Lab::new(LabConfig::small(25));
-    let report = lab.run_viewing_sessions(10);
+    let sessions = lab.run_viewing_sessions(10);
     let mut analyzed = 0;
-    for outcome in &report.sessions {
+    for outcome in &sessions {
         assert!(outcome.capture.flows.is_empty(), "a dataset session kept its capture");
         let Some(r) = &outcome.stream else { continue };
         analyzed += 1;
