@@ -311,10 +311,19 @@ impl<'a> Writer<'a> {
 }
 
 /// Appends `s` quoted, with `"`, `\` and control characters escaped.
+///
+/// Plain text is passed eight bytes at a time; from the first word that
+/// holds a byte to escape on, byte by byte.
 fn escape(s: &str, out: &mut String) {
     out.push('"');
+    let bytes = s.as_bytes();
+    let clean = bytes
+        .chunks_exact(8)
+        .take_while(|w| !needs_escape(u64::from_le_bytes((*w).try_into().expect("8 bytes"))))
+        .count()
+        * 8;
     let mut plain = 0;
-    for (i, b) in s.bytes().enumerate() {
+    for (i, &b) in bytes.iter().enumerate().skip(clean) {
         if b >= 0x20 && b != b'"' && b != b'\\' {
             continue;
         }
@@ -335,6 +344,20 @@ fn escape(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Whether any byte of the word `w` is below 0x20, `"` or `\`: the
+/// bitwise "has a byte less than n" test, once for 0x20 and, on `w` xor a
+/// repeated byte, once for a zero byte per quoted character. Each test is
+/// exact as a whole (a borrow only runs upward from a byte that already
+/// matched), and bytes from 0x80 never match.
+fn needs_escape(w: u64) -> bool {
+    const ONES: u64 = u64::MAX / 0xff;
+    let below = |v: u64, n: u64| v.wrapping_sub(ONES * n) & !v & (ONES << 7);
+    below(w, 0x20)
+        | below(w ^ (ONES * u64::from(b'"')), 1)
+        | below(w ^ (ONES * u64::from(b'\\')), 1)
+        != 0
+}
+
 /// Deepest container nesting the reader enters. A request body comes from
 /// outside the service and `repro bench-diff` reads files from disk, so
 /// neither [`Reader::skip`] nor [`parse`] may recurse as deep as the input
@@ -348,10 +371,9 @@ enum Token<'a> {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// A number with a fraction or an exponent.
-    Number(f64),
-    /// A bare integer.
-    Int(i128),
+    /// A number's text, checked to be one `str::parse::<f64>` accepts:
+    /// converted by [`number_value`] when read, passed as is when skipped.
+    Number(&'a str),
     /// A string, borrowed from the input unless it had escapes.
     String(Cow<'a, str>),
     /// `[` — the reader is now inside the array.
@@ -491,8 +513,7 @@ impl<'a> Reader<'a> {
     /// The number at the cursor; any other value is skipped.
     pub fn f64(&mut self) -> Result<Option<f64>, ProtoError> {
         match self.token()? {
-            Token::Number(n) => Ok(Some(n)),
-            Token::Int(n) => Ok(Some(n as f64)),
+            Token::Number(text) => Ok(number_value(text)?.as_f64()),
             other => self.drain(other).map(|()| None),
         }
     }
@@ -690,41 +711,59 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
+    /// Scans the number at the cursor without converting it. The syntax is
+    /// `str::parse::<f64>`'s from a `-` or a digit on: at least one digit
+    /// before or after an optional `.`, then optionally `e`/`E`, a sign and
+    /// at least one digit.
     fn number(&mut self) -> Result<Token<'a>, ProtoError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        // A bare integer is kept exact; one too large for `i128` reads as
-        // an `f64`, like any number with a fraction or an exponent.
-        if !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            if let Ok(n) = self.src[start..self.pos].parse() {
-                return Ok(Token::Int(n));
-            }
-        }
+        let mut mantissa = self.digits();
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            mantissa += self.digits();
         }
+        let mut valid = mantissa > 0;
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
         let text = &self.src[start..self.pos];
-        text.parse()
-            .map(Token::Number)
-            .map_err(|_| ProtoError::Malformed(format!("bad number '{text}'")))
+        if valid {
+            Ok(Token::Number(text))
+        } else {
+            Err(bad_number(text))
+        }
     }
+
+    /// Passes a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+}
+
+fn bad_number(text: &str) -> ProtoError {
+    ProtoError::Malformed(format!("bad number '{text}'"))
+}
+
+/// The value of a scanned number: a bare integer is kept exact while it
+/// fits an `i128`; any other number reads as an `f64`.
+fn number_value(text: &str) -> Result<Value, ProtoError> {
+    if !text.bytes().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        if let Ok(n) = text.parse() {
+            return Ok(Value::Int(n));
+        }
+    }
+    text.parse().map(Value::Number).map_err(|_| bad_number(text))
 }
 
 /// Reads a whole document for the members of its root object: `member`
@@ -754,8 +793,7 @@ fn build<'a>(reader: &mut Reader<'a>, token: Token<'a>) -> Result<Value, ProtoEr
     Ok(match token {
         Token::Null => Value::Null,
         Token::Bool(b) => Value::Bool(b),
-        Token::Number(n) => Value::Number(n),
-        Token::Int(n) => Value::Int(n),
+        Token::Number(text) => number_value(text)?,
         Token::String(s) => Value::String(s.into_owned()),
         Token::Array => {
             let mut items = Vec::new();
@@ -1070,5 +1108,96 @@ mod tests {
             assert_eq!(got, Err(ProtoError::Malformed(want.to_string())), "{doc}");
             assert_eq!(parse(doc), Err(ProtoError::Malformed(want.to_string())), "{doc}");
         }
+    }
+
+    /// `skip` and `f64` over `text` alone, each ended: the scan-only path
+    /// and the converting one.
+    fn skip_and_read(text: &str) -> (Result<(), ProtoError>, Result<Option<f64>, ProtoError>) {
+        let mut r = Reader::new(text);
+        let skipped = r.skip().and_then(|()| r.end());
+        let mut r = Reader::new(text);
+        let read = r.f64().and_then(|n| r.end().map(|()| n));
+        (skipped, read)
+    }
+
+    #[test]
+    fn skip_accepts_exactly_the_numbers_parse_accepts() {
+        for (text, accepted) in [
+            ("-", false),
+            ("1e", false),
+            ("1e+", false),
+            ("-.e3", false),
+            ("-.", false),
+            ("1.e", false),
+            ("1.", true),
+            ("-.5", true),
+            ("00.5", true),
+            ("1e99999", true),
+            ("1.e5", true),
+            ("-0", true),
+            ("2E-3", true),
+            ("1e+0", true),
+            ("123456789012345678901234567890123456789012", true),
+        ] {
+            let (skipped, read) = skip_and_read(text);
+            assert_eq!(text.parse::<f64>().is_ok(), accepted, "{text}: str::parse");
+            assert_eq!(skipped.is_ok(), accepted, "{text}: skip");
+            match read {
+                // A bare integer reads exact, so `-0` is `0`: compare values.
+                Ok(n) => assert_eq!(n, text.parse::<f64>().ok(), "{text}: f64"),
+                Err(e) => {
+                    assert_eq!(Err(e.clone()), skipped, "{text}: skip and f64 disagree");
+                    assert_eq!(e, bad_number(text));
+                }
+            }
+        }
+        // Every string over the scanner's alphabet up to six bytes long:
+        // the scan-only path, the converting one and `str::parse` agree.
+        let alphabet = b"-01.eE+";
+        for len in 1..=6u32 {
+            for mut code in 0..7usize.pow(len) {
+                let mut text = String::new();
+                for _ in 0..len {
+                    text.push(alphabet[code % 7] as char);
+                    code /= 7;
+                }
+                if !matches!(text.as_bytes()[0], b'-' | b'0' | b'1') {
+                    continue;
+                }
+                let (skipped, read) = skip_and_read(&text);
+                assert_eq!(skipped, read.as_ref().map(drop).map_err(Clone::clone), "{text}");
+                assert_eq!(skipped.is_ok(), text.parse::<f64>().is_ok(), "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn escape_finds_a_special_byte_at_every_offset() {
+        let specials = [
+            ('"', "\\\""),
+            ('\\', "\\\\"),
+            ('\n', "\\n"),
+            ('\r', "\\r"),
+            ('\t', "\\t"),
+            ('\0', "\\u0000"),
+            ('\u{1f}', "\\u001f"),
+        ];
+        for filler in ["x", "é"] {
+            for (c, escaped) in specials {
+                for offset in 0..=24 {
+                    let (head, tail) = (filler.repeat(offset), filler.repeat(30 - offset));
+                    let text = format!("{head}{c}{tail}");
+                    let mut out = String::new();
+                    Writer::new(&mut out).str(&text);
+                    assert_eq!(out, format!("\"{head}{escaped}{tail}\""), "{filler} {offset}");
+                    assert_eq!(parse(&out), Ok(Value::String(text)), "{filler} {offset}");
+                }
+            }
+        }
+        // Bytes next to the specials, and the multi-byte ones, pass plain.
+        let plain = "\u{20}!#[]\u{7f}\u{80}ÿ😀 plain text of some length";
+        let mut out = String::new();
+        Writer::new(&mut out).str(plain);
+        assert_eq!(out, format!("\"{plain}\""));
     }
 }

@@ -8,7 +8,10 @@ use pscp_media::audio::AudioBitrate;
 use pscp_media::content::ContentClass;
 use pscp_simnet::dist;
 use pscp_simnet::rng::Rng;
-use pscp_simnet::{GeoPoint, RngFactory, SimDuration, SimTime};
+use pscp_simnet::{GeoPoint, GeoRect, RngFactory, SimDuration, SimTime};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// Configuration of the synthetic population.
 #[derive(Debug, Clone)]
@@ -75,11 +78,98 @@ pub struct Population {
     /// any point within minute `i`.
     buckets: Vec<Vec<u32>>,
     /// Same index restricted to non-private broadcasts — the candidate set
-    /// of every Teleport pick and directory query, precomputed so the hot
-    /// sampling path never re-filters the full bucket per session.
+    /// of every Teleport pick, and of a map query too wide for
+    /// [`cells`](Population::cells) — precomputed so the hot sampling path
+    /// never re-filters the full bucket per session. Empty when no
+    /// broadcast is private (a crawler's view): then the buckets are the
+    /// public buckets, and the world holds one copy.
     public_buckets: Vec<Vec<u32>>,
+    /// Per minute, its public bucket filed by grid cell, built by the first
+    /// map query that reads the minute (DESIGN.md §15).
+    cells: Vec<OnceLock<CellIndex>>,
     /// Id → index lookup (the directory answers getBroadcasts by id).
-    by_id: std::collections::HashMap<BroadcastId, u32>,
+    by_id: HashMap<BroadcastId, u32, BuildHasherDefault<IdHasher>>,
+}
+
+/// Side of a map-index cell in degrees: a deep-crawl cell at its deepest
+/// (1.4° × 0.7°) spans at most 2 rows × 3 columns of them.
+const CELL_DEG: f64 = 1.0;
+/// Index cell rows (latitude) and columns (longitude).
+const CELL_ROWS: u32 = (180.0 / CELL_DEG) as u32;
+const CELL_COLS: u32 = (360.0 / CELL_DEG) as u32;
+const _: () = assert!(CELL_ROWS * CELL_COLS <= 1 << 16, "a cell number fits 16 bits");
+/// A query whose rect spans more cells than this — more than half of the
+/// world — walks the public bucket: reading nearly every broadcast is
+/// cheaper in index order than in cell order and needs no sort.
+const MAX_INDEXED_CELLS: u32 = CELL_ROWS * CELL_COLS / 2;
+/// A bucket position fits the 16 low bits of an index word; a minute with
+/// more public broadcasts (≈ 15 times the default world's busiest) walks
+/// its bucket.
+const MAX_INDEXED_BUCKET: usize = 1 << 16;
+
+/// The index cell along one axis of a coordinate `x` on an axis that starts
+/// at `origin` and has `cells` cells. Every step is monotone
+/// non-decreasing in `x` (subtracting a constant, dividing by a positive
+/// one, `floor`, `clamp`), so a point inside a rect never falls outside the
+/// cells of the rect's edges, however its coordinates round.
+fn cell_of(x: f64, origin: f64, cells: u32) -> u32 {
+    ((x - origin) / CELL_DEG).floor().clamp(0.0, f64::from(cells - 1)) as u32
+}
+
+/// One minute's public bucket as `cell << 16 | position` words, ascending,
+/// where `position` is the entry's place in the bucket: a row of cells is
+/// one contiguous run, and within a cell the positions — and so the
+/// population indices — ascend. Four bytes per entry.
+#[derive(Debug)]
+struct CellIndex(Box<[u32]>);
+
+impl CellIndex {
+    fn build(bucket: &[u32], broadcasts: &[Broadcast]) -> CellIndex {
+        let mut words: Box<[u32]> = bucket
+            .iter()
+            .enumerate()
+            .map(|(position, &i)| {
+                let p = broadcasts[i as usize].location;
+                let cell = cell_of(p.lat, -90.0, CELL_ROWS) * CELL_COLS
+                    + cell_of(p.lon, -180.0, CELL_COLS);
+                cell << 16 | position as u32
+            })
+            .collect();
+        words.sort_unstable();
+        CellIndex(words)
+    }
+
+    /// The bucket positions filed under cells `first..=last`, which must
+    /// lie in one row.
+    fn run(&self, first: u32, last: u32) -> impl Iterator<Item = usize> + '_ {
+        let start = self.0.partition_point(|&w| w < first << 16);
+        let len = self.0[start..].partition_point(|&w| w < (last + 1) << 16);
+        self.0[start..start + len].iter().map(|&w| (w & 0xffff) as usize)
+    }
+}
+
+/// Hashes a [`BroadcastId`] with one multiply. Ids are already spread
+/// (`make_broadcast` multiplies a counter by an odd constant), so SipHash
+/// buys nothing. A product's low bits depend only on its factors' low bits,
+/// and every id has bit 0 set, so [`finish`](Hasher::finish) rotates the
+/// well-mixed high half down to where the table picks a bucket.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
 }
 
 impl Population {
@@ -141,14 +231,19 @@ impl Population {
         }
         broadcasts.sort_by_key(|b| b.start);
         let buckets = Self::build_index(&broadcasts, config.window);
-        let public_buckets = buckets
-            .iter()
-            .map(|bucket| {
-                bucket.iter().copied().filter(|&i| !broadcasts[i as usize].private).collect()
-            })
-            .collect();
+        let public_buckets = if broadcasts.iter().any(|b| b.private) {
+            buckets
+                .iter()
+                .map(|bucket| {
+                    bucket.iter().copied().filter(|&i| !broadcasts[i as usize].private).collect()
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let cells = buckets.iter().map(|_| OnceLock::new()).collect();
         let by_id = broadcasts.iter().enumerate().map(|(i, b)| (b.id, i as u32)).collect();
-        Population { broadcasts, config, buckets, public_buckets, by_id }
+        Population { broadcasts, config, buckets, public_buckets, cells, by_id }
     }
 
     fn make_broadcast<R: Rng + ?Sized>(
@@ -241,6 +336,13 @@ impl Population {
         buckets
     }
 
+    /// The non-private broadcasts live at any point within `minute`.
+    fn public_bucket(&self, minute: usize) -> Option<&[u32]> {
+        let buckets =
+            if self.public_buckets.is_empty() { &self.buckets } else { &self.public_buckets };
+        buckets.get(minute).map(Vec::as_slice)
+    }
+
     /// All broadcasts live at `t`.
     pub fn live_at(&self, t: SimTime) -> Vec<&Broadcast> {
         let minute = (t.as_micros() / 60_000_000) as usize;
@@ -254,21 +356,41 @@ impl Population {
         }
     }
 
-    /// Broadcasts live and map-discoverable at `t` inside `rect`.
+    /// Broadcasts live and map-discoverable at `t` inside `rect`, in
+    /// broadcast index order — the order of a scan of the full bucket.
     ///
-    /// Walks the precomputed public bucket (private broadcasts are never
-    /// discoverable), preserving broadcast index order so directory results
-    /// are identical to a scan of the full bucket.
-    pub fn discoverable_in(&self, rect: &pscp_simnet::GeoRect, t: SimTime) -> Vec<&Broadcast> {
+    /// Reads only the 1° index cells `rect` covers, building the minute's
+    /// index on first use; a rect over more than half of the world walks
+    /// the minute's public bucket instead (private broadcasts are never
+    /// discoverable).
+    pub fn discoverable_in(&self, rect: &GeoRect, t: SimTime) -> Vec<&Broadcast> {
         let minute = (t.as_micros() / 60_000_000) as usize;
-        match self.public_buckets.get(minute) {
-            Some(bucket) => bucket
-                .iter()
-                .map(|&i| &self.broadcasts[i as usize])
-                .filter(|b| b.discoverable_at(t) && rect.contains(&b.location))
-                .collect(),
-            None => Vec::new(),
-        }
+        let Some(bucket) = self.public_bucket(minute) else {
+            return Vec::new();
+        };
+        let keep = |&i: &u32| {
+            let b = &self.broadcasts[i as usize];
+            b.discoverable_at(t) && rect.contains(&b.location)
+        };
+        let (south, north) =
+            (cell_of(rect.south, -90.0, CELL_ROWS), cell_of(rect.north, -90.0, CELL_ROWS));
+        let (west, east) =
+            (cell_of(rect.west, -180.0, CELL_COLS), cell_of(rect.east, -180.0, CELL_COLS));
+        let covered = (north + 1).saturating_sub(south) * (east + 1).saturating_sub(west);
+        let hits: Vec<u32> = if covered > MAX_INDEXED_CELLS || bucket.len() > MAX_INDEXED_BUCKET {
+            bucket.iter().copied().filter(keep).collect()
+        } else {
+            let index =
+                self.cells[minute].get_or_init(|| CellIndex::build(bucket, &self.broadcasts));
+            let mut hits = Vec::new();
+            for row in south..=north {
+                let run = index.run(row * CELL_COLS + west, row * CELL_COLS + east);
+                hits.extend(run.map(|position| bucket[position]).filter(keep));
+            }
+            hits.sort_unstable();
+            hits
+        };
+        hits.into_iter().map(|i| &self.broadcasts[i as usize]).collect()
     }
 
     /// Samples a live, non-private broadcast at `now`, weighted by its
@@ -288,7 +410,7 @@ impl Population {
         rng: &mut R,
     ) -> Option<&Broadcast> {
         let minute = (now.as_micros() / 60_000_000) as usize;
-        let bucket = self.public_buckets.get(minute)?;
+        let bucket = self.public_bucket(minute)?;
         let mut cum: Vec<(u32, f64)> = Vec::with_capacity(bucket.len());
         let mut total = 0.0f64;
         for &i in bucket {
@@ -348,6 +470,15 @@ mod tests {
             assert_eq!(got.start, want.start);
             assert_eq!(got.duration, want.duration);
             assert_eq!(got.viewer_seed, want.viewer_seed);
+        }
+        // Nothing in the view is private, so it keeps one copy of its
+        // buckets, and its map queries answer as the full world's do.
+        assert!(vis.public_buckets.is_empty() && !full.public_buckets.is_empty());
+        for t in [SimTime::from_secs(300), SimTime::from_secs(900)] {
+            for rect in [GeoRect::WORLD, GeoRect::new(30.0, -10.0, 60.0, 40.0)] {
+                let found = |p: &Population| ids(p.discoverable_in(&rect, t));
+                assert_eq!(found(&vis), found(&full), "{t:?} {rect:?}");
+            }
         }
     }
 
@@ -492,6 +623,170 @@ mod tests {
         // A rect over the Pacific has almost nothing.
         let pacific = GeoRect::new(-10.0, -160.0, 10.0, -140.0);
         assert!(p.discoverable_in(&pacific, t).len() < world.len() / 20);
+    }
+
+    /// The oracle of a map query: every broadcast live at `t`, filtered by
+    /// the query's own predicate, in broadcast order.
+    fn oracle(p: &Population, rect: &GeoRect, t: SimTime) -> Vec<BroadcastId> {
+        let live = p.live_at(t).into_iter();
+        live.filter(|b| b.discoverable_at(t) && rect.contains(&b.location)).map(|b| b.id).collect()
+    }
+
+    fn ids(found: Vec<&Broadcast>) -> Vec<BroadcastId> {
+        found.into_iter().map(|b| b.id).collect()
+    }
+
+    #[test]
+    fn index_answers_every_quadtree_cell_to_depth_8() {
+        let p = shared();
+        for t in [SimTime::from_secs(3600), SimTime::from_micros(2 * 3600 * 1_000_000 + 17)] {
+            // A child's oracle is its parent's filtered by the child's rect:
+            // quadrants partition their parent, so that is the live filter.
+            let mut level = vec![(GeoRect::WORLD, oracle(p, &GeoRect::WORLD, t))];
+            for depth in 0..=8 {
+                let mut next = Vec::new();
+                for (rect, want) in &level {
+                    assert_eq!(&ids(p.discoverable_in(rect, t)), want, "depth {depth} {rect:?}");
+                    if depth < 8 {
+                        for q in rect.quadrants() {
+                            let sub = want
+                                .iter()
+                                .filter(|&&id| q.contains(&p.by_id(id).unwrap().location))
+                                .copied()
+                                .collect();
+                            next.push((q, sub));
+                        }
+                    }
+                }
+                level = next;
+            }
+        }
+    }
+
+    /// A small world whose broadcasts sit on index cell corners, on cell
+    /// edges, a few ulps below them and on the world's rim; the index is
+    /// not built yet.
+    fn snapped_world() -> Population {
+        let mut p = Population::generate(PopulationConfig::small(), &RngFactory::new(23));
+        for (i, b) in p.broadcasts.iter_mut().enumerate() {
+            let (lat, lon) = (b.location.lat, b.location.lon);
+            b.location = match i % 6 {
+                0 => GeoPoint { lat: lat.round(), lon: lon.round() },
+                1 => GeoPoint { lat: lat.round(), lon },
+                2 => GeoPoint { lat, lon: lon.floor() },
+                3 => GeoPoint { lat: [90.0, -90.0][i / 6 % 2], lon: [180.0, -180.0][i / 12 % 2] },
+                4 => GeoPoint {
+                    lat: lat.round() - f64::EPSILON * 64.0,
+                    lon: lon.round() - f64::EPSILON * 256.0,
+                },
+                _ => continue,
+            };
+        }
+        p
+    }
+
+    #[test]
+    fn index_agrees_on_cell_boundaries_world_edges_and_zero_area_rects() {
+        let p = snapped_world();
+        let t = SimTime::from_secs(600);
+        let mut rects = vec![
+            GeoRect::WORLD,
+            GeoRect::new(89.0, 179.0, 90.0, 180.0),
+            GeoRect::new(-90.0, -180.0, -89.0, -179.0),
+            GeoRect::new(90.0, 180.0, 90.0, 180.0),
+            GeoRect::new(-90.0, -180.0, -90.0, -180.0),
+            GeoRect::new(90.0, -180.0, 90.0, 180.0),
+            GeoRect::new(-90.0, 180.0, 90.0, 180.0),
+            GeoRect::new(-100.0, -200.0, 100.0, 200.0),
+            GeoRect::new(-90.0, -180.0, -90.0 + 1e-9, 180.0),
+        ];
+        for b in p.discoverable_in(&GeoRect::WORLD, t) {
+            let (lat, lon) = (b.location.lat, b.location.lon);
+            // Whole-degree rects around the point, one cell and a few
+            // cells wide; rects with an edge on the point; zero-area rects.
+            let (s, w) = (lat.floor(), lon.floor());
+            rects.push(GeoRect::new(s, w, s + 1.0, w + 1.0));
+            rects.push(GeoRect::new(s - 1.0, w - 2.0, s + 2.0, w + 3.0));
+            rects.push(GeoRect::new(lat, lon, (lat + 1.0).min(90.0), (lon + 1.0).min(180.0)));
+            rects.push(GeoRect::new((lat - 1.0).max(-90.0), (lon - 1.0).max(-180.0), lat, lon));
+            rects.push(GeoRect::new(lat, lon, lat, lon));
+            rects.push(GeoRect::new(lat, lon, lat + 1e-12, lon + 1e-12));
+            rects.push(GeoRect::new(lat, -180.0, lat, 180.0));
+            rects.push(GeoRect::new(-90.0, lon, 90.0, lon));
+        }
+        assert!(rects.len() > 500, "{} rects", rects.len());
+        for rect in &rects {
+            assert_eq!(ids(p.discoverable_in(rect, t)), oracle(&p, rect, t), "{rect:?}");
+        }
+        let rim = GeoRect::new(90.0, 180.0, 90.0, 180.0);
+        assert!(!oracle(&p, &rim, t).is_empty(), "the rim corner holds a broadcast");
+    }
+
+    #[test]
+    fn index_agrees_at_minute_edges() {
+        let p = snapped_world();
+        let rects = [
+            GeoRect::WORLD,
+            GeoRect::new(35.0, 135.0, 40.0, 140.0),
+            GeoRect::new(40.0, -75.0, 41.0, -73.0),
+            GeoRect::new(51.0, -1.0, 52.0, 1.0),
+            GeoRect::new(-24.0, -47.0, -23.0, -46.0),
+        ];
+        for k in 1..20u64 {
+            for t in [SimTime::from_secs(k * 60), SimTime::from_micros(k * 60_000_000 - 1)] {
+                for rect in &rects {
+                    assert_eq!(
+                        ids(p.discoverable_in(rect, t)),
+                        oracle(&p, rect, t),
+                        "{t:?} {rect:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn index_is_built_per_minute_on_first_query() {
+        let p = Population::generate(PopulationConfig::small(), &RngFactory::new(5));
+        let built = |p: &Population| p.cells.iter().filter(|c| c.get().is_some()).count();
+        assert_eq!(built(&p), 0, "generating builds no index");
+        let t = SimTime::from_secs(300);
+        p.discoverable_in(&GeoRect::WORLD, t);
+        assert_eq!(built(&p), 0, "a world-wide query walks the bucket");
+        p.discoverable_in(&GeoRect::new(40.0, -75.0, 41.0, -73.0), t);
+        assert_eq!(built(&p), 1);
+        let index = p.cells[5].get().expect("minute 5 was queried");
+        assert_eq!(index.0.len(), p.public_bucket(5).unwrap().len(), "one 4-byte word per entry");
+        p.discoverable_in(&GeoRect::new(0.0, 0.0, 1.0, 1.0), t + SimDuration::from_secs(59));
+        assert_eq!(built(&p), 1, "the same minute is not built twice");
+    }
+
+    #[test]
+    fn a_minute_first_touched_by_two_threads_answers_alike() {
+        let p = Population::generate(PopulationConfig::small(), &RngFactory::new(31));
+        let t = SimTime::from_secs(540);
+        let rect = GeoRect::new(30.0, -10.0, 60.0, 40.0);
+        let barrier = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            let query = || {
+                barrier.wait();
+                ids(p.discoverable_in(&rect, t))
+            };
+            let (x, y) = (s.spawn(query), s.spawn(query));
+            [x.join().unwrap(), y.join().unwrap()]
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, oracle(&p, &rect, t));
+        assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn by_id_finds_every_broadcast() {
+        let p = Population::generate(PopulationConfig::small(), &RngFactory::new(3));
+        for (i, b) in p.broadcasts.iter().enumerate() {
+            assert!(std::ptr::eq(p.by_id(b.id).unwrap(), &p.broadcasts[i]));
+        }
+        assert!(p.by_id(BroadcastId(2)).is_none(), "ids are odd");
     }
 
     #[test]
