@@ -13,10 +13,9 @@
 
 use crate::downlink::{Path, Tap, Wire};
 use crate::session::{SessionConfig, SessionCtx};
-use pscp_media::capture::{FlowKind, Payload};
-use pscp_proto::http::Response;
-use pscp_proto::ws::Frame;
-use pscp_service::chat::{ChatConfig, ChatRoom};
+use pscp_media::capture::FlowKind;
+use pscp_proto::{http, ws};
+use pscp_service::chat::{ChatConfig, ChatRoom, Heart, MessageJson};
 use pscp_simnet::fault::in_windows;
 use pscp_simnet::link::MTU_BYTES;
 use pscp_simnet::rng::CounterRng;
@@ -30,29 +29,44 @@ const CHAT_RECONNECT_GAP: SimDuration = SimDuration::from_secs(6);
 /// The byte a profile-picture body is filled with (a JPEG marker byte).
 const PICTURE_FILL: u8 = 0xD8;
 
-/// Wire bytes of one send as a run: a literal `head` (a WS frame, or an
-/// HTTP status line + headers) followed by `pad` copies of `fill` — the
-/// picture body, whose contents no analysis reads. Carried as a run from
-/// here through the session's send arena into the capture, so the filler
+/// The headers of a profile-picture response, before its length.
+const PICTURE_HEADERS: [(&str, &str); 1] = [("content-type", "image/jpeg")];
+
+/// What one chat-related send puts on the wire, as a descriptor: it states
+/// its exact on-wire length, and its bytes are written only into a capture
+/// that is kept ([`ChatWire::write`]). A picture's body is a run of one
+/// JPEG marker byte after its head, whose contents no analysis reads, and
 /// is never written out.
-#[derive(Debug, Clone)]
-pub struct WireBytes {
-    /// Literal leading bytes.
-    pub head: Vec<u8>,
-    /// The byte the run repeats.
-    pub fill: u8,
-    /// Run length.
-    pub pad: usize,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ChatWire {
+    /// A chat message: a WebSocket text frame around its JSON body.
+    Message(MessageJson),
+    /// A batch of hearts: a WebSocket text frame around its JSON.
+    Hearts(Heart),
+    /// A profile-picture download: an HTTP response head announcing a body
+    /// of this many bytes, then the body.
+    Picture(usize),
 }
 
-impl WireBytes {
-    fn literal(head: Vec<u8>) -> Self {
-        WireBytes { head, fill: 0, pad: 0 }
+impl ChatWire {
+    /// The send's shape: the bytes [`write`](ChatWire::write) produces,
+    /// then the picture body as a run.
+    pub(crate) fn wire(&self) -> Wire {
+        let frame = |json: usize| Wire::literal(ws::header_len(json, false) + json);
+        match self {
+            ChatWire::Message(message) => frame(message.json_len()),
+            ChatWire::Hearts(hearts) => frame(hearts.json_len()),
+            &ChatWire::Picture(bytes) => Wire {
+                literal: http::head_len(200, &PICTURE_HEADERS, bytes),
+                fill: PICTURE_FILL,
+                pad: bytes,
+            },
+        }
     }
 
     /// On-wire length.
     pub fn len(&self) -> usize {
-        self.head.len() + self.pad
+        self.wire().len()
     }
 
     /// Whether nothing goes on the wire.
@@ -60,9 +74,22 @@ impl WireBytes {
         self.len() == 0
     }
 
-    /// The bytes as a borrowed capture payload.
-    pub fn payload(&self) -> Payload<'_> {
-        Payload::run(&self.head, self.fill, self.pad)
+    /// Appends the send's literal bytes — a frame, or a response head —
+    /// to `out`. A frame's JSON is written through `json`, a scratch the
+    /// caller reuses.
+    pub fn write(&self, json: &mut String, out: &mut Vec<u8>) {
+        let start = out.len();
+        json.clear();
+        match self {
+            ChatWire::Message(message) => message.write_json(json),
+            ChatWire::Hearts(hearts) => hearts.write_json(json),
+            &ChatWire::Picture(bytes) => http::write_head(200, &PICTURE_HEADERS, bytes, out),
+        }
+        if !json.is_empty() {
+            ws::write_header(ws::Opcode::Text, json.len(), None, out);
+            out.extend_from_slice(json.as_bytes());
+        }
+        debug_assert_eq!(out.len() - start, self.wire().literal, "{self:?} wrote another length");
     }
 }
 
@@ -73,8 +100,8 @@ pub struct ChatSend {
     pub at: SimTime,
     /// Which flow it belongs to.
     pub kind: FlowKind,
-    /// Wire bytes (WS frame or HTTP response).
-    pub bytes: WireBytes,
+    /// What goes on the wire (WS frame or HTTP response).
+    pub bytes: ChatWire,
 }
 
 /// Produces the chat-related sends of one session, in time order.
@@ -91,46 +118,28 @@ pub fn events(
     let mut room = ChatRoom::new(ChatConfig::default());
     let viewers = broadcast.viewers_at(from);
     let messages = room.messages_between(from, to, viewers, rng);
-    let mut out = Vec::with_capacity(messages.len() * 2);
-    let mut cached: std::collections::HashSet<String> = std::collections::HashSet::new();
+    // Hearts: tiny batched pushes on the same WebSocket (§3's emoticons).
+    let hearts = room.hearts_between(from, to, viewers, rng);
+    let mut out = Vec::with_capacity(messages.len() * 2 + hearts.len());
+    // The set exists for the cache ablation only: the app the paper
+    // measured re-downloads every picture.
+    let mut cached = std::collections::HashSet::new();
     for msg in messages {
-        let mut body = String::new();
-        msg.write_json(&mut body);
-        let frame = Frame::text(body);
-        out.push(ChatSend {
-            at: msg.at,
-            kind: FlowKind::Chat,
-            bytes: WireBytes::literal(frame.encode(None)),
-        });
-        if !config.chat_on {
+        let (at, kind) = (msg.at, FlowKind::Chat);
+        out.push(ChatSend { at, kind, bytes: ChatWire::Message(msg.json()) });
+        let Some(pic) = msg.picture.filter(|_| config.chat_on) else {
+            continue;
+        };
+        if config.picture_cache && !cached.insert(msg.user_id) {
             continue;
         }
-        if let Some(pic) = &msg.picture {
-            // The set exists for the cache ablation only: the app the paper
-            // measured re-downloads every picture.
-            if config.picture_cache && !cached.insert(pic.url.clone()) {
-                continue;
-            }
-            let head = Response::ok_bytes("image/jpeg", Vec::new()).encode_head(pic.bytes);
-            out.push(ChatSend {
-                at: msg.at,
-                kind: FlowKind::PictureHttp,
-                bytes: WireBytes { head, fill: PICTURE_FILL, pad: pic.bytes },
-            });
-        }
+        out.push(ChatSend { at, kind: FlowKind::PictureHttp, bytes: ChatWire::Picture(pic.bytes) });
     }
-    // Hearts: tiny batched pushes on the same WebSocket (§3's emoticons).
-    for heart in room.hearts_between(from, to, viewers, rng) {
-        let mut body = String::new();
-        heart.write_json(&mut body);
-        debug_assert!(body.len() >= heart.wire_len().saturating_sub(4));
-        let frame = Frame::text(body);
-        out.push(ChatSend {
-            at: heart.at,
-            kind: FlowKind::Chat,
-            bytes: WireBytes::literal(frame.encode(None)),
-        });
-    }
+    out.extend(hearts.into_iter().map(|heart| ChatSend {
+        at: heart.at,
+        kind: FlowKind::Chat,
+        bytes: ChatWire::Hearts(heart),
+    }));
     // The merge in the session driver sorts by time; keep this list sorted
     // too for the dedicated-link path.
     out.sort_by_key(|e| e.at);
@@ -171,15 +180,15 @@ pub(crate) fn play(
     }
     let ws_flow = tap.open_flow(FlowKind::Chat, "chatman.periscope.tv");
     let pic_flow = chat_on.then(|| tap.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
+    let mut json = String::new();
     for send in sends {
         if in_windows(drop_windows, send.at) {
             continue;
         }
         if let Some(flow) = flow_of(send.kind, ws_flow, pic_flow) {
-            let WireBytes { head, fill, pad } = &send.bytes;
-            let wire = Wire { literal: head.len(), fill: *fill, pad: *pad };
             let path = Path { link, faults: None, mtu: MTU_BYTES };
-            tap.transmit(path, send.at, flow, wire, rng, |out| out.extend_from_slice(head));
+            let chat = &send.bytes;
+            tap.transmit(path, send.at, flow, chat.wire(), rng, |out| chat.write(&mut json, out));
         }
     }
 }
@@ -190,6 +199,9 @@ mod tests {
     use crate::downlink::Recording;
     use crate::fixture;
     use pscp_media::capture::Capture;
+    use pscp_proto::http::Response;
+    use pscp_proto::ws::Frame;
+    use pscp_service::chat::{ChatMessage, PictureRef};
     use pscp_simnet::{RngFactory, WallClock};
 
     fn broadcast(viewers: f64) -> Broadcast {
@@ -287,6 +299,68 @@ mod tests {
         assert!(n > 0);
     }
 
+    /// Everything `chat` puts on the wire: what it writes, then its run.
+    fn on_wire(chat: &ChatWire) -> Vec<u8> {
+        let mut out = vec![];
+        chat.write(&mut String::new(), &mut out);
+        let Wire { literal, fill, pad } = chat.wire();
+        assert_eq!(out.len(), literal, "{chat:?}");
+        out.resize(literal + pad, fill);
+        out
+    }
+
+    /// Every descriptor states the length it writes, at each width of the
+    /// numbers it spells and of the WebSocket length field, and writes what
+    /// the public encoders compose: a text frame around the message's or
+    /// the hearts' JSON, a response head before the picture.
+    #[test]
+    fn every_descriptor_states_its_length_and_writes_what_the_encoders_compose() {
+        let frame = |write_json: &dyn Fn(&mut String)| {
+            let mut json = String::new();
+            write_json(&mut json);
+            Frame::text(json).encode(None)
+        };
+        let mut widths = std::collections::BTreeSet::new();
+        for user_id in [1, 9, 10, 99, 100, u64::MAX] {
+            for picture in [false, true] {
+                let message = |text_len: usize| ChatMessage {
+                    at: SimTime::ZERO,
+                    user_id,
+                    body_len: 90 + text_len,
+                    picture: picture.then_some(PictureRef { bytes: 1 }),
+                };
+                // The envelope around the shortest text (four characters).
+                let envelope = message(4).json().json_len() - 4;
+                for payload in [125usize, 126, 127, 65_535, 65_536] {
+                    let Some(text_len) = payload.checked_sub(envelope).filter(|&n| n >= 4) else {
+                        // Only a 20-digit id with a picture has an envelope
+                        // too long for these (140 bytes).
+                        assert!(user_id == u64::MAX && picture && payload < 144, "{payload}");
+                        continue;
+                    };
+                    let message = message(text_len);
+                    let chat = ChatWire::Message(message.json());
+                    let wire = on_wire(&chat);
+                    assert_eq!(wire, frame(&|json| message.write_json(json)), "{chat:?}");
+                    assert_eq!(wire.len(), chat.len());
+                    widths.insert(ws::header_len(payload, false));
+                }
+            }
+        }
+        assert_eq!(widths.into_iter().collect::<Vec<_>>(), [2, 4, 10]);
+        for count in [1, 9, 10, u32::MAX] {
+            let hearts = Heart { at: SimTime::ZERO, count };
+            let chat = ChatWire::Hearts(hearts);
+            assert_eq!(on_wire(&chat), frame(&|json| hearts.write_json(json)), "{count}");
+        }
+        for bytes in [0, 9, 10, 1_000_000] {
+            let chat = ChatWire::Picture(bytes);
+            let head = Response::ok_bytes("image/jpeg", vec![]).encode_head(bytes);
+            assert_eq!(chat.wire(), Wire { literal: head.len(), fill: 0xD8, pad: bytes });
+            assert_eq!(on_wire(&chat), [head, vec![0xD8; bytes]].concat());
+        }
+    }
+
     #[test]
     fn on_wire_bytes_decode_as_the_written_out_messages() {
         let mut rng = RngFactory::new(4).stream("chat-events");
@@ -299,7 +373,7 @@ mod tests {
         );
         let mut pictures = 0;
         for send in &sends {
-            let wire = send.bytes.payload().bytes();
+            let wire = on_wire(&send.bytes);
             assert_eq!(wire.len(), send.bytes.len());
             match send.kind {
                 FlowKind::Chat => {
@@ -315,7 +389,7 @@ mod tests {
                     assert_eq!(resp.get_header("content-length"), Some(n.to_string().as_str()));
                     assert!(n > 1000 && resp.body.iter().all(|&b| b == 0xD8));
                     // Byte for byte what encoding the whole response gives.
-                    assert_eq!(*wire, Response::ok_bytes("image/jpeg", vec![0xD8; n]).encode());
+                    assert_eq!(wire, Response::ok_bytes("image/jpeg", vec![0xD8; n]).encode());
                     pictures += 1;
                 }
                 other => panic!("unexpected flow kind {other:?}"),

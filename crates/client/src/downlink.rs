@@ -6,9 +6,12 @@
 //! writes it — and its bytes are produced when it is transmitted, by its
 //! writer, straight into the capture [`Flow`]'s own arena
 //! ([`Flow::append_with`]); the packets the link delivers are then cut over
-//! them by length. The small literal heads a session sends as they are
-//! (handshakes, chat frames, HTTP heads) are the only bytes a [`SendQueue`]
-//! stores.
+//! them by length. Chat is stated the same way: a chat send is a
+//! [`ChatWire`] that states its exact on-wire length — a WebSocket frame
+//! around a JSON body, or a picture's HTTP response head and body — and is
+//! written, JSON through a scratch the queue reuses, only when the send is
+//! transmitted into a kept capture. Handshakes and control messages, queued
+//! as they are, are the only literal bytes a [`SendQueue`] stores.
 //!
 //! A session is run for its QoE numbers and, sometimes, for its capture.
 //! Which is the *caller's* retention decision ([`Recording`]): the Teleport
@@ -17,8 +20,8 @@
 //! — same packets at the same instants through the same link, fault and
 //! clock calls — but **no writer is ever called**: the [`Tap`] records each
 //! packet as a run of its on-wire length, and a counted queue stores
-//! neither heads nor writers. Callers state a length and how to write it,
-//! and never ask which mode they are in.
+//! neither heads, media writers nor chat descriptors. Callers state a
+//! length and how to write it, and never ask which mode they are in.
 //!
 //! In either mode the [`Tap`] stamps a packet without reading its clock: a
 //! reading is a pure function of (clock, instant, position in the jitter
@@ -29,6 +32,7 @@
 //! reading the eager call would have stored, and a session pays no
 //! Box–Muller per packet.
 
+use crate::chat_client::ChatWire;
 use pscp_media::capture::{Capture, Flow, FlowKind};
 use pscp_proto::tls::{self, TlsChannel};
 use pscp_simnet::fault::LinkFaults;
@@ -96,6 +100,8 @@ enum Source {
     /// Written by the transport from the queue's `writer`-th media
     /// descriptor; `tag` is the transport's own handle on the send.
     Media { writer: u32, tag: u32 },
+    /// Written from the queue's `n`-th chat descriptor.
+    Chat(u32),
 }
 
 /// [`Source::Media`]'s `tag` of a send the transport wants nothing back for.
@@ -128,20 +134,24 @@ pub(crate) struct Queued {
 
 /// Everything a session sends over its reliable downstream connections
 /// (RTMP chunk stream, app bootstrap, chat, pictures), as descriptors.
-/// Sorting by time moves small records; a media send's bytes exist only in
-/// the capture, written there by the transport from its `W` when the send
-/// is transmitted — a counted queue does not even keep the `W`.
+/// Sorting by time moves small records; a media or chat send's bytes exist
+/// only in the capture, written there from its descriptor when the send is
+/// transmitted — a counted queue does not even keep the descriptor.
 pub(crate) struct SendQueue<W> {
     recording: Recording,
     /// Literal bytes of the head sends, back to back.
     heads: Vec<u8>,
     /// What writes each media send, in push order.
     writers: Vec<W>,
+    /// What each chat send is, in push order.
+    chats: Vec<ChatWire>,
     sends: Vec<Send>,
     /// The flow whose sends travel in TLS records, and its key.
     sealed: Option<(u32, u64)>,
     /// Plaintext of the sealed send being transmitted.
     plain: Vec<u8>,
+    /// JSON of the chat send being transmitted.
+    json: String,
 }
 
 impl<W> SendQueue<W> {
@@ -156,9 +166,11 @@ impl<W> SendQueue<W> {
             recording,
             heads: Vec::with_capacity(head_bytes),
             writers: Vec::with_capacity(media),
+            chats: Vec::new(),
             sends: Vec::with_capacity(sends),
             sealed: None,
             plain: Vec::new(),
+            json: String::new(),
         }
     }
 
@@ -198,6 +210,25 @@ impl<W> SendQueue<W> {
             self.writers.push(writer);
         }
         self.sends.push(Send { at, len, pad: 0, flow: flow as u32, tls_seq: 0, src, fill: 0 });
+    }
+
+    /// Makes room for `n` more chat sends.
+    pub fn reserve_chats(&mut self, n: usize) {
+        self.sends.reserve(n);
+        if self.recording == Recording::Full {
+            self.chats.reserve_exact(n);
+        }
+    }
+
+    /// Queues the chat send `chat` describes: its bytes are written from it
+    /// when the send is transmitted.
+    pub fn push_chat(&mut self, at: SimTime, flow: usize, chat: ChatWire) {
+        let Wire { literal, fill, pad } = chat.wire();
+        let src = Source::Chat(self.chats.len() as u32);
+        if self.recording == Recording::Full {
+            self.chats.push(chat);
+        }
+        self.sends.push(Send { at, len: literal, pad, flow: flow as u32, tls_seq: 0, src, fill });
     }
 
     /// Has every send of `flow` travel in TLS records under `key`. Called
@@ -269,8 +300,8 @@ impl<W> SendQueue<W> {
 
     /// Transmits the `i`-th send over `path` (see [`Tap::transmit`]). A
     /// head is copied out of the queue; a media send is written by `media`
-    /// from its descriptor; either goes through the flow's TLS channel
-    /// first if the flow is sealed.
+    /// from its descriptor, a chat send from its own; any goes through the
+    /// flow's TLS channel first if the flow is sealed.
     pub fn transmit(
         &mut self,
         i: usize,
@@ -281,10 +312,12 @@ impl<W> SendQueue<W> {
     ) -> Option<SimTime> {
         let (wire, s) = (self.wire(i), self.sends[i]);
         let key = self.tls_key(s.flow);
-        let (heads, writers, plain) = (&self.heads, &self.writers, &mut self.plain);
+        let (heads, writers, chats) = (&self.heads, &self.writers, &self.chats);
+        let (plain, json) = (&mut self.plain, &mut self.json);
         let write = |out: &mut Vec<u8>| match s.src {
             Source::Head(start) => out.extend_from_slice(&heads[start as usize..][..s.len]),
             Source::Media { writer, .. } => media(&writers[writer as usize], out),
+            Source::Chat(n) => chats[n as usize].write(json, out),
         };
         let flow = s.flow as usize;
         match key {
@@ -437,6 +470,16 @@ impl Tap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscp_service::chat::Heart;
+
+    /// A batch of seven hearts, and its WebSocket frame.
+    const HEARTS: ChatWire = ChatWire::Hearts(Heart { at: SimTime::ZERO, count: 7 });
+    const HEARTS_FRAME: &[u8] = b"\x81\x16{\"kind\":\"heart\",\"n\":7}";
+
+    /// What flow 0 of [`queues`] carries: the head, its run, the hearts.
+    fn app_stream() -> Vec<u8> {
+        [&b"head"[..], &[0xD8; 5_000], HEARTS_FRAME].concat()
+    }
 
     /// The same pushes into a full and a counted queue; a media send's
     /// writer is the byte it consists of.
@@ -447,6 +490,8 @@ mod tests {
             q.push_media(SimTime::from_secs(1), 1, 40_000, Some(2), 7);
             q.push(SimTime::from_secs(1), 1, &[], 0, 0);
             q.push(SimTime::from_secs(2), 1, &[9; 17], 0, 0);
+            q.reserve_chats(1);
+            q.push_chat(SimTime::from_secs(4), 0, HEARTS);
             q
         })
     }
@@ -494,11 +539,15 @@ mod tests {
         assert_eq!(shape(&full), shape(&counted));
         // Stable by time; the 40,000-byte send grew by three records' framing.
         let tags: Vec<Option<usize>> = shape(&full).iter().map(|(s, _)| s.tag).collect();
-        assert_eq!(tags, [Some(2), None, None, None]);
+        assert_eq!(tags, [Some(2), None, None, None, None]);
         assert_eq!(full.wire(0).literal, tls::sealed_len(40_000));
         assert_eq!(full.wire(3), Wire { literal: 4, fill: 0xD8, pad: 5_000 });
+        assert_eq!(full.wire(4), Wire::literal(HEARTS_FRAME.len()));
         assert_eq!(full.heads, [&b"head"[..], &[9; 17]].concat());
-        assert_eq!((counted.heads.capacity(), counted.writers.capacity()), (0, 0));
+        assert_eq!(full.chats, [HEARTS]);
+        let counted_capacity =
+            [counted.heads.capacity(), counted.writers.capacity(), counted.chats.capacity()];
+        assert_eq!(counted_capacity, [0; 3]);
     }
 
     #[test]
@@ -520,7 +569,7 @@ mod tests {
         // The full capture holds what the writers wrote; the counted one
         // not a byte.
         assert_eq!(*full.flows[1].byte_stream(), [vec![7; 40_000], vec![9; 17]].concat());
-        assert_eq!(*full.flows[0].byte_stream(), [&b"head"[..], &[0xD8; 5_000]].concat());
+        assert_eq!(*full.flows[0].byte_stream(), app_stream());
         assert!(counted.flows.iter().all(|f| f.payloads().all(|p| p.literal().is_empty())));
     }
 
@@ -537,7 +586,7 @@ mod tests {
         // Push order: the media send, the empty one, the 17 bytes.
         let sealed = [tls.seal(&[7; 40_000]), tls.seal(&[]), tls.seal(&[9; 17])];
         assert_eq!(*capture.flows[1].byte_stream(), sealed.concat());
-        assert_eq!(*capture.flows[0].byte_stream(), [&b"head"[..], &[0xD8; 5_000]].concat());
+        assert_eq!(*capture.flows[0].byte_stream(), app_stream());
     }
 
     #[test]

@@ -150,14 +150,15 @@ impl Push {
         sends: &mut SendQueue<W>,
     ) {
         let (from, config) = (ctx.join_at, ctx.config);
-        for ev in
-            chat_client::events(ctx.broadcast, from, from + config.watch, config, &mut ctx.net_rng)
-        {
+        let chat =
+            chat_client::events(ctx.broadcast, from, from + config.watch, config, &mut ctx.net_rng);
+        sends.reserve_chats(chat.len());
+        for ev in chat {
             let Some(flow) = chat_client::flow_of(ev.kind, self.flow_chat, self.flow_pics) else {
                 continue;
             };
             let at = if flow == self.flow_chat { ev.at } else { ev.at.max(bootstrap_done) };
-            sends.push(at, flow, &ev.bytes.head, ev.bytes.fill, ev.bytes.pad);
+            sends.push_chat(at, flow, ev.bytes);
         }
     }
 

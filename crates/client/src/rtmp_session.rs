@@ -75,7 +75,7 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     // contention behind the paper's 2 Mbps QoE boundary. ---
     let mut link = Link::unbounded(push.bottleneck, push.one_way_down);
     let n_media = video_in.len() + audio_in.len();
-    let mut sends = SendQueue::new(ctx.recording, 64 * 1024, n_media + 256, n_media);
+    let mut sends = SendQueue::new(ctx.recording, 4 * 1024, n_media + 256, n_media);
     let bootstrap_done = push.queue_bootstrap(ctx, &mut sends);
 
     // Handshake: S0+S1+S2 arrive right after connect, then the control

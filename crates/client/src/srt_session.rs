@@ -239,7 +239,7 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Result<Delivered, SimTime> {
 
     // --- app-side TCP flows (bootstrap + chat + pictures), same model and
     // same queue as the RTMP session ---
-    let mut sends: SendQueue<()> = SendQueue::new(ctx.recording, 64 * 1024, 256, 0);
+    let mut sends: SendQueue<()> = SendQueue::new(ctx.recording, 0, 256, 0);
     let bootstrap_done = push.queue_bootstrap(ctx, &mut sends);
     push.queue_chat(ctx, bootstrap_done, &mut sends);
     sends.sort_by_time();

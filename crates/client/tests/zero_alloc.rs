@@ -311,20 +311,30 @@ fn pin_whole_session(
 }
 
 /// A whole default 60 s RTMP session, both ways. The allocation counts pin
-/// what is left per session (chat events, the send queue, the capture
-/// index). Measured: full 3,395 allocations / 4,620,831 bytes (2.9 MB of
-/// them the capture); uncaptured 3,389 / 1,588,814. Counts pinned at the
-/// parent's + 10 %, bytes at the parent's uncaptured 1,764,950 + 10 %.
+/// what is left per session (the chat event list, the send queue, the
+/// capture index): a chat send is a descriptor, written only into a kept
+/// capture, so no message builds a `String` or a frame. Measured, in debug
+/// and release builds alike: full 72 allocations / 4,352,161 bytes (2.7 MB
+/// of them the capture); uncaptured 58 / 1,370,968. Each pinned at + 10 %.
 #[test]
 fn whole_session_allocations_are_pinned_in_both_modes() {
-    pin_whole_session(pscp_service::select::Protocol::Rtmp, (3_742, 3_737), 1_941_445);
+    pin_whole_session(pscp_service::select::Protocol::Rtmp, (79, 63), 1_508_064);
 }
 
 /// The HLS twin: segments are descriptors, muxed into the capture when they
 /// are fetched, so a captured session holds no per-segment `Vec` and an
-/// uncaptured one no segment byte at all. Measured: full 4,149 allocations /
-/// 4,961,210 bytes; uncaptured 4,103 / 1,294,530. Each pinned at + 10 %.
+/// uncaptured one no segment byte at all. Measured: full 1,532 allocations
+/// / 4,812,248 bytes; uncaptured 1,474 / 1,121,648. Each pinned at + 10 %.
 #[test]
 fn whole_hls_session_writes_a_fetched_segment_once() {
-    pin_whole_session(pscp_service::select::Protocol::Hls, (4_564, 4_513), 1_423_983);
+    pin_whole_session(pscp_service::select::Protocol::Hls, (1_685, 1_621), 1_233_812);
+}
+
+/// The SRT twin: its app flows share `Push::queue_chat` and the send queue
+/// with RTMP, and its media datagrams are cut from descriptors. Measured:
+/// full 159 allocations / 6,008,778 bytes; uncaptured 124 / 3,148,788.
+/// Each pinned at + 10 %.
+#[test]
+fn whole_srt_session_allocations_are_pinned_in_both_modes() {
+    pin_whole_session(pscp_service::select::Protocol::Srt, (174, 136), 3_463_666);
 }

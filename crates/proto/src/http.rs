@@ -5,7 +5,7 @@
 //! GETs served by the Fastly-like CDN (§3, §5), and the HTTP 429 "Too many
 //! requests" responses the crawler must pace itself around (§4).
 
-use crate::ProtoError;
+use crate::{decimal, decimal_len, ProtoError};
 
 /// An HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,20 +119,7 @@ impl Response {
 
     /// Standard reason phrase for this status.
     pub fn reason(&self) -> &'static str {
-        match self.status {
-            200 => "OK",
-            204 => "No Content",
-            301 => "Moved Permanently",
-            304 => "Not Modified",
-            400 => "Bad Request",
-            401 => "Unauthorized",
-            403 => "Forbidden",
-            404 => "Not Found",
-            429 => "Too Many Requests",
-            500 => "Internal Server Error",
-            503 => "Service Unavailable",
-            _ => "Unknown",
-        }
+        reason(self.status)
     }
 
     /// Looks up the first header with this (case-insensitive) name.
@@ -145,11 +132,8 @@ impl Response {
     /// of `body_len` bytes — for callers that put the body on the wire
     /// from where it already lives instead of copying it behind the head.
     pub fn encode_head(&self, body_len: usize) -> Vec<u8> {
-        let mut out = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason()).into_bytes();
-        for (n, v) in &self.headers {
-            out.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
-        }
-        out.extend_from_slice(format!("content-length: {body_len}\r\n\r\n").as_bytes());
+        let mut out = Vec::with_capacity(head_len(self.status, &self.headers, body_len));
+        write_head(self.status, &self.headers, body_len, &mut out);
         out
     }
 
@@ -174,6 +158,59 @@ impl Response {
             .ok_or_else(|| ProtoError::Malformed("bad status code".to_string()))?;
         Ok(Response { status, headers, body })
     }
+}
+
+/// Standard reason phrase for `status`.
+fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        204 => "No Content",
+        301 => "Moved Permanently",
+        304 => "Not Modified",
+        400 => "Bad Request",
+        401 => "Unauthorized",
+        403 => "Forbidden",
+        404 => "Not Found",
+        429 => "Too Many Requests",
+        500 => "Internal Server Error",
+        503 => "Service Unavailable",
+        _ => "Unknown",
+    }
+}
+
+/// Length of the response head [`write_head`] appends for these
+/// arguments.
+pub fn head_len<S: AsRef<str>>(status: u16, headers: &[(S, S)], body_len: usize) -> usize {
+    let fields: usize = headers.iter().map(|(n, v)| n.as_ref().len() + v.as_ref().len() + 4).sum();
+    let status_line = "HTTP/1.1 ".len() + decimal_len(status.into()) + 1 + reason(status).len() + 2;
+    status_line + fields + "content-length: ".len() + decimal_len(body_len as u64) + 4
+}
+
+/// Appends a response head — status line, `headers` in order, and a
+/// `content-length` of `body_len` — through the blank line that ends it.
+/// [`Response::encode_head`] is this into a `Vec` of its own; a sender that
+/// states lengths before it writes uses [`head_len`] and this.
+pub fn write_head<S: AsRef<str>>(
+    status: u16,
+    headers: &[(S, S)],
+    body_len: usize,
+    out: &mut Vec<u8>,
+) {
+    let mut digits = [0; 20];
+    out.extend_from_slice(b"HTTP/1.1 ");
+    out.extend_from_slice(decimal(status.into(), &mut digits).as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(reason(status).as_bytes());
+    out.extend_from_slice(b"\r\n");
+    for (name, value) in headers {
+        out.extend_from_slice(name.as_ref().as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(value.as_ref().as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"content-length: ");
+    out.extend_from_slice(decimal(body_len as u64, &mut digits).as_bytes());
+    out.extend_from_slice(b"\r\n\r\n");
 }
 
 fn bad_start() -> ProtoError {
@@ -250,6 +287,24 @@ mod tests {
         let decoded = Response::decode(&resp.encode()).unwrap();
         assert_eq!(decoded.status, 200);
         assert_eq!(decoded.body, br#"{"broadcasts":[]}"#);
+    }
+
+    #[test]
+    fn head_len_is_what_write_head_appends() {
+        let headers = [("content-type", "image/jpeg"), ("x-cache", "MISS")];
+        for status in [200, 404, 429, 999] {
+            for body_len in [0, 9, 10, 1_000_000, usize::MAX] {
+                let mut out = vec![7];
+                write_head(status, &headers, body_len, &mut out);
+                assert_eq!(out.len() - 1, head_len(status, &headers, body_len));
+                let reason = Response { status, headers: Vec::new(), body: Vec::new() }.reason();
+                let text = format!(
+                    "HTTP/1.1 {status} {reason}\r\ncontent-type: image/jpeg\r\nx-cache: MISS\r\n\
+                     content-length: {body_len}\r\n\r\n"
+                );
+                assert_eq!(out[1..], *text.as_bytes());
+            }
+        }
     }
 
     #[test]

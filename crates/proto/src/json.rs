@@ -187,17 +187,23 @@ impl fmt::Display for Value {
 pub struct Writer<'a> {
     out: &'a mut String,
     start: usize,
-    /// Debug builds only: per open container, where in `out` its latest
-    /// key sits (`None` for arrays, before the first key, and after a key
-    /// that needed escaping, whose text no longer compares like the key).
-    open: Vec<Option<std::ops::Range<usize>>>,
+    /// Debug builds only: where in `out` the latest key of the innermost
+    /// open container sits (`None` for arrays, before the first key, and
+    /// after a key that needed escaping, whose text no longer compares
+    /// like the key)…
+    latest: Option<std::ops::Range<usize>>,
+    /// …and the same for each container around it, outermost first, so a
+    /// flat object is checked without a heap allocation.
+    outer: Vec<Option<std::ops::Range<usize>>>,
+    /// Debug builds only: containers open.
+    depth: usize,
 }
 
 impl<'a> Writer<'a> {
     /// Starts a document at the end of `out`.
     pub fn new(out: &'a mut String) -> Self {
         let start = out.len();
-        Writer { out, start, open: Vec::new() }
+        Writer { out, start, latest: None, outer: Vec::new(), depth: 0 }
     }
 
     /// Writes the `,` a value or key needs unless it is the first of its
@@ -216,13 +222,20 @@ impl<'a> Writer<'a> {
         self.sep();
         self.out.push(bracket);
         if cfg!(debug_assertions) {
-            self.open.push(None);
+            if self.depth > 0 {
+                self.outer.push(self.latest.take());
+            }
+            self.latest = None;
+            self.depth += 1;
         }
     }
 
     fn close(&mut self, bracket: char) {
         self.out.push(bracket);
-        self.open.pop();
+        if cfg!(debug_assertions) {
+            self.depth -= 1;
+            self.latest = self.outer.pop().flatten();
+        }
     }
 
     /// Opens an object as the next value.
@@ -251,12 +264,12 @@ impl<'a> Writer<'a> {
         let at = self.out.len() + 1;
         escape(key, self.out);
         if cfg!(debug_assertions) {
+            assert!(self.depth > 0, "a key belongs inside an object");
             let plain = self.out.len() - at - 1 == key.len();
-            let latest = self.open.last_mut().expect("a key belongs inside an object");
-            if let (Some(prev), true) = (latest.as_ref(), plain) {
+            if let (Some(prev), true) = (self.latest.as_ref(), plain) {
                 debug_assert!(self.out[prev.clone()] < *key, "object keys must ascend: '{key}'");
             }
-            *latest = plain.then(|| at..at + key.len());
+            self.latest = plain.then(|| at..at + key.len());
         }
         self.out.push(':');
         self
@@ -308,14 +321,33 @@ impl<'a> Writer<'a> {
         self.sep();
         escape(s, self.out);
     }
+
+    /// Writes one string whose text is `parts` back to back, escaped — for
+    /// a value spelled from pieces (a fixed prefix and a number's digits, a
+    /// long run of one character) that never exist as one `str`.
+    pub fn str_parts<'s>(&mut self, parts: impl IntoIterator<Item = &'s str>) {
+        self.sep();
+        self.out.push('"');
+        for part in parts {
+            escape_text(part, self.out);
+        }
+        self.out.push('"');
+    }
 }
 
 /// Appends `s` quoted, with `"`, `\` and control characters escaped.
+fn escape(s: &str, out: &mut String) {
+    out.push('"');
+    escape_text(s, out);
+    out.push('"');
+}
+
+/// Appends `s` with `"`, `\` and control characters escaped. Every byte is
+/// escaped on its own, so text escaped in pieces reads as the whole would.
 ///
 /// Plain text is passed eight bytes at a time; from the first word that
 /// holds a byte to escape on, byte by byte.
-fn escape(s: &str, out: &mut String) {
-    out.push('"');
+fn escape_text(s: &str, out: &mut String) {
     let bytes = s.as_bytes();
     let clean = bytes
         .chunks_exact(8)
@@ -341,7 +373,6 @@ fn escape(s: &str, out: &mut String) {
         }
     }
     out.push_str(&s[plain..]);
-    out.push('"');
 }
 
 /// Whether any byte of the word `w` is below 0x20, `"` or `\`: the
@@ -1026,6 +1057,21 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys must ascend: 'a'")]
+    fn writer_asserts_ascending_keys_after_a_nested_object_closes() {
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_object();
+        w.key("m").begin_array();
+        w.begin_object();
+        w.key("z").null();
+        w.end_object();
+        w.end_array();
+        w.key("a").null();
+    }
+
+    #[test]
     fn writer_key_order_is_per_object_and_ignores_escaped_keys() {
         let mut out = String::new();
         let mut w = Writer::new(&mut out);
@@ -1193,6 +1239,16 @@ mod tests {
                     assert_eq!(parse(&out), Ok(Value::String(text)), "{filler} {offset}");
                 }
             }
+        }
+        // A string written in parts is the string written whole, wherever
+        // the cut falls.
+        let text = "a\"é\\\n\u{1f} plain text 😀 of some length\t";
+        let mut whole = String::new();
+        Writer::new(&mut whole).str(text);
+        for cut in (0..=text.len()).filter(|&i| text.is_char_boundary(i)) {
+            let mut out = String::new();
+            Writer::new(&mut out).str_parts([&text[..cut], "", &text[cut..]]);
+            assert_eq!(out, whole, "cut at {cut}");
         }
         // Bytes next to the specials, and the multi-byte ones, pass plain.
         let plain = "\u{20}!#[]\u{7f}\u{80}ÿ😀 plain text of some length";

@@ -57,3 +57,40 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+/// Digits in the decimal form of `n`: the length [`decimal`] writes.
+pub fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// The decimal form of `n`, written into `buf`: how a number that is part
+/// of a larger token (`content-length: 30000`, a user handle `u42`) is
+/// spelled without a `String`.
+pub fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn decimal_spells_what_display_does_at_every_width() {
+        let mut buf = [0; 20];
+        for edge in (0..20).map(|p| 10u64.pow(p)) {
+            for n in [0, 1, 9, edge - 1, edge, edge + 1, u64::MAX] {
+                assert_eq!(decimal(n, &mut buf), n.to_string());
+                assert_eq!(decimal_len(n), n.to_string().len());
+            }
+        }
+    }
+}

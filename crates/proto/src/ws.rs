@@ -69,24 +69,11 @@ impl Frame {
     /// Encodes the frame. `mask` is the client masking key (clients MUST
     /// mask; servers MUST NOT — pass `None`).
     pub fn encode(&self, mask: Option<[u8; 4]>) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload.len() + 14);
-        out.push(0x80 | self.opcode.id()); // FIN set
-        let mask_bit = if mask.is_some() { 0x80 } else { 0x00 };
         let len = self.payload.len();
-        if len < 126 {
-            out.push(mask_bit | len as u8);
-        } else if len <= u16::MAX as usize {
-            out.push(mask_bit | 126);
-            out.extend_from_slice(&(len as u16).to_be_bytes());
-        } else {
-            out.push(mask_bit | 127);
-            out.extend_from_slice(&(len as u64).to_be_bytes());
-        }
+        let mut out = Vec::with_capacity(header_len(len, mask.is_some()) + len);
+        write_header(self.opcode, len, mask, &mut out);
         match mask {
-            Some(key) => {
-                out.extend_from_slice(&key);
-                out.extend(self.payload.iter().enumerate().map(|(i, &b)| b ^ key[i % 4]));
-            }
+            Some(key) => out.extend(self.payload.iter().enumerate().map(|(i, &b)| b ^ key[i % 4])),
             None => out.extend_from_slice(&self.payload),
         }
         out
@@ -138,6 +125,39 @@ impl Frame {
     }
 }
 
+/// Length of the header of a frame carrying `payload_len` bytes: what
+/// [`write_header`] appends.
+pub fn header_len(payload_len: usize, masked: bool) -> usize {
+    let extended = match payload_len {
+        0..126 => 0,
+        126..=0xFFFF => 2,
+        _ => 8,
+    };
+    2 + extended + if masked { 4 } else { 0 }
+}
+
+/// Appends the header of an unfragmented `opcode` frame carrying
+/// `payload_len` bytes: FIN and opcode, the 7-, 16- or 64-bit length, and
+/// the masking key if there is one. The payload follows it on the wire.
+pub fn write_header(opcode: Opcode, payload_len: usize, mask: Option<[u8; 4]>, out: &mut Vec<u8>) {
+    out.push(0x80 | opcode.id()); // FIN set
+    let mask_bit = if mask.is_some() { 0x80 } else { 0x00 };
+    match header_len(payload_len, false) {
+        2 => out.push(mask_bit | payload_len as u8),
+        4 => {
+            out.push(mask_bit | 126);
+            out.extend_from_slice(&(payload_len as u16).to_be_bytes());
+        }
+        _ => {
+            out.push(mask_bit | 127);
+            out.extend_from_slice(&(payload_len as u64).to_be_bytes());
+        }
+    }
+    if let Some(key) = mask {
+        out.extend_from_slice(&key);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +196,23 @@ mod tests {
         assert_eq!(enc[1] & 0x7F, 127);
         let (g, _) = Frame::decode(&enc).unwrap();
         assert_eq!(g.payload.len(), 70_000);
+    }
+
+    #[test]
+    fn header_len_is_what_write_header_appends_at_each_width() {
+        for len in [0, 1, 125, 126, 127, 0xFFFF, 0x1_0000, 70_000] {
+            for mask in [None, Some([1, 2, 3, 4])] {
+                let mut out = Vec::new();
+                write_header(Opcode::Text, len, mask, &mut out);
+                assert_eq!(out.len(), header_len(len, mask.is_some()), "len {len} mask {mask:?}");
+                let wire = [out, vec![b'x'; len]].concat();
+                let (frame, used) = Frame::decode(&wire).unwrap();
+                assert_eq!(
+                    (frame.opcode, frame.payload.len(), used),
+                    (Opcode::Text, len, wire.len())
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! measured session from ~500 kbps to 3.5 Mbps.
 
 use pscp_proto::json::Writer;
+use pscp_proto::{decimal, decimal_len};
 use pscp_simnet::dist;
 use pscp_simnet::rng::Rng;
 use pscp_simnet::SimTime;
@@ -46,39 +47,100 @@ impl Default for ChatConfig {
 }
 
 /// One chat message as sent over the WebSocket.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChatMessage {
     /// Delivery instant.
     pub at: SimTime,
     /// Sending user id.
     pub user_id: u64,
-    /// JSON body length in bytes (what travels in the WS text frame).
+    /// Nominal body length in bytes. The JSON body carries
+    /// `body_len − 90` (at least 4) characters of text inside its envelope
+    /// ([`ChatMessage::json`]), so it is not the length on the wire.
     pub body_len: usize,
     /// Profile picture reference, if this user has one.
     pub picture: Option<PictureRef>,
 }
 
-/// A profile picture on S3.
-#[derive(Debug, Clone, PartialEq)]
+/// A profile picture on S3. Its URL is a function of the user id
+/// ([`MessageJson`] writes it) — stable per user, so caching *would* work;
+/// the app just doesn't do it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PictureRef {
-    /// Download URL (stable per user — caching *would* work, the app just
-    /// doesn't do it).
-    pub url: String,
     /// Image size in bytes.
     pub bytes: usize,
 }
 
 impl ChatMessage {
+    /// What the message's JSON body is a function of.
+    pub fn json(&self) -> MessageJson {
+        MessageJson {
+            user_id: self.user_id,
+            text_len: u32::try_from(self.body_len.saturating_sub(90).max(4))
+                .expect("a chat message's text is under 4 GB"),
+            picture: self.picture.is_some(),
+        }
+    }
+
     /// Appends the JSON body the server pushes.
     pub fn write_json(&self, out: &mut String) {
+        self.json().write_json(out);
+    }
+}
+
+/// Where every profile picture lives: this, the user handle, then
+/// [`PICTURE_URL_TAIL`].
+const PICTURE_URL_HEAD: &str = "https://s3.amazonaws.com/profile_images/";
+const PICTURE_URL_TAIL: &str = ".jpg";
+
+/// Sixty-four characters of message text; longer text repeats them.
+const TEXT: &str = "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx";
+
+/// A chat message's JSON body as a descriptor: the sender, how many
+/// characters of text, and whether it names the sender's profile picture
+/// are all the body depends on. It states its exact length, and writes
+/// the body only when asked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MessageJson {
+    /// Sending user id.
+    pub user_id: u64,
+    /// Characters of message text.
+    pub text_len: u32,
+    /// Whether the body names the sender's profile picture.
+    pub picture: bool,
+}
+
+impl MessageJson {
+    /// Length of the body [`write_json`](MessageJson::write_json) appends.
+    pub fn json_len(&self) -> usize {
+        let handle = 1 + decimal_len(self.user_id);
+        let url = PICTURE_URL_HEAD.len() + handle + PICTURE_URL_TAIL.len();
+        object_len(
+            [
+                Some(("kind", quoted("chat".len()))),
+                self.picture.then_some(("profile_image_url", quoted(url))),
+                Some(("text", quoted(self.text_len as usize))),
+                Some(("user", quoted(handle))),
+            ]
+            .into_iter()
+            .flatten(),
+        )
+    }
+
+    /// Appends the body:
+    /// `{"kind":"chat","profile_image_url":…,"text":"xx…","user":"u<id>"}`.
+    pub fn write_json(&self, out: &mut String) {
+        let mut digits = [0; 20];
+        let id = decimal(self.user_id, &mut digits);
+        let text = self.text_len as usize;
         let mut w = Writer::new(out);
         w.begin_object();
         w.key("kind").str("chat");
-        if let Some(pic) = &self.picture {
-            w.key("profile_image_url").str(&pic.url);
+        if self.picture {
+            w.key("profile_image_url").str_parts([PICTURE_URL_HEAD, "u", id, PICTURE_URL_TAIL]);
         }
-        w.key("text").str(&"x".repeat(self.body_len.saturating_sub(90).max(4)));
-        w.key("user").str(&format!("u{}", self.user_id));
+        let whole = std::iter::repeat_n(TEXT, text / TEXT.len());
+        w.key("text").str_parts(whole.chain([&TEXT[..text % TEXT.len()]]));
+        w.key("user").str_parts(["u", id]);
         w.end_object();
     }
 }
@@ -94,13 +156,12 @@ pub struct Heart {
 }
 
 impl Heart {
-    /// Wire size of the batched heart JSON, bytes.
-    pub fn wire_len(&self) -> usize {
-        // {"kind":"heart","n":N}
-        24 + (self.count as f64).log10() as usize
+    /// Length of the JSON [`write_json`](Heart::write_json) appends.
+    pub fn json_len(&self) -> usize {
+        object_len([("kind", quoted("heart".len())), ("n", decimal_len(self.count.into()))])
     }
 
-    /// Appends the batched heart JSON.
+    /// Appends the batched heart JSON: `{"kind":"heart","n":<count>}`.
     pub fn write_json(&self, out: &mut String) {
         let mut w = Writer::new(out);
         w.begin_object();
@@ -110,19 +171,37 @@ impl Heart {
     }
 }
 
+/// Length of a string value of `n` characters none of which is escaped.
+fn quoted(n: usize) -> usize {
+    n + 2
+}
+
+/// Length of a flat object [`Writer`] writes: braces, a comma between
+/// members, and per member its quoted key (none needs escaping), a colon
+/// and its value's length as written.
+fn object_len<'k>(members: impl IntoIterator<Item = (&'k str, usize)>) -> usize {
+    let (mut n, mut len) = (0, 2);
+    for (key, value) in members {
+        len += quoted(key.len()) + 1 + value;
+        n += 1;
+    }
+    len + n.max(1) - 1
+}
+
 /// A chat room attached to one broadcast.
 #[derive(Debug)]
 pub struct ChatRoom {
     config: ChatConfig,
-    /// Stable per-user picture assignment: user id → picture size (None if
-    /// the user has no picture). Filled lazily.
-    pictures: std::collections::HashMap<u64, Option<usize>>,
+    /// Stable per-user picture assignment, indexed by sender rank − 1 (a
+    /// sender's rank is its user id): unset until the user first speaks,
+    /// then the picture size, or `None` if the user has no picture.
+    pictures: Vec<Option<Option<usize>>>,
 }
 
 impl ChatRoom {
     /// Creates a room.
     pub fn new(config: ChatConfig) -> Self {
-        ChatRoom { config, pictures: std::collections::HashMap::new() }
+        ChatRoom { config, pictures: Vec::new() }
     }
 
     /// Number of users actually able to chat given `viewers` present.
@@ -177,6 +256,9 @@ impl ChatRoom {
             return Vec::new();
         }
         let rate = chatters as f64 * self.config.per_user_msg_rate;
+        if self.pictures.len() < chatters as usize {
+            self.pictures.resize(chatters as usize, None);
+        }
         let mut out = Vec::new();
         let mut t = from.as_secs_f64();
         let end = to.as_secs_f64();
@@ -190,14 +272,11 @@ impl ChatRoom {
             let user_id = user_rank; // rank doubles as a stable id per room
             let picture_prob = self.config.picture_prob;
             let mean_pic = self.config.mean_picture_bytes;
-            let pic_entry = self.pictures.entry(user_id).or_insert_with(|| {
+            let picture = self.pictures[user_rank as usize - 1].get_or_insert_with(|| {
                 dist::coin(rng, picture_prob)
                     .then(|| (mean_pic * dist::lognormal(rng, 0.0, 0.5)).round() as usize)
             });
-            let picture = pic_entry.map(|bytes| PictureRef {
-                url: format!("https://s3.amazonaws.com/profile_images/u{user_id}.jpg"),
-                bytes,
-            });
+            let picture = picture.map(|bytes| PictureRef { bytes });
             let body_len = 90 + dist::exponential(rng, 1.0 / 40.0) as usize;
             out.push(ChatMessage {
                 at: SimTime::from_micros((t * 1e6) as u64),
@@ -273,18 +352,28 @@ mod tests {
     fn picture_urls_stable_per_user() {
         let (mut room, mut rng) = room();
         let msgs = room.messages_between(SimTime::ZERO, SimTime::from_secs(1200), 80, &mut rng);
-        let mut by_user: std::collections::HashMap<u64, &PictureRef> =
+        let url = |m: &ChatMessage| {
+            let mut body = String::new();
+            m.write_json(&mut body);
+            let v = pscp_proto::json::parse(&body).unwrap();
+            v.get("profile_image_url").and_then(|u| u.as_str().map(str::to_string))
+        };
+        let mut by_user: std::collections::HashMap<u64, (String, PictureRef)> =
             std::collections::HashMap::new();
         let mut repeats = 0;
         for m in &msgs {
-            if let Some(pic) = &m.picture {
+            if let Some(pic) = m.picture {
+                let url = url(m).expect("a message with a picture names it");
+                assert!(url.ends_with(&format!("/u{}.jpg", m.user_id)), "{url}");
                 if let Some(prev) = by_user.get(&m.user_id) {
-                    assert_eq!(prev.url, pic.url, "url must be stable per user");
-                    assert_eq!(prev.bytes, pic.bytes);
+                    assert_eq!(*prev, (url, pic), "url must be stable per user");
                     repeats += 1;
                 } else {
-                    by_user.insert(m.user_id, pic);
+                    by_user.insert(m.user_id, (url, pic));
                 }
+            } else {
+                assert_eq!(url(m), None);
+                assert!(!by_user.contains_key(&m.user_id), "a user's picture does not vanish");
             }
         }
         // Zipf senders: plenty of repeat messages → the no-cache bug has
@@ -314,6 +403,31 @@ mod tests {
     }
 
     #[test]
+    fn json_len_is_what_write_json_appends() {
+        for user_id in [1, 9, 10, 99, 100, u64::MAX] {
+            for text_len in [0, 4, 63, 64, 65, 127, 128, 70_000] {
+                for picture in [false, true] {
+                    let json = MessageJson { user_id, text_len, picture };
+                    let mut body = String::from("prefix");
+                    json.write_json(&mut body);
+                    assert_eq!(body.len() - "prefix".len(), json.json_len(), "{json:?}");
+                    let v = pscp_proto::json::parse(&body["prefix".len()..]).unwrap();
+                    let text = v.get("text").unwrap().as_str().unwrap();
+                    assert!(text.len() == text_len as usize && text.bytes().all(|b| b == b'x'));
+                    let user = format!("u{user_id}");
+                    assert_eq!(v.get("user").unwrap().as_str(), Some(user.as_str()));
+                }
+            }
+        }
+        for count in [0, 1, 9, 10, u32::MAX] {
+            let heart = Heart { at: SimTime::ZERO, count };
+            let mut body = String::new();
+            heart.write_json(&mut body);
+            assert_eq!(body.len(), heart.json_len(), "{count}");
+        }
+    }
+
+    #[test]
     fn expected_rate_helper() {
         let cfg = ChatConfig::default();
         assert_eq!(expected_message_rate(&cfg, 0), 0.0);
@@ -336,7 +450,9 @@ mod tests {
         let events = hearts(5000, &mut rng);
         assert!(events.len() <= 121, "events={}", events.len());
         for h in &events {
-            assert!(h.wire_len() >= 24);
+            let mut body = String::new();
+            h.write_json(&mut body);
+            assert_eq!(body.len(), h.json_len());
         }
     }
 
