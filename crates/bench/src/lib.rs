@@ -75,7 +75,7 @@ pub fn ablation_buffer(lab: &mut Lab, sessions: usize) -> String {
             ..Default::default()
         });
         let n = outcomes.len().max(1);
-        let stalls: f64 = outcomes.iter().map(|o| o.meta.n_stalls as f64).sum::<f64>() / n as f64;
+        let stalls: f64 = outcomes.iter().map(|o| o.meta().n_stalls as f64).sum::<f64>() / n as f64;
         let latency: f64 = {
             let xs: Vec<f64> = outcomes.iter().filter_map(|o| o.player.mean_latency_s()).collect();
             if xs.is_empty() {

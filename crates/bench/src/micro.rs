@@ -489,8 +489,7 @@ pub fn bench_components(seed: u64) -> Result<String, String> {
                 i += 1;
                 run_uncaptured(protocol, broadcast, at, &config, &rngs(i), &mut Trace::disabled())
                     .player
-                    .latency_samples
-                    .len() as u64
+                    .latency_n as u64
             });
             nominal
         };
@@ -508,10 +507,10 @@ pub fn bench_components(seed: u64) -> Result<String, String> {
 
         // The two captured sessions `crates/client/tests/zero_alloc.rs`
         // pins, seed and all: every iteration is the same session, so with
-        // the counting allocator on `allocs_per_iter` is the count that test
-        // pins (3,395 and 4,139), and the HLS row is the hot-chat row's
-        // media-only twin — segments written once, on fetch, into the
-        // capture (DESIGN.md §10).
+        // the counting allocator on `allocs_per_iter` reads what that test
+        // pins (RTMP 71; HLS 1,521 here, 1,531 there), and the HLS row is
+        // the hot-chat row's media-only twin — segments written once, on
+        // fetch, into the capture (DESIGN.md §10).
         let pinned = RngFactory::new(9).child("whole-session");
         for (label, protocol) in [("rtmp", Protocol::Rtmp), ("hls", Protocol::Hls)] {
             let bytes = run(protocol, &broadcast, at, &config, &pinned).capture.total_bytes();
@@ -538,8 +537,7 @@ pub fn bench_components(seed: u64) -> Result<String, String> {
                     PlayerConfig::rtmp(),
                     &arrivals,
                 )
-                .latency_samples
-                .len() as u64
+                .latency_n as u64
             });
         }
 

@@ -64,8 +64,8 @@ impl WatchConfig {
     pub fn from_cli(args: &crate::cli::Args) -> Result<WatchConfig, String> {
         let mut cfg = WatchConfig::default();
         let once = args.has("--once").then_some(1);
-        cfg.batches = once.or(args.usize("--batches")?).unwrap_or(cfg.batches);
-        cfg.batch_sessions = args.usize("--batch-sessions")?.unwrap_or(cfg.batch_sessions);
+        cfg.batches = once.or(args.count("--batches")?).unwrap_or(cfg.batches);
+        cfg.batch_sessions = args.count("--batch-sessions")?.unwrap_or(cfg.batch_sessions);
         cfg.include_sys = sys_facts_requested();
         cfg.transport = crate::cli::one("--transport", args.transports("--transport")?)?.flatten();
         Ok(cfg)

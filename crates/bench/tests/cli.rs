@@ -81,6 +81,8 @@ fn a_bad_value_fails_before_anything_runs() {
         ("scale --threads many", "--threads"),
         ("chaos --transports rtmp,quic", "--transports"),
         ("watch --batch-sessions x", "--batch-sessions"),
+        ("watch --batches 0", "--batches"),
+        ("watch --batch-sessions 0", "--batch-sessions"),
         ("fig7 --seed junk", "--seed"),
     ] {
         let message = refused(line).message;

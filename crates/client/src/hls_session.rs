@@ -367,8 +367,8 @@ mod tests {
         assert_eq!(out.protocol, Protocol::Hls);
         assert!(out.join_time_s().is_some());
         // HLS meta omits stall durations and latency (§2).
-        assert!(out.meta.avg_stall_time_s.is_none());
-        assert!(out.meta.playback_latency_s.is_none());
+        assert!(out.meta().avg_stall_time_s.is_none());
+        assert!(out.meta().playback_latency_s.is_none());
         assert!(out.server.contains("fastly"));
     }
 
@@ -385,7 +385,7 @@ mod tests {
         let mut stall_free = 0;
         for seed in 0..8 {
             let out = run_session(seed + 10, SessionConfig::default());
-            if out.meta.n_stalls == 0 {
+            if out.meta().n_stalls == 0 {
                 stall_free += 1;
             }
         }
@@ -425,6 +425,6 @@ mod tests {
         let a = run_session(5, SessionConfig::default());
         let b = run_session(5, SessionConfig::default());
         assert_eq!(a.capture.total_bytes(), b.capture.total_bytes());
-        assert_eq!(a.meta, b.meta);
+        assert_eq!(a.meta(), b.meta());
     }
 }

@@ -80,8 +80,10 @@ pub struct PlayerLog {
     pub stalls: Vec<Stall>,
     /// Total media seconds actually played.
     pub played_s: f64,
-    /// Per-sample (render wall time − capture wall time), seconds.
-    pub latency_samples: Vec<f64>,
+    /// Summed (render − capture wall time) latencies, seconds, from `-0.0`.
+    pub latency_sum_s: f64,
+    /// How many latency samples `latency_sum_s` holds.
+    pub latency_n: u32,
     /// Session length used for ratio computations.
     pub session_s: f64,
 }
@@ -106,10 +108,10 @@ impl PlayerLog {
 
     /// Mean playback latency, if sampled.
     pub fn mean_latency_s(&self) -> Option<f64> {
-        if self.latency_samples.is_empty() {
+        if self.latency_n == 0 {
             return None;
         }
-        Some(self.latency_samples.iter().sum::<f64>() / self.latency_samples.len() as f64)
+        Some(self.latency_sum_s / self.latency_n as f64)
     }
 
     /// Number of stall events.
@@ -187,8 +189,8 @@ pub fn run_playback(
         join_time: None,
         stalls: Vec::new(),
         played_s: 0.0,
-        // At most one sample per arrival (each pushes at most one anchor).
-        latency_samples: Vec::with_capacity(arrivals.len()),
+        latency_sum_s: -0.0,
+        latency_n: 0,
         session_s: session.as_secs_f64(),
     };
     // State machine over wall time.
@@ -298,7 +300,8 @@ impl Anchors {
         while let Some(&(pos, cap_wall)) = self.list.get(self.next).filter(|a| a.0 <= to_pos) {
             if pos > from_pos {
                 let render_wall = wall_from.as_secs_f64() + (pos - from_pos);
-                log.latency_samples.push(render_wall - cap_wall);
+                log.latency_sum_s += render_wall - cap_wall;
+                log.latency_n += 1;
             }
             self.next += 1;
         }
@@ -419,7 +422,7 @@ mod tests {
         let log = run_playback(SimTime::ZERO, SESSION, PlayerConfig::rtmp(), &arrivals);
         let lat = log.mean_latency_s().unwrap();
         assert!((1.5..2.5).contains(&lat), "lat={lat}");
-        assert!(log.latency_samples.len() > 100);
+        assert!(log.latency_n > 100);
     }
 
     #[test]
@@ -429,7 +432,8 @@ mod tests {
             join_time: Some(SimDuration::from_secs(10)),
             stalls: vec![Stall { start: t(20.0), duration: SimDuration::from_secs(10) }],
             played_s: 40.0,
-            latency_samples: vec![],
+            latency_sum_s: -0.0,
+            latency_n: 0,
             session_s: 60.0,
         };
         assert!((log.stall_ratio() - 0.2).abs() < 1e-9);

@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn playback_latency_is_a_few_seconds() {
         let out = run_session(3, SessionConfig::default());
-        let lat = out.meta.playback_latency_s.unwrap();
+        let lat = out.meta().playback_latency_s.unwrap();
         assert!((1.0..8.0).contains(&lat), "latency={lat}");
     }
 
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn meta_report_has_rtmp_fields() {
         let out = run_session(6, SessionConfig::default());
-        assert!(out.meta.playback_latency_s.is_some());
+        assert!(out.meta().playback_latency_s.is_some());
         assert_eq!(out.protocol, Protocol::Rtmp);
         assert!(out.server.starts_with("vidman-eu-"), "server={}", out.server);
     }

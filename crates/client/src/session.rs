@@ -125,8 +125,6 @@ pub struct SessionOutcome {
     /// `Teleport::run_one`) return it; a dataset keeps [`Self::stream`]
     /// instead and leaves this empty.
     pub capture: Capture,
-    /// What the app reported to the server at session end.
-    pub meta: PlaybackMetaReport,
     /// Viewer count of the broadcast when the session started.
     pub viewers_at_join: u32,
     /// Frame rate actually rendered (stream fps capped by the device).
@@ -151,6 +149,17 @@ impl SessionOutcome {
     /// Stall ratio (see [`PlayerLog::stall_ratio`]).
     pub fn stall_ratio(&self) -> f64 {
         self.player.stall_ratio()
+    }
+
+    /// The app's playbackMeta report, read off the player log. After an HLS
+    /// session "the app reports only the number of stall events" (§2).
+    pub fn meta(&self) -> PlaybackMetaReport {
+        let full = self.protocol != Protocol::Hls;
+        PlaybackMetaReport {
+            n_stalls: self.player.n_stalls(),
+            avg_stall_time_s: self.player.avg_stall_s().filter(|_| full),
+            playback_latency_s: self.player.mean_latency_s().filter(|_| full),
+        }
     }
 }
 
@@ -433,14 +442,6 @@ pub(crate) fn finish(
     }
     log.record_events(join_at, trace);
     trace_session_end(trace, (join_at + config.watch).as_micros(), &log, &capture);
-    // §2: "after an HTTP Live Streaming (HLS) session, the app reports only
-    // the number of stall events."
-    let full_report = protocol != Protocol::Hls;
-    let meta = PlaybackMetaReport {
-        n_stalls: log.n_stalls(),
-        avg_stall_time_s: log.avg_stall_s().filter(|_| full_report),
-        playback_latency_s: log.mean_latency_s().filter(|_| full_report),
-    };
     SessionOutcome {
         broadcast_id: broadcast.id,
         protocol,
@@ -450,7 +451,6 @@ pub(crate) fn finish(
         player: log,
         traffic_bps: capture.rate_of_kinds(&TRAFFIC_KINDS),
         capture,
-        meta,
         viewers_at_join: broadcast.viewers_at(join_at),
         server,
         stream: None,
@@ -571,10 +571,7 @@ mod tests {
         };
         let (full, counted) = (run(Recording::Full), run(Recording::Counted));
         let scalars = |o: &SessionOutcome| {
-            format!(
-                "{:?}",
-                (&o.player, &o.meta, o.rendered_fps, &o.server, o.traffic_bps.to_bits())
-            )
+            format!("{:?}", (&o.player, o.rendered_fps, &o.server, o.traffic_bps.to_bits()))
         };
         ensure!(scalars(&full) == scalars(&counted), "outcome scalars differ");
         ensure!(full.protocol == counted.protocol, "protocol differs");

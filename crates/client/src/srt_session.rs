@@ -619,7 +619,7 @@ mod tests {
         let out = run_session(9, SessionConfig::default());
         let join = out.join_time_s().unwrap();
         assert!(join < 8.0, "join={join}");
-        assert!(out.meta.playback_latency_s.unwrap() < 8.0);
+        assert!(out.meta().playback_latency_s.unwrap() < 8.0);
         assert!(out.rendered_fps > 10.0);
     }
 

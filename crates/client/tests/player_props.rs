@@ -2,29 +2,35 @@
 //!
 //! The player used to rebuild its latency-anchor list on every media
 //! arrival (one allocation and one pass over all anchors each time); it now
-//! retires played-through anchors with a front cursor. The old code is kept
-//! here verbatim as the reference, and every field of the `PlayerLog` must
-//! match it bit for bit over arbitrary arrival lists.
+//! retires played-through anchors with a front cursor, and keeps a running
+//! latency sum and count instead of one sample per rendered frame. The old
+//! code is kept here as the reference, verbatim but for handing its latency
+//! samples back as a list beside the log. Every field of the `PlayerLog`
+//! must match it bit for bit over arbitrary arrival lists: the sum is the
+//! list's `Iterator::sum`, the count its length.
 
 use pscp_check::{check, ensure, Gen};
 use pscp_client::player::{run_playback, MediaArrival, PlayerConfig, PlayerLog, Stall};
 use pscp_simnet::{SimDuration, SimTime};
 
-/// The pre-cursor `run_playback`, verbatim.
+/// The pre-cursor `run_playback`, returning the log and its latency
+/// samples in render order.
 fn reference_playback(
     start: SimTime,
     session: SimDuration,
     config: PlayerConfig,
     arrivals: &[MediaArrival],
-) -> PlayerLog {
+) -> (PlayerLog, Vec<f64>) {
     let end = start + session;
     let mut log = PlayerLog {
         join_time: None,
         stalls: Vec::new(),
         played_s: 0.0,
-        latency_samples: Vec::new(),
+        latency_sum_s: -0.0,
+        latency_n: 0,
         session_s: session.as_secs_f64(),
     };
+    let mut samples = Vec::new();
     #[derive(PartialEq)]
     enum State {
         Buffering,
@@ -43,6 +49,7 @@ fn reference_playback(
                    from: SimTime,
                    to: SimTime,
                    log: &mut PlayerLog,
+                   samples: &mut Vec<f64>,
                    anchors: &mut Vec<(f64, f64)>| {
         if to <= from {
             return;
@@ -52,12 +59,12 @@ fn reference_playback(
             let media_avail = buffered_end_s - *play_pos_s;
             if wall_dt < media_avail {
                 let new_pos = *play_pos_s + wall_dt;
-                emit_latency(anchors, *play_pos_s, new_pos, from, log);
+                emit_latency(anchors, *play_pos_s, new_pos, from, samples);
                 *play_pos_s = new_pos;
                 log.played_s += wall_dt;
             } else {
                 let stall_at = from + SimDuration::from_secs_f64(media_avail);
-                emit_latency(anchors, *play_pos_s, buffered_end_s, from, log);
+                emit_latency(anchors, *play_pos_s, buffered_end_s, from, samples);
                 log.played_s += media_avail;
                 *play_pos_s = buffered_end_s;
                 *state = State::Stalled(stall_at);
@@ -70,7 +77,16 @@ fn reference_playback(
             break;
         }
         let at = a.at.max(start);
-        advance(&mut state, &mut play_pos_s, buffered_end_s, last_wall, at, &mut log, &mut anchors);
+        advance(
+            &mut state,
+            &mut play_pos_s,
+            buffered_end_s,
+            last_wall,
+            at,
+            &mut log,
+            &mut samples,
+            &mut anchors,
+        );
         last_wall = at;
         if a.media_end_s > buffered_end_s {
             if let Some(cw) = a.capture_wall_s {
@@ -94,26 +110,35 @@ fn reference_playback(
             State::Playing => {}
         }
     }
-    advance(&mut state, &mut play_pos_s, buffered_end_s, last_wall, end, &mut log, &mut anchors);
+    advance(
+        &mut state,
+        &mut play_pos_s,
+        buffered_end_s,
+        last_wall,
+        end,
+        &mut log,
+        &mut samples,
+        &mut anchors,
+    );
     if let State::Stalled(since) = state {
         log.stalls.push(Stall { start: since, duration: end.saturating_since(since) });
     }
-    log
+    (log, samples)
 }
 
-/// The pre-cursor `emit_latency`, verbatim.
+/// The pre-cursor `emit_latency`, pushing each sample onto `samples`.
 fn emit_latency(
     anchors: &mut Vec<(f64, f64)>,
     from_pos: f64,
     to_pos: f64,
     wall_from: SimTime,
-    log: &mut PlayerLog,
+    samples: &mut Vec<f64>,
 ) {
     let mut kept = Vec::new();
     for &(pos, cap_wall) in anchors.iter() {
         if pos > from_pos && pos <= to_pos {
             let render_wall = wall_from.as_secs_f64() + (pos - from_pos);
-            log.latency_samples.push(render_wall - cap_wall);
+            samples.push(render_wall - cap_wall);
         } else if pos > to_pos {
             kept.push((pos, cap_wall));
         }
@@ -158,7 +183,7 @@ fn cursor_playback_equals_the_rebuilding_one() {
         |(player, arrivals)| {
             let config = [PlayerConfig::rtmp(), PlayerConfig::hls()][*player];
             let got = run_playback(START, SESSION, config, arrivals);
-            let want = reference_playback(START, SESSION, config, arrivals);
+            let (want, samples) = reference_playback(START, SESSION, config, arrivals);
             ensure!(
                 got.join_time == want.join_time,
                 "join {:?} {:?}",
@@ -168,12 +193,17 @@ fn cursor_playback_equals_the_rebuilding_one() {
             ensure!(got.stalls == want.stalls, "stalls {:?} {:?}", got.stalls, want.stalls);
             ensure!(got.played_s.to_bits() == want.played_s.to_bits(), "played_s");
             ensure!(got.session_s.to_bits() == want.session_s.to_bits(), "session_s");
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             ensure!(
-                bits(&got.latency_samples) == bits(&want.latency_samples),
+                got.latency_n as usize == samples.len(),
                 "latency samples: {} vs {}",
-                got.latency_samples.len(),
-                want.latency_samples.len()
+                got.latency_n,
+                samples.len()
+            );
+            let sum = samples.iter().sum::<f64>();
+            ensure!(
+                got.latency_sum_s.to_bits() == sum.to_bits(),
+                "latency sum {} vs {sum}",
+                got.latency_sum_s
             );
             Ok(())
         },
@@ -183,7 +213,7 @@ fn cursor_playback_equals_the_rebuilding_one() {
 /// The property is not vacuous: the generated lists do play, stall and
 /// sample latency, grid cases included (there every position is a multiple
 /// of a quarter second, so play positions coincide with anchors and the
-/// samples are whole quarter seconds).
+/// samples — read off the reference's list — are whole quarter seconds).
 #[test]
 fn generated_arrivals_exercise_the_player() {
     let (mut joined, mut stalled, mut sampled, mut on_grid) = (0, 0, 0, 0);
@@ -191,10 +221,11 @@ fn generated_arrivals_exercise_the_player() {
         let mut g = Gen::new(pscp_check::Tape::recording(seed));
         let arrivals = arb_arrivals(&mut g);
         let log = run_playback(START, SESSION, PlayerConfig::rtmp(), &arrivals);
+        let (_, samples) = reference_playback(START, SESSION, PlayerConfig::rtmp(), &arrivals);
         joined += usize::from(log.join_time.is_some());
         stalled += usize::from(!log.stalls.is_empty());
-        sampled += usize::from(!log.latency_samples.is_empty());
-        on_grid += usize::from(log.latency_samples.iter().any(|l| (l * 4.0).fract() == 0.0));
+        sampled += usize::from(log.latency_n > 0);
+        on_grid += usize::from(samples.iter().any(|l| (l * 4.0).fract() == 0.0));
     }
     assert!(
         joined > 20 && stalled > 10 && sampled > 20 && on_grid > 5,

@@ -228,9 +228,10 @@ fn broadcaster_prologue_allocations_do_not_grow_with_frames() {
     assert!(long <= 8, "prologue allocated {long} times");
 }
 
-/// The player's buffer walk allocates for its two output lists and nothing
-/// per arrival: played-through latency anchors are retired with a cursor,
-/// not by rebuilding the list.
+/// The player's buffer walk allocates its latency-anchor list and nothing
+/// per arrival: played-through anchors are retired with a cursor, not by
+/// rebuilding the list, and the latency samples fold into a running sum
+/// and count. Measured: 1 allocation at 500 arrivals and at 2,000.
 #[test]
 fn playback_allocations_do_not_grow_with_arrivals() {
     use pscp_client::player::{run_playback, MediaArrival, PlayerConfig};
@@ -249,13 +250,13 @@ fn playback_allocations_do_not_grow_with_arrivals() {
         let (allocs, log) = alloc_count::counted(|| {
             run_playback(SimTime::ZERO, SimDuration::from_secs(60), PlayerConfig::rtmp(), &arrivals)
         });
-        assert!(log.latency_samples.len() as u64 > n * 9 / 10, "{}", log.latency_samples.len());
+        assert!(u64::from(log.latency_n) > n * 9 / 10, "{}", log.latency_n);
         allocs
     };
     let (few, many) = (allocs_for(500), allocs_for(2000));
     assert!(alloc_count::installed());
     assert_eq!(many, few, "{many} allocations for 2000 arrivals, {few} for 500");
-    assert!(many <= 3, "playback allocated {many} times");
+    assert!(many <= 1, "playback allocated {many} times");
 }
 
 /// Runs one default 60 s session over `protocol`, captured and uncaptured,
@@ -314,27 +315,57 @@ fn pin_whole_session(
 /// what is left per session (the chat event list, the send queue, the
 /// capture index): a chat send is a descriptor, written only into a kept
 /// capture, so no message builds a `String` or a frame. Measured, in debug
-/// and release builds alike: full 72 allocations / 4,352,161 bytes (2.7 MB
-/// of them the capture); uncaptured 58 / 1,370,968. Each pinned at + 10 %.
+/// and release builds alike: full 71 allocations / 4,337,057 bytes (2.7 MB
+/// of them the capture); uncaptured 57 / 1,355,864. Each pinned at + 10 %.
 #[test]
 fn whole_session_allocations_are_pinned_in_both_modes() {
-    pin_whole_session(pscp_service::select::Protocol::Rtmp, (79, 63), 1_508_064);
+    pin_whole_session(pscp_service::select::Protocol::Rtmp, (78, 62), 1_491_450);
 }
 
 /// The HLS twin: segments are descriptors, muxed into the capture when they
 /// are fetched, so a captured session holds no per-segment `Vec` and an
-/// uncaptured one no segment byte at all. Measured: full 1,532 allocations
-/// / 4,812,248 bytes; uncaptured 1,474 / 1,121,648. Each pinned at + 10 %.
+/// uncaptured one no segment byte at all. Measured: full 1,531 allocations
+/// / 4,812,096 bytes; uncaptured 1,473 / 1,121,496. Each pinned at + 10 %.
 #[test]
 fn whole_hls_session_writes_a_fetched_segment_once() {
-    pin_whole_session(pscp_service::select::Protocol::Hls, (1_685, 1_621), 1_233_812);
+    pin_whole_session(pscp_service::select::Protocol::Hls, (1_684, 1_620), 1_233_645);
 }
 
 /// The SRT twin: its app flows share `Push::queue_chat` and the send queue
 /// with RTMP, and its media datagrams are cut from descriptors. Measured:
-/// full 159 allocations / 6,008,778 bytes; uncaptured 124 / 3,148,788.
+/// full 158 allocations / 5,993,674 bytes; uncaptured 123 / 3,133,684.
 /// Each pinned at + 10 %.
 #[test]
 fn whole_srt_session_allocations_are_pinned_in_both_modes() {
-    pin_whole_session(pscp_service::select::Protocol::Srt, (174, 136), 3_463_666);
+    pin_whole_session(pscp_service::select::Protocol::Srt, (173, 135), 3_447_052);
+}
+
+/// What a session hands its fold: the heap of a default uncaptured outcome
+/// — the bytes its `clone()` requests — is a few dozen bytes (the server
+/// label and any stalls), so a batch of them in `Teleport::execute` costs
+/// next to nothing. Measured:
+/// RTMP 35 B, HLS 22 B, SRT 39 B; pinned at 512 B.
+#[test]
+fn uncaptured_outcome_is_lean() {
+    use pscp_client::session::{run_uncaptured, SessionConfig};
+    use pscp_service::select::Protocol;
+    use pscp_simnet::RngFactory;
+
+    let broadcast = istanbul_broadcast();
+    let rngs = RngFactory::new(9).child("whole-session");
+    for protocol in [Protocol::Rtmp, Protocol::Hls, Protocol::Srt] {
+        let mut trace = pscp_obs::Trace::disabled();
+        let outcome = run_uncaptured(
+            protocol,
+            &broadcast,
+            SimTime::from_secs(400),
+            &SessionConfig::default(),
+            &rngs,
+            &mut trace,
+        );
+        assert!(outcome.player.latency_n > 0, "{protocol:?}: no latency sample");
+        let (bytes, _) = alloc_count::counted_bytes(|| outcome.clone());
+        assert!(alloc_count::installed());
+        assert!(bytes <= 512, "{protocol:?}: an uncaptured outcome holds {bytes} heap bytes");
+    }
 }

@@ -594,7 +594,7 @@ fn table_latency(lab: &mut Lab) -> FigureData {
     let dataset = lab.session_dataset();
     let pairs = dataset
         .analyzed(Protocol::Rtmp)
-        .filter_map(|(s, r)| r.mean_delivery_latency_s().zip(s.meta.playback_latency_s));
+        .filter_map(|(s, r)| r.mean_delivery_latency_s().zip(s.meta().playback_latency_s));
     let mut delivery = Vec::new();
     let mut playback = Vec::new();
     for (d, pl) in pairs {

@@ -450,7 +450,7 @@ mod tests {
         assert_eq!(d1.len(), d2.len());
         for (a, b) in d1.sessions.iter().zip(&d2.sessions) {
             assert_eq!(a.broadcast_id, b.broadcast_id);
-            assert_eq!(a.meta, b.meta);
+            assert_eq!(a.meta(), b.meta());
         }
     }
 }

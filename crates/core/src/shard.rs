@@ -42,8 +42,8 @@
 //! [`FOLD_BATCH`](pscp_client::teleport::FOLD_BATCH) sessions at a time
 //! and the fold reduces each straight into one [`ShardStats`] and one
 //! [`QoeTelemetry`], so memory is the plan plus one batch of uncaptured
-//! outcomes, not O(sessions) — the property that makes the 1M-broadcast
-//! tier of `repro scale` feasible.
+//! outcomes of a few hundred bytes each, not O(sessions) — the property
+//! that makes the 1M-broadcast tier of `repro scale` feasible.
 
 use pscp_client::session::SessionConfig;
 use pscp_client::teleport::PlannedSession;

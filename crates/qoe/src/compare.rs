@@ -51,7 +51,6 @@ pub fn device_comparison(dataset: &SessionDataset) -> Vec<MetricComparison> {
 mod tests {
     use super::*;
     use pscp_client::player::PlayerLog;
-    use pscp_client::session::PlaybackMetaReport;
     use pscp_client::SessionOutcome;
     use pscp_media::capture::Capture;
     use pscp_service::select::Protocol;
@@ -68,15 +67,11 @@ mod tests {
                 join_time: Some(SimDuration::from_secs_f64(join_s)),
                 stalls: Vec::new(),
                 played_s: 55.0,
-                latency_samples: vec![2.0],
+                latency_sum_s: 2.0 + join_s * 0.01,
+                latency_n: 1,
                 session_s: 60.0,
             },
             capture: Capture::new(),
-            meta: PlaybackMetaReport {
-                n_stalls: 0,
-                avg_stall_time_s: None,
-                playback_latency_s: Some(2.0 + join_s * 0.01),
-            },
             viewers_at_join: 5,
             rendered_fps: fps,
             server: "vidman".to_string(),

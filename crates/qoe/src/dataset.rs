@@ -91,7 +91,7 @@ impl SessionDataset {
     /// Reported playback latencies of a group (RTMP only — HLS sessions
     /// return nothing, as in the app's playbackMeta).
     pub fn playback_latencies_s(group: &[&SessionOutcome]) -> Vec<f64> {
-        group.iter().filter_map(|s| s.meta.playback_latency_s).collect()
+        group.iter().filter_map(|s| s.meta().playback_latency_s).collect()
     }
 
     /// Rendered frame rates of a group.
@@ -144,7 +144,6 @@ impl SessionDataset {
 mod tests {
     use super::*;
     use pscp_client::player::PlayerLog;
-    use pscp_client::session::PlaybackMetaReport;
     use pscp_media::capture::Capture;
     use pscp_workload::broadcast::BroadcastId;
 
@@ -174,15 +173,11 @@ mod tests {
                 join_time: join.map(SimDuration::from_secs_f64),
                 stalls,
                 played_s: 50.0,
-                latency_samples: vec![2.0],
+                latency_sum_s: 2.0,
+                latency_n: 1,
                 session_s: 60.0,
             },
             capture: Capture::new(),
-            meta: PlaybackMetaReport {
-                n_stalls: u32::from(stall_s > 0.0),
-                avg_stall_time_s: (stall_s > 0.0).then_some(stall_s),
-                playback_latency_s: (protocol == Protocol::Rtmp).then_some(2.0),
-            },
             viewers_at_join: if protocol == Protocol::Hls { 500 } else { 10 },
             rendered_fps: 28.0,
             server: match protocol {

@@ -52,16 +52,17 @@ pub fn sessions_csv(dataset: &SessionDataset) -> String {
 
 fn session_row(s: &SessionOutcome) -> Vec<String> {
     let opt = |v: Option<f64>| v.map(|x| format!("{x:.4}")).unwrap_or_default();
+    let meta = s.meta();
     vec![
         s.broadcast_id.as_string(),
         s.protocol.name().to_string(),
         s.device.name().to_string(),
         s.bandwidth_limit_bps.map(|b| format!("{}", b / 1e6)).unwrap_or_default(),
         opt(s.join_time_s()),
-        s.meta.n_stalls.to_string(),
+        meta.n_stalls.to_string(),
         format!("{:.4}", s.stall_ratio()),
-        opt(s.meta.avg_stall_time_s),
-        opt(s.meta.playback_latency_s),
+        opt(meta.avg_stall_time_s),
+        opt(meta.playback_latency_s),
         s.viewers_at_join.to_string(),
         format!("{:.2}", s.rendered_fps),
         s.server.clone(),
@@ -103,7 +104,6 @@ where
 mod tests {
     use super::*;
     use pscp_client::player::PlayerLog;
-    use pscp_client::session::PlaybackMetaReport;
     use pscp_client::ViewerDevice;
     use pscp_media::capture::Capture;
     use pscp_service::select::Protocol;
@@ -120,15 +120,11 @@ mod tests {
                 join_time: Some(SimDuration::from_secs(2)),
                 stalls: Vec::new(),
                 played_s: 58.0,
-                latency_samples: vec![2.0],
+                latency_sum_s: 2.5,
+                latency_n: 1,
                 session_s: 60.0,
             },
             capture: Capture::new(),
-            meta: PlaybackMetaReport {
-                n_stalls: 0,
-                avg_stall_time_s: None,
-                playback_latency_s: Some(2.5),
-            },
             viewers_at_join: 12,
             rendered_fps: 29.5,
             server: "vidman-eu-central-1-01.periscope.tv".to_string(),

@@ -44,8 +44,8 @@ fn us(secs: f64) -> u64 {
 }
 
 /// The scalars the telemetry (and the scale engine's roll-up) read off a
-/// finished session: a few words, so a worker can drop the session's
-/// multi-MB capture and hand only this to the thread that folds.
+/// finished session: a few words, copied out of an outcome before the
+/// executor drops it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionSample {
     /// Whether a `tc` bandwidth limit was in effect.
@@ -58,9 +58,8 @@ pub struct SessionSample {
     pub session_s: f64,
     /// Stall ratio.
     pub stall_ratio: f64,
-    /// The protocol's latency instrument, seconds: the playbackMeta
-    /// latency for RTMP, the mean capture→render latency for HLS, nothing
-    /// for SRT.
+    /// Mean capture→render latency, seconds: RTMP's playbackMeta figure and
+    /// HLS's player samples; `None` for SRT.
     pub latency_s: Option<f64>,
 }
 
@@ -73,11 +72,7 @@ impl SessionSample {
             join_s: s.join_time_s(),
             session_s: s.player.session_s,
             stall_ratio: s.stall_ratio(),
-            latency_s: match s.protocol {
-                Protocol::Rtmp => s.meta.playback_latency_s,
-                Protocol::Hls => s.player.mean_latency_s(),
-                Protocol::Srt => None,
-            },
+            latency_s: s.player.mean_latency_s().filter(|_| s.protocol != Protocol::Srt),
         }
     }
 }

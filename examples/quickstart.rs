@@ -24,7 +24,7 @@ fn main() {
             "{:<10} {:>8} {:>10} {:>12.3} {:>10}  {}",
             s.protocol.name(),
             s.join_time_s().map(|j| format!("{j:.2}")).unwrap_or_else(|| "-".to_string()),
-            s.meta.n_stalls,
+            s.meta().n_stalls,
             s.stall_ratio(),
             s.viewers_at_join,
             s.server,

@@ -88,7 +88,7 @@ fn main() {
     .expect("replay exists");
     println!("  source broadcast: {} from {}", replayable.id.as_string(), replayable.city);
     println!("  join time:  {:.2} s", out.join_time_s().unwrap());
-    println!("  stalls:     {} (VOD pulls ahead of playback)", out.meta.n_stalls);
+    println!("  stalls:     {} (VOD pulls ahead of playback)", out.meta().n_stalls);
     println!(
         "  stream rate: {:.0} kbps — §5.3: replay power equals live because traffic does",
         out.capture.rate_of_kinds(&[FlowKind::HlsHttp]) / 1e3

@@ -15,7 +15,7 @@ fn session_dataset_is_bit_reproducible() {
                 (
                     s.broadcast_id,
                     s.protocol,
-                    s.meta.n_stalls,
+                    s.meta().n_stalls,
                     s.traffic_bps.to_bits(),
                     s.join_time_s().map(|j| (j * 1e6) as u64),
                 )
@@ -66,10 +66,10 @@ fn dataset_fingerprint(threads: usize, seed: u64) -> Vec<String> {
                 s.protocol,
                 s.device,
                 s.viewers_at_join,
-                s.meta.n_stalls,
+                s.meta().n_stalls,
                 s.traffic_bps.to_bits(),
                 s.join_time_s().map(|j| (j * 1e6) as u64),
-                s.meta.playback_latency_s.map(|l| (l * 1e6) as u64),
+                s.meta().playback_latency_s.map(|l| (l * 1e6) as u64),
                 s.stream,
             )
         })

@@ -46,10 +46,10 @@ fn fingerprints(outcomes: &[SessionOutcome]) -> Vec<String> {
                 s.protocol,
                 s.device,
                 s.viewers_at_join,
-                s.meta.n_stalls,
+                s.meta().n_stalls,
                 s.traffic_bps.to_bits(),
                 s.join_time_s().map(|j| (j * 1e6) as u64),
-                s.meta.playback_latency_s.map(|l| (l * 1e6) as u64),
+                s.meta().playback_latency_s.map(|l| (l * 1e6) as u64),
                 s.server,
                 s.stream,
             )
@@ -120,7 +120,7 @@ fn pop_outage_forces_repolls_and_stalls() {
     assert!(metrics.counter("fault", "pop_outage_polls") >= 1, "no poll ever hit an outage");
     assert!(metrics.counter("recovery", "playlist_repolls") >= 1);
     let hls_stalls: u32 =
-        outcomes.iter().filter(|o| o.protocol == Protocol::Hls).map(|o| o.meta.n_stalls).sum();
+        outcomes.iter().filter(|o| o.protocol == Protocol::Hls).map(|o| o.meta().n_stalls).sum();
     assert!(hls_stalls >= 1, "outage-delayed segments never stalled the HLS player");
 }
 

@@ -70,9 +70,9 @@ fn scalars(o: &SessionOutcome) -> String {
         (
             (o.broadcast_id, o.protocol, o.device, bits(o.bandwidth_limit_bps)),
             (o.player.join_time, &o.player.stalls, o.player.played_s.to_bits()),
-            o.player.latency_samples.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            (o.player.latency_sum_s.to_bits(), o.player.latency_n),
             o.player.session_s.to_bits(),
-            (o.meta.n_stalls, bits(o.meta.avg_stall_time_s), bits(o.meta.playback_latency_s)),
+            (o.meta().n_stalls, bits(o.meta().avg_stall_time_s), bits(o.meta().playback_latency_s)),
             (o.viewers_at_join, o.rendered_fps.to_bits(), &o.server),
             o.traffic_bps.to_bits(),
         )

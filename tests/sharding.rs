@@ -51,7 +51,7 @@ fn artifact_bundle(threads: usize) -> (Vec<String>, String, String, String) {
                 "{:?}|{:?}|{}|{}|{:?}|{:?}",
                 s.broadcast_id,
                 s.protocol,
-                s.meta.n_stalls,
+                s.meta().n_stalls,
                 s.traffic_bps.to_bits(),
                 s.join_time_s().map(|j| (j * 1e6) as u64),
                 s.bandwidth_limit_bps,
