@@ -155,6 +155,22 @@ impl Broadcast {
         viewers::viewers_at(self.avg_viewers, progress, self.viewer_seed, t)
     }
 
+    /// The one count [`viewers_at`](Self::viewers_at) gives at every
+    /// instant of `[first, last]`, when bounds prove there is one
+    /// ([`viewers::over`]). Both instants must be live and in one minute.
+    pub fn viewers_over(&self, first: SimTime, last: SimTime) -> Option<u32> {
+        debug_assert!(self.is_live_at(first) && self.is_live_at(last) && first <= last);
+        debug_assert_eq!(first.as_micros() / 60_000_000, last.as_micros() / 60_000_000);
+        if self.avg_viewers <= 0.0 {
+            return Some(0);
+        }
+        // One division for both ends: within a few ulps of the progress
+        // `viewers_at` computes, which `viewers::over`'s margin covers.
+        let per_micro = 1.0 / self.duration.as_micros() as f64;
+        let progress = |t: SimTime| t.saturating_since(self.start).as_micros() as f64 * per_micro;
+        viewers::over(self.avg_viewers, progress(first), progress(last), self.viewer_seed, first)
+    }
+
     /// Local hour of day at the given instant, using the longitude-derived
     /// timezone and taking `utc_start_hour` as the UTC hour at sim t=0.
     pub fn local_hour_at(&self, t: SimTime, utc_start_hour: f64) -> f64 {

@@ -87,6 +87,9 @@ pub struct Population {
     /// Per minute, its public bucket filed by grid cell, built by the first
     /// map query that reads the minute (DESIGN.md §15).
     cells: Vec<OnceLock<CellIndex>>,
+    /// Per minute, the Teleport weights of its public bucket, built by the
+    /// first pick that reads the minute (DESIGN.md §15).
+    picks: Vec<OnceLock<PickTable>>,
     /// Id → index lookup (the directory answers getBroadcasts by id).
     by_id: HashMap<BroadcastId, u32, BuildHasherDefault<IdHasher>>,
 }
@@ -145,6 +148,143 @@ impl CellIndex {
         let start = self.0.partition_point(|&w| w < first << 16);
         let len = self.0[start..].partition_point(|&w| w < (last + 1) << 16);
         self.0[start..start + len].iter().map(|&w| (w & 0xffff) as usize)
+    }
+}
+
+/// Bucket positions per block of a [`PickTable`]'s sums.
+const PICK_BLOCK: usize = 64;
+
+/// One minute's Teleport weights (viewers + 1) over its public bucket. An
+/// entry live through the minute whose count bounds prove constant has its
+/// weight stated here once; a pick reads every other entry through its
+/// `Broadcast`. Two bytes per entry, four more per entry read at pick time,
+/// eight per block.
+#[derive(Debug)]
+struct PickTable {
+    /// Per bucket position, the entry's weight while live when bounds prove
+    /// it constant over the entry's live part of the minute, else 0.
+    weights: Box<[u16]>,
+    /// Ascending positions of the entries a pick reads through their
+    /// `Broadcast`: those live for only part of the minute (a pick checks
+    /// liveness, then takes the stated weight or, if none, evaluates
+    /// `Broadcast::viewers_at`) and those live through it with no stated
+    /// weight (a count that may change, or one too large for a `u16`).
+    varying: Box<[u32]>,
+    /// Per block of [`PICK_BLOCK`] positions, the stated weight of its
+    /// entries not in `varying`.
+    block_sums: Box<[u64]>,
+    /// The sum of `block_sums`.
+    fixed_total: u64,
+}
+
+impl PickTable {
+    fn build(bucket: &[u32], broadcasts: &[Broadcast], minute: u64) -> PickTable {
+        let first = SimTime::from_micros(minute * 60_000_000);
+        let last = SimTime::from_micros((minute + 1) * 60_000_000 - 1);
+        let mut weights = Vec::with_capacity(bucket.len());
+        let mut varying = Vec::new();
+        let mut block_sums = vec![0u64; bucket.len().div_ceil(PICK_BLOCK)];
+        for (pos, &i) in bucket.iter().enumerate() {
+            let b = &broadcasts[i as usize];
+            // The entry's live part of the minute, `[from, to]`; an entry
+            // that ends on the minute's first instant has none.
+            let from = b.start.max(first);
+            if !b.is_live_at(from) {
+                weights.push(0);
+                continue;
+            }
+            let to = SimTime::from_micros(b.end().as_micros() - 1).min(last);
+            let weight = b
+                .viewers_over(from, to)
+                .and_then(|v| u16::try_from(v).ok())
+                .and_then(|v| v.checked_add(1))
+                .unwrap_or(0);
+            weights.push(weight);
+            if weight > 0 && from == first && to == last {
+                block_sums[pos / PICK_BLOCK] += u64::from(weight);
+            } else {
+                varying.push(pos as u32);
+            }
+        }
+        let fixed_total = block_sums.iter().sum();
+        PickTable {
+            weights: weights.into(),
+            varying: varying.into(),
+            block_sums: block_sums.into(),
+            fixed_total,
+        }
+    }
+}
+
+/// A pick's view of one [`PickTable`] at one instant.
+struct Weigh<'a> {
+    table: &'a PickTable,
+    bucket: &'a [u32],
+    broadcasts: &'a [Broadcast],
+    now: SimTime,
+}
+
+impl Weigh<'_> {
+    /// The weight at `now` of the varying entry at `pos`.
+    fn varying(&self, pos: u32) -> u64 {
+        let b = &self.broadcasts[self.bucket[pos as usize] as usize];
+        if !b.is_live_at(self.now) {
+            return 0;
+        }
+        match self.table.weights[pos as usize] {
+            0 => u64::from(b.viewers_at(self.now)) + 1,
+            w => u64::from(w),
+        }
+    }
+
+    /// Per block, the weight at `now` of its varying entries.
+    fn varying_sums(&self) -> Vec<u64> {
+        let mut sums = vec![0u64; self.table.block_sums.len()];
+        for &pos in self.table.varying.iter() {
+            sums[pos as usize / PICK_BLOCK] += self.varying(pos);
+        }
+        sums
+    }
+
+    /// The positions of block `k` with their weights at `now`.
+    fn block(&self, k: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let t = self.table;
+        let range = k * PICK_BLOCK..((k + 1) * PICK_BLOCK).min(t.weights.len());
+        let mut v = t.varying.partition_point(|&q| (q as usize) < range.start);
+        range.map(move |pos| {
+            let weight = if t.varying.get(v).is_some_and(|&q| q as usize == pos) {
+                v += 1;
+                self.varying(pos as u32)
+            } else {
+                u64::from(t.weights[pos])
+            };
+            (pos, weight)
+        })
+    }
+
+    /// The first position whose running weight exceeds `u`, found through
+    /// the block sums and then a walk inside one block; the last live
+    /// position when none does. Every partial sum is an integer below 2^53,
+    /// so it converts to `f64` exactly and each comparison is the one a
+    /// cumulative `f64` table would make.
+    fn locate(&self, u: f64, varying: &[u64]) -> usize {
+        let mut run = 0u64;
+        for (k, (&fixed, &now)) in self.table.block_sums.iter().zip(varying).enumerate() {
+            if (run + fixed + now) as f64 > u {
+                for (pos, w) in self.block(k) {
+                    run += w;
+                    if run as f64 > u {
+                        return pos;
+                    }
+                }
+                unreachable!("the block's sum crosses u");
+            }
+            run += fixed + now;
+        }
+        // `u` rounded up to the total: the last live entry.
+        let mut sums = self.table.block_sums.iter().zip(varying);
+        let k = sums.rposition(|(&fixed, &now)| fixed + now > 0).expect("something is live");
+        self.block(k).filter(|&(_, w)| w > 0).last().expect("a live entry").0
     }
 }
 
@@ -242,8 +382,9 @@ impl Population {
             Vec::new()
         };
         let cells = buckets.iter().map(|_| OnceLock::new()).collect();
+        let picks = buckets.iter().map(|_| OnceLock::new()).collect();
         let by_id = broadcasts.iter().enumerate().map(|(i, b)| (b.id, i as u32)).collect();
-        Population { broadcasts, config, buckets, public_buckets, cells, by_id }
+        Population { broadcasts, config, buckets, public_buckets, cells, picks, by_id }
     }
 
     fn make_broadcast<R: Rng + ?Sized>(
@@ -397,36 +538,44 @@ impl Population {
     /// current viewer count plus one (so zero-viewer broadcasts remain
     /// reachable) — the Teleport button's selection model.
     ///
-    /// One pass over the minute's public bucket accumulates a cumulative
-    /// weight table; a single uniform draw then binary-searches it. That is
-    /// draw-for-draw compatible with `dist::categorical` over the same
-    /// candidate order (one `f64` per call), but replaces the per-call
-    /// `Vec<&Broadcast>` rebuild + O(n) scan of the old Teleport pick with
-    /// an O(log n) search over one compact table. Returns `None` (without
-    /// consuming randomness) when nothing public is live.
+    /// Reads the minute's pick table, building it on first use (≈ 0.2 ms
+    /// for the default world's ≈ 3,900-entry bucket). The table states the
+    /// weight of every entry live through the minute whose count cannot
+    /// change within it (≈ 56 % of a default-world bucket). A pick
+    /// reads the rest through their `Broadcast`: it checks the liveness of
+    /// those live for only part of the minute and evaluates
+    /// `Broadcast::viewers_at` for those with no stated weight. It sums the
+    /// weights as integers, draws one `f64` and walks the block sums to the
+    /// entry the draw falls in: ≈ 45 µs a pick, against ≈ 145 µs for one
+    /// pass evaluating every live entry. That is draw-for-draw the pick of
+    /// `dist::categorical` over the live public bucket in bucket order.
+    /// Returns `None` (without consuming randomness) when nothing public is
+    /// live.
     pub fn sample_live_weighted<R: Rng + ?Sized>(
         &self,
         now: SimTime,
         rng: &mut R,
     ) -> Option<&Broadcast> {
+        self.pick(now, &mut || rng.gen::<f64>())
+    }
+
+    /// [`Population::sample_live_weighted`] with its one uniform draw
+    /// taken from `draw`, the only part that depends on the caller's `Rng`:
+    /// the pick is compiled once, not once per `Rng` type in each caller.
+    fn pick(&self, now: SimTime, draw: &mut dyn FnMut() -> f64) -> Option<&Broadcast> {
         let minute = (now.as_micros() / 60_000_000) as usize;
         let bucket = self.public_bucket(minute)?;
-        let mut cum: Vec<(u32, f64)> = Vec::with_capacity(bucket.len());
-        let mut total = 0.0f64;
-        for &i in bucket {
-            let b = &self.broadcasts[i as usize];
-            if !b.is_live_at(now) {
-                continue;
-            }
-            total += b.viewers_at(now) as f64 + 1.0;
-            cum.push((i, total));
-        }
-        if cum.is_empty() {
+        let table = self.picks[minute]
+            .get_or_init(|| PickTable::build(bucket, &self.broadcasts, minute as u64));
+        let weigh = Weigh { table, bucket, broadcasts: &self.broadcasts, now };
+        let varying = weigh.varying_sums();
+        let total = table.fixed_total + varying.iter().sum::<u64>();
+        debug_assert!(total < 1 << 53, "every partial sum is exact in f64");
+        if total == 0 {
             return None;
         }
-        let u = rng.gen::<f64>() * total;
-        let pos = cum.partition_point(|&(_, c)| c <= u).min(cum.len() - 1);
-        Some(&self.broadcasts[cum[pos].0 as usize])
+        let u = draw() * total as f64;
+        Some(&self.broadcasts[bucket[weigh.locate(u, &varying)] as usize])
     }
 
     /// Look up a broadcast by id (O(1)).
@@ -579,27 +728,194 @@ mod tests {
         }
     }
 
+    /// The pick the table replaced: the live public broadcasts in bucket
+    /// order, weighed by `viewers_at + 1`, drawn by `dist::categorical`.
+    fn oracle_pick<'p>(p: &'p Population, t: SimTime, rng: &mut impl Rng) -> Option<&'p Broadcast> {
+        let live: Vec<&Broadcast> = p.live_at(t).into_iter().filter(|b| !b.private).collect();
+        if live.is_empty() {
+            return None;
+        }
+        let weights: Vec<f64> = live.iter().map(|b| b.viewers_at(t) as f64 + 1.0).collect();
+        Some(live[dist::categorical(rng, &weights)])
+    }
+
+    /// Picks at every instant of `instants`, against the oracle drawing
+    /// from a stream in lockstep: the same broadcast, the same draws.
+    fn assert_picks_match(p: &Population, instants: &[SimTime], label: &str) {
+        let f = RngFactory::new(17);
+        let (mut fast, mut brute) = (f.stream(label), f.stream(label));
+        for &t in instants {
+            let picked = p.sample_live_weighted(t, &mut fast).map(|b| b.id);
+            let expected = oracle_pick(p, t, &mut brute).map(|b| b.id);
+            assert_eq!(picked, expected, "{label} t={t:?}");
+            assert_eq!(fast, brute, "{label} t={t:?}: the same draws");
+        }
+    }
+
     #[test]
     fn weighted_sampler_matches_bruteforce_categorical() {
         // The sampler must be draw-for-draw compatible with filtering the
         // live bucket and calling dist::categorical on the weights — the
         // Teleport pick it replaced.
         let p = Population::generate(PopulationConfig::small(), &RngFactory::new(17));
-        let f = RngFactory::new(17);
-        let mut fast = f.stream("sampler-a");
-        let mut brute = f.stream("sampler-a");
+        let instants = [60u64, 300, 600, 900, 1100].map(SimTime::from_secs);
+        assert_picks_match(&p, &instants, "sampler-a");
+    }
+
+    #[test]
+    fn pick_table_matches_bruteforce_at_paper_scale() {
+        let p = shared();
+        let window = p.config.window.as_micros();
+        let mut rng = RngFactory::new(40).stream("instants");
+        let mut instants: Vec<SimTime> = (0..12_000)
+            .map(|_| SimTime::from_micros(rng.gen::<u64>() % (window + 120_000_000)))
+            .collect();
+        let minutes = p.picks.len() as u64 + 1;
+        instants.extend((0..=minutes).map(|m| SimTime::from_micros(m * 60_000_000)));
+        for b in p.broadcasts.iter().step_by(30) {
+            let end = b.end().as_micros();
+            instants.extend([b.start.as_micros(), end - 1, end].map(SimTime::from_micros));
+        }
+        assert!(instants.len() >= 20_000, "{} instants", instants.len());
+        // Two halves on two threads, each with its own lockstep streams:
+        // the oracle costs a `viewers_at` per live broadcast per instant.
+        let (early, late) = instants.split_at(instants.len() / 2);
+        std::thread::scope(|s| {
+            s.spawn(|| assert_picks_match(p, early, "paper-scale/0"));
+            s.spawn(|| assert_picks_match(p, late, "paper-scale/1"));
+        });
+    }
+
+    #[test]
+    fn pick_table_matches_bruteforce_on_a_crawler_view() {
+        let rngs = RngFactory::new(9);
+        let view = Population::generate_filtered(PopulationConfig::small(), &rngs, |b| !b.private);
+        assert!(view.public_buckets.is_empty(), "the view's buckets are its public buckets");
+        let instants: Vec<SimTime> = (0..400).map(|k| SimTime::from_secs(3 * k)).collect();
+        assert_picks_match(&view, &instants, "crawler-view");
+    }
+
+    #[test]
+    fn nothing_live_draws_nothing() {
+        let p = Population::generate(PopulationConfig::small(), &RngFactory::new(17));
+        let first = p.broadcasts[0].start;
+        let before = SimTime::from_micros(first.as_micros() - 1);
+        assert_eq!(before.as_micros() / 60_000_000, first.as_micros() / 60_000_000);
+        let beyond = SimTime::from_micros(p.config.window.as_micros() + 3_600_000_000);
+        for t in [before, beyond] {
+            let mut rng = RngFactory::new(1).stream("idle");
+            let untouched = rng;
+            assert!(p.sample_live_weighted(t, &mut rng).is_none(), "t={t:?}");
+            assert_eq!(rng, untouched, "no draw at t={t:?}");
+        }
+        let minute = (before.as_micros() / 60_000_000) as usize;
+        assert!(
+            p.picks[minute].get().is_some(),
+            "a live-less instant of a filled minute reads its table"
+        );
+    }
+
+    /// Every word is `u64::MAX`, so every `f64` draw is the largest,
+    /// 1 − 2^-53: `u` lands in the last live entry's weight.
+    struct AllOnes;
+
+    impl Rng for AllOnes {
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+    }
+
+    /// Draws 1.0, which no `next_u64`-based draw returns: `u` equals the
+    /// total, no running sum exceeds it, and the pick clamps.
+    struct One;
+
+    impl Rng for One {
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+
+        fn next_f64(&mut self) -> f64 {
+            1.0
+        }
+    }
+
+    #[test]
+    fn a_draw_at_the_top_picks_the_last_live_entry() {
+        let p = Population::generate(PopulationConfig::small(), &RngFactory::new(17));
         for s in [60u64, 300, 600, 900, 1100] {
             let t = SimTime::from_secs(s);
-            let picked = p.sample_live_weighted(t, &mut fast);
-            let live: Vec<&Broadcast> = p.live_at(t).into_iter().filter(|b| !b.private).collect();
-            let expected = if live.is_empty() {
-                None
-            } else {
-                let weights: Vec<f64> = live.iter().map(|b| b.viewers_at(t) as f64 + 1.0).collect();
-                Some(live[dist::categorical(&mut brute, &weights)])
-            };
-            assert_eq!(picked.map(|b| b.id), expected.map(|b| b.id), "t={s}s");
+            let last = p.live_at(t).into_iter().rfind(|b| !b.private).map(|b| b.id);
+            assert!(last.is_some(), "t={s}s");
+            for picked in [
+                p.sample_live_weighted(t, &mut AllOnes),
+                p.sample_live_weighted(t, &mut One),
+                oracle_pick(&p, t, &mut AllOnes),
+                oracle_pick(&p, t, &mut One),
+            ] {
+                assert_eq!(picked.map(|b| b.id), last, "t={s}s");
+            }
         }
+    }
+
+    /// Every word is 0, so every `f64` draw is 0.0: `u` is 0, and only a
+    /// running sum that is not 0 exceeds it.
+    struct AllZeros;
+
+    impl Rng for AllZeros {
+        fn next_u64(&mut self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_draw_of_zero_picks_the_first_live_entry() {
+        let p = Population::generate(PopulationConfig::small(), &RngFactory::new(17));
+        let mut dead_first = 0;
+        // The last second of each minute, when entries that ended within
+        // the minute lie dead ahead of the first live one.
+        for s in (59..1200).step_by(60) {
+            let t = SimTime::from_secs(s);
+            let minute = (t.as_micros() / 60_000_000) as usize;
+            let bucket = p.public_bucket(minute).unwrap();
+            dead_first += usize::from(!p.broadcasts[bucket[0] as usize].is_live_at(t));
+            let first = p.live_at(t).into_iter().find(|b| !b.private).map(|b| b.id);
+            assert!(first.is_some(), "t={s}s");
+            for picked in
+                [p.sample_live_weighted(t, &mut AllZeros), oracle_pick(&p, t, &mut AllZeros)]
+            {
+                assert_eq!(picked.map(|b| b.id), first, "t={s}s");
+            }
+        }
+        assert!(dead_first > 0, "no minute's bucket opens with a dead entry");
+    }
+
+    #[test]
+    fn stated_weights_hold_over_their_live_part() {
+        let p = shared();
+        let mut rng = RngFactory::new(41).stream("classifier");
+        let mut stated = 0;
+        for minute in (0..p.picks.len()).step_by(37) {
+            let bucket = p.public_bucket(minute).unwrap();
+            let table = &p.picks[minute];
+            let table =
+                table.get_or_init(|| PickTable::build(bucket, &p.broadcasts, minute as u64));
+            let (first, last) = (minute as u64 * 60_000_000, (minute as u64 + 1) * 60_000_000 - 1);
+            let mut instants = |b: &Broadcast| {
+                let from = b.start.as_micros().max(first);
+                let to = (b.end().as_micros() - 1).min(last);
+                let inner: Vec<u64> =
+                    (0..1_000).map(|_| from + rng.gen::<u64>() % (to - from + 1)).collect();
+                [from, to].into_iter().chain(inner).map(SimTime::from_micros)
+            };
+            for (pos, &w) in table.weights.iter().enumerate().step_by(53).filter(|&(_, &w)| w > 0) {
+                let b = &p.broadcasts[bucket[pos] as usize];
+                for t in instants(b) {
+                    assert_eq!(b.viewers_at(t) + 1, u32::from(w), "{:?} at {t:?}", b.id);
+                }
+                stated += 1;
+            }
+        }
+        assert!(stated > 150, "{stated} stated");
     }
 
     #[test]

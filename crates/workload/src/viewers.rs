@@ -13,10 +13,18 @@ use pscp_simnet::SimTime;
 fn shape(u: f64) -> f64 {
     let u = u.clamp(0.0, 1.0);
     // Fast ramp to ~1.3 by u=0.2, slow decay to ~0.5 at the end.
-    let ramp = 1.0 - (-u * 12.0).exp();
-    let decay = 1.0 - 0.55 * u * u;
     // Normalizing constant measured over the unit interval.
-    ramp * decay / 0.77
+    ramp(u) * decay(u) / 0.77
+}
+
+/// The rising factor of [`shape`]: non-decreasing on [0, 1].
+fn ramp(u: f64) -> f64 {
+    1.0 - (-u * 12.0).exp()
+}
+
+/// The falling factor of [`shape`]: non-increasing on [0, 1], ≥ 0.45.
+fn decay(u: f64) -> f64 {
+    1.0 - 0.55 * u * u
 }
 
 /// Deterministic multiplicative noise in [0.7, 1.3] from the seed and the
@@ -33,8 +41,41 @@ fn noise(seed: u64, t: SimTime) -> f64 {
 /// Viewer count for a broadcast with time-averaged popularity `avg`, at
 /// normalized progress `progress`, noise-seeded by `seed` at instant `t`.
 pub fn viewers_at(avg: f64, progress: f64, seed: u64, t: SimTime) -> u32 {
-    let v = avg * shape(progress) * noise(seed, t);
+    count(avg * shape(progress) * noise(seed, t))
+}
+
+fn count(v: f64) -> u32 {
     v.round().max(1.0) as u32
+}
+
+/// Relative padding of [`over`]'s bounds: orders of magnitude above the
+/// error of libm's `exp` and of the f64 steps around it.
+const MARGIN: f64 = 1e-9;
+
+/// The one count [`viewers_at`] gives at every progress in `[p0, p1]`
+/// during the minute of `t`, when bounds prove there is one; `None` when
+/// the count may change.
+///
+/// Within a minute the noise is fixed, `ramp` rises and `decay` falls, so
+/// with `k = avg·noise/0.77` the value lies between `k·ramp(p0)·decay(p1)`
+/// and `k·ramp(p1)·decay(p0)`. `viewers_at` computes it within a relative
+/// 1e-13 of the exact value (an absolute `1e-11` where `ramp` is tiny,
+/// which matters only below 1.5, where every count is 1), and `p0`, `p1`
+/// may differ by a few ulps from `viewers_at`'s progress at the range's
+/// ends, which moves the value by less than that again. Both bounds are
+/// padded by a relative 1e-9 (`MARGIN`); if the padded ends round to the
+/// same count, so does every value between them, because rounding is
+/// monotone. A value whose bound without the shape, `k`, rounds to at most
+/// 1 is 1 with no `exp`.
+pub fn over(avg: f64, p0: f64, p1: f64, seed: u64, t: SimTime) -> Option<u32> {
+    let (p0, p1) = (p0.clamp(0.0, 1.0), p1.clamp(0.0, 1.0));
+    let k = avg * noise(seed, t) / 0.77;
+    if k * (1.0 + MARGIN) < 1.5 {
+        return Some(1);
+    }
+    let lo = count(k * ramp(p0) * decay(p1) * (1.0 - MARGIN));
+    let hi = count(k * ramp(p1) * decay(p0) * (1.0 + MARGIN));
+    (lo == hi).then_some(lo)
 }
 
 #[cfg(test)]
@@ -90,6 +131,23 @@ mod tests {
         }
         let measured = total / n as f64;
         assert!((measured - avg).abs() < avg * 0.15, "measured={measured}");
+    }
+
+    #[test]
+    fn a_count_within_the_margin_of_a_rounding_boundary_is_not_stated() {
+        let t = SimTime::from_secs(600);
+        let scale = shape(0.5) * noise(7, t);
+        for k in [-1.0, 0.0, 1.0] {
+            // A single instant whose value is 2.5 give or take 1e-12.
+            let avg = 2.5 / scale * (1.0 + k * 1e-12);
+            assert_eq!(over(avg, 0.5, 0.5, 7, t), None, "k={k}");
+        }
+        let avg = 2.2 / scale;
+        assert_eq!(over(avg, 0.5, 0.5, 7, t), Some(2));
+        assert_eq!(viewers_at(avg, 0.5, 7, t), 2);
+        // Across the ramp the count climbs from 1 to 3: not one count.
+        assert_eq!(over(avg, 0.0, 0.5, 7, t), None);
+        assert_eq!(over(0.0001, 0.0, 1.0, 7, t), Some(1), "never above 1.5");
     }
 
     #[test]
