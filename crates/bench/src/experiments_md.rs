@@ -229,7 +229,7 @@ shortest round-trip precision, DESIGN.md §15):
 The companion `INCIDENTS_trace.json` is a Chrome trace of the first
 chaos arm whose alert transitions appear as instant events over the
 span tracks (open in Perfetto). `INCIDENTS.json` is byte-identical
-across `PSCP_THREADS` 1/2/8 and `--shards` 1/4/16
+across `PSCP_THREADS` and `--shards` 1/4/16
 (`tests/observability.rs`).
 "#,
 };

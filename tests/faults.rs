@@ -2,7 +2,14 @@
 //! provably inert, the enabled layer bit-reproducible and thread-invariant,
 //! recovery paths (retry, failover, re-poll) must actually engage, and the
 //! chaos sweep's stall ratio must be monotone in the injected loss rate.
+//! Inertness and thread invariance run on the untraced one-shard rows of
+//! the contract table (`tests/contract/mod.rs`).
 
+mod contract;
+
+use std::sync::OnceLock;
+
+use contract::{chaos_artifacts, lab, teleport_artifacts, Faults, Table};
 use periscope_repro::client::session::{SessionConfig, SessionOutcome};
 use periscope_repro::client::{Teleport, TeleportConfig};
 use periscope_repro::core::chaos::{run_chaos, ChaosConfig};
@@ -34,29 +41,6 @@ fn run_with_faults(
     (outcomes, obs.metrics())
 }
 
-/// Per-session fingerprint (mirrors `tests/determinism.rs` so a single
-/// diverging draw shows up).
-fn fingerprints(outcomes: &[SessionOutcome]) -> Vec<String> {
-    outcomes
-        .iter()
-        .map(|s| {
-            format!(
-                "{:?} {:?} {:?} {} {} {} {:?} {:?} {} {:?}",
-                s.broadcast_id,
-                s.protocol,
-                s.device,
-                s.viewers_at_join,
-                s.meta().n_stalls,
-                s.traffic_bps.to_bits(),
-                s.join_time_s().map(|j| (j * 1e6) as u64),
-                s.meta().playback_latency_s.map(|l| (l * 1e6) as u64),
-                s.server,
-                s.stream,
-            )
-        })
-        .collect()
-}
-
 #[test]
 fn default_fault_config_is_all_off() {
     let f = FaultConfig::default();
@@ -64,47 +48,44 @@ fn default_fault_config_is_all_off() {
     assert!(FaultConfig::chaos(1, 1.0).is_active());
 }
 
-/// Satellite check: with every rate at zero the fault layer draws nothing,
-/// so even the fault *seed* must not leak into the outputs — sessions,
-/// captures and the metrics snapshot are byte-identical across seeds, and
-/// no `fault`/`recovery` subsystem may exist.
+fn table() -> &'static Table {
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        Table::run(
+            |row| !row.trace && row.shards == 1,
+            |row| {
+                let mut lab = lab(row);
+                let mut out = teleport_artifacts(&mut lab, row);
+                if row.faults == Faults::Off {
+                    out.extend(chaos_artifacts(&mut lab, row));
+                }
+                out
+            },
+        )
+    })
+}
+
+/// With every rate at zero the fault layer draws nothing, so even the
+/// fault *seed* must not leak into the outputs: sessions and the metrics
+/// snapshot are byte-identical across seeds, and no `fault`/`recovery`
+/// subsystem may exist.
 #[test]
 fn disabled_faults_are_byte_inert() {
-    let reseeded = FaultConfig { seed: 0xDEAD_BEEF, ..FaultConfig::default() };
-    let (out_a, metrics_a) = run_with_faults(31, FaultConfig::default(), 16, 1);
-    let (out_b, metrics_b) = run_with_faults(31, reseeded, 16, 1);
-    assert_eq!(fingerprints(&out_a), fingerprints(&out_b), "fault seed leaked into a disabled run");
-    assert_eq!(metrics_a.snapshot_text(), metrics_b.snapshot_text());
-    let subs = metrics_a.subsystems();
-    assert!(!subs.contains(&"fault"), "disabled run recorded fault counters: {subs:?}");
-    assert!(!subs.contains(&"recovery"), "disabled run recorded recovery counters: {subs:?}");
+    let names = ["fault-free dataset", "fault-free dataset metrics"];
+    table().assert_inert(|row| row.threads == 1, &names);
 }
 
 #[test]
 fn disabled_faults_are_thread_invariant() {
-    let (out_1, metrics_1) = run_with_faults(32, FaultConfig::default(), 16, 1);
-    let (out_8, metrics_8) = run_with_faults(32, FaultConfig::default(), 16, 8);
-    assert_eq!(fingerprints(&out_1), fingerprints(&out_8));
-    assert_eq!(metrics_1.snapshot_text(), metrics_8.snapshot_text());
+    let names = ["fault-free dataset", "fault-free dataset metrics"];
+    table().assert_inert(|row| row.faults == Faults::Off, &names);
 }
 
 /// Acceptance: a fixed fault seed reproduces the identical fault schedule,
-/// retry counts and QoE dataset at 1, 2 and 8 threads.
+/// retry counts and QoE dataset at 1 and 8 threads.
 #[test]
 fn enabled_faults_reproduce_across_thread_counts() {
-    let faults = FaultConfig::chaos(77, 1.0);
-    let (out_1, metrics_1) = run_with_faults(33, faults, 16, 1);
-    let (out_2, metrics_2) = run_with_faults(33, faults, 16, 2);
-    let (out_8, metrics_8) = run_with_faults(33, faults, 16, 8);
-    assert_eq!(fingerprints(&out_1), fingerprints(&out_2), "faults diverged at 2 threads");
-    assert_eq!(fingerprints(&out_1), fingerprints(&out_8), "faults diverged at 8 threads");
-    assert_eq!(metrics_1.snapshot_text(), metrics_2.snapshot_text());
-    assert_eq!(metrics_1.snapshot_text(), metrics_8.snapshot_text());
-    assert!(
-        metrics_1.subsystems().contains(&"fault"),
-        "chaos preset produced no fault counters:\n{}",
-        metrics_1.snapshot_text()
-    );
+    table().assert_inert(|_| true, &["faulted dataset", "faulted dataset metrics"]);
 }
 
 /// Recovery integration: CDN-POP outages force playlist re-polls and stall
@@ -341,22 +322,9 @@ fn chaos_sweep_stall_ratio_is_monotone_in_loss() {
     assert_eq!(parsed.get("slo").and_then(|p| p.as_array()).map(|a| a.len()), Some(3));
 }
 
-/// Acceptance: the full three-way artifact is byte-identical at 1, 2 and 8
-/// worker threads — the sweep's parallelism must not touch a single draw.
+/// Acceptance: the full three-way artifact is byte-identical at any
+/// worker-thread count: the sweep's parallelism must not touch a draw.
 #[test]
 fn chaos_sweep_is_thread_invariant_three_way() {
-    let sweep_at = |threads: usize| {
-        let mut lab = Lab::new(LabConfig::small(37));
-        let cfg = ChaosConfig {
-            seed: 2016,
-            sessions: 8,
-            loss_scales: vec![0.0, 2.0],
-            transports: vec![Some(Protocol::Rtmp), Some(Protocol::Hls), Some(Protocol::Srt)],
-            threads,
-        };
-        run_chaos(&mut lab, &cfg).sweep_json()
-    };
-    let one = sweep_at(1);
-    assert_eq!(one, sweep_at(2), "chaos sweep diverged at 2 threads");
-    assert_eq!(one, sweep_at(8), "chaos sweep diverged at 8 threads");
+    table().assert_inert(|_| true, &["CHAOS_sweep.json"]);
 }

@@ -76,6 +76,16 @@ fn no_external_dependencies_anywhere() {
     );
 }
 
+/// The test build optimizes (`[profile.dev] opt-level = 1`) but keeps its
+/// checks: under `cargo test` a `debug_assert!` fires and an overflow
+/// panics. CI never runs this suite with `--release`.
+#[test]
+fn tests_build_with_debug_assertions() {
+    let panics = |check: fn()| std::panic::catch_unwind(check).is_err();
+    assert!(panics(|| debug_assert!(std::hint::black_box(false))), "debug assertions are off");
+    assert!(panics(|| _ = std::hint::black_box(u8::MAX) + 1), "overflow checks are off");
+}
+
 #[test]
 fn workspace_dependency_table_is_path_only() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");

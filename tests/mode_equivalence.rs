@@ -198,17 +198,17 @@ fn session_run_uncaptured_equals_each_transports_run_traced() {
 fn dataset_analyses_the_planned_sessions_and_keeps_no_capture() {
     let svc = service();
     let tp = Teleport::new(&svc, RngFactory::new(41));
-    let config = |analyze_per_protocol: usize, threads: usize| TeleportConfig {
+    let config = |analyze_per_protocol: usize| TeleportConfig {
         sessions: 12,
         analyze_per_protocol,
-        threads,
+        threads: 1,
         ..Default::default()
     };
     // Each plan entry run alone, capture and all: (planned protocol,
     // scalars, analysis).
     let selection = svc.selection_policy();
     let reference: Vec<(Protocol, String, String)> = tp
-        .plan(&config(0, 1))
+        .plan(&config(0))
         .iter()
         .map(|p| {
             let mut trace = Trace::disabled();
@@ -223,23 +223,20 @@ fn dataset_analyses_the_planned_sessions_and_keeps_no_capture() {
     );
     assert!(reference.iter().all(|r| r.2.starts_with("Some")), "every capture analyses");
     for analyze in [0, 2, usize::MAX] {
-        for threads in [1, 4] {
-            let got = tp.run_dataset(&config(analyze, threads));
-            assert_eq!(got.len(), reference.len());
-            let mut marked = std::collections::HashMap::new();
-            for (i, (g, (planned, scalars_full, stream_full))) in
-                got.iter().zip(&reference).enumerate()
-            {
-                let cell = format!("analyze {analyze} threads {threads} session {i}");
-                assert!(g.capture.flows.is_empty(), "{cell}: the dataset kept a capture");
-                assert_eq!(scalars(g), *scalars_full, "{cell}");
-                let slot = marked.entry(*planned).or_insert(0usize);
-                if *slot < analyze {
-                    *slot += 1;
-                    assert_eq!(format!("{:?}", g.stream), *stream_full, "{cell}");
-                } else {
-                    assert!(g.stream.is_none(), "{cell}: analysed past the plan's count");
-                }
+        let got = tp.run_dataset(&config(analyze));
+        assert_eq!(got.len(), reference.len());
+        let mut marked = std::collections::HashMap::new();
+        for (i, (g, (planned, scalars_full, stream_full))) in got.iter().zip(&reference).enumerate()
+        {
+            let cell = format!("analyze {analyze} session {i}");
+            assert!(g.capture.flows.is_empty(), "{cell}: the dataset kept a capture");
+            assert_eq!(scalars(g), *scalars_full, "{cell}");
+            let slot = marked.entry(*planned).or_insert(0usize);
+            if *slot < analyze {
+                *slot += 1;
+                assert_eq!(format!("{:?}", g.stream), *stream_full, "{cell}");
+            } else {
+                assert!(g.stream.is_none(), "{cell}: analysed past the plan's count");
             }
         }
     }

@@ -1,102 +1,68 @@
 //! Observability-layer invariants (DESIGN.md §7): tracing must be a pure
 //! read-only tap — figures and datasets byte-identical with it on or off,
 //! the merged event log byte-identical at any thread count, and the metric
-//! snapshot stable and complete.
+//! snapshot stable and complete. The tap runs on the Lab rows of the
+//! contract table (`tests/contract/mod.rs`): the base row and the traced
+//! rows at threads 1 and 8.
 
-use periscope_repro::core::{experiments, Lab, LabConfig};
-use periscope_repro::obs::{chrome_trace, MetricsRegistry, MS_BUCKETS};
-use periscope_repro::proto::json::{parse, Value};
+mod contract;
 
-/// Per-session fingerprint of the full QoE dataset (mirrors
-/// `tests/determinism.rs` so a single diverging draw shows up).
-fn dataset_fingerprint(trace: bool, threads: usize, seed: u64) -> Vec<String> {
-    let mut config = LabConfig::small(seed);
-    config.trace = trace;
-    config.threads = threads;
-    let mut lab = Lab::new(config);
-    let dataset = lab.session_dataset();
-    dataset
-        .sessions
-        .iter()
-        .map(|s| {
-            format!(
-                "{:?} {:?} {:?} {} {} {} {:?} {:?}",
-                s.broadcast_id,
-                s.protocol,
-                s.device,
-                s.viewers_at_join,
-                s.meta().n_stalls,
-                s.traffic_bps.to_bits(),
-                s.join_time_s().map(|j| (j * 1e6) as u64),
-                s.meta().playback_latency_s.map(|l| (l * 1e6) as u64),
-            )
-        })
-        .collect()
+use std::sync::OnceLock;
+
+use contract::{assert_canonical, incident_artifacts, lab_artifacts, Faults, Table};
+use periscope_repro::core::{Lab, LabConfig};
+use periscope_repro::obs::{MetricsRegistry, MS_BUCKETS};
+
+fn table() -> &'static Table {
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        Table::run(
+            |row| row.faults == Faults::Off && row.shards == 1 && (row.trace || row.threads == 1),
+            |row| lab_artifacts(row, &["fig1a", "fig3b", "fig7"]),
+        )
+    })
 }
 
 #[test]
 fn tracing_does_not_change_the_dataset() {
-    let off = dataset_fingerprint(false, 1, 21);
-    let on = dataset_fingerprint(true, 1, 21);
-    assert_eq!(off, on, "tracing changed simulation results");
+    table().assert_inert(|row| row.threads == 1, &["dataset"]);
 }
 
 #[test]
 fn tracing_does_not_change_the_dataset_parallel() {
-    let off = dataset_fingerprint(false, 8, 22);
-    let on = dataset_fingerprint(true, 8, 22);
-    assert_eq!(off, on, "tracing changed parallel simulation results");
+    table().assert_inert(|row| !row.trace || row.threads == 8, &["dataset"]);
 }
 
 #[test]
 fn figures_identical_with_tracing_on_and_off() {
-    let render = |trace: bool, id: &str| {
-        let mut config = LabConfig::small(23);
-        config.trace = trace;
-        let mut lab = Lab::new(config);
-        let exp = experiments::by_id(id).expect("experiment exists");
-        (exp.run)(&mut lab).render()
-    };
-    for id in ["fig1a", "fig3b", "fig7"] {
-        assert_eq!(render(false, id), render(true, id), "experiment {id}");
-    }
-}
-
-/// `text` (one JSON document, or one line of a JSONL file) in the canonical
-/// form: parsing it and writing the tree back gives the same bytes, so its
-/// keys ascend, every string is escaped one way and every number has one
-/// format. Returns the tree.
-fn assert_canonical(text: &str) -> Value {
-    let v = parse(text).unwrap_or_else(|e| panic!("{e:?}: {text}"));
-    assert_eq!(v.to_json(), text.strip_suffix('\n').unwrap_or(text), "not canonical");
-    v
+    table().assert_inert(|row| row.threads == 1, &["fig1a", "fig3b", "fig7"]);
 }
 
 /// The merged event log must be byte-identical at every thread count:
 /// per-unit traces are absorbed in plan order, never completion order.
-fn event_log(threads: usize, seed: u64) -> (String, String) {
-    let mut config = LabConfig::small(seed);
-    config.trace = true;
-    config.threads = threads;
-    let mut lab = Lab::new(config);
-    lab.session_dataset();
-    lab.deep_crawl_at(14.0);
-    let obs = lab.observer();
-    (obs.events_jsonl(), obs.metrics().snapshot_text())
-}
-
 #[test]
 fn event_log_invariant_under_thread_count() {
-    let (log1, metrics1) = event_log(1, 24);
-    let (log8, metrics8) = event_log(8, 24);
-    assert!(!log1.is_empty(), "tracing produced no events");
-    assert_eq!(log1, log8, "event log diverged across thread counts");
-    assert_eq!(metrics1, metrics8, "metrics diverged across thread counts");
+    table().assert_inert(|row| row.trace, &["TRACE_events.jsonl", "TRACE_metrics"]);
+}
+
+/// Everything the span layer promises to keep byte-identical across
+/// thread counts: the dataset, a rendered figure, the SLO report JSON and
+/// the Chrome trace export (spans only: wall-clock phases are the one
+/// legitimately non-deterministic channel).
+#[test]
+fn span_artifacts_identical_across_thread_counts() {
+    let names = ["dataset", "fig3b", "SLO_report.json", "TRACE_chrome.json"];
+    table().assert_inert(|row| row.trace, &names);
 }
 
 #[test]
 fn event_log_lines_are_valid_json() {
-    let (log, _) = event_log(1, 25);
+    let mut config = LabConfig::small(25);
+    config.trace = true;
+    let mut lab = Lab::new(config);
+    lab.session_dataset();
+    lab.deep_crawl_at(14.0);
+    let log = lab.observer().events_jsonl();
     let mut lines = 0;
     for line in log.lines() {
         let v = assert_canonical(line);
@@ -191,69 +157,6 @@ fn disabled_observer_stays_empty() {
     assert!(obs.phases().is_empty());
 }
 
-/// One span-enabled run: dataset fingerprint, a rendered figure, the SLO
-/// report JSON and the Chrome trace export — everything the span layer
-/// promises to keep byte-identical across thread counts.
-fn span_run(threads: usize, seed: u64) -> (Vec<String>, String, String, String) {
-    let mut config = LabConfig::small(seed);
-    config.trace = true;
-    config.threads = threads;
-    let mut lab = Lab::new(config);
-    let dataset = lab.session_dataset();
-    let fingerprint: Vec<String> = dataset
-        .sessions
-        .iter()
-        .map(|s| {
-            format!(
-                "{:?} {:?} {} {:?}",
-                s.broadcast_id,
-                s.protocol,
-                s.traffic_bps.to_bits(),
-                s.join_time_s().map(|j| (j * 1e6) as u64),
-            )
-        })
-        .collect();
-    let figure = {
-        let exp = experiments::by_id("fig3b").expect("experiment exists");
-        (exp.run)(&mut lab).render()
-    };
-    let spans = lab.observer().spans();
-    let slo = periscope_repro::qoe::slo::evaluate(
-        &periscope_repro::qoe::SloSpec::paper(),
-        &dataset,
-        &spans,
-        "threads-test",
-    )
-    .to_json();
-    // Wall-clock phases are the one legitimately non-deterministic channel,
-    // so the deterministic export contract is spans-only.
-    let chrome = chrome_trace(&spans, &[], &[]);
-    (fingerprint, figure, slo, chrome)
-}
-
-#[test]
-fn span_artifacts_identical_across_thread_counts() {
-    let one = span_run(1, 2016);
-    let two = span_run(2, 2016);
-    let eight = span_run(8, 2016);
-    assert_eq!(one.0, two.0, "dataset fingerprint diverged at 2 threads");
-    assert_eq!(one.0, eight.0, "dataset fingerprint diverged at 8 threads");
-    assert_eq!(one.1, two.1, "figure diverged at 2 threads");
-    assert_eq!(one.1, eight.1, "figure diverged at 8 threads");
-    assert_eq!(one.2, two.2, "SLO_report.json diverged at 2 threads");
-    assert_eq!(one.2, eight.2, "SLO_report.json diverged at 8 threads");
-    assert_eq!(one.3, two.3, "Chrome trace diverged at 2 threads");
-    assert_eq!(one.3, eight.3, "Chrome trace diverged at 8 threads");
-    let slo = assert_canonical(&one.2);
-    let objectives = slo.get("objectives").and_then(Value::as_array);
-    assert!(objectives.is_some_and(|o| !o.is_empty()), "SLO report looks empty: {}", one.2);
-    let chrome = assert_canonical(&one.3);
-    let events = chrome.get("traceEvents").and_then(Value::as_array).expect("traceEvents");
-    let joins =
-        events.iter().filter(|e| e.get("name").and_then(Value::as_str) == Some("session.join"));
-    assert!(joins.count() > 0, "Chrome trace has no join spans");
-}
-
 /// The causal-tree contract (DESIGN.md §7): every joined session's
 /// `session.join` root is exactly tiled by its children, and the root's
 /// duration IS the recorded join time, in integer microseconds.
@@ -321,40 +224,11 @@ use periscope_repro::simnet::SimDuration;
 
 /// The tentpole invariant: the full incident artifact — alert timelines,
 /// correlated incidents, ground-truth scorecard — is byte-identical at
-/// every worker-thread count and every quadtree shard count. The SRT arm
-/// at this seed raises a real ingest-outage alert, so the comparison
-/// covers non-empty timelines.
+/// every worker-thread count and every quadtree shard count.
 #[test]
 fn incident_artifacts_identical_across_threads_and_shards() {
-    let run = |threads: usize, shards: usize| {
-        let mut lab = Lab::new(LabConfig::small(2016));
-        let mut cfg = IncidentConfig::small(2016);
-        cfg.transports = vec![Some(Protocol::Srt)];
-        cfg.threads = threads;
-        cfg.shards = shards;
-        // The artifact records the configured shard count as provenance;
-        // normalize that one member so the comparison covers the payload.
-        let report = run_incidents(&mut lab, &cfg);
-        let trace = chrome_trace(&report.arms[1].spans, &[], &report.arms[1].timeline.transitions);
-        assert_canonical(&trace);
-        let json = report.to_json();
-        assert_canonical(&json);
-        json.replace(&format!("\"shards\":{shards},"), "\"shards\":\"N\",")
-    };
-    let baseline = run(1, 1);
-    let timelines = assert_canonical(&baseline).get("timelines").cloned().expect("timelines");
-    let srt = timelines.get("SRT").and_then(Value::as_array).expect("the SRT arm's timeline");
-    assert!(
-        srt.iter().any(|t| t.get("state").and_then(Value::as_str) == Some("firing")),
-        "pinned config must alert:\n{baseline}"
-    );
-    for (threads, shards) in [(2, 1), (8, 1), (2, 4), (8, 16)] {
-        assert_eq!(
-            run(threads, shards),
-            baseline,
-            "INCIDENTS.json differs at {threads} threads, {shards} shards"
-        );
-    }
+    let table = Table::run(|row| !row.trace && row.faults == Faults::Off, incident_artifacts);
+    table.assert_inert(|_| true, &["INCIDENTS.json", "INCIDENTS_trace.json"]);
 }
 
 /// Inertness: with no faults injected, no rule may ever transition — the
