@@ -23,18 +23,21 @@ pub fn render(ctx: &mut Ctx) {
     for exp in experiments::all() {
         println!("## {} — `{}`\n", exp.paper_ref, exp.id);
         println!("{}\n", exp.title);
-        let (figure, secs) = crate::verbs::timed(&exp, ctx.lab());
+        let figure = (exp.run)(ctx.lab());
         println!("```text");
         print!("{}", figure.render());
         println!("```");
-        println!(
-            "\n*Regenerated in {secs:.1} s with `repro --scale {scale} --seed {seed} {}`.*\n",
-            exp.id
-        );
+        println!("\n{}\n", footer(&scale, seed, exp.id));
     }
     println!("## Known deviations and their causes\n");
     println!("{}", KNOWN_DEVIATIONS.trim());
     print!("{}", schema_sections());
+}
+
+/// The line under a figure: the command that regenerates it. It names no
+/// wall-clock time, so regenerating the record changes only what moved.
+pub fn footer(scale: &str, seed: u64, id: &str) -> String {
+    format!("*Regenerated with `repro --scale {scale} --seed {seed} {id}`.*")
 }
 
 /// The artifact sections that close EXPERIMENTS.md: one per verb with a

@@ -6,7 +6,7 @@
 //! `pscp_core::experiments::all()` and run through [`FIGURE`].
 
 use pscp_core::experiments::{self, Experiment};
-use pscp_core::{ChaosConfig, FigureData, IncidentConfig, Lab};
+use pscp_core::{ChaosConfig, IncidentConfig};
 
 use crate::cli::{list, one, write_artifact, Args, Ctx, Exit, Verb};
 use crate::scale::{ScaleArgs, ScaleTier};
@@ -221,18 +221,13 @@ fn banner(id: &str, title: &str) {
     println!("{}", "=".repeat(78));
 }
 
-/// Runs one experiment and returns its figure with the wall seconds it took.
-pub fn timed(exp: &Experiment, lab: &mut Lab) -> (FigureData, f64) {
-    let started = std::time::Instant::now();
-    let figure = (exp.run)(lab);
-    (figure, started.elapsed().as_secs_f64())
-}
-
 fn figure(ctx: &mut Ctx, exp: &Experiment) {
     banner(exp.id, exp.title);
     println!("reproduces: {}", exp.paper_ref);
-    let (figure, secs) = timed(exp, ctx.lab());
-    println!("(generated in {secs:.1} s)\n");
+    let lab = ctx.lab();
+    let started = std::time::Instant::now();
+    let figure = (exp.run)(lab);
+    println!("(generated in {:.1} s)\n", started.elapsed().as_secs_f64());
     println!("{}", figure.render());
 }
 

@@ -258,6 +258,25 @@ fn experiments_md_artifact_sections_are_the_tables() {
     assert_eq!(tail, sections, "regenerate the tail of EXPERIMENTS.md: `repro experiments-md`");
 }
 
+/// A figure's footer names the command that regenerates it and nothing a
+/// regeneration changes: it is a function of scale, seed and id only, and
+/// EXPERIMENTS.md carries exactly one per experiment.
+#[test]
+fn experiments_md_footers_are_the_commands_only() {
+    assert_eq!(
+        experiments_md::footer("paper", 2016, "fig1a"),
+        "*Regenerated with `repro --scale paper --seed 2016 fig1a`.*"
+    );
+    let record = repo_file("EXPERIMENTS.md");
+    let footers: Vec<&str> = record.lines().filter(|l| l.starts_with("*Regenerated")).collect();
+    let expected: Vec<String> =
+        experiments::all().iter().map(|e| experiments_md::footer("paper", 2016, e.id)).collect();
+    assert_eq!(
+        footers, expected,
+        "regenerate EXPERIMENTS.md: `repro --scale paper --seed 2016 experiments-md`"
+    );
+}
+
 // ------------------------------------------------------- (v) the process
 
 /// Runs `repro <line>` in a fresh directory (kept for the caller to look at).

@@ -264,15 +264,67 @@ impl<'a> Writer<'a> {
         let at = self.out.len() + 1;
         escape(key, self.out);
         if cfg!(debug_assertions) {
-            assert!(self.depth > 0, "a key belongs inside an object");
             let plain = self.out.len() - at - 1 == key.len();
-            if let (Some(prev), true) = (self.latest.as_ref(), plain) {
-                debug_assert!(self.out[prev.clone()] < *key, "object keys must ascend: '{key}'");
-            }
-            self.latest = plain.then(|| at..at + key.len());
+            self.follow_key(at..at + key.len(), plain);
         }
         self.out.push(':');
         self
+    }
+
+    /// Debug builds only: checks the key whose text sits at `key` in `out`
+    /// against the latest of its object and makes it the latest. A key
+    /// that needed escaping (`plain` false) is neither checked nor kept.
+    fn follow_key(&mut self, key: std::ops::Range<usize>, plain: bool) {
+        assert!(self.depth > 0, "a key belongs inside an object");
+        if let (Some(prev), true) = (self.latest.as_ref(), plain) {
+            let (prev, key) = (&self.out[prev.clone()], &self.out[key.clone()]);
+            debug_assert!(prev < key, "object keys must ascend: '{key}'");
+        }
+        self.latest = plain.then_some(key);
+    }
+
+    /// Writes `text` that a `Writer` wrote earlier — one value, or the
+    /// members of an object without its braces — as the next value or
+    /// members, with the `,` it needs; empty text writes nothing. A caller
+    /// that keeps a render's unchanging members as text splices them
+    /// between the members it writes fresh. A debug build checks the
+    /// run's keys against the object's as [`key`](Writer::key) does.
+    pub fn splice(&mut self, text: &str) {
+        if text.is_empty() {
+            return;
+        }
+        self.sep();
+        let at = self.out.len();
+        self.out.push_str(text);
+        if cfg!(debug_assertions) {
+            self.follow_spliced_keys(at);
+        }
+    }
+
+    /// Debug builds only: walks the text spliced at `at` and follows each
+    /// key at its top level, a string that a `:` follows.
+    fn follow_spliced_keys(&mut self, at: usize) {
+        let (mut depth, mut i) = (0usize, at);
+        while i < self.out.len() {
+            let bytes = self.out.as_bytes();
+            match bytes[i] {
+                b'"' => {
+                    let open = i;
+                    i += 1;
+                    while bytes[i] != b'"' {
+                        i += if bytes[i] == b'\\' { 2 } else { 1 };
+                    }
+                    if depth == 0 && bytes.get(i + 1) == Some(&b':') {
+                        let plain = !bytes[open..i].contains(&b'\\');
+                        self.follow_key(open + 1..i, plain);
+                    }
+                }
+                b'[' | b'{' => depth += 1,
+                b']' | b'}' => depth -= 1,
+                _ => {}
+            }
+            i += 1;
+        }
     }
 
     /// Writes `null`.
@@ -1089,6 +1141,62 @@ mod tests {
         w.end_object();
         assert_eq!(out, r##"{"m":{"z":null},"n\"":null,"n#":[{"a":null}]}"##);
         assert_eq!(parse(&out).unwrap().to_json(), out);
+    }
+
+    /// Text a writer wrote, spliced as members or as a value, reads as if
+    /// written in place.
+    #[test]
+    fn splice_places_members_and_values_with_the_comma_rule() {
+        let mut run = String::new();
+        let mut w = Writer::new(&mut run);
+        w.begin_object();
+        w.key("b").str("x,\"y\":");
+        w.key("c").begin_array();
+        w.begin_object();
+        w.key("z").null();
+        w.end_object();
+        w.end_array();
+        w.end_object();
+        let members = &run[1..run.len() - 1];
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_array();
+        w.splice("7");
+        w.begin_object();
+        w.splice(members);
+        w.key("d").splice("[1,2]");
+        w.splice("");
+        w.end_object();
+        w.begin_object();
+        w.key("a").int(1);
+        w.splice(members);
+        w.end_object();
+        w.end_array();
+        let expected = format!("[7,{{{members},\"d\":[1,2]}},{{\"a\":1,{members}}}]");
+        assert_eq!(out, expected);
+        assert_eq!(parse(&out).unwrap().to_json(), out);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys must ascend: 'a'")]
+    fn writer_asserts_ascending_keys_after_a_splice() {
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_object();
+        w.splice(r#""b":{"z":1},"c":"\"a\":""#);
+        w.key("a").null();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys must ascend: 'b'")]
+    fn writer_asserts_a_spliced_key_ascends() {
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_object();
+        w.key("c").null();
+        w.splice(r#""b":1"#);
     }
 
     #[test]

@@ -185,17 +185,85 @@ fn read_id(r: &mut Reader<'_>) -> Result<Option<BroadcastId>, ProtoError> {
     Ok(r.str()?.and_then(|s| BroadcastId::parse(&s)))
 }
 
+/// The members of a broadcast's API render that never change for the
+/// broadcast, as the text a [`Writer`] made of them. The service writes
+/// them once per broadcast ([`StaticMembers::write`]) and splices them into
+/// every later map item and description ([`Writer::splice`]), so a request
+/// writes only `live` and `n_viewers` itself (DESIGN.md §15). Each field
+/// holds whole members, in key order, without an object's braces.
+#[derive(Debug, Clone, Copy)]
+pub struct StaticMembers<'a> {
+    /// `available_for_replay` and `city`.
+    pub head: &'a str,
+    /// `id` and `lat`.
+    pub id_lat: &'a str,
+    /// `lng`.
+    pub lng: &'a str,
+    /// `start_s`.
+    pub start_s: &'a str,
+}
+
+impl<'a> StaticMembers<'a> {
+    /// Appends the static members of `b` to `out` as four runs, back to
+    /// back, and returns where each run ends, counted from where the first
+    /// begins: the `ends` that [`cut`](StaticMembers::cut) takes.
+    pub fn write(out: &mut String, b: &Broadcast) -> [usize; 4] {
+        let start = out.len();
+        // A run is written as an object, the writer's only frame for
+        // members, then unwrapped: what is left is its members' text.
+        let mut run = |members: &dyn Fn(&mut Writer<'_>)| {
+            let open = out.len();
+            let mut w = Writer::new(out);
+            w.begin_object();
+            members(&mut w);
+            w.end_object();
+            out.pop();
+            out.remove(open);
+            out.len() - start
+        };
+        [
+            run(&|w| {
+                w.key("available_for_replay").bool(b.replay_available);
+                w.key("city").str(b.city);
+            }),
+            run(&|w| {
+                w.key("id").str(b.id.text().as_str());
+                w.key("lat").number(b.location.lat);
+            }),
+            run(&|w| w.key("lng").number(b.location.lon)),
+            run(&|w| w.key("start_s").number(b.start.as_secs_f64())),
+        ]
+    }
+
+    /// The four runs of `text`, which [`write`](StaticMembers::write) wrote
+    /// and returned `ends` for.
+    pub fn cut(text: &'a str, ends: [usize; 4]) -> Self {
+        StaticMembers {
+            head: &text[..ends[0]],
+            id_lat: &text[ends[0]..ends[1]],
+            lng: &text[ends[1]..ends[2]],
+            start_s: &text[ends[2]..ends[3]],
+        }
+    }
+}
+
 /// Writes the members of a broadcast description, the JSON object
-/// `getBroadcasts` returns per id, into an object the caller has opened.
-pub fn write_description(w: &mut Writer<'_>, b: &Broadcast, now: SimTime) {
-    w.key("available_for_replay").bool(b.replay_available);
-    w.key("city").str(b.city);
-    w.key("id").str(b.id.text().as_str());
-    w.key("lat").number(b.location.lat);
+/// `getBroadcasts` returns per id, into an object the caller has opened:
+/// `b`'s static members spliced from `s`, and its state at `now`.
+pub fn write_description(w: &mut Writer<'_>, s: &StaticMembers<'_>, b: &Broadcast, now: SimTime) {
+    w.splice(s.head);
+    w.splice(s.id_lat);
     w.key("live").bool(b.is_live_at(now));
-    w.key("lng").number(b.location.lon);
+    w.splice(s.lng);
     w.key("n_viewers").int(b.viewers_at(now));
-    w.key("start_s").number(b.start.as_secs_f64());
+    w.splice(s.start_s);
+}
+
+/// Writes the members of a map item, the JSON object `mapGeoBroadcastFeed`
+/// returns per broadcast, into an object the caller has opened.
+pub fn write_map_item(w: &mut Writer<'_>, s: &StaticMembers<'_>) {
+    w.splice(s.id_lat);
+    w.splice(s.lng);
 }
 
 /// A parsed broadcast description (what the crawler stores per sighting).
@@ -411,10 +479,12 @@ mod tests {
             target_bitrate_bps: 300_000.0,
         };
         let now = SimTime::from_secs(100);
+        let mut store = String::new();
+        let ends = StaticMembers::write(&mut store, &b);
         let mut text = String::new();
         let mut w = Writer::new(&mut text);
         w.begin_object();
-        write_description(&mut w, &b, now);
+        write_description(&mut w, &StaticMembers::cut(&store, ends), &b, now);
         w.end_object();
         let mut r = Reader::new(&text);
         let desc = BroadcastDescription::read(&mut r).unwrap().expect("complete description");

@@ -1,7 +1,7 @@
 //! The service facade: HTTP in, JSON out, with rate limiting — what the
 //! phone (and the mitmproxy between) actually talks to.
 
-use crate::api::{write_description, ApiRequest};
+use crate::api::{write_description, write_map_item, ApiRequest, StaticMembers};
 use crate::cdn::{self, CdnPop};
 use crate::directory::{Directory, RateLimiter, VisibilityConfig};
 use crate::ingest::{assign_server, IngestServer};
@@ -77,25 +77,75 @@ impl VideoAccess {
     }
 }
 
-/// `{"broadcasts":[{…},…]}`, the body of both list verbs: `item` writes
-/// the members of one broadcast's object; `body_bytes` pre-sizes the body.
-fn broadcast_list<'a>(
-    broadcasts: impl Iterator<Item = &'a Broadcast>,
-    body_bytes: usize,
-    item: impl Fn(&mut Writer<'_>, &Broadcast),
-) -> Response {
-    let mut body = String::with_capacity(16 + body_bytes);
-    let mut w = Writer::new(&mut body);
-    w.begin_object();
-    w.key("broadcasts").begin_array();
-    for b in broadcasts {
-        w.begin_object();
-        item(&mut w, b);
-        w.end_object();
+/// Every rendered broadcast's static members ([`StaticMembers`]), written
+/// on the broadcast's first map item or description and spliced into each
+/// later one (DESIGN.md §15): a targeted crawl describes the same
+/// broadcasts every round. Holds nothing until the first list verb, so a
+/// world that only serves sessions never builds it.
+#[derive(Debug, Default)]
+struct RenderStore {
+    /// The static members of every rendered broadcast, back to back, in
+    /// render order. Append-only.
+    arena: String,
+    /// Per rendered broadcast, in render order.
+    runs: Vec<Run>,
+    /// Per population index: its entry in `runs`, [`UNRENDERED`] before
+    /// its first render. Empty until the first render.
+    index: Vec<u32>,
+}
+
+/// A broadcast not yet rendered, in [`RenderStore::index`].
+const UNRENDERED: u32 = u32::MAX;
+
+/// One rendered broadcast's text: where it starts in the arena and where
+/// each of its four runs ends, counted from there.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    at: u32,
+    ends: [u16; 4],
+}
+
+impl RenderStore {
+    /// The static members of the broadcast at `population` index `i`,
+    /// written on its first render.
+    fn members<'s>(&'s mut self, population: &Population, i: usize) -> StaticMembers<'s> {
+        if self.index.is_empty() {
+            self.index = vec![UNRENDERED; population.broadcasts.len()];
+        }
+        if self.index[i] == UNRENDERED {
+            let at = u32::try_from(self.arena.len()).expect("the arena stays below 4 GiB");
+            let ends = StaticMembers::write(&mut self.arena, &population.broadcasts[i]);
+            let ends = ends.map(|end| u16::try_from(end).expect("a few hundred bytes a render"));
+            self.index[i] = self.runs.len() as u32;
+            self.runs.push(Run { at, ends });
+        }
+        let Run { at, ends } = self.runs[self.index[i] as usize];
+        StaticMembers::cut(&self.arena[at as usize..], ends.map(usize::from))
     }
-    w.end_array();
-    w.end_object();
-    Response::ok_json(body)
+
+    /// `{"broadcasts":[{…},…]}`, the body of both list verbs over the
+    /// broadcasts at `population` indices `list`: `item` writes the members
+    /// of one broadcast's object; `body_bytes` pre-sizes the body.
+    fn list(
+        &mut self,
+        population: &Population,
+        list: impl Iterator<Item = usize>,
+        body_bytes: usize,
+        item: impl Fn(&mut Writer<'_>, &StaticMembers<'_>, &Broadcast),
+    ) -> Response {
+        let mut body = String::with_capacity(16 + body_bytes);
+        let mut w = Writer::new(&mut body);
+        w.begin_object();
+        w.key("broadcasts").begin_array();
+        for i in list {
+            w.begin_object();
+            item(&mut w, &self.members(population, i), &population.broadcasts[i]);
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+        Response::ok_json(body)
+    }
 }
 
 /// The Periscope backend.
@@ -112,6 +162,10 @@ pub struct PeriscopeService {
     /// Stream for injected API errors. Stateful is fine here: `handle_http`
     /// takes `&mut self`, so all API traffic is serialized already.
     fault_rng: FaultRng,
+    /// The static members of every broadcast a list verb has rendered,
+    /// by index into `population`, which nothing changes once the service
+    /// is built.
+    renders: RenderStore,
 }
 
 impl PeriscopeService {
@@ -127,7 +181,20 @@ impl PeriscopeService {
             playback_meta: Vec::new(),
             trace,
             fault_rng,
+            renders: RenderStore::default(),
         }
+    }
+
+    /// How many broadcasts the list verbs have rendered, and the bytes
+    /// written to keep their static members: text, run bounds and the
+    /// per-population index. Counted as written; a growing buffer may
+    /// reserve up to twice that.
+    pub fn render_store(&self) -> (usize, usize) {
+        let store = &self.renders;
+        let bytes = store.arena.len()
+            + store.runs.len() * std::mem::size_of::<Run>()
+            + store.index.len() * std::mem::size_of::<u32>();
+        (store.runs.len(), bytes)
     }
 
     /// Drains the service-side trace (per-verb counters, 429 events) so a
@@ -201,16 +268,20 @@ impl PeriscopeService {
             // broadcasts, which map_query already guarantees; the flag exists
             // to mirror the wire protocol.
             ApiRequest::MapGeoBroadcastFeed { rect, include_replay: _ } => {
-                let found = self.directory.map_query(&self.population, &rect, now);
-                broadcast_list(found.iter().copied(), found.len() * 80, |w, b| {
-                    w.key("id").str(b.id.text().as_str());
-                    w.key("lat").number(b.location.lat);
-                    w.key("lng").number(b.location.lon);
-                })
+                let population = &self.population;
+                let found = self.directory.map_query(population, &rect, now);
+                let listed = found
+                    .iter()
+                    .map(|b| population.index_of(b.id).expect("a broadcast of this world"));
+                self.renders
+                    .list(population, listed, found.len() * 80, |w, s, _| write_map_item(w, s))
             }
             ApiRequest::GetBroadcasts { ids } => {
-                let known = ids.iter().filter_map(|id| self.population.by_id(*id));
-                broadcast_list(known, ids.len() * 192, |w, b| write_description(w, b, now))
+                let population = &self.population;
+                let known = ids.iter().filter_map(|id| population.index_of(*id));
+                self.renders.list(population, known, ids.len() * 192, |w, s, b| {
+                    write_description(w, s, b, now)
+                })
             }
             ApiRequest::PlaybackMeta {
                 broadcast_id,

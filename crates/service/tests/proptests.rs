@@ -181,3 +181,148 @@ fn api_bodies_are_canonical() {
         },
     );
 }
+
+/// A broadcast's static members are written once and spliced into every
+/// later map item and description. For arbitrary broadcasts — 64-bit ids,
+/// negative and integral coordinates, integral and fractional starts,
+/// every city, both replay flags, hidden and private ones — queried
+/// before, during and after their life, both list bodies equal the
+/// member-by-member render kept here as the reference, a repeated request
+/// returns the same bytes, and the store holds at most 160 B per rendered
+/// broadcast plus 4 B per population entry.
+#[test]
+fn spliced_renders_equal_the_member_by_member_render() {
+    use pscp_media::audio::AudioBitrate;
+    use pscp_media::content::ContentClass;
+    use pscp_proto::json::Writer;
+    use pscp_service::api::ApiRequest;
+    use pscp_service::{PeriscopeService, ServiceConfig};
+    use pscp_workload::broadcast::{Broadcast, BroadcastId, DeviceProfile};
+    use pscp_workload::cities::CITIES;
+    use pscp_workload::population::{Population, PopulationConfig};
+
+    const WINDOW_S: u64 = 4 * 3600;
+    let coordinate = |g: &mut Gen, bound: i64| {
+        let bound = bound - 1;
+        match g.choice(3) {
+            0 => g.i64(-bound..=bound) as f64,
+            1 => -g.f64(0.0..bound as f64),
+            _ => g.f64(-(bound as f64)..bound as f64),
+        }
+    };
+    let broadcast = |g: &mut Gen| Broadcast {
+        id: BroadcastId(g.u64(..)),
+        location: GeoPoint::new(coordinate(g, 90), coordinate(g, 180)),
+        city: CITIES[g.choice(CITIES.len())].name,
+        start: if g.bool() {
+            SimTime::from_secs(g.u64(0..WINDOW_S / 2))
+        } else {
+            SimTime::from_micros(g.u64(0..WINDOW_S / 2 * 1_000_000))
+        },
+        duration: SimDuration::from_micros(g.u64(1_000_000..3600 * 1_000_000)),
+        content: ContentClass::Indoor,
+        device: DeviceProfile::Modern,
+        audio: AudioBitrate::Kbps32,
+        avg_viewers: if g.choice(4) == 0 { 0.0 } else { g.f64(0.5..2000.0) },
+        replay_available: g.bool(),
+        private: g.choice(8) == 0,
+        location_public: g.choice(8) != 0,
+        viewer_seed: g.u64(..),
+        target_bitrate_bps: 300_000.0,
+    };
+    check(
+        "spliced_renders_equal_the_member_by_member_render",
+        |g: &mut Gen| {
+            let broadcasts = g.vec(1..12, broadcast);
+            let instants =
+                g.vec(1..6, |g| (g.choice(broadcasts.len()), g.choice(3), g.f64(0.0..1.0)));
+            (broadcasts, instants)
+        },
+        |(broadcasts, instants)| {
+            let mut ids: Vec<u64> = broadcasts.iter().map(|b| b.id.0).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            if ids.len() < broadcasts.len() {
+                return Ok(());
+            }
+            let config =
+                PopulationConfig { window: SimDuration::from_secs(WINDOW_S), ..Default::default() };
+            let population = Population::from_broadcasts(config, broadcasts.clone());
+            let mut svc = PeriscopeService::new(population, ServiceConfig::default());
+            let here = GeoPoint::new(60.19, 24.83);
+            let mut calls = 0;
+            for &(k, phase, at) in instants {
+                // Before, during or after broadcast `k`, inside the window.
+                let b = &broadcasts[k];
+                let (from, to) = match phase {
+                    0 => (0, b.start.as_micros()),
+                    1 => (b.start.as_micros(), b.end().as_micros()),
+                    _ => (b.end().as_micros(), WINDOW_S * 1_000_000),
+                };
+                let now = SimTime::from_micros(from + ((to - from) as f64 * at) as u64);
+                let population = &svc.population.broadcasts;
+                let listed: Vec<&Broadcast> =
+                    population.iter().filter(|b| b.discoverable_at(now)).collect();
+                let unknown = BroadcastId(!ids[0]);
+                let asked: Vec<BroadcastId> =
+                    population.iter().map(|b| b.id).rev().chain([unknown]).collect();
+                let known: Vec<&Broadcast> = population.iter().rev().collect();
+                let expected = [
+                    reference_list(&listed, |w, b| {
+                        w.key("id").str(b.id.text().as_str());
+                        w.key("lat").number(b.location.lat);
+                        w.key("lng").number(b.location.lon);
+                    }),
+                    reference_list(&known, |w, b| {
+                        w.key("available_for_replay").bool(b.replay_available);
+                        w.key("city").str(b.city);
+                        w.key("id").str(b.id.text().as_str());
+                        w.key("lat").number(b.location.lat);
+                        w.key("live").bool(b.is_live_at(now));
+                        w.key("lng").number(b.location.lon);
+                        w.key("n_viewers").int(b.viewers_at(now));
+                        w.key("start_s").number(b.start.as_secs_f64());
+                    }),
+                ];
+                let requests = [
+                    ApiRequest::MapGeoBroadcastFeed { rect: GeoRect::WORLD, include_replay: false },
+                    ApiRequest::GetBroadcasts { ids: asked },
+                ];
+                for (req, expected) in requests.iter().zip(&expected) {
+                    for _ in 0..2 {
+                        calls += 1;
+                        let user = format!("splice-{calls}");
+                        let resp = svc.handle_http(&user, &req.to_http(&user), now, &here);
+                        ensure!(resp.status == 200, "{} answered {}", req.name(), resp.status);
+                        let body = std::str::from_utf8(&resp.body).map_err(|e| e.to_string())?;
+                        ensure!(body == expected, "{} at {now:?}:\n{body}\n{expected}", req.name());
+                    }
+                }
+            }
+            let (rendered, bytes) = svc.render_store();
+            ensure!(rendered == broadcasts.len(), "{rendered} of {} rendered", broadcasts.len());
+            let bound = 160 * rendered + 4 * broadcasts.len();
+            ensure!(bytes <= bound, "the store holds {bytes} B for {rendered}, above {bound}");
+            Ok(())
+        },
+    );
+
+    /// `{"broadcasts":[…]}` with each object's members written by `item`.
+    fn reference_list(
+        broadcasts: &[&Broadcast],
+        item: impl Fn(&mut Writer<'_>, &Broadcast),
+    ) -> String {
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_object();
+        w.key("broadcasts").begin_array();
+        for b in broadcasts {
+            w.begin_object();
+            item(&mut w, b);
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+        out
+    }
+}

@@ -369,6 +369,13 @@ impl Population {
                 }
             }
         }
+        Self::from_broadcasts(config, broadcasts)
+    }
+
+    /// A population of exactly `broadcasts`, whose ids must be distinct,
+    /// sorted by start time and indexed for live queries over
+    /// `config.window`.
+    pub fn from_broadcasts(config: PopulationConfig, mut broadcasts: Vec<Broadcast>) -> Population {
         broadcasts.sort_by_key(|b| b.start);
         let buckets = Self::build_index(&broadcasts, config.window);
         let public_buckets = if broadcasts.iter().any(|b| b.private) {
@@ -580,7 +587,12 @@ impl Population {
 
     /// Look up a broadcast by id (O(1)).
     pub fn by_id(&self, id: BroadcastId) -> Option<&Broadcast> {
-        self.by_id.get(&id).map(|&i| &self.broadcasts[i as usize])
+        self.index_of(id).map(|i| &self.broadcasts[i])
+    }
+
+    /// Where the broadcast with `id` sits in [`broadcasts`](Population::broadcasts) (O(1)).
+    pub fn index_of(&self, id: BroadcastId) -> Option<usize> {
+        self.by_id.get(&id).map(|&i| i as usize)
     }
 }
 
