@@ -265,7 +265,7 @@ pub fn bench_components(seed: u64) -> Result<String, String> {
     let body_bytes: usize = bodies.iter().map(|f| f.size).sum();
     let mut body_out: Vec<u8> = Vec::with_capacity(body_bytes);
     // The filler rate is the CPU's as much as the code's: name the kernel.
-    suite.fact_text("bitstream_fill_kernel", &pscp_media::bitstream::fill_kernel());
+    suite.fact_text("bitstream_fill_kernel", &pscp_proto::filler::fill_kernel());
     suite.run("bitstream/frame filler 2.5 MB", Some(body_bytes as u64), || {
         body_out.clear();
         for f in &bodies {

@@ -14,6 +14,7 @@
 use crate::downlink::{Path, Tap, Wire};
 use crate::session::{SessionConfig, SessionCtx};
 use pscp_media::capture::FlowKind;
+use pscp_proto::filler::Sink;
 use pscp_proto::{http, ws};
 use pscp_service::chat::{ChatConfig, ChatRoom, Heart, MessageJson};
 use pscp_simnet::fault::in_windows;
@@ -52,12 +53,12 @@ impl ChatWire {
     /// The send's shape: the bytes [`write`](ChatWire::write) produces,
     /// then the picture body as a run.
     pub(crate) fn wire(&self) -> Wire {
-        let frame = |json: usize| Wire::literal(ws::header_len(json, false) + json);
+        let frame = |json: usize| Wire::written(ws::header_len(json, false) + json);
         match self {
             ChatWire::Message(message) => frame(message.json_len()),
             ChatWire::Hearts(hearts) => frame(hearts.json_len()),
             &ChatWire::Picture(bytes) => Wire {
-                literal: http::head_len(200, &PICTURE_HEADERS, bytes),
+                written: http::head_len(200, &PICTURE_HEADERS, bytes),
                 fill: PICTURE_FILL,
                 pad: bytes,
             },
@@ -89,7 +90,7 @@ impl ChatWire {
             ws::write_header(ws::Opcode::Text, json.len(), None, out);
             out.extend_from_slice(json.as_bytes());
         }
-        debug_assert_eq!(out.len() - start, self.wire().literal, "{self:?} wrote another length");
+        debug_assert_eq!(out.len() - start, self.wire().written, "{self:?} wrote another length");
     }
 }
 
@@ -188,7 +189,9 @@ pub(crate) fn play(
         if let Some(flow) = flow_of(send.kind, ws_flow, pic_flow) {
             let path = Path { link, faults: None, mtu: MTU_BYTES };
             let chat = &send.bytes;
-            tap.transmit(path, send.at, flow, chat.wire(), rng, |out| chat.write(&mut json, out));
+            tap.transmit(path, send.at, flow, chat.wire(), rng, |out| {
+                chat.write(&mut json, out.literal())
+            });
         }
     }
 }
@@ -303,9 +306,9 @@ mod tests {
     fn on_wire(chat: &ChatWire) -> Vec<u8> {
         let mut out = vec![];
         chat.write(&mut String::new(), &mut out);
-        let Wire { literal, fill, pad } = chat.wire();
-        assert_eq!(out.len(), literal, "{chat:?}");
-        out.resize(literal + pad, fill);
+        let Wire { written, fill, pad } = chat.wire();
+        assert_eq!(out.len(), written, "{chat:?}");
+        out.resize(written + pad, fill);
         out
     }
 
@@ -356,7 +359,7 @@ mod tests {
         for bytes in [0, 9, 10, 1_000_000] {
             let chat = ChatWire::Picture(bytes);
             let head = Response::ok_bytes("image/jpeg", vec![]).encode_head(bytes);
-            assert_eq!(chat.wire(), Wire { literal: head.len(), fill: 0xD8, pad: bytes });
+            assert_eq!(chat.wire(), Wire { written: head.len(), fill: 0xD8, pad: bytes });
             assert_eq!(on_wire(&chat), [head, vec![0xD8; bytes]].concat());
         }
     }

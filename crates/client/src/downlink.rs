@@ -1,12 +1,14 @@
 //! The downstream wire of a session: what the server side queues to send,
 //! and what the capture host records of it.
 //!
-//! **A captured byte is written once.** Nothing here holds media bytes: a
-//! queued send is a *descriptor* — when, on which flow, how long, and what
-//! writes it — and its bytes are produced when it is transmitted, by its
-//! writer, straight into the capture [`Flow`]'s own arena
-//! ([`Flow::append_with`]); the packets the link delivers are then cut over
-//! them by length. Chat is stated the same way: a chat send is a
+//! **A captured byte is written once, if at all.** Nothing here holds media
+//! bytes: a queued send is a *descriptor* — when, on which flow, how long,
+//! and what writes it — and its bytes are produced when it is transmitted,
+//! by its writer, straight into the capture [`Flow`] ([`Flow::append_with`]
+//! hands the writer the flow as a [`Sink`]): head and framing bytes into
+//! its arena, a body's filler as a generated piece that is written out
+//! only when a reader asks; the packets the link delivers are then cut
+//! over them by length. Chat is stated the same way: a chat send is a
 //! [`ChatWire`] that states its exact on-wire length — a WebSocket frame
 //! around a JSON body, or a picture's HTTP response head and body — and is
 //! written, JSON through a scratch the queue reuses, only when the send is
@@ -33,11 +35,13 @@
 //! Box–Muller per packet.
 
 use crate::chat_client::ChatWire;
-use pscp_media::capture::{Capture, Flow, FlowKind};
+use pscp_media::capture::{Appender, Capture, Flow, FlowKind};
+use pscp_proto::filler::Sink;
 use pscp_proto::tls::{self, TlsChannel};
 use pscp_simnet::fault::LinkFaults;
 use pscp_simnet::rng::CounterRng;
 use pscp_simnet::{Link, SimDuration, SimTime, WallClock};
+use std::mem::take;
 
 /// Whether the session's capture will be read by anyone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,13 +53,14 @@ pub(crate) enum Recording {
     Counted,
 }
 
-/// The on-wire shape of one transmission: `literal` bytes a writer
+/// The on-wire shape of one transmission: `written` bytes a writer
 /// produces, then a run of `pad` × `fill` that is never written out
 /// (picture bodies, bootstrap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Wire {
-    /// Bytes the transmission's writer produces.
-    pub literal: usize,
+    /// Bytes the transmission's writer produces — written out, or handed
+    /// over as fillers.
+    pub written: usize,
     /// The byte the run repeats.
     pub fill: u8,
     /// Run length.
@@ -64,20 +69,59 @@ pub(crate) struct Wire {
 
 impl Wire {
     /// `n` written bytes and no run.
-    pub fn literal(n: usize) -> Wire {
-        Wire { literal: n, fill: 0, pad: 0 }
+    pub fn written(n: usize) -> Wire {
+        Wire { written: n, fill: 0, pad: 0 }
     }
 
     /// On-wire length.
     pub fn len(&self) -> usize {
-        self.literal + self.pad
+        self.written + self.pad
     }
 
-    /// The `(literal, run)` lengths of the packet carrying on-wire bytes
+    /// The `(written, run)` lengths of the packet carrying on-wire bytes
     /// `off..off + n`.
     fn packet(&self, off: usize, n: usize) -> (usize, usize) {
-        let literal = self.literal.saturating_sub(off).min(n);
-        (literal, n - literal)
+        let written = self.written.saturating_sub(off).min(n);
+        (written, n - written)
+    }
+}
+
+/// What a queued media send is written from: the transport's descriptor,
+/// which writes the send's bytes — head bytes written out, a body's filler
+/// handed over — into whatever records them.
+pub(crate) trait MediaWrite {
+    /// Appends the send's bytes to `out`.
+    fn write(&self, out: &mut impl Sink);
+
+    /// At most how many bytes [`MediaWrite::write`] writes out, and how
+    /// many fillers it hands over: what a flow stores of the send.
+    fn stored(&self) -> Stored;
+}
+
+/// What a flow stores of a transmission: bytes written out, and generated
+/// pieces.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Stored {
+    /// Bytes written out.
+    pub bytes: usize,
+    /// Fillers handed over.
+    pub pieces: usize,
+}
+
+impl std::ops::AddAssign for Stored {
+    fn add_assign(&mut self, other: Stored) {
+        self.bytes += other.bytes;
+        self.pieces += other.pieces;
+    }
+}
+
+/// A queue without media sends: the app traffic of a transport whose media
+/// takes another path (SRT's datagrams).
+impl MediaWrite for () {
+    fn write(&self, _: &mut impl Sink) {}
+
+    fn stored(&self) -> Stored {
+        Stored::default()
     }
 }
 
@@ -92,7 +136,7 @@ pub(crate) struct Path<'a> {
     pub mtu: usize,
 }
 
-/// Where a queued send's literal bytes come from when it is transmitted.
+/// Where a queued send's written bytes come from when it is transmitted.
 #[derive(Debug, Clone, Copy)]
 enum Source {
     /// Stored in the queue's heads, from this offset.
@@ -107,7 +151,7 @@ enum Source {
 /// [`Source::Media`]'s `tag` of a send the transport wants nothing back for.
 const NO_TAG: u32 = u32::MAX;
 
-/// One queued transmission: `len` literal bytes from `src`, then `pad` ×
+/// One queued transmission: `len` written bytes from `src`, then `pad` ×
 /// `fill`. Sorting by time moves these records, so they are kept small.
 #[derive(Debug, Clone, Copy)]
 struct Send {
@@ -223,12 +267,12 @@ impl<W> SendQueue<W> {
     /// Queues the chat send `chat` describes: its bytes are written from it
     /// when the send is transmitted.
     pub fn push_chat(&mut self, at: SimTime, flow: usize, chat: ChatWire) {
-        let Wire { literal, fill, pad } = chat.wire();
+        let Wire { written, fill, pad } = chat.wire();
         let src = Source::Chat(self.chats.len() as u32);
         if self.recording == Recording::Full {
             self.chats.push(chat);
         }
-        self.sends.push(Send { at, len: literal, pad, flow: flow as u32, tls_seq: 0, src, fill });
+        self.sends.push(Send { at, len: written, pad, flow: flow as u32, tls_seq: 0, src, fill });
     }
 
     /// Has every send of `flow` travel in TLS records under `key`. Called
@@ -276,58 +320,74 @@ impl<W> SendQueue<W> {
         let s = &self.sends[i];
         let sealed = self.tls_key(s.flow).is_some();
         Wire {
-            literal: if sealed { tls::sealed_len(s.len) } else { s.len },
+            written: if sealed { tls::sealed_len(s.len) } else { s.len },
             fill: s.fill,
             pad: s.pad,
         }
     }
+}
 
+impl<W: MediaWrite> SendQueue<W> {
     /// Pre-sizes `tap`'s capture for everything queued: the descriptors say
-    /// exactly how many literal bytes each flow records (runs take no
-    /// space), and chunking the on-wire length bounds the packet count.
+    /// what each flow stores — every written byte of heads, chat and sealed
+    /// sends (runs take no space), a media send's framing and headers with a
+    /// piece per filler it hands over — and chunking the on-wire length
+    /// bounds the packet count.
     pub fn reserve(&self, tap: &mut Tap, mtu: usize) {
-        let mut flows = vec![(0usize, 0usize); tap.capture.flows.len()];
-        for i in 0..self.sends.len() {
+        let mut flows = vec![(Stored::default(), 0usize); tap.capture.flows.len()];
+        for (i, s) in self.sends.iter().enumerate() {
             let wire = self.wire(i);
-            let (bytes, packets) = &mut flows[self.sends[i].flow as usize];
-            *bytes += wire.literal;
+            let (stored, packets) = &mut flows[s.flow as usize];
+            *stored += match s.src {
+                Source::Media { writer, .. } if self.tls_key(s.flow).is_none() => {
+                    self.writers.get(writer as usize).map_or(Stored::default(), W::stored)
+                }
+                _ => Stored { bytes: wire.written, pieces: 0 },
+            };
             *packets += wire.len().div_ceil(mtu);
         }
-        for (flow, (bytes, packets)) in flows.into_iter().enumerate() {
-            tap.reserve(flow, bytes, packets);
+        for (flow, (stored, packets)) in flows.into_iter().enumerate() {
+            tap.reserve(flow, packets, || stored);
         }
     }
 
-    /// Transmits the `i`-th send over `path` (see [`Tap::transmit`]). A
-    /// head is copied out of the queue; a media send is written by `media`
-    /// from its descriptor, a chat send from its own; any goes through the
-    /// flow's TLS channel first if the flow is sealed.
+    /// Appends send `s`'s bytes to `out`: a head copied out of the queue, a
+    /// media send written from its descriptor, a chat send from its own
+    /// (its JSON through `json`).
+    fn write_send(&self, s: &Send, json: &mut String, out: &mut impl Sink) {
+        match s.src {
+            Source::Head(start) => out.put(&self.heads[start as usize..][..s.len]),
+            Source::Media { writer, .. } => self.writers[writer as usize].write(out),
+            Source::Chat(n) => self.chats[n as usize].write(json, out.literal()),
+        }
+    }
+
+    /// Transmits the `i`-th send over `path` (see [`Tap::transmit`]),
+    /// written by [`SendQueue::write_send`] — through the flow's TLS
+    /// channel first if the flow is sealed: a record is ciphertext of every
+    /// plaintext byte, so a sealed send is written out, fillers and all.
     pub fn transmit(
         &mut self,
         i: usize,
         tap: &mut Tap,
         path: Path<'_>,
         clock_rng: &mut CounterRng,
-        media: impl FnOnce(&W, &mut Vec<u8>),
     ) -> Option<SimTime> {
         let (wire, s) = (self.wire(i), self.sends[i]);
-        let key = self.tls_key(s.flow);
-        let (heads, writers, chats) = (&self.heads, &self.writers, &self.chats);
-        let (plain, json) = (&mut self.plain, &mut self.json);
-        let write = |out: &mut Vec<u8>| match s.src {
-            Source::Head(start) => out.extend_from_slice(&heads[start as usize..][..s.len]),
-            Source::Media { writer, .. } => media(&writers[writer as usize], out),
-            Source::Chat(n) => chats[n as usize].write(json, out),
-        };
+        let (mut plain, mut json) = (take(&mut self.plain), take(&mut self.json));
         let flow = s.flow as usize;
-        match key {
-            None => tap.transmit(path, s.at, flow, wire, clock_rng, write),
+        let last = match self.tls_key(s.flow) {
+            None => tap.transmit(path, s.at, flow, wire, clock_rng, |out| {
+                self.write_send(&s, &mut json, out)
+            }),
             Some(key) => tap.transmit(path, s.at, flow, wire, clock_rng, |out| {
                 plain.clear();
-                write(plain);
-                TlsChannel::resume(key, s.tls_seq as u64).seal_into(plain, out);
+                self.write_send(&s, &mut json, &mut plain);
+                TlsChannel::resume(key, s.tls_seq as u64).seal_into(&plain, out.literal());
             }),
-        }
+        };
+        (self.plain, self.json) = (plain, json);
+        last
     }
 }
 
@@ -361,27 +421,34 @@ impl Tap {
 
     /// What this tap records of `wire` — the one place "keep or count" is
     /// decided: a counted tap records a run of the same on-wire length,
-    /// which has no literal byte for a writer to produce.
+    /// which has no written byte for a writer to produce.
     fn kept(&self, wire: Wire) -> Wire {
         match self.recording {
             Recording::Full => wire,
-            Recording::Counted => Wire { literal: 0, fill: 0, pad: wire.len() },
+            Recording::Counted => Wire { written: 0, fill: 0, pad: wire.len() },
         }
     }
 
-    /// Pre-sizes `flow` for `packets` packets holding `bytes` written bytes.
-    pub fn reserve(&mut self, flow: usize, bytes: usize, packets: usize) {
-        let bytes = self.kept(Wire::literal(bytes)).literal;
-        self.capture.flows[flow].reserve(bytes, packets);
+    /// Pre-sizes `flow` for `packets` packets storing what `stored` says,
+    /// which is asked only if the flow is kept: a counted flow stores
+    /// nothing.
+    pub fn reserve(&mut self, flow: usize, packets: usize, stored: impl FnOnce() -> Stored) {
+        let flow = &mut self.capture.flows[flow];
+        let stored = match self.recording {
+            Recording::Full => stored(),
+            Recording::Counted => Stored::default(),
+        };
+        flow.reserve(stored.bytes, packets);
+        flow.reserve_pieces(stored.pieces);
     }
 
     /// Appends what is kept of `wire`'s written bytes to `flow` — `write`
     /// is called for them, and not at all if none are kept — and returns
     /// the shape to cut packets over.
-    fn append(&mut self, flow: usize, wire: Wire, write: impl FnOnce(&mut Vec<u8>)) -> Wire {
+    fn append(&mut self, flow: usize, wire: Wire, write: impl FnOnce(&mut Appender<'_>)) -> Wire {
         let wire = self.kept(wire);
-        if wire.literal > 0 {
-            self.capture.flows[flow].append_with(wire.literal, write);
+        if wire.written > 0 {
+            self.capture.flows[flow].append_with(wire.written, write);
         }
         wire
     }
@@ -395,10 +462,10 @@ impl Tap {
         at: SimTime,
         wire: Wire,
         clock_rng: &mut CounterRng,
-        write: impl FnOnce(&mut Vec<u8>),
+        write: impl FnOnce(&mut Appender<'_>),
     ) {
         let wire = self.append(flow, wire, write);
-        self.capture.flows[flow].cut_deferred(at, clock_rng, wire.literal, wire.fill, wire.pad);
+        self.capture.flows[flow].cut_deferred(at, clock_rng, wire.written, wire.fill, wire.pad);
     }
 
     /// Sends `wire` over the reliable `path` at `at`: its bytes are written
@@ -413,7 +480,7 @@ impl Tap {
         flow: usize,
         wire: Wire,
         clock_rng: &mut CounterRng,
-        write: impl FnOnce(&mut Vec<u8>),
+        write: impl FnOnce(&mut Appender<'_>),
     ) -> Option<SimTime> {
         let Path { link, mut faults, mtu } = path;
         let wire = self.append(flow, wire, write);
@@ -430,9 +497,9 @@ impl Tap {
                 arr = (arr + lf.packet_extra()).max(self.floor[flow]);
                 self.floor[flow] = arr;
             }
-            let (literal, pad) = wire.packet(off, mtu.min(len - off));
-            self.capture.flows[flow].cut_deferred(arr, clock_rng, literal, wire.fill, pad);
-            off += literal + pad;
+            let (written, pad) = wire.packet(off, mtu.min(len - off));
+            self.capture.flows[flow].cut_deferred(arr, clock_rng, written, wire.fill, pad);
+            off += written + pad;
             last = Some(arr);
         });
         last
@@ -450,7 +517,7 @@ impl Tap {
         wire: Wire,
         chunks: &[(SimTime, usize)],
         clock_rng: &mut CounterRng,
-        write: impl FnOnce(&mut Vec<u8>),
+        write: impl FnOnce(&mut Appender<'_>),
     ) -> SimDuration {
         let wire = self.append(flow, wire, write);
         let (mut off, mut extra) = (0, SimDuration::ZERO);
@@ -458,8 +525,8 @@ impl Tap {
             if let Some(lf) = faults.as_deref_mut() {
                 extra += lf.packet_extra();
             }
-            let (literal, pad) = wire.packet(off, n);
-            self.capture.flows[flow].cut_deferred(at + extra, clock_rng, literal, wire.fill, pad);
+            let (written, pad) = wire.packet(off, n);
+            self.capture.flows[flow].cut_deferred(at + extra, clock_rng, written, wire.fill, pad);
             off += n;
         }
         debug_assert_eq!(off, wire.len(), "the schedule carries another length than the response");
@@ -479,6 +546,18 @@ mod tests {
     /// What flow 0 of [`queues`] carries: the head, its run, the hearts.
     fn app_stream() -> Vec<u8> {
         [&b"head"[..], &[0xD8; 5_000], HEARTS_FRAME].concat()
+    }
+
+    /// A media send here is 40,000 copies of one byte, handed over as a
+    /// filler.
+    impl MediaWrite for u8 {
+        fn write(&self, out: &mut impl Sink) {
+            out.fill(pscp_proto::filler::Filler::run(*self, 40_000));
+        }
+
+        fn stored(&self) -> Stored {
+            Stored { bytes: 0, pieces: 1 }
+        }
     }
 
     /// The same pushes into a full and a counted queue; a media send's
@@ -512,9 +591,7 @@ mod tests {
         let last = (0..q.len())
             .map(|i| {
                 let path = Path { link: &mut link, faults: None, mtu: 1448 };
-                q.transmit(i, &mut tap, path, &mut rng, |&byte, out| {
-                    out.resize(out.len() + 40_000, byte)
-                })
+                q.transmit(i, &mut tap, path, &mut rng)
             })
             .collect();
         (last, tap.capture)
@@ -540,9 +617,9 @@ mod tests {
         // Stable by time; the 40,000-byte send grew by three records' framing.
         let tags: Vec<Option<usize>> = shape(&full).iter().map(|(s, _)| s.tag).collect();
         assert_eq!(tags, [Some(2), None, None, None, None]);
-        assert_eq!(full.wire(0).literal, tls::sealed_len(40_000));
-        assert_eq!(full.wire(3), Wire { literal: 4, fill: 0xD8, pad: 5_000 });
-        assert_eq!(full.wire(4), Wire::literal(HEARTS_FRAME.len()));
+        assert_eq!(full.wire(0).written, tls::sealed_len(40_000));
+        assert_eq!(full.wire(3), Wire { written: 4, fill: 0xD8, pad: 5_000 });
+        assert_eq!(full.wire(4), Wire::written(HEARTS_FRAME.len()));
         assert_eq!(full.heads, [&b"head"[..], &[9; 17]].concat());
         assert_eq!(full.chats, [HEARTS]);
         let counted_capacity =
@@ -570,7 +647,7 @@ mod tests {
         // not a byte.
         assert_eq!(*full.flows[1].byte_stream(), [vec![7; 40_000], vec![9; 17]].concat());
         assert_eq!(*full.flows[0].byte_stream(), app_stream());
-        assert!(counted.flows.iter().all(|f| f.payloads().all(|p| p.literal().is_empty())));
+        assert!(counted.flows.iter().all(|f| f.stored_bytes() == 0));
     }
 
     /// A sealed flow's sends are sealed as they are transmitted, in time
@@ -595,9 +672,7 @@ mod tests {
         let mut tap = Tap::new(Recording::Full, WallClock::perfect());
         let flow = tap.open_flow(FlowKind::Chat, "ws");
         let mut rng = pscp_simnet::RngFactory::new(1).stream("tap");
-        tap.record(flow, SimTime::ZERO, Wire::literal(3), &mut rng, |out| {
-            out.extend_from_slice(b"four")
-        });
+        tap.record(flow, SimTime::ZERO, Wire::written(3), &mut rng, |out| out.put(b"four"));
     }
 
     #[test]
@@ -607,10 +682,8 @@ mod tests {
             let flow = tap.open_flow(FlowKind::HlsHttp, "pop");
             let mut rng = pscp_simnet::RngFactory::new(1).stream("tap");
             let chunks = [(SimTime::from_secs(1), 3), (SimTime::from_secs(2), 6)];
-            let wire = Wire { literal: 5, fill: 0, pad: 4 };
-            tap.record_response(None, flow, wire, &chunks, &mut rng, |out| {
-                out.extend_from_slice(b"HEADb")
-            });
+            let wire = Wire { written: 5, fill: 0, pad: 4 };
+            tap.record_response(None, flow, wire, &chunks, &mut rng, |out| out.put(b"HEADb"));
             tap.capture
         });
         let payloads = |c: &Capture| -> Vec<Vec<u8>> {

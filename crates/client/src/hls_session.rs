@@ -10,11 +10,12 @@
 
 use crate::broadcaster::{Phone, ENCODE_LATENCY};
 use crate::chat_client;
-use crate::downlink::Wire;
+use crate::downlink::{Stored, Wire};
 use crate::player::MediaArrival;
 use crate::retry::RetryPolicy;
 use crate::session::{Delivered, SessionCtx};
 use pscp_media::capture::FlowKind;
+use pscp_proto::filler::Sink;
 use pscp_proto::http::Response;
 use pscp_service::cdn;
 use pscp_service::segmenter::{Segmenter, SegmenterConfig};
@@ -94,18 +95,21 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     let mut cwnd = INIT_CWND_SEGMENTS;
     let mut arrivals: Vec<MediaArrival> = Vec::new();
     let session_end = join_at + config.watch;
-    // Pre-size the flow, so that a fetched segment is written into memory
-    // allocated once: the client can reach the segments that become
-    // available from one before the live edge at the join until the session
-    // ends, and polls the playlist about once a `POLL` meanwhile.
+    // Pre-size the flow, so that what a fetched segment stores is written
+    // into memory allocated once: the client can reach the segments that
+    // become available from one before the live edge at the join until the
+    // session ends, and polls the playlist about once a `POLL` meanwhile.
     let edge = segmenter.playlist_at(join_at).last_sequence().unwrap_or(0);
-    let reachable: usize = segmenter.segments()[edge.saturating_sub(EDGE_OFFSET - 1) as usize..]
-        .iter()
-        .filter(|s| s.available_at < session_end)
-        .map(|s| s.len + RESPONSE_OVERHEAD_BYTES)
-        .sum();
+    let reachable = &segmenter.segments()[edge.saturating_sub(EDGE_OFFSET - 1) as usize..];
     let polls = (config.watch.as_micros() / POLL.as_micros()) as usize;
-    ctx.tap.reserve(flow, reachable + polls * RESPONSE_OVERHEAD_BYTES, 0);
+    ctx.tap.reserve(flow, 0, || {
+        let mut stored = Stored { bytes: polls * RESPONSE_OVERHEAD_BYTES, pieces: 0 };
+        for segment in reachable.iter().filter(|s| s.available_at < session_end) {
+            let (bytes, pieces) = segment.stored();
+            stored += Stored { bytes: bytes + RESPONSE_OVERHEAD_BYTES, pieces };
+        }
+        stored
+    });
 
     // --- fault injection (DESIGN.md §8), every class gated on its own
     // rate so a disabled layer draws no variate and changes no byte ---
@@ -121,7 +125,7 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
         + ctx.tap.record_response(
             link_faults.as_mut(),
             misc_flow,
-            Wire { literal: 0, fill: 0, pad: overhead_bytes },
+            Wire { written: 0, fill: 0, pad: overhead_bytes },
             &boot.chunks,
             &mut ctx.net_rng,
             |_| {},
@@ -176,8 +180,8 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
             let resp =
                 Response::ok_bytes("application/vnd.apple.mpegurl", playlist.render().into_bytes())
                     .encode();
-            ctx.tap.record(flow, at, Wire::literal(resp.len()), &mut ctx.net_rng, |out| {
-                out.extend_from_slice(&resp)
+            ctx.tap.record(flow, at, Wire::written(resp.len()), &mut ctx.net_rng, |out| {
+                out.put(&resp)
             });
             ctx.trace.count("hls", "playlist_polls", 1);
         };
@@ -238,11 +242,11 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
             + ctx.tap.record_response(
                 link_faults.as_mut(),
                 flow,
-                Wire::literal(resp_len),
+                Wire::written(resp_len),
                 &schedule.chunks,
                 &mut ctx.net_rng,
                 |out| {
-                    out.extend_from_slice(&head);
+                    out.put(&head);
                     segment.write_into(out);
                 },
             );

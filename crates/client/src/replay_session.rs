@@ -14,6 +14,7 @@ use crate::player::MediaArrival;
 use crate::session::{finish, Delivered, SessionConfig, SessionOutcome};
 use pscp_media::capture::FlowKind;
 use pscp_obs::Trace;
+use pscp_proto::filler::Sink;
 use pscp_proto::http::Response;
 use pscp_service::cdn;
 use pscp_service::replay::ReplayVod;
@@ -52,10 +53,10 @@ pub fn run(
     tap.record_response(
         None,
         flow,
-        Wire::literal(playlist.len()),
+        Wire::written(playlist.len()),
         &boot.chunks,
         &mut net_rng,
-        |out| out.extend_from_slice(&playlist),
+        |out| out.put(&playlist),
     );
 
     // Segment fetch loop: pull ahead of playback up to the buffer cap.
@@ -84,11 +85,11 @@ pub fn run(
         tap.record_response(
             None,
             flow,
-            Wire::literal(resp_len),
+            Wire::written(resp_len),
             &schedule.chunks,
             &mut net_rng,
             |out| {
-                out.extend_from_slice(&head);
+                out.put(&head);
                 segment.write_into(out);
             },
         );

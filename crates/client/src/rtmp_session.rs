@@ -14,13 +14,14 @@
 //! one FIFO link everything shares, and mid-stream disconnects.
 
 use crate::chat_client;
-use crate::downlink::{Path, SendQueue};
+use crate::downlink::{MediaWrite, Path, SendQueue, Stored};
 use crate::push::{Body, Media, Meta, Push};
 use crate::session::{Delivered, SessionCtx};
-use pscp_media::bitstream::FrameKind;
+use pscp_media::bitstream::{FrameKind, HEADER_LEN_NTP};
 use pscp_media::capture::FlowKind;
 use pscp_media::flv::{AudioTag, VideoTag};
 use pscp_proto::amf::{encode_command, Amf0};
+use pscp_proto::filler::{self, Sink};
 use pscp_proto::rtmp::{handshake_c0c1, handshake_s0s1s2, Chunker, Framing, Message, MessageType};
 use pscp_simnet::fault;
 use pscp_simnet::{Link, SimDuration, SimTime};
@@ -29,26 +30,43 @@ use pscp_simnet::{Link, SimDuration, SimTime};
 /// reconnect completes (DESIGN.md §8).
 const RTMP_RECONNECT_GAP: SimDuration = SimDuration::from_secs(4);
 
-/// Writes one media message as it goes on the wire: the FLV tag — header,
-/// then the body generated in place — into `scratch`, chunked from there
-/// into `out`. The one pass over a frame body that touches capture-sized
-/// memory is the chunker's, into the flow.
-fn write_message((framing, body): &(Framing, Body<'_>), scratch: &mut Vec<u8>, out: &mut Vec<u8>) {
-    scratch.clear();
-    match *body {
-        Body::Audio(size) => AudioTag::encode_into(size, scratch),
-        // The frame payload *is* the coded frame body: the 5-byte FLV tag
-        // header, then the body.
-        Body::Video(f) => {
-            VideoTag::write_header(
-                f.kind == FrameKind::I,
-                if f.kind == FrameKind::B { 33 } else { 0 },
-                scratch,
-            );
-            f.encode_into(scratch);
+/// One media message as it goes on the wire: the FLV tag — its header and
+/// the frame's header written out, the body's filler handed over — chunked
+/// by the framing decided for it. The flow records the filler's slices
+/// between the chunk headers; a sealed flow's plaintext writes them out.
+impl MediaWrite for (Framing, Body<'_>) {
+    fn write(&self, out: &mut impl Sink) {
+        let (framing, body) = self;
+        match *body {
+            Body::Audio(size) => {
+                let body = filler::Body { head: &AudioTag::HEADER, tail: AudioTag::filler(size) };
+                framing.write(body, out)
+            }
+            // The frame payload *is* the coded frame body: the 5-byte FLV
+            // tag header, then the body.
+            Body::Video(f) => {
+                let mut head = [0; VideoTag::HEADER_LEN + HEADER_LEN_NTP];
+                let composition_ms = if f.kind == FrameKind::B { 33 } else { 0 };
+                let tag = VideoTag::header(f.kind == FrameKind::I, composition_ms);
+                let frame = f.head();
+                let len = tag.len() + frame.len();
+                head[..tag.len()].copy_from_slice(&tag);
+                head[tag.len()..len].copy_from_slice(&frame);
+                framing.write(filler::Body { head: &head[..len], tail: f.filler() }, out)
+            }
         }
     }
-    framing.write(scratch, out);
+
+    /// Everything but the filler is written out, and each chunk hands over
+    /// at most one slice of it.
+    fn stored(&self) -> Stored {
+        let (framing, body) = self;
+        let filler = match *body {
+            Body::Audio(size) => size,
+            Body::Video(f) => f.filler().len(),
+        };
+        Stored { bytes: framing.wire_len() - filler, pieces: framing.chunks() }
+    }
 }
 
 /// Delivers the session in `ctx` over RTMP.
@@ -83,25 +101,23 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     let c0c1 = handshake_c0c1(0, 0x7e);
     let s_bytes = handshake_s0s1s2(&c0c1, 0).expect("own C0C1 is valid");
     sends.push(join_at + rtt, flow_rtmp, &s_bytes, 0, 0);
-    // One scratch buffer holds each message body while the chunker copies
-    // it out; it is reused for every message in the session.
-    let mut scratch: Vec<u8> = Vec::with_capacity(8 * 1024);
+    let mut control: Vec<u8> = Vec::new();
     let mut chunker = Chunker::new();
-    chunker.write(&Message::set_chunk_size(4096), &mut scratch);
+    chunker.write(&Message::set_chunk_size(4096), &mut control);
     chunker.write(
         &Message::command(encode_command(
             "onStatus",
             0.0,
             &[Amf0::Null, Amf0::object([("code", Amf0::String("NetStream.Play.Start".into()))])],
         )),
-        &mut scratch,
+        &mut control,
     );
-    sends.push(play_cmd_at, flow_rtmp, &scratch, 0, 0);
+    sends.push(play_cmd_at, flow_rtmp, &control, 0, 0);
 
     // Media messages: each is framed by the chunker (which sets its on-wire
     // length; its state follows the order the messages are queued in) and
-    // queued as that framing and what it frames — `write_message` produces
-    // the bytes when the message is transmitted. A video send is tagged
+    // queued as that framing and what it frames, which writes the bytes
+    // when the message is transmitted. A video send is tagged
     // with its place in `metas`.
     let mut metas: Vec<Meta> = Vec::with_capacity(video_in.len());
     for (send_at, Media { ts_ms, body, meta }) in
@@ -157,9 +173,7 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
             continue; // the connection is down; these bytes never leave
         }
         let path = Path { link: &mut link, faults: link_faults.as_mut(), mtu: push.mtu };
-        let last = sends.transmit(i, &mut ctx.tap, path, &mut ctx.clock_rng, |message, out| {
-            write_message(message, &mut scratch, out)
-        });
+        let last = sends.transmit(i, &mut ctx.tap, path, &mut ctx.clock_rng);
         if let (Some(tag), Some(arr)) = (send.tag, last) {
             arrivals.push(metas[tag].arrived(arr));
         }

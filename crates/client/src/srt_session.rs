@@ -28,11 +28,12 @@
 //! `(seq, attempt)`, never a shared draw sequence, so scaling the loss
 //! config cannot shift which retransmits fail.
 
-use crate::downlink::{Path, SendQueue, Wire};
+use crate::downlink::{Path, SendQueue, Stored, Wire};
 use crate::push::{Body, Media, Meta, Push};
 use crate::retry::RetryPolicy;
 use crate::session::{Delivered, SessionCtx};
 use pscp_media::capture::FlowKind;
+use pscp_proto::filler::{self, Filler, Sink};
 use pscp_proto::srt::{
     self, seq_add, seq_distance, Caller, Listener, Packet, RecvEvent, RecvTracker, RetxEntry,
     RetxQueue,
@@ -63,14 +64,6 @@ struct PktInfo {
     chunk: u32,
 }
 
-/// The message body a datagram is being cut from, kept between datagrams:
-/// they are written in arrival order, which is message order but for the
-/// retransmitted ones, so a body is generated about once.
-struct BodyScratch {
-    msg: Option<u32>,
-    bytes: Vec<u8>,
-}
-
 /// What the data packets of a session are written from.
 struct Datagrams<'a> {
     msgs: &'a [Msg<'a>],
@@ -98,27 +91,37 @@ impl Datagrams<'_> {
         srt::DATA_HEADER_BYTES + self.chunk(i).len()
     }
 
+    /// What a flow stores of packet `i`: its header and its part of the
+    /// frame's header written out, the rest of its slice as one filler.
+    fn stored(&self, i: usize) -> Stored {
+        let (m, chunk) = (&self.msgs[self.pkts[i].msg as usize], self.chunk(i));
+        let head = match m.body {
+            Body::Video(f) => f.head_len(),
+            Body::Audio(_) => 0,
+        };
+        let written = head.saturating_sub(chunk.start).min(chunk.len());
+        Stored { bytes: srt::DATA_HEADER_BYTES + written, pieces: usize::from(chunk.end > head) }
+    }
+
     /// Writes packet `i` — data header, then its slice of the message body
     /// — into `out`: the same bytes `encode_packet` produces for an owned
-    /// `DataPacket`, without the per-packet payload `Vec`.
-    fn write(&self, i: usize, scratch: &mut BodyScratch, out: &mut Vec<u8>) {
+    /// `DataPacket`, the body's filler slice handed over, never generated
+    /// here.
+    fn write(&self, i: usize, out: &mut impl Sink) {
         let (msg, chunk) = (self.pkts[i].msg, self.chunk(i));
         let m = &self.msgs[msg as usize];
-        if scratch.msg != Some(msg) {
-            scratch.msg = Some(msg);
-            scratch.bytes.clear();
-            match m.body {
-                Body::Video(f) => f.encode_into(&mut scratch.bytes),
-                // Audio bodies are opaque zero bytes of the right size.
-                Body::Audio(size) => scratch.bytes.resize(size, 0),
+        let (seq, origin_ts_us) = (seq_add(self.initial_seq, i as u32), m.at.as_micros() as u32);
+        match m.body {
+            Body::Video(f) => {
+                let body = filler::Body { head: &f.head(), tail: f.filler() };
+                srt::write_data(seq, origin_ts_us, msg, body, chunk, out)
+            }
+            // Audio bodies are opaque zero bytes of the right size.
+            Body::Audio(size) => {
+                let body = filler::Body { head: &[], tail: Filler::run(0, size) };
+                srt::write_data(seq, origin_ts_us, msg, body, chunk, out)
             }
         }
-        out.push(0); // TYPE_DATA
-        out.extend_from_slice(&seq_add(self.initial_seq, i as u32).to_be_bytes());
-        out.extend_from_slice(&(m.at.as_micros() as u32).to_be_bytes());
-        out.extend_from_slice(&msg.to_be_bytes());
-        out.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
-        out.extend_from_slice(&scratch.bytes[chunk]);
     }
 }
 
@@ -324,7 +327,7 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Result<Delivered, SimTime> {
                 // the media datagrams; losses surface as delay under the
                 // per-flow monotone floor, exactly like the RTMP session.
                 let path = Path { link: dglink.reliable(), faults: app_faults.as_mut(), mtu };
-                sends.transmit(*si, &mut ctx.tap, path, &mut ctx.clock_rng, |(), _| {});
+                sends.transmit(*si, &mut ctx.tap, path, &mut ctx.clock_rng);
                 continue;
             }
             WireItem::Media(mi) => *mi,
@@ -443,17 +446,27 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Result<Delivered, SimTime> {
         Datagram::Control(i) => control[i].len(),
         Datagram::Data(i) => datagrams.wire_len(i),
     };
-    ctx.tap.reserve(flow_srt, records.iter().map(|&(_, d)| wire_len(d)).sum(), records.len());
-    let mut scratch = BodyScratch { msg: None, bytes: Vec::new() };
+    // What the flow stores: control packets, and per data packet its
+    // header, its part of a frame's header and a filler slice.
+    ctx.tap.reserve(flow_srt, records.len(), || {
+        let mut stored = Stored::default();
+        for &(_, d) in &records {
+            stored += match d {
+                Datagram::Control(i) => Stored { bytes: control[i].len(), pieces: 0 },
+                Datagram::Data(i) => datagrams.stored(i),
+            };
+        }
+        stored
+    });
     for &(at, d) in &records {
         ctx.tap.record(
             flow_srt,
             at,
-            Wire::literal(wire_len(d)),
+            Wire::written(wire_len(d)),
             &mut ctx.clock_rng,
             |out| match d {
-                Datagram::Control(i) => out.extend_from_slice(&control[i]),
-                Datagram::Data(i) => datagrams.write(i, &mut scratch, out),
+                Datagram::Control(i) => out.put(&control[i]),
+                Datagram::Data(i) => datagrams.write(i, out),
             },
         );
     }
@@ -555,7 +568,7 @@ mod tests {
         let mut data_pkts = 0;
         let mut control_pkts = 0;
         for p in flow.packets() {
-            match srt::decode_packet(p.payload.literal()).expect("every datagram decodes") {
+            match srt::decode_packet(&p.payload.bytes()).expect("every datagram decodes") {
                 (Packet::Data(d), used) => {
                     assert_eq!(used, p.payload.len());
                     assert_eq!(used, d.payload.len() + srt::DATA_HEADER_BYTES);

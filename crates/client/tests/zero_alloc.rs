@@ -6,7 +6,8 @@
 //! per packet; that the broadcaster side of a session and the player
 //! allocate a fixed number of times however many frames they see; and that
 //! a session whose capture nobody reads allocates no body buffer at all —
-//! and one whose capture is kept allocates each captured byte once.
+//! and one whose capture is kept stores its headers and framing and no
+//! filler byte, each filler a generated piece.
 //! This test registers the counting allocator (`pscp_obs::alloc_count`) as
 //! this binary's global allocator and falsifies each claim if a per-packet,
 //! per-frame or per-arrival allocation — or a body buffer — sneaks back in.
@@ -261,14 +262,16 @@ fn playback_allocations_do_not_grow_with_arrivals() {
 
 /// Runs one default 60 s session over `protocol`, captured and uncaptured,
 /// and pins both: allocation events at most `max_allocs` (captured,
-/// uncaptured), the uncaptured session's bytes at most `max_bytes` — the
-/// pin that fails if a body buffer sneaks back into a session whose capture
-/// nobody reads — and the captured session's bytes by the rule that a
-/// captured byte is written once.
+/// uncaptured) and bytes at most `max_bytes` (captured, uncaptured). The
+/// uncaptured pin fails if a body buffer sneaks back into a session whose
+/// capture nobody reads; the captured one if a kept capture goes back to
+/// writing its fillers out. A kept capture stores — writes out — at most
+/// 5 % of its on-wire bytes: headers, framing, chat and requests,
+/// while every frame's filler, audio body and stuffing is a piece.
 fn pin_whole_session(
     protocol: pscp_service::select::Protocol,
     max_allocs: (u64, u64),
-    max_bytes: u64,
+    max_bytes: (u64, u64),
 ) {
     use pscp_client::session::{run, run_uncaptured, SessionConfig};
     use pscp_client::SessionOutcome;
@@ -281,63 +284,62 @@ fn pin_whole_session(
     let measure = |run: &dyn Fn() -> SessionOutcome| {
         let (bytes, (allocs, outcome)) = alloc_count::counted_bytes(|| alloc_count::counted(run));
         assert!(outcome.join_time_s().is_some());
-        // What the capture actually stores.
-        let literal: usize = outcome
-            .capture
-            .flows
-            .iter()
-            .flat_map(|f| f.payloads())
-            .map(|p| p.literal().len())
-            .sum();
-        (allocs, bytes, literal as u64)
+        // What the capture stores, and what it stands for on the wire.
+        let stored: usize = outcome.capture.flows.iter().map(Flow::stored_bytes).sum();
+        (allocs, bytes, stored as u64, outcome.capture.total_bytes() as u64)
     };
-    let (full_allocs, full_bytes, literal) =
+    let (full_allocs, full_bytes, stored, on_wire) =
         measure(&|| run(protocol, &broadcast, join_at, &config, &rngs));
-    let (allocs, bytes, _) = measure(&|| {
+    let (allocs, bytes, _, _) = measure(&|| {
         let mut trace = pscp_obs::Trace::disabled();
         run_uncaptured(protocol, &broadcast, join_at, &config, &rngs, &mut trace)
     });
     assert!(alloc_count::installed());
     let report = format!(
-        "{protocol:?}: full {full_allocs} allocations / {full_bytes} bytes ({literal} of them \
-         the capture's literal bytes), uncaptured {allocs} allocations / {bytes} bytes"
+        "{protocol:?}: full {full_allocs} allocations / {full_bytes} bytes (the capture stores \
+         {stored} of its {on_wire} on-wire bytes), uncaptured {allocs} allocations / {bytes} bytes"
     );
     assert!(full_allocs <= max_allocs.0 && allocs <= max_allocs.1, "{report}");
-    assert!(bytes <= max_bytes, "{report}");
-    // What a kept capture costs over an unread one is the capture itself —
-    // every literal byte allocated once, in its flow — plus 15 % for what
-    // describes how to write it. A session-sized intermediate (a send
-    // arena, a muxed segment `Vec`) would put the factor at 2.
-    assert!(full_bytes * 100 <= bytes * 100 + literal * 115, "{report}");
+    assert!(full_bytes <= max_bytes.0 && bytes <= max_bytes.1, "{report}");
+    assert!(stored * 20 <= on_wire, "{report}");
 }
 
 /// A whole default 60 s RTMP session, both ways. The allocation counts pin
 /// what is left per session (the chat event list, the send queue, the
 /// capture index): a chat send is a descriptor, written only into a kept
-/// capture, so no message builds a `String` or a frame. Measured, in debug
-/// and release builds alike: full 71 allocations / 4,337,057 bytes (2.7 MB
-/// of them the capture); uncaptured 57 / 1,355,864. Each pinned at + 10 %.
+/// capture, so no message builds a `String` or a frame; a media message's
+/// filler is a piece. Measured, in debug and release builds alike: full
+/// 74 allocations / 1,809,351 bytes (the capture stores 114,675 of its
+/// 7,146,816 on-wire bytes, 1.6 %); uncaptured 60 / 1,348,012.
+/// Each pinned at + 10 %, or where an earlier pin was tighter, there.
 #[test]
 fn whole_session_allocations_are_pinned_in_both_modes() {
-    pin_whole_session(pscp_service::select::Protocol::Rtmp, (78, 62), 1_491_450);
+    pin_whole_session(pscp_service::select::Protocol::Rtmp, (78, 62), (1_990_286, 1_491_450));
 }
 
 /// The HLS twin: segments are descriptors, muxed into the capture when they
-/// are fetched, so a captured session holds no per-segment `Vec` and an
-/// uncaptured one no segment byte at all. Measured: full 1,531 allocations
-/// / 4,812,096 bytes; uncaptured 1,473 / 1,121,496. Each pinned at + 10 %.
+/// are fetched — TS headers written out, each packet's slice of a frame's
+/// filler, an audio body or stuffing handed over as a piece — so a captured
+/// session holds no per-segment `Vec` and an uncaptured one no segment byte
+/// at all. Measured: full 1,513 allocations / 2,128,280 bytes (stores
+/// 217,154 of 7,654,758 on-wire bytes, 2.8 %); uncaptured 1,473 /
+/// 1,121,624. Each pinned at
+/// + 10 %, or where an earlier pin was tighter, there.
 #[test]
 fn whole_hls_session_writes_a_fetched_segment_once() {
-    pin_whole_session(pscp_service::select::Protocol::Hls, (1_684, 1_620), 1_233_645);
+    pin_whole_session(pscp_service::select::Protocol::Hls, (1_664, 1_620), (2_341_108, 1_233_645));
 }
 
 /// The SRT twin: its app flows share `Push::queue_chat` and the send queue
-/// with RTMP, and its media datagrams are cut from descriptors. Measured:
-/// full 158 allocations / 5,993,674 bytes; uncaptured 123 / 3,133,684.
-/// Each pinned at + 10 %.
+/// with RTMP, and its media datagrams are cut from descriptors, each data
+/// packet's slice of a body a piece. Measured: full 157 allocations /
+/// 3,476,436 bytes (stores 138,021 of 7,170,162 on-wire bytes, 1.9 %);
+/// uncaptured
+/// 123 / 3,133,812. Each pinned at + 10 %, or where an earlier pin was
+/// tighter, there.
 #[test]
 fn whole_srt_session_allocations_are_pinned_in_both_modes() {
-    pin_whole_session(pscp_service::select::Protocol::Srt, (173, 135), 3_447_052);
+    pin_whole_session(pscp_service::select::Protocol::Srt, (172, 135), (3_824_080, 3_447_052));
 }
 
 /// What a session hands its fold: the heap of a default uncaptured outcome

@@ -152,9 +152,12 @@ pub fn analyze_rtmp_flow(flow: &Flow) -> Result<StreamReport, ProtoError> {
     // latency purposes.
     let mut frames: Vec<(usize, FramePayload)> = Vec::new();
     let mut audio: Vec<(u32, usize)> = Vec::new();
+    // The stream is materialised once — its generated pieces written out —
+    // and fed a packet's length at a time.
+    let stream = flow.byte_stream();
     let mut consumed = 0usize;
     for payload in flow.payloads() {
-        dechunker.feed(&payload.bytes())?;
+        dechunker.feed(&stream[consumed..consumed + payload.len()])?;
         consumed += payload.len();
         while let Some(msg) = dechunker.next_view() {
             match msg.kind {

@@ -13,16 +13,21 @@
 //! ordered byte stream plus a byte-offset → timestamp index, so an analyzer
 //! can ask "when did the packet containing byte N arrive?".
 //!
-//! Storage is arena-based and run-length aware: a packet's payload is a
-//! literal part followed by a *run* — `pad` copies of one `fill` byte (see
-//! [`Payload`]). Each [`Flow`] keeps one contiguous arena of the literal
-//! bytes plus per-packet metadata (timestamps, the literal end offset and
-//! the cumulative on-wire end offset), so recording a packet is a bounds
-//! check and a memcpy of its literal part — no per-packet `Vec`, and
-//! nothing at all is written for a run. Filler traffic whose contents no
-//! analysis reads (profile-picture bodies, app bootstrap) is recorded as
-//! runs; every size, offset and rate below is in on-wire bytes, exactly as
-//! if the run had been stored. Packets are exposed as borrowed
+//! Storage holds what a reader cannot recompute and describes the rest.
+//! A [`Flow`]'s stream — the bytes its packets carry, in order — is one
+//! contiguous arena of the bytes a writer wrote out, with *generated
+//! pieces* among them: a frame's filler after its header, an audio body's
+//! repeated byte, TS stuffing, each a [`Filler`] (generator state and
+//! length, or byte and length) recorded where the writer handed it over
+//! ([`Flow::append_with`] gives writers the flow as a [`Sink`]). A packet
+//! is a stretch of that stream followed by a *run* — `pad` copies of one
+//! `fill` byte (see [`Payload`]) — which is how filler traffic whose
+//! contents no analysis reads (profile-picture bodies, app bootstrap) is
+//! recorded. Recording a packet is a bounds check and a metadata record;
+//! no piece or run is written out. Every size, offset and rate below is in
+//! on-wire bytes, exactly as if every byte had been stored, and a reader
+//! gets exactly those bytes: [`Payload::bytes`] and [`Flow::byte_stream`]
+//! write the pieces out when asked. Packets are exposed as borrowed
 //! [`PacketView`]s.
 //!
 //! Wall stamps are computed when someone reads them. tcpdump stamps every
@@ -38,12 +43,14 @@
 //! they are asked about. Copies, tests and anything holding a reading
 //! already keep using [`Flow::record`]; both kinds mix freely in one flow.
 //!
-//! A session writes each literal byte here and nowhere else: it states a
-//! send's length, [`Flow::append_with`] hands the arena to whatever writes
-//! the bytes, and [`Flow::cut`]/[`Flow::cut_deferred`] then lay packets over
-//! them by length as the link delivers them — the same flow a `record` per
-//! packet would have built, without the copy out of an intermediate buffer.
+//! A session writes each written-out byte here and nowhere else: it states
+//! a send's length, [`Flow::append_with`] hands the flow to whatever writes
+//! the bytes and describes the fillers, and [`Flow::cut`]/
+//! [`Flow::cut_deferred`] then lay packets over them by length as the link
+//! delivers them — the same flow a `record` per packet would have built,
+//! without the copy out of an intermediate buffer.
 
+use pscp_proto::filler::{Filler, Sink};
 use pscp_simnet::rng::CounterRng;
 use pscp_simnet::{SimTime, WallClock};
 use std::borrow::Cow;
@@ -70,13 +77,41 @@ pub enum FlowKind {
     Srt,
 }
 
-/// One packet's payload: `literal` followed by `pad` copies of `fill`.
+/// A generated stretch of a flow's stream: a [`Filler`] a writer handed
+/// over, recorded where it falls and written out only when it is read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Piece {
+    /// Stream offset of its first byte.
+    at: u32,
+    /// Generated bytes of the stream before it, so `at - gen` written-out
+    /// bytes precede it.
+    gen: u32,
+    filler: Filler,
+}
+
+impl Piece {
+    /// Stream offset just past it.
+    fn end(&self) -> usize {
+        self.at as usize + self.filler.len()
+    }
+}
+
+/// One packet's payload: a stretch of its flow's stream — bytes written
+/// out, with generated pieces among them — followed by a *run* of `pad`
+/// copies of `fill`.
 ///
-/// A plain byte slice is the `pad == 0` case (`From<&[u8]>`). Equality is
-/// by content: a run and the same bytes written out compare equal.
+/// A plain byte slice is the stream-only case (`From<&[u8]>`). Equality is
+/// by content: a piece or a run and the same bytes written out compare
+/// equal.
 #[derive(Debug, Clone, Copy)]
 pub struct Payload<'a> {
+    /// The written-out bytes of the stretch, in order.
     literal: &'a [u8],
+    /// The pieces the stretch overlaps, in order.
+    pieces: &'a [Piece],
+    /// Stream offsets of the stretch.
+    from: usize,
+    to: usize,
     fill: u8,
     pad: usize,
 }
@@ -84,12 +119,12 @@ pub struct Payload<'a> {
 impl<'a> Payload<'a> {
     /// `literal` followed by `pad` copies of `fill`.
     pub fn run(literal: &'a [u8], fill: u8, pad: usize) -> Self {
-        Payload { literal, fill, pad }
+        Payload { literal, pieces: &[], from: 0, to: literal.len(), fill, pad }
     }
 
-    /// On-wire length: literal bytes plus the run.
+    /// On-wire length: the stretch plus the run.
     pub fn len(&self) -> usize {
-        self.literal.len() + self.pad
+        self.to - self.from + self.pad
     }
 
     /// Whether the payload has no bytes on the wire.
@@ -97,19 +132,14 @@ impl<'a> Payload<'a> {
         self.len() == 0
     }
 
-    /// The literal part.
-    pub fn literal(&self) -> &'a [u8] {
-        self.literal
-    }
-
-    /// The on-wire bytes: a free borrow when there is no run, materialised
-    /// otherwise.
+    /// The on-wire bytes: a free borrow when the payload is written-out
+    /// bytes only, materialised otherwise.
     pub fn bytes(&self) -> Cow<'a, [u8]> {
-        if self.pad == 0 {
+        if self.pieces.is_empty() && self.pad == 0 {
             return Cow::Borrowed(self.literal);
         }
         let mut out = Vec::with_capacity(self.len());
-        out.extend_from_slice(self.literal);
+        self.write_stream(&mut out);
         out.resize(self.len(), self.fill);
         Cow::Owned(out)
     }
@@ -120,12 +150,50 @@ impl<'a> Payload<'a> {
     pub fn chunks(self, mtu: usize) -> impl Iterator<Item = Payload<'a>> + Clone {
         assert!(mtu > 0, "chunk size must be non-zero");
         let len = self.len();
-        let lit = self.literal.len();
-        (0..len.div_ceil(mtu)).map(move |i| {
-            let (from, to) = (i * mtu, len.min((i + 1) * mtu));
-            let literal = &self.literal[from.min(lit)..to.min(lit)];
-            Payload { literal, fill: self.fill, pad: (to - from) - literal.len() }
-        })
+        (0..len.div_ceil(mtu)).map(move |i| self.sub(i * mtu, len.min((i + 1) * mtu)))
+    }
+
+    /// On-wire bytes `a..b` of the payload.
+    fn sub(&self, a: usize, b: usize) -> Payload<'a> {
+        let n = self.to - self.from;
+        let (from, to) = (self.from + a.min(n), self.from + b.min(n));
+        let i0 = self.pieces.partition_point(|p| p.end() <= from);
+        let i1 = i0 + self.pieces[i0..].partition_point(|p| (p.at as usize) < to);
+        let literal = |s: usize| (s - self.from) - self.generated_before(s);
+        Payload {
+            literal: &self.literal[literal(from)..literal(to)],
+            pieces: &self.pieces[i0..i1],
+            from,
+            to,
+            fill: self.fill,
+            pad: (b - a) - (to - from),
+        }
+    }
+
+    /// Generated bytes of the stretch before stream offset `s`.
+    fn generated_before(&self, s: usize) -> usize {
+        let overlap = |p: &Piece| s.min(p.end()).saturating_sub(self.from.max(p.at as usize));
+        self.pieces.iter().map(overlap).sum()
+    }
+
+    /// Appends the stretch — not the run — to `out`: written-out bytes as
+    /// bytes, each piece's part as its filler slice.
+    fn write_stream(&self, out: &mut impl Sink) {
+        let (mut s, mut lit) = (self.from, 0);
+        for p in self.pieces {
+            let (at, end) = (p.at as usize, p.end());
+            if at > s {
+                let n = at.min(self.to) - s;
+                out.put(&self.literal[lit..lit + n]);
+                (s, lit) = (s + n, lit + n);
+            }
+            let to = end.min(self.to);
+            if s < to {
+                out.fill(p.filler.slice(s - at, to - at));
+                s = to;
+            }
+        }
+        out.put(&self.literal[lit..lit + (self.to - s)]);
     }
 }
 
@@ -137,7 +205,7 @@ impl PartialEq for Payload<'_> {
 
 impl<'a> From<&'a [u8]> for Payload<'a> {
     fn from(literal: &'a [u8]) -> Self {
-        Payload { literal, fill: 0, pad: 0 }
+        Payload::run(literal, 0, 0)
     }
 }
 
@@ -163,15 +231,15 @@ enum Stamp {
     Deferred(CounterRng),
 }
 
-/// Per-packet metadata. The packet's literal bytes live in the flow arena,
-/// ending at `lit_end`; its on-wire bytes end at stream offset `wire_end`
+/// Per-packet metadata. The packet's stretch of the flow's stream ends at
+/// stream offset `stream_end`; its on-wire bytes end at offset `wire_end`
 /// (the previous packet's ends — or 0 — mark the starts). What the two
 /// lengths differ by is the packet's run of `fill`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PacketMeta {
     at: SimTime,
     stamp: Stamp,
-    lit_end: usize,
+    stream_end: usize,
     wire_end: usize,
     fill: u8,
 }
@@ -198,10 +266,39 @@ pub struct Flow {
     pub server: String,
     /// The capture host's clock: what deferred stamps are read from.
     host_clock: WallClock,
-    /// Concatenated literal bytes of every packet, in arrival order.
+    /// The stream's written-out bytes, in order.
     data: Vec<u8>,
-    /// Per-packet timestamps + cumulative literal and on-wire end offsets.
+    /// The stream's generated pieces, in order.
+    pieces: Vec<Piece>,
+    /// Bytes the pieces stand for.
+    generated: usize,
+    /// Per-packet timestamps + cumulative stream and on-wire end offsets.
     meta: Vec<PacketMeta>,
+}
+
+/// A flow as a [`Sink`]: what [`Flow::append_with`] hands a writer. Bytes
+/// go into the flow's arena; a filler is recorded as a piece.
+pub struct Appender<'a> {
+    flow: &'a mut Flow,
+}
+
+impl Sink for Appender<'_> {
+    fn literal(&mut self) -> &mut Vec<u8> {
+        &mut self.flow.data
+    }
+
+    #[inline]
+    fn fill(&mut self, filler: Filler) {
+        if filler.is_empty() {
+            return;
+        }
+        let flow = &mut *self.flow;
+        let at = flow.data.len() + flow.generated;
+        let at = u32::try_from(at).expect("a flow's stream stays under 4 GiB");
+        // `generated` ≤ `at`, so it fits too.
+        flow.pieces.push(Piece { at, gen: flow.generated as u32, filler });
+        flow.generated += filler.len();
+    }
 }
 
 impl Flow {
@@ -214,18 +311,26 @@ impl Flow {
     /// Creates an empty flow captured on the host whose clock is
     /// `host_clock`.
     pub fn on_host(kind: FlowKind, server: impl Into<String>, host_clock: WallClock) -> Self {
-        Flow { kind, server: server.into(), host_clock, data: Vec::new(), meta: Vec::new() }
+        let server = server.into();
+        let (data, pieces, meta) = (Vec::new(), Vec::new(), Vec::new());
+        Flow { kind, server, host_clock, data, pieces, generated: 0, meta }
     }
 
-    /// Pre-sizes the literal arena and packet index (e.g. for
+    /// Pre-sizes the written-out arena and packet index (e.g. for
     /// allocation-free steady-state recording). Runs need no space.
     pub fn reserve(&mut self, bytes: usize, packets: usize) {
         self.data.reserve(bytes);
         self.meta.reserve(packets);
     }
 
-    /// Records a packet the host stamped `wall_ts`: its literal part is
-    /// copied into the flow arena, its run is only counted.
+    /// Pre-sizes the record of generated pieces.
+    pub fn reserve_pieces(&mut self, pieces: usize) {
+        self.pieces.reserve(pieces);
+    }
+
+    /// Records a packet the host stamped `wall_ts`: its stretch is copied
+    /// into the flow — written-out bytes as bytes, pieces as pieces — and
+    /// its run is only counted.
     pub fn record<'a>(&mut self, at: SimTime, wall_ts: f64, payload: impl Into<Payload<'a>>) {
         self.push(at, Stamp::Read(wall_ts), payload.into());
     }
@@ -243,20 +348,21 @@ impl Flow {
         self.push(at, Stamp::Deferred(position), payload.into());
     }
 
-    /// Appends `n` literal bytes, produced by `write`, that belong to no
-    /// packet yet: [`Flow::cut`]/[`Flow::cut_deferred`] lay packets over
-    /// them. Until every appended byte is cut the flow cannot be read, and
-    /// `record` cannot be mixed in.
-    pub fn append_with(&mut self, n: usize, write: impl FnOnce(&mut Vec<u8>)) {
-        let start = self.data.len();
-        write(&mut self.data);
-        assert_eq!(self.data.len(), start + n, "writer produced another length than stated");
+    /// Appends `n` on-wire bytes, produced by `write` into the flow as a
+    /// [`Sink`], that belong to no packet yet: [`Flow::cut`]/
+    /// [`Flow::cut_deferred`] lay packets over them. Until every appended
+    /// byte is cut the flow cannot be read, and `record` cannot be mixed
+    /// in.
+    pub fn append_with(&mut self, n: usize, write: impl FnOnce(&mut Appender<'_>)) {
+        let start = self.stream_len();
+        write(&mut Appender { flow: self });
+        assert_eq!(self.stream_len(), start + n, "writer produced another length than stated");
     }
 
     /// Cuts the next packet, stamped `wall_ts`, over the appended bytes: the
-    /// next `literal` of them followed by a run of `pad` × `fill`.
-    pub fn cut(&mut self, at: SimTime, wall_ts: f64, literal: usize, fill: u8, pad: usize) {
-        self.cut_packet(at, Stamp::Read(wall_ts), literal, fill, pad);
+    /// next `n` of them followed by a run of `pad` × `fill`.
+    pub fn cut(&mut self, at: SimTime, wall_ts: f64, n: usize, fill: u8, pad: usize) {
+        self.cut_packet(at, Stamp::Read(wall_ts), n, fill, pad);
     }
 
     /// [`Flow::cut`] stamped like [`Flow::record_deferred`].
@@ -264,46 +370,51 @@ impl Flow {
         &mut self,
         at: SimTime,
         jitter: &mut CounterRng,
-        literal: usize,
+        n: usize,
         fill: u8,
         pad: usize,
     ) {
         let position = self.host_clock.defer(jitter);
-        self.cut_packet(at, Stamp::Deferred(position), literal, fill, pad);
+        self.cut_packet(at, Stamp::Deferred(position), n, fill, pad);
     }
 
     fn push(&mut self, at: SimTime, stamp: Stamp, payload: Payload<'_>) {
         self.assert_all_cut();
-        self.data.extend_from_slice(payload.literal);
-        self.cut_packet(at, stamp, payload.literal.len(), payload.fill, payload.pad);
+        payload.write_stream(&mut Appender { flow: self });
+        self.cut_packet(at, stamp, payload.to - payload.from, payload.fill, payload.pad);
     }
 
-    fn cut_packet(&mut self, at: SimTime, stamp: Stamp, literal: usize, fill: u8, pad: usize) {
+    fn cut_packet(&mut self, at: SimTime, stamp: Stamp, n: usize, fill: u8, pad: usize) {
         debug_assert!(
             self.meta.last().map(|p| p.at <= at).unwrap_or(true),
             "packets must be recorded in order"
         );
-        let lit_end = self.cut_end() + literal;
-        assert!(lit_end <= self.data.len(), "packet cut past the appended bytes");
+        let stream_end = self.cut_end() + n;
+        assert!(stream_end <= self.stream_len(), "packet cut past the appended bytes");
         self.meta.push(PacketMeta {
             at,
             stamp,
-            lit_end,
-            wire_end: self.byte_count() + literal + pad,
+            stream_end,
+            wire_end: self.byte_count() + n + pad,
             fill,
         });
     }
 
-    /// Arena offset up to which literal bytes belong to packets.
+    /// Length of the stream appended so far.
+    fn stream_len(&self) -> usize {
+        self.data.len() + self.generated
+    }
+
+    /// Stream offset up to which appended bytes belong to packets.
     fn cut_end(&self) -> usize {
-        self.meta.last().map_or(0, |m| m.lit_end)
+        self.meta.last().map_or(0, |m| m.stream_end)
     }
 
     /// Where every reader of packets or of the stream starts (and
     /// `record`): a flow is whole packets or it is not readable.
     #[inline]
     fn assert_all_cut(&self) {
-        assert_eq!(self.cut_end(), self.data.len(), "appended bytes not yet cut into packets");
+        assert_eq!(self.cut_end(), self.stream_len(), "appended bytes not yet cut into packets");
     }
 
     /// The host's stamp on a packet, read now if it was deferred.
@@ -330,6 +441,12 @@ impl Flow {
         self.meta.len()
     }
 
+    /// Bytes the flow holds written out; every other on-wire byte is a
+    /// generated piece or a run, stored as a record of its own.
+    pub fn stored_bytes(&self) -> usize {
+        self.data.len()
+    }
+
     /// The `i`-th packet as a borrowed view, its stamp read.
     #[inline]
     pub fn packet(&self, i: usize) -> PacketView<'_> {
@@ -337,52 +454,55 @@ impl Flow {
         PacketView { at: m.at, wall_ts: self.wall_ts(m), payload: self.payload(i) }
     }
 
-    /// The `i`-th packet's payload.
+    /// The `i`-th packet's payload, found by binary search among the
+    /// pieces; [`Flow::payloads`] walks them instead.
     #[inline]
     fn payload(&self, i: usize) -> Payload<'_> {
-        let m = &self.meta[i];
-        let (lit_start, wire_start) = match i.checked_sub(1) {
-            Some(prev) => (self.meta[prev].lit_end, self.meta[prev].wire_end),
-            None => (0, 0),
+        let from = i.checked_sub(1).map_or(0, |prev| self.meta[prev].stream_end);
+        let piece = self.pieces.partition_point(|p| p.end() <= from);
+        let generated = match self.pieces.get(piece) {
+            Some(p) => p.gen as usize + from.saturating_sub(p.at as usize),
+            None => self.generated,
         };
-        let literal = &self.data[lit_start..m.lit_end];
-        let pad = (m.wire_end - wire_start) - literal.len();
-        Payload::run(literal, m.fill, pad)
+        let mut one =
+            Payloads { flow: self, front: i, back: i + 1, literal: from - generated, piece };
+        one.next().expect("a recorded packet")
     }
 
     /// Iterates packets in arrival order as borrowed views, reading every
     /// stamp; a reader after bytes only wants [`Flow::payloads`].
     pub fn packets(&self) -> impl DoubleEndedIterator<Item = PacketView<'_>> + ExactSizeIterator {
-        self.assert_all_cut();
-        (0..self.meta.len()).map(|i| self.packet(i))
+        self.payloads().zip(&self.meta).map(|(payload, m)| PacketView {
+            at: m.at,
+            wall_ts: self.wall_ts(m),
+            payload,
+        })
     }
 
     /// Iterates the packets' payloads in arrival order; no stamp is read.
-    pub fn payloads(&self) -> impl DoubleEndedIterator<Item = Payload<'_>> + ExactSizeIterator {
+    pub fn payloads(&self) -> Payloads<'_> {
         self.assert_all_cut();
-        (0..self.meta.len()).map(|i| self.payload(i))
+        Payloads { flow: self, front: 0, back: self.meta.len(), literal: 0, piece: 0 }
     }
 
     /// The flow without its first `n` on-wire bytes, as a dissector that
     /// starts after a fixed-size preamble sees it: packets inside the prefix
     /// are gone, the one that straddles its end keeps its tail, and every
     /// packet keeps its instant and its stamp (deferred ones stay unread).
+    /// Pieces are copied as pieces; one cut by the prefix starts where the
+    /// cut falls.
     pub fn strip_prefix(&self, n: usize) -> Flow {
         self.assert_all_cut();
         let mut out = Flow::on_host(self.kind, self.server.clone(), self.host_clock.clone());
         out.reserve(self.data.len(), self.meta.len());
+        out.pieces.reserve(self.pieces.len());
         let mut wire_start = 0;
-        for (i, m) in self.meta.iter().enumerate() {
+        for (m, payload) in self.meta.iter().zip(self.payloads()) {
             let starts_at = std::mem::replace(&mut wire_start, m.wire_end);
             if starts_at < n && m.wire_end <= n {
                 continue;
             }
-            let mut payload = self.payload(i);
-            let cut = n.saturating_sub(starts_at);
-            let cut_literal = cut.min(payload.literal.len());
-            payload.literal = &payload.literal[cut_literal..];
-            payload.pad -= cut - cut_literal;
-            out.push(m.at, m.stamp, payload);
+            out.push(m.at, m.stamp, payload.sub(n.saturating_sub(starts_at), payload.len()));
         }
         out
     }
@@ -397,14 +517,17 @@ impl Flow {
         self.meta.last().map(|m| m.at)
     }
 
-    /// Total payload bytes on the wire (literal bytes plus runs).
+    /// Total payload bytes on the wire (written-out bytes, pieces and
+    /// runs).
     pub fn byte_count(&self) -> usize {
         self.meta.last().map_or(0, |m| m.wire_end)
     }
 
-    /// The reassembled, ordered byte stream: a free borrow of the arena
-    /// for a flow without runs, materialised (runs written out) otherwise —
-    /// always `byte_count()` bytes long.
+    /// The reassembled, ordered byte stream, always `byte_count()` bytes
+    /// long: a free borrow of the arena for a flow that is written-out
+    /// bytes only (chat, API), materialised — every piece and run written
+    /// out — otherwise (media flows, pictures). A reader that dissects a
+    /// media flow pays this once and walks the packets by length.
     pub fn byte_stream(&self) -> Cow<'_, [u8]> {
         self.assert_all_cut();
         if self.byte_count() == self.data.len() {
@@ -412,7 +535,7 @@ impl Flow {
         }
         let mut out = Vec::with_capacity(self.byte_count());
         for p in self.payloads() {
-            out.extend_from_slice(p.literal);
+            p.write_stream(&mut out);
             out.resize(out.len() + p.pad, p.fill);
         }
         Cow::Owned(out)
@@ -451,6 +574,70 @@ impl Flow {
         self.byte_count() as f64 * 8.0 / dt
     }
 }
+
+/// The payloads of a flow's packets, in order ([`Flow::payloads`]). Walking
+/// forward keeps its place among the written-out bytes and the pieces, so a
+/// whole flow is read in one pass; from the back, each payload is looked
+/// up.
+#[derive(Debug, Clone)]
+pub struct Payloads<'a> {
+    flow: &'a Flow,
+    /// The next packet from the front, and the one past the next from the
+    /// back.
+    front: usize,
+    back: usize,
+    /// Where the front packet's stretch starts in the arena, and the first
+    /// piece that ends past its start.
+    literal: usize,
+    piece: usize,
+}
+
+impl<'a> Iterator for Payloads<'a> {
+    type Item = Payload<'a>;
+
+    fn next(&mut self) -> Option<Payload<'a>> {
+        if self.front == self.back {
+            return None;
+        }
+        let (flow, i) = (self.flow, self.front);
+        let m = &flow.meta[i];
+        let (from, wire_start) = match i.checked_sub(1) {
+            Some(prev) => (flow.meta[prev].stream_end, flow.meta[prev].wire_end),
+            None => (0, 0),
+        };
+        let to = m.stream_end;
+        let (first, mut last, mut generated) = (self.piece, self.piece, 0);
+        while let Some(p) = flow.pieces.get(last).filter(|p| (p.at as usize) < to) {
+            generated += p.end().min(to) - (p.at as usize).max(from);
+            last += 1;
+        }
+        let literal = self.literal..self.literal + (to - from) - generated;
+        // The last piece may go on into the next packet.
+        self.piece = match last.checked_sub(1) {
+            Some(p) if p >= first && flow.pieces[p].end() > to => p,
+            _ => last,
+        };
+        (self.literal, self.front) = (literal.end, i + 1);
+        let pad = (m.wire_end - wire_start) - (to - from);
+        let (literal, pieces) = (&flow.data[literal], &flow.pieces[first..last]);
+        Some(Payload { literal, pieces, from, to, fill: m.fill, pad })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.back - self.front, Some(self.back - self.front))
+    }
+}
+
+impl DoubleEndedIterator for Payloads<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        (self.front < self.back).then(|| {
+            self.back -= 1;
+            self.flow.payload(self.back)
+        })
+    }
+}
+
+impl ExactSizeIterator for Payloads<'_> {}
 
 /// A whole session's capture: every downstream flow the phone saw.
 #[derive(Debug, Clone, Default)]

@@ -8,12 +8,15 @@
 //! frames shift presentation relative to decode order.
 
 use crate::bitstream::{FrameKind, FramePayload};
+use pscp_proto::filler::{Filler, Sink};
 use pscp_proto::ProtoError;
 
 /// Codec id 7 = AVC in the FLV spec.
 const CODEC_AVC: u8 = 7;
 /// Audio format 10 = AAC.
 const AUDIO_AAC: u8 = 10;
+/// The byte the opaque model AAC payload is filled with.
+const AUDIO_FILL: u8 = 0xAA;
 
 /// A video tag: header info plus the coded frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,11 +57,15 @@ impl VideoTag {
     /// decode→re-encode roundtrip. Byte-identical to [`VideoTag::encode`]
     /// because [`FramePayload::encode`] is deterministic.
     pub fn write_header(keyframe: bool, composition_ms: i32, out: &mut Vec<u8>) {
+        out.extend_from_slice(&Self::header(keyframe, composition_ms));
+    }
+
+    /// The 5-byte tag header itself.
+    pub fn header(keyframe: bool, composition_ms: i32) -> [u8; Self::HEADER_LEN] {
         let frame_type: u8 = if keyframe { 1 } else { 2 };
-        out.push((frame_type << 4) | CODEC_AVC);
-        out.push(1); // AVCPacketType = 1 (NALU)
         let ct = composition_ms;
-        out.extend_from_slice(&[(ct >> 16) as u8, (ct >> 8) as u8, ct as u8]);
+        // AVCPacketType = 1 (NALU), then the 24-bit composition time.
+        [(frame_type << 4) | CODEC_AVC, 1, (ct >> 16) as u8, (ct >> 8) as u8, ct as u8]
     }
 
     /// Decodes a tag body.
@@ -98,12 +105,20 @@ impl AudioTag {
         out
     }
 
-    /// Appends the tag body to `out` without allocating.
-    pub fn encode_into(payload_len: usize, out: &mut Vec<u8>) {
-        // format=AAC(10), rate=3 (44kHz), size=1 (16 bit), type=1 (stereo)
-        out.push((AUDIO_AAC << 4) | (3 << 2) | (1 << 1) | 1);
-        out.push(1); // AACPacketType = raw
-        out.resize(out.len() + payload_len, 0xAA);
+    /// Appends the tag body to `out` without allocating: the header
+    /// written, the payload handed over as a [`Filler`].
+    pub fn encode_into(payload_len: usize, out: &mut impl Sink) {
+        out.put(&Self::HEADER);
+        out.fill(Self::filler(payload_len));
+    }
+
+    /// The 2-byte tag header: format=AAC(10), rate=3 (44kHz), size=1 (16
+    /// bit), type=1 (stereo); AACPacketType = raw.
+    pub const HEADER: [u8; Self::HEADER_LEN] = [(AUDIO_AAC << 4) | (3 << 2) | (1 << 1) | 1, 1];
+
+    /// The opaque payload after the header.
+    pub fn filler(payload_len: usize) -> Filler {
+        Filler::run(AUDIO_FILL, payload_len)
     }
 
     /// Decodes a tag body.

@@ -8,13 +8,16 @@
 //! analysis runs, standing in for the paper's wireshark + libav toolchain.
 //!
 //! Both directions are zero-copy on the hot path: the muxer writes 188-byte
-//! packets straight into a caller-provided buffer from borrowed access-unit
-//! slices ([`TsMuxer::mux_into`]), and the incremental [`TsDemuxer`]
+//! packets straight into a caller's [`Sink`] from borrowed access-unit
+//! slices ([`TsMuxer::mux_into`]) or from bodies given as head bytes and a
+//! filler ([`TsMuxer::write_body`]), whose filler it slices over the
+//! packets without writing it out, and the incremental [`TsDemuxer`]
 //! accumulates PES payloads in per-PID arenas and yields [`TsUnitRef`]
 //! views into them. The owned [`TsUnit`] API ([`TsMuxer::mux_segment`],
 //! [`demux_segment`]) wraps the same machinery.
 
 use crate::bitstream::FramePayload;
+use pscp_proto::filler::{Body, Filler, Sink};
 use pscp_proto::ProtoError;
 
 /// Transport packet size.
@@ -157,7 +160,7 @@ impl TsMuxer {
     pub fn mux_into<'a>(
         &mut self,
         units: impl IntoIterator<Item = TsUnitRef<'a>>,
-        out: &mut Vec<u8>,
+        out: &mut impl Sink,
     ) {
         self.begin_segment(out);
         for unit in units {
@@ -191,17 +194,23 @@ impl TsMuxer {
     }
 
     /// Starts a segment: PAT, then PMT.
-    pub fn begin_segment(&mut self, out: &mut Vec<u8>) {
+    pub fn begin_segment(&mut self, out: &mut impl Sink) {
         self.write_psi(PID_PAT, pat_section(), out);
         self.write_psi(PID_PMT, pmt_section(), out);
     }
 
     /// Appends one access unit's PES packet to the segment.
-    pub fn write_unit(&mut self, unit: TsUnitRef<'_>, out: &mut Vec<u8>) {
+    pub fn write_unit(&mut self, unit: TsUnitRef<'_>, out: &mut impl Sink) {
+        self.write_body(unit.video, unit.pts_ms, unit.data.into(), out);
+    }
+
+    /// [`TsMuxer::write_unit`] for an access unit given as a [`Body`]: its
+    /// filler is sliced over the packets, never written out here.
+    pub fn write_body(&mut self, video: bool, pts_ms: u32, body: Body<'_>, out: &mut impl Sink) {
         let (pid, stream_id) =
-            if unit.video { (PID_VIDEO, STREAM_ID_VIDEO) } else { (PID_AUDIO, STREAM_ID_AUDIO) };
-        let header = pes_header(stream_id, unit.pts_ms, unit.data.len());
-        self.write_payload(pid, &header, unit.data, true, out);
+            if video { (PID_VIDEO, STREAM_ID_VIDEO) } else { (PID_AUDIO, STREAM_ID_AUDIO) };
+        let header = pes_header(stream_id, pts_ms, body.len());
+        self.write_payload(pid, &header, body, true, out);
     }
 
     fn next_cc(&mut self, pid: u16) -> u8 {
@@ -212,61 +221,61 @@ impl TsMuxer {
     }
 
     /// Writes a PSI section (pointer_field prefix) into TS packets.
-    fn write_psi(&mut self, pid: u16, section: &[u8], out: &mut Vec<u8>) {
-        self.write_payload(pid, &[0u8], section, true, out); // head = pointer_field
+    fn write_psi(&mut self, pid: u16, section: &[u8], out: &mut impl Sink) {
+        self.write_payload(pid, &[0u8], section.into(), true, out); // head = pointer_field
     }
 
-    /// Splits the virtual concatenation `head ++ tail` across TS packets on
+    /// Splits the virtual concatenation `head ++ body` across TS packets on
     /// `pid`, writing directly into `out`; `pusi` marks the first packet.
-    fn write_payload(&mut self, pid: u16, head: &[u8], tail: &[u8], pusi: bool, out: &mut Vec<u8>) {
-        let total = head.len() + tail.len();
+    /// Stuffing is a run of `0xFF`, handed over as a [`Filler`].
+    fn write_payload(
+        &mut self,
+        pid: u16,
+        head: &[u8],
+        body: Body<'_>,
+        pusi: bool,
+        out: &mut impl Sink,
+    ) {
+        let total = head.len() + body.len();
         let mut off = 0;
         let mut first = true;
         while off < total {
             let remaining = total - off;
-            let pkt_start = out.len();
-            out.reserve(TS_PACKET);
-            out.push(SYNC);
             let pusi_bit = if first && pusi { 0x40 } else { 0x00 };
-            out.push(pusi_bit | ((pid >> 8) as u8 & 0x1F));
-            out.push(pid as u8);
             let cc = self.next_cc(pid);
             let body_space = TS_PACKET - 4;
+            let header = [SYNC, pusi_bit | ((pid >> 8) as u8 & 0x1F), pid as u8];
             if remaining >= body_space {
                 // Payload only (adaptation_field_control = 01).
-                out.push(0x10 | cc);
-                copy_parts(head, tail, off, body_space, out);
+                out.put(&[header[0], header[1], header[2], 0x10 | cc]);
+                copy_parts(head, body, off, body_space, out);
                 off += body_space;
             } else {
                 // Needs stuffing: adaptation field present (11).
-                out.push(0x30 | cc);
                 let af_len = body_space - remaining - 1; // af length byte itself
-                out.push(af_len as u8);
+                out.put(&[header[0], header[1], header[2], 0x30 | cc, af_len as u8]);
                 if af_len > 0 {
-                    out.push(0x00); // flags
-                    out.resize(out.len() + (af_len - 1), 0xFF);
+                    out.literal().push(0x00); // flags
+                    out.fill(Filler::run(0xFF, af_len - 1));
                 }
-                copy_parts(head, tail, off, remaining, out);
+                copy_parts(head, body, off, remaining, out);
                 off = total;
             }
-            debug_assert_eq!(out.len() - pkt_start, TS_PACKET);
             first = false;
         }
     }
 }
 
 /// Appends `len` bytes starting at offset `off` of the virtual byte string
-/// `head ++ tail` to `out`.
-fn copy_parts(head: &[u8], tail: &[u8], off: usize, len: usize, out: &mut Vec<u8>) {
+/// `head ++ body` to `out`.
+fn copy_parts(head: &[u8], body: Body<'_>, off: usize, len: usize, out: &mut impl Sink) {
     let h = head.len();
     if off < h {
         let take = len.min(h - off);
-        out.extend_from_slice(&head[off..off + take]);
-        if take < len {
-            out.extend_from_slice(&tail[..len - take]);
-        }
+        out.put(&head[off..off + take]);
+        body.write_range(0, len - take, out);
     } else {
-        out.extend_from_slice(&tail[off - h..off - h + len]);
+        body.write_range(off - h, off - h + len, out);
     }
 }
 

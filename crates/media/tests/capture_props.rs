@@ -1,12 +1,13 @@
-//! Properties of run-length capture storage: a flow recorded as literal
-//! bytes + runs must answer every question exactly like a twin flow that
-//! was handed the same packets written out byte for byte — and a flow whose
-//! stamps were deferred exactly like one whose host clock was read packet by
-//! packet — and a flow whose bytes were appended a send at a time and then
+//! Properties of capture storage: a flow recorded as written-out bytes,
+//! generated pieces and runs must answer every question exactly like a twin
+//! flow that was handed the same packets written out byte for byte — and a
+//! flow whose stamps were deferred exactly like one whose host clock was
+//! read packet by packet — and a flow whose bytes were appended a send at a time and then
 //! cut into packets by length exactly like one recorded packet by packet.
 
 use pscp_check::{check, ensure, ensure_eq, Gen};
 use pscp_media::capture::{Capture, Flow, FlowKind, Payload};
+use pscp_proto::filler::{Filler, Sink};
 use pscp_simnet::rng::CounterRng;
 use pscp_simnet::{SimTime, WallClock};
 
@@ -295,7 +296,7 @@ fn append_then_cut_reads_exactly_like_record() {
                 let append = marks[0].2;
                 if append {
                     let literal: Vec<u8> = group.iter().flat_map(|p| p.literal.clone()).collect();
-                    cut.append_with(literal.len(), |out| out.extend_from_slice(&literal));
+                    cut.append_with(literal.len(), |out| out.put(&literal));
                 }
                 for (p, &(read_now, _, _)) in group.iter().zip(marks) {
                     t += p.gap_us;
@@ -352,7 +353,7 @@ fn append_then_cut_reads_exactly_like_record() {
 /// A flow with five bytes appended and the first three cut into a packet.
 fn half_cut_flow() -> Flow {
     let mut flow = Flow::new(FlowKind::Rtmp, "ec2");
-    flow.append_with(5, |out| out.extend_from_slice(b"abcde"));
+    flow.append_with(5, |out| out.put(b"abcde"));
     flow.cut(SimTime::from_secs(1), 1.0, 3, 0, 0);
     flow
 }
@@ -378,5 +379,148 @@ fn cutting_past_the_appended_bytes_panics() {
 #[test]
 #[should_panic(expected = "writer produced another length than stated")]
 fn a_writer_that_misstates_its_length_panics() {
-    Flow::new(FlowKind::Rtmp, "ec2").append_with(3, |out| out.extend_from_slice(b"four"));
+    Flow::new(FlowKind::Rtmp, "ec2").append_with(3, |out| out.put(b"four"));
+}
+
+/// One part of an appended stream: bytes a writer writes out, or a filler
+/// it hands over.
+#[derive(Debug, Clone)]
+enum Part {
+    Bytes(Vec<u8>),
+    Fill(Filler),
+}
+
+/// One packet cut over appended bytes: how many of them, its run, and
+/// whether its stamp is read on the spot.
+#[derive(Debug, Clone)]
+struct Cut {
+    gap_us: u64,
+    n: usize,
+    fill: u8,
+    pad: usize,
+    eager: bool,
+}
+
+/// Groups of parts, each appended in one go and then cut into packets that
+/// cover it exactly.
+fn arb_groups(g: &mut Gen) -> Vec<(Vec<Part>, Vec<Cut>)> {
+    g.vec(1..5, |g| {
+        let parts = g.vec(0..12, |g| match g.choice(3) {
+            0 => Part::Bytes(g.bytes(0..60)),
+            1 => Part::Fill(Filler::run(g.u8(..), g.usize(0..3000))),
+            _ => Part::Fill(Filler::lcg(g.u32(..), g.usize(0..3000))),
+        });
+        let len = |part: &Part| match part {
+            Part::Bytes(bytes) => bytes.len(),
+            Part::Fill(filler) => filler.len(),
+        };
+        let mut left: usize = parts.iter().map(len).sum();
+        let mut cuts = Vec::new();
+        loop {
+            let n = if g.choice(3) == 0 { left } else { g.usize(0..=left.min(1500)) };
+            let pad = if g.choice(4) == 0 { g.usize(1..2000) } else { 0 };
+            let gap_us = g.u64(0..50_000);
+            cuts.push(Cut { gap_us, n, fill: g.u8(..), pad, eager: g.choice(3) == 0 });
+            left -= n;
+            if left == 0 {
+                break;
+            }
+        }
+        (parts, cuts)
+    })
+}
+
+/// The parts' bytes, every filler written out.
+fn written_out(parts: &[Part]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for part in parts {
+        match part {
+            Part::Bytes(bytes) => out.put(bytes),
+            Part::Fill(filler) => Sink::fill(&mut out, *filler),
+        }
+    }
+    out
+}
+
+/// Appends each group — as described parts, or written out — and cuts it
+/// into its packets, stamping from the host clock.
+fn build(groups: &[(Vec<Part>, Vec<Cut>)], host: &(WallClock, u64), described: bool) -> Flow {
+    let (clock, seed) = host;
+    let mut flow = Flow::on_host(FlowKind::Rtmp, "ec2", clock.clone());
+    let mut jitter = CounterRng::new(*seed);
+    let mut t = 0;
+    for (parts, cuts) in groups {
+        let bytes = written_out(parts);
+        flow.append_with(bytes.len(), |out| match described {
+            false => out.put(&bytes),
+            true => {
+                for part in parts {
+                    match part {
+                        Part::Bytes(bytes) => out.put(bytes),
+                        Part::Fill(filler) => out.fill(*filler),
+                    }
+                }
+            }
+        });
+        for cut in cuts {
+            t += cut.gap_us;
+            let at = SimTime::from_micros(t);
+            match cut.eager {
+                true => flow.cut(at, clock.read(at, &mut jitter), cut.n, cut.fill, cut.pad),
+                false => flow.cut_deferred(at, &mut jitter, cut.n, cut.fill, cut.pad),
+            }
+        }
+    }
+    flow
+}
+
+/// A flow whose stream holds generated pieces among written-out bytes reads
+/// exactly like its twin that was handed every byte: packets, payloads and
+/// their chunks, the stream, stamps and offset lookups, a prefix stripped
+/// anywhere, and a copy made by recording its packets elsewhere.
+#[test]
+fn generated_pieces_read_like_their_written_out_twin() {
+    check(
+        "generated_pieces_read_like_their_written_out_twin",
+        |g: &mut Gen| (arb_host(g), arb_groups(g), g.usize(0..8000), g.usize(1..700)),
+        |(host, groups, prefix, mtu)| {
+            let pieces = build(groups, host, true);
+            let twin = build(groups, host, false);
+            let want = observed(&twin);
+            ensure_eq!(observed(&pieces), want.clone());
+            ensure_eq!(pieces.byte_count(), twin.byte_count());
+            ensure_eq!(pieces.byte_stream(), twin.byte_stream());
+            ensure!(pieces.payloads().eq(twin.payloads()));
+            ensure!(pieces.stored_bytes() <= twin.stored_bytes());
+            for (p, q) in pieces.payloads().zip(twin.payloads()) {
+                ensure!(p.chunks(*mtu).eq(q.chunks(*mtu)));
+                let chunked: Vec<u8> = p.chunks(*mtu).flat_map(|c| c.bytes().to_vec()).collect();
+                ensure_eq!(chunked, q.bytes().to_vec());
+            }
+            let mut offsets = vec![0, twin.byte_count(), twin.byte_count() + 1];
+            offsets.extend(twin.payloads().scan(0, |edge, p| {
+                *edge += p.len();
+                Some(*edge)
+            }));
+            for off in offsets.iter().flat_map(|&o| [o.saturating_sub(1), o]) {
+                ensure_eq!(
+                    pieces.wall_ts_at_byte(off).map(f64::to_bits),
+                    twin.wall_ts_at_byte(off).map(f64::to_bits)
+                );
+                ensure_eq!(pieces.sim_time_at_byte(off), twin.sim_time_at_byte(off));
+            }
+            let (stripped, twin_stripped) =
+                (pieces.strip_prefix(*prefix), twin.strip_prefix(*prefix));
+            ensure_eq!(observed(&stripped), observed(&twin_stripped));
+            ensure_eq!(stripped.byte_stream(), twin_stripped.byte_stream());
+            ensure!(stripped.stored_bytes() <= twin_stripped.stored_bytes());
+            let mut copy = Flow::new(FlowKind::Rtmp, "ec2");
+            for p in pieces.packets() {
+                copy.record(p.at, p.wall_ts, p.payload);
+            }
+            ensure_eq!(observed(&copy), want);
+            ensure_eq!(copy.stored_bytes(), pieces.stored_bytes());
+            Ok(())
+        },
+    );
 }

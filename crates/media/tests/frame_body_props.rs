@@ -2,15 +2,17 @@
 //! descriptor encoder path against the materialising one.
 //!
 //! `FramePayload::encode_into` generates filler with independent generator
-//! lanes (DESIGN.md §10). It must stay the *same byte stream* as one
-//! generator stepped a byte at a time — every capture, digest and golden
-//! figure is downstream of these bytes — so the serial loop is kept here,
-//! verbatim, as the reference.
+//! lanes (DESIGN.md §10), and a framer slices a frame's filler at any
+//! offset by jumping the generator ahead. Both must stay the *same byte
+//! stream* as one generator stepped a byte at a time — every capture,
+//! digest and golden figure is downstream of these bytes — so the serial
+//! loop is kept here, verbatim, as the reference.
 
 use pscp_check::{check, ensure_eq, Gen};
 use pscp_media::bitstream::{FrameKind, FramePayload, HEADER_LEN, HEADER_LEN_NTP};
 use pscp_media::content::{ContentClass, ContentProcess};
 use pscp_media::encoder::{Encoder, EncoderConfig, GopPattern};
+use pscp_proto::filler::{lcg_jump, Filler, Sink};
 use pscp_simnet::rng::Rng;
 use pscp_simnet::RngFactory;
 
@@ -40,6 +42,52 @@ fn reference_encode_into(f: &FramePayload, out: &mut Vec<u8>) {
         x = x.wrapping_mul(1664525).wrapping_add(1013904223);
         out.push((x >> 24) as u8);
     }
+}
+
+/// The generator's first `n` bytes after state `x`, stepped once a byte.
+fn reference_fill(mut x: u32, n: usize) -> Vec<u8> {
+    (0..n)
+        .map(|_| {
+            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+/// The state `lcg_jump(k)` gives after `k` steps from `x`, filled for `m`
+/// bytes, is the tail of the serial fill of `k + m` — and so is the filler
+/// sliced `k` bytes in.
+fn check_jump(x: u32, k: usize, m: usize) -> Result<(), String> {
+    let want = reference_fill(x, k + m)[k..].to_vec();
+    let (a, c) = lcg_jump(k);
+    let mut jumped = Vec::new();
+    Sink::fill(&mut jumped, Filler::lcg(a.wrapping_mul(x).wrapping_add(c), m));
+    ensure_eq!(jumped, want);
+    let mut sliced = Vec::new();
+    Sink::fill(&mut sliced, Filler::lcg(x, k + m).slice(k, k + m));
+    ensure_eq!(sliced, want);
+    Ok(())
+}
+
+#[test]
+fn a_jump_of_k_steps_starts_the_tail_of_the_serial_fill_at_every_short_k() {
+    // Every jump a lane seed or a small slice takes, then the places where
+    // the jump's digits carry and the doubling beyond 64 KiB takes over.
+    let long = [255, 256, 257, 65_535, 65_536, 65_537, 131_071, 131_072, (1 << 20) + 12_345];
+    for k in (0..=265).chain(long) {
+        for m in [0, 1, 15, 16, 64, 300] {
+            check_jump(0x9e37_79b9 ^ k as u32, k, m).unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_jump_of_k_steps_starts_the_tail_of_the_serial_fill_at_arbitrary_k() {
+    check(
+        "a_jump_of_k_steps_starts_the_tail_of_the_serial_fill_at_arbitrary_k",
+        |g: &mut Gen| (g.u32(..), g.usize(0..=64 * 1024), g.usize(0..600)),
+        |&(x, k, m)| check_jump(x, k, m),
+    );
 }
 
 fn frame(pts_ms: u32, ntp_s: Option<f64>, filler: usize) -> FramePayload {

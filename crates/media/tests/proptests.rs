@@ -523,3 +523,78 @@ fn ts_demuxer_matches_reference_units() {
         },
     );
 }
+
+/// One segment of units given as described bodies.
+type Described = Vec<(bool, u32, Vec<u8>, pscp_proto::filler::Filler)>;
+
+fn mux_described(units: &Described, out: &mut impl pscp_proto::filler::Sink) {
+    use pscp_proto::filler::Body;
+    let mut muxer = TsMuxer::new();
+    muxer.begin_segment(out);
+    for (video, pts_ms, head, tail) in units {
+        muxer.write_body(*video, *pts_ms, Body { head, tail: *tail }, out);
+    }
+}
+
+/// The TS muxer over described bodies — a frame's header then its filler,
+/// an audio run, bytes — writes what it writes over the materialised units,
+/// into a `Vec` and into a capture flow that keeps every filler slice as a
+/// piece. PES payloads (14 header bytes + body) land on every side of the
+/// stuffing edges: 182, 183, 184 and 185 bytes left for a packet.
+#[test]
+fn ts_muxer_over_described_bodies_writes_the_materialised_bytes() {
+    use pscp_media::capture::{Flow, FlowKind};
+    use pscp_media::ts::TsUnitRef;
+    use pscp_proto::filler::{Filler, Sink};
+    use pscp_simnet::SimTime;
+
+    check(
+        "ts_muxer_over_described_bodies_writes_the_materialised_bytes",
+        |g: &mut Gen| {
+            let units: Described = g.vec(1..16, |g| {
+                // A length whose PES payload leaves an edge for its last
+                // packet, or any length.
+                let len = match g.choice(3) {
+                    0 => 184 * g.usize(0..4) + [182, 183, 184, 185][g.choice(4)] - 14,
+                    1 => g.usize(0..40),
+                    _ => g.usize(0..3000),
+                };
+                let (head, tail) = match g.choice(4) {
+                    0 => (g.bytes(len..=len), Filler::EMPTY),
+                    1 => (vec![], Filler::run(0xAA, len)),
+                    _ => {
+                        let head = g.bytes(0..=len.min(21));
+                        (head.clone(), Filler::lcg(g.u32(..), len - head.len()))
+                    }
+                };
+                (g.bool(), g.u32(0..1 << 20), head, tail)
+            });
+            (units, g.usize(1..2000))
+        },
+        |(units, mtu)| {
+            let mut plain = Vec::new();
+            let mut muxer = TsMuxer::new();
+            muxer.begin_segment(&mut plain);
+            for (video, pts_ms, head, tail) in units {
+                let mut data = head.clone();
+                Sink::fill(&mut data, *tail);
+                let unit = TsUnitRef { video: *video, pts_ms: *pts_ms, data: &data };
+                muxer.write_unit(unit, &mut plain);
+            }
+            let lens = units.iter().map(|(_, _, head, tail)| head.len() + tail.len());
+            ensure_eq!(plain.len(), TsMuxer::segment_len(lens));
+            let mut described = Vec::new();
+            mux_described(units, &mut described);
+            ensure_eq!(&described, &plain);
+            let mut flow = Flow::new(FlowKind::HlsHttp, "pop");
+            flow.append_with(plain.len(), |out| mux_described(units, out));
+            for (i, packet) in plain.chunks(*mtu).enumerate() {
+                flow.cut(SimTime::from_millis(i as u64), i as f64, packet.len(), 0, 0);
+            }
+            ensure_eq!(&*flow.byte_stream(), &plain[..]);
+            let packets: Vec<Vec<u8>> = flow.payloads().map(|p| p.bytes().to_vec()).collect();
+            ensure_eq!(packets, plain.chunks(*mtu).map(<[u8]>::to_vec).collect::<Vec<_>>());
+            Ok(())
+        },
+    );
+}

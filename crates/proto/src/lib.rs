@@ -20,13 +20,17 @@
 //!   exchange, wrapping sequence numbers, compressed-range NAKs, bounded
 //!   retransmit queue, latency-window drop (DESIGN.md §12);
 //! * [`tls`] — the record-layer model behind RTMPS/HTTPS for private
-//!   broadcasts and the API (sizes, overhead, and opacity — not crypto).
+//!   broadcasts and the API (sizes, overhead, and opacity — not crypto);
+//! * [`filler`] — generated body bytes (the frame-filler generator, byte
+//!   runs) as descriptions, and the [`filler::Sink`] body writers put
+//!   head bytes and fillers into.
 //!
 //! Every encoder has a matching decoder and round-trip property tests: the
 //! capture-analysis pipeline (`pscp-media`) parses exactly these bytes, the
 //! way the paper ran wireshark dissectors over tcpdump captures.
 
 pub mod amf;
+pub mod filler;
 pub mod hls;
 pub mod http;
 pub mod json;

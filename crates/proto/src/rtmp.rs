@@ -17,12 +17,15 @@
 //! the wireshark RTMP dissector.
 //!
 //! The chunk layer is zero-copy on both sides: [`Chunker::write_ref`]
-//! serializes a borrowed payload straight into a caller-provided buffer, and
+//! serializes a borrowed payload straight into a caller's [`Sink`] —
+//! [`Framing::write`] also takes a body as head bytes and a filler and hands
+//! each chunk its slice of the filler, still described — and
 //! [`Dechunker::next_view`] yields reassembled messages as [`MessageView`]s
 //! borrowing an internal arena, so the per-packet hot loop allocates
 //! nothing in steady state. The owned [`Message`]/`pop` API remains for
 //! callers that need to retain messages.
 
+use crate::filler::{Body, Sink};
 use crate::ProtoError;
 
 /// RTMP protocol version byte (C0/S0).
@@ -265,13 +268,13 @@ impl Chunker {
     /// Encodes `msg` into chunks, appending to `out`. A `SetChunkSize`
     /// message also updates the chunker's own size for subsequent messages,
     /// as the spec requires.
-    pub fn write(&mut self, msg: &Message, out: &mut Vec<u8>) {
+    pub fn write(&mut self, msg: &Message, out: &mut impl Sink) {
         self.write_ref(msg.as_ref(), out);
     }
 
     /// Zero-copy variant of [`Chunker::write`]: chunks a borrowed payload
     /// into the caller-provided buffer without owning the message.
-    pub fn write_ref(&mut self, msg: MessageRef<'_>, out: &mut Vec<u8>) {
+    pub fn write_ref(&mut self, msg: MessageRef<'_>, out: &mut impl Sink) {
         self.frame(msg.chunk_stream_id, msg.timestamp, msg.kind, msg.stream_id, msg.payload.len())
             .write(msg.payload, out);
         if msg.kind == MessageType::SetChunkSize && msg.payload.len() >= 4 {
@@ -372,26 +375,30 @@ impl Framing {
     /// On-wire length of the chunked message: header, payload, and one
     /// continuation header per chunk after the first.
     pub fn wire_len(&self) -> usize {
-        let continuations = self.payload_len.saturating_sub(1) / self.chunk_size;
-        self.header_len as usize + (self.payload_len + continuations) as usize
+        self.header_len as usize + self.payload_len as usize + self.chunks() - 1
+    }
+
+    /// Chunks the message is cut into (one for an empty payload).
+    pub fn chunks(&self) -> usize {
+        1 + (self.payload_len.saturating_sub(1) / self.chunk_size) as usize
     }
 
     /// Appends the chunked message to `out`. `payload` is the body the
-    /// framing was decided for.
-    pub fn write(&self, payload: &[u8], out: &mut Vec<u8>) {
-        assert_eq!(
-            payload.len(),
-            self.payload_len as usize,
-            "framing was decided for another length"
-        );
-        out.reserve(self.wire_len());
-        out.extend_from_slice(&self.header[..self.header_len as usize]);
+    /// framing was decided for: bytes, or head bytes and a
+    /// [`Filler`](crate::filler::Filler) — each chunk then carries its
+    /// slice of the filler, still described.
+    pub fn write<'a>(&self, payload: impl Into<Body<'a>>, out: &mut impl Sink) {
+        let payload = payload.into();
+        let (len, chunk) = (payload.len(), self.chunk_size as usize);
+        assert_eq!(len, self.payload_len as usize, "framing was decided for another length");
+        out.put(&self.header[..self.header_len as usize]);
         // Payload, split at chunk_size with fmt3 continuation headers.
-        let mut chunks = payload.chunks(self.chunk_size as usize);
-        out.extend_from_slice(chunks.next().unwrap_or(&[]));
-        for chunk in chunks {
-            out.push((3 << 6) | self.chunk_stream_id);
-            out.extend_from_slice(chunk);
+        payload.write_range(0, len.min(chunk), out);
+        let mut from = chunk;
+        while from < len {
+            out.literal().push((3 << 6) | self.chunk_stream_id);
+            payload.write_range(from, len.min(from + chunk), out);
+            from += chunk;
         }
     }
 }

@@ -25,7 +25,9 @@
 //! clocks, no randomness — so the simulation layers above can drive it
 //! deterministically (DESIGN.md §12).
 
+use crate::filler::{Body, Sink};
 use crate::ProtoError;
+use std::ops::Range;
 
 /// Protocol version advertised in the handshake (SRT v1.x wire version 5).
 pub const SRT_VERSION: u32 = 5;
@@ -192,12 +194,8 @@ fn get_u32(buf: &[u8], at: usize) -> Result<u32, ProtoError> {
 pub fn encode_packet(p: &Packet, out: &mut Vec<u8>) {
     match p {
         Packet::Data(d) => {
-            out.push(TYPE_DATA);
-            put_u32(out, d.seq);
-            put_u32(out, d.origin_ts_us);
-            put_u32(out, d.msg);
-            out.extend_from_slice(&(d.payload.len() as u16).to_be_bytes());
-            out.extend_from_slice(&d.payload);
+            let payload = Body::from(&d.payload);
+            write_data(d.seq, d.origin_ts_us, d.msg, payload, 0..payload.len(), out)
         }
         Packet::Control(c) => match c {
             ControlPacket::Induction { version, caller_id } => {
@@ -236,6 +234,26 @@ pub fn encode_packet(p: &Packet, out: &mut Vec<u8>) {
             ControlPacket::Shutdown => out.push(TYPE_SHUTDOWN),
         },
     }
+}
+
+/// Writes the data packet that carries bytes `range` of message `msg`'s
+/// `body` — what [`encode_packet`] writes for a [`DataPacket`] holding
+/// them — into `out`, the body's filler slice handed over as a filler.
+pub fn write_data(
+    seq: u32,
+    origin_ts_us: u32,
+    msg: u32,
+    body: Body<'_>,
+    range: Range<usize>,
+    out: &mut impl Sink,
+) {
+    let head = out.literal();
+    head.push(TYPE_DATA);
+    put_u32(head, seq);
+    put_u32(head, origin_ts_us);
+    put_u32(head, msg);
+    head.extend_from_slice(&(range.len() as u16).to_be_bytes());
+    body.write_range(range.start, range.end, out);
 }
 
 /// Decodes one packet from the front of `buf`; returns it plus the bytes

@@ -942,3 +942,124 @@ fn rtmp_dechunker_matches_reference_messages() {
         },
     );
 }
+
+// ------------------------------------------------------ described bodies
+//
+// A framer cuts a body given as head bytes and a `Filler` at its own
+// boundaries and hands each chunk's part of the filler on as a filler. The
+// bytes must be those the framer writes over the materialised body, and
+// every filler byte must reach the sink as a filler, never written out by
+// the framer.
+
+use pscp_proto::filler::{Body, Filler, Sink};
+
+/// A sink that writes fillers out, like `Vec<u8>`, and counts the bytes
+/// that reached it as fillers.
+#[derive(Default)]
+struct Counting {
+    bytes: Vec<u8>,
+    filled: usize,
+}
+
+impl Sink for Counting {
+    fn literal(&mut self) -> &mut Vec<u8> {
+        &mut self.bytes
+    }
+
+    fn fill(&mut self, filler: Filler) {
+        self.filled += filler.len();
+        Sink::fill(&mut self.bytes, filler);
+    }
+}
+
+/// A body: up to 40 head bytes, then a generator or run filler whose length
+/// falls around multiples of `unit` (a chunk or packet payload size) or
+/// anywhere up to 20 KiB.
+fn arb_described(g: &mut Gen, unit: usize) -> (Vec<u8>, Filler) {
+    let head = g.bytes(0..40);
+    let len = match g.choice(3) {
+        0 => (g.usize(0..4) * unit + g.usize(0..3)).saturating_sub(1),
+        1 => g.usize(0..64),
+        _ => g.usize(0..20_000),
+    };
+    let tail = if g.bool() { Filler::lcg(g.u32(..), len) } else { Filler::run(g.u8(..), len) };
+    (head, tail)
+}
+
+/// The body written out.
+fn materialised(head: &[u8], tail: Filler) -> Vec<u8> {
+    let mut bytes = head.to_vec();
+    bytes.fill(tail);
+    bytes
+}
+
+/// Over any chunk size 1..=4096, renegotiated mid-stream, an RTMP message
+/// framed over a described body is the message framed over its bytes.
+#[test]
+fn rtmp_framing_over_a_described_body_writes_its_bytes() {
+    check_with(
+        Config::with_cases(96),
+        "rtmp_framing_over_a_described_body_writes_its_bytes",
+        |g: &mut Gen| {
+            g.vec(1..24, |g| match g.choice(6) {
+                0 => Err(if g.bool() { g.u32(1..=4096) } else { g.u32(1..64) }),
+                _ => Ok((g.u8(2..=63), g.u32(..), arb_described(g, 4096))),
+            })
+        },
+        |msgs| {
+            let (mut described, mut plain) = (Chunker::new(), Chunker::new());
+            let (mut out, mut want) = (Counting::default(), Vec::new());
+            let mut tails = 0;
+            for m in msgs {
+                match m {
+                    Err(size) => {
+                        let resize = Message::set_chunk_size(*size);
+                        described.write_ref(resize.as_ref(), &mut out);
+                        plain.write_ref(resize.as_ref(), &mut want);
+                    }
+                    Ok((csid, ts, (head, tail))) => {
+                        let body = Body { head, tail: *tail };
+                        let len = body.len();
+                        let frame =
+                            |c: &mut Chunker| c.frame(*csid, *ts, MessageType::Video, 1, len);
+                        frame(&mut described).write(body, &mut out);
+                        frame(&mut plain).write(&materialised(head, *tail), &mut want);
+                        tails += tail.len();
+                    }
+                }
+            }
+            ensure_eq!(described.chunk_size(), plain.chunk_size());
+            ensure_eq!(out.filled, tails);
+            ensure_eq!(out.bytes, want);
+            Ok(())
+        },
+    );
+}
+
+/// Every data packet of an SRT message cut from a described body is the
+/// packet `encode_packet` writes for that slice of its bytes.
+#[test]
+fn srt_data_packets_of_a_described_body_write_its_bytes() {
+    check(
+        "srt_data_packets_of_a_described_body_write_its_bytes",
+        |g: &mut Gen| (arb_described(g, 1316), g.usize(1..1500), g.u32(..), g.u32(..)),
+        |((head, tail), mtu, seq, msg)| {
+            let body = Body { head, tail: *tail };
+            let bytes = materialised(head, *tail);
+            let mut from = 0;
+            while from < body.len() {
+                let to = body.len().min(from + mtu);
+                let mut out = Counting::default();
+                pscp_proto::srt::write_data(*seq, 77, *msg, body, from..to, &mut out);
+                let mut want = Vec::new();
+                let payload = bytes[from..to].to_vec();
+                let packet = DataPacket { seq: *seq, origin_ts_us: 77, msg: *msg, payload };
+                encode_packet(&Packet::Data(packet), &mut want);
+                ensure_eq!(out.bytes, want);
+                ensure_eq!(out.filled, to.saturating_sub(from.max(head.len())));
+                from = to;
+            }
+            Ok(())
+        },
+    );
+}

@@ -11,7 +11,8 @@
 
 use pscp_media::bitstream::{FrameKind, FramePayload};
 use pscp_media::encoder::EncodedFrame;
-use pscp_media::ts::{TsMuxer, TsUnitRef};
+use pscp_media::ts::{TsMuxer, TS_PACKET};
+use pscp_proto::filler::{self, Filler, Sink};
 use pscp_proto::hls::{MediaPlaylist, SegmentEntry};
 use pscp_simnet::{SimDuration, SimTime};
 
@@ -19,6 +20,8 @@ use pscp_simnet::{SimDuration, SimTime};
 const TARGET_DURATION_S: u32 = 6;
 /// The byte the opaque model audio body is filled with.
 const AUDIO_FILL: u8 = 0xAA;
+/// Longest of a PES header and a PSI section with its pointer field.
+const PES_HEADER_MAX: usize = 64;
 
 /// What writes one access unit's bytes.
 #[derive(Debug, Clone)]
@@ -84,34 +87,50 @@ impl Segment {
         uri.strip_prefix("seg_")?.strip_suffix(".ts")?.parse().ok()
     }
 
+    /// At most how many bytes writing the segment into a capture flow
+    /// writes out — TS packet headers, adaptation fields, PES headers, the
+    /// frame headers, the PSI sections — and how many fillers it hands
+    /// over: a body slice per packet, a stuffing run per PES packet and
+    /// per PSI section.
+    pub fn stored(&self) -> (usize, usize) {
+        let packets = self.len / TS_PACKET;
+        let pes = self.units.len() + 2;
+        let heads: usize = self
+            .units
+            .iter()
+            .map(|unit| match &unit.body {
+                Body::Frame(frame) => frame.head_len(),
+                Body::AudioFill(_) => 0,
+                Body::Bytes(bytes) => bytes.len(),
+            })
+            .sum();
+        // A PES header, or a section and its pointer field, and an
+        // adaptation field's length and flags, per PES packet.
+        (4 * packets + (PES_HEADER_MAX + 2) * pes + heads, packets + pes)
+    }
+
     /// Appends the segment's `len` MPEG-TS bytes to `out` — the bytes one
     /// muxer writing the whole stream in order puts here, whichever
-    /// segments are written, and in whatever order. Each unit's body passes
-    /// through a scratch the size of the largest.
-    pub fn write_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.reserve(self.len);
+    /// segments are written, and in whatever order. A frame's header is
+    /// written out and its filler, like an audio body's fill byte, is
+    /// handed to `out` as a [`Filler`], sliced over the TS packets.
+    pub fn write_into(&self, out: &mut impl Sink) {
         let mut muxer = TsMuxer::resume(self.continuity);
         muxer.begin_segment(out);
-        let largest = self.units.iter().map(|u| u.body.len()).max().unwrap_or(0);
-        let mut scratch = Vec::with_capacity(largest);
         for unit in &self.units {
-            let data = match &unit.body {
-                Body::Bytes(bytes) => bytes.as_slice(),
+            let (video, pts_ms) = (unit.video, unit.pts_ms);
+            match &unit.body {
+                Body::Bytes(bytes) => muxer.write_body(video, pts_ms, bytes.into(), out),
                 Body::Frame(frame) => {
-                    scratch.clear();
-                    frame.encode_into(&mut scratch);
-                    scratch.as_slice()
+                    let body = filler::Body { head: &frame.head(), tail: frame.filler() };
+                    muxer.write_body(video, pts_ms, body, out)
                 }
                 Body::AudioFill(n) => {
-                    scratch.clear();
-                    scratch.resize(*n, AUDIO_FILL);
-                    scratch.as_slice()
+                    let body = filler::Body { head: &[], tail: Filler::run(AUDIO_FILL, *n) };
+                    muxer.write_body(video, pts_ms, body, out)
                 }
-            };
-            muxer.write_unit(TsUnitRef { video: unit.video, pts_ms: unit.pts_ms, data }, out);
+            }
         }
-        debug_assert_eq!(out.len() - start, self.len);
     }
 }
 

@@ -9,7 +9,7 @@ use crate::select::{Protocol, SelectionPolicy};
 use pscp_proto::http::{Request, Response};
 use pscp_proto::json::Writer;
 use pscp_simnet::fault::{FaultConfig, FaultRng};
-use pscp_simnet::{GeoPoint, SimTime};
+use pscp_simnet::{GeoPoint, SimDuration, SimTime};
 use pscp_workload::broadcast::{Broadcast, BroadcastId};
 use pscp_workload::population::Population;
 
@@ -81,28 +81,56 @@ impl VideoAccess {
 /// on the broadcast's first map item or description and spliced into each
 /// later one (DESIGN.md §15): a targeted crawl describes the same
 /// broadcasts every round. Holds nothing until the first list verb, so a
-/// world that only serves sessions never builds it.
+/// world that only serves sessions never builds it. A cache bounded by the
+/// live set while crawls move forward in time: at most once a
+/// [`SWEEP_EVERY`], a list verb first drops the renders of broadcasts that
+/// ended before the previous sweep — no later crawl round can list them —
+/// and compacts the arena once dropped text is more than half of it. A
+/// request from further back than a sweep before the last one shows the
+/// world crawled out of order, where any dropped broadcast may be asked
+/// for again: from then on the store keeps every render.
 #[derive(Debug, Default)]
 struct RenderStore {
-    /// The static members of every rendered broadcast, back to back, in
-    /// render order. Append-only.
+    /// The static members of rendered broadcasts, back to back, in render
+    /// order; text of dropped renders stays until the next compaction.
     arena: String,
-    /// Per rendered broadcast, in render order.
+    /// Bytes of `arena` that belong to dropped runs.
+    dead: usize,
+    /// Per rendered broadcast, in render order; a dropped one stays, marked
+    /// [`DROPPED`], until the next compaction.
     runs: Vec<Run>,
+    /// How many of `runs` are dropped.
+    dropped: usize,
     /// Per population index: its entry in `runs`, [`UNRENDERED`] before
-    /// its first render. Empty until the first render.
+    /// its first render and after it is dropped. Empty until the first
+    /// render.
     index: Vec<u32>,
+    /// When the last sweep ran: broadcasts that ended before it are
+    /// dropped at the next.
+    swept_at: SimTime,
+    /// Whether a request came from before `swept_at − SWEEP_EVERY`.
+    rewound: bool,
 }
 
 /// A broadcast not yet rendered, in [`RenderStore::index`].
 const UNRENDERED: u32 = u32::MAX;
 
+/// [`Run::at`] of a dropped run.
+const DROPPED: u32 = u32::MAX;
+
+/// How often the render store drops ended broadcasts: a few targeted crawl
+/// rounds (≈ 50 s each), so a sweep's pass over the runs is rare.
+const SWEEP_EVERY: SimDuration = SimDuration::from_secs(300);
+
 /// One rendered broadcast's text: where it starts in the arena and where
-/// each of its four runs ends, counted from there.
+/// each of its four runs ends, counted from there; its population index,
+/// and the second its broadcast ends by.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     at: u32,
     ends: [u16; 4],
+    broadcast: u32,
+    end_s: u32,
 }
 
 impl RenderStore {
@@ -113,26 +141,64 @@ impl RenderStore {
             self.index = vec![UNRENDERED; population.broadcasts.len()];
         }
         if self.index[i] == UNRENDERED {
+            let b = &population.broadcasts[i];
             let at = u32::try_from(self.arena.len()).expect("the arena stays below 4 GiB");
-            let ends = StaticMembers::write(&mut self.arena, &population.broadcasts[i]);
+            let ends = StaticMembers::write(&mut self.arena, b);
             let ends = ends.map(|end| u16::try_from(end).expect("a few hundred bytes a render"));
+            let end_s = u32::try_from(b.end().as_micros().div_ceil(1_000_000)).unwrap_or(u32::MAX);
             self.index[i] = self.runs.len() as u32;
-            self.runs.push(Run { at, ends });
+            // Population indices fit the index's own `u32` entries.
+            self.runs.push(Run { at, ends, broadcast: i as u32, end_s });
         }
-        let Run { at, ends } = self.runs[self.index[i] as usize];
+        let Run { at, ends, .. } = self.runs[self.index[i] as usize];
         StaticMembers::cut(&self.arena[at as usize..], ends.map(usize::from))
     }
 
+    /// At most once a [`SWEEP_EVERY`], unless the store was rewound: drops
+    /// the renders of broadcasts that ended before the previous sweep, and
+    /// compacts the arena and the runs once dropped text is more than half
+    /// of the arena.
+    fn sweep(&mut self, now: SimTime) {
+        self.rewound |= now + SWEEP_EVERY < self.swept_at;
+        if self.rewound || now < self.swept_at + SWEEP_EVERY {
+            return;
+        }
+        let ended_before = std::mem::replace(&mut self.swept_at, now);
+        let ended_before_s =
+            u32::try_from(ended_before.as_micros() / 1_000_000).unwrap_or(u32::MAX);
+        for run in self.runs.iter_mut().filter(|run| run.at != DROPPED) {
+            if run.end_s < ended_before_s {
+                self.index[run.broadcast as usize] = UNRENDERED;
+                self.dead += usize::from(run.ends[3]);
+                self.dropped += 1;
+                run.at = DROPPED;
+            }
+        }
+        if 2 * self.dead > self.arena.len() {
+            let mut arena = String::with_capacity(self.arena.len() - self.dead);
+            self.runs.retain(|run| run.at != DROPPED);
+            for (n, run) in self.runs.iter_mut().enumerate() {
+                let text = &self.arena[run.at as usize..][..usize::from(run.ends[3])];
+                run.at = arena.len() as u32;
+                arena.push_str(text);
+                self.index[run.broadcast as usize] = n as u32;
+            }
+            (self.arena, self.dead, self.dropped) = (arena, 0, 0);
+        }
+    }
+
     /// `{"broadcasts":[{…},…]}`, the body of both list verbs over the
-    /// broadcasts at `population` indices `list`: `item` writes the members
-    /// of one broadcast's object; `body_bytes` pre-sizes the body.
+    /// broadcasts at `population` indices `list` at `now`: `item` writes the
+    /// members of one broadcast's object; `body_bytes` pre-sizes the body.
     fn list(
         &mut self,
         population: &Population,
+        now: SimTime,
         list: impl Iterator<Item = usize>,
         body_bytes: usize,
         item: impl Fn(&mut Writer<'_>, &StaticMembers<'_>, &Broadcast),
     ) -> Response {
+        self.sweep(now);
         let mut body = String::with_capacity(16 + body_bytes);
         let mut w = Writer::new(&mut body);
         w.begin_object();
@@ -185,16 +251,18 @@ impl PeriscopeService {
         }
     }
 
-    /// How many broadcasts the list verbs have rendered, and the bytes
+    /// How many broadcasts the list verbs hold rendered, and the bytes
     /// written to keep their static members: text, run bounds and the
     /// per-population index. Counted as written; a growing buffer may
-    /// reserve up to twice that.
+    /// reserve up to twice that, and the text and bounds of dropped renders
+    /// awaiting compaction are at most as much again as counted here.
     pub fn render_store(&self) -> (usize, usize) {
         let store = &self.renders;
-        let bytes = store.arena.len()
-            + store.runs.len() * std::mem::size_of::<Run>()
+        let rendered = store.runs.len() - store.dropped;
+        let bytes = store.arena.len() - store.dead
+            + rendered * std::mem::size_of::<Run>()
             + store.index.len() * std::mem::size_of::<u32>();
-        (store.runs.len(), bytes)
+        (rendered, bytes)
     }
 
     /// Drains the service-side trace (per-verb counters, 429 events) so a
@@ -273,13 +341,13 @@ impl PeriscopeService {
                 let listed = found
                     .iter()
                     .map(|b| population.index_of(b.id).expect("a broadcast of this world"));
-                self.renders
-                    .list(population, listed, found.len() * 80, |w, s, _| write_map_item(w, s))
+                let bytes = found.len() * 80;
+                self.renders.list(population, now, listed, bytes, |w, s, _| write_map_item(w, s))
             }
             ApiRequest::GetBroadcasts { ids } => {
                 let population = &self.population;
                 let known = ids.iter().filter_map(|id| population.index_of(*id));
-                self.renders.list(population, known, ids.len() * 192, |w, s, b| {
+                self.renders.list(population, now, known, ids.len() * 192, |w, s, b| {
                     write_description(w, s, b, now)
                 })
             }
@@ -366,6 +434,70 @@ mod tests {
 
     fn helsinki() -> GeoPoint {
         GeoPoint::new(60.17, 24.94)
+    }
+
+    /// A crawl that lists the map every minute for three hours holds the
+    /// renders of recent broadcasts only, renders none of them twice — the
+    /// store drops only broadcasts no later round can list — and compacts
+    /// the arena once dropped text is more than half of it, while every
+    /// body stays what a fresh store writes.
+    #[test]
+    fn the_render_store_keeps_the_live_set() {
+        let mut svc = service();
+        let req = ApiRequest::MapGeoBroadcastFeed { rect: GeoRect::WORLD, include_replay: false }
+            .to_http("u1");
+        let mut ever = vec![false; svc.population.broadcasts.len()];
+        let mut compactions = 0;
+        for minute in 60..=240 {
+            let now = SimTime::from_secs(minute * 60);
+            let held_before: Vec<bool> =
+                svc.renders.index.iter().map(|&e| e != UNRENDERED).collect();
+            let arena_before = svc.renders.arena.len();
+            let body = svc.handle_http("u1", &req, now, &helsinki()).body;
+            if minute % 60 == 0 {
+                assert_eq!(body, service().handle_http("u1", &req, now, &helsinki()).body);
+            }
+            let store = &svc.renders;
+            compactions += usize::from(store.arena.len() < arena_before);
+            assert!(2 * store.dead <= store.arena.len());
+            let held = store.runs.len() - store.dropped;
+            assert_eq!(store.index.iter().filter(|&&e| e != UNRENDERED).count(), held);
+            for (n, run) in store.runs.iter().enumerate().filter(|(_, run)| run.at != DROPPED) {
+                let i = run.broadcast as usize;
+                assert_eq!(store.index[i] as usize, n);
+                let b = &svc.population.broadcasts[i];
+                assert!(b.end() + SWEEP_EVERY * 2 >= now, "{:?} ended long before {now:?}", b.id);
+                if !held_before.get(i).copied().unwrap_or(false) {
+                    assert!(!ever[i], "{:?} rendered twice", b.id);
+                    ever[i] = true;
+                }
+            }
+        }
+        assert!(compactions > 0, "never compacted");
+    }
+
+    /// Crawls that jump back in time — the repo benchmark's slices — can ask
+    /// again for anything dropped, so a store that saw one keeps every
+    /// render from then on, and a revisit renders nothing twice.
+    #[test]
+    fn a_store_crawled_out_of_order_keeps_every_render() {
+        let mut svc = service();
+        let req = ApiRequest::MapGeoBroadcastFeed { rect: GeoRect::WORLD, include_replay: false }
+            .to_http("u1");
+        let list_at = |svc: &mut PeriscopeService, minute: u64| {
+            svc.handle_http("u1", &req, SimTime::from_secs(minute * 60), &helsinki());
+            svc.render_store().0
+        };
+        for minute in (60..=120).step_by(5) {
+            list_at(&mut svc, minute);
+        }
+        let dropped_before = svc.renders.dropped;
+        assert!(dropped_before > 0, "a forward crawl drops ended broadcasts");
+        let held = list_at(&mut svc, 60);
+        for minute in (60..=240).step_by(5) {
+            assert!(list_at(&mut svc, minute) >= held, "a render was dropped after a rewind");
+        }
+        assert_eq!(svc.renders.dropped, dropped_before);
     }
 
     #[test]

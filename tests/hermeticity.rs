@@ -207,7 +207,7 @@ fn the_only_unsafe_block_is_the_kernel_dispatch() {
         }
     }
     assert_eq!(found.len(), 1, "`unsafe {{` outside tests: {found:?}");
-    assert!(found[0].ends_with("media/src/bitstream.rs"), "{found:?}");
+    assert!(found[0].ends_with("proto/src/filler.rs"), "{found:?}");
 }
 
 /// One front door (DESIGN.md §17): outside its tests, `crates/bench/src`
