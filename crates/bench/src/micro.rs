@@ -509,8 +509,8 @@ pub fn bench_components(seed: u64) -> Result<String, String> {
         // pins, seed and all: every iteration is the same session, so with
         // the counting allocator on `allocs_per_iter` reads what that test
         // pins (RTMP 71; HLS 1,521 here, 1,531 there), and the HLS row is
-        // the hot-chat row's media-only twin — segments written once, on
-        // fetch, into the capture (DESIGN.md §10).
+        // the hot-chat row's media-only twin — a fetched segment recorded
+        // as an item of the segment list (DESIGN.md §10).
         let pinned = RngFactory::new(9).child("whole-session");
         for (label, protocol) in [("rtmp", Protocol::Rtmp), ("hls", Protocol::Hls)] {
             let bytes = run(protocol, &broadcast, at, &config, &pinned).capture.total_bytes();
@@ -545,7 +545,8 @@ pub fn bench_components(seed: u64) -> Result<String, String> {
         // its capture (same flows, sizes and payloads) into a fresh one.
         // The session deferred its stamps and `packets()` reads them, so
         // the source is copied once, untimed, into one whose stamps are
-        // read already: the row times recording, not clock readings.
+        // read already and whose items are written out: the row times
+        // recording, not clock readings or item writing.
         let copy_of = |capture: &pscp_media::capture::Capture| {
             let mut copy = pscp_media::capture::Capture::new();
             for flow in &capture.flows {

@@ -14,7 +14,7 @@
 use crate::downlink::{Path, Tap, Wire};
 use crate::session::{SessionConfig, SessionCtx};
 use pscp_media::capture::FlowKind;
-use pscp_proto::filler::Sink;
+use pscp_proto::filler::{Recipe, Sink};
 use pscp_proto::{http, ws};
 use pscp_service::chat::{ChatConfig, ChatRoom, Heart, MessageJson};
 use pscp_simnet::fault::in_windows;
@@ -22,6 +22,7 @@ use pscp_simnet::link::MTU_BYTES;
 use pscp_simnet::rng::CounterRng;
 use pscp_simnet::{Link, SimDuration, SimTime};
 use pscp_workload::broadcast::Broadcast;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Gap an injected WebSocket chat drop leaves before the client's
 /// reconnect completes (DESIGN.md §8).
@@ -34,10 +35,11 @@ const PICTURE_FILL: u8 = 0xD8;
 const PICTURE_HEADERS: [(&str, &str); 1] = [("content-type", "image/jpeg")];
 
 /// What one chat-related send puts on the wire, as a descriptor: it states
-/// its exact on-wire length, and its bytes are written only into a capture
-/// that is kept ([`ChatWire::write`]). A picture's body is a run of one
-/// JPEG marker byte after its head, whose contents no analysis reads, and
-/// is never written out.
+/// its exact on-wire length, and its bytes ([`ChatWire::write`]) are
+/// written only when a kept capture is read — a kept capture records the
+/// send as an item of the session's chat list. A picture's body is a
+/// run of one JPEG marker byte after its head, whose contents no analysis
+/// reads, and is never written out.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChatWire {
     /// A chat message: a WebSocket text frame around its JSON body.
@@ -91,6 +93,40 @@ impl ChatWire {
             out.extend_from_slice(json.as_bytes());
         }
         debug_assert_eq!(out.len() - start, self.wire().written, "{self:?} wrote another length");
+    }
+}
+
+/// A session's chat sends as one [`Recipe`]: item `i` is send `i`'s
+/// written bytes, [`ChatWire::write`], with its shape worked out once, as
+/// the list is made.
+#[derive(Debug)]
+pub(crate) struct ChatItems {
+    sends: Vec<(Wire, ChatWire)>,
+    /// The JSON scratch every write reuses.
+    json: Mutex<String>,
+}
+
+impl ChatItems {
+    /// The items of `sends`, in order.
+    pub fn new(sends: &[ChatSend]) -> ChatItems {
+        let sends = sends.iter().map(|send| (send.bytes.wire(), send.bytes)).collect();
+        ChatItems { sends, json: Mutex::default() }
+    }
+
+    /// Send `i`'s shape.
+    pub fn wire(&self, i: usize) -> Wire {
+        self.sends[i].0
+    }
+}
+
+impl Recipe for ChatItems {
+    fn len(&self, i: usize) -> usize {
+        self.sends[i].0.written
+    }
+
+    fn write(&self, i: usize, out: &mut dyn Sink) {
+        let mut json = self.json.lock().unwrap_or_else(PoisonError::into_inner);
+        self.sends[i].1.write(&mut json, out.literal());
     }
 }
 
@@ -165,9 +201,10 @@ pub(crate) fn flow_of(kind: FlowKind, chat: usize, pictures: Option<usize>) -> O
 
 /// For sessions whose chat travels on a dedicated link (the HLS fetch path
 /// models its video transfer in closed form): plays `sends` — the session's
-/// [`events`] — through `link` and records them at `tap`. Sends that fall
-/// inside a chat-drop window (DESIGN.md §8) are lost with the dropped
-/// WebSocket and never reach the wire.
+/// [`events`] — through `link` and records them at `tap`, a kept capture
+/// each as an item of one [`ChatItems`] of them, made with the first.
+/// Sends that fall inside a chat-drop window (DESIGN.md §8) are lost with
+/// the dropped WebSocket and never reach the wire.
 pub(crate) fn play(
     sends: &[ChatSend],
     chat_on: bool,
@@ -181,16 +218,21 @@ pub(crate) fn play(
     }
     let ws_flow = tap.open_flow(FlowKind::Chat, "chatman.periscope.tv");
     let pic_flow = chat_on.then(|| tap.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
-    let mut json = String::new();
-    for send in sends {
+    // The list, and the same as a recipe, once a kept send makes it.
+    let mut items: Option<(Arc<ChatItems>, Arc<dyn Recipe>)> = None;
+    for (i, send) in sends.iter().enumerate() {
         if in_windows(drop_windows, send.at) {
             continue;
         }
         if let Some(flow) = flow_of(send.kind, ws_flow, pic_flow) {
             let path = Path { link, faults: None, mtu: MTU_BYTES };
-            let chat = &send.bytes;
-            tap.transmit(path, send.at, flow, chat.wire(), rng, |out| {
-                chat.write(&mut json, out.literal())
+            let wire = items.as_ref().map_or_else(|| send.bytes.wire(), |(list, _)| list.wire(i));
+            tap.transmit(path, send.at, flow, wire, rng, |out| {
+                let (_, recipe) = items.get_or_insert_with(|| {
+                    let list = Arc::new(ChatItems::new(sends));
+                    (Arc::clone(&list), list)
+                });
+                out.item(recipe, i)
             });
         }
     }

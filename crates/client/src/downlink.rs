@@ -1,19 +1,18 @@
 //! The downstream wire of a session: what the server side queues to send,
 //! and what the capture host records of it.
 //!
-//! **A captured byte is written once, if at all.** Nothing here holds media
-//! bytes: a queued send is a *descriptor* — when, on which flow, how long,
-//! and what writes it — and its bytes are produced when it is transmitted,
-//! by its writer, straight into the capture [`Flow`] ([`Flow::append_with`]
-//! hands the writer the flow as a [`Sink`]): head and framing bytes into
-//! its arena, a body's filler as a generated piece that is written out
-//! only when a reader asks; the packets the link delivers are then cut
-//! over them by length. Chat is stated the same way: a chat send is a
-//! [`ChatWire`] that states its exact on-wire length — a WebSocket frame
-//! around a JSON body, or a picture's HTTP response head and body — and is
-//! written, JSON through a scratch the queue reuses, only when the send is
-//! transmitted into a kept capture. Handshakes and control messages, queued
-//! as they are, are the only literal bytes a [`SendQueue`] stores.
+//! **A captured byte is written when it is read, at most once.** Nothing
+//! here holds media bytes: a queued send is a *descriptor* — when, on which
+//! flow, how long, and what writes it — and when it is transmitted its
+//! writer hands it to the capture [`Flow`] ([`Flow::append_with`] hands
+//! the writer the flow as a [`Sink`]): head and framing bytes into its
+//! arena, a body's filler as a generated piece; the packets the link
+//! delivers are then cut over them by length. A chat send — a WebSocket
+//! frame around a JSON body, or a picture's response head before its body
+//! — is one *item* of the session's chat list, which the queue makes once
+//! and the flow records by index; the flow writes an item, like a piece,
+//! only when a reader asks. Handshakes and control messages, queued as they
+//! are, are the only literal bytes a [`SendQueue`] stores.
 //!
 //! A session is run for its QoE numbers and, sometimes, for its capture.
 //! Which is the *caller's* retention decision ([`Recording`]): the Teleport
@@ -22,8 +21,8 @@
 //! — same packets at the same instants through the same link, fault and
 //! clock calls — but **no writer is ever called**: the [`Tap`] records each
 //! packet as a run of its on-wire length, and a counted queue stores
-//! neither heads, media writers nor chat descriptors. Callers state a
-//! length and how to write it, and never ask which mode they are in.
+//! neither heads, media writers nor a chat list. Callers state a length and
+//! how to write it, and never ask which mode they are in.
 //!
 //! In either mode the [`Tap`] stamps a packet without reading its clock: a
 //! reading is a pure function of (clock, instant, position in the jitter
@@ -34,14 +33,15 @@
 //! reading the eager call would have stored, and a session pays no
 //! Box–Muller per packet.
 
-use crate::chat_client::ChatWire;
+use crate::chat_client::{ChatItems, ChatSend};
 use pscp_media::capture::{Appender, Capture, Flow, FlowKind};
-use pscp_proto::filler::Sink;
+use pscp_proto::filler::{Recipe, Sink};
 use pscp_proto::tls::{self, TlsChannel};
 use pscp_simnet::fault::LinkFaults;
 use pscp_simnet::rng::CounterRng;
 use pscp_simnet::{Link, SimDuration, SimTime, WallClock};
 use std::mem::take;
+use std::sync::Arc;
 
 /// Whether the session's capture will be read by anyone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,7 +144,7 @@ enum Source {
     /// Written by the transport from the queue's `writer`-th media
     /// descriptor; `tag` is the transport's own handle on the send.
     Media { writer: u32, tag: u32 },
-    /// Written from the queue's `n`-th chat descriptor.
+    /// Item `n` of the queue's chat list.
     Chat(u32),
 }
 
@@ -187,15 +187,13 @@ pub(crate) struct SendQueue<W> {
     heads: Vec<u8>,
     /// What writes each media send, in push order.
     writers: Vec<W>,
-    /// What each chat send is, in push order.
-    chats: Vec<ChatWire>,
+    /// The session's chat list, whose items the chat sends are.
+    chats: Option<Arc<dyn Recipe>>,
     sends: Vec<Send>,
     /// The flow whose sends travel in TLS records, and its key.
     sealed: Option<(u32, u64)>,
     /// Plaintext of the sealed send being transmitted.
     plain: Vec<u8>,
-    /// JSON of the chat send being transmitted.
-    json: String,
 }
 
 impl<W> SendQueue<W> {
@@ -210,11 +208,10 @@ impl<W> SendQueue<W> {
             recording,
             heads: Vec::with_capacity(head_bytes),
             writers: Vec::with_capacity(media),
-            chats: Vec::new(),
+            chats: None,
             sends: Vec::with_capacity(sends),
             sealed: None,
             plain: Vec::new(),
-            json: String::new(),
         }
     }
 
@@ -256,23 +253,34 @@ impl<W> SendQueue<W> {
         self.sends.push(Send { at, len, pad: 0, flow: flow as u32, tls_seq: 0, src, fill: 0 });
     }
 
-    /// Makes room for `n` more chat sends.
-    pub fn reserve_chats(&mut self, n: usize) {
-        self.sends.reserve(n);
-        if self.recording == Recording::Full {
-            self.chats.reserve_exact(n);
+    /// Queues the session's chat sends, each at the instant and on the flow
+    /// `route` gives it (none: it is not sent). A kept queue makes one
+    /// recipe of the list, and a send goes into a kept capture as its item.
+    /// A queue takes one chat list.
+    pub fn push_chats(
+        &mut self,
+        chat: &[ChatSend],
+        route: impl Fn(&ChatSend) -> Option<(SimTime, usize)>,
+    ) {
+        assert!(self.chats.is_none(), "a queue takes one chat list");
+        let items = (self.recording == Recording::Full).then(|| ChatItems::new(chat));
+        self.sends.reserve(chat.len());
+        for (i, send) in chat.iter().enumerate() {
+            let Some((at, flow)) = route(send) else { continue };
+            let wire = items.as_ref().map_or_else(|| send.bytes.wire(), |items| items.wire(i));
+            let Wire { written, fill, pad } = wire;
+            let src = Source::Chat(i as u32);
+            self.sends.push(Send {
+                at,
+                len: written,
+                pad,
+                flow: flow as u32,
+                tls_seq: 0,
+                src,
+                fill,
+            });
         }
-    }
-
-    /// Queues the chat send `chat` describes: its bytes are written from it
-    /// when the send is transmitted.
-    pub fn push_chat(&mut self, at: SimTime, flow: usize, chat: ChatWire) {
-        let Wire { written, fill, pad } = chat.wire();
-        let src = Source::Chat(self.chats.len() as u32);
-        if self.recording == Recording::Full {
-            self.chats.push(chat);
-        }
-        self.sends.push(Send { at, len: written, pad, flow: flow as u32, tls_seq: 0, src, fill });
+        self.chats = items.map(|items| Arc::new(items) as Arc<dyn Recipe>);
     }
 
     /// Has every send of `flow` travel in TLS records under `key`. Called
@@ -329,19 +337,21 @@ impl<W> SendQueue<W> {
 
 impl<W: MediaWrite> SendQueue<W> {
     /// Pre-sizes `tap`'s capture for everything queued: the descriptors say
-    /// what each flow stores — every written byte of heads, chat and sealed
-    /// sends (runs take no space), a media send's framing and headers with a
-    /// piece per filler it hands over — and chunking the on-wire length
-    /// bounds the packet count.
+    /// what each flow stores — every written byte of heads and sealed sends
+    /// (runs take no space), a media send's framing and headers with a
+    /// piece per filler it hands over, a piece per chat send — and chunking
+    /// the on-wire length bounds the packet count.
     pub fn reserve(&self, tap: &mut Tap, mtu: usize) {
         let mut flows = vec![(Stored::default(), 0usize); tap.capture.flows.len()];
         for (i, s) in self.sends.iter().enumerate() {
             let wire = self.wire(i);
             let (stored, packets) = &mut flows[s.flow as usize];
+            let sealed = self.tls_key(s.flow).is_some();
             *stored += match s.src {
-                Source::Media { writer, .. } if self.tls_key(s.flow).is_none() => {
+                Source::Media { writer, .. } if !sealed => {
                     self.writers.get(writer as usize).map_or(Stored::default(), W::stored)
                 }
+                Source::Chat(_) if !sealed => Stored { bytes: 0, pieces: 1 },
                 _ => Stored { bytes: wire.written, pieces: 0 },
             };
             *packets += wire.len().div_ceil(mtu);
@@ -352,13 +362,15 @@ impl<W: MediaWrite> SendQueue<W> {
     }
 
     /// Appends send `s`'s bytes to `out`: a head copied out of the queue, a
-    /// media send written from its descriptor, a chat send from its own
-    /// (its JSON through `json`).
-    fn write_send(&self, s: &Send, json: &mut String, out: &mut impl Sink) {
+    /// media send written from its descriptor, a chat send as an item of
+    /// the chat list.
+    fn write_send(&self, s: &Send, out: &mut impl Sink) {
         match s.src {
             Source::Head(start) => out.put(&self.heads[start as usize..][..s.len]),
             Source::Media { writer, .. } => self.writers[writer as usize].write(out),
-            Source::Chat(n) => self.chats[n as usize].write(json, out.literal()),
+            Source::Chat(n) => {
+                out.item(self.chats.as_ref().expect("a kept queue has its chat list"), n as usize)
+            }
         }
     }
 
@@ -374,19 +386,17 @@ impl<W: MediaWrite> SendQueue<W> {
         clock_rng: &mut CounterRng,
     ) -> Option<SimTime> {
         let (wire, s) = (self.wire(i), self.sends[i]);
-        let (mut plain, mut json) = (take(&mut self.plain), take(&mut self.json));
+        let mut plain = take(&mut self.plain);
         let flow = s.flow as usize;
         let last = match self.tls_key(s.flow) {
-            None => tap.transmit(path, s.at, flow, wire, clock_rng, |out| {
-                self.write_send(&s, &mut json, out)
-            }),
+            None => tap.transmit(path, s.at, flow, wire, clock_rng, |out| self.write_send(&s, out)),
             Some(key) => tap.transmit(path, s.at, flow, wire, clock_rng, |out| {
                 plain.clear();
-                self.write_send(&s, &mut json, &mut plain);
+                self.write_send(&s, &mut plain);
                 TlsChannel::resume(key, s.tls_seq as u64).seal_into(&plain, out.literal());
             }),
         };
-        (self.plain, self.json) = (plain, json);
+        self.plain = plain;
         last
     }
 }
@@ -537,6 +547,7 @@ impl Tap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chat_client::ChatWire;
     use pscp_service::chat::Heart;
 
     /// A batch of seven hearts, and its WebSocket frame.
@@ -569,8 +580,9 @@ mod tests {
             q.push_media(SimTime::from_secs(1), 1, 40_000, Some(2), 7);
             q.push(SimTime::from_secs(1), 1, &[], 0, 0);
             q.push(SimTime::from_secs(2), 1, &[9; 17], 0, 0);
-            q.reserve_chats(1);
-            q.push_chat(SimTime::from_secs(4), 0, HEARTS);
+            let hearts =
+                ChatSend { at: SimTime::from_secs(4), kind: FlowKind::Chat, bytes: HEARTS };
+            q.push_chats(&[hearts], |send| Some((send.at, 0)));
             q
         })
     }
@@ -621,10 +633,11 @@ mod tests {
         assert_eq!(full.wire(3), Wire { written: 4, fill: 0xD8, pad: 5_000 });
         assert_eq!(full.wire(4), Wire::written(HEARTS_FRAME.len()));
         assert_eq!(full.heads, [&b"head"[..], &[9; 17]].concat());
-        assert_eq!(full.chats, [HEARTS]);
-        let counted_capacity =
-            [counted.heads.capacity(), counted.writers.capacity(), counted.chats.capacity()];
-        assert_eq!(counted_capacity, [0; 3]);
+        let mut hearts = Vec::new();
+        hearts.item(full.chats.as_ref().expect("a kept queue's chat list"), 0);
+        assert_eq!(hearts, HEARTS_FRAME);
+        assert_eq!([counted.heads.capacity(), counted.writers.capacity()], [0; 2]);
+        assert!(counted.chats.is_none());
     }
 
     #[test]

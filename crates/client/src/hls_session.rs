@@ -10,18 +10,19 @@
 
 use crate::broadcaster::{Phone, ENCODE_LATENCY};
 use crate::chat_client;
-use crate::downlink::{Stored, Wire};
+use crate::downlink::Wire;
 use crate::player::MediaArrival;
 use crate::retry::RetryPolicy;
 use crate::session::{Delivered, SessionCtx};
 use pscp_media::capture::FlowKind;
-use pscp_proto::filler::Sink;
+use pscp_proto::filler::{Recipe, Sink};
 use pscp_proto::http::Response;
 use pscp_service::cdn;
 use pscp_service::segmenter::{Segmenter, SegmenterConfig};
 use pscp_simnet::fault::FaultRng;
 use pscp_simnet::tcp::{TcpModel, INIT_CWND_SEGMENTS};
 use pscp_simnet::{Link, SimDuration, SimTime};
+use std::sync::Arc;
 
 /// History simulated before the join so the playlist is warm.
 const WARMUP: SimDuration = SimDuration::from_secs(25);
@@ -29,13 +30,11 @@ const WARMUP: SimDuration = SimDuration::from_secs(25);
 const POLL: SimDuration = SimDuration::from_millis(1500);
 /// How many segments behind the live edge playback starts.
 const EDGE_OFFSET: u64 = 2;
-/// Upper estimate of one response's bytes besides a segment body: an HTTP
-/// head, or a whole playlist response (six entries).
-const RESPONSE_OVERHEAD_BYTES: usize = 512;
 
-/// Delivers the session in `ctx` over HLS. Segments are descriptors: one is
-/// muxed when the client fetches it, into the capture — and in a counted
-/// session not at all (DESIGN.md §10).
+/// Delivers the session in `ctx` over HLS. Segments are descriptors, and a
+/// fetched one goes into a kept capture as its response head and one item
+/// of the session's segment list — muxed only if the capture is read, and
+/// in a counted session not recorded at all (DESIGN.md §10).
 pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     let (broadcast, join_at, config) = (ctx.broadcast, ctx.join_at, ctx.config);
     let prop_up = broadcast.location.propagation_to(&ctx.server.location());
@@ -95,22 +94,6 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
     let mut cwnd = INIT_CWND_SEGMENTS;
     let mut arrivals: Vec<MediaArrival> = Vec::new();
     let session_end = join_at + config.watch;
-    // Pre-size the flow, so that what a fetched segment stores is written
-    // into memory allocated once: the client can reach the segments that
-    // become available from one before the live edge at the join until the
-    // session ends, and polls the playlist about once a `POLL` meanwhile.
-    let edge = segmenter.playlist_at(join_at).last_sequence().unwrap_or(0);
-    let reachable = &segmenter.segments()[edge.saturating_sub(EDGE_OFFSET - 1) as usize..];
-    let polls = (config.watch.as_micros() / POLL.as_micros()) as usize;
-    ctx.tap.reserve(flow, 0, || {
-        let mut stored = Stored { bytes: polls * RESPONSE_OVERHEAD_BYTES, pieces: 0 };
-        for segment in reachable.iter().filter(|s| s.available_at < session_end) {
-            let (bytes, pieces) = segment.stored();
-            stored += Stored { bytes: bytes + RESPONSE_OVERHEAD_BYTES, pieces };
-        }
-        stored
-    });
-
     // --- fault injection (DESIGN.md §8), every class gated on its own
     // rate so a disabled layer draws no variate and changes no byte ---
     let faults = &config.faults;
@@ -215,6 +198,9 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
             now += POLL;
             continue;
         };
+        let (len, duration_s, available_at) =
+            (segment.len, segment.duration_s, segment.available_at);
+        let last_video_pts_ms = segment.last_video_pts_ms;
         if first_fetch_start.is_none() {
             first_fetch_start = Some(now);
         }
@@ -233,10 +219,10 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
             }
         }
         let fetch_started = now;
-        // The response is its head followed by the segment, muxed here
-        // and now, straight into the capture.
-        let head = Response::ok_bytes("video/mp2t", Vec::new()).encode_head(segment.len);
-        let resp_len = head.len() + segment.len;
+        // The response is its head followed by the segment, an item of the
+        // segment list.
+        let head = Response::ok_bytes("video/mp2t", Vec::new()).encode_head(len);
+        let resp_len = head.len() + len;
         let schedule = tcp.transfer(now, resp_len, &mut cwnd, fetched == 0);
         let completion = schedule.completion
             + ctx.tap.record_response(
@@ -247,12 +233,13 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
                 &mut ctx.net_rng,
                 |out| {
                     out.put(&head);
-                    segment.write_into(out);
+                    let segments: Arc<dyn Recipe> = segmenter.recipe();
+                    out.item(&segments, want as usize);
                 },
             );
-        media_end_s += segment.duration_s;
+        media_end_s += duration_s;
         // Latency anchor: the capture wall time of the segment's last frame.
-        let last_frame_wall = segment.last_video_pts_ms.and_then(|pts| {
+        let last_frame_wall = last_video_pts_ms.and_then(|pts| {
             let i = capture_wall_by_pts.binary_search_by_key(&pts, |&(p, _)| p).ok()?;
             Some(capture_wall_by_pts[i].1)
         });
@@ -267,8 +254,8 @@ pub(crate) fn deliver(ctx: &mut SessionCtx) -> Delivered {
         // Parentless on purpose — the join tree's children must tile the
         // root exactly, and these overlap it.
         ctx.trace.span(
-            (segment.available_at - seg_cfg.packaging_delay).as_micros(),
-            segment.available_at.as_micros(),
+            (available_at - seg_cfg.packaging_delay).as_micros(),
+            available_at.as_micros(),
             "service",
             "service.transcode",
             None,

@@ -152,14 +152,10 @@ impl Push {
         let (from, config) = (ctx.join_at, ctx.config);
         let chat =
             chat_client::events(ctx.broadcast, from, from + config.watch, config, &mut ctx.net_rng);
-        sends.reserve_chats(chat.len());
-        for ev in chat {
-            let Some(flow) = chat_client::flow_of(ev.kind, self.flow_chat, self.flow_pics) else {
-                continue;
-            };
-            let at = if flow == self.flow_chat { ev.at } else { ev.at.max(bootstrap_done) };
-            sends.push_chat(at, flow, ev.bytes);
-        }
+        sends.push_chats(&chat, |ev| {
+            let flow = chat_client::flow_of(ev.kind, self.flow_chat, self.flow_pics)?;
+            Some((if flow == self.flow_chat { ev.at } else { ev.at.max(bootstrap_done) }, flow))
+        });
     }
 
     /// The media messages the server sends a viewer whose stream starts at

@@ -7,7 +7,8 @@
 //! allocate a fixed number of times however many frames they see; and that
 //! a session whose capture nobody reads allocates no body buffer at all —
 //! and one whose capture is kept stores its headers and framing and no
-//! filler byte, each filler a generated piece.
+//! filler byte, each filler a generated piece, and each HLS segment and
+//! chat send an item.
 //! This test registers the counting allocator (`pscp_obs::alloc_count`) as
 //! this binary's global allocator and falsifies each claim if a per-packet,
 //! per-frame or per-arrival allocation — or a body buffer — sneaks back in.
@@ -265,9 +266,10 @@ fn playback_allocations_do_not_grow_with_arrivals() {
 /// uncaptured) and bytes at most `max_bytes` (captured, uncaptured). The
 /// uncaptured pin fails if a body buffer sneaks back into a session whose
 /// capture nobody reads; the captured one if a kept capture goes back to
-/// writing its fillers out. A kept capture stores — writes out — at most
-/// 5 % of its on-wire bytes: headers, framing, chat and requests,
-/// while every frame's filler, audio body and stuffing is a piece.
+/// writing its fillers, segments or chat out. A kept capture stores —
+/// writes out — at most 5 % of its on-wire bytes: headers, framing and
+/// requests, while every frame's filler, audio body and stuffing is a
+/// piece, and every fetched segment and chat send an item.
 fn pin_whole_session(
     protocol: pscp_service::select::Protocol,
     max_allocs: (u64, u64),
@@ -306,40 +308,39 @@ fn pin_whole_session(
 
 /// A whole default 60 s RTMP session, both ways. The allocation counts pin
 /// what is left per session (the chat event list, the send queue, the
-/// capture index): a chat send is a descriptor, written only into a kept
-/// capture, so no message builds a `String` or a frame; a media message's
-/// filler is a piece. Measured, in debug and release builds alike: full
-/// 74 allocations / 1,809,351 bytes (the capture stores 114,675 of its
-/// 7,146,816 on-wire bytes, 1.6 %); uncaptured 60 / 1,348,012.
-/// Each pinned at + 10 %, or where an earlier pin was tighter, there.
+/// capture index): a chat send is an item of the session's chat list,
+/// written only when a kept capture is read, so no message builds a
+/// `String` or a frame; a media message's filler is a piece. Measured, in
+/// debug and release builds alike: full 72 allocations / 1,811,990 bytes
+/// (the capture stores 79,986 of its 7,146,816 on-wire bytes, 1.1 %);
+/// uncaptured 60 / 1,348,044. Each pinned at + 10 %, or where an earlier
+/// pin was tighter, there.
 #[test]
 fn whole_session_allocations_are_pinned_in_both_modes() {
-    pin_whole_session(pscp_service::select::Protocol::Rtmp, (78, 62), (1_990_286, 1_491_450));
+    pin_whole_session(pscp_service::select::Protocol::Rtmp, (78, 62), (1_986_113, 1_491_450));
 }
 
-/// The HLS twin: segments are descriptors, muxed into the capture when they
-/// are fetched — TS headers written out, each packet's slice of a frame's
-/// filler, an audio body or stuffing handed over as a piece — so a captured
-/// session holds no per-segment `Vec` and an uncaptured one no segment byte
-/// at all. Measured: full 1,513 allocations / 2,128,280 bytes (stores
-/// 217,154 of 7,654,758 on-wire bytes, 2.8 %); uncaptured 1,473 /
-/// 1,121,624. Each pinned at
-/// + 10 %, or where an earlier pin was tighter, there.
+/// The HLS twin: a fetched segment goes into a kept capture as its
+/// response head and an item of the session's segment list, muxed only
+/// when the capture is read — so a captured session holds no TS byte and
+/// an uncaptured one no segment byte at all. Measured: full 1,498
+/// allocations / 1,181,219 bytes (stores 13,550 of 7,654,758 on-wire
+/// bytes, 0.2 %); uncaptured 1,466 / 1,121,228. Each pinned at + 10 %, or
+/// where an earlier pin was tighter, there.
 #[test]
 fn whole_hls_session_writes_a_fetched_segment_once() {
-    pin_whole_session(pscp_service::select::Protocol::Hls, (1_664, 1_620), (2_341_108, 1_233_645));
+    pin_whole_session(pscp_service::select::Protocol::Hls, (1_647, 1_620), (1_293_832, 1_233_645));
 }
 
 /// The SRT twin: its app flows share `Push::queue_chat` and the send queue
 /// with RTMP, and its media datagrams are cut from descriptors, each data
-/// packet's slice of a body a piece. Measured: full 157 allocations /
-/// 3,476,436 bytes (stores 138,021 of 7,170,162 on-wire bytes, 1.9 %);
-/// uncaptured
-/// 123 / 3,133,812. Each pinned at + 10 %, or where an earlier pin was
-/// tighter, there.
+/// packet's slice of a body a piece. Measured: full 145 allocations /
+/// 3,406,368 bytes (stores 103,332 of 7,170,162 on-wire bytes, 1.4 %);
+/// uncaptured 123 / 3,133,844. Each pinned at + 10 %, or where an earlier
+/// pin was tighter, there.
 #[test]
 fn whole_srt_session_allocations_are_pinned_in_both_modes() {
-    pin_whole_session(pscp_service::select::Protocol::Srt, (172, 135), (3_824_080, 3_447_052));
+    pin_whole_session(pscp_service::select::Protocol::Srt, (159, 135), (3_739_929, 3_447_052));
 }
 
 /// What a session hands its fold: the heap of a default uncaptured outcome

@@ -16,19 +16,23 @@
 //! Storage holds what a reader cannot recompute and describes the rest.
 //! A [`Flow`]'s stream — the bytes its packets carry, in order — is one
 //! contiguous arena of the bytes a writer wrote out, with *generated
-//! pieces* among them: a frame's filler after its header, an audio body's
-//! repeated byte, TS stuffing, each a [`Filler`] (generator state and
-//! length, or byte and length) recorded where the writer handed it over
-//! ([`Flow::append_with`] gives writers the flow as a [`Sink`]). A packet
-//! is a stretch of that stream followed by a *run* — `pad` copies of one
-//! `fill` byte (see [`Payload`]) — which is how filler traffic whose
+//! pieces* among them, each recorded where the writer handed it over
+//! ([`Flow::append_with`] gives writers the flow as a [`Sink`]): a
+//! [`Filler`] (generator state and length, or byte and length) — a frame's
+//! filler after its header, an audio body's repeated byte, TS stuffing —
+//! or an *item*, index `i` of a [`Recipe`] the session hands over once —
+//! an HLS segment of its segment list, a chat send of its chat list. A
+//! packet is a stretch of that stream followed by a *run* — `pad` copies of
+//! one `fill` byte (see [`Payload`]) — which is how filler traffic whose
 //! contents no analysis reads (profile-picture bodies, app bootstrap) is
 //! recorded. Recording a packet is a bounds check and a metadata record;
-//! no piece or run is written out. Every size, offset and rate below is in
-//! on-wire bytes, exactly as if every byte had been stored, and a reader
-//! gets exactly those bytes: [`Payload::bytes`] and [`Flow::byte_stream`]
-//! write the pieces out when asked. Packets are exposed as borrowed
-//! [`PacketView`]s.
+//! nothing generated is written out. Every size, offset and rate below is
+//! in on-wire bytes, exactly as if every byte had been stored, and a reader
+//! gets exactly those bytes: the first read of a flow with items writes
+//! its items out — their bytes into a second arena, their fillers as
+//! pieces — and keeps that for every later read, and [`Payload::bytes`]
+//! and [`Flow::byte_stream`] write the fillers out when asked. Packets are
+//! exposed as borrowed [`PacketView`]s.
 //!
 //! Wall stamps are computed when someone reads them. tcpdump stamps every
 //! packet, but the analysis reads the stamp of the one packet in ≈ 200 that
@@ -45,15 +49,16 @@
 //!
 //! A session writes each written-out byte here and nowhere else: it states
 //! a send's length, [`Flow::append_with`] hands the flow to whatever writes
-//! the bytes and describes the fillers, and [`Flow::cut`]/
+//! the bytes and describes the fillers and items, and [`Flow::cut`]/
 //! [`Flow::cut_deferred`] then lay packets over them by length as the link
 //! delivers them — the same flow a `record` per packet would have built,
 //! without the copy out of an intermediate buffer.
 
-use pscp_proto::filler::{Filler, Sink};
+use pscp_proto::filler::{Filler, Recipe, Sink};
 use pscp_simnet::rng::CounterRng;
 use pscp_simnet::{SimTime, WallClock};
 use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// Transport-level classification of a flow, as the analysis scripts would
 /// infer from ports and endpoints.
@@ -77,8 +82,8 @@ pub enum FlowKind {
     Srt,
 }
 
-/// A generated stretch of a flow's stream: a [`Filler`] a writer handed
-/// over, recorded where it falls and written out only when it is read.
+/// A generated stretch of a flow's stream, recorded where a writer handed
+/// it over and written out only when it is read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Piece {
     /// Stream offset of its first byte.
@@ -86,13 +91,105 @@ struct Piece {
     /// Generated bytes of the stream before it, so `at - gen` written-out
     /// bytes precede it.
     gen: u32,
-    filler: Filler,
+    what: Generated,
+}
+
+/// What a [`Piece`] stands for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Generated {
+    /// A filler's bytes.
+    Fill(Filler),
+    /// Item `index` of the flow's `recipe`-th recipe, `len` bytes long. A
+    /// flow reads its stream with every item written out (see
+    /// [`Flow::byte_stream`]), so only a recorded stream holds these.
+    Item { recipe: u32, index: u32, len: u32 },
 }
 
 impl Piece {
+    /// Bytes it stands for.
+    fn len(&self) -> usize {
+        match self.what {
+            Generated::Fill(filler) => filler.len(),
+            Generated::Item { len, .. } => len as usize,
+        }
+    }
+
     /// Stream offset just past it.
     fn end(&self) -> usize {
-        self.at as usize + self.filler.len()
+        self.at as usize + self.len()
+    }
+
+    /// Written-out bytes of the stream before it.
+    fn literal_at(&self) -> usize {
+        (self.at - self.gen) as usize
+    }
+}
+
+/// A flow's stream as it is held: the bytes writers wrote out, in order,
+/// with generated pieces among them.
+#[derive(Debug, Clone, Default)]
+struct Stream {
+    data: Vec<u8>,
+    pieces: Vec<Piece>,
+    /// Bytes the pieces stand for.
+    generated: usize,
+}
+
+impl Stream {
+    fn len(&self) -> usize {
+        self.data.len() + self.generated
+    }
+
+    /// Records `what`, `len` bytes, as the next piece; an empty one is
+    /// nothing.
+    #[inline]
+    fn push(&mut self, what: Generated, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let at = u32::try_from(self.len()).expect("a flow's stream stays under 4 GiB");
+        // `generated` ≤ `at`, so it fits too.
+        self.pieces.push(Piece { at, gen: self.generated as u32, what });
+        self.generated += len;
+    }
+
+    /// The stream with every item written out of `recipes`, and fillers
+    /// still pieces.
+    fn written_out(&self, recipes: &[Arc<dyn Recipe>]) -> Stream {
+        let mut out = Stream::default();
+        out.data.reserve(self.data.len());
+        let mut lit = 0;
+        for p in &self.pieces {
+            out.put(&self.data[lit..p.literal_at()]);
+            lit = p.literal_at();
+            match p.what {
+                Generated::Fill(filler) => out.fill(filler),
+                Generated::Item { recipe, index, .. } => {
+                    out.item(&recipes[recipe as usize], index as usize)
+                }
+            }
+        }
+        out.put(&self.data[lit..]);
+        out
+    }
+}
+
+/// A stream being written out to be read: an item is written, a filler
+/// recorded.
+impl Sink for Stream {
+    fn literal(&mut self) -> &mut Vec<u8> {
+        &mut self.data
+    }
+
+    #[inline]
+    fn fill(&mut self, filler: Filler) {
+        self.push(Generated::Fill(filler), filler.len());
+    }
+
+    fn item(&mut self, recipe: &Arc<dyn Recipe>, i: usize) {
+        let at = self.len();
+        recipe.write(i, self);
+        assert_eq!(self.len() - at, recipe.len(i), "item {i} of {recipe:?} wrote another length");
     }
 }
 
@@ -189,7 +286,10 @@ impl<'a> Payload<'a> {
             }
             let to = end.min(self.to);
             if s < to {
-                out.fill(p.filler.slice(s - at, to - at));
+                let Generated::Fill(filler) = p.what else {
+                    unreachable!("a flow is read with its items written out")
+                };
+                out.fill(filler.slice(s - at, to - at));
                 s = to;
             }
         }
@@ -266,38 +366,56 @@ pub struct Flow {
     pub server: String,
     /// The capture host's clock: what deferred stamps are read from.
     host_clock: WallClock,
-    /// The stream's written-out bytes, in order.
-    data: Vec<u8>,
-    /// The stream's generated pieces, in order.
-    pieces: Vec<Piece>,
-    /// Bytes the pieces stand for.
-    generated: usize,
+    /// The stream as recorded.
+    stream: Stream,
+    /// What its items need, once it has one.
+    items: Option<Box<Items>>,
     /// Per-packet timestamps + cumulative stream and on-wire end offsets.
     meta: Vec<PacketMeta>,
 }
 
+/// A flow's items: what they are items of, and the stream they are read
+/// from.
+#[derive(Debug, Clone, Default)]
+struct Items {
+    /// The recipes, each handed over once.
+    recipes: Vec<Arc<dyn Recipe>>,
+    /// The flow's stream with every item written out, on the first read,
+    /// and kept until the flow changes.
+    read: OnceLock<Stream>,
+}
+
 /// A flow as a [`Sink`]: what [`Flow::append_with`] hands a writer. Bytes
-/// go into the flow's arena; a filler is recorded as a piece.
+/// go into the flow's arena; a filler or an item is recorded as a piece.
 pub struct Appender<'a> {
     flow: &'a mut Flow,
 }
 
 impl Sink for Appender<'_> {
     fn literal(&mut self) -> &mut Vec<u8> {
-        &mut self.flow.data
+        &mut self.flow.stream.data
     }
 
     #[inline]
     fn fill(&mut self, filler: Filler) {
-        if filler.is_empty() {
-            return;
-        }
-        let flow = &mut *self.flow;
-        let at = flow.data.len() + flow.generated;
-        let at = u32::try_from(at).expect("a flow's stream stays under 4 GiB");
-        // `generated` ≤ `at`, so it fits too.
-        flow.pieces.push(Piece { at, gen: flow.generated as u32, filler });
-        flow.generated += filler.len();
+        self.flow.stream.fill(filler);
+    }
+
+    #[inline]
+    fn item(&mut self, recipe: &Arc<dyn Recipe>, i: usize) {
+        let Flow { items, stream, .. } = &mut *self.flow;
+        let recipes = &mut items.get_or_insert_with(Box::default).recipes;
+        let r = match recipes.iter().position(|r| Arc::ptr_eq(r, recipe)) {
+            Some(r) => r,
+            None => {
+                recipes.push(Arc::clone(recipe));
+                recipes.len() - 1
+            }
+        };
+        let len = recipe.len(i);
+        let fits = "an item is one response long";
+        let (index, len32) = (u32::try_from(i).expect(fits), u32::try_from(len).expect(fits));
+        stream.push(Generated::Item { recipe: r as u32, index, len: len32 }, len);
     }
 }
 
@@ -311,21 +429,26 @@ impl Flow {
     /// Creates an empty flow captured on the host whose clock is
     /// `host_clock`.
     pub fn on_host(kind: FlowKind, server: impl Into<String>, host_clock: WallClock) -> Self {
-        let server = server.into();
-        let (data, pieces, meta) = (Vec::new(), Vec::new(), Vec::new());
-        Flow { kind, server, host_clock, data, pieces, generated: 0, meta }
+        Flow {
+            kind,
+            server: server.into(),
+            host_clock,
+            stream: Stream::default(),
+            items: None,
+            meta: Vec::new(),
+        }
     }
 
     /// Pre-sizes the written-out arena and packet index (e.g. for
     /// allocation-free steady-state recording). Runs need no space.
     pub fn reserve(&mut self, bytes: usize, packets: usize) {
-        self.data.reserve(bytes);
+        self.stream.data.reserve(bytes);
         self.meta.reserve(packets);
     }
 
     /// Pre-sizes the record of generated pieces.
     pub fn reserve_pieces(&mut self, pieces: usize) {
-        self.pieces.reserve(pieces);
+        self.stream.pieces.reserve(pieces);
     }
 
     /// Records a packet the host stamped `wall_ts`: its stretch is copied
@@ -355,6 +478,7 @@ impl Flow {
     /// in.
     pub fn append_with(&mut self, n: usize, write: impl FnOnce(&mut Appender<'_>)) {
         let start = self.stream_len();
+        self.forget_read();
         write(&mut Appender { flow: self });
         assert_eq!(self.stream_len(), start + n, "writer produced another length than stated");
     }
@@ -380,6 +504,7 @@ impl Flow {
 
     fn push(&mut self, at: SimTime, stamp: Stamp, payload: Payload<'_>) {
         self.assert_all_cut();
+        self.forget_read();
         payload.write_stream(&mut Appender { flow: self });
         self.cut_packet(at, stamp, payload.to - payload.from, payload.fill, payload.pad);
     }
@@ -402,7 +527,7 @@ impl Flow {
 
     /// Length of the stream appended so far.
     fn stream_len(&self) -> usize {
-        self.data.len() + self.generated
+        self.stream.len()
     }
 
     /// Stream offset up to which appended bytes belong to packets.
@@ -444,7 +569,23 @@ impl Flow {
     /// Bytes the flow holds written out; every other on-wire byte is a
     /// generated piece or a run, stored as a record of its own.
     pub fn stored_bytes(&self) -> usize {
-        self.data.len()
+        self.stream.data.len()
+    }
+
+    /// The stream as readers see it: as recorded, or — once it has items —
+    /// with every item written out, the first time it is asked for.
+    fn readable(&self) -> &Stream {
+        match &self.items {
+            None => &self.stream,
+            Some(items) => items.read.get_or_init(|| self.stream.written_out(&items.recipes)),
+        }
+    }
+
+    /// Drops the stream written out for reading: the flow is changing.
+    fn forget_read(&mut self) {
+        if let Some(items) = &mut self.items {
+            items.read.take();
+        }
     }
 
     /// The `i`-th packet as a borrowed view, its stamp read.
@@ -458,14 +599,15 @@ impl Flow {
     /// pieces; [`Flow::payloads`] walks them instead.
     #[inline]
     fn payload(&self, i: usize) -> Payload<'_> {
+        let stream = self.readable();
         let from = i.checked_sub(1).map_or(0, |prev| self.meta[prev].stream_end);
-        let piece = self.pieces.partition_point(|p| p.end() <= from);
-        let generated = match self.pieces.get(piece) {
+        let piece = stream.pieces.partition_point(|p| p.end() <= from);
+        let generated = match stream.pieces.get(piece) {
             Some(p) => p.gen as usize + from.saturating_sub(p.at as usize),
-            None => self.generated,
+            None => stream.generated,
         };
-        let mut one =
-            Payloads { flow: self, front: i, back: i + 1, literal: from - generated, piece };
+        let literal = from - generated;
+        let mut one = Payloads { flow: self, stream, front: i, back: i + 1, literal, piece };
         one.next().expect("a recorded packet")
     }
 
@@ -482,7 +624,8 @@ impl Flow {
     /// Iterates the packets' payloads in arrival order; no stamp is read.
     pub fn payloads(&self) -> Payloads<'_> {
         self.assert_all_cut();
-        Payloads { flow: self, front: 0, back: self.meta.len(), literal: 0, piece: 0 }
+        let stream = self.readable();
+        Payloads { flow: self, stream, front: 0, back: self.meta.len(), literal: 0, piece: 0 }
     }
 
     /// The flow without its first `n` on-wire bytes, as a dissector that
@@ -494,8 +637,9 @@ impl Flow {
     pub fn strip_prefix(&self, n: usize) -> Flow {
         self.assert_all_cut();
         let mut out = Flow::on_host(self.kind, self.server.clone(), self.host_clock.clone());
-        out.reserve(self.data.len(), self.meta.len());
-        out.pieces.reserve(self.pieces.len());
+        let stream = self.readable();
+        out.reserve(stream.data.len(), self.meta.len());
+        out.reserve_pieces(stream.pieces.len());
         let mut wire_start = 0;
         for (m, payload) in self.meta.iter().zip(self.payloads()) {
             let starts_at = std::mem::replace(&mut wire_start, m.wire_end);
@@ -530,8 +674,9 @@ impl Flow {
     /// media flow pays this once and walks the packets by length.
     pub fn byte_stream(&self) -> Cow<'_, [u8]> {
         self.assert_all_cut();
-        if self.byte_count() == self.data.len() {
-            return Cow::Borrowed(&self.data);
+        let stream = self.readable();
+        if self.byte_count() == stream.data.len() {
+            return Cow::Borrowed(&stream.data);
         }
         let mut out = Vec::with_capacity(self.byte_count());
         for p in self.payloads() {
@@ -582,6 +727,8 @@ impl Flow {
 #[derive(Debug, Clone)]
 pub struct Payloads<'a> {
     flow: &'a Flow,
+    /// The flow's stream as read.
+    stream: &'a Stream,
     /// The next packet from the front, and the one past the next from the
     /// back.
     front: usize,
@@ -599,27 +746,27 @@ impl<'a> Iterator for Payloads<'a> {
         if self.front == self.back {
             return None;
         }
-        let (flow, i) = (self.flow, self.front);
-        let m = &flow.meta[i];
+        let (meta, stream, i) = (&self.flow.meta, self.stream, self.front);
+        let m = &meta[i];
         let (from, wire_start) = match i.checked_sub(1) {
-            Some(prev) => (flow.meta[prev].stream_end, flow.meta[prev].wire_end),
+            Some(prev) => (meta[prev].stream_end, meta[prev].wire_end),
             None => (0, 0),
         };
         let to = m.stream_end;
         let (first, mut last, mut generated) = (self.piece, self.piece, 0);
-        while let Some(p) = flow.pieces.get(last).filter(|p| (p.at as usize) < to) {
+        while let Some(p) = stream.pieces.get(last).filter(|p| (p.at as usize) < to) {
             generated += p.end().min(to) - (p.at as usize).max(from);
             last += 1;
         }
         let literal = self.literal..self.literal + (to - from) - generated;
         // The last piece may go on into the next packet.
         self.piece = match last.checked_sub(1) {
-            Some(p) if p >= first && flow.pieces[p].end() > to => p,
+            Some(p) if p >= first && stream.pieces[p].end() > to => p,
             _ => last,
         };
         (self.literal, self.front) = (literal.end, i + 1);
         let pad = (m.wire_end - wire_start) - (to - from);
-        let (literal, pieces) = (&flow.data[literal], &flow.pieces[first..last]);
+        let (literal, pieces) = (&stream.data[literal], &stream.pieces[first..last]);
         Some(Payload { literal, pieces, from, to, fill: m.fill, pad })
     }
 

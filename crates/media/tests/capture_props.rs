@@ -1,15 +1,19 @@
 //! Properties of capture storage: a flow recorded as written-out bytes,
-//! generated pieces and runs must answer every question exactly like a twin
-//! flow that was handed the same packets written out byte for byte — and a
-//! flow whose stamps were deferred exactly like one whose host clock was
-//! read packet by packet — and a flow whose bytes were appended a send at a time and then
-//! cut into packets by length exactly like one recorded packet by packet.
+//! generated pieces, items and runs must answer every question exactly like
+//! a twin flow that was handed the same packets written out byte for byte —
+//! and a flow whose stamps were deferred exactly like one whose host clock
+//! was read packet by packet — and a flow whose bytes were appended a send
+//! at a time and then cut into packets by length exactly like one recorded
+//! packet by packet. However a flow is read, it writes an item once for
+//! each time it holds it.
 
 use pscp_check::{check, ensure, ensure_eq, Gen};
 use pscp_media::capture::{Capture, Flow, FlowKind, Payload};
-use pscp_proto::filler::{Filler, Sink};
+use pscp_proto::filler::{Filler, Recipe, Sink};
 use pscp_simnet::rng::CounterRng;
 use pscp_simnet::{SimTime, WallClock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One generated packet: inter-arrival gap, literal part, run.
 #[derive(Debug, Clone)]
@@ -382,12 +386,68 @@ fn a_writer_that_misstates_its_length_panics() {
     Flow::new(FlowKind::Rtmp, "ec2").append_with(3, |out| out.put(b"four"));
 }
 
-/// One part of an appended stream: bytes a writer writes out, or a filler
-/// it hands over.
+/// One part of an appended stream: bytes a writer writes out, a filler it
+/// hands over, or an item of the test recipe.
 #[derive(Debug, Clone)]
 enum Part {
     Bytes(Vec<u8>),
     Fill(Filler),
+    Item(usize),
+}
+
+/// A recipe whose items are parts — bytes and fillers — and which counts
+/// how often each item is written.
+#[derive(Debug)]
+struct Items {
+    items: Vec<Vec<Part>>,
+    writes: Vec<AtomicUsize>,
+}
+
+impl Items {
+    fn new(items: &[Vec<Part>]) -> Arc<Items> {
+        let writes = items.iter().map(|_| AtomicUsize::new(0)).collect();
+        Arc::new(Items { items: items.to_vec(), writes })
+    }
+
+    /// How many times each item was written.
+    fn writes(&self) -> Vec<usize> {
+        self.writes.iter().map(|w| w.load(Ordering::Relaxed)).collect()
+    }
+}
+
+impl Recipe for Items {
+    fn len(&self, i: usize) -> usize {
+        self.items[i].iter().map(|part| part_len(part, &self.items)).sum()
+    }
+
+    fn write(&self, i: usize, out: &mut dyn Sink) {
+        self.writes[i].fetch_add(1, Ordering::Relaxed);
+        for part in &self.items[i] {
+            match part {
+                Part::Bytes(bytes) => out.put(bytes),
+                Part::Fill(filler) => out.fill(*filler),
+                Part::Item(_) => unreachable!("an item is bytes and fillers"),
+            }
+        }
+    }
+}
+
+/// Bytes `part` stands for, `items` being what an item part refers to.
+fn part_len(part: &Part, items: &[Vec<Part>]) -> usize {
+    match part {
+        Part::Bytes(bytes) => bytes.len(),
+        Part::Fill(filler) => filler.len(),
+        Part::Item(i) => items[*i].iter().map(|part| part_len(part, items)).sum(),
+    }
+}
+
+/// A bytes or a filler part of at most `max` bytes.
+fn arb_part(g: &mut Gen, max: usize) -> Part {
+    match g.choice(3) {
+        0 => Part::Bytes(g.bytes(0..60.min(max))),
+        1 => Part::Fill(Filler::run(g.u8(..), g.usize(0..max))),
+        _ => Part::Fill(Filler::lcg(g.u32(..), g.usize(0..max))),
+    }
 }
 
 /// One packet cut over appended bytes: how many of them, its run, and
@@ -401,23 +461,19 @@ struct Cut {
     eager: bool,
 }
 
-/// Groups of parts, each appended in one go and then cut into packets that
-/// cover it exactly.
-fn arb_groups(g: &mut Gen) -> Vec<(Vec<Part>, Vec<Cut>)> {
+/// Groups of parts — fillers at most `max` bytes, items among them when
+/// there are `items` — each appended in one go and then cut into packets
+/// that cover it exactly.
+fn arb_groups(g: &mut Gen, max: usize, items: &[Vec<Part>]) -> Vec<(Vec<Part>, Vec<Cut>)> {
     g.vec(1..5, |g| {
-        let parts = g.vec(0..12, |g| match g.choice(3) {
-            0 => Part::Bytes(g.bytes(0..60)),
-            1 => Part::Fill(Filler::run(g.u8(..), g.usize(0..3000))),
-            _ => Part::Fill(Filler::lcg(g.u32(..), g.usize(0..3000))),
+        let parts = g.vec(0..12, |g| match g.choice(4) {
+            3 if !items.is_empty() => Part::Item(g.usize(0..items.len())),
+            _ => arb_part(g, max),
         });
-        let len = |part: &Part| match part {
-            Part::Bytes(bytes) => bytes.len(),
-            Part::Fill(filler) => filler.len(),
-        };
-        let mut left: usize = parts.iter().map(len).sum();
+        let mut left: usize = parts.iter().map(|part| part_len(part, items)).sum();
         let mut cuts = Vec::new();
         loop {
-            let n = if g.choice(3) == 0 { left } else { g.usize(0..=left.min(1500)) };
+            let n = if g.choice(3) == 0 { left } else { g.usize(0..=left.min(max / 2)) };
             let pad = if g.choice(4) == 0 { g.usize(1..2000) } else { 0 };
             let gap_us = g.u64(0..50_000);
             cuts.push(Cut { gap_us, n, fill: g.u8(..), pad, eager: g.choice(3) == 0 });
@@ -430,34 +486,43 @@ fn arb_groups(g: &mut Gen) -> Vec<(Vec<Part>, Vec<Cut>)> {
     })
 }
 
-/// The parts' bytes, every filler written out.
-fn written_out(parts: &[Part]) -> Vec<u8> {
+/// The parts' bytes, every filler and item written out.
+fn written_out(parts: &[Part], items: &[Vec<Part>]) -> Vec<u8> {
     let mut out = Vec::new();
     for part in parts {
         match part {
             Part::Bytes(bytes) => out.put(bytes),
             Part::Fill(filler) => Sink::fill(&mut out, *filler),
+            Part::Item(i) => out.extend(written_out(&items[*i], items)),
         }
     }
     out
 }
 
-/// Appends each group — as described parts, or written out — and cuts it
-/// into its packets, stamping from the host clock.
-fn build(groups: &[(Vec<Part>, Vec<Cut>)], host: &(WallClock, u64), described: bool) -> Flow {
+/// Appends each group — as described parts, items those of `recipe`, or
+/// written out, items those `items` list — and cuts it into its packets,
+/// stamping from the host clock.
+fn build(
+    groups: &[(Vec<Part>, Vec<Cut>)],
+    host: &(WallClock, u64),
+    items: &[Vec<Part>],
+    recipe: Option<&Arc<Items>>,
+) -> Flow {
     let (clock, seed) = host;
     let mut flow = Flow::on_host(FlowKind::Rtmp, "ec2", clock.clone());
     let mut jitter = CounterRng::new(*seed);
     let mut t = 0;
     for (parts, cuts) in groups {
-        let bytes = written_out(parts);
-        flow.append_with(bytes.len(), |out| match described {
-            false => out.put(&bytes),
-            true => {
+        let bytes = written_out(parts, items);
+        flow.append_with(bytes.len(), |out| match recipe {
+            None => out.put(&bytes),
+            Some(recipe) => {
+                let recipe: Arc<dyn Recipe> = recipe.clone();
                 for part in parts {
                     match part {
                         Part::Bytes(bytes) => out.put(bytes),
                         Part::Fill(filler) => out.fill(*filler),
+                        Part::Item(i) => out.item(&recipe, *i),
                     }
                 }
             }
@@ -482,10 +547,10 @@ fn build(groups: &[(Vec<Part>, Vec<Cut>)], host: &(WallClock, u64), described: b
 fn generated_pieces_read_like_their_written_out_twin() {
     check(
         "generated_pieces_read_like_their_written_out_twin",
-        |g: &mut Gen| (arb_host(g), arb_groups(g), g.usize(0..8000), g.usize(1..700)),
+        |g: &mut Gen| (arb_host(g), arb_groups(g, 3000, &[]), g.usize(0..8000), g.usize(1..700)),
         |(host, groups, prefix, mtu)| {
-            let pieces = build(groups, host, true);
-            let twin = build(groups, host, false);
+            let pieces = build(groups, host, &[], Some(&Items::new(&[])));
+            let twin = build(groups, host, &[], None);
             let want = observed(&twin);
             ensure_eq!(observed(&pieces), want.clone());
             ensure_eq!(pieces.byte_count(), twin.byte_count());
@@ -520,6 +585,56 @@ fn generated_pieces_read_like_their_written_out_twin() {
             }
             ensure_eq!(observed(&copy), want);
             ensure_eq!(copy.stored_bytes(), pieces.stored_bytes());
+            Ok(())
+        },
+    );
+}
+
+/// A flow with items of a recipe among its bytes and fillers reads exactly
+/// like its twin that was handed every byte — per packet, as a whole
+/// stream, twice, in either order, and with a prefix stripped at every
+/// offset, inside items too — and writes each item at most once for each
+/// time it holds it, however it is read.
+#[test]
+fn items_read_like_their_written_out_twin_and_are_written_once() {
+    check(
+        "items_read_like_their_written_out_twin_and_are_written_once",
+        |g: &mut Gen| {
+            let items = g.vec(1..4, |g| g.vec(0..4, |g| arb_part(g, 200)));
+            let groups = arb_groups(g, 200, &items);
+            (arb_host(g), items, groups)
+        },
+        |(host, items, groups)| {
+            let twin = build(groups, host, items, None);
+            let want = observed(&twin);
+            // One flow read packet by packet first, one as a whole stream
+            // first; each its own recipe, to count its writes.
+            let (a, b) = (Items::new(items), Items::new(items));
+            let (by_packet, by_stream) =
+                (build(groups, host, items, Some(&a)), build(groups, host, items, Some(&b)));
+            // How many times the flows hold each item.
+            let mut held = vec![0; items.len()];
+            for part in groups.iter().flat_map(|(parts, _)| parts) {
+                if let Part::Item(i) = part {
+                    held[*i] += 1;
+                }
+            }
+            ensure_eq!(a.writes().iter().chain(&b.writes()).sum::<usize>(), 0);
+            for _ in 0..2 {
+                ensure_eq!(observed(&by_packet), want.clone());
+                ensure_eq!(by_packet.byte_stream(), twin.byte_stream());
+                ensure_eq!(by_stream.byte_stream(), twin.byte_stream());
+                ensure_eq!(observed(&by_stream), want.clone());
+            }
+            ensure!(by_packet.payloads().eq(twin.payloads()));
+            ensure!(by_packet.stored_bytes() <= twin.stored_bytes());
+            for prefix in 0..=twin.byte_count() {
+                let stripped = by_stream.strip_prefix(prefix);
+                ensure_eq!(observed(&stripped), observed(&twin.strip_prefix(prefix)));
+            }
+            for writes in [a.writes(), b.writes()] {
+                ensure!(writes.iter().zip(&held).all(|(w, h)| w <= h), "{writes:?} {held:?}");
+            }
             Ok(())
         },
     );

@@ -15,10 +15,18 @@
 //! body is head bytes, framing bytes and filler slices, with nothing
 //! written out that the framing did not write.
 //!
+//! A session also hands over whole *items*: item `i` of a [`Recipe`] — one
+//! HLS segment of the session's segment list, one chat send of its chat
+//! list — which a `Vec<u8>` writes out at once and a capture flow records
+//! as `(recipe, i)`, writing it only when the flow is read.
+//!
 //! The frame filler is the LCG `x ← A·x + C (mod 2^32)`, one byte
 //! (`x >> 24`) per step. [`lcg_jump`]`(k)` is `k` steps at once, which is
 //! both how the lane kernel that writes it out seeds its lanes and how a
 //! slice starting `k` bytes in finds its state.
+
+use std::fmt::Debug;
+use std::sync::Arc;
 
 /// The filler generator's multiplier.
 const LCG_A: u32 = 1664525;
@@ -106,44 +114,49 @@ const fn lane_seeds<const L: usize>() -> ([u32; L], [u32; L]) {
     (a, c)
 }
 
-/// The kernel body, generic in its width: writes the generator's next
-/// `out.len()` bytes after state `x` into `out`.
+/// The kernel body, generic in its width: appends the generator's next
+/// `len` bytes after state `x` to `out`, a block of `L` at a time, so each
+/// byte is written once — no zeroing first.
 ///
 /// Lane `i` holds `x_{i+1}` and yields bytes `i, i+L, …`, each step jumping
 /// `L` ahead, so the lanes together emit exactly the serial stream
 /// `x_1, x_2, …` while no multiply waits for the previous byte's. Inlined
 /// into each instantiation so it is compiled for that one's target features.
 #[inline(always)]
-fn fill_lanes<const L: usize>(x: u32, out: &mut [u8]) {
+fn fill_lanes<const L: usize>(x: u32, len: usize, out: &mut Vec<u8>) {
     let (jump_a, jump_c) = const { lcg_jump(L) };
     let (seed_a, seed_c) = const { lane_seeds::<L>() };
     let mut lanes = [0u32; L];
     for ((lane, a), c) in lanes.iter_mut().zip(&seed_a).zip(&seed_c) {
         *lane = x.wrapping_mul(*a).wrapping_add(*c);
     }
-    let mut blocks = out.chunks_exact_mut(L);
-    for block in &mut blocks {
+    out.reserve(len);
+    let mut block = [0u8; L];
+    for _ in 0..len / L {
         for (byte, lane) in block.iter_mut().zip(&mut lanes) {
             *byte = (*lane >> 24) as u8;
             *lane = lane.wrapping_mul(jump_a).wrapping_add(jump_c);
         }
+        out.extend_from_slice(&block);
     }
-    for (byte, lane) in blocks.into_remainder().iter_mut().zip(&lanes) {
+    let rest = &mut block[..len % L];
+    for (byte, lane) in rest.iter_mut().zip(&lanes) {
         *byte = (*lane >> 24) as u8;
     }
+    out.extend_from_slice(rest);
 }
 
 /// The kernel at the width any target runs.
-fn fill_portable(x: u32, out: &mut [u8]) {
-    fill_lanes::<PORTABLE_LANES>(x, out)
+fn fill_portable(x: u32, len: usize, out: &mut Vec<u8>) {
+    fill_lanes::<PORTABLE_LANES>(x, len, out)
 }
 
 /// The same body compiled with AVX2 enabled, where the lane loop becomes
 /// `vpmulld`/`vpaddd` on 256-bit registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn fill_avx2(x: u32, out: &mut [u8]) {
-    fill_lanes::<AVX2_LANES>(x, out)
+fn fill_avx2(x: u32, len: usize, out: &mut Vec<u8>) {
+    fill_lanes::<AVX2_LANES>(x, len, out)
 }
 
 /// Which filler kernel frame bodies are written with on this CPU:
@@ -157,17 +170,17 @@ pub fn fill_kernel() -> String {
     format!("portable-{PORTABLE_LANES}")
 }
 
-/// Writes the generator's next `out.len()` bytes after state `x` into `out`
-/// with the widest kernel this CPU has.
-fn fill(x: u32, out: &mut [u8]) {
+/// Appends the generator's next `len` bytes after state `x` to `out` with
+/// the widest kernel this CPU has.
+fn fill(x: u32, len: usize, out: &mut Vec<u8>) {
     #[cfg(target_arch = "x86_64")]
-    if out.len() >= AVX2_MIN_BYTES && std::arch::is_x86_feature_detected!("avx2") {
+    if len >= AVX2_MIN_BYTES && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `fill_avx2` is safe Rust; the only requirement its
         // `target_feature` attribute adds is that the CPU executes AVX2,
         // which the detection in this very condition has just confirmed.
-        return unsafe { fill_avx2(x, out) };
+        return unsafe { fill_avx2(x, len, out) };
     }
-    fill_portable(x, out)
+    fill_portable(x, len, out)
 }
 
 /// A stretch of generated bytes, described rather than written: what a
@@ -239,20 +252,22 @@ impl Filler {
             Filler::Run { byte, .. } => Filler::Run { byte, len },
         }
     }
-
-    /// Writes the bytes out into `out`, which is exactly as long.
-    fn write(self, out: &mut [u8]) {
-        assert_eq!(out.len(), self.len(), "a filler is written into its own length");
-        match self {
-            Filler::Lcg { x, .. } => fill(x, out),
-            Filler::Run { byte, .. } => out.fill(byte),
-        }
-    }
 }
 
-/// Where a body writer puts a body: bytes it writes, and fillers it only
-/// describes. A `Vec<u8>` writes every filler out; a capture flow records
-/// it as a piece and writes it out when it is read.
+/// A list of byte strings a session builds once and hands over whole —
+/// its finished HLS segments, its chat sends — whose `i`-th, an *item*, a
+/// [`Sink`] takes as `(recipe, i)`: see [`Sink::item`].
+pub trait Recipe: Send + Sync + Debug {
+    /// Bytes item `i` stands for.
+    fn len(&self, i: usize) -> usize;
+
+    /// Appends item `i`'s [`Recipe::len`] bytes to `out`.
+    fn write(&self, i: usize, out: &mut dyn Sink);
+}
+
+/// Where a body writer puts a body: bytes it writes, and fillers and items
+/// it only describes. A `Vec<u8>` writes every filler and item out; a
+/// capture flow records each as a piece and writes it out when it is read.
 pub trait Sink {
     /// The buffer written bytes are appended to.
     fn literal(&mut self) -> &mut Vec<u8>;
@@ -264,6 +279,36 @@ pub trait Sink {
     fn put(&mut self, bytes: &[u8]) {
         self.literal().extend_from_slice(bytes);
     }
+
+    /// Appends item `i` of `recipe`. By default it is written out, fillers
+    /// and all, into [`Sink::literal`], and checked against its stated
+    /// length.
+    fn item(&mut self, recipe: &Arc<dyn Recipe>, i: usize) {
+        let out = self.literal();
+        let at = out.len();
+        recipe.write(i, out);
+        assert_eq!(out.len() - at, recipe.len(i), "item {i} of {recipe:?} wrote another length");
+    }
+}
+
+/// A borrowed sink is a sink: what lets a [`Recipe`] hand its `&mut dyn
+/// Sink` to a body writer that takes `&mut impl Sink`.
+impl<S: Sink + ?Sized> Sink for &mut S {
+    fn literal(&mut self) -> &mut Vec<u8> {
+        (**self).literal()
+    }
+
+    fn fill(&mut self, filler: Filler) {
+        (**self).fill(filler)
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        (**self).put(bytes)
+    }
+
+    fn item(&mut self, recipe: &Arc<dyn Recipe>, i: usize) {
+        (**self).item(recipe, i)
+    }
 }
 
 impl Sink for Vec<u8> {
@@ -271,10 +316,12 @@ impl Sink for Vec<u8> {
         self
     }
 
+    /// Each byte is written once, into reserved capacity.
     fn fill(&mut self, filler: Filler) {
-        let at = self.len();
-        self.resize(at + filler.len(), 0);
-        filler.write(&mut self[at..]);
+        match filler {
+            Filler::Lcg { x, len } => fill(x, len as usize, self),
+            Filler::Run { byte, len } => self.resize(self.len() + len as usize, byte),
+        }
     }
 }
 
@@ -336,14 +383,14 @@ mod tests {
         }
     }
 
-    /// Runs `kernel` on the middle of a buffer and checks it wrote the
-    /// serial stream there and nothing outside.
-    fn check_kernel(kernel: fn(u32, &mut [u8]), x: u32, before: usize, len: usize) {
-        let mut want = vec![0xEE; before + len + 3];
-        let mut got = want.clone();
-        fill_serial(x, &mut want[before..before + len]);
-        kernel(x, &mut got[before..before + len]);
-        assert_eq!(got, want, "seed {x:#x}, {len} bytes at offset {before}");
+    /// Runs `kernel` at the end of a `Vec` of `before` bytes and checks it
+    /// appended the serial stream and nothing else.
+    fn check_kernel(kernel: fn(u32, usize, &mut Vec<u8>), x: u32, before: usize, len: usize) {
+        let mut want = vec![0xEE; before + len];
+        fill_serial(x, &mut want[before..]);
+        let mut got = vec![0xEE; before];
+        kernel(x, len, &mut got);
+        assert_eq!(got, want, "seed {x:#x}, {len} bytes after {before}");
     }
 
     #[test]

@@ -11,17 +11,16 @@
 
 use pscp_media::bitstream::{FrameKind, FramePayload};
 use pscp_media::encoder::EncodedFrame;
-use pscp_media::ts::{TsMuxer, TS_PACKET};
-use pscp_proto::filler::{self, Filler, Sink};
+use pscp_media::ts::TsMuxer;
+use pscp_proto::filler::{self, Filler, Recipe, Sink};
 use pscp_proto::hls::{MediaPlaylist, SegmentEntry};
 use pscp_simnet::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// `EXT-X-TARGETDURATION` of every playlist: segments run 3–6 s.
 const TARGET_DURATION_S: u32 = 6;
 /// The byte the opaque model audio body is filled with.
 const AUDIO_FILL: u8 = 0xAA;
-/// Longest of a PES header and a PSI section with its pointer field.
-const PES_HEADER_MAX: usize = 64;
 
 /// What writes one access unit's bytes.
 #[derive(Debug, Clone)]
@@ -54,7 +53,7 @@ struct Unit {
 
 /// A finished segment ready for CDN delivery: what it holds and how long it
 /// is, not its bytes — those are produced by [`Segment::write_into`] when
-/// someone fetches it, so a segment nobody fetches costs no byte.
+/// someone reads them, so a segment nobody reads costs no byte.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// Media sequence number.
@@ -87,28 +86,6 @@ impl Segment {
         uri.strip_prefix("seg_")?.strip_suffix(".ts")?.parse().ok()
     }
 
-    /// At most how many bytes writing the segment into a capture flow
-    /// writes out — TS packet headers, adaptation fields, PES headers, the
-    /// frame headers, the PSI sections — and how many fillers it hands
-    /// over: a body slice per packet, a stuffing run per PES packet and
-    /// per PSI section.
-    pub fn stored(&self) -> (usize, usize) {
-        let packets = self.len / TS_PACKET;
-        let pes = self.units.len() + 2;
-        let heads: usize = self
-            .units
-            .iter()
-            .map(|unit| match &unit.body {
-                Body::Frame(frame) => frame.head_len(),
-                Body::AudioFill(_) => 0,
-                Body::Bytes(bytes) => bytes.len(),
-            })
-            .sum();
-        // A PES header, or a section and its pointer field, and an
-        // adaptation field's length and flags, per PES packet.
-        (4 * packets + (PES_HEADER_MAX + 2) * pes + heads, packets + pes)
-    }
-
     /// Appends the segment's `len` MPEG-TS bytes to `out` — the bytes one
     /// muxer writing the whole stream in order puts here, whichever
     /// segments are written, and in whatever order. A frame's header is
@@ -131,6 +108,21 @@ impl Segment {
                 }
             }
         }
+    }
+}
+
+/// The finished segments in sequence order, as one [`Recipe`]: item `i` is
+/// segment `i`'s MPEG-TS bytes, [`Segment::write_into`].
+#[derive(Debug, Clone, Default)]
+pub struct Segments(Vec<Segment>);
+
+impl Recipe for Segments {
+    fn len(&self, i: usize) -> usize {
+        self.0[i].len
+    }
+
+    fn write(&self, i: usize, mut out: &mut dyn Sink) {
+        self.0[i].write_into(&mut out);
     }
 }
 
@@ -167,7 +159,8 @@ pub struct Segmenter {
     ended: bool,
     pending: Vec<Unit>,
     pending_first_pts: Option<u32>,
-    finished: Vec<Segment>,
+    /// Segments finished so far, shared with every [`Segmenter::recipe`].
+    finished: Arc<Segments>,
     /// Running estimate of frame duration, for the tail frame's share.
     last_pts_delta_ms: f64,
 }
@@ -182,7 +175,7 @@ impl Segmenter {
             ended: false,
             pending: Vec::new(),
             pending_first_pts: None,
-            finished: Vec::new(),
+            finished: Arc::default(),
             last_pts_delta_ms: 33.3,
         }
     }
@@ -262,26 +255,36 @@ impl Segmenter {
         let units = std::mem::replace(&mut self.pending, next);
         let continuity = self.muxer.continuity();
         self.muxer.skip_segment(units.iter().map(|u| (u.video, u.body.len())));
-        self.finished.push(Segment {
-            seq: self.finished.len() as u64,
+        let segment = Segment {
+            seq: self.segments().len() as u64,
             len: TsMuxer::segment_len(units.iter().map(|u| u.body.len())),
             duration_s,
             last_video_pts_ms,
             available_at: arrival + self.config.packaging_delay,
             units,
             continuity,
-        });
+        };
+        // Uniquely held until a recipe is taken; a later cut copies the list.
+        Arc::make_mut(&mut self.finished).0.push(segment);
     }
 
     /// Segments finished so far.
     pub fn segments(&self) -> &[Segment] {
-        &self.finished
+        &self.finished.0
+    }
+
+    /// The segments finished so far as one [`Recipe`] — what a capture
+    /// records a fetched segment as an item of. It shares the list, so
+    /// nothing is copied; a segment cut after that goes into a copy, and
+    /// the recipe keeps what it was given.
+    pub fn recipe(&self) -> Arc<Segments> {
+        Arc::clone(&self.finished)
     }
 
     /// Playlist as visible at `now` — only advertising segments already
     /// available on the CDN, the last `playlist_window` of them.
     pub fn playlist_at(&self, now: SimTime) -> MediaPlaylist {
-        let available = || self.finished.iter().filter(|s| s.available_at <= now);
+        let available = || self.segments().iter().filter(|s| s.available_at <= now);
         // Segments slid out of the window shift the sequence base.
         let slid = available().count().saturating_sub(self.config.playlist_window);
         let mut pl = MediaPlaylist::new(TARGET_DURATION_S);
@@ -296,7 +299,7 @@ impl Segmenter {
 
     /// The segment numbered `seq`, if available at `now`.
     pub fn segment(&self, seq: u64, now: SimTime) -> Option<&Segment> {
-        self.finished.get(usize::try_from(seq).ok()?).filter(|s| s.available_at <= now)
+        self.segments().get(usize::try_from(seq).ok()?).filter(|s| s.available_at <= now)
     }
 
     /// Fetches a segment by URI, if available at `now`.

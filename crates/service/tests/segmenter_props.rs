@@ -9,16 +9,22 @@
 //! `push_payload`/`push_audio_fill` — and whichever segments are written,
 //! in whatever order, every one must be byte for byte what one
 //! `TsMuxer::mux_into` per segment, over the whole stream in order,
-//! produces from the same units cut by the same rule.
+//! produces from the same units cut by the same rule — and a segment a
+//! capture records as an item of the segment list reads back as those
+//! bytes.
 
 use pscp_check::{check, ensure, Gen};
 use pscp_media::bitstream::{FrameKind, FramePayload};
+use pscp_media::capture::{Flow, FlowKind};
 use pscp_media::content::{ContentClass, ContentProcess};
 use pscp_media::encoder::{EncodedFrame, Encoder, EncoderConfig, GopPattern};
 use pscp_media::ts::{segment_video_frames, TsDemuxer, TsMuxer, TsUnit};
+use pscp_proto::filler::{Recipe, Sink};
 use pscp_proto::hls::{MediaPlaylist, SegmentEntry};
 use pscp_service::segmenter::{Segment, Segmenter, SegmenterConfig};
+use pscp_simnet::rng::Rng;
 use pscp_simnet::{RngFactory, SimTime};
+use std::sync::Arc;
 
 const GOPS: [GopPattern; 3] = [GopPattern::Ibp, GopPattern::IpOnly, GopPattern::IOnly];
 
@@ -171,6 +177,68 @@ fn segments_written_alone_in_any_order_equal_muxing_the_whole_stream() {
                 for (i, s) in segments.iter().enumerate() {
                     let pushed = demuxer.push(&bytes(s));
                     ensure!(pushed.is_ok(), "{path}: continuity breaks entering {i}: {pushed:?}");
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Segments fetched into a capture flow as items of the segment list — in
+/// any order, some fetched again, the list taken part way through the feed
+/// — read back, per packet and as a whole stream, as `Segment::write_into`
+/// over a `Vec` writes them; and the list taken early still holds the
+/// segments it was given.
+#[test]
+fn segments_recorded_as_items_read_back_as_written_into_a_vec() {
+    check(
+        "segments_recorded_as_items_read_back_as_written_into_a_vec",
+        |g: &mut Gen| (feed_params(g), g.u64(..), g.usize(..), g.usize(1..1500)),
+        |&((seed, gop, drop_prob, n_frames, audio_every), fetch_seed, taken_at, mtu)| {
+            let feed = feed(seed, GOPS[gop], drop_prob, n_frames, audio_every);
+            let want: Vec<Vec<u8>> =
+                through_direct_pushes(&feed).segments().iter().map(bytes).collect();
+            let taken_at = taken_at % (feed.len() + 1);
+            let mut seg = Segmenter::new(SegmenterConfig::default());
+            let mut early = None;
+            for (i, tick) in feed.iter().enumerate() {
+                if i == taken_at {
+                    early = Some((seg.recipe(), seg.segments().len()));
+                }
+                if let Some(f) = &tick.frame {
+                    seg.push_payload(f.clone(), tick.arrival);
+                }
+                for &(pts_ms, n) in &tick.audio {
+                    seg.push_audio_fill(pts_ms, n);
+                }
+            }
+            seg.finish(feed.last().map_or(SimTime::ZERO, |t| t.arrival));
+            let got: Vec<Vec<u8>> = seg.segments().iter().map(bytes).collect();
+            ensure!(got == want, "the list taken at tick {taken_at} changed the segments");
+            // A fetch order: sequence numbers drawn with repeats.
+            let mut rng = RngFactory::new(fetch_seed).stream("fetch-order");
+            let order: Vec<usize> =
+                (0..want.len() * 3 / 2).map(|_| rng.next_u64() as usize % want.len()).collect();
+            let recipe: Arc<dyn Recipe> = seg.recipe();
+            let mut flow = Flow::new(FlowKind::HlsHttp, "pop");
+            let mut stream = Vec::new();
+            for (k, &i) in order.iter().enumerate() {
+                let len = want[i].len();
+                flow.append_with(len, |out| out.item(&recipe, i));
+                for n in (0..len).step_by(mtu).map(|at| mtu.min(len - at)) {
+                    flow.cut(SimTime::from_millis(k as u64), k as f64, n, 0, 0);
+                }
+                stream.extend_from_slice(&want[i]);
+            }
+            let per_packet: Vec<u8> = flow.payloads().flat_map(|p| p.bytes().to_vec()).collect();
+            ensure!(per_packet == stream, "packets read back other bytes");
+            ensure!(*flow.byte_stream() == stream[..], "the stream reads back other bytes");
+            if let Some((early, n)) = early {
+                let early: Arc<dyn Recipe> = early;
+                for (i, want) in want.iter().enumerate().take(n) {
+                    let mut out = Vec::new();
+                    out.item(&early, i);
+                    ensure!(out == *want, "the early list's segment {i} changed");
                 }
             }
             Ok(())
